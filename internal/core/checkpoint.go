@@ -189,12 +189,12 @@ func ckptMismatch(field string, got, want any) error {
 }
 
 // MaxTCheckpointed runs the serial permutation loop with periodic
-// checkpoints.  Every `every` permutations (and once at the end) it calls
-// save with a snapshot; if save returns an error the run stops and returns
-// that error, leaving the caller free to retry later from the last saved
-// state.  Pass resume = nil for a fresh run, or a previously saved
-// checkpoint to continue one.  The final result is bit-identical to an
-// uninterrupted MaxT with the same options.
+// checkpoints.  Every `every` permutations — but not at the end, where the
+// result itself follows — it calls save with a snapshot; if save returns
+// an error the run stops and returns that error, leaving the caller free
+// to retry later from the last saved state.  Pass resume = nil for a fresh
+// run, or a previously saved checkpoint to continue one.  The final result
+// is bit-identical to an uninterrupted MaxT with the same options.
 //
 // It is the serial special case of Run, kept as the stable historical
 // entry point.

@@ -25,8 +25,9 @@ func TestCheckpointedMatchesPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if saves != (200+36)/37 {
-			t.Errorf("fss=%s: %d saves, want %d", fss, saves, (200+36)/37)
+		// Six windows; the one that completes the run is not saved.
+		if want := (200+36)/37 - 1; saves != want {
+			t.Errorf("fss=%s: %d saves, want %d", fss, saves, want)
 		}
 		resultsEqual(t, "checkpointed-vs-plain/"+fss, plain, ck)
 	}

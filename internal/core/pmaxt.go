@@ -28,7 +28,10 @@ func (p Profile) Total() time.Duration {
 	return p.PreProcessing + p.BroadcastParams + p.CreateData + p.MainKernel + p.ComputePValues
 }
 
-// Result is the outcome of a MaxT or PMaxT run.
+// Result is the outcome of a MaxT or PMaxT run.  A Result is read-only:
+// Stat and Order alias the preparation they were computed over, which
+// RunPrepared shares among all runs on it, and the jobs layer hands one
+// cached *Result to every job with the same content key.
 type Result struct {
 	// Stat holds the observed (untransformed) statistic per row.
 	Stat []float64

@@ -13,10 +13,11 @@ import (
 // pmaxtd job server): the same bit-exact computation as MaxT / PMaxT, but
 // driven in windows so that a supervisor can observe progress, cancel the
 // run between windows, and persist resumable checkpoints.  The kernel of
-// each window is still chunked over ranks exactly as Figure 2 of the paper
-// chunks the whole sequence — counts merge by int64 addition, so the result
-// is bit-identical to the serial run for every rank count, window size and
-// resume point.
+// each window is still divided among ranks as Figure 2 of the paper divides
+// the whole sequence, except that the ranks claim their pieces as they go
+// (fanOut) instead of owning a fixed share — counts merge by int64 addition,
+// so the result is bit-identical to the serial run for every rank count,
+// window size, resume point and claiming order.
 
 // RunControl carries the service hooks of a supervised run.  The zero value
 // is an uncheckpointed run equivalent to MaxT, parallel over every CPU.
@@ -26,7 +27,7 @@ type RunControl struct {
 	// resume point.
 	Ctx context.Context
 	// NProcs is the number of goroutine ranks the kernel of each window is
-	// chunked over; values < 1 select runtime.GOMAXPROCS(0), i.e. every
+	// shared among; values < 1 select runtime.GOMAXPROCS(0), i.e. every
 	// available CPU.  Results are bit-identical at any rank count.
 	NProcs int
 	// Resume continues a previous run from its checkpoint.  The checkpoint
@@ -36,8 +37,11 @@ type RunControl struct {
 	// progress, cancellation and checkpoints.  Values < 1 select the whole
 	// remaining run as one window.
 	Every int64
-	// Save, when non-nil, receives a snapshot after every window.  An
-	// error from Save aborts the run.
+	// Save, when non-nil, receives a snapshot after every window except
+	// the one that completes a full run (RunShard saves its last window
+	// too): the result follows at once, and redoing that one window after
+	// a crash reproduces it bit for bit.  An error from Save aborts the
+	// run.
 	Save func(*Checkpoint) error
 	// OnProgress, when non-nil, is called after every window with the
 	// number of permutations processed so far (including resumed ones) and

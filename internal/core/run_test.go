@@ -99,14 +99,18 @@ func TestRunProgressAndCheckpoints(t *testing.T) {
 	}
 	// Every=100 is rounded up to the kernel batch multiple (the default
 	// batch is 64, so windows end at 128, 256, 384 and the sequence end).
+	// Every window reports progress; every window but the one completing
+	// the run is checkpointed.
 	wantDone := []int64{128, 256, 384, 400}
-	if len(progress) != len(wantDone) {
-		t.Fatalf("progress calls %v, want %v", progress, wantDone)
+	if len(progress) != len(wantDone) || len(snaps) != len(wantDone)-1 {
+		t.Fatalf("progress calls %v and %d checkpoints, want %v and %d", progress, len(snaps), wantDone, len(wantDone)-1)
 	}
 	for i, d := range wantDone {
-		if progress[i] != d || snaps[i].Done != d || snaps[i].Next != d {
-			t.Fatalf("window %d: progress %d, snap done %d next %d, want %d",
-				i, progress[i], snaps[i].Done, snaps[i].Next, d)
+		if progress[i] != d {
+			t.Fatalf("window %d: progress %d, want %d", i, progress[i], d)
+		}
+		if i < len(snaps) && (snaps[i].Done != d || snaps[i].Next != d) {
+			t.Fatalf("window %d: snap done %d next %d, want %d", i, snaps[i].Done, snaps[i].Next, d)
 		}
 	}
 

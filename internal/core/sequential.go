@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"sprint/internal/maxt"
@@ -144,20 +143,7 @@ func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result,
 		if nprocs == 1 {
 			maxt.ProcessBatched(sub, gen, lo, hi, rs.partials[0], rs.scratches[0], batch)
 		} else {
-			var wg sync.WaitGroup
-			for r := 0; r < nprocs; r++ {
-				clo := lo + alignBoundary(span*int64(r)/int64(nprocs), span, batch)
-				chi := lo + alignBoundary(span*int64(r+1)/int64(nprocs), span, batch)
-				if clo == chi {
-					continue
-				}
-				wg.Add(1)
-				go func(r int, clo, chi int64) {
-					defer wg.Done()
-					maxt.ProcessBatched(sub, gen, clo, chi, rs.partials[r], rs.scratches[r], batch)
-				}(r, clo, chi)
-			}
-			wg.Wait()
+			fanOut(sub, gen, lo, hi, rs.partials, rs.scratches, nprocs, batch)
 		}
 		// Merge, skipping frozen rows: their counts are pinned at their
 		// freeze boundary even while the kernel still computes them
@@ -193,7 +179,10 @@ func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result,
 
 		tracker.Observe(counts.Raw, counts.Adj, counts.B)
 
-		if ctl.Save != nil {
+		// The window that completes the run is not checkpointed (see
+		// RunControl.Save): here that is the last of the plan or the one
+		// that froze the last row.
+		if ctl.Save != nil && hi < totalB && !tracker.AllFrozen() {
 			snap := &Checkpoint{
 				Fingerprint: plan.Fingerprint,
 				TotalB:      plan.TotalB,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sprint/internal/maxt"
@@ -124,8 +125,12 @@ func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Gener
 // boundary of the last completed window when ctl.Ctx cancels — counts
 // then hold a valid partial covering everything below that boundary,
 // which is what lets a draining worker hand its progress back instead
-// of discarding it.
-func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, ctl RunControl) (int64, error) {
+// of discarding it.  saveFinal says whether the window ending at limit is
+// checkpointed like the others: a shard's is (the worker parks prefixes
+// from its checkpoints), a full run's is not — the caller finalizes from
+// counts next, so that checkpoint would be written, fsynced and dropped
+// within microseconds.
+func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, ctl RunControl, saveFinal bool) (int64, error) {
 	prep := p.prep
 	nprocs := ctl.NProcs
 	if nprocs < 1 {
@@ -174,23 +179,7 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 		if nprocs == 1 {
 			maxt.ProcessBatched(prep, gen, lo, hi, counts, scratches[0], batch)
 		} else {
-			var wg sync.WaitGroup
-			for r := 0; r < nprocs; r++ {
-				// Rank boundaries inside the window align to batch
-				// multiples (relative to the window start), so only the
-				// window's last rank can see a ragged tail batch.
-				clo := lo + alignBoundary(span*int64(r)/int64(nprocs), span, batch)
-				chi := lo + alignBoundary(span*int64(r+1)/int64(nprocs), span, batch)
-				if clo == chi {
-					continue
-				}
-				wg.Add(1)
-				go func(r int, clo, chi int64) {
-					defer wg.Done()
-					maxt.ProcessBatched(prep, gen, clo, chi, partials[r], scratches[r], batch)
-				}(r, clo, chi)
-			}
-			wg.Wait()
+			fanOut(prep, gen, lo, hi, partials, scratches, nprocs, batch)
 			for r := 0; r < nprocs; r++ {
 				if partials[r].B > 0 {
 					counts.Merge(partials[r])
@@ -203,7 +192,7 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 		if ctl.OnWindow != nil {
 			ctl.OnWindow(span, time.Since(windowStart))
 		}
-		if ctl.Save != nil {
+		if ctl.Save != nil && (hi < limit || saveFinal) {
 			snap := &Checkpoint{
 				Fingerprint: plan.Fingerprint,
 				TotalB:      plan.TotalB,
@@ -222,6 +211,42 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 		}
 	}
 	return limit, nil
+}
+
+// rankPiece is the least number of permutations a rank claims at a time.
+const rankPiece = 64
+
+// fanOut evaluates permutations [lo, hi) on up to nprocs goroutine ranks,
+// rank r counting into partials[r] with scratches[r].  The ranks share the
+// window by claiming pieces of it — whole kernel batches, at least
+// rankPiece permutations — from a common cursor until none is left, so a
+// rank that loses its CPU for a while (to a request handler, the
+// collector, a neighbour on the host) leaves the rest of the window to the
+// others instead of holding them at the barrier: the window ends within
+// one piece of the moment the work runs out.  Which rank counts which
+// piece is then a matter of timing, and cannot show in the result: counts
+// merge by addition and every index is claimed exactly once.
+func fanOut(prep *maxt.Prep, gen perm.Generator, lo, hi int64, partials []*maxt.Counts, scratches []*maxt.Scratch, nprocs, batch int) {
+	piece := int64(max(batch, 1))
+	piece *= (rankPiece + piece - 1) / piece
+	var next atomic.Int64
+	next.Store(lo)
+	var wg sync.WaitGroup
+	for r := 0; r < nprocs && lo+int64(r)*piece < hi; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				chi := next.Add(piece)
+				clo := chi - piece
+				if clo >= hi {
+					return
+				}
+				maxt.ProcessBatched(prep, gen, clo, min(chi, hi), partials[r], scratches[r], batch)
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 // ShardCounts is the partial result of one shard: exceedance counts
@@ -291,7 +316,7 @@ func RunShard(p *Prepared, opt Options, lo, hi int64, ctl RunControl) (*ShardCou
 	if err != nil {
 		return nil, err
 	}
-	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, ctl)
+	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, ctl, true)
 	sc.Next = next
 	return sc, runErr
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"sprint/internal/matrix"
@@ -192,6 +193,51 @@ func TestRunShardBounds(t *testing.T) {
 	for _, w := range [][2]int64{{-1, 10}, {10, 10}, {20, 10}, {0, 51}} {
 		if _, err := RunShard(p, opt, w[0], w[1], RunControl{}); err == nil {
 			t.Errorf("window %v accepted", w)
+		}
+	}
+}
+
+// TestFanOutCountsEveryIndexOnce pins the one property dynamic piece
+// claiming has to keep: whichever rank claims whichever piece, the ranks'
+// partial counts sum to exactly the one-rank counts of the window — for
+// every statistic and generator, at batch sizes below, at and above
+// rankPiece, with more ranks than pieces and windows shorter than a piece.
+func TestFanOutCountsEveryIndexOnce(t *testing.T) {
+	x := fromRowsT(t, synthMatrix(30, 12, 5, 2024))
+	for _, tc := range shardCases() {
+		p, err := Prepare(x, tc.lab, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cfg, plan, err := p.planFor(tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		gen, err := p.generatorFor(cfg, plan, 0, plan.TotalB)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		spans := append(unevenSpans(plan.TotalB), [2]int64{0, plan.TotalB}, [2]int64{3, 4})
+		for _, nprocs := range []int{2, 3, 7} {
+			for _, batch := range []int{1, 5, rankPiece, rankPiece + 36} {
+				rs := &RunScratch{}
+				rs.ensure(p.prep, nprocs)
+				for _, span := range spans {
+					lo, hi := span[0], span[1]
+					want := maxt.NewCounts(p.Rows())
+					maxt.ProcessBatched(p.prep, gen, lo, hi, want, nil, batch)
+					fanOut(p.prep, gen, lo, hi, rs.partials, rs.scratches, nprocs, batch)
+					got := maxt.NewCounts(p.Rows())
+					for _, pc := range rs.partials {
+						got.Merge(pc)
+						pc.Reset(p.Rows())
+					}
+					if got.B != hi-lo || !slices.Equal(got.Raw, want.Raw) || !slices.Equal(got.Adj, want.Adj) {
+						t.Fatalf("%s nprocs=%d batch=%d [%d,%d): fanned-out counts (B=%d) differ from the one-rank counts (B=%d)",
+							tc.name, nprocs, batch, lo, hi, got.B, want.B)
+					}
+				}
+			}
 		}
 	}
 }

@@ -69,10 +69,27 @@ func TestBatchSizeInvariance(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						var fp uint64
-						res, err := core.RunMatrix(m, d.labels, opt, core.RunControl{
+						// The fingerprint comes from the plan, not from a saved
+						// checkpoint: a run that fits one window (36 complete
+						// permutations at batch 64) saves none.  Checkpoints
+						// that are saved must carry it.
+						prepared, err := core.Prepare(m, d.labels, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						plan, err := core.PlanRun(prepared, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fp := plan.Fingerprint
+						res, err := core.RunPrepared(prepared, opt, core.RunControl{
 							NProcs: 2, Every: 33,
-							Save: func(c *core.Checkpoint) error { fp = c.Fingerprint; return nil },
+							Save: func(c *core.Checkpoint) error {
+								if c.Fingerprint != fp {
+									t.Errorf("side=%s np=%s bs=%d: checkpoint fingerprint %x, plan %x", side, nonpara, bs, c.Fingerprint, fp)
+								}
+								return nil
+							},
 						})
 						if err != nil {
 							t.Fatal(err)

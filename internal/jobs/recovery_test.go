@@ -194,6 +194,84 @@ func TestRestartResumesFromCheckpoint(t *testing.T) {
 	sameFloats(t, "AdjP", res.AdjP, want.AdjP)
 }
 
+// TestRestartAfterUncheckpointedFinalWindow pins the final-window rule:
+// the window that completes a run writes no checkpoint, so a daemon that
+// dies between that window and the done record restarts from the durable
+// state the run had one window earlier.  The test stops the first manager
+// in exactly that state (checkpoint and ckpt record for every window but
+// the last, no done record) and requires the second to redo only the last
+// window and still produce the uninterrupted result bit for bit.
+func TestRestartAfterUncheckpointedFinalWindow(t *testing.T) {
+	dirs := newDurableDirs(t)
+	spec := recoverySpec(t, 13)
+	// Windows of 1024 (Every rounds up to the kernel batch): four
+	// checkpointed boundaries, then a 100-permutation window to the end.
+	const lastBoundary, total = 4096, 4196
+	spec.Opt.B = total
+
+	reached, release := make(chan struct{}), make(chan struct{})
+	cfg := dirs.config(1)
+	cfg.OnCheckpoint = func(id string, done, tot int64) {
+		if done >= tot {
+			t.Errorf("checkpoint written at %d of %d: the completing window must not save", done, tot)
+		}
+		if done == lastBoundary {
+			close(reached)
+			<-release
+		}
+	}
+	m1, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("last checkpointed boundary never reached")
+	}
+	// Shut down while the job sits on that boundary; it observes the
+	// cancellation before its final window and stays pending in the journal.
+	closed := make(chan struct{})
+	go func() { m1.Close(); close(closed) }()
+	for m1.baseCtx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-closed
+
+	cfg = dirs.config(1)
+	cfg.OnCheckpoint = func(id string, done, tot int64) {
+		t.Errorf("restart wrote a checkpoint at %d of %d: only the completing window was left", done, tot)
+	}
+	m2, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	fin := waitRecoveredTerminal(t, m2, st.ID)
+	if fin.State != Done {
+		t.Fatalf("replayed job %s (%s)", fin.State, fin.Error)
+	}
+	if fin.ResumedFrom != lastBoundary {
+		t.Fatalf("ResumedFrom %d, want %d: at most one window is redone", fin.ResumedFrom, lastBoundary)
+	}
+	res, _, err := m2.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MaxT(spec.X, spec.Labels, spec.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+	sameFloats(t, "RawP", res.RawP, want.RawP)
+	sameFloats(t, "Stat", res.Stat, want.Stat)
+}
+
 // TestRestartWithCorruptCheckpoint flips bytes in the newest checkpoint
 // generation: replay must quarantine it, fall back (older generation or
 // B=0) and still converge to the bit-exact result.

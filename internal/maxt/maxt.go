@@ -40,22 +40,28 @@ const (
 	Lower
 )
 
-var sideNames = map[Side]string{Abs: "abs", Upper: "upper", Lower: "lower"}
-
 // String returns the mt.maxT name of the side.
 func (s Side) String() string {
-	if n, ok := sideNames[s]; ok {
-		return n
+	switch s {
+	case Abs:
+		return "abs"
+	case Upper:
+		return "upper"
+	case Lower:
+		return "lower"
 	}
 	return fmt.Sprintf("Side(%d)", int(s))
 }
 
 // ParseSide converts an mt.maxT side name into a Side.
 func ParseSide(s string) (Side, error) {
-	for side, name := range sideNames {
-		if name == s {
-			return side, nil
-		}
+	switch s {
+	case "abs":
+		return Abs, nil
+	case "upper":
+		return Upper, nil
+	case "lower":
+		return Lower, nil
 	}
 	return 0, fmt.Errorf("maxt: unknown side %q (want abs, upper or lower)", s)
 }
@@ -88,6 +94,13 @@ type Prep struct {
 	Obs   []float64 // side-transformed observed statistic per row
 	Order []int     // row indices by decreasing Obs; NaN rows at the end
 	Valid int       // number of rows with a computable observed statistic
+
+	// The counting pass's view of Order and Obs, laid out by step-down
+	// position so it walks both sequentially: ord[j] is the matrix row at
+	// position j and pobs[j] its transformed observed statistic, for the
+	// Valid computable rows only.
+	ord  []int32
+	pobs []float64
 
 	// ref selects the retained pre-flat evaluation path: Process calls
 	// StatFn row by row instead of the batched kernel.  Kept so the flat
@@ -152,6 +165,9 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 	if len(m.Data) != m.Rows*m.Cols {
 		return nil, fmt.Errorf("maxt: matrix data has %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
 	}
+	if m.Rows > math.MaxInt32 {
+		return nil, fmt.Errorf("maxt: matrix has %d rows, limit is %d", m.Rows, math.MaxInt32)
+	}
 	p := &Prep{
 		Design: d,
 		Side:   side,
@@ -183,14 +199,22 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 		p.Kernel = k
 		k.Stats(d.Labels, p.Stat, nil)
 	}
+	p.rankRows()
+	return p, nil
+}
+
+// rankRows derives everything that follows from the observed statistics:
+// their side transform Obs, the step-down Order, Valid and the counting
+// pass's position layout.
+func (p *Prep) rankRows() {
 	for i, t := range p.Stat {
 		if math.IsNaN(t) {
 			p.Obs[i] = math.NaN()
 		} else {
-			p.Obs[i] = side.transform(t)
+			p.Obs[i] = p.Side.transform(t)
 		}
 	}
-	p.Order = make([]int, n)
+	p.Order = make([]int, len(p.Stat))
 	for i := range p.Order {
 		p.Order[i] = i
 	}
@@ -221,7 +245,17 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 		}
 		p.Valid++
 	}
-	return p, nil
+	p.layoutPositions()
+}
+
+// layoutPositions derives ord and pobs from Order, Obs and Valid.
+func (p *Prep) layoutPositions() {
+	p.ord = make([]int32, p.Valid)
+	p.pobs = make([]float64, p.Valid)
+	for j, r := range p.Order[:p.Valid] {
+		p.ord[j] = int32(r)
+		p.pobs[j] = p.Obs[r]
+	}
 }
 
 // Rows returns the number of rows (genes) in the prepared matrix.
@@ -276,6 +310,7 @@ func (p *Prep) Subset(rows []int) (*Prep, error) {
 		}
 		sub.Kernel = k
 	}
+	sub.layoutPositions()
 	return sub, nil
 }
 
@@ -332,6 +367,10 @@ type Scratch struct {
 	z   []float64
 	ks  *stat.KernelScratch
 
+	// Exceedance counts of the call in progress, indexed by step-down
+	// position; scatter adds them into the caller's Counts by row.
+	raw, adj []int64
+
 	labs  []int              // batch × N flat labellings
 	zb    []float64          // batch × rows statistics (backing store)
 	moves []stat.Exchange    // batch-1 delta moves (revolving-door path)
@@ -343,6 +382,15 @@ func (p *Prep) NewScratch() *Scratch {
 	return p.ScratchFrom(nil)
 }
 
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices.  Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // ScratchFrom sizes scratch space for the prep, reusing prev's buffers
 // (possibly sized for a different prep) when their capacity suffices.  A
 // long-lived worker passes its previous scratch between jobs so that
@@ -352,16 +400,10 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 	if s == nil {
 		s = &Scratch{}
 	}
-	if cap(s.lab) < p.Design.N {
-		s.lab = make([]int, p.Design.N)
-	} else {
-		s.lab = s.lab[:p.Design.N]
-	}
-	if cap(s.z) < p.M.Rows {
-		s.z = make([]float64, p.M.Rows)
-	} else {
-		s.z = s.z[:p.M.Rows]
-	}
+	s.lab = resize(s.lab, p.Design.N)
+	s.z = resize(s.z, p.M.Rows)
+	s.raw = resize(s.raw, p.Valid)
+	s.adj = resize(s.adj, p.Valid)
 	// The scalar kernel scratch is sized lazily by Process: the batched
 	// path (the default) never needs it, so eagerly rebuilding it here
 	// would charge every job an allocation it never uses.
@@ -375,18 +417,8 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 // ensureBatch sizes the batch buffers for batches of up to batch
 // labellings, reusing capacity.
 func (p *Prep) ensureBatch(s *Scratch, batch int) {
-	need := batch * p.Design.N
-	if cap(s.labs) < need {
-		s.labs = make([]int, need)
-	} else {
-		s.labs = s.labs[:need]
-	}
-	zneed := batch * p.M.Rows
-	if cap(s.zb) < zneed {
-		s.zb = make([]float64, zneed)
-	} else {
-		s.zb = s.zb[:zneed]
-	}
+	s.labs = resize(s.labs, batch*p.Design.N)
+	s.zb = resize(s.zb, batch*p.M.Rows)
 	if cap(s.moves) < batch-1 {
 		s.moves = make([]stat.Exchange, batch-1)
 	}
@@ -404,13 +436,18 @@ func (p *Prep) ensureBatch(s *Scratch, batch int) {
 // reference preps).  scratch may be nil, in which case temporary storage
 // is allocated.
 func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch) {
+	if lo >= hi {
+		return
+	}
 	if scratch == nil {
 		scratch = p.NewScratch()
 	}
-	if scratch.ks == nil && p.Kernel != nil && lo < hi {
+	if scratch.ks == nil && p.Kernel != nil {
 		scratch.ks = p.Kernel.NewScratch()
 	}
 	lab, z := scratch.lab, scratch.z
+	clear(scratch.raw)
+	clear(scratch.adj)
 	for idx := lo; idx < hi; idx++ {
 		gen.Label(idx, lab)
 		if p.ref {
@@ -420,51 +457,87 @@ func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scra
 		} else {
 			p.Kernel.Stats(lab, z, scratch.ks)
 		}
-		p.countPermutation(z, c)
+		p.count(z, scratch.raw, scratch.adj)
+	}
+	p.scatter(scratch, c, hi-lo)
+}
+
+// tally folds one side-transformed permuted statistic t into the running
+// successive maximum u and returns the new maximum with the raw and
+// adjusted exceedance increments against the observed statistic o.  A NaN
+// statistic becomes -Inf — it never raises the maximum and reaches only an
+// observed -Inf — which a bare t >= o (false for NaN) would not do.  The
+// two increments compile to flag materialisations, not branches: on null
+// rows their outcome is a coin flip no predictor learns.
+func tally(t, u, o float64) (float64, int64, int64) {
+	if t != t {
+		t = math.Inf(-1)
+	}
+	if t > u {
+		u = t
+	}
+	var r, a int64
+	if t >= o {
+		r = 1
+	}
+	if u >= o {
+		a = 1
+	}
+	return u, r, a
+}
+
+// count adds one permutation's exceedances to the position-indexed
+// accumulators raw and adj, reading the untransformed statistics z (by
+// matrix row) in one walk from the least significant valid position
+// upward.  It is the single counting path shared by the scalar and batched
+// loops, so the two cannot diverge.  The side transform is hoisted out of
+// the loop: one loop per side.
+func (p *Prep) count(z []float64, raw, adj []int64) {
+	ord := p.ord
+	obs, raw, adj := p.pobs[:len(ord)], raw[:len(ord)], adj[:len(ord)]
+	u := math.Inf(-1)
+	var r, a int64
+	switch p.Side {
+	case Abs:
+		for j := len(ord) - 1; j >= 0; j-- {
+			u, r, a = tally(math.Abs(z[ord[j]]), u, obs[j])
+			raw[j] += r
+			adj[j] += a
+		}
+	case Lower:
+		for j := len(ord) - 1; j >= 0; j-- {
+			u, r, a = tally(-z[ord[j]], u, obs[j])
+			raw[j] += r
+			adj[j] += a
+		}
+	default:
+		for j := len(ord) - 1; j >= 0; j-- {
+			u, r, a = tally(z[ord[j]], u, obs[j])
+			raw[j] += r
+			adj[j] += a
+		}
 	}
 }
 
-// countPermutation side-transforms one permutation's statistics in place
-// and accumulates its raw and step-down counts into c.  It is the single
-// counting path shared by the scalar and batched loops, so the two cannot
-// diverge.
-func (p *Prep) countPermutation(z []float64, c *Counts) {
-	order, obs := p.Order, p.Obs
-	for i, t := range z {
-		if math.IsNaN(t) {
-			z[i] = math.Inf(-1) // never exceeds, never raises the max
-		} else {
-			z[i] = p.Side.transform(t)
-		}
+// scatter adds the position accumulators of n counted permutations into c
+// by row.  Integer adds commute, so deferring them from once per
+// permutation to once per call leaves every count unchanged.
+func (p *Prep) scatter(s *Scratch, c *Counts, n int64) {
+	for j, r := range p.ord {
+		c.Raw[r] += s.raw[j]
+		c.Adj[r] += s.adj[j]
 	}
-	// Raw counts: per-row comparison.
-	for i := range z {
-		if !math.IsNaN(obs[i]) && z[i] >= obs[i] {
-			c.Raw[i]++
-		}
-	}
-	// Successive maxima from the least significant valid row upward.
-	u := math.Inf(-1)
-	for j := p.Valid - 1; j >= 0; j-- {
-		r := order[j]
-		if z[r] > u {
-			u = z[r]
-		}
-		if u >= obs[r] {
-			c.Adj[r]++
-		}
-	}
-	c.B++
+	c.B += n
 }
 
 // ProcessBatched is Process with the permutation loop inverted: the chunk
 // [lo, hi) is evaluated in batches of up to batch labellings through the
 // kernel's StatsBatch, so each matrix row is read once per batch instead
 // of once per permutation.  The counting pass per permutation is shared
-// with Process (countPermutation) and StatsBatch is bitwise identical to
-// Stats, so the accumulated counts are exactly those of Process for every
-// batch size; batch <= 1 (or a reference prep, whose kernel is nil) falls
-// back to the scalar loop.
+// with Process (count) and StatsBatch is bitwise identical to Stats, so
+// the accumulated counts are exactly those of Process for every batch
+// size; batch <= 1 (or a reference prep, whose kernel is nil) falls back
+// to the scalar loop.
 //
 // When the generator emits single-exchange deltas (perm.RevolvingDoor)
 // AND the kernel can evaluate them exactly (stat.DeltaKernel on integer
@@ -490,6 +563,8 @@ func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratc
 	dg, okDG := gen.(perm.DeltaGenerator)
 	useDelta := okDK && okDG && dk.DeltaOK()
 	n, rows := p.Design.N, p.M.Rows
+	clear(scratch.raw)
+	clear(scratch.adj)
 	for base := lo; base < hi; base += int64(batch) {
 		nb := batch
 		if rem := hi - base; int64(nb) > rem {
@@ -507,12 +582,15 @@ func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratc
 			bk.StatsBatch(labs, out, scratch.bks)
 		}
 		for bp := 0; bp < nb; bp++ {
-			p.countPermutation(out.Row(bp), c)
+			p.count(out.Row(bp), scratch.raw, scratch.adj)
 		}
 	}
+	p.scatter(scratch, c, hi-lo)
 }
 
 // Result carries the outputs of a maxT run, in the original row order.
+// Stat and Order alias the prep's slices — they are the same for every run
+// over a prep — so a Result is read-only, like the Prep it came from.
 type Result struct {
 	Stat  []float64 // observed (untransformed) statistics
 	RawP  []float64 // unadjusted permutation p-values
@@ -528,10 +606,10 @@ type Result struct {
 func Finalize(p *Prep, c *Counts) *Result {
 	n := p.M.Rows
 	res := &Result{
-		Stat:  append([]float64(nil), p.Stat...),
+		Stat:  p.Stat,
 		RawP:  make([]float64, n),
 		AdjP:  make([]float64, n),
-		Order: append([]int(nil), p.Order...),
+		Order: p.Order,
 		B:     c.B,
 	}
 	for i := 0; i < n; i++ {
@@ -564,10 +642,10 @@ func Finalize(p *Prep, c *Counts) *Result {
 func FinalizeEffective(p *Prep, c *Counts, bEff []int64) *Result {
 	n := p.M.Rows
 	res := &Result{
-		Stat:  append([]float64(nil), p.Stat...),
+		Stat:  p.Stat,
 		RawP:  make([]float64, n),
 		AdjP:  make([]float64, n),
-		Order: append([]int(nil), p.Order...),
+		Order: p.Order,
 		B:     c.B,
 	}
 	for i := 0; i < n; i++ {
