@@ -20,10 +20,11 @@ import (
 //   - Therefore rows may stop CONTRIBUTING (freeze) individually — their
 //     counts simply stop accumulating, pinning the estimate count/b_eff —
 //     but may leave the COMPUTATION only as a frozen prefix of the order.
-//     Dropping that prefix (maxt.Prep.Subset) leaves every still-active
-//     row's statistics, maxima and counts bit-for-bit what the full
-//     computation would produce: sequential mode never approximates an
-//     active row, it only truncates each row's permutation prefix.
+//     Starting each window at the first unfrozen position
+//     (maxt.ProcessFrom) leaves every still-active row's statistics,
+//     maxima and counts bit-for-bit what the full computation would
+//     produce: sequential mode never approximates an active row, it only
+//     truncates each row's permutation prefix.
 //
 // Every stopping decision is a pure function of the deterministic counts
 // at a window boundary, so a cancelled-and-resumed sequential run (same
@@ -91,38 +92,11 @@ func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result,
 
 	kernelStart := time.Now()
 
-	// The kernel computes sub — initially the full prep, later the
-	// compacted suffix of still-needed rows; subRows maps a sub row index
-	// back to its matrix row (nil = identity).
-	sub := prep
-	var subRows []int
-	removed := 0
-	compact := func(prefix int) error {
-		rows := make([]int, prep.Valid-prefix)
-		for i := range rows {
-			rows[i] = prep.Order[prefix+i]
-		}
-		s, err := prep.Subset(rows)
-		if err != nil {
-			return err
-		}
-		sub, subRows, removed = s, rows, prefix
-		return nil
-	}
-	if pfx := tracker.FrozenPrefix(); pfx > 0 && pfx < prep.Valid {
-		// A resumed run re-drops everything already frozen as a prefix;
-		// compaction timing never changes any count (frozen rows' counts
-		// are skipped at merge either way), so this is purely physical.
-		if err := compact(pfx); err != nil {
-			return nil, err
-		}
-	}
-
 	rs := ctl.Scratch
 	if rs == nil {
 		rs = &RunScratch{}
 	}
-	rs.ensure(sub, nprocs)
+	rs.ensure(prep, nprocs)
 
 	bEff := tracker.BEff()
 	for lo := first; lo < totalB && !tracker.AllFrozen(); lo += every {
@@ -140,32 +114,28 @@ func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result,
 		if ctl.OnWindow != nil {
 			windowStart = time.Now()
 		}
+		// The window computes the step-down positions from the first
+		// unfrozen one down: a resumed run starts where the prefix its
+		// checkpoint froze ends.  Where a window starts never changes a
+		// count (frozen rows are skipped at the merge either way).
+		active := tracker.FrozenPrefix()
 		if nprocs == 1 {
-			maxt.ProcessBatched(sub, gen, lo, hi, rs.partials[0], rs.scratches[0], batch)
+			maxt.ProcessFrom(prep, gen, lo, hi, rs.partials[0], rs.scratches[0], batch, active)
 		} else {
-			fanOut(sub, gen, lo, hi, rs.partials, rs.scratches, nprocs, batch)
+			fanOut(prep, gen, lo, hi, rs.partials, rs.scratches, nprocs, batch, active)
 		}
 		// Merge, skipping frozen rows: their counts are pinned at their
-		// freeze boundary even while the kernel still computes them
-		// (between freezing and the next compaction).
+		// freeze boundary even while the kernel still computes them (a
+		// frozen row below an active one).
 		for r := 0; r < nprocs; r++ {
 			pc := rs.partials[r]
 			if pc.B == 0 {
 				continue
 			}
-			if subRows == nil {
-				for i := range pc.Raw {
-					if bEff[i] == 0 {
-						counts.Raw[i] += pc.Raw[i]
-						counts.Adj[i] += pc.Adj[i]
-					}
-				}
-			} else {
-				for si, row := range subRows {
-					if bEff[row] == 0 {
-						counts.Raw[row] += pc.Raw[si]
-						counts.Adj[row] += pc.Adj[si]
-					}
+			for i := range pc.Raw {
+				if bEff[i] == 0 {
+					counts.Raw[i] += pc.Raw[i]
+					counts.Adj[i] += pc.Adj[i]
 				}
 			}
 			counts.B += pc.B
@@ -202,22 +172,6 @@ func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result,
 		}
 		if ctl.OnSeq != nil {
 			ctl.OnSeq(prep.Valid-tracker.FrozenRows(), tracker.PermsSaved(totalB))
-		}
-
-		// Physical compaction: rebuild the kernel's prep once the
-		// droppable prefix is a worthwhile fraction of what it still
-		// computes.  The first compaction also sheds rows with no
-		// computable statistic (positions >= Valid), which contribute
-		// nothing to any count.
-		if pfx := tracker.FrozenPrefix(); pfx > removed && pfx < prep.Valid {
-			droppable := pfx - removed
-			computing := sub.Rows()
-			if droppable >= 32 && droppable*4 >= computing {
-				if err := compact(pfx); err != nil {
-					return nil, err
-				}
-				rs.ensure(sub, nprocs)
-			}
 		}
 	}
 	prof.MainKernel = time.Since(kernelStart)

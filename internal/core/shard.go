@@ -179,7 +179,7 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 		if nprocs == 1 {
 			maxt.ProcessBatched(prep, gen, lo, hi, counts, scratches[0], batch)
 		} else {
-			fanOut(prep, gen, lo, hi, partials, scratches, nprocs, batch)
+			fanOut(prep, gen, lo, hi, partials, scratches, nprocs, batch, 0)
 			for r := 0; r < nprocs; r++ {
 				if partials[r].B > 0 {
 					counts.Merge(partials[r])
@@ -217,7 +217,8 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 const rankPiece = 64
 
 // fanOut evaluates permutations [lo, hi) on up to nprocs goroutine ranks,
-// rank r counting into partials[r] with scratches[r].  The ranks share the
+// rank r counting step-down positions first and below into partials[r]
+// with scratches[r].  The ranks share the
 // window by claiming pieces of it — whole kernel batches, at least
 // rankPiece permutations — from a common cursor until none is left, so a
 // rank that loses its CPU for a while (to a request handler, the
@@ -226,7 +227,7 @@ const rankPiece = 64
 // one piece of the moment the work runs out.  Which rank counts which
 // piece is then a matter of timing, and cannot show in the result: counts
 // merge by addition and every index is claimed exactly once.
-func fanOut(prep *maxt.Prep, gen perm.Generator, lo, hi int64, partials []*maxt.Counts, scratches []*maxt.Scratch, nprocs, batch int) {
+func fanOut(prep *maxt.Prep, gen perm.Generator, lo, hi int64, partials []*maxt.Counts, scratches []*maxt.Scratch, nprocs, batch, first int) {
 	piece := int64(max(batch, 1))
 	piece *= (rankPiece + piece - 1) / piece
 	var next atomic.Int64
@@ -242,7 +243,7 @@ func fanOut(prep *maxt.Prep, gen perm.Generator, lo, hi int64, partials []*maxt.
 				if clo >= hi {
 					return
 				}
-				maxt.ProcessBatched(prep, gen, clo, min(chi, hi), partials[r], scratches[r], batch)
+				maxt.ProcessFrom(prep, gen, clo, min(chi, hi), partials[r], scratches[r], batch, first)
 			}
 		}(r)
 	}

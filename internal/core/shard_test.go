@@ -226,7 +226,7 @@ func TestFanOutCountsEveryIndexOnce(t *testing.T) {
 					lo, hi := span[0], span[1]
 					want := maxt.NewCounts(p.Rows())
 					maxt.ProcessBatched(p.prep, gen, lo, hi, want, nil, batch)
-					fanOut(p.prep, gen, lo, hi, rs.partials, rs.scratches, nprocs, batch)
+					fanOut(p.prep, gen, lo, hi, rs.partials, rs.scratches, nprocs, batch, 0)
 					got := maxt.NewCounts(p.Rows())
 					for _, pc := range rs.partials {
 						got.Merge(pc)

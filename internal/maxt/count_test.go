@@ -1,8 +1,11 @@
 package maxt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"sprint/internal/matrix"
@@ -10,10 +13,11 @@ import (
 	"sprint/internal/stat"
 )
 
-// countPermutation is the counting routine Prep.count replaced, kept
-// verbatim as the differential oracle: it side-transforms one permutation's
-// statistics in place, then makes a raw-count pass over all rows and a
-// step-down pass through Order, adding straight into c.
+// countPermutation is the three-pass counting routine the engine started
+// with, kept verbatim as the differential oracle: it side-transforms one
+// permutation's statistics (indexed by original row) in place, then makes a
+// raw-count pass over all rows and a step-down pass through Order, adding
+// straight into c.
 func (p *Prep) countPermutation(z []float64, c *Counts) {
 	order, obs := p.Order, p.Obs
 	for i, t := range z {
@@ -44,26 +48,113 @@ func (p *Prep) countPermutation(z []float64, c *Counts) {
 }
 
 // oracleProcess is the scalar loop over [lo, hi) that feeds the oracle
-// counter: one kernel Stats call per permutation, no batching.
+// counter: one kernel Stats call per permutation, no batching, the
+// statistics carried from the kernel's position order back to rows.
 func oracleProcess(p *Prep, gen perm.Generator, lo, hi int64, c *Counts) {
 	lab := make([]int, p.Design.N)
+	zp := make([]float64, p.M.Rows)
 	z := make([]float64, p.M.Rows)
 	for idx := lo; idx < hi; idx++ {
 		gen.Label(idx, lab)
-		p.Kernel.Stats(lab, z, nil)
+		p.Kernel.Stats(lab, zp, nil)
+		for j, r := range p.Order {
+			z[r] = zp[j]
+		}
 		p.countPermutation(z, c)
 	}
 }
 
-func requireCountsEqual(t *testing.T, got, want *Counts) {
+// subPrep is the prep Prep.Subset used to build for the sequential engine —
+// the rows at step-down positions first..Valid-1 of p as a prep of their
+// own, observed statistics copied, kernel rebuilt over the copied rows —
+// kept as the oracle of ProcessFrom: starting the range at a position must
+// count exactly what dropping the prefix counted.  Sub row i is p's row
+// p.Order[first+i].
+func subPrep(t testing.TB, p *Prep, first int) *Prep {
+	t.Helper()
+	n := p.Valid - first
+	sub := &Prep{
+		Design: p.Design, Side: p.Side, StatFn: p.StatFn, isa: p.isa, ref: p.ref,
+		M:     matrix.Matrix{Data: append([]float64(nil), p.M.Data[first*p.M.Cols:p.Valid*p.M.Cols]...), Rows: n, Cols: p.M.Cols},
+		Stat:  make([]float64, n),
+		Obs:   append([]float64(nil), p.pobs[first:]...),
+		Order: make([]int, n),
+		Valid: n,
+		pobs:  p.pobs[first:],
+	}
+	for i := range sub.Order {
+		sub.Order[i] = i
+		sub.Stat[i] = p.Stat[p.Order[first+i]]
+	}
+	if !p.ref {
+		k, err := stat.NewKernel(p.Design, sub.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub.Kernel = k
+	}
+	return sub
+}
+
+// withISA returns a copy of p that counts on the given lane.
+func withISA(p *Prep, isa stat.KernelISA) *Prep {
+	q := *p
+	q.isa = isa
+	return &q
+}
+
+// countISAs lists the counting lanes this CPU can run.  Only avx2 differs
+// from generic today; sse2 is swept so that a lane added under that name
+// cannot go untested.
+func countISAs() []stat.KernelISA {
+	var out []stat.KernelISA
+	for isa := stat.ISAGeneric; isa <= stat.ISAAVX2; isa++ {
+		if slices.Contains(stat.SupportedISAs(), isa.String()) {
+			out = append(out, isa)
+		}
+	}
+	return out
+}
+
+// where renders the case a failure message is about.
+func where(ctx []any) string {
+	if len(ctx) == 0 {
+		return ""
+	}
+	return strings.TrimSuffix(fmt.Sprintln(ctx...), "\n") + ": "
+}
+
+// requireCountsEqual fails the test, naming the case in ctx, unless got
+// equals the oracle's counts.
+func requireCountsEqual(t *testing.T, got, want *Counts, ctx ...any) {
 	t.Helper()
 	if got.B != want.B {
-		t.Fatalf("B = %d, oracle %d", got.B, want.B)
+		t.Fatalf("%sB = %d, oracle %d", where(ctx), got.B, want.B)
 	}
 	for i := range want.Raw {
 		if got.Raw[i] != want.Raw[i] || got.Adj[i] != want.Adj[i] {
-			t.Fatalf("row %d: counts (raw %d, adj %d), oracle (raw %d, adj %d)",
-				i, got.Raw[i], got.Adj[i], want.Raw[i], want.Adj[i])
+			t.Fatalf("%srow %d: counts (raw %d, adj %d), oracle (raw %d, adj %d)",
+				where(ctx), i, got.Raw[i], got.Adj[i], want.Raw[i], want.Adj[i])
+		}
+	}
+}
+
+// requireCountsFrom checks counts accumulated by ProcessFrom(…, first)
+// against full-run oracle counts: equal at positions first and below, zero
+// above.
+func requireCountsFrom(t *testing.T, p *Prep, first int, got, want *Counts, ctx ...any) {
+	t.Helper()
+	if got.B != want.B {
+		t.Fatalf("%sB = %d, oracle %d", where(ctx), got.B, want.B)
+	}
+	for j, r := range p.Order {
+		wr, wa := want.Raw[r], want.Adj[r]
+		if j < first {
+			wr, wa = 0, 0
+		}
+		if got.Raw[r] != wr || got.Adj[r] != wa {
+			t.Fatalf("%sfirst=%d position %d (row %d): counts (raw %d, adj %d), want (raw %d, adj %d)",
+				where(ctx), first, j, r, got.Raw[r], got.Adj[r], wr, wa)
 		}
 	}
 }
@@ -113,10 +204,11 @@ func cleanMatrix(rows, cols int, seed uint64) matrix.Matrix {
 }
 
 // TestCountMatchesOracle sweeps the whole counting pipeline against the
-// replaced routine: every test, side and data pattern, through
+// three-pass routine: every test, side and data pattern, through
 // ProcessBatched at batch sizes around the default 64, in ragged windows
-// that reuse one Scratch and one Counts, on the full prep and on a Subset
-// of it.  Counts must agree cell for cell.
+// that reuse one Scratch and one Counts, on every counting lane, on the
+// full prep and on the sub-prep of its positions 3 and below — where the
+// full prep started at position 3 must count the same.
 func TestCountMatchesOracle(t *testing.T) {
 	const rows, total = 21, 200
 	windows := []int64{0, 1, 2, 66, 129, 130, total}
@@ -135,13 +227,11 @@ func TestCountMatchesOracle(t *testing.T) {
 				if data.validOK != nil && !data.validOK(full.Valid, rows) {
 					t.Fatalf("%s/%v/%s: Valid = %d of %d rows", tc.name, side, data.name, full.Valid, rows)
 				}
+				wantFull := NewCounts(rows)
+				oracleProcess(full, gen, 0, total, wantFull)
 				preps := map[string]*Prep{"full": full}
 				if full.Valid > 4 {
-					sub, err := full.Subset(full.Order[3:full.Valid])
-					if err != nil {
-						t.Fatal(err)
-					}
-					preps["subset"] = sub
+					preps["subset"] = subPrep(t, full, 3)
 				}
 				for kind, p := range preps {
 					want := NewCounts(p.Rows())
@@ -149,12 +239,24 @@ func TestCountMatchesOracle(t *testing.T) {
 					for _, batch := range []int{1, 2, 63, 64, 65} {
 						name := fmt.Sprintf("%s/%v/%s/%s/batch=%d", tc.name, side, data.name, kind, batch)
 						t.Run(name, func(t *testing.T) {
-							got := NewCounts(p.Rows())
-							scratch := p.NewScratch()
-							for w := 0; w+1 < len(windows); w++ {
-								ProcessBatched(p, gen, windows[w], windows[w+1], got, scratch, batch)
+							for _, isa := range countISAs() {
+								p := withISA(p, isa)
+								got := NewCounts(p.Rows())
+								scratch := p.NewScratch()
+								for w := 0; w+1 < len(windows); w++ {
+									ProcessBatched(p, gen, windows[w], windows[w+1], got, scratch, batch)
+								}
+								requireCountsEqual(t, got, want)
+								if kind != "subset" {
+									continue
+								}
+								from := NewCounts(rows)
+								scratch = full.ScratchFrom(scratch)
+								for w := 0; w+1 < len(windows); w++ {
+									ProcessFrom(withISA(full, isa), gen, windows[w], windows[w+1], from, scratch, batch, 3)
+								}
+								requireCountsFrom(t, full, 3, from, wantFull)
 							}
-							requireCountsEqual(t, got, want)
 						})
 					}
 				}
@@ -163,13 +265,80 @@ func TestCountMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestCountBlockEdges walks the block structure of ProcessFrom: Valid on
+// both sides of one block and of several, first positions that split a
+// block or a row quad of the two-sample kernel, batch sizes on both sides
+// of the four-labelling step, under sampling and under the revolving door,
+// on every lane — against the oracle's full-run counts.
+func TestCountBlockEdges(t *testing.T) {
+	const rows, total = 2*blockRows + 9, 70
+	designs := []struct {
+		name   string
+		test   stat.Test
+		labels []int
+		door   bool
+	}{
+		{"welch-random", stat.Welch, []int{0, 1, 0, 1, 1, 0, 1, 0}, false},
+		{"wilcoxon-door", stat.Wilcoxon, []int{0, 0, 0, 0, 1, 1, 1, 1}, true},
+	}
+	for _, tc := range designs {
+		d, err := stat.NewDesign(tc.test, tc.labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gen perm.Generator = perm.NewRandom(d, 8, total)
+		if tc.door {
+			if gen, err = perm.NewRevolvingDoor(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, valid := range []int{0, 1, 3, blockRows - 1, blockRows, blockRows + 1, rows} {
+			m := cleanMatrix(rows, d.N, uint64(valid)+3)
+			for i := valid; i < rows; i++ {
+				for j := range m.Row(i) {
+					m.Row(i)[j] = math.NaN()
+				}
+			}
+			for _, side := range []Side{Abs, Upper, Lower} {
+				t.Run(fmt.Sprintf("%s/valid=%d/%v", tc.name, valid, side), func(t *testing.T) {
+					p, err := NewPrepMatrix(m, d, side, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p.Valid != valid {
+						t.Fatalf("Valid = %d, built for %d", p.Valid, valid)
+					}
+					want := NewCounts(rows)
+					oracleProcess(p, gen, 0, total, want)
+					firsts := []int{0, 1, 2, 3, 5, valid - blockRows - 1, valid - blockRows, valid - blockRows + 1, valid - 1, valid, valid + 7, -4}
+					for _, isa := range countISAs() {
+						p := withISA(p, isa)
+						scratch := p.NewScratch()
+						for _, nb := range []int{1, 2, 3, 4, 5, 63, 64, 65} {
+							for _, first := range firsts {
+								got := NewCounts(rows)
+								ProcessFrom(p, gen, 0, total, got, scratch, nb, first)
+								requireCountsFrom(t, p, min(max(first, 0), valid), got, want, isa, "nb", nb, "first", first)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestCountMatchesOracleOnStatistics drives the counter alone with
-// statistic vectors no kernel is obliged to produce: NaN, ±Inf and exact
-// ties in both the observed and the permuted position.  The case that
-// forces the NaN → -Inf replacement is in the pool: an observed -Inf (side
-// upper) or +Inf (side lower) meets a NaN permuted value, which must count.
+// statistic vectors no kernel is obliged to produce: NaN, ±Inf, signed
+// zeros and exact ties in both the observed and the permuted position, a
+// batch of them at a time on every lane.  Hand-placed beside the random
+// draws: an observed -Inf (side upper) or +Inf (side lower) meeting a NaN
+// permuted value, which must count and is what forces the NaN → -Inf
+// replacement; -0 permuted against +0 observed and the reverse, which must
+// count on every side; and a batch whose statistics are all tied.
 func TestCountMatchesOracleOnStatistics(t *testing.T) {
-	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), 1, -1, 2.5, -2.5}
+	negZero := math.Copysign(0, -1)
+	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, negZero, 1, -1, 2.5, -2.5}
 	s := uint64(99)
 	draw := func(n int) []float64 {
 		v := make([]float64, n)
@@ -179,43 +348,132 @@ func TestCountMatchesOracleOnStatistics(t *testing.T) {
 		}
 		return v
 	}
+	// placed, when set, fixes row 0's observed statistic and its permuted
+	// statistic under every labelling; every such pair must count.
+	type pattern struct {
+		name         string
+		placed, tied bool
+		obs0, z0     float64
+	}
 	for _, side := range []Side{Abs, Upper, Lower} {
+		patterns := []pattern{
+			{name: "random"},
+			{name: "-0 against +0", placed: true, obs0: 0, z0: negZero},
+			{name: "+0 against -0", placed: true, obs0: negZero, z0: 0},
+			{name: "all tied", tied: true},
+		}
+		if side != Abs { // |t| is never -Inf
+			patterns = append(patterns, pattern{name: "NaN against -Inf", placed: true,
+				obs0: side.transform(math.Inf(-1)), z0: math.NaN()})
+		}
 		for _, n := range []int{1, 2, 7, 40} {
-			for trial := 0; trial < 40; trial++ {
-				// Trial 0 places the forcing case by hand (|t| has no -Inf,
-				// so not under side abs): row 0 observes the statistic that
-				// transforms to -Inf and permutes to NaN every time.
-				forcing := trial == 0 && side != Abs
-				p := &Prep{Side: side, M: matrix.Matrix{Rows: n}, Stat: draw(n), Obs: make([]float64, n)}
-				if forcing {
-					p.Stat[0] = side.transform(math.Inf(-1))
-				}
-				p.rankRows()
-				want, got := NewCounts(n), NewCounts(n)
-				raw, adj := make([]int64, p.Valid), make([]int64, p.Valid)
-				for b := 0; b < 60; b++ {
-					z := draw(n)
-					if forcing {
-						z[0] = math.NaN()
+			for _, pat := range patterns {
+				for _, nb := range []int{1, 2, 3, 4, 5, 63, 64, 65} {
+					p := &Prep{Side: side, M: matrix.Matrix{Rows: n}, Stat: draw(n), Obs: make([]float64, n)}
+					if pat.placed {
+						p.Stat[0] = pat.obs0
 					}
-					p.count(z, raw, adj)
-					p.countPermutation(z, want) // transforms z in place: goes last
-				}
-				p.scatter(&Scratch{raw: raw, adj: adj}, got, 60)
-				requireCountsEqual(t, got, want)
-				if forcing && got.Raw[0] != 60 {
-					t.Fatalf("side %v: NaN against observed -Inf counted %d of 60", side, got.Raw[0])
+					p.rankRows()
+					// zs[b] is labelling b's statistics by row; blk the same
+					// by position, labellings contiguous.
+					zs := make([][]float64, nb)
+					blk := make([]float64, p.Valid*nb)
+					for b := range zs {
+						z := draw(n)
+						if pat.placed {
+							z[0] = pat.z0
+						}
+						if pat.tied {
+							for i := range z {
+								z[i] = 2.5
+							}
+						}
+						zs[b] = z
+						for j, r := range p.Order[:p.Valid] {
+							blk[j*nb+b] = z[r]
+						}
+					}
+					want := NewCounts(n)
+					for _, z := range zs {
+						p.countPermutation(append([]float64(nil), z...), want)
+					}
+					if pat.placed && want.Raw[0] != int64(nb) {
+						t.Fatalf("side %v, %s: oracle counted %d of %d", side, pat.name, want.Raw[0], nb)
+					}
+					for _, isa := range countISAs() {
+						p.isa = isa
+						raw, adj := make([]int64, p.Valid), make([]int64, p.Valid)
+						u := make([]float64, nb)
+						for b := range u {
+							u[b] = math.Inf(-1)
+						}
+						// Two blocks, split at an arbitrary position: u carries.
+						mid := p.Valid / 3
+						p.countBlock(blk[mid*nb:], mid, p.Valid, nb, u, raw, adj)
+						p.countBlock(blk, 0, mid, nb, u, raw, adj)
+						got := NewCounts(n)
+						for j, r := range p.Order[:p.Valid] {
+							got.Raw[r], got.Adj[r] = raw[j], adj[j]
+						}
+						got.B = int64(nb)
+						requireCountsEqual(t, got, want, side, "n", n, "nb", nb, isa, pat.name)
+					}
 				}
 			}
 		}
 	}
 }
 
+// FuzzCountRow pins the AVX2 lane to tallyRow on arbitrary bit patterns —
+// every NaN payload, infinities, denormals and signed zeros, in the
+// statistics, the running maxima and the observed value, under each side.
+func FuzzCountRow(f *testing.F) {
+	if !slices.Contains(countISAs(), stat.ISAAVX2) {
+		f.Skip("no AVX2 on this CPU")
+	}
+	bits := func(vs ...float64) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(bits(1, -1, 0, math.Copysign(0, -1), nan, inf, -inf, 2.5, -inf, -inf, 0, 0, 3, nan, inf, -inf), math.Float64bits(0), uint8(0))
+	f.Add(bits(nan, nan, nan, nan, -inf, -inf, -inf, -inf), math.Float64bits(-inf), uint8(1))
+	f.Add(bits(nan, 1, -0.5, inf, inf, -inf, 7, 7), math.Float64bits(inf), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, obits uint64, side uint8) {
+		n := len(data) / 16 &^ 3 // z then u, a whole number of quads
+		if n == 0 {
+			return
+		}
+		z, u := make([]float64, n), make([]float64, n)
+		for i := range z {
+			z[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			u[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(n+i):]))
+		}
+		o := math.Float64frombits(obits)
+		flip, keep := Side(side % 3).bits()
+		uGo := append([]float64(nil), u...)
+		rGo, aGo := tallyRow(z, uGo, o, flip, keep)
+		r, a := countRowAVX2(z, u, o, flip, keep)
+		if r != rGo || a != aGo {
+			t.Fatalf("side %v o=%v z=%v: asm counts (%d, %d), tallyRow (%d, %d)", Side(side%3), o, z, r, a, rGo, aGo)
+		}
+		for i := range u {
+			if math.Float64bits(u[i]) != math.Float64bits(uGo[i]) {
+				t.Fatalf("side %v z=%v: asm u[%d] = %x, tallyRow %x", Side(side%3), z, i, math.Float64bits(u[i]), math.Float64bits(uGo[i]))
+			}
+		}
+	})
+}
+
 // TestScratchAcrossPrepsZeroAllocs extends TestProcessBatchedZeroAllocs and
 // TestDeltaLoopZeroAllocs to a Scratch that moves between preps of
 // different Valid through ScratchFrom, as a jobs worker's does: the
-// position accumulators live in it, so steady state still allocates nothing
-// and no count leaks from one prep's call into the next's.
+// position accumulators, the block buffer and the running maxima live in
+// it, so steady state still allocates nothing and no count leaks from one
+// prep's call into the next's.
 func TestScratchAcrossPrepsZeroAllocs(t *testing.T) {
 	d, err := stat.NewDesign(stat.Welch, []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1})
 	if err != nil {
@@ -225,10 +483,7 @@ func TestScratchAcrossPrepsZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := big.Subset(big.Order[20:big.Valid])
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := subPrep(t, big, 20)
 	gen := perm.NewRandom(d, 1, 1<<20)
 	const batch = 32
 	cBig, cSmall := NewCounts(big.Rows()), NewCounts(small.Rows())
@@ -253,8 +508,9 @@ func TestScratchAcrossPrepsZeroAllocs(t *testing.T) {
 // BenchmarkCount reports the cost of one (row, permutation) cell at the
 // paper's shapes — Welch t on 6102×76 under random sampling, Wilcoxon on
 // 6102×16 in revolving-door order — for ProcessBatched as the engine runs
-// it and for the same call with the counting pass emptied, so the counting
-// share is the difference of the two lines.
+// it (process) and for the same walk of labels and row blocks with the
+// counting skipped (kernel), so the counting share is the difference of
+// the two lines; count is the counter alone on one full block, per lane.
 func BenchmarkCount(b *testing.B) {
 	const rows, perms, batch = 6102, 2048, 64
 	cases := []struct {
@@ -274,6 +530,9 @@ func BenchmarkCount(b *testing.B) {
 			return g
 		}},
 	}
+	perCell := func(b *testing.B, cells int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+	}
 	for _, tc := range cases {
 		labels := make([]int, tc.cols)
 		for i := tc.cols / 2; i < tc.cols; i++ {
@@ -288,27 +547,60 @@ func BenchmarkCount(b *testing.B) {
 			b.Fatal(err)
 		}
 		gen := tc.gen(d)
-		if _, door := gen.(perm.DeltaGenerator); door {
-			if dk, ok := p.Kernel.(stat.DeltaKernel); !ok || !dk.DeltaOK() {
-				b.Fatal("delta path not engaged")
+		bk := p.Kernel.(stat.BatchKernel)
+		dk, _ := p.Kernel.(stat.DeltaKernel)
+		dg, door := gen.(perm.DeltaGenerator)
+		if door && (dk == nil || !dk.DeltaOK()) {
+			b.Fatal("delta path not engaged")
+		}
+		b.Run(tc.name+"/process", func(b *testing.B) {
+			c := NewCounts(rows)
+			scratch := p.NewScratch()
+			ProcessBatched(p, gen, 0, batch, c, scratch, batch) // warm
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ProcessBatched(p, gen, 0, perms, c, scratch, batch)
 			}
-		}
-		kernelOnly := *p
-		kernelOnly.ord, kernelOnly.pobs = nil, nil
-		for _, v := range []struct {
-			name string
-			prep *Prep
-		}{{"process", p}, {"kernel", &kernelOnly}} {
-			b.Run(tc.name+"/"+v.name, func(b *testing.B) {
-				c := NewCounts(rows)
-				scratch := v.prep.NewScratch()
-				ProcessBatched(v.prep, gen, 0, batch, c, scratch, batch) // warm
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ProcessBatched(v.prep, gen, 0, perms, c, scratch, batch)
+			perCell(b, rows*perms)
+		})
+		b.Run(tc.name+"/kernel", func(b *testing.B) {
+			s := p.NewScratch()
+			p.ensureBatch(s, batch)
+			for i := 0; i < b.N; i++ {
+				for base := int64(0); base < perms; base += batch {
+					if door {
+						dg.LabelsDelta(base, batch, s.lab, s.moves[:batch-1])
+						dk.OpenDelta(s.lab, s.moves[:batch-1], s.bks)
+					} else {
+						gen.Labels(base, batch, s.labs)
+						bk.OpenBatch(s.labs, batch, s.bks)
+					}
+					for bhi := p.Valid; bhi > 0; bhi -= blockRows {
+						blo := max(bhi-blockRows, 0)
+						if door {
+							dk.DeltaRows(blo, bhi, s.blk, 1, batch, s.bks)
+						} else {
+							bk.StatsRows(blo, bhi, s.blk, 1, batch, s.bks)
+						}
+					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*perms), "ns/cell")
-			})
-		}
+			}
+			perCell(b, rows*perms)
+		})
+	}
+	blk := cleanMatrix(blockRows, batch, 5).Data
+	for _, isa := range countISAs() {
+		p := &Prep{Side: Abs, pobs: cleanMatrix(1, blockRows, 6).Data, isa: isa}
+		b.Run("count-128x64/"+isa.String(), func(b *testing.B) {
+			raw, adj := make([]int64, blockRows), make([]int64, blockRows)
+			u := make([]float64, batch)
+			for i := 0; i < b.N; i++ {
+				for l := range u {
+					u[l] = math.Inf(-1)
+				}
+				p.countBlock(blk, 0, blockRows, batch, u, raw, adj)
+			}
+			perCell(b, blockRows*batch)
+		})
 	}
 }

@@ -197,8 +197,8 @@ func comparePValuesCollar(t *testing.T, label string, pNew, pRef *Prep, gen perm
 	highAdj := make([]int64, n)
 	for b := int64(0); b < B; b++ {
 		gen.Label(b, lab)
-		for i := 0; i < n; i++ {
-			v := pRef.StatFn(pRef.M.Row(i), lab)
+		for j, i := range pRef.Order { // M holds row i at its step-down position j
+			v := pRef.StatFn(pRef.M.Row(j), lab)
 			if math.IsNaN(v) {
 				z[i] = math.Inf(-1)
 			} else {

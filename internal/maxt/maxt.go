@@ -19,9 +19,10 @@
 package maxt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sprint/internal/matrix"
 	"sprint/internal/perm"
@@ -79,15 +80,37 @@ func (s Side) transform(v float64) float64 {
 	}
 }
 
+// bits returns the side transform as bit operations on a float64: the
+// transformed value is (bits ^ flip) & keep.  XOR with the sign bit negates
+// and masking it off takes the absolute value, exactly as -v and math.Abs
+// do, so the counting loop needs no per-side variant.
+func (s Side) bits() (flip, keep uint64) {
+	const sign = 1 << 63
+	switch s {
+	case Abs:
+		return 0, ^uint64(sign)
+	case Lower:
+		return sign, ^uint64(0)
+	default:
+		return 0, ^uint64(0)
+	}
+}
+
 // Prep bundles the immutable inputs of a maxT run: the (possibly
 // rank-transformed) flat data matrix, the design, the batched statistics
 // kernel, the observed statistics and the induced row order.  A Prep is
 // safe for concurrent use; per-goroutine scratch lives in Scratch values.
+//
+// The matrix copy and the kernel over it are laid out IN STEP-DOWN ORDER:
+// row j of M is original row Order[j], so the counting pass walks the
+// kernel's output front to back with no indirection and a run may start
+// at any position (ProcessFrom).  Everything a caller reads or supplies —
+// Stat, Obs, Counts, Result — stays indexed by original row.
 type Prep struct {
 	Design *stat.Design
 	Side   Side
-	M      matrix.Matrix                          // rows × columns, transformed flat copy
-	Kernel stat.Kernel                            // batched engine; nil on reference preps
+	M      matrix.Matrix                          // rows × columns, transformed, in step-down order
+	Kernel stat.Kernel                            // batched engine over M; nil on reference preps
 	StatFn func(row []float64, lab []int) float64 // legacy per-row evaluator
 
 	Stat  []float64 // untransformed observed statistic per row
@@ -95,12 +118,8 @@ type Prep struct {
 	Order []int     // row indices by decreasing Obs; NaN rows at the end
 	Valid int       // number of rows with a computable observed statistic
 
-	// The counting pass's view of Order and Obs, laid out by step-down
-	// position so it walks both sequentially: ord[j] is the matrix row at
-	// position j and pobs[j] its transformed observed statistic, for the
-	// Valid computable rows only.
-	ord  []int32
-	pobs []float64
+	pobs []float64      // Obs by step-down position, for the Valid computable rows
+	isa  stat.KernelISA // counting lane, captured when the prep is built
 
 	// ref selects the retained pre-flat evaluation path: Process calls
 	// StatFn row by row instead of the batched kernel.  Kept so the flat
@@ -119,13 +138,14 @@ func NewPrep(x [][]float64, d *stat.Design, side Side, nonpara bool) (*Prep, err
 	return newPrep(m, d, side, nonpara, false)
 }
 
-// NewPrepMatrix builds the production prep over a flat matrix: it copies m,
-// applies the rank transform when the test requires it (Wilcoxon) or when
-// nonpara is set, builds the batched kernel with its precomputed per-row
-// moments, computes observed statistics under the design's labelling, and
-// derives the step-down order.  The input matrix is not modified.
+// NewPrepMatrix builds the production prep over a flat matrix: it applies
+// the rank transform when the test requires it (Wilcoxon) or when nonpara is
+// set, computes observed statistics under the design's labelling, derives
+// the step-down order, and builds the batched kernel with its precomputed
+// per-row moments over a private copy of the rows in that order.  The input
+// matrix is not modified.
 func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
-	return newPrep(m.Clone(), d, side, nonpara, false)
+	return newPrep(m, d, side, nonpara, false)
 }
 
 // NewPrepReference builds a prep whose Process evaluates permutations
@@ -133,7 +153,7 @@ func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*P
 // to guard the flat-matrix kernels differentially: results must agree with
 // NewPrepMatrix preps on the same inputs.
 func NewPrepReference(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
-	return newPrep(m.Clone(), d, side, nonpara, true)
+	return newPrep(m, d, side, nonpara, true)
 }
 
 // rowsToMatrix validates the legacy [][]float64 shape against the design
@@ -154,7 +174,7 @@ func rowsToMatrix(x [][]float64, d *stat.Design) (matrix.Matrix, error) {
 	return m, nil
 }
 
-// newPrep consumes m (already a private copy owned by the prep).
+// newPrep reads m and leaves it untouched.
 func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool) (*Prep, error) {
 	if m.IsEmpty() {
 		return nil, fmt.Errorf("maxt: empty data matrix")
@@ -165,25 +185,23 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 	if len(m.Data) != m.Rows*m.Cols {
 		return nil, fmt.Errorf("maxt: matrix data has %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
 	}
-	if m.Rows > math.MaxInt32 {
-		return nil, fmt.Errorf("maxt: matrix has %d rows, limit is %d", m.Rows, math.MaxInt32)
-	}
 	p := &Prep{
 		Design: d,
 		Side:   side,
-		M:      m,
 		StatFn: d.Func(),
+		isa:    stat.ActiveKernelISA(),
 		ref:    ref,
 	}
 	if d.NeedsRanks() || nonpara {
-		var scratch []int
-		if m.Cols > 0 {
-			scratch = make([]int, m.Cols)
-		}
+		m = m.Clone()
+		scratch := make([]int, m.Cols)
 		for i := 0; i < m.Rows; i++ {
 			stat.Ranks(m.Row(i), scratch)
 		}
 	}
+	// The order comes from the observed statistics, so they are computed
+	// over m as given — by a kernel that is dropped once they are known —
+	// and the kernel the run uses is built over the ordered copy.
 	n := m.Rows
 	p.Stat = make([]float64, n)
 	p.Obs = make([]float64, n)
@@ -196,16 +214,25 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 		if err != nil {
 			return nil, err
 		}
-		p.Kernel = k
 		k.Stats(d.Labels, p.Stat, nil)
 	}
 	p.rankRows()
+	p.M = matrix.New(n, m.Cols)
+	for j, r := range p.Order {
+		copy(p.M.Row(j), m.Row(r))
+	}
+	if !ref {
+		k, err := stat.NewKernel(d, p.M)
+		if err != nil {
+			return nil, err
+		}
+		p.Kernel = k
+	}
 	return p, nil
 }
 
 // rankRows derives everything that follows from the observed statistics:
-// their side transform Obs, the step-down Order, Valid and the counting
-// pass's position layout.
+// their side transform Obs, the step-down Order, Valid and pobs.
 func (p *Prep) rankRows() {
 	for i, t := range p.Stat {
 		if math.IsNaN(t) {
@@ -221,21 +248,18 @@ func (p *Prep) rankRows() {
 	// Decreasing transformed statistic; NaN rows sink to the end; ties
 	// break on row index so the order — and therefore the parallel
 	// reduction — is deterministic.
-	sort.SliceStable(p.Order, func(a, b int) bool {
-		ra, rb := p.Order[a], p.Order[b]
+	slices.SortStableFunc(p.Order, func(ra, rb int) int {
 		va, vb := p.Obs[ra], p.Obs[rb]
 		na, nb := math.IsNaN(va), math.IsNaN(vb)
 		switch {
-		case na && nb:
-			return ra < rb
-		case na:
-			return false
-		case nb:
-			return true
-		case va != vb:
-			return va > vb
+		case na && !nb:
+			return 1
+		case nb && !na:
+			return -1
+		case !na && va != vb:
+			return cmp.Compare(vb, va)
 		default:
-			return ra < rb
+			return cmp.Compare(ra, rb)
 		}
 	})
 	p.Valid = 0
@@ -245,74 +269,14 @@ func (p *Prep) rankRows() {
 		}
 		p.Valid++
 	}
-	p.layoutPositions()
-}
-
-// layoutPositions derives ord and pobs from Order, Obs and Valid.
-func (p *Prep) layoutPositions() {
-	p.ord = make([]int32, p.Valid)
 	p.pobs = make([]float64, p.Valid)
 	for j, r := range p.Order[:p.Valid] {
-		p.ord[j] = int32(r)
 		p.pobs[j] = p.Obs[r]
 	}
 }
 
 // Rows returns the number of rows (genes) in the prepared matrix.
 func (p *Prep) Rows() int { return p.M.Rows }
-
-// Subset builds a prep over a subset of p's rows, given as matrix row
-// indices in STEP-DOWN ORDER (a contiguous run of p.Order positions whose
-// observed statistics are computable).  It exists for the sequential
-// engine: once every row above a position has frozen, the remaining rows'
-// successive maxima depend only on themselves, so the kernel may compute
-// this smaller prep instead — ProcessBatched over the subset accumulates
-// bit-for-bit the counts the full prep would have produced for the same
-// rows, because the rows are byte copies of p's already-transformed
-// matrix, the observed statistics are copied rather than recomputed, and
-// the induced order is the identity by construction.
-func (p *Prep) Subset(rows []int) (*Prep, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("maxt: empty row subset")
-	}
-	m := matrix.New(len(rows), p.M.Cols)
-	sub := &Prep{
-		Design: p.Design,
-		Side:   p.Side,
-		M:      m,
-		StatFn: p.StatFn,
-		Stat:   make([]float64, len(rows)),
-		Obs:    make([]float64, len(rows)),
-		Order:  make([]int, len(rows)),
-		Valid:  len(rows),
-		ref:    p.ref,
-	}
-	for i, r := range rows {
-		if r < 0 || r >= p.M.Rows {
-			return nil, fmt.Errorf("maxt: subset row %d outside matrix of %d rows", r, p.M.Rows)
-		}
-		if math.IsNaN(p.Obs[r]) {
-			return nil, fmt.Errorf("maxt: subset row %d has no computable observed statistic", r)
-		}
-		copy(m.Row(i), p.M.Row(r))
-		sub.Stat[i] = p.Stat[r]
-		sub.Obs[i] = p.Obs[r]
-		sub.Order[i] = i
-	}
-	if !p.ref {
-		// The matrix rows are already rank-transformed where the test
-		// demands it, exactly as the full prep's were when its kernel was
-		// built, so the kernel sees identical per-row data and produces
-		// identical statistics.
-		k, err := stat.NewKernel(p.Design, m)
-		if err != nil {
-			return nil, err
-		}
-		sub.Kernel = k
-	}
-	sub.layoutPositions()
-	return sub, nil
-}
 
 // Counts holds partial exceedance counts.  Raw[i] counts permutations whose
 // statistic for row i reaches the observed one; Adj[i] counts permutations
@@ -364,7 +328,7 @@ func (c *Counts) Reset(n int) {
 // worker path allocation-free in steady state.
 type Scratch struct {
 	lab []int
-	z   []float64
+	z   []float64 // one labelling's statistics by position (scalar loop)
 	ks  *stat.KernelScratch
 
 	// Exceedance counts of the call in progress, indexed by step-down
@@ -372,7 +336,8 @@ type Scratch struct {
 	raw, adj []int64
 
 	labs  []int              // batch × N flat labellings
-	zb    []float64          // batch × rows statistics (backing store)
+	blk   []float64          // one block of statistics, [position][labelling]
+	u     []float64          // running successive maximum per labelling
 	moves []stat.Exchange    // batch-1 delta moves (revolving-door path)
 	bks   *stat.BatchScratch // grow-on-demand batch kernel scratch
 }
@@ -404,9 +369,9 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 	s.z = resize(s.z, p.M.Rows)
 	s.raw = resize(s.raw, p.Valid)
 	s.adj = resize(s.adj, p.Valid)
-	// The scalar kernel scratch is sized lazily by Process: the batched
-	// path (the default) never needs it, so eagerly rebuilding it here
-	// would charge every job an allocation it never uses.
+	// The scalar kernel scratch is sized lazily by the scalar loop: the
+	// batched path (the default) never needs it, so eagerly rebuilding it
+	// here would charge every job an allocation it never uses.
 	s.ks = nil
 	if s.bks == nil {
 		s.bks = &stat.BatchScratch{}
@@ -414,16 +379,19 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 	return s
 }
 
+// blockRows is the number of step-down positions evaluated and counted at
+// a time: 128 rows × 64 labellings of statistics are 64 KB, written by the
+// kernel and read back by the counter while still in L2.
+const blockRows = 128
+
 // ensureBatch sizes the batch buffers for batches of up to batch
 // labellings, reusing capacity.
 func (p *Prep) ensureBatch(s *Scratch, batch int) {
 	s.labs = resize(s.labs, batch*p.Design.N)
-	s.zb = resize(s.zb, batch*p.M.Rows)
+	s.blk = resize(s.blk, batch*blockRows)
+	s.u = resize(s.u, batch)
 	if cap(s.moves) < batch-1 {
 		s.moves = make([]stat.Exchange, batch-1)
-	}
-	if s.bks == nil {
-		s.bks = &stat.BatchScratch{}
 	}
 }
 
@@ -432,43 +400,112 @@ func (p *Prep) ensureBatch(s *Scratch, batch int) {
 // the serial run processes [0, B); rank r of a parallel run processes its
 // chunk, with the master's chunk containing index 0 (the observed
 // labelling, Figure 2).  Statistics for all rows are evaluated by one
-// batched kernel call per permutation (or row by row through StatFn on
-// reference preps).  scratch may be nil, in which case temporary storage
-// is allocated.
+// kernel call per permutation (or row by row through StatFn on reference
+// preps).  scratch may be nil, in which case temporary storage is
+// allocated.
 func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch) {
+	ProcessFrom(p, gen, lo, hi, c, scratch, 1, 0)
+}
+
+// ProcessBatched is Process with the permutation loop inverted: the chunk
+// [lo, hi) is evaluated in batches of up to batch labellings, so each
+// matrix row is read once per batch instead of once per permutation.  The
+// counter (countBlock) is shared with Process and the batch statistics are
+// bitwise identical to Stats, so the accumulated counts are exactly those
+// of Process for every batch size; batch <= 1 (or a reference prep, whose
+// kernel is nil) is the scalar loop.
+func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch, batch int) {
+	ProcessFrom(p, gen, lo, hi, c, scratch, batch, 0)
+}
+
+// ProcessFrom is ProcessBatched over step-down positions first..Valid-1
+// only: rows above position first are neither evaluated nor counted.  A
+// row's raw count is its own and its adjusted count a maximum over the
+// positions at and below it, so the rows that are counted receive
+// bit-for-bit the counts of a full run — the sequential engine passes its
+// frozen prefix.
+//
+// A batch is opened once and walked in blocks of blockRows positions from
+// the least significant upward: the kernel writes a block's statistics
+// [position][labelling] and countBlock consumes it at once.  When the
+// generator emits single-exchange deltas (perm.RevolvingDoor) AND the
+// kernel can evaluate them exactly (stat.DeltaKernel on integer rank
+// data), a block costs one subtract and one add per (row, permutation) in
+// place of the O(n1) column scatter.  The delta statistics are bitwise
+// identical to the batch ones, so the fast path changes wall time only —
+// counts, p-values, cache keys and checkpoints are unaffected.
+func ProcessFrom(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, s *Scratch, batch, first int) {
 	if lo >= hi {
 		return
 	}
-	if scratch == nil {
-		scratch = p.NewScratch()
+	if s == nil {
+		s = p.NewScratch()
 	}
-	if scratch.ks == nil && p.Kernel != nil {
-		scratch.ks = p.Kernel.NewScratch()
-	}
-	lab, z := scratch.lab, scratch.z
-	clear(scratch.raw)
-	clear(scratch.adj)
-	for idx := lo; idx < hi; idx++ {
-		gen.Label(idx, lab)
-		if p.ref {
-			for i := 0; i < p.M.Rows; i++ {
-				z[i] = p.StatFn(p.M.Row(i), lab)
-			}
-		} else {
-			p.Kernel.Stats(lab, z, scratch.ks)
+	bk, batched := p.Kernel.(stat.BatchKernel)
+	batch = int(min(int64(batch), hi-lo))
+	if batch <= 1 || !batched {
+		batch, batched = 1, false
+		if s.ks == nil && p.Kernel != nil {
+			s.ks = p.Kernel.NewScratch()
 		}
-		p.count(z, scratch.raw, scratch.adj)
 	}
-	p.scatter(scratch, c, hi-lo)
+	p.ensureBatch(s, batch)
+	dk, okDK := p.Kernel.(stat.DeltaKernel)
+	dg, okDG := gen.(perm.DeltaGenerator)
+	useDelta := okDK && okDG && dk.DeltaOK()
+	first = min(max(first, 0), p.Valid)
+	clear(s.raw)
+	clear(s.adj)
+	for base := lo; base < hi; base += int64(batch) {
+		nb := int(min(int64(batch), hi-base))
+		u := s.u[:nb]
+		for b := range u {
+			u[b] = math.Inf(-1)
+		}
+		if !batched {
+			gen.Label(base, s.lab)
+			if p.ref {
+				for j := first; j < p.Valid; j++ {
+					s.z[j] = p.StatFn(p.M.Row(j), s.lab)
+				}
+			} else {
+				p.Kernel.Stats(s.lab, s.z, s.ks)
+			}
+			p.countBlock(s.z[first:p.Valid], first, p.Valid, 1, u, s.raw, s.adj)
+			continue
+		}
+		if useDelta {
+			moves := s.moves[:nb-1]
+			dg.LabelsDelta(base, int64(nb), s.lab, moves)
+			dk.OpenDelta(s.lab, moves, s.bks)
+		} else {
+			labs := s.labs[:nb*p.Design.N]
+			gen.Labels(base, int64(nb), labs)
+			bk.OpenBatch(labs, nb, s.bks)
+		}
+		for bhi := p.Valid; bhi > first; bhi -= blockRows {
+			blo := max(bhi-blockRows, first)
+			if useDelta {
+				dk.DeltaRows(blo, bhi, s.blk, 1, nb, s.bks)
+			} else {
+				bk.StatsRows(blo, bhi, s.blk, 1, nb, s.bks)
+			}
+			p.countBlock(s.blk, blo, bhi, nb, u, s.raw, s.adj)
+		}
+	}
+	for j := first; j < p.Valid; j++ {
+		r := p.Order[j]
+		c.Raw[r] += s.raw[j]
+		c.Adj[r] += s.adj[j]
+	}
+	c.B += hi - lo
 }
 
 // tally folds one side-transformed permuted statistic t into the running
 // successive maximum u and returns the new maximum with the raw and
 // adjusted exceedance increments against the observed statistic o.  A NaN
 // statistic becomes -Inf — it never raises the maximum and reaches only an
-// observed -Inf — which a bare t >= o (false for NaN) would not do.  The
-// two increments compile to flag materialisations, not branches: on null
-// rows their outcome is a coin flip no predictor learns.
+// observed -Inf — which a bare t >= o (false for NaN) would not do.
 func tally(t, u, o float64) (float64, int64, int64) {
 	if t != t {
 		t = math.Inf(-1)
@@ -486,106 +523,46 @@ func tally(t, u, o float64) (float64, int64, int64) {
 	return u, r, a
 }
 
-// count adds one permutation's exceedances to the position-indexed
-// accumulators raw and adj, reading the untransformed statistics z (by
-// matrix row) in one walk from the least significant valid position
-// upward.  It is the single counting path shared by the scalar and batched
-// loops, so the two cannot diverge.  The side transform is hoisted out of
-// the loop: one loop per side.
-func (p *Prep) count(z []float64, raw, adj []int64) {
-	ord := p.ord
-	obs, raw, adj := p.pobs[:len(ord)], raw[:len(ord)], adj[:len(ord)]
-	u := math.Inf(-1)
-	var r, a int64
-	switch p.Side {
-	case Abs:
-		for j := len(ord) - 1; j >= 0; j-- {
-			u, r, a = tally(math.Abs(z[ord[j]]), u, obs[j])
-			raw[j] += r
-			adj[j] += a
-		}
-	case Lower:
-		for j := len(ord) - 1; j >= 0; j-- {
-			u, r, a = tally(-z[ord[j]], u, obs[j])
-			raw[j] += r
-			adj[j] += a
-		}
-	default:
-		for j := len(ord) - 1; j >= 0; j-- {
-			u, r, a = tally(z[ord[j]], u, obs[j])
-			raw[j] += r
-			adj[j] += a
-		}
+// tallyRow folds one position's statistics z under len(z) labellings into
+// their running maxima u and returns how many reach the observed statistic
+// o, raw and adjusted.  It is the counting semantics: the AVX2 lane
+// (countRowAVX2) is pinned to it bit for bit.
+func tallyRow(z, u []float64, o float64, flip, keep uint64) (r, a int64) {
+	u = u[:len(z)]
+	for b, v := range z {
+		var rb, ab int64
+		u[b], rb, ab = tally(math.Float64frombits((math.Float64bits(v)^flip)&keep), u[b], o)
+		r += rb
+		a += ab
 	}
+	return r, a
 }
 
-// scatter adds the position accumulators of n counted permutations into c
-// by row.  Integer adds commute, so deferring them from once per
-// permutation to once per call leaves every count unchanged.
-func (p *Prep) scatter(s *Scratch, c *Counts, n int64) {
-	for j, r := range p.ord {
-		c.Raw[r] += s.raw[j]
-		c.Adj[r] += s.adj[j]
+// countBlock adds the exceedances of positions [lo, hi) under nb
+// labellings to the position accumulators raw and adj.  blk holds their
+// untransformed statistics, position j's at blk[(j-lo)*nb:][:nb], and u the
+// labellings' running successive maxima, carried from the block below.  It
+// is the single counting path of the scalar (nb = 1) and batched loops, so
+// the two cannot diverge.  The walk is upward from the least significant
+// position and the inner loop runs over labellings: contiguous, with no
+// dependency between iterations, four to a step under AVX2, and one add per
+// (position, batch) into raw and adj.
+func (p *Prep) countBlock(blk []float64, lo, hi, nb int, u []float64, raw, adj []int64) {
+	flip, keep := p.Side.bits()
+	quads := 0
+	if p.isa == stat.ISAAVX2 {
+		quads = nb &^ 3
 	}
-	c.B += n
-}
-
-// ProcessBatched is Process with the permutation loop inverted: the chunk
-// [lo, hi) is evaluated in batches of up to batch labellings through the
-// kernel's StatsBatch, so each matrix row is read once per batch instead
-// of once per permutation.  The counting pass per permutation is shared
-// with Process (count) and StatsBatch is bitwise identical to Stats, so
-// the accumulated counts are exactly those of Process for every batch
-// size; batch <= 1 (or a reference prep, whose kernel is nil) falls back
-// to the scalar loop.
-//
-// When the generator emits single-exchange deltas (perm.RevolvingDoor)
-// AND the kernel can evaluate them exactly (stat.DeltaKernel on integer
-// rank data), each batch is driven through StatsDelta instead: one
-// subtract and one add per (row, permutation) in place of the O(n1)
-// column scatter.  StatsDelta is bitwise identical to StatsBatch on the
-// materialised labellings, so the fast path changes wall time only —
-// counts, p-values, cache keys and checkpoints are unaffected.
-func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch, batch int) {
-	bk, ok := p.Kernel.(stat.BatchKernel)
-	if batch <= 1 || !ok || lo >= hi {
-		Process(p, gen, lo, hi, c, scratch)
-		return
-	}
-	if scratch == nil {
-		scratch = p.NewScratch()
-	}
-	if span := hi - lo; int64(batch) > span {
-		batch = int(span)
-	}
-	p.ensureBatch(scratch, batch)
-	dk, okDK := p.Kernel.(stat.DeltaKernel)
-	dg, okDG := gen.(perm.DeltaGenerator)
-	useDelta := okDK && okDG && dk.DeltaOK()
-	n, rows := p.Design.N, p.M.Rows
-	clear(scratch.raw)
-	clear(scratch.adj)
-	for base := lo; base < hi; base += int64(batch) {
-		nb := batch
-		if rem := hi - base; int64(nb) > rem {
-			nb = int(rem)
+	for j := hi - 1; j >= lo; j-- {
+		z, o := blk[(j-lo)*nb:][:nb], p.pobs[j]
+		var r, a int64
+		if quads > 0 {
+			r, a = countRowAVX2(z[:quads], u, o, flip, keep)
 		}
-		out := matrix.Matrix{Data: scratch.zb[:nb*rows], Rows: nb, Cols: rows}
-		if useDelta {
-			lab0 := scratch.lab
-			moves := scratch.moves[:nb-1]
-			dg.LabelsDelta(base, int64(nb), lab0, moves)
-			dk.StatsDelta(lab0, moves, out, scratch.bks)
-		} else {
-			labs := scratch.labs[:nb*n]
-			gen.Labels(base, int64(nb), labs)
-			bk.StatsBatch(labs, out, scratch.bks)
-		}
-		for bp := 0; bp < nb; bp++ {
-			p.count(out.Row(bp), scratch.raw, scratch.adj)
-		}
+		rt, at := tallyRow(z[quads:], u[quads:], o, flip, keep)
+		raw[j] += r + rt
+		adj[j] += a + at
 	}
-	p.scatter(scratch, c, hi-lo)
 }
 
 // Result carries the outputs of a maxT run, in the original row order.

@@ -9,29 +9,23 @@ import (
 )
 
 // TestSubsetCountsBitwiseEqualFullPrep is the sequential engine's load-
-// bearing invariant: processing a suffix of the significance order through
-// a compacted sub-prep accumulates, permutation for permutation, exactly
-// the counts the full prep produces for the same rows.
+// bearing invariant: processing a suffix of the significance order — by
+// starting the run at its first position, or through a sub-prep compacted
+// to it (subPrep, what the engine used to build) — accumulates, permutation
+// for permutation, exactly the counts the full run produces for those rows.
 func TestSubsetCountsBitwiseEqualFullPrep(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
 	const B = 400
+	gen := perm.NewRandom(p.Design, 21, B)
 	full := NewCounts(p.Rows())
-	Process(p, perm.NewRandom(p.Design, 21, B), 0, B, full, nil)
+	Process(p, gen, 0, B, full, nil)
 
-	// Drop every possible frozen prefix of the order (the subset API's
-	// contract: a contiguous suffix run of computable positions).
+	// Drop every possible frozen prefix of the order.
 	for prefix := 0; prefix < p.Valid; prefix++ {
-		rows := make([]int, p.Valid-prefix)
-		for i := range rows {
-			rows[i] = p.Order[prefix+i]
-		}
-		sub, err := p.Subset(rows)
-		if err != nil {
-			t.Fatalf("prefix %d: %v", prefix, err)
-		}
+		sub := subPrep(t, p, prefix)
 		subCounts := NewCounts(sub.Rows())
-		Process(sub, perm.NewRandom(p.Design, 21, B), 0, B, subCounts, nil)
-		for si, r := range rows {
+		Process(sub, gen, 0, B, subCounts, nil)
+		for si, r := range p.Order[prefix:p.Valid] {
 			if subCounts.Raw[si] != full.Raw[r] || subCounts.Adj[si] != full.Adj[r] {
 				t.Fatalf("prefix %d row %d: sub (raw=%d,adj=%d) != full (raw=%d,adj=%d)",
 					prefix, r, subCounts.Raw[si], subCounts.Adj[si], full.Raw[r], full.Adj[r])
@@ -40,49 +34,32 @@ func TestSubsetCountsBitwiseEqualFullPrep(t *testing.T) {
 		if subCounts.B != full.B {
 			t.Fatalf("prefix %d: sub B=%d, full B=%d", prefix, subCounts.B, full.B)
 		}
+		from := NewCounts(p.Rows())
+		ProcessFrom(p, gen, 0, B, from, nil, 1, prefix)
+		requireCountsFrom(t, p, prefix, from, full)
 	}
 }
 
-// TestSubsetBatchedEqualsUnbatched guards the compacted prep down the
-// batched kernel path the sequential engine actually runs.
+// TestSubsetBatchedEqualsUnbatched guards the suffix down the batched
+// kernel path the sequential engine actually runs.
 func TestSubsetBatchedEqualsUnbatched(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
 	const B = 256
-	rows := make([]int, p.Valid-1)
-	for i := range rows {
-		rows[i] = p.Order[1+i]
-	}
-	sub, err := p.Subset(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := perm.NewRandom(p.Design, 5, B)
+	sub := subPrep(t, p, 1)
 	plain := NewCounts(sub.Rows())
-	Process(sub, perm.NewRandom(p.Design, 5, B), 0, B, plain, nil)
+	Process(sub, gen, 0, B, plain, nil)
 	batched := NewCounts(sub.Rows())
-	ProcessBatched(sub, perm.NewRandom(p.Design, 5, B), 0, B, batched, sub.NewScratch(), 64)
+	ProcessBatched(sub, gen, 0, B, batched, sub.NewScratch(), 64)
+	from := NewCounts(p.Rows())
+	ProcessFrom(p, gen, 0, B, from, p.NewScratch(), 64, 1)
 	for i := range plain.Raw {
 		if plain.Raw[i] != batched.Raw[i] || plain.Adj[i] != batched.Adj[i] {
 			t.Fatalf("row %d: batched subset counts differ", i)
 		}
-	}
-}
-
-func TestSubsetValidation(t *testing.T) {
-	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
-	if _, err := p.Subset(nil); err == nil {
-		t.Error("empty subset accepted")
-	}
-	if _, err := p.Subset([]int{p.Rows()}); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-	// A row with no computable statistic may not enter a subset.
-	x := [][]float64{
-		{1, 2, 1.5, 8, 9, 8.5},
-		{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()},
-	}
-	pn := mustPrep(t, x, stat.Welch, tinyLabels, Abs)
-	if _, err := pn.Subset([]int{1}); err == nil {
-		t.Error("NaN-statistic row accepted into a subset")
+		if r := p.Order[1+i]; plain.Raw[i] != from.Raw[r] || plain.Adj[i] != from.Adj[r] {
+			t.Fatalf("row %d: batched counts from position 1 differ", r)
+		}
 	}
 }
 

@@ -5,8 +5,11 @@
 // once per permutation; on the paper's 6102×76 workload that is ~3.7 MB per
 // permutation and the loop is memory-bound, not compute-bound.  StatsBatch
 // inverts the loop: each matrix row is loaded ONCE and, while it sits in L1,
-// serves every permutation of a batch of B labellings — the matrix is
-// streamed once per batch instead of once per permutation.
+// serves every permutation of a batch of B labellings.  A batch is opened
+// once (OpenBatch: selected-column lists, transposed label tables) and then
+// evaluated over any row ranges, in any order (StatsRows); the engine asks
+// for a block of rows at a time and counts it while it is still in cache,
+// StatsBatch is the whole matrix in one range.
 //
 // Per row, the accumulation is column-scatter shaped: selected columns are
 // visited in ascending order and each element feeds the accumulators of
@@ -58,15 +61,23 @@ func ptrI32(p *int32, e int) int32 {
 }
 
 // BatchKernel is the batched evaluation surface implemented by every kernel
-// NewKernel builds: Stats for one labelling, StatsBatch for a whole batch.
+// NewKernel builds: Stats for one labelling, OpenBatch + StatsRows for a
+// batch over row ranges, StatsBatch for a batch over the whole matrix.
 type BatchKernel interface {
 	Kernel
-	// StatsBatch evaluates every row under each of the out.Rows labellings
-	// packed in labs (flattened batch × columns, row-major) and writes
-	// labelling p's statistics into out.Row(p).  The results are bitwise
-	// identical to out.Rows successive Stats calls.  scratch may be nil, in
-	// which case temporary storage is allocated; a reused scratch grows on
-	// demand and makes steady-state calls allocation-free.
+	// OpenBatch prepares scratch for the nb labellings packed in labs
+	// (flattened batch × columns, row-major).  The batch stays open until
+	// the scratch's next OpenBatch or OpenDelta.
+	OpenBatch(labs []int, nb int, scratch *BatchScratch)
+	// StatsRows evaluates rows [lo, hi) under every labelling of the batch
+	// open in scratch and writes labelling p's statistic of row i to
+	// out[p*ps+(i-lo)*rs].  Each is bitwise identical to what Stats
+	// computes for that row and labelling.
+	StatsRows(lo, hi int, out []float64, ps, rs int, scratch *BatchScratch)
+	// StatsBatch opens the out.Rows labellings in labs and evaluates every
+	// row, labelling p's statistics into out.Row(p).  scratch may be nil,
+	// in which case temporary storage is allocated; a reused scratch grows
+	// on demand and makes steady-state calls allocation-free.
 	StatsBatch(labs []int, out matrix.Matrix, scratch *BatchScratch)
 	// NewBatchScratch sizes a private scratch for batches of up to nb
 	// labellings.  Scratch values must not be shared between concurrent
@@ -79,11 +90,15 @@ type BatchKernel interface {
 // kernels (of any test type) and batch sizes, which is what lets a job
 // worker own one scratch for its whole lifetime.
 type BatchScratch struct {
+	nb    int        // labellings in the open batch
+	moves []Exchange // the open delta chain (aliases the caller's slice)
 	// Per-permutation selected-column lists for the two-sample kernels:
 	// permutation p's selected columns, ascending, at sel[p*L:(p+1)*L]
 	// (class sizes are invariant under relabelling, so every list has the
-	// same length L).
+	// same length L).  An open delta chain keeps its start labelling's
+	// class-1 columns here instead.
 	sel  []int32
+	L    int
 	sign []float64 // per-permutation statistic sign (two-sample t)
 	as   []float64 // per-permutation accumulated sum (paired t)
 	vab  []float64 // interleaved row pair (two-sample fast path)
@@ -96,8 +111,7 @@ type BatchScratch struct {
 	// scatter loops walk contiguous memory.
 	labT []int32
 	sgnT []float64
-	ord  []int   // canonical-order scratch (F, block F)
-	seg  []int32 // constant-sign run boundaries (two-sample delta path)
+	ord  []int // canonical-order scratch (F, block F)
 }
 
 func growI32(s []int32, n int) []int32 {
@@ -121,17 +135,25 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// checkBatchShape validates the labs/out pair against the kernel's row
-// count and label width, returning the batch size.
-func checkBatchShape(rows, labCols int, labs []int, out matrix.Matrix) int {
-	nb := out.Rows
-	if out.Cols != rows {
-		panic(fmt.Sprintf("stat: batch out has %d columns for %d matrix rows", out.Cols, rows))
-	}
+// open starts a batch of nb labellings of labCols columns in s.
+func (s *BatchScratch) open(labs []int, nb, labCols int) {
 	if len(labs) != nb*labCols {
 		panic(fmt.Sprintf("stat: batch labels have %d entries for %d labellings of %d columns", len(labs), nb, labCols))
 	}
-	return nb
+	s.nb = nb
+}
+
+// statsBatch is every kernel's StatsBatch: the whole matrix as one row
+// range, permutation-major.
+func statsBatch(k BatchKernel, labs []int, out matrix.Matrix, s *BatchScratch) {
+	if out.Cols != k.Rows() {
+		panic(fmt.Sprintf("stat: batch out has %d columns for %d matrix rows", out.Cols, k.Rows()))
+	}
+	if s == nil {
+		s = &BatchScratch{}
+	}
+	k.OpenBatch(labs, out.Rows, s)
+	k.StatsRows(0, k.Rows(), out.Data, out.Cols, 1, s)
 }
 
 // ---- two-sample t / Wilcoxon --------------------------------------------
@@ -191,22 +213,27 @@ func (k *twoSampleKernel) NewBatchScratch(nb int) *BatchScratch {
 }
 
 func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch) {
-	nb := checkBatchShape(k.m.Rows, k.m.Cols, labs, out)
-	if s == nil {
-		s = &BatchScratch{}
-	}
-	L := buildSelLists(s, labs, nb, k.m.Cols, k.cls, true)
-	cols := k.m.Cols
+	statsBatch(k, labs, out, s)
+}
+
+func (k *twoSampleKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
+	s.open(labs, nb, k.m.Cols)
+	s.L = buildSelLists(s, labs, nb, k.m.Cols, k.cls, true)
+}
+
+func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
+	nb, L, cols := s.nb, s.L, k.m.Cols
 	// On NA-free rows every permutation's accumulated group has exactly L
 	// members, so the tail invariants are one batch-level constant.
 	tail, tailOK := newTSTail(k.pooled, L, cols-L)
 	fast := func(i int) bool { return !k.flat[i] && k.n[i] == cols }
 	quad := k.isa == ISAAVX2
 	asmPair := k.isa >= ISASSE2
-	for i := 0; i < k.m.Rows; {
+	for i := lo; i < hi; {
+		o := (i - lo) * rs
 		if k.flat[i] {
 			for p := 0; p < nb; p++ {
-				out.Row(p)[i] = math.NaN()
+				out[p*ps+o] = math.NaN()
 			}
 			i++
 			continue
@@ -215,7 +242,7 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 		// 32-byte load feeds four accumulation chains — see the pair path
 		// below for why cross-row/cross-permutation interleaving is the
 		// lever and why lane-wise packed arithmetic stays bitwise equal.
-		if tailOK && quad && i+3 < k.m.Rows && fast(i) && fast(i+1) && fast(i+2) && fast(i+3) {
+		if tailOK && quad && i+3 < hi && fast(i) && fast(i+1) && fast(i+2) && fast(i+3) {
 			r4 := [4][]float64{k.m.Row(i), k.m.Row(i + 1), k.m.Row(i + 2), k.m.Row(i + 3)}
 			s.vab = growF(s.vab, 4*cols)
 			for j := 0; j < cols; j++ {
@@ -231,15 +258,14 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 			p := 0
 			for ; p+2 <= nb; p += 2 {
 				accumQuad(v4, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
-				r0, r1 := out.Row(p), out.Row(p+1)
+				o0, o1 := p*ps+o, (p+1)*ps+o
 				for r := 0; r < 4; r++ {
-					r0[i+r] = tail.stat(s.sign[p], S4[r], Q4[r], acc[r], acc[4+r])
-					r1[i+r] = tail.stat(s.sign[p+1], S4[r], Q4[r], acc[8+r], acc[12+r])
+					out[o0+r*rs] = tail.stat(s.sign[p], S4[r], Q4[r], acc[r], acc[4+r])
+					out[o1+r*rs] = tail.stat(s.sign[p+1], S4[r], Q4[r], acc[8+r], acc[12+r])
 				}
 			}
 			for ; p < nb; p++ {
 				idx := s.sel[p*L : (p+1)*L]
-				outRow := out.Row(p)
 				for r := 0; r < 4; r++ {
 					row := r4[r]
 					var sa, qa float64
@@ -248,7 +274,7 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 						sa += v
 						qa += v * v
 					}
-					outRow[i+r] = tail.stat(s.sign[p], S4[r], Q4[r], sa, qa)
+					out[p*ps+o+r*rs] = tail.stat(s.sign[p], S4[r], Q4[r], sa, qa)
 				}
 			}
 			i += 4
@@ -262,7 +288,7 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 		// within one permutation the accumulation order is fixed by the
 		// tie discipline (a serial dependency chain), so cross-permutation
 		// and cross-row interleaving is what fills the FP pipeline.
-		if tailOK && fast(i) && i+1 < k.m.Rows && fast(i+1) {
+		if tailOK && fast(i) && i+1 < hi && fast(i+1) {
 			rowA, rowB := k.m.Row(i), k.m.Row(i+1)
 			s.vab = growF(s.vab, 2*cols)
 			for j := 0; j < cols; j++ {
@@ -280,11 +306,11 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 				} else {
 					accumPairGo(vab, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
 				}
-				r0, r1 := out.Row(p), out.Row(p+1)
-				r0[i] = tail.stat(s.sign[p], SA, QA, acc[0], acc[2])
-				r0[i+1] = tail.stat(s.sign[p], SB, QB, acc[1], acc[3])
-				r1[i] = tail.stat(s.sign[p+1], SA, QA, acc[4], acc[6])
-				r1[i+1] = tail.stat(s.sign[p+1], SB, QB, acc[5], acc[7])
+				o0, o1 := p*ps+o, (p+1)*ps+o
+				out[o0] = tail.stat(s.sign[p], SA, QA, acc[0], acc[2])
+				out[o0+rs] = tail.stat(s.sign[p], SB, QB, acc[1], acc[3])
+				out[o1] = tail.stat(s.sign[p+1], SA, QA, acc[4], acc[6])
+				out[o1+rs] = tail.stat(s.sign[p+1], SB, QB, acc[5], acc[7])
 			}
 			for ; p < nb; p++ {
 				idx := s.sel[p*L : (p+1)*L]
@@ -297,9 +323,8 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 					sb += vB
 					qb += vB * vB
 				}
-				r := out.Row(p)
-				r[i] = tail.stat(s.sign[p], SA, QA, sa, qa)
-				r[i+1] = tail.stat(s.sign[p], SB, QB, sb, qb)
+				out[p*ps+o] = tail.stat(s.sign[p], SA, QA, sa, qa)
+				out[p*ps+o+rs] = tail.stat(s.sign[p], SB, QB, sb, qb)
 			}
 			i += 2
 			continue
@@ -320,7 +345,7 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 					qa += v * v
 				}
 			}
-			out.Row(p)[i] = twoSampleStat(k.pooled, s.sign[p], n, S, Q, na, sa, qa)
+			out[p*ps+o] = twoSampleStat(k.pooled, s.sign[p], n, S, Q, na, sa, qa)
 		}
 		i++
 	}
@@ -331,12 +356,18 @@ func (k *wilcoxonKernel) NewBatchScratch(nb int) *BatchScratch {
 }
 
 func (k *wilcoxonKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch) {
-	nb := checkBatchShape(k.m.Rows, k.m.Cols, labs, out)
-	if s == nil {
-		s = &BatchScratch{}
-	}
-	L := buildSelLists(s, labs, nb, k.m.Cols, k.cls, false)
-	for i := 0; i < k.m.Rows; i++ {
+	statsBatch(k, labs, out, s)
+}
+
+func (k *wilcoxonKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
+	s.open(labs, nb, k.m.Cols)
+	s.L = buildSelLists(s, labs, nb, k.m.Cols, k.cls, false)
+}
+
+func (k *wilcoxonKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
+	nb, L := s.nb, s.L
+	for i := lo; i < hi; i++ {
+		o := (i - lo) * rs
 		nn, total, totalSq := k.n[i], k.total[i], k.totalSq[i]
 		full := nn == k.m.Cols
 		if k.ir != nil && k.ir.ok[i] {
@@ -360,10 +391,10 @@ func (k *wilcoxonKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScrat
 						s2 += int64(ri[i2[e]])
 						s3 += int64(ri[i3[e]])
 					}
-					out.Row(p + 0)[i] = tail.stat(float64(s0) * 0.5)
-					out.Row(p + 1)[i] = tail.stat(float64(s1) * 0.5)
-					out.Row(p + 2)[i] = tail.stat(float64(s2) * 0.5)
-					out.Row(p + 3)[i] = tail.stat(float64(s3) * 0.5)
+					out[(p+0)*ps+o] = tail.stat(float64(s0) * 0.5)
+					out[(p+1)*ps+o] = tail.stat(float64(s1) * 0.5)
+					out[(p+2)*ps+o] = tail.stat(float64(s2) * 0.5)
+					out[(p+3)*ps+o] = tail.stat(float64(s3) * 0.5)
 				}
 				for ; p < nb; p++ {
 					idx := s.sel[p*L : (p+1)*L]
@@ -371,7 +402,7 @@ func (k *wilcoxonKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScrat
 					for _, j := range idx {
 						isum += int64(ri[j])
 					}
-					out.Row(p)[i] = tail.stat(float64(isum) * 0.5)
+					out[p*ps+o] = tail.stat(float64(isum) * 0.5)
 				}
 			} else {
 				for ; p < nb; p++ {
@@ -384,7 +415,7 @@ func (k *wilcoxonKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScrat
 							isum += int64(v)
 						}
 					}
-					out.Row(p)[i] = wilcoxonStat(k.cls, nc, float64(isum)*0.5, nn, total, totalSq)
+					out[p*ps+o] = wilcoxonStat(k.cls, nc, float64(isum)*0.5, nn, total, totalSq)
 				}
 			}
 			continue
@@ -405,10 +436,10 @@ func (k *wilcoxonKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScrat
 					s2 += row[i2[e]]
 					s3 += row[i3[e]]
 				}
-				out.Row(p + 0)[i] = tail.stat(s0)
-				out.Row(p + 1)[i] = tail.stat(s1)
-				out.Row(p + 2)[i] = tail.stat(s2)
-				out.Row(p + 3)[i] = tail.stat(s3)
+				out[(p+0)*ps+o] = tail.stat(s0)
+				out[(p+1)*ps+o] = tail.stat(s1)
+				out[(p+2)*ps+o] = tail.stat(s2)
+				out[(p+3)*ps+o] = tail.stat(s3)
 			}
 		}
 		for ; p < nb; p++ {
@@ -422,7 +453,7 @@ func (k *wilcoxonKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScrat
 					sc += v
 				}
 			}
-			out.Row(p)[i] = wilcoxonStat(k.cls, nc, sc, nn, total, totalSq)
+			out[p*ps+o] = wilcoxonStat(k.cls, nc, sc, nn, total, totalSq)
 		}
 	}
 }
@@ -452,24 +483,29 @@ func (k *fKernel) NewBatchScratch(nb int) *BatchScratch {
 }
 
 func (k *fKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch) {
-	nb := checkBatchShape(k.m.Rows, k.m.Cols, labs, out)
-	if s == nil {
-		s = &BatchScratch{}
-	}
-	kk, cols := k.k, k.m.Cols
-	transposeLabels(s, labs, nb, cols)
-	s.bn, s.bs, s.bq = growI(s.bn, nb*kk), growF(s.bs, nb*kk), growF(s.bq, nb*kk)
-	s.ord = growI(s.ord, kk)
+	statsBatch(k, labs, out, s)
+}
+
+func (k *fKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
+	s.open(labs, nb, k.m.Cols)
+	transposeLabels(s, labs, nb, k.m.Cols)
+	s.bn, s.bs, s.bq = growI(s.bn, nb*k.k), growF(s.bs, nb*k.k), growF(s.bq, nb*k.k)
+	s.ord = growI(s.ord, k.k)
+}
+
+func (k *fKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
+	nb, kk := s.nb, k.k
 	bn, bs, bq := s.bn[:nb*kk], s.bs[:nb*kk], s.bq[:nb*kk]
-	for i := 0; i < k.m.Rows; i++ {
+	for i := lo; i < hi; i++ {
+		o := (i - lo) * rs
 		if k.flat[i] {
 			for p := 0; p < nb; p++ {
-				out.Row(p)[i] = math.NaN()
+				out[p*ps+o] = math.NaN()
 			}
 			continue
 		}
-		for o := range bn {
-			bn[o], bs[o], bq[o] = 0, 0, 0
+		for c := range bn {
+			bn[c], bs[c], bq[c] = 0, 0, 0
 		}
 		for j, v := range k.m.Row(i) {
 			if v != v {
@@ -481,15 +517,15 @@ func (k *fKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch) {
 				if g < 0 || g >= kk {
 					continue
 				}
-				o := p*kk + g
-				bn[o]++
-				bs[o] += v
-				bq[o] += v * v
+				c := p*kk + g
+				bn[c]++
+				bs[c] += v
+				bq[c] += v * v
 			}
 		}
 		for p := 0; p < nb; p++ {
-			o := p * kk
-			out.Row(p)[i] = fStat(bn[o:o+kk], bs[o:o+kk], bq[o:o+kk], s.ord, kk)
+			b := p * kk
+			out[p*ps+o] = fStat(bn[b:b+kk], bs[b:b+kk], bq[b:b+kk], s.ord, kk)
 		}
 	}
 }
@@ -501,11 +537,12 @@ func (k *pairTKernel) NewBatchScratch(nb int) *BatchScratch {
 }
 
 func (k *pairTKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch) {
-	nb := checkBatchShape(k.diffs.Rows, 2*k.pairs, labs, out)
-	if s == nil {
-		s = &BatchScratch{}
-	}
+	statsBatch(k, labs, out, s)
+}
+
+func (k *pairTKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
 	cols := 2 * k.pairs
+	s.open(labs, nb, cols)
 	s.sgnT = growF(s.sgnT, k.pairs*nb)
 	s.as = growF(s.as, nb)
 	for p := 0; p < nb; p++ {
@@ -520,8 +557,12 @@ func (k *pairTKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch)
 			}
 		}
 	}
+}
+
+func (k *pairTKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
+	nb := s.nb
 	sum := s.as[:nb]
-	for i := 0; i < k.diffs.Rows; i++ {
+	for i := lo; i < hi; i++ {
 		for p := range sum {
 			sum[p] = 0
 		}
@@ -534,9 +575,9 @@ func (k *pairTKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch)
 				sum[p] += sg * dv
 			}
 		}
-		m, sumsq := k.cnt[i], k.sumsq[i]
+		o, m, sumsq := (i-lo)*rs, k.cnt[i], k.sumsq[i]
 		for p := 0; p < nb; p++ {
-			out.Row(p)[i] = pairTStat(sum[p], m, sumsq)
+			out[p*ps+o] = pairTStat(sum[p], m, sumsq)
 		}
 	}
 }
@@ -552,25 +593,30 @@ func (k *blockFKernel) NewBatchScratch(nb int) *BatchScratch {
 }
 
 func (k *blockFKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch) {
-	nb := checkBatchShape(k.m.Rows, k.m.Cols, labs, out)
-	if s == nil {
-		s = &BatchScratch{}
-	}
-	kk, blocks, cols := k.k, k.blocks, k.m.Cols
-	transposeLabels(s, labs, nb, cols)
-	s.bs = growF(s.bs, nb*kk)
-	s.ord = growI(s.ord, kk)
+	statsBatch(k, labs, out, s)
+}
+
+func (k *blockFKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
+	s.open(labs, nb, k.m.Cols)
+	transposeLabels(s, labs, nb, k.m.Cols)
+	s.bs = growF(s.bs, nb*k.k)
+	s.ord = growI(s.ord, k.k)
+}
+
+func (k *blockFKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
+	nb, kk, blocks := s.nb, k.k, k.blocks
 	treat := s.bs[:nb*kk]
-	for i := 0; i < k.m.Rows; i++ {
+	for i := lo; i < hi; i++ {
+		o := (i - lo) * rs
 		used := k.blockUsed[i]
 		if used < 2 {
 			for p := 0; p < nb; p++ {
-				out.Row(p)[i] = math.NaN()
+				out[p*ps+o] = math.NaN()
 			}
 			continue
 		}
-		for o := range treat {
-			treat[o] = 0
+		for c := range treat {
+			treat[c] = 0
 		}
 		row := k.m.Row(i)
 		comp := k.complete[i*blocks : (i+1)*blocks]
@@ -589,8 +635,8 @@ func (k *blockFKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch
 		}
 		gm, ssTotal, ssBlock := k.grandMean[i], k.ssTotal[i], k.ssBlock[i]
 		for p := 0; p < nb; p++ {
-			o := p * kk
-			out.Row(p)[i] = blockFStat(treat[o:o+kk], s.ord, used, kk, gm, ssTotal, ssBlock)
+			b := p * kk
+			out[p*ps+o] = blockFStat(treat[b:b+kk], s.ord, used, kk, gm, ssTotal, ssBlock)
 		}
 	}
 }

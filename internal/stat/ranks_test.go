@@ -2,6 +2,7 @@ package stat
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,65 @@ func TestQuickRanksAreConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// ranksSortSlice is the rank transform as it was before Ranks sorted in
+// place, kept as the oracle of TestRanksMatchSortSlice.
+func ranksSortSlice(dst []float64) {
+	var idx []int
+	for j, v := range dst {
+		if !math.IsNaN(v) {
+			idx = append(idx, j)
+		}
+	}
+	sort.Slice(idx, func(a, b int) bool { return dst[idx[a]] < dst[idx[b]] })
+	for i, n := 0, len(idx); i < n; {
+		j := i + 1
+		for j < n && dst[idx[j]] == dst[idx[i]] {
+			j++
+		}
+		mid := float64(i+1+j) / 2
+		for k := i; k < j; k++ {
+			dst[idx[k]] = mid
+		}
+		i = j
+	}
+}
+
+// TestRanksMatchSortSlice: mid-ranks do not depend on how a sort orders
+// equal values, so Ranks must reproduce the sort.Slice routine bit for bit
+// — on both sides of its short-row threshold, with ties, NaN holes,
+// infinities and signed zeros — and allocate nothing given a scratch.
+func TestRanksMatchSortSlice(t *testing.T) {
+	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), 1, 1, 2.5, -3}
+	r := lcg(17)
+	scratch := make([]int, 80)
+	for n := 0; n <= 80; n++ {
+		for trial := 0; trial < 20; trial++ {
+			row := make([]float64, n)
+			for j := range row {
+				if trial%2 == 0 {
+					row[j] = pool[r.next()%uint64(len(pool))]
+				} else {
+					row[j] = float64(r.next()%uint64(n+1)) / 2
+				}
+			}
+			want := append([]float64(nil), row...)
+			ranksSortSlice(want)
+			var got []float64
+			if allocs := testing.AllocsPerRun(1, func() {
+				got = append(got[:0], row...)
+				Ranks(got, scratch)
+			}); allocs != 0 {
+				t.Fatalf("n=%d: Ranks allocates %v times per call", n, allocs)
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("n=%d trial %d col %d: rank %v, sort.Slice routine %v (row %v)", n, trial, j, got[j], want[j], row)
+				}
+			}
+		}
 	}
 }
 
