@@ -897,9 +897,16 @@ func (c *Coordinator) runShards(ctx context.Context, p runShardsParams, merged *
 		st.shards = append(st.shards, rec)
 		st.queue = append(st.queue, rec)
 	}
+	// Every loop is on the books before the first one starts: a loop that
+	// finishes at once deletes its entry under st.mu while this one would
+	// still be writing the next.
+	st.mu.Lock()
 	st.remotes = len(workers)
 	for _, m := range workers {
 		st.loops[m.addr] = true
+	}
+	st.mu.Unlock()
+	for _, m := range workers {
 		go st.remoteLoop(m)
 	}
 	go st.localLoop()

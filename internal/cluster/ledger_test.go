@@ -88,7 +88,10 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		lab[i] = 1
 	}
-	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 60000, Seed: 17}
+	// Sized against the lease below: ~25 ms of kernel per 60000
+	// permutations since the fused avx2 routine, so the window must be
+	// several leases long for the expiry to land inside it.
+	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 240000, Seed: 17}
 
 	n := leaseWorkerNode(t)
 	info, _, err := n.srv.Manager().PutDataset(x)
@@ -99,7 +102,7 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 	req := &cluster.ShardRequest{
 		JobKey: "lease-expiry", DatasetID: info.ID, Labels: lab, Options: opt,
 		Lo: 0, Hi: totalB, TotalB: totalB, Fingerprint: fp, NProcs: 1,
-		LeaseMS: 40, // expires long before the ~60000-permutation window finishes
+		LeaseMS: 40, // expires long before the 240000-permutation window finishes
 	}
 	code, part, reason := postShard(t, n.ts.URL, req)
 	if code != http.StatusOK || part == nil {
@@ -167,7 +170,8 @@ func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		lab[i] = 1
 	}
-	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 60000, Seed: 19}
+	// Long enough that the heartbeat below lands while it computes.
+	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 240000, Seed: 19}
 
 	n := leaseWorkerNode(t)
 	info, _, err := n.srv.Manager().PutDataset(x)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sprint/internal/core"
 	"sprint/internal/matrix"
@@ -195,21 +196,25 @@ func TestDatasetPrepReuse(t *testing.T) {
 // next insertion evicts it.
 func TestDatasetRefBlocksEviction(t *testing.T) {
 	x, labels, opt := dsTestMatrix(t)
-	gate := make(chan struct{})
-	var once sync.Once
+	gate, parked := make(chan struct{}), make(chan struct{})
+	// Blocking and releasing each have their own Once: Do waits for a call
+	// in flight, so one shared Once deadlocked the release against the
+	// worker it had parked.
+	var block, release sync.Once
+	unblock := func() { release.Do(func() { close(gate) }) }
 	m, err := NewManager(Config{
 		Workers:          1,
 		DatasetCacheSize: 1,
 		// The first checkpoint of the decoy job blocks its worker, so the
 		// dataset job behind it stays queued — holding its reference —
 		// for as long as the test needs.
-		OnCheckpoint: func(string, int64, int64) { once.Do(func() { <-gate }) },
+		OnCheckpoint: func(string, int64, int64) { block.Do(func() { close(parked); <-gate }) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	defer once.Do(func() { close(gate) }) // unblock on any failure path
+	defer unblock() // on any failure path
 
 	info, _, err := m.PutDataset(x)
 	if err != nil {
@@ -222,6 +227,11 @@ func TestDatasetRefBlocksEviction(t *testing.T) {
 	decoySt, err := m.Submit(decoy)
 	if err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the decoy job never reached its first checkpoint")
 	}
 	// The dataset job queues behind it, pinning the dataset.
 	dsSt, err := m.Submit(Spec{DatasetID: info.ID, Labels: labels, Opt: opt})
@@ -255,7 +265,7 @@ func TestDatasetRefBlocksEviction(t *testing.T) {
 	// the release-time eviction brings the store back within its bound.
 	// The job's dataset survives this round — running it made it the most
 	// recently used entry — but it is now evictable like any other.
-	once.Do(func() { close(gate) })
+	unblock()
 	waitTerminal(t, m, decoySt.ID)
 	if fin := waitTerminal(t, m, dsSt.ID); fin.State != Done {
 		t.Fatalf("dataset job finished %+v", fin)

@@ -145,7 +145,12 @@ func TestDeltaLoopZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		ProcessBatched(prep, door, 0, 2*batch, c, scratch, batch)
 	})
-	if allocs != 0 {
+	// Under the race detector sync.Pool drops a quarter of what is put back,
+	// on purpose, so perm.RevolvingDoor's pooled unranking scratch is
+	// allocated again on some runs — found with a rate-1 memory profile of
+	// the race build: every object under LabelsDelta → sync.(*Pool).Get.
+	// That allocation is the detector's, so the assertion holds without it.
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("delta loop allocates %v per run in steady state, want 0", allocs)
 	}
 }

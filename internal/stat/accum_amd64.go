@@ -16,16 +16,18 @@ package stat
 //go:noescape
 func accumPair(vab *float64, i0 *int32, i1 *int32, n int, acc *[8]float64)
 
-// accumQuad is the 4-lane AVX2 widening of accumPair (accum_avx2_amd64.s):
-// v4 interleaves FOUR rows as v4[4j+r] = row_r[j], one 32-byte VMOVUPD
-// yields all four rows' values at a column, and lane-wise VADDPD/VMULPD
-// advance four rows × two permutations per iteration.  acc layout matches
-// accumQuadGo: [0..3] perm i0 sums, [4..7] perm i0 sums of squares,
-// [8..15] the same for perm i1.  Callers must have verified AVX2 support
-// (ActiveKernelISA() == ISAAVX2 implies it).
+// tsQuad evaluates one NA-free row quad under groups·4 labellings — the
+// AVX2 routine in accum_avx2_amd64.s: accumulation, tsTail.stat and the
+// store, lanes = rows.  v8 is the quad with its squares (v8[8j+r] = x,
+// v8[8j+4+r] = x·x), sel8 the labellings' lists of 8·j, L entries each and
+// back to back, qc the table BatchScratch.openQuad fills with the quad's
+// row totals behind it, sign one entry per labelling; labelling p's
+// statistic of row r goes to out[p*ps+r*rs].  Every result is bit for bit
+// what tsTail.stat returns on the scalar chain's sums (TestStatsBatchISASweep,
+// FuzzTSQuad).  Callers must have verified AVX2 support (ISAAVX2 implies it).
 //
 //go:noescape
-func accumQuad(v4 *float64, i0 *int32, i1 *int32, n int, acc *[16]float64)
+func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[40]float64, sign, out *float64, ps, rs int)
 
 // cpuidex executes CPUID with the given leaf and subleaf
 // (cpuid_amd64.s).

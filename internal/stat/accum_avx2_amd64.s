@@ -1,58 +1,195 @@
-// Two-sample batch accumulation kernel, AVX2 widening: 2 permutations ×
-// 4 rows per pass.
+// The two-sample t fast path's AVX2 lane: tsQuad, one NA-free row quad
+// under every group of four labellings — accumulate, tail and store
+// without leaving the registers.
 //
-// v4 interleaves a row quad as v4[4j+r] = row_r[j], so one 32-byte VMOVUPD
-// load yields (row0[j], row1[j], row2[j], row3[j]) and lane-wise
-// VADDPD/VMULPD advance all four rows' accumulation chains in a single
-// instruction.  As with the SSE2 pair kernel, lane-wise packed arithmetic
-// performs exactly the scalar IEEE-754 operations — each lane is one
-// (row, permutation) serial chain in ascending selected-column order — so
-// the results are bitwise identical to the pure Go path (accumQuadGo),
-// which is also the reference the tests pin.
+// Lanes are rows.  v8 holds the quad column by column, each column's four
+// values and their four squares in one 64-byte line (v8[8j+r] = x,
+// v8[8j+4+r] = x·x), and the lists hold 8·j, so one element of one
+// labelling is two VADDPD from memory: s += x, q += x·x, the square being
+// the rounded product the scalar chain adds.  Four labellings run eight
+// chains at once (Y0…Y7 = s0 q0 s1 q1 s2 q2 s3 q3); within a chain the
+// adds come in ascending selected-column order, as in Stats.
 //
-// Accumulator layout on return (see accumQuad's doc comment):
-//   acc[0..3]  = s  of rows 0..3 under permutation i0
-//   acc[4..7]  = q  of rows 0..3 under permutation i0
-//   acc[8..11] = s  of rows 0..3 under permutation i1
-//   acc[12..15]= q  of rows 0..3 under permutation i1
+// TAIL is tsTail.stat lane-wise, operation for operation: S−sa, Q−qa,
+// qa·fa − sa·sa, the clamp m2 < (q·f)·m2Tol → +0 as an ordered compare and
+// an and-not, (m2a·db + m2b·da)·scale, ((sign·(sa·fb − sb·fa))·rt) /
+// sqrt(den), and den == 0 → the bits of math.NaN() as a compare and a
+// blend.  Each is the IEEE-754 operation the compiled Go performs on the
+// same operands — no FMA, no reassociation — so a lane's result is Stats'
+// on every bit; a NaN that arises (Inf − Inf, 0·Inf, the root of a
+// negative) is the one default quiet NaN whichever operand order the
+// compiler chose, so payloads agree too (TestStatsBatchISASweep, FuzzTSQuad).
+// The constants come ready broadcast from qc (BatchScratch.openQuad):
+// fa fb da db scale rt m2Tol NaN, then the quad's S and Q by row.
+//
+// Every vector instruction up to VZEROUPPER is VEX-encoded (see
+// internal/maxt/count_amd64.s for what one legacy-SSE instruction among
+// them costs), and a multi-line #define takes no comments.
 
 #include "textflag.h"
 
-// func accumQuad(v4 *float64, i0 *int32, i1 *int32, n int, acc *[16]float64)
-TEXT ·accumQuad(SB), NOSPLIT, $0-40
-	MOVQ v4+0(FP), SI
-	MOVQ i0+8(FP), DI
-	MOVQ i1+16(FP), R8
-	MOVQ n+24(FP), CX
-	MOVQ acc+32(FP), DX
-	VXORPD Y0, Y0, Y0 // s rows 0..3, permutation i0
-	VXORPD Y1, Y1, Y1 // q rows 0..3, permutation i0
-	VXORPD Y2, Y2, Y2 // s rows 0..3, permutation i1
-	VXORPD Y3, Y3, Y3 // q rows 0..3, permutation i1
-	XORQ AX, AX // e
-	JMP  qcond
+#define FA    0(CX)
+#define FB    32(CX)
+#define DA    64(CX)
+#define DB    96(CX)
+#define SCALE 128(CX)
+#define RT    160(CX)
+#define TOL   192(CX)
+#define NANV  224(CX)
+#define SROW  256(CX)
+#define QROW  288(CX)
 
-qloop:
-	MOVL (DI)(AX*4), R9  // j0 = i0[e]
-	MOVL (R8)(AX*4), R10 // j1 = i1[e]
-	SHLQ $5, R9          // byte offset of v4[4*j0]
-	SHLQ $5, R10
-	VMOVUPD (SI)(R9*1), Y4  // (row0[j0], row1[j0], row2[j0], row3[j0])
-	VADDPD  Y4, Y0, Y0
-	VMULPD  Y4, Y4, Y4
-	VADDPD  Y4, Y1, Y1
-	VMOVUPD (SI)(R10*1), Y5 // (row0[j1], row1[j1], row2[j1], row3[j1])
-	VADDPD  Y5, Y2, Y2
-	VMULPD  Y5, Y5, Y5
-	VADDPD  Y5, Y3, Y3
-	INCQ    AX
+// TAIL turns one labelling's sums S and sums of squares Q into its four
+// statistics, left in S.  SG is the labelling's sign; Y15 is zero; Y8–Y13
+// are scratch: Y8 = sb, Y9 = qb, Y11 = m2a then den, Y13 = m2b, Y12 the
+// numerator.
+#define TAIL(S, Q, SG) \
+	VMOVUPD   SROW, Y8            \
+	VSUBPD    S, Y8, Y8           \
+	VMOVUPD   QROW, Y9            \
+	VSUBPD    Q, Y9, Y9           \
+	VMULPD    FA, Q, Y10          \
+	VMULPD    S, S, Y11           \
+	VSUBPD    Y11, Y10, Y11       \
+	VMULPD    TOL, Y10, Y10       \
+	VCMPPD    $0x11, Y10, Y11, Y10 \
+	VANDNPD   Y11, Y10, Y11       \
+	VMULPD    FB, Y9, Y12         \
+	VMULPD    Y8, Y8, Y13         \
+	VSUBPD    Y13, Y12, Y13       \
+	VMULPD    TOL, Y12, Y12       \
+	VCMPPD    $0x11, Y12, Y13, Y12 \
+	VANDNPD   Y13, Y12, Y13       \
+	VMULPD    DB, Y11, Y11        \
+	VMULPD    DA, Y13, Y13        \
+	VADDPD    Y13, Y11, Y11       \
+	VMULPD    SCALE, Y11, Y11     \
+	VMULPD    FB, S, Y12          \
+	VMULPD    FA, Y8, Y8          \
+	VSUBPD    Y8, Y12, Y12        \
+	VBROADCASTSD SG, Y8           \
+	VMULPD    Y12, Y8, Y12        \
+	VMULPD    RT, Y12, Y12        \
+	VSQRTPD   Y11, Y13            \
+	VDIVPD    Y13, Y12, Y12       \
+	VCMPPD    $0, Y15, Y11, Y11   \
+	VBLENDVPD Y11, NANV, Y12, S
 
-qcond:
-	CMPQ AX, CX
-	JLT  qloop
+// SCATTER stores one labelling's four statistics a row stride (R13 bytes)
+// apart and steps DX to the next labelling (R12 bytes on).
+#define SCATTER(Y, X) \
+	VMOVLPD      X, (DX)         \
+	VMOVHPD      X, (DX)(R13*1)  \
+	VEXTRACTF128 $1, Y, X        \
+	LEAQ         (DX)(R13*2), R11 \
+	VMOVLPD      X, (R11)        \
+	VMOVHPD      X, (R11)(R13*1) \
+	ADDQ         R12, DX
+
+// func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[40]float64, sign, out *float64, ps, rs int)
+TEXT ·tsQuad(SB), NOSPLIT, $0-72
+	MOVQ v8+0(FP), SI
+	MOVQ sel8+8(FP), DI
+	MOVQ L+16(FP), R8
+	MOVQ groups+24(FP), BX
+	MOVQ qc+32(FP), CX
+	MOVQ sign+40(FP), AX
+	MOVQ out+48(FP), DX
+	SHLQ $2, R8          // one list, in bytes
+	LEAQ (R8)(R8*1), R9  // two
+	LEAQ (R9)(R8*1), R10 // three
+	VXORPD Y15, Y15, Y15
+	TESTQ  BX, BX
+	JLE    done
+
+group:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ   (DI)(R8*1), R11 // end of the group's first list
+	JMP    cond
+
+loop:
+	MOVL   (DI), R12 // 8·j of the group's four labellings at this element
+	MOVL   (DI)(R8*1), R13
+	VADDPD (SI)(R12*8), Y0, Y0
+	VADDPD 32(SI)(R12*8), Y1, Y1
+	VADDPD (SI)(R13*8), Y2, Y2
+	VADDPD 32(SI)(R13*8), Y3, Y3
+	MOVL   (DI)(R9*1), R12
+	MOVL   (DI)(R10*1), R13
+	VADDPD (SI)(R12*8), Y4, Y4
+	VADDPD 32(SI)(R12*8), Y5, Y5
+	VADDPD (SI)(R13*8), Y6, Y6
+	VADDPD 32(SI)(R13*8), Y7, Y7
+	ADDQ   $4, DI
+
+cond:
+	CMPQ DI, R11
+	JNE  loop
+	ADDQ R10, DI // the next group's first list
+
+	TAIL(Y0, Y1, 0(AX))
+	TAIL(Y2, Y3, 8(AX))
+	TAIL(Y4, Y5, 16(AX))
+	TAIL(Y6, Y7, 24(AX))
+	ADDQ $32, AX
+
+	// Statistic (labelling p, row r) goes to out[p*ps + r*rs]; Y0, Y2, Y4,
+	// Y6 hold labellings 0…3, lanes = rows.
+	MOVQ ps+56(FP), R12
+	MOVQ rs+64(FP), R13
+	SHLQ $3, R13
+	CMPQ R12, $1
+	JNE  bylabelling
+
+	// ps == 1, the engine's [position][labelling] block: transpose to
+	// lanes = labellings, one store per row.
+	VUNPCKLPD  Y2, Y0, Y8
+	VUNPCKHPD  Y2, Y0, Y9
+	VUNPCKLPD  Y6, Y4, Y10
+	VUNPCKHPD  Y6, Y4, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y0
+	VPERM2F128 $0x20, Y11, Y9, Y2
+	VPERM2F128 $0x31, Y10, Y8, Y4
+	VPERM2F128 $0x31, Y11, Y9, Y6
+	LEAQ       (DX)(R13*2), R11
+	VMOVUPD    Y0, (DX)
+	VMOVUPD    Y2, (DX)(R13*1)
+	VMOVUPD    Y4, (R11)
+	VMOVUPD    Y6, (R11)(R13*1)
+	ADDQ       $32, DX
+	JMP        next
+
+bylabelling:
+	SHLQ $3, R12
+	CMPQ R13, $8
+	JNE  scatter
+
+	// rs == 1, permutation-major (StatsBatch): one store per labelling.
 	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y2, (DX)(R12*1)
+	LEAQ    (DX)(R12*2), DX
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y6, (DX)(R12*1)
+	LEAQ    (DX)(R12*2), DX
+	JMP     next
+
+scatter:
+	SCATTER(Y0, X0)
+	SCATTER(Y2, X2)
+	SCATTER(Y4, X4)
+	SCATTER(Y6, X6)
+
+next:
+	DECQ BX
+	JNZ  group
+
+done:
 	VZEROUPPER
 	RET

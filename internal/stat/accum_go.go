@@ -1,11 +1,11 @@
 package stat
 
-// Pure-Go reference implementations of the two-sample batch accumulation
-// kernels.  These are the semantics the assembly kernels must reproduce
-// bitwise: per iteration each (row, permutation) accumulator pair advances
-// by one scalar IEEE-754 add and one multiply-add in ascending
-// selected-column order, exactly as the scalar Stats path does, so every
-// implementation — generic, SSE2 pair, AVX2 quad — is interchangeable.
+// The pure-Go row-pair accumulation: the generic lane, and the semantics
+// the SSE2 kernel must reproduce bitwise — per iteration each (row,
+// permutation) accumulator pair advances by one scalar IEEE-754 add and
+// one multiply then add in ascending selected-column order, exactly as the
+// scalar Stats path does.  (The AVX2 lane's Go statement, tsQuadGo, lives
+// with its tests.)
 
 // accumPairGo accumulates (sum, sum of squares) of two permutations'
 // selected columns over an interleaved row pair (vab[2j] = rowA[j],
@@ -31,36 +31,4 @@ func accumPairGo(vab *float64, i0 *int32, i1 *int32, n int, acc *[8]float64) {
 	}
 	acc[0], acc[1], acc[2], acc[3] = sa0, sb0, qa0, qb0
 	acc[4], acc[5], acc[6], acc[7] = sa1, sb1, qa1, qb1
-}
-
-// accumQuadGo is the 4-row widening of accumPairGo: v4 interleaves four
-// rows as v4[4j+r] = row_r[j], and the accumulators of two permutations
-// advance over all four rows per iteration.  On return acc[0..3] hold
-// permutation i0's sums (rows 0..3), acc[4..7] its sums of squares, and
-// acc[8..15] the same for permutation i1.  Each (row, permutation) chain
-// is the scalar IEEE-754 sequence in ascending selected-column order —
-// the lane layout of the AVX2 kernel in accum_avx2_amd64.s.
-func accumQuadGo(v4 *float64, i0 *int32, i1 *int32, n int, acc *[16]float64) {
-	var s0 [4]float64
-	var q0 [4]float64
-	var s1 [4]float64
-	var q1 [4]float64
-	for e := 0; e < n; e++ {
-		j0 := ptrI32(i0, e)
-		j1 := ptrI32(i1, e)
-		for r := int32(0); r < 4; r++ {
-			v := gather(v4, 4*j0+r)
-			s0[r] += v
-			q0[r] += v * v
-		}
-		for r := int32(0); r < 4; r++ {
-			v := gather(v4, 4*j1+r)
-			s1[r] += v
-			q1[r] += v * v
-		}
-	}
-	copy(acc[0:4], s0[:])
-	copy(acc[4:8], q0[:])
-	copy(acc[8:12], s1[:])
-	copy(acc[12:16], q1[:])
 }

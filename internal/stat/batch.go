@@ -33,7 +33,12 @@
 // blockFStat): one compiled function serves both, so the operation
 // sequences cannot diverge — the same argument PR 2's tie discipline makes
 // for mathematically tied labellings, extended here to the two evaluation
-// paths.
+// paths.  The one exception is the two-sample t fast path under avx2, where
+// tsQuad (accum_avx2_amd64.s) restates tsTail.stat lane-wise in assembly:
+// there equality with Stats is a tested property, not a structural one —
+// TestStatsBatchISASweep pins StatsRows to Stats bit for bit under every ISA
+// on rows built to reach each branch of the tail, FuzzTSQuad pins the
+// routine to its Go statement (tsQuadGo) on arbitrary bit patterns.
 package stat
 
 import (
@@ -102,6 +107,13 @@ type BatchScratch struct {
 	sign []float64 // per-permutation statistic sign (two-sample t)
 	as   []float64 // per-permutation accumulated sum (paired t)
 	vab  []float64 // interleaved row pair (two-sample fast path)
+	// What tsQuad reads under avx2 (openQuad): the lists again as 8·j, the
+	// row quad with its squares (v8[8j+r] = x, v8[8j+4+r] = x·x, seven
+	// spare cells to start on a cache line), and the tail's constants four
+	// times each — fa fb da db scale rt m2Tol NaN — then the quad's S, Q.
+	sel8 []int32
+	v8   []float64
+	qc   [40]float64
 	// Per-permutation class bins for F and block F, laid out [perm][class].
 	bn []int
 	bs []float64
@@ -206,9 +218,27 @@ func buildSelLists(s *BatchScratch, labs []int, nb, cols, fixed int, withSign bo
 }
 
 func (k *twoSampleKernel) NewBatchScratch(nb int) *BatchScratch {
-	return &BatchScratch{
+	s := &BatchScratch{
 		sel:  make([]int32, nb*k.m.Cols),
 		sign: make([]float64, nb),
+	}
+	if k.isa == ISAAVX2 {
+		s.sel8 = make([]int32, nb*k.m.Cols)
+		s.v8 = make([]float64, 8*k.m.Cols+7)
+	}
+	return s
+}
+
+// openQuad fills what tsQuad reads beside the row quad: the open batch's
+// lists scaled to v8 offsets and the tail's constants, broadcast.
+func (s *BatchScratch) openQuad(t *tsTail, cols int) {
+	s.sel8 = growI32(s.sel8, len(s.sel))
+	for e, j := range s.sel {
+		s.sel8[e] = 8 * j
+	}
+	s.v8 = growF(s.v8, 8*cols+7)
+	for c, v := range [8]float64{t.fa, t.fb, t.da, t.db, t.scale, t.rt, m2Tol, math.NaN()} {
+		s.qc[4*c], s.qc[4*c+1], s.qc[4*c+2], s.qc[4*c+3] = v, v, v, v
 	}
 }
 
@@ -219,6 +249,9 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 func (k *twoSampleKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
 	s.open(labs, nb, k.m.Cols)
 	s.L = buildSelLists(s, labs, nb, k.m.Cols, k.cls, true)
+	if tail, ok := newTSTail(k.pooled, s.L, k.m.Cols-s.L); ok && k.isa == ISAAVX2 {
+		s.openQuad(&tail, k.m.Cols)
+	}
 }
 
 func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
@@ -238,43 +271,36 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 			i++
 			continue
 		}
-		// NA-free row quads (AVX2 dispatch): four rows interleaved so one
-		// 32-byte load feeds four accumulation chains — see the pair path
+		// NA-free row quads under avx2: tsQuad takes the quad through every
+		// four labellings of the batch, lanes = rows — see the pair path
 		// below for why cross-row/cross-permutation interleaving is the
 		// lever and why lane-wise packed arithmetic stays bitwise equal.
+		// The nb mod 4 labellings left over read the rows themselves.
 		if tailOK && quad && i+3 < hi && fast(i) && fast(i+1) && fast(i+2) && fast(i+3) {
-			r4 := [4][]float64{k.m.Row(i), k.m.Row(i + 1), k.m.Row(i + 2), k.m.Row(i + 3)}
-			s.vab = growF(s.vab, 4*cols)
-			for j := 0; j < cols; j++ {
-				s.vab[4*j] = r4[0][j]
-				s.vab[4*j+1] = r4[1][j]
-				s.vab[4*j+2] = r4[2][j]
-				s.vab[4*j+3] = r4[3][j]
-			}
-			v4 := &s.vab[0]
-			S4 := [4]float64{k.sum[i], k.sum[i+1], k.sum[i+2], k.sum[i+3]}
-			Q4 := [4]float64{k.sumsq[i], k.sumsq[i+1], k.sumsq[i+2], k.sumsq[i+3]}
-			var acc [16]float64
-			p := 0
-			for ; p+2 <= nb; p += 2 {
-				accumQuad(v4, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
-				o0, o1 := p*ps+o, (p+1)*ps+o
-				for r := 0; r < 4; r++ {
-					out[o0+r*rs] = tail.stat(s.sign[p], S4[r], Q4[r], acc[r], acc[4+r])
-					out[o1+r*rs] = tail.stat(s.sign[p+1], S4[r], Q4[r], acc[8+r], acc[12+r])
+			if nb >= 4 {
+				v8 := s.v8[-(uintptr(unsafe.Pointer(&s.v8[0]))>>3)&7:] // from its first 64-byte boundary
+				r0, r1, r2, r3 := k.m.Row(i), k.m.Row(i+1), k.m.Row(i+2), k.m.Row(i+3)
+				for j := 0; j < cols; j++ {
+					a, b, c, d := r0[j], r1[j], r2[j], r3[j]
+					l := v8[8*j : 8*j+8 : 8*j+8]
+					l[0], l[1], l[2], l[3] = a, b, c, d
+					l[4], l[5], l[6], l[7] = a*a, b*b, c*c, d*d
 				}
+				copy(s.qc[32:36], k.sum[i:i+4])
+				copy(s.qc[36:40], k.sumsq[i:i+4])
+				tsQuad(&v8[0], &s.sel8[0], L, nb/4, &s.qc, &s.sign[0], &out[o], ps, rs)
 			}
-			for ; p < nb; p++ {
+			for p := nb &^ 3; p < nb; p++ {
 				idx := s.sel[p*L : (p+1)*L]
 				for r := 0; r < 4; r++ {
-					row := r4[r]
+					row := k.m.Row(i + r)
 					var sa, qa float64
 					for _, j := range idx {
 						v := row[j]
 						sa += v
 						qa += v * v
 					}
-					out[p*ps+o+r*rs] = tail.stat(s.sign[p], S4[r], Q4[r], sa, qa)
+					out[p*ps+o+r*rs] = tail.stat(s.sign[p], k.sum[i+r], k.sumsq[i+r], sa, qa)
 				}
 			}
 			i += 4

@@ -246,82 +246,3 @@ func TestIntRankGate(t *testing.T) {
 		t.Fatalf("mixed matrix gate wrong: %+v", ir)
 	}
 }
-
-// TestAccumQuadAsmVsGo pins the AVX2 assembly kernel to the pure-Go
-// reference, bit for bit, on irregular selected-column lists.
-func TestAccumQuadAsmVsGo(t *testing.T) {
-	if bestISA() < ISAAVX2 {
-		t.Skip("no AVX2 on this CPU")
-	}
-	const cols = 37
-	r := lcg(11)
-	v4 := make([]float64, 4*cols)
-	for o := range v4 {
-		v4[o] = r.float()*2 - 1
-	}
-	for _, L := range []int{0, 1, 7, 18, cols} {
-		i0 := make([]int32, L)
-		i1 := make([]int32, L)
-		for e := 0; e < L; e++ {
-			i0[e] = int32(r.next() % cols)
-			i1[e] = int32(r.next() % cols)
-		}
-		var accAsm, accGo [16]float64
-		p0, p1 := unsafePtr(i0), unsafePtr(i1)
-		accumQuad(&v4[0], p0, p1, L, &accAsm)
-		accumQuadGo(&v4[0], p0, p1, L, &accGo)
-		for o := range accAsm {
-			if math.Float64bits(accAsm[o]) != math.Float64bits(accGo[o]) {
-				t.Fatalf("L=%d acc[%d]: asm %v, go %v", L, o, accAsm[o], accGo[o])
-			}
-		}
-	}
-}
-
-// unsafePtr returns a pointer to the first element, or a valid dummy for
-// empty lists (the kernels never dereference it when n == 0).
-func unsafePtr(s []int32) *int32 {
-	if len(s) == 0 {
-		var z int32
-		return &z
-	}
-	return &s[0]
-}
-
-// TestStatsBatchISASweep asserts the generic, SSE2 and AVX2 dispatches of
-// the two-sample batch kernel are bitwise interchangeable on the paper's
-// workload shape, including odd row counts (pair/quad remainders) and odd
-// batch sizes (scalar permutation remainders).
-func TestStatsBatchISASweep(t *testing.T) {
-	d, err := NewDesign(Welch, halfLabels(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := benchMatrix(23, d.N, 3) // odd row count: quad + pair + single tails
-	k, err := NewKernel(d, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := k.(*twoSampleKernel)
-	labs := benchLabellings(d, 8)
-	const nb = 7 // odd: exercises the scalar permutation remainder
-	flat := make([]int, nb*d.N)
-	for p := 0; p < nb; p++ {
-		copy(flat[p*d.N:(p+1)*d.N], labs[p%len(labs)])
-	}
-	var ref matrix.Matrix
-	for isa := ISAGeneric; isa <= bestISA(); isa++ {
-		ts.isa = isa
-		out := matrix.New(nb, m.Rows)
-		ts.StatsBatch(flat, out, nil)
-		if isa == ISAGeneric {
-			ref = out
-			continue
-		}
-		for o := range out.Data {
-			if math.Float64bits(out.Data[o]) != math.Float64bits(ref.Data[o]) {
-				t.Fatalf("isa %v cell %d: %v, generic %v", isa, o, out.Data[o], ref.Data[o])
-			}
-		}
-	}
-}

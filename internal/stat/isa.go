@@ -5,11 +5,11 @@ import (
 	"strings"
 )
 
-// KernelISA names the instruction set the two-sample batch accumulation
-// kernel runs on.  The three implementations are bitwise interchangeable —
-// every SIMD lane performs one (row, permutation) chain's scalar IEEE-754
-// operations in the same ascending selected-column order — so the choice is
-// purely a performance knob, never a correctness one.
+// KernelISA names the instruction set the two-sample batch kernel runs on.
+// The three implementations are bitwise interchangeable — every SIMD lane
+// performs one (row, permutation) cell's scalar IEEE-754 operations in the
+// same order (TestStatsBatchISASweep) — so the choice is purely a
+// performance knob, never a correctness one.
 type KernelISA int
 
 const (
@@ -18,9 +18,9 @@ const (
 	// ISASSE2 is the 2-lane assembly kernel (amd64): one 16-byte load per
 	// interleaved row pair, two rows × two permutations per iteration.
 	ISASSE2
-	// ISAAVX2 is the 4-lane assembly kernel (amd64 with AVX2): one 32-byte
-	// load per interleaved row quad, four rows × two permutations per
-	// iteration.
+	// ISAAVX2 is the 4-lane assembly routine (amd64 with AVX2): four rows ×
+	// four permutations per iteration, the statistic's tail and the store
+	// in the same registers (tsQuad).
 	ISAAVX2
 )
 
