@@ -47,8 +47,6 @@ func run(args []string, w io.Writer) error {
 	genes := fs.Int("genes", 600, "measured workload: gene count (scaled from 6102)")
 	perms := fs.Int64("perms", 3000, "measured workload: permutation count (scaled from 150000)")
 	csvOut := fs.Bool("csv", false, "emit model profiles for all platforms as CSV and exit")
-	jsonOut := fs.Bool("json", false, "run the kernel micro-benchmarks and measured profile, emit JSON, and exit")
-	jsonDelta := fs.Bool("json-delta", false, "run the delta-engine and ISA-dispatch micro-benchmarks, emit JSON, and exit")
 	jsonIngest := fs.Bool("json-ingest", false, "run the dataset-plane ingest benchmarks (spb vs JSON, cold vs hot prep), emit JSON, and exit")
 	jsonServe := fs.Bool("json-serve", false, "run the serving-plane saturation sweep (admission control under 1x/2x/4x load), emit JSON, and exit")
 	jsonDist := fs.Bool("json-dist", false, "run the distributed-scaling sweep (coordinator + 1/2/4 in-process workers, bitwise-checked), emit JSON, and exit")
@@ -64,12 +62,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *csvOut {
 		return emitCSV(w)
-	}
-	if *jsonOut {
-		return emitJSON(w, *genes, *perms)
-	}
-	if *jsonDelta {
-		return emitJSONDelta(w, *genes)
 	}
 	if *jsonIngest {
 		return emitJSONIngest(w, *genes)

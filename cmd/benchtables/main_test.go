@@ -87,23 +87,6 @@ func TestBadFlagRejected(t *testing.T) {
 	}
 }
 
-func TestJSONDeltaEmitsKernelSections(t *testing.T) {
-	var out bytes.Buffer
-	// A tiny gene count keeps the micro-benchmarks fast in CI.
-	if err := run([]string{"-json-delta", "-genes", "40"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{
-		`"delta/wilcoxon/scalar"`, `"delta/wilcoxon/batch=64"`,
-		`"delta/wilcoxon/delta=64"`, `"isa/t76/generic/batch=64"`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("json-delta output missing %s", want)
-		}
-	}
-}
-
 func TestJSONServeEmitsSweep(t *testing.T) {
 	var out bytes.Buffer
 	// One tiny load level keeps the real serving sweep fast in CI.

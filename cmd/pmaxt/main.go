@@ -43,7 +43,7 @@ func run(args []string, stdout io.Writer) error {
 	na := fs.Float64("na", sprint.DefaultNA, "missing value code")
 	seed := fs.Uint64("seed", 0, "permutation RNG seed")
 	batch := fs.Int("batch", 0, "kernel permutation batch size (0 = auto; results are identical at any value)")
-	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, sse2, avx2 (results are identical on all)")
+	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, avx2 (results are identical on all)")
 	order := fs.String("order", "auto", "complete-enumeration order: auto, lex, door (results are identical on all)")
 	mode := fs.String("mode", "exact", "run mode: exact (fixed B, bit-reproducible) or sequential (adaptive early stopping)")
 	seqAlpha := fs.Float64("seq-alpha", 0, "sequential mode: significance level the stopping rule certifies decisions at (0 = default 0.05)")

@@ -90,7 +90,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	dsDir := fs.String("dataset-dir", "", "mirror registered datasets here as .spb files so they survive restarts (empty = memory only)")
 	maxBody := fs.Int64("max-body", 256<<20, "maximum submission body bytes")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, sse2, avx2 (results are identical on all)")
+	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, avx2 (results are identical on all)")
 	mode := fs.String("mode", "exact", "default run mode for submissions that set none: exact or sequential")
 	seqAlpha := fs.Float64("seq-alpha", 0, "default sequential significance level for submissions that set none (0 = engine default 0.05)")
 	seqTol := fs.Float64("seq-tolerance", 0, "default sequential p-value tolerance for submissions that set none (0 = engine default 0.02)")

@@ -164,8 +164,8 @@ type ShardRequest struct {
 // the worker stamps it after computing, the coordinator re-derives it
 // after decoding, and a mismatch — a bit flipped anywhere between the
 // worker's kernel and the coordinator's merge — rejects the delivery
-// whole and re-dispatches the shard.  Zero means "no checksum" so
-// pre-CRC nodes interoperate during a rolling upgrade.
+// whole and re-dispatches the shard.  A zero checksum is rejected the
+// same way: every node stamps one.
 type ShardResponse struct {
 	Lo          int64   `json:"lo"`
 	Next        int64   `json:"next"`

@@ -795,15 +795,13 @@ func (c *Coordinator) adoptLedger(rep *jobs.LedgerState, plan core.Plan, sequent
 			len(d.Raw) != plan.Rows || len(d.Adj) != plan.Rows {
 			continue
 		}
-		if d.CRC64 != 0 {
-			chk := ShardResponse{
-				Lo: d.Lo, Next: d.Next, Hi: d.Hi, TotalB: plan.TotalB,
-				Fingerprint: plan.Fingerprint, B: d.B, Raw: d.Raw, Adj: d.Adj,
-			}
-			if chk.CRC() != d.CRC64 {
-				c.metShardCorrupt.Inc()
-				continue
-			}
+		chk := ShardResponse{
+			Lo: d.Lo, Next: d.Next, Hi: d.Hi, TotalB: plan.TotalB,
+			Fingerprint: plan.Fingerprint, B: d.B, Raw: d.Raw, Adj: d.Adj,
+		}
+		if d.CRC64 == 0 || chk.CRC() != d.CRC64 {
+			c.metShardCorrupt.Inc()
+			continue
 		}
 		lo[idx] = d.Next
 		adopted = append(adopted, d)
@@ -1287,7 +1285,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 			// its duplicate-suppression contract), which would leave the
 			// shard waiting on a straggler tick that never comes.  A
 			// rejected delivery re-dispatches immediately instead.
-			if resp.CRC64 != 0 && resp.CRC64 != resp.CRC() {
+			if resp.CRC64 == 0 || resp.CRC64 != resp.CRC() {
 				c.cfg.Logger.LogAttrs(st.ctx, slog.LevelWarn, "cluster_shard_corrupt",
 					slog.String("worker", m.addr), slog.Int64("lo", lo), slog.Int64("hi", hi))
 				c.metShardCorrupt.Inc()

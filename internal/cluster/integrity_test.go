@@ -25,7 +25,7 @@ func TestShardResponseCRC(t *testing.T) {
 	}
 	want := base.CRC()
 	if want == 0 {
-		t.Fatal("CRC of a populated response is zero (zero means legacy/no checksum)")
+		t.Fatal("CRC of a populated response is zero (zero is rejected as corrupt)")
 	}
 	if got := base.CRC(); got != want {
 		t.Fatalf("CRC not stable: %x then %x", want, got)
@@ -64,12 +64,11 @@ func TestShardResponseCRC(t *testing.T) {
 	}
 }
 
-// corruptOnce wraps a worker handler and flips one Raw count in the
-// FIRST shard response while leaving the response's CRC64 stale — the
-// wire-level silent corruption the coordinator's end-to-end check
-// exists to catch.  Deterministic, unlike a random byte flip: the JSON
-// stays valid, so only the CRC check can reject it.
-func corruptOnce(done *atomic.Bool) func(http.Handler) http.Handler {
+// corruptOnce wraps a worker handler and applies damage to the FIRST
+// shard response — the wire-level silent corruption the coordinator's
+// end-to-end check exists to catch.  Deterministic, unlike a random byte
+// flip: the JSON stays valid, so only the CRC check can reject it.
+func corruptOnce(done *atomic.Bool, damage func(*cluster.ShardResponse)) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if !strings.HasSuffix(r.URL.Path, "/cluster/v1/shards") || done.Load() {
@@ -81,7 +80,7 @@ func corruptOnce(done *atomic.Bool) func(http.Handler) http.Handler {
 			body := rec.Body.Bytes()
 			var resp cluster.ShardResponse
 			if rec.Code == http.StatusOK && json.Unmarshal(body, &resp) == nil && len(resp.Raw) > 0 && done.CompareAndSwap(false, true) {
-				resp.Raw[0] += 7 // silent damage; CRC64 left describing the true counts
+				damage(&resp)
 				body, _ = json.Marshal(&resp)
 			}
 			for k, vs := range rec.Header() {
@@ -98,42 +97,50 @@ func corruptOnce(done *atomic.Bool) func(http.Handler) http.Handler {
 
 // TestClusterCorruptShardRedispatch is the end-to-end integrity check:
 // a worker whose first shard response carries silently damaged counts
-// (valid JSON, stale CRC) must be caught by the coordinator, the shard
-// re-dispatched, and the final result bitwise identical to a clean run.
+// (valid JSON, stale CRC) or no checksum at all (zero CRC — there is no
+// pre-CRC worker to interoperate with) must be caught by the coordinator,
+// the shard re-dispatched, and the final result bitwise identical to a
+// clean run.
 func TestClusterCorruptShardRedispatch(t *testing.T) {
 	x := synthX(25, 12, 31)
 	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 5}
 	want := standalone(t, x, lab, opt)
+	for name, damage := range map[string]func(*cluster.ShardResponse){
+		"stale-crc": func(r *cluster.ShardResponse) { r.Raw[0] += 7 }, // CRC64 left describing the true counts
+		"zero-crc":  func(r *cluster.ShardResponse) { r.CRC64 = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var corrupted atomic.Bool
+			w1 := newWorkerNode(t, corruptOnce(&corrupted, damage))
+			w2 := newWorkerNode(t, nil)
+			for _, n := range []*workerNode{w1, w2} {
+				if _, _, err := n.srv.Manager().PutDataset(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg := metrics.New()
+			coord, cm := coordManager(t, cluster.CoordinatorConfig{
+				Workers: []string{w1.ts.URL, w2.ts.URL},
+				Metrics: reg,
+			})
 
-	var corrupted atomic.Bool
-	w1 := newWorkerNode(t, corruptOnce(&corrupted))
-	w2 := newWorkerNode(t, nil)
-	for _, n := range []*workerNode{w1, w2} {
-		if _, _, err := n.srv.Manager().PutDataset(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := metrics.New()
-	coord, cm := coordManager(t, cluster.CoordinatorConfig{
-		Workers: []string{w1.ts.URL, w2.ts.URL},
-		Metrics: reg,
-	})
+			got := runOn(t, cm, x, lab, opt)
+			sameRes(t, name, got, want)
 
-	got := runOn(t, cm, x, lab, opt)
-	sameRes(t, "corrupt-shard", got, want)
-
-	if !corrupted.Load() {
-		t.Fatal("test harness never injected the corrupt response")
-	}
-	if n := reg.Counter("integrity_shard_corrupt_total").Value(); n == 0 {
-		t.Error("corrupt shard not counted by integrity_shard_corrupt_total")
-	}
-	if n := reg.Counter("cluster_shard_retries_total", "reason", "corrupt").Value(); n == 0 {
-		t.Error("corrupt shard not re-dispatched (no corrupt-reason retry)")
-	}
-	if coord.Info().Coordinator.ShardRetries == 0 {
-		t.Error("ShardRetries not incremented")
+			if !corrupted.Load() {
+				t.Fatal("test harness never injected the corrupt response")
+			}
+			if n := reg.Counter("integrity_shard_corrupt_total").Value(); n == 0 {
+				t.Error("corrupt shard not counted by integrity_shard_corrupt_total")
+			}
+			if n := reg.Counter("cluster_shard_retries_total", "reason", "corrupt").Value(); n == 0 {
+				t.Error("corrupt shard not re-dispatched (no corrupt-reason retry)")
+			}
+			if coord.Info().Coordinator.ShardRetries == 0 {
+				t.Error("ShardRetries not incremented")
+			}
+		})
 	}
 }
 

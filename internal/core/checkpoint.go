@@ -90,20 +90,11 @@ func (c *Checkpoint) EncodeFramed() ([]byte, error) {
 	return append(out, body.Bytes()...), nil
 }
 
-// DecodeCheckpointBytes reads a checkpoint from data, verifying the
-// integrity frame when present.  Bytes written before the frame existed
-// (a bare gob stream) still decode — the legacy path has no CRC, but a
-// truncated gob fails its own internal checks and is reported as
-// corrupt too.
+// DecodeCheckpointBytes reads a checkpoint from data, verifying its
+// integrity frame.  Unframed bytes — a bare gob included — are corrupt.
 func DecodeCheckpointBytes(data []byte) (*Checkpoint, error) {
 	if len(data) < 24 || !bytes.Equal(data[:8], ckptMagic[:]) {
-		// Legacy unframed gob: decode errors mean damage we cannot
-		// distinguish from truncation — treat as corrupt.
-		ck, err := DecodeCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-		}
-		return ck, nil
+		return nil, fmt.Errorf("%w: no frame", ErrCheckpointCorrupt)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
 	sum := binary.LittleEndian.Uint64(data[16:24])

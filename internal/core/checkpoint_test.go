@@ -169,23 +169,18 @@ func TestFramedRoundtrip(t *testing.T) {
 	}
 }
 
-// TestFramedLegacyFallback: bytes written before the frame existed (bare
-// gob, no magic) must still decode, so an upgrade resumes old disk state.
+// TestFramedLegacyFallback: the unframed legacy form has no fallback any
+// more — a bare gob, whole or truncated, is corrupt and gets quarantined
+// like any other file without a frame.
 func TestFramedLegacyFallback(t *testing.T) {
 	ck := &Checkpoint{TotalB: 77, Next: 33, Raw: []int64{9}, Adj: []int64{8}}
 	var buf bytes.Buffer
 	if err := ck.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCheckpointBytes(buf.Bytes())
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if got.TotalB != 77 || got.Next != 33 || got.Raw[0] != 9 {
-		t.Fatalf("legacy roundtrip mismatch: %+v", got)
-	}
-	// A truncated legacy stream is corrupt, not a zero-value checkpoint.
-	if _, err := DecodeCheckpointBytes(buf.Bytes()[:buf.Len()/2]); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("truncated legacy: err=%v, want ErrCheckpointCorrupt", err)
+	for _, data := range [][]byte{buf.Bytes(), buf.Bytes()[:buf.Len()/2]} {
+		if got, err := DecodeCheckpointBytes(data); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("bare gob of %d bytes: got %+v, err=%v, want ErrCheckpointCorrupt", len(data), got, err)
+		}
 	}
 }

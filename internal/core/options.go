@@ -76,11 +76,11 @@ type Options struct {
 	// "Broadcast parameters" section changes.
 	ScalarParams bool
 	// BatchSize is the number of permutations the main kernel evaluates
-	// per pass over the matrix: 0 selects DefaultBatchSize, 1 forces the
-	// scalar path, larger values trade scratch memory for fewer matrix
-	// sweeps.  The batched path is bitwise identical to the scalar path,
-	// so BatchSize never changes results — it is excluded from job cache
-	// keys and checkpoint fingerprints.
+	// per pass over the matrix: 0 selects DefaultBatchSize, 1 evaluates
+	// one labelling per pass, larger values trade scratch memory for fewer
+	// matrix sweeps.  A labelling's statistics are bitwise identical at
+	// every batch size, so BatchSize never changes results — it is
+	// excluded from job cache keys and checkpoint fingerprints.
 	BatchSize int
 	// Mode selects the permutation engine: "exact" (the default) runs
 	// every planned permutation and is bitwise-unchanged from earlier
@@ -343,7 +343,9 @@ func parseOptions(opt Options) (config, error) {
 // sampling, following mt.maxT: B = 0 demands the complete enumeration (and
 // fails loudly if it exceeds the limit); B > 0 uses random sampling unless
 // the complete enumeration is smaller, in which case exact enumeration is
-// both cheaper and statistically stronger.
+// both cheaper and statistically stronger.  A sampled plan under
+// fixed_seed_sampling "n" is refused when the stored generator cannot hold
+// the design's class labels in its bytes.
 func planPermutations(cfg config, d *stat.Design) (useComplete bool, total int64, err error) {
 	count, fits := perm.CompleteCount(d)
 	if cfg.b == 0 {
@@ -361,12 +363,15 @@ func planPermutations(cfg config, d *stat.Design) (useComplete bool, total int64
 	if fits && count <= cfg.b {
 		return true, count, nil
 	}
+	if !cfg.fixedSeed && d.K > math.MaxInt8+1 { // perm.NewStored's label bytes
+		return false, 0, fmt.Errorf("core: fixed_seed_sampling \"n\" stores class labels in a byte and supports at most %d classes, the design has %d; use fixed_seed_sampling \"y\"", math.MaxInt8+1, d.K)
+	}
 	return false, cfg.b, nil
 }
 
 // SetKernel selects the two-sample accumulation kernel by name — "auto"
-// (the best the CPU supports), "generic", "sse2" or "avx2" — returning the
-// name now active.  The choice is process-wide, meant for startup (CLI
+// (the best the CPU supports), "generic" or "avx2" — returning the name
+// now active.  The choice is process-wide, meant for startup (CLI
 // flags); it never changes results, only wall time, because every kernel
 // performs the identical per-(row, permutation) IEEE-754 chains.
 func SetKernel(name string) (string, error) {
@@ -374,7 +379,7 @@ func SetKernel(name string) (string, error) {
 	return isa.String(), err
 }
 
-// KernelName reports the active accumulation kernel ("avx2", "sse2" or
+// KernelName reports the active accumulation kernel ("avx2" or
 // "generic").
 func KernelName() string { return stat.ActiveKernelISA().String() }
 

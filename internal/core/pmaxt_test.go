@@ -353,3 +353,38 @@ func TestStoredAndOnTheFlyBothValid(t *testing.T) {
 		}
 	}
 }
+
+// TestStoredGeneratorWideDesigns: the stored generator's bytes hold class
+// labels, not column indices, so a two-sample design of 130 samples runs
+// under fixed_seed_sampling "n" — PMaxT and Run equal the serial MaxT bit
+// for bit — while an F design of 129 classes, whose labels do not fit a
+// byte, is refused with an error by every entry point.
+func TestStoredGeneratorWideDesigns(t *testing.T) {
+	x, lab := synthMatrix(3, 130, 1, 77), twoClass(65, 65)
+	fx, flab := synthMatrix(3, 258, 0, 78), make([]int, 258)
+	for j := range flab {
+		flab[j] = j / 2
+	}
+	opt := Options{Test: "t", FixedSeedSampling: "n", B: 60, Seed: 3}
+	fopt := Options{Test: "f", FixedSeedSampling: "n", B: 60, Seed: 3}
+	serial, err := MaxT(x, lab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MaxT(fx, flab, fopt); err == nil || !strings.Contains(err.Error(), "129") {
+		t.Errorf("maxt: 129 classes under stored sampling gave %v, want a refusal naming them", err)
+	}
+	for name, run := range map[string]func([][]float64, []int, Options) (*Result, error){
+		"pmaxt": func(x [][]float64, l []int, o Options) (*Result, error) { return PMaxT(x, l, 2, o) },
+		"run":   func(x [][]float64, l []int, o Options) (*Result, error) { return Run(x, l, o, RunControl{NProcs: 2}) },
+	} {
+		got, err := run(x, lab, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resultsEqual(t, name, serial, got)
+		if _, err := run(fx, flab, fopt); err == nil || !strings.Contains(err.Error(), "129") {
+			t.Errorf("%s: 129 classes under stored sampling gave %v, want a refusal naming them", name, err)
+		}
+	}
+}

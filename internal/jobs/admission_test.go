@@ -3,6 +3,7 @@ package jobs
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -381,11 +382,12 @@ func TestDrainMeter(t *testing.T) {
 // TestManagerRateLimit submits through a manager with a 1-token bucket
 // and requires the typed 429 shape.
 func TestManagerRateLimit(t *testing.T) {
-	clock := time.Unix(77000, 0)
+	var clock atomic.Int64 // seconds; the worker reads it too
+	clock.Store(77000)
 	m, err := NewManager(Config{
 		Workers: 1, QueueDepth: 4,
 		TenantLimits: TenantLimits{Default: TenantLimit{Rate: 1, Burst: 1}},
-		Clock:        func() time.Time { return clock },
+		Clock:        func() time.Time { return time.Unix(clock.Load(), 0) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +432,7 @@ func TestManagerRateLimit(t *testing.T) {
 
 	// The bucket refills with the clock: one second later the tenant is
 	// admitted again, and identical submissions hit the cache untaxed.
-	clock = clock.Add(time.Second)
+	clock.Add(1)
 	if _, err := m.Submit(spec(300)); err != nil {
 		t.Fatalf("post-refill submission: %v", err)
 	}

@@ -312,15 +312,6 @@ func jobKey(datasetDigest string, labels []int, opt core.Options) (string, error
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Key is KeyMatrix on the legacy row-per-slice form.
-func Key(x [][]float64, labels []int, opt core.Options) (string, error) {
-	m, err := matrix.FromRows(x)
-	if err != nil {
-		return "", fmt.Errorf("jobs: %w", err)
-	}
-	return KeyMatrix(m, labels, opt)
-}
-
 // Errors reported by the manager.
 var (
 	// ErrQueueFull rejects a submission when the FIFO is at capacity.

@@ -320,23 +320,23 @@ func TestQueueFull(t *testing.T) {
 }
 
 func TestKeyExcludesNonSemanticFields(t *testing.T) {
-	spec := testSpec(t)
-	k1, err := Key(spec.X, spec.Labels, spec.Opt)
+	x, labels, base := dsTestMatrix(t)
+	k1, err := KeyMatrix(x, labels, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := spec.Opt
+	opt := base
 	opt.ScalarParams = true // wire protocol only; result-identical
-	k2, err := Key(spec.X, spec.Labels, opt)
+	k2, err := KeyMatrix(x, labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k1 != k2 {
 		t.Fatal("ScalarParams changed the content key")
 	}
-	opt = spec.Opt
+	opt = base
 	opt.Seed++
-	k3, err := Key(spec.X, spec.Labels, opt)
+	k3, err := KeyMatrix(x, labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -522,3 +522,34 @@ func TestChaosMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestStoredWideDesignSurvivesJournal is the poison-pill regression: a
+// 3 × 130 two-sample job under fixed_seed_sampling "n" used to panic the
+// worker on submit, and again on every restart over its journal.  It now
+// finishes, and a manager reopens the same directories cleanly.
+func TestStoredWideDesignSurvivesJournal(t *testing.T) {
+	dirs := newDurableDirs(t)
+	data, err := microarray.Generate(microarray.GenOptions{Genes: 3, Samples: 130, Classes: 2, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions()
+	opt.FixedSeedSampling, opt.B = "n", 200
+	m1, err := NewManager(dirs.config(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m1.Submit(Spec{X: data.X, Labels: data.Labels, Opt: opt, NProcs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, m1, st.ID); fin.State != Done {
+		t.Fatalf("wide two-sample job %s (%s), want done", fin.State, fin.Error)
+	}
+	m1.Close()
+	m2, err := NewManager(dirs.config(1))
+	if err != nil {
+		t.Fatalf("restart over the same journal: %v", err)
+	}
+	m2.Close()
+}

@@ -164,14 +164,14 @@ func TestSequentialJobCrashResume(t *testing.T) {
 // "exact" spells the default), while sequential jobs key on mode and both
 // stopping knobs.
 func TestKeyExactModeStable(t *testing.T) {
-	spec := testSpec(t)
-	legacy, err := Key(spec.X, spec.Labels, spec.Opt)
+	x, labels, base := dsTestMatrix(t)
+	legacy, err := KeyMatrix(x, labels, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := spec.Opt
+	opt := base
 	opt.Mode = core.ModeExact
-	explicit, err := Key(spec.X, spec.Labels, opt)
+	explicit, err := KeyMatrix(x, labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestKeyExactModeStable(t *testing.T) {
 	}
 
 	opt.Mode = core.ModeSequential
-	seq, err := Key(spec.X, spec.Labels, opt)
+	seq, err := KeyMatrix(x, labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,12 @@ func TestKeyExactModeStable(t *testing.T) {
 		t.Fatal("sequential mode shares the exact content key")
 	}
 	opt.SeqAlpha = 0.01
-	seqAlpha, err := Key(spec.X, spec.Labels, opt)
+	seqAlpha, err := KeyMatrix(x, labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.SeqAlpha, opt.SeqTolerance = 0, 0.01
-	seqTol, err := Key(spec.X, spec.Labels, opt)
+	seqTol, err := KeyMatrix(x, labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

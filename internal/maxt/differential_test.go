@@ -9,9 +9,9 @@ import (
 	"sprint/internal/stat"
 )
 
-// Differential guard for the flat-matrix kernel refactor: every test ×
-// every side × nonpara y/n, on NA-bearing matrices, against the retained
-// legacy per-row path (NewPrepReference).
+// Differential guard for the flat-matrix kernels: every test × every side
+// × nonpara y/n, on NA-bearing matrices, against a test-local maxT over the
+// legacy per-row statistic functions (legacyMaxT).
 //
 // Exactness caveat.  The legacy statistic functions are not self-
 // consistent on mathematically tied labellings: Welford accumulation and
@@ -64,6 +64,35 @@ func diffMatrix(rows, cols int, seed uint64) matrix.Matrix {
 	return m
 }
 
+// legacyMaxT is the maxT the differential tests check against: every
+// statistic from Design.Func row by row (stats, rows in original order),
+// every permutation of gen counted by the three-pass countPermutation.
+// The returned prep carries the observed statistics and step-down order.
+func legacyMaxT(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, gen perm.Generator) (res *Result, p *Prep, stats func(lab []int, z []float64)) {
+	if d.NeedsRanks() || nonpara {
+		m = m.Clone()
+		for i := 0; i < m.Rows; i++ {
+			stat.Ranks(m.Row(i), nil)
+		}
+	}
+	fn, n := d.Func(), m.Rows
+	stats = func(lab []int, z []float64) {
+		for i := range z {
+			z[i] = fn(m.Row(i), lab)
+		}
+	}
+	p = &Prep{Design: d, Side: side, M: matrix.Matrix{Rows: n}, Stat: make([]float64, n), Obs: make([]float64, n)}
+	stats(d.Labels, p.Stat)
+	p.rankRows()
+	c, lab, z := NewCounts(n), make([]int, d.N), make([]float64, n)
+	for b := int64(0); b < gen.Total(); b++ {
+		gen.Label(b, lab)
+		stats(lab, z)
+		p.countPermutation(z, c)
+	}
+	return Finalize(p, c), p, stats
+}
+
 func TestKernelMatchesReferencePathDifferential(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -99,12 +128,8 @@ func TestKernelMatchesReferencePathDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pRef, err := NewPrepReference(m, d, side, nonpara)
-					if err != nil {
-						t.Fatal(err)
-					}
 					resNew := Run(pNew, gen)
-					resRef := Run(pRef, gen)
+					resRef, pRef, refStats := legacyMaxT(m, d, side, nonpara, gen)
 					label := tc.name + "/" + side.String()
 					if nonpara {
 						label += "/nonpara"
@@ -116,7 +141,7 @@ func TestKernelMatchesReferencePathDifferential(t *testing.T) {
 					if tc.exact && (!nonpara || tc.test == stat.Wilcoxon) {
 						comparePValuesExact(t, label, resNew, resRef)
 					} else {
-						comparePValuesCollar(t, label, pNew, pRef, gen, resNew)
+						comparePValuesCollar(t, label, pNew, pRef, refStats, gen, resNew)
 					}
 				}
 			}
@@ -179,7 +204,7 @@ func floatsIdentical(a, b float64) bool {
 // counts at thresholds obs+ε and obs−ε.  The new path's counts must fall
 // inside the bracket: only labellings the reference itself cannot place
 // unambiguously (|z−obs| ≤ ε) are allowed to differ.
-func comparePValuesCollar(t *testing.T, label string, pNew, pRef *Prep, gen perm.Generator, resNew *Result) {
+func comparePValuesCollar(t *testing.T, label string, pNew, pRef *Prep, refStats func([]int, []float64), gen perm.Generator, resNew *Result) {
 	t.Helper()
 	n := pRef.Rows()
 	B := gen.Total()
@@ -197,8 +222,8 @@ func comparePValuesCollar(t *testing.T, label string, pNew, pRef *Prep, gen perm
 	highAdj := make([]int64, n)
 	for b := int64(0); b < B; b++ {
 		gen.Label(b, lab)
-		for j, i := range pRef.Order { // M holds row i at its step-down position j
-			v := pRef.StatFn(pRef.M.Row(j), lab)
+		refStats(lab, z)
+		for i, v := range z {
 			if math.IsNaN(v) {
 				z[i] = math.Inf(-1)
 			} else {
@@ -290,11 +315,8 @@ func TestKernelMatchesReferenceRandomGenerator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pRef, err := NewPrepReference(m, d, side, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resNew, resRef := Run(pNew, gen), Run(pRef, gen)
+			resRef, _, _ := legacyMaxT(m, d, side, false, gen)
+			resNew := Run(pNew, gen)
 			label := test.String() + "/" + side.String() + "/random"
 			compareStats(t, label, resNew, resRef)
 			comparePValuesExact(t, label, resNew, resRef)

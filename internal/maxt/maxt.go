@@ -109,9 +109,8 @@ func (s Side) bits() (flip, keep uint64) {
 type Prep struct {
 	Design *stat.Design
 	Side   Side
-	M      matrix.Matrix                          // rows × columns, transformed, in step-down order
-	Kernel stat.Kernel                            // batched engine over M; nil on reference preps
-	StatFn func(row []float64, lab []int) float64 // legacy per-row evaluator
+	M      matrix.Matrix    // rows × columns, transformed, in step-down order
+	Kernel stat.BatchKernel // the statistics engine over M
 
 	Stat  []float64 // untransformed observed statistic per row
 	Obs   []float64 // side-transformed observed statistic per row
@@ -120,11 +119,6 @@ type Prep struct {
 
 	pobs []float64      // Obs by step-down position, for the Valid computable rows
 	isa  stat.KernelISA // counting lane, captured when the prep is built
-
-	// ref selects the retained pre-flat evaluation path: Process calls
-	// StatFn row by row instead of the batched kernel.  Kept so the flat
-	// refactor stays differentially testable against its predecessor.
-	ref bool
 }
 
 // NewPrep adapts the legacy row-per-slice surface: it validates shape,
@@ -135,25 +129,7 @@ func NewPrep(x [][]float64, d *stat.Design, side Side, nonpara bool) (*Prep, err
 	if err != nil {
 		return nil, err
 	}
-	return newPrep(m, d, side, nonpara, false)
-}
-
-// NewPrepMatrix builds the production prep over a flat matrix: it applies
-// the rank transform when the test requires it (Wilcoxon) or when nonpara is
-// set, computes observed statistics under the design's labelling, derives
-// the step-down order, and builds the batched kernel with its precomputed
-// per-row moments over a private copy of the rows in that order.  The input
-// matrix is not modified.
-func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
-	return newPrep(m, d, side, nonpara, false)
-}
-
-// NewPrepReference builds a prep whose Process evaluates permutations
-// through the legacy per-row statistic functions (Design.Func).  It exists
-// to guard the flat-matrix kernels differentially: results must agree with
-// NewPrepMatrix preps on the same inputs.
-func NewPrepReference(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
-	return newPrep(m, d, side, nonpara, true)
+	return NewPrepMatrix(m, d, side, nonpara)
 }
 
 // rowsToMatrix validates the legacy [][]float64 shape against the design
@@ -174,8 +150,13 @@ func rowsToMatrix(x [][]float64, d *stat.Design) (matrix.Matrix, error) {
 	return m, nil
 }
 
-// newPrep reads m and leaves it untouched.
-func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool) (*Prep, error) {
+// NewPrepMatrix builds the prep over a flat matrix: it applies the rank
+// transform when the test requires it (Wilcoxon) or when nonpara is set,
+// computes observed statistics under the design's labelling, derives the
+// step-down order, and builds the kernel with its precomputed per-row
+// moments over a private copy of the rows in that order.  The input matrix
+// is not modified.
+func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
 	if m.IsEmpty() {
 		return nil, fmt.Errorf("maxt: empty data matrix")
 	}
@@ -185,13 +166,7 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 	if len(m.Data) != m.Rows*m.Cols {
 		return nil, fmt.Errorf("maxt: matrix data has %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
 	}
-	p := &Prep{
-		Design: d,
-		Side:   side,
-		StatFn: d.Func(),
-		isa:    stat.ActiveKernelISA(),
-		ref:    ref,
-	}
+	p := &Prep{Design: d, Side: side, isa: stat.ActiveKernelISA()}
 	if d.NeedsRanks() || nonpara {
 		m = m.Clone()
 		scratch := make([]int, m.Cols)
@@ -200,33 +175,26 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 		}
 	}
 	// The order comes from the observed statistics, so they are computed
-	// over m as given — by a kernel that is dropped once they are known —
-	// and the kernel the run uses is built over the ordered copy.
+	// over m as given — by a kernel that is dropped once they are known,
+	// through the engine's own path at a batch of one — and the kernel the
+	// run uses is built over the ordered copy.
 	n := m.Rows
 	p.Stat = make([]float64, n)
 	p.Obs = make([]float64, n)
-	if ref {
-		for i := 0; i < n; i++ {
-			p.Stat[i] = p.StatFn(m.Row(i), d.Labels)
-		}
-	} else {
-		k, err := stat.NewKernel(d, m)
-		if err != nil {
-			return nil, err
-		}
-		k.Stats(d.Labels, p.Stat, nil)
+	k, err := stat.NewKernel(d, m)
+	if err != nil {
+		return nil, err
 	}
+	bs := &stat.BatchScratch{}
+	k.OpenBatch(d.Labels, 1, bs)
+	k.StatsRows(0, n, p.Stat, 1, 1, bs)
 	p.rankRows()
 	p.M = matrix.New(n, m.Cols)
 	for j, r := range p.Order {
 		copy(p.M.Row(j), m.Row(r))
 	}
-	if !ref {
-		k, err := stat.NewKernel(d, p.M)
-		if err != nil {
-			return nil, err
-		}
-		p.Kernel = k
+	if p.Kernel, err = stat.NewKernel(d, p.M); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -327,9 +295,7 @@ func (c *Counts) Reset(n int) {
 // capacity across preps (see ScratchFrom), which is what makes the jobs
 // worker path allocation-free in steady state.
 type Scratch struct {
-	lab []int
-	z   []float64 // one labelling's statistics by position (scalar loop)
-	ks  *stat.KernelScratch
+	lab []int // a delta batch's start labelling
 
 	// Exceedance counts of the call in progress, indexed by step-down
 	// position; scatter adds them into the caller's Counts by row.
@@ -366,13 +332,8 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 		s = &Scratch{}
 	}
 	s.lab = resize(s.lab, p.Design.N)
-	s.z = resize(s.z, p.M.Rows)
 	s.raw = resize(s.raw, p.Valid)
 	s.adj = resize(s.adj, p.Valid)
-	// The scalar kernel scratch is sized lazily by the scalar loop: the
-	// batched path (the default) never needs it, so eagerly rebuilding it
-	// here would charge every job an allocation it never uses.
-	s.ks = nil
 	if s.bks == nil {
 		s.bks = &stat.BatchScratch{}
 	}
@@ -399,9 +360,8 @@ func (p *Prep) ensureBatch(s *Scratch, batch int) {
 // gen into c.  It is the computational kernel of both mt.maxT and pmaxT:
 // the serial run processes [0, B); rank r of a parallel run processes its
 // chunk, with the master's chunk containing index 0 (the observed
-// labelling, Figure 2).  Statistics for all rows are evaluated by one
-// kernel call per permutation (or row by row through StatFn on reference
-// preps).  scratch may be nil, in which case temporary storage is
+// labelling, Figure 2).  It is ProcessBatched with batches of one
+// labelling.  scratch may be nil, in which case temporary storage is
 // allocated.
 func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch) {
 	ProcessFrom(p, gen, lo, hi, c, scratch, 1, 0)
@@ -409,11 +369,10 @@ func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scra
 
 // ProcessBatched is Process with the permutation loop inverted: the chunk
 // [lo, hi) is evaluated in batches of up to batch labellings, so each
-// matrix row is read once per batch instead of once per permutation.  The
-// counter (countBlock) is shared with Process and the batch statistics are
-// bitwise identical to Stats, so the accumulated counts are exactly those
-// of Process for every batch size; batch <= 1 (or a reference prep, whose
-// kernel is nil) is the scalar loop.
+// matrix row is read once per batch instead of once per permutation.  A
+// labelling's statistics are bitwise independent of the batch it rides
+// in, so the accumulated counts are exactly those of Process for every
+// batch size; batch <= 1 means batches of one.
 func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch, batch int) {
 	ProcessFrom(p, gen, lo, hi, c, scratch, batch, 0)
 }
@@ -441,14 +400,7 @@ func ProcessFrom(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, s *Scratc
 	if s == nil {
 		s = p.NewScratch()
 	}
-	bk, batched := p.Kernel.(stat.BatchKernel)
-	batch = int(min(int64(batch), hi-lo))
-	if batch <= 1 || !batched {
-		batch, batched = 1, false
-		if s.ks == nil && p.Kernel != nil {
-			s.ks = p.Kernel.NewScratch()
-		}
-	}
+	batch = int(max(min(int64(batch), hi-lo), 1))
 	p.ensureBatch(s, batch)
 	dk, okDK := p.Kernel.(stat.DeltaKernel)
 	dg, okDG := gen.(perm.DeltaGenerator)
@@ -462,18 +414,6 @@ func ProcessFrom(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, s *Scratc
 		for b := range u {
 			u[b] = math.Inf(-1)
 		}
-		if !batched {
-			gen.Label(base, s.lab)
-			if p.ref {
-				for j := first; j < p.Valid; j++ {
-					s.z[j] = p.StatFn(p.M.Row(j), s.lab)
-				}
-			} else {
-				p.Kernel.Stats(s.lab, s.z, s.ks)
-			}
-			p.countBlock(s.z[first:p.Valid], first, p.Valid, 1, u, s.raw, s.adj)
-			continue
-		}
 		if useDelta {
 			moves := s.moves[:nb-1]
 			dg.LabelsDelta(base, int64(nb), s.lab, moves)
@@ -481,14 +421,14 @@ func ProcessFrom(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, s *Scratc
 		} else {
 			labs := s.labs[:nb*p.Design.N]
 			gen.Labels(base, int64(nb), labs)
-			bk.OpenBatch(labs, nb, s.bks)
+			p.Kernel.OpenBatch(labs, nb, s.bks)
 		}
 		for bhi := p.Valid; bhi > first; bhi -= blockRows {
 			blo := max(bhi-blockRows, first)
 			if useDelta {
 				dk.DeltaRows(blo, bhi, s.blk, 1, nb, s.bks)
 			} else {
-				bk.StatsRows(blo, bhi, s.blk, 1, nb, s.bks)
+				p.Kernel.StatsRows(blo, bhi, s.blk, 1, nb, s.bks)
 			}
 			p.countBlock(s.blk, blo, bhi, nb, u, s.raw, s.adj)
 		}
@@ -542,8 +482,8 @@ func tallyRow(z, u []float64, o float64, flip, keep uint64) (r, a int64) {
 // labellings to the position accumulators raw and adj.  blk holds their
 // untransformed statistics, position j's at blk[(j-lo)*nb:][:nb], and u the
 // labellings' running successive maxima, carried from the block below.  It
-// is the single counting path of the scalar (nb = 1) and batched loops, so
-// the two cannot diverge.  The walk is upward from the least significant
+// is the single counting path of every batch size, so no two can
+// diverge.  The walk is upward from the least significant
 // position and the inner loop runs over labellings: contiguous, with no
 // dependency between iterations, four to a step under AVX2, and one add per
 // (position, batch) into raw and adj.

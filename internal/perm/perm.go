@@ -341,8 +341,8 @@ func NewStored(d *stat.Design, seed uint64, B, lo, hi int64) *Stored {
 	if hi <= lo {
 		return g
 	}
-	if d.N > math.MaxInt8 {
-		panic("perm: stored generator supports at most 127 columns per label byte")
+	if d.K > math.MaxInt8+1 { // the bytes hold class labels, each < d.K
+		panic(fmt.Sprintf("perm: stored generator supports at most %d classes per label byte, design has %d", math.MaxInt8+1, d.K))
 	}
 	src := rng.New(seed)
 	k := designKind(d)

@@ -2,20 +2,6 @@
 
 package stat
 
-// accumPair accumulates (sum, sum of squares) of two permutations' selected
-// columns over an interleaved row pair — the SSE2 kernel in accum_amd64.s.
-//
-// vab points at the interleaved pair buffer (vab[2j] = rowA[j], vab[2j+1] =
-// rowB[j]); i0 and i1 point at the two permutations' selected-column lists
-// (each n ascending indices, all < cols by construction).  On return
-// acc[0..3] hold permutation i0's (sa, sb, qa, qb) interleaved as
-// (sa0, sb0, qa0, qb0) and acc[4..7] permutation i1's.  Bitwise identical
-// to the pure Go accumulation (accumPairGo): each SIMD lane performs one
-// row's scalar IEEE-754 chain in the same ascending order.
-//
-//go:noescape
-func accumPair(vab *float64, i0 *int32, i1 *int32, n int, acc *[8]float64)
-
 // tsQuad evaluates one NA-free row quad under groups·4 labellings — the
 // AVX2 routine in accum_avx2_amd64.s: accumulation, tsTail.stat and the
 // store, lanes = rows.  v8 is the quad with its squares (v8[8j+r] = x,
@@ -40,25 +26,25 @@ func xgetbv0() (eax, edx uint32)
 
 // bestISA probes the CPU once at init: AVX2 requires the instruction set
 // itself (CPUID.7.0:EBX bit 5) AND OS support for saving YMM state
-// (OSXSAVE + XCR0 bits 1 and 2) — the standard detection sequence.  SSE2
-// is architectural on amd64.
+// (OSXSAVE + XCR0 bits 1 and 2) — the standard detection sequence.
+// Without it the portable Go kernel runs.
 func bestISA() KernelISA {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
-		return ISASSE2
+		return ISAGeneric
 	}
 	_, _, ecx1, _ := cpuidex(1, 0)
 	const osxsave = 1 << 27
 	const avx = 1 << 28
 	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return ISASSE2
+		return ISAGeneric
 	}
 	if lo, _ := xgetbv0(); lo&0x6 != 0x6 { // XMM and YMM state enabled
-		return ISASSE2
+		return ISAGeneric
 	}
 	_, ebx7, _, _ := cpuidex(7, 0)
 	if ebx7&(1<<5) == 0 { // AVX2
-		return ISASSE2
+		return ISAGeneric
 	}
 	return ISAAVX2
 }

@@ -1,11 +1,11 @@
 package stat
 
-// The pure-Go row-pair accumulation: the generic lane, and the semantics
-// the SSE2 kernel must reproduce bitwise — per iteration each (row,
-// permutation) accumulator pair advances by one scalar IEEE-754 add and
-// one multiply then add in ascending selected-column order, exactly as the
-// scalar Stats path does.  (The AVX2 lane's Go statement, tsQuadGo, lives
-// with its tests.)
+// The pure-Go row-pair accumulation: the generic lane (arm64, pre-AVX2
+// x86, -kernel generic) and, under avx2, the 1–3 NA-free rows a block
+// leaves after its last quad.  Per iteration each (row, permutation)
+// accumulator pair advances by one scalar IEEE-754 add and one multiply
+// then add in ascending selected-column order.  (The AVX2 lane's Go
+// statement, tsQuadGo, lives with its tests.)
 
 // accumPairGo accumulates (sum, sum of squares) of two permutations'
 // selected columns over an interleaved row pair (vab[2j] = rowA[j],

@@ -1,44 +1,47 @@
 // Permutation-batched kernel evaluation: the cache-blocked path behind the
-// maxT main kernel.
+// maxT main kernel, and the only evaluation path the engine has.
 //
-// The scalar path (Kernel.Stats) streams the entire flat matrix from memory
-// once per permutation; on the paper's 6102×76 workload that is ~3.7 MB per
-// permutation and the loop is memory-bound, not compute-bound.  StatsBatch
-// inverts the loop: each matrix row is loaded ONCE and, while it sits in L1,
-// serves every permutation of a batch of B labellings.  A batch is opened
-// once (OpenBatch: selected-column lists, transposed label tables) and then
-// evaluated over any row ranges, in any order (StatsRows); the engine asks
-// for a block of rows at a time and counts it while it is still in cache,
-// StatsBatch is the whole matrix in one range.
+// Evaluating one labelling at a time streams the entire flat matrix from
+// memory once per permutation; on the paper's 6102×76 workload that is
+// ~3.7 MB per permutation and the loop is memory-bound, not compute-bound.
+// A batch inverts the loop: each matrix row is loaded ONCE and, while it
+// sits in L1, serves every permutation of a batch of labellings.  A batch
+// is opened once (OpenBatch: selected-column lists, transposed label
+// tables) and then evaluated over any row ranges, in any order
+// (StatsRows); the engine asks for a block of rows at a time and counts it
+// while it is still in cache, StatsBatch is the whole matrix in one range.
+// A batch of one is the same code: the engine's BatchSize 1 and a prep's
+// observed statistics both run it.
 //
 // Per row, the accumulation is column-scatter shaped: selected columns are
 // visited in ascending order and each element feeds the accumulators of
 // every permutation in the batch using it (the F, block-F and paired-t
 // kernels scatter through per-batch transposed label/sign tables; the
-// two-sample kernels run per-permutation selected-column lists, two rows ×
-// two permutations at a time — an SSE2 kernel on amd64, see
-// accum_amd64.s).  For any single permutation p, every variant touches p's
-// selected columns in exactly the ascending order the scalar path uses, so
-// p's accumulators receive the identical sequence of IEEE-754 operations
-// and the batch statistics are BITWISE equal to B scalar Stats calls — the
-// property that keeps exceedance counts, content-addressed cache keys and
-// checkpoints valid for any batch size.  The batching also breaks the
-// add-latency dependency chain that binds the scalar loop: within one
-// permutation the accumulation order is fixed by the tie discipline (a
-// serial chain), so interleaving independent permutations' chains is the
-// only way to fill the FP pipeline.
+// two-sample kernels run per-permutation selected-column lists, four rows
+// × four permutations at a time under avx2, two × two otherwise).  For any
+// single permutation p, every variant touches p's selected columns in
+// ascending order, so p's accumulators receive the identical sequence of
+// IEEE-754 operations whatever the batch size or lane — the property that
+// keeps exceedance counts, content-addressed cache keys and checkpoints
+// valid for any batch size.  The tests pin it bit for bit against a
+// one-labelling-at-a-time scalar loop kept as their oracle
+// (scalar_test.go).  The batching also breaks the add-latency dependency
+// chain that binds a one-labelling loop: within one permutation the
+// accumulation order is fixed by the tie discipline (a serial chain), so
+// interleaving independent permutations' chains is the only way to fill
+// the FP pipeline.
 //
-// Every per-row finishing computation is shared with the scalar path
-// (tsTail.stat via twoSampleStat, wilcoxonStat, fStat, pairTStat,
-// blockFStat): one compiled function serves both, so the operation
-// sequences cannot diverge — the same argument PR 2's tie discipline makes
-// for mathematically tied labellings, extended here to the two evaluation
-// paths.  The one exception is the two-sample t fast path under avx2, where
-// tsQuad (accum_avx2_amd64.s) restates tsTail.stat lane-wise in assembly:
-// there equality with Stats is a tested property, not a structural one —
-// TestStatsBatchISASweep pins StatsRows to Stats bit for bit under every ISA
-// on rows built to reach each branch of the tail, FuzzTSQuad pins the
-// routine to its Go statement (tsQuadGo) on arbitrary bit patterns.
+// Every per-row finishing computation is one shared function (tsTail.stat
+// via twoSampleStat, wilcoxonStat, fStat, pairTStat, blockFStat), so the
+// lanes' operation sequences cannot diverge — the same argument PR 2's tie
+// discipline makes for mathematically tied labellings.  The one exception
+// is the two-sample t fast path under avx2, where tsQuad
+// (accum_avx2_amd64.s) restates tsTail.stat lane-wise in assembly: there
+// equality is a tested property, not a structural one —
+// TestStatsBatchISASweep pins StatsRows to the scalar oracle bit for bit
+// under every ISA on rows built to reach each branch of the tail,
+// FuzzTSQuad pins the routine to its Go statement (tsQuadGo) on arbitrary
+// bit patterns.
 package stat
 
 import (
@@ -65,19 +68,22 @@ func ptrI32(p *int32, e int) int32 {
 	return *(*int32)(unsafe.Add(unsafe.Pointer(p), uintptr(e)*4))
 }
 
-// BatchKernel is the batched evaluation surface implemented by every kernel
-// NewKernel builds: Stats for one labelling, OpenBatch + StatsRows for a
-// batch over row ranges, StatsBatch for a batch over the whole matrix.
+// BatchKernel is the statistics engine for one (design, matrix) pair, as
+// NewKernel builds it: OpenBatch + StatsRows for a batch of labellings over
+// row ranges, StatsBatch for a batch over the whole matrix.  Kernels are
+// immutable after construction and safe for concurrent use as long as each
+// goroutine passes its own BatchScratch.
 type BatchKernel interface {
-	Kernel
+	// Rows returns the number of matrix rows the kernel was built for.
+	Rows() int
 	// OpenBatch prepares scratch for the nb labellings packed in labs
 	// (flattened batch × columns, row-major).  The batch stays open until
 	// the scratch's next OpenBatch or OpenDelta.
 	OpenBatch(labs []int, nb int, scratch *BatchScratch)
 	// StatsRows evaluates rows [lo, hi) under every labelling of the batch
 	// open in scratch and writes labelling p's statistic of row i to
-	// out[p*ps+(i-lo)*rs].  Each is bitwise identical to what Stats
-	// computes for that row and labelling.
+	// out[p*ps+(i-lo)*rs].  Rows whose statistic is not computable get
+	// NaN.  Each value is bitwise independent of the batch size.
 	StatsRows(lo, hi int, out []float64, ps, rs int, scratch *BatchScratch)
 	// StatsBatch opens the out.Rows labellings in labs and evaluates every
 	// row, labelling p's statistics into out.Row(p).  scratch may be nil,
@@ -171,11 +177,11 @@ func statsBatch(k BatchKernel, labs []int, out matrix.Matrix, s *BatchScratch) {
 // ---- two-sample t / Wilcoxon --------------------------------------------
 
 // buildSelLists fills s.sel with each batch permutation's selected columns
-// (ascending, exactly the scalar selectColumns order) and each
-// permutation's sign, returning the shared list length L.  Class sizes are
-// invariant under relabelling, so every permutation selects the same
-// number of columns.  cls follows the scalar rule: the fixed class on
-// unbalanced designs, the class containing column 0 otherwise (fixed < 0).
+// (ascending) and each permutation's sign, returning the shared list length
+// L.  Class sizes are invariant under relabelling, so every permutation
+// selects the same number of columns.  cls follows the kernel's rule: the
+// fixed class on unbalanced designs, the class containing column 0
+// otherwise (fixed < 0).
 func buildSelLists(s *BatchScratch, labs []int, nb, cols, fixed int, withSign bool) int {
 	if nb == 0 {
 		return 0 // nothing anchors labs[0] below; an empty batch is a no-op
@@ -261,7 +267,6 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 	tail, tailOK := newTSTail(k.pooled, L, cols-L)
 	fast := func(i int) bool { return !k.flat[i] && k.n[i] == cols }
 	quad := k.isa == ISAAVX2
-	asmPair := k.isa >= ISASSE2
 	for i := lo; i < hi; {
 		o := (i - lo) * rs
 		if k.flat[i] {
@@ -308,12 +313,11 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 		}
 		// NA-free rows: every selected cell is present, so the group count
 		// is L without tracking it and the per-element NaN test vanishes.
-		// The row pair is interleaved into vab so that accumPair (an SSE2
-		// kernel on amd64, a pure Go loop elsewhere — bitwise identical by
-		// construction) advances two permutations × two rows at once:
-		// within one permutation the accumulation order is fixed by the
-		// tie discipline (a serial dependency chain), so cross-permutation
-		// and cross-row interleaving is what fills the FP pipeline.
+		// The row pair is interleaved into vab so that accumPairGo advances
+		// two permutations × two rows at once: within one permutation the
+		// accumulation order is fixed by the tie discipline (a serial
+		// dependency chain), so cross-permutation and cross-row
+		// interleaving is what fills the FP pipeline.
 		if tailOK && fast(i) && i+1 < hi && fast(i+1) {
 			rowA, rowB := k.m.Row(i), k.m.Row(i+1)
 			s.vab = growF(s.vab, 2*cols)
@@ -327,11 +331,7 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 			var acc [8]float64
 			p := 0
 			for ; p+2 <= nb; p += 2 {
-				if asmPair {
-					accumPair(vab, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
-				} else {
-					accumPairGo(vab, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
-				}
+				accumPairGo(vab, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
 				o0, o1 := p*ps+o, (p+1)*ps+o
 				out[o0] = tail.stat(s.sign[p], SA, QA, acc[0], acc[2])
 				out[o0+rs] = tail.stat(s.sign[p], SB, QB, acc[1], acc[3])
@@ -355,8 +355,8 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 			i += 2
 			continue
 		}
-		// General row (missing cells, or an unpaired NA-free row): the
-		// scalar accumulation per permutation, row already in L1.
+		// General row (missing cells, or an unpaired NA-free row): one
+		// accumulation per permutation, row already in L1.
 		row := k.m.Row(i)
 		n, S, Q := k.n[i], k.sum[i], k.sumsq[i]
 		for p := 0; p < nb; p++ {
@@ -575,7 +575,7 @@ func (k *pairTKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
 		lab := labs[p*cols : (p+1)*cols]
 		for j := 0; j < k.pairs; j++ {
 			// The difference is (value labelled 1) - (value labelled 0); a
-			// pair stored (1,0) flips it — the scalar sign rule.
+			// pair stored (1,0) flips it.
 			if lab[2*j] == 1 {
 				s.sgnT[j*nb+p] = -1
 			} else {

@@ -42,8 +42,8 @@ func quantize(m matrix.Matrix) {
 }
 
 // TestStatsBatchBitwiseEqualsScalar: for every test, NA setting and batch
-// size, StatsBatch must reproduce the scalar Stats bit patterns exactly —
-// not approximately — including NaN placement.
+// size, StatsBatch must reproduce the scalar oracle's bit patterns exactly
+// — not approximately — including NaN placement.
 func TestStatsBatchBitwiseEqualsScalar(t *testing.T) {
 	for _, tc := range batchCases(t) {
 		tc := tc
@@ -57,14 +57,7 @@ func TestStatsBatchBitwiseEqualsScalar(t *testing.T) {
 						Ranks(m.Row(i), nil)
 					}
 				}
-				k, err := NewKernel(d, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bk, ok := k.(BatchKernel)
-				if !ok {
-					t.Fatalf("kernel for %v does not implement BatchKernel", d.Test)
-				}
+				k := mustKernel(t, d, m)
 				for _, nb := range []int{1, 2, 3, 7, 16, 64} {
 					// Draw nb valid labellings, starting from the observed.
 					labs := make([]int, nb*d.N)
@@ -75,11 +68,11 @@ func TestStatsBatchBitwiseEqualsScalar(t *testing.T) {
 						tc.relab(&r, lab)
 					}
 					out := matrix.New(nb, m.Rows)
-					bk.StatsBatch(labs, out, bk.NewBatchScratch(nb))
+					k.StatsBatch(labs, out, k.NewBatchScratch(nb))
 					want := make([]float64, m.Rows)
-					ks := k.NewScratch()
+					ks := scalar(k).NewScratch()
 					for p := 0; p < nb; p++ {
-						k.Stats(labs[p*d.N:(p+1)*d.N], want, ks)
+						scalar(k).Stats(labs[p*d.N:(p+1)*d.N], want, ks)
 						got := out.Row(p)
 						for i := range want {
 							if math.Float64bits(got[i]) != math.Float64bits(want[i]) &&
@@ -106,11 +99,7 @@ func TestStatsBatchNilScratch(t *testing.T) {
 				Ranks(m.Row(i), nil)
 			}
 		}
-		k, err := NewKernel(d, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bk := k.(BatchKernel)
+		bk := mustKernel(t, d, m)
 		labs := append(append([]int(nil), d.Labels...), d.Labels...)
 		a := matrix.New(2, m.Rows)
 		b := matrix.New(2, m.Rows)
@@ -136,11 +125,7 @@ func TestStatsBatchZeroAllocs(t *testing.T) {
 				Ranks(m.Row(i), nil)
 			}
 		}
-		k, err := NewKernel(d, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bk := k.(BatchKernel)
+		bk := mustKernel(t, d, m)
 		const nb = 8
 		labs := make([]int, nb*d.N)
 		for p := 0; p < nb; p++ {
@@ -171,7 +156,7 @@ func TestStatsBatchScratchReusedAcrossKernels(t *testing.T) {
 				Ranks(m.Row(i), nil)
 			}
 		}
-		bk := mustKernel(t, d, m).(BatchKernel)
+		bk := mustKernel(t, d, m)
 		for _, nb := range []int{4, 1, 9} {
 			labs := make([]int, nb*d.N)
 			lab := append([]int(nil), d.Labels...)
@@ -193,7 +178,7 @@ func TestStatsBatchScratchReusedAcrossKernels(t *testing.T) {
 	}
 }
 
-func mustKernel(t *testing.T, d *Design, m matrix.Matrix) Kernel {
+func mustKernel(t *testing.T, d *Design, m matrix.Matrix) BatchKernel {
 	t.Helper()
 	k, err := NewKernel(d, m)
 	if err != nil {

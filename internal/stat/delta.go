@@ -9,7 +9,7 @@
 // a single element exchange, as in perm.RevolvingDoor's Gray order) is the
 // same integer a full re-accumulation produces.  Converting that integer
 // back to float64 is exact too (the representability bounds below), so the
-// delta path's statistics are bitwise identical to Stats/StatsBatch *by
+// delta path's statistics are bitwise identical to StatsRows' *by
 // construction* — the same argument PR 3 makes for lane-wise SIMD, made
 // here for incremental evaluation.
 //
@@ -63,7 +63,7 @@ type DeltaKernel interface {
 // mid-ranks become integers); with |s| ≤ maxScaled = 2^20 and at most
 // maxIntCols = 2^11 columns, Σ|s| ≤ 2^31 and Σs² ≤ 2^51 — comfortably
 // inside float64's 2^53 exact-integer range.  Every partial float sum the
-// scalar/batched kernels form over such cells is therefore exact (each
+// float kernels form over such cells is therefore exact (each
 // partial sum is a half- or quarter-integer with an exactly representable
 // value), which is what makes integer accumulation bitwise interchangeable
 // with float accumulation in ANY order.

@@ -62,11 +62,10 @@ func randomExchangeChain(d *Design, nb int, seed uint64) (lab0 []int, moves []Ex
 
 // TestStatsDeltaBitwise pins what the engine relies on under a revolving-
 // door order: StatsDelta over a move chain is bitwise identical to
-// StatsBatch over the materialised labellings and to successive Stats
-// calls — with ties, with and without NA holes, balanced and unbalanced —
+// StatsBatch over the materialised labellings and to the scalar oracle — with ties, with and without NA holes, balanced and unbalanced —
 // also when the chain is evaluated in ragged row ranges and row-major.  The
 // t kernels have no delta path; their cases pin the path the engine then
-// takes, StatsBatch over the materialised chain against Stats.
+// takes, StatsBatch over the materialised chain against the oracle.
 func TestStatsDeltaBitwise(t *testing.T) {
 	designs := []struct {
 		name   string
@@ -93,17 +92,14 @@ func TestStatsDeltaBitwise(t *testing.T) {
 						t.Fatal(err)
 					}
 					m := deltaTestMatrix(40, d.N, withNA, uint64(test)*7+3)
-					k, err := NewKernel(d, m)
-					if err != nil {
-						t.Fatal(err)
-					}
+					k := mustKernel(t, d, m)
 					const nb = 17
 					lab0, moves, labs := randomExchangeChain(d, nb, 99)
 					outBatch := matrix.New(nb, m.Rows)
-					k.(BatchKernel).StatsBatch(labs, outBatch, nil)
+					k.StatsBatch(labs, outBatch, nil)
 					z := make([]float64, m.Rows)
 					for p := 0; p < nb; p++ {
-						k.Stats(labs[p*d.N:(p+1)*d.N], z, nil)
+						scalar(k).Stats(labs[p*d.N:(p+1)*d.N], z, nil)
 						for i, v := range z {
 							if math.Float64bits(v) != math.Float64bits(outBatch.Row(p)[i]) {
 								t.Fatalf("perm %d row %d: scalar %v, batch %v", p, i, v, outBatch.Row(p)[i])
@@ -151,7 +147,7 @@ func TestStatsDeltaBitwise(t *testing.T) {
 // exactly the float accumulation's bits: the same kernel evaluated with
 // its integer view disabled must agree bit for bit, across ties, NA holes
 // and unbalanced designs.  Only the Wilcoxon kernel has an integer view;
-// the t cases run the same comparison between two float kernels' scalar
+// the t cases run the same comparison between two float kernels' oracle
 // and batch paths on rank data.
 func TestIntRankBitwiseVsFloat(t *testing.T) {
 	for _, test := range []Test{Wilcoxon, Welch, TEqualVar} {
@@ -163,14 +159,7 @@ func TestIntRankBitwiseVsFloat(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := deltaTestMatrix(30, d.N, withNA, 5)
-				kInt, err := NewKernel(d, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				kFloat, err := NewKernel(d, m)
-				if err != nil {
-					t.Fatal(err)
-				}
+				kInt, kFloat := mustKernel(t, d, m), mustKernel(t, d, m)
 				if k, ok := kFloat.(*wilcoxonKernel); ok {
 					if k.ir == nil {
 						t.Fatal("rank rows should be integer-representable")
@@ -182,11 +171,11 @@ func TestIntRankBitwiseVsFloat(t *testing.T) {
 				zi := make([]float64, m.Rows)
 				zf := make([]float64, m.Rows)
 				oi := matrix.New(nb, m.Rows)
-				kInt.(BatchKernel).StatsBatch(labs, oi, nil)
+				kInt.StatsBatch(labs, oi, nil)
 				for p := 0; p < nb; p++ {
 					lab := labs[p*d.N : (p+1)*d.N]
-					kInt.Stats(lab, zi, nil)
-					kFloat.Stats(lab, zf, nil)
+					scalar(kInt).Stats(lab, zi, nil)
+					scalar(kFloat).Stats(lab, zf, nil)
 					for i := range zi {
 						if math.Float64bits(zi[i]) != math.Float64bits(zf[i]) {
 							t.Fatalf("perm %d row %d: int %v, float %v", p, i, zi[i], zf[i])
@@ -198,7 +187,7 @@ func TestIntRankBitwiseVsFloat(t *testing.T) {
 				}
 				// Batch paths agree too.
 				of := matrix.New(nb, m.Rows)
-				kFloat.(BatchKernel).StatsBatch(labs, of, nil)
+				kFloat.StatsBatch(labs, of, nil)
 				for o := range oi.Data {
 					if math.Float64bits(oi.Data[o]) != math.Float64bits(of.Data[o]) {
 						t.Fatalf("batch cell %d: int %v, float %v", o, oi.Data[o], of.Data[o])
@@ -225,10 +214,7 @@ func TestIntRankGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := NewKernel(d, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := mustKernel(t, d, m)
 	if k.(DeltaKernel).DeltaOK() {
 		t.Fatal("DeltaOK on continuous data")
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // KernelISA names the instruction set the two-sample batch kernel runs on.
-// The three implementations are bitwise interchangeable — every SIMD lane
+// The two implementations are bitwise interchangeable — every SIMD lane
 // performs one (row, permutation) cell's scalar IEEE-754 operations in the
 // same order (TestStatsBatchISASweep) — so the choice is purely a
 // performance knob, never a correctness one.
@@ -15,9 +15,6 @@ type KernelISA int
 const (
 	// ISAGeneric is the portable pure-Go row-pair kernel.
 	ISAGeneric KernelISA = iota
-	// ISASSE2 is the 2-lane assembly kernel (amd64): one 16-byte load per
-	// interleaved row pair, two rows × two permutations per iteration.
-	ISASSE2
 	// ISAAVX2 is the 4-lane assembly routine (amd64 with AVX2): four rows ×
 	// four permutations per iteration, the statistic's tail and the store
 	// in the same registers (tsQuad).
@@ -26,7 +23,6 @@ const (
 
 var isaNames = map[KernelISA]string{
 	ISAGeneric: "generic",
-	ISASSE2:    "sse2",
 	ISAAVX2:    "avx2",
 }
 
@@ -49,17 +45,18 @@ func ActiveKernelISA() KernelISA { return activeISA }
 
 // SupportedISAs lists the ISA names this process can run, best last.
 func SupportedISAs() []string {
-	out := []string{ISAGeneric.String()}
-	for isa := ISASSE2; isa <= bestISA(); isa++ {
+	var out []string
+	for isa := ISAGeneric; isa <= bestISA(); isa++ {
 		out = append(out, isa.String())
 	}
 	return out
 }
 
 // SetKernelISA selects the accumulation kernel by name: "auto" picks the
-// best supported ISA, "generic", "sse2" and "avx2" force one.  Requesting
-// an ISA the CPU (or GOARCH) cannot run returns an error and leaves the
-// active choice unchanged.  The returned value is the ISA now active.
+// best supported ISA, "generic" and "avx2" force one.  Requesting an ISA
+// the CPU (or GOARCH) cannot run, or a name not listed here, returns an
+// error and leaves the active choice unchanged.  The returned value is the
+// ISA now active.
 func SetKernelISA(name string) (KernelISA, error) {
 	switch strings.ToLower(name) {
 	case "", "auto":
@@ -68,12 +65,6 @@ func SetKernelISA(name string) (KernelISA, error) {
 	case "generic":
 		activeISA = ISAGeneric
 		return activeISA, nil
-	case "sse2":
-		if bestISA() < ISASSE2 {
-			return activeISA, fmt.Errorf("stat: kernel %q not supported on this CPU (have %s)", name, SupportedISAs())
-		}
-		activeISA = ISASSE2
-		return activeISA, nil
 	case "avx2":
 		if bestISA() < ISAAVX2 {
 			return activeISA, fmt.Errorf("stat: kernel %q not supported on this CPU (have %s)", name, SupportedISAs())
@@ -81,6 +72,6 @@ func SetKernelISA(name string) (KernelISA, error) {
 		activeISA = ISAAVX2
 		return activeISA, nil
 	default:
-		return activeISA, fmt.Errorf("stat: unknown kernel %q (want auto, generic, sse2 or avx2)", name)
+		return activeISA, fmt.Errorf("stat: unknown kernel %q (want auto, generic or avx2)", name)
 	}
 }

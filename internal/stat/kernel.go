@@ -21,9 +21,9 @@
 //     sums are exact, the class containing column 0 where floating-point
 //     tie symmetry demands it — see the tie discipline below.)
 //
-// A Kernel evaluates all rows of its matrix in one call, so the engine
-// pays one virtual dispatch per permutation instead of one per row, and
-// walks the rows of a single contiguous allocation in order.
+// A kernel evaluates a range of rows under a batch of labellings in one
+// call (batch.go), so the engine pays one virtual dispatch per row block
+// instead of one per row, and walks a single contiguous allocation.
 package stat
 
 import (
@@ -33,40 +33,12 @@ import (
 	"sprint/internal/matrix"
 )
 
-// Kernel is the batched statistics engine for one (design, matrix) pair.
-// Implementations precompute per-row label-independent moments at
-// construction; Stats then evaluates every row under one labelling.
-//
-// Kernels are immutable after construction and safe for concurrent Stats
-// calls as long as each goroutine passes its own KernelScratch.
-type Kernel interface {
-	// Rows returns the number of matrix rows the kernel was built for.
-	Rows() int
-	// Stats fills out[i] with the statistic of row i under lab.  lab must
-	// have the design's column count and class structure; out must have
-	// length Rows().  Rows whose statistic is not computable get NaN.
-	// scratch may be nil, in which case temporary storage is allocated.
-	Stats(lab []int, out []float64, scratch *KernelScratch)
-	// NewScratch sizes a private scratch value for concurrent Stats calls.
-	NewScratch() *KernelScratch
-}
-
-// KernelScratch holds per-goroutine working storage for Kernel.Stats.
-// Values must not be shared between concurrent calls.
-type KernelScratch struct {
-	idx []int     // selected columns (two-sample), canonical bin order (F, block F)
-	cn  []int     // per-class counts (F)
-	cs  []float64 // per-class sums (F), treatment sums (block F)
-	cq  []float64 // per-class sums of squares (F)
-	sgn []float64 // per-pair signs (paired t)
-}
-
 // NewKernel builds the batched kernel for the design over m, precomputing
 // the per-row moments.  m must already be in its final form: NA cells as
 // NaN and, for rank-based statistics, rank-transformed rows (maxt.NewPrep
 // does both).  The kernel keeps a reference to m.Data; callers must not
 // mutate it afterwards.
-func NewKernel(d *Design, m matrix.Matrix) (Kernel, error) {
+func NewKernel(d *Design, m matrix.Matrix) (BatchKernel, error) {
 	if m.Cols != d.N {
 		return nil, fmt.Errorf("stat: matrix has %d columns, design has %d", m.Cols, d.N)
 	}
@@ -138,18 +110,6 @@ func clampM2(m2, q float64) float64 {
 		return 0
 	}
 	return m2
-}
-
-// selectColumns fills s.idx with the columns labelled cls.
-func selectColumns(lab []int, cls int, s *KernelScratch) []int {
-	idx := s.idx[:0]
-	for j, l := range lab {
-		if l == cls {
-			idx = append(idx, j)
-		}
-	}
-	s.idx = idx
-	return idx
 }
 
 // ---- two-sample t kernels (Welch, pooled) --------------------------------
@@ -238,52 +198,6 @@ func rowTotals(m matrix.Matrix) (n []int, sum, sumsq []float64) {
 
 func (k *twoSampleKernel) Rows() int { return k.m.Rows }
 
-func (k *twoSampleKernel) NewScratch() *KernelScratch {
-	return &KernelScratch{idx: make([]int, 0, k.m.Cols)}
-}
-
-func (k *twoSampleKernel) Stats(lab []int, out []float64, s *KernelScratch) {
-	if s == nil {
-		s = k.NewScratch()
-	}
-	cls := k.cls
-	if cls < 0 {
-		cls = lab[0]
-	}
-	idx := selectColumns(lab, cls, s)
-	sign := 1.0 // the statistic is mean(class 1) - mean(class 0)
-	if cls == 0 {
-		sign = -1.0
-	}
-	// NA-free rows all share the group sizes (len(idx), cols-len(idx)), so
-	// their tail invariants are computed once per call — the same hoisting
-	// the batch path applies per batch, keeping the two paths bitwise equal.
-	cols := k.m.Cols
-	tail, tailOK := newTSTail(k.pooled, len(idx), cols-len(idx))
-	for i := 0; i < k.m.Rows; i++ {
-		if k.flat[i] {
-			out[i] = math.NaN()
-			continue
-		}
-		row := k.m.Row(i)
-		na := 0
-		var sa, qa float64
-		for _, j := range idx {
-			v := row[j]
-			if v == v {
-				na++
-				sa += v
-				qa += v * v
-			}
-		}
-		if tailOK && k.n[i] == cols {
-			out[i] = tail.stat(sign, k.sum[i], k.sumsq[i], sa, qa)
-		} else {
-			out[i] = twoSampleStat(k.pooled, sign, k.n[i], k.sum[i], k.sumsq[i], na, sa, qa)
-		}
-	}
-}
-
 // tsTail holds the group-size invariants of the two-sample statistic: every
 // factor that depends only on (na, nb), precomputed once and reused for
 // every permutation sharing those counts.  The statistic is evaluated on
@@ -342,11 +256,11 @@ func (t *tsTail) stat(sign, S, Q, sa, qa float64) float64 {
 	return sign * (sa*t.fb - sb*t.fa) * t.rt / math.Sqrt(den)
 }
 
-// twoSampleStat is the shared per-row tail of the scalar and batched
-// two-sample t paths.  Both paths funnel through tsTail.stat so their
-// floating-point operation sequences cannot diverge; the batch fast path
-// additionally hoists newTSTail out of its row loop (bitwise neutral: the
-// invariants are a pure function of the group sizes).
+// twoSampleStat is the per-row tail of the two-sample t statistic, shared
+// by StatsRows and the tests' scalar oracle.  Both funnel through
+// tsTail.stat so their floating-point operation sequences cannot diverge;
+// the NA-free fast paths hoist newTSTail out of the row loop (bitwise
+// neutral: the invariants are a pure function of the group sizes).
 func twoSampleStat(pooled bool, sign float64, n int, S, Q float64, na int, sa, qa float64) float64 {
 	t, ok := newTSTail(pooled, na, n-na)
 	if !ok {
@@ -457,60 +371,9 @@ func (t *wilxTail) stat(sc float64) float64 {
 
 func (k *wilcoxonKernel) Rows() int { return k.m.Rows }
 
-func (k *wilcoxonKernel) NewScratch() *KernelScratch {
-	return &KernelScratch{idx: make([]int, 0, k.m.Cols)}
-}
-
-func (k *wilcoxonKernel) Stats(lab []int, out []float64, s *KernelScratch) {
-	if s == nil {
-		s = k.NewScratch()
-	}
-	idx := selectColumns(lab, k.cls, s)
-	for i := 0; i < k.m.Rows; i++ {
-		full := k.n[i] == k.m.Cols
-		if k.ir != nil && k.ir.ok[i] {
-			// Integer fast path: the scaled sum is exact, so converting it
-			// back yields the identical float the accumulation below forms.
-			ri := k.ir.row(i)
-			var isum int64
-			if full {
-				for _, j := range idx {
-					isum += int64(ri[j])
-				}
-				out[i] = k.tails[i].stat(float64(isum) * 0.5)
-			} else {
-				nc := 0
-				for _, j := range idx {
-					if v := ri[j]; v != 0 {
-						nc++
-						isum += int64(v)
-					}
-				}
-				out[i] = wilcoxonStat(k.cls, nc, float64(isum)*0.5, k.n[i], k.total[i], k.totalSq[i])
-			}
-			continue
-		}
-		row := k.m.Row(i)
-		nc := 0
-		var sc float64
-		for _, j := range idx {
-			v := row[j]
-			if v == v {
-				nc++
-				sc += v
-			}
-		}
-		if full {
-			out[i] = k.tails[i].stat(sc)
-		} else {
-			out[i] = wilcoxonStat(k.cls, nc, sc, k.n[i], k.total[i], k.totalSq[i])
-		}
-	}
-}
-
-// wilcoxonStat is the shared per-row tail of the scalar and batched
-// Wilcoxon paths: cls names the accumulated class, (nc, sc) its count and
-// sum, and (nn, total, totalSq) the precomputed row totals.
+// wilcoxonStat is the per-row Wilcoxon tail, shared by StatsRows and the
+// tests' scalar oracle: cls names the accumulated class, (nc, sc) its
+// count and sum, and (nn, total, totalSq) the precomputed row totals.
 func wilcoxonStat(cls, nc int, sc float64, nn int, total, totalSq float64) float64 {
 	var n0, n1 int
 	var s1 float64
@@ -554,15 +417,6 @@ func newFKernel(d *Design, m matrix.Matrix) *fKernel {
 
 func (k *fKernel) Rows() int { return k.m.Rows }
 
-func (k *fKernel) NewScratch() *KernelScratch {
-	return &KernelScratch{
-		idx: make([]int, k.k),
-		cn:  make([]int, k.k),
-		cs:  make([]float64, k.k),
-		cq:  make([]float64, k.k),
-	}
-}
-
 // canonicalOrder fills ord with 0..len(ord)-1 sorted by (key, tie, cnt)
 // via insertion sort (class counts are tiny), index as the last resort.
 // Every per-bin quantity a reduction consumes must appear in the sort key:
@@ -591,41 +445,12 @@ func canonicalOrder(ord []int, key, tie []float64, cnt []int) {
 	}
 }
 
-func (k *fKernel) Stats(lab []int, out []float64, s *KernelScratch) {
-	if s == nil {
-		s = k.NewScratch()
-	}
-	kk := k.k
-	cn, cs, cq, ord := s.cn, s.cs, s.cq, s.idx[:kk]
-	for i := 0; i < k.m.Rows; i++ {
-		if k.flat[i] {
-			out[i] = math.NaN()
-			continue
-		}
-		for g := 0; g < kk; g++ {
-			cn[g], cs[g], cq[g] = 0, 0, 0
-		}
-		for j, v := range k.m.Row(i) {
-			if v != v {
-				continue
-			}
-			g := lab[j]
-			if g < 0 || g >= kk {
-				continue
-			}
-			cn[g]++
-			cs[g] += v
-			cq[g] += v * v
-		}
-		out[i] = fStat(cn, cs, cq, ord, kk)
-	}
-}
-
-// fStat is the shared per-row tail of the scalar and batched F paths: the
-// canonical-order reduction over the accumulated per-class (count, sum,
-// sum of squares) bins.  cn is part of the sort key: two classes can share
-// (sum, sum of squares) with different sizes, and their m2 and ssBetween
-// contributions differ, so the order must still be canonical.
+// fStat is the per-row F tail, shared by StatsRows and the tests' scalar
+// oracle: the canonical-order reduction over the accumulated per-class
+// (count, sum, sum of squares) bins.  cn is part of the sort key: two
+// classes can share (sum, sum of squares) with different sizes, and their
+// m2 and ssBetween contributions differ, so the order must still be
+// canonical.
 func fStat(cn []int, cs, cq []float64, ord []int, kk int) float64 {
 	total := 0
 	for g := 0; g < kk; g++ {
@@ -695,38 +520,10 @@ func newPairTKernel(d *Design, m matrix.Matrix) *pairTKernel {
 
 func (k *pairTKernel) Rows() int { return k.diffs.Rows }
 
-func (k *pairTKernel) NewScratch() *KernelScratch {
-	return &KernelScratch{sgn: make([]float64, k.pairs)}
-}
-
-func (k *pairTKernel) Stats(lab []int, out []float64, s *KernelScratch) {
-	if s == nil {
-		s = k.NewScratch()
-	}
-	sgn := s.sgn
-	for j := 0; j < k.pairs; j++ {
-		// The difference is (value labelled 1) - (value labelled 0); a
-		// pair stored (1,0) flips it.
-		if lab[2*j] == 1 {
-			sgn[j] = -1
-		} else {
-			sgn[j] = 1
-		}
-	}
-	for i := 0; i < k.diffs.Rows; i++ {
-		var sum float64
-		for j, dv := range k.diffs.Row(i) {
-			if dv == dv {
-				sum += sgn[j] * dv
-			}
-		}
-		out[i] = pairTStat(sum, k.cnt[i], k.sumsq[i])
-	}
-}
-
-// pairTStat is the shared per-row tail of the scalar and batched paired-t
-// paths: sum is the signed difference sum, m the complete-pair count and
-// sumsq the precomputed (sign-invariant) sum of squared differences.  On
+// pairTStat is the per-row paired-t tail, shared by StatsRows and the
+// tests' scalar oracle: sum is the signed difference sum, m the
+// complete-pair count and sumsq the precomputed (sign-invariant) sum of
+// squared differences.  On
 // the scaled central moment m2s = sumsq·fm − sum² (= fm·m2) the statistic
 // collapses to
 //
@@ -828,44 +625,10 @@ func newBlockFKernel(d *Design, m matrix.Matrix) *blockFKernel {
 
 func (k *blockFKernel) Rows() int { return k.m.Rows }
 
-func (k *blockFKernel) NewScratch() *KernelScratch {
-	return &KernelScratch{cs: make([]float64, k.k), idx: make([]int, k.k)}
-}
-
-func (k *blockFKernel) Stats(lab []int, out []float64, s *KernelScratch) {
-	if s == nil {
-		s = k.NewScratch()
-	}
-	kk, blocks := k.k, k.blocks
-	treatSum := s.cs
-	for i := 0; i < k.m.Rows; i++ {
-		used := k.blockUsed[i]
-		if used < 2 {
-			out[i] = math.NaN()
-			continue
-		}
-		for t := 0; t < kk; t++ {
-			treatSum[t] = 0
-		}
-		row := k.m.Row(i)
-		comp := k.complete[i*blocks : (i+1)*blocks]
-		for b, ok := range comp {
-			if !ok {
-				continue
-			}
-			base := b * kk
-			for j := 0; j < kk; j++ {
-				treatSum[lab[base+j]] += row[base+j]
-			}
-		}
-		out[i] = blockFStat(treatSum, s.idx[:kk], used, kk, k.grandMean[i], k.ssTotal[i], k.ssBlock[i])
-	}
-}
-
-// blockFStat is the shared per-row tail of the scalar and batched block-F
-// paths.  Canonical order: a treatment relabelling applied uniformly to
-// every block permutes the treatment sums bitwise-exactly; sorting keeps
-// the ssTreat reduction independent of that permutation.
+// blockFStat is the per-row block-F tail, shared by StatsRows and the
+// tests' scalar oracle.  Canonical order: a treatment relabelling applied
+// uniformly to every block permutes the treatment sums bitwise-exactly;
+// sorting keeps the ssTreat reduction independent of that permutation.
 func blockFStat(treatSum []float64, ord []int, used, kk int, gm, ssTotal, ssBlock float64) float64 {
 	canonicalOrder(ord, treatSum, nil, nil)
 	var ssTreat float64

@@ -7,13 +7,13 @@ import (
 	"sprint/internal/matrix"
 )
 
-// BenchmarkKernel compares the batched flat-matrix kernels against the
-// legacy per-row function-pointer path, one sub-benchmark pair per test.
-// Each iteration evaluates ONE permutation over the whole matrix — the
-// unit of work the maxT main kernel repeats B times — under a rotating
-// set of pre-drawn labellings so branch predictors see realistic label
-// churn.  The "t" case is the paper's primary workload: 6102 genes × 76
-// samples, 38 vs 38 (Table I's matrix).  Measured speedups are recorded
+// BenchmarkKernel times the legacy per-row function-pointer path, one
+// sub-benchmark per test — the baseline BenchmarkKernelBatch is read
+// against.  Each iteration evaluates ONE permutation over the whole matrix
+// — the unit of work the maxT main kernel repeats B times — under a
+// rotating set of pre-drawn labellings so branch predictors see realistic
+// label churn.  The "t" case is the paper's primary workload: 6102 genes ×
+// 76 samples, 38 vs 38 (Table I's matrix).  Measured speedups are recorded
 // in EXPERIMENTS.md.
 func BenchmarkKernel(b *testing.B) {
 	cases := []struct {
@@ -46,18 +46,6 @@ func BenchmarkKernel(b *testing.B) {
 			labs := benchLabellings(d, 32)
 			out := make([]float64, m.Rows)
 
-			b.Run("batched", func(b *testing.B) {
-				k, err := NewKernel(d, m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s := k.NewScratch()
-				b.SetBytes(int64(m.Rows * m.Cols * 8))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k.Stats(labs[i%len(labs)], out, s)
-				}
-			})
 			b.Run("legacy", func(b *testing.B) {
 				fn := d.Func()
 				rows := m.RowsView()
@@ -78,9 +66,7 @@ func BenchmarkKernel(b *testing.B) {
 // path on the same workloads as BenchmarkKernel.  One op is ONE
 // permutation (each iteration advances the batch by one slot and flushes
 // a StatsBatch whenever a full batch has accumulated), so ns/op is
-// directly comparable with BenchmarkKernel's batched/legacy numbers.  The
-// acceptance bar of the batching refactor is ≥2× over the scalar kernel
-// on the "t" (6102×76) paper workload at B ∈ {64, 128}.
+// directly comparable with BenchmarkKernel's legacy numbers.
 func BenchmarkKernelBatch(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -110,11 +96,10 @@ func BenchmarkKernelBatch(b *testing.B) {
 		for _, bs := range []int{16, 64, 128} {
 			bs := bs
 			b.Run(fmt.Sprintf("%s/B=%d", tc.name, bs), func(b *testing.B) {
-				k, err := NewKernel(d, m)
+				bk, err := NewKernel(d, m)
 				if err != nil {
 					b.Fatal(err)
 				}
-				bk := k.(BatchKernel)
 				flat := make([]int, bs*d.N)
 				for p := 0; p < bs; p++ {
 					copy(flat[p*d.N:(p+1)*d.N], labs[p%len(labs)])
@@ -141,8 +126,7 @@ func BenchmarkKernelBatch(b *testing.B) {
 // complete enumeration (C(24,12) ≈ 2.7M labellings) fits the default cap
 // and therefore actually runs in revolving-door order in production.  One
 // op is ONE permutation, directly comparable with BenchmarkKernelBatch
-// and BenchmarkKernel.  The delta acceptance bar is ≥3× over the scalar
-// kernel at batch 64.
+// and BenchmarkKernel.
 func BenchmarkKernelDelta(b *testing.B) {
 	const cols = 24
 	const bs = 64
@@ -155,27 +139,17 @@ func BenchmarkKernelDelta(b *testing.B) {
 	for i := 0; i < m.Rows; i++ {
 		Ranks(m.Row(i), scratch)
 	}
-	k, err := NewKernel(d, m)
+	bk, err := NewKernel(d, m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bk := k.(BatchKernel)
-	dk := k.(DeltaKernel)
+	dk := bk.(DeltaKernel)
 	if !dk.DeltaOK() {
 		b.Fatal("delta path not available on rank data")
 	}
 	lab0, moves, labs := randomExchangeChain(d, bs, 42)
 	out := matrix.New(bs, m.Rows)
 	s := bk.NewBatchScratch(bs)
-	b.Run("wilcoxon/scalar", func(b *testing.B) {
-		ks := k.NewScratch()
-		z := make([]float64, m.Rows)
-		b.SetBytes(int64(m.Rows * m.Cols * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k.Stats(labs[(i%bs)*cols:(i%bs+1)*cols], z, ks)
-		}
-	})
 	b.Run("wilcoxon/batch=64", func(b *testing.B) {
 		b.SetBytes(int64(m.Rows * m.Cols * 8))
 		b.ResetTimer()
@@ -201,10 +175,9 @@ func BenchmarkKernelDelta(b *testing.B) {
 }
 
 // BenchmarkKernelISA sweeps the two-sample accumulation kernel dispatch —
-// generic, SSE2, AVX2 (where supported) — on the paper's Welch-t 6102×76
-// workload at batch 64.  One op is one permutation.  All three produce
-// bitwise identical statistics (TestStatsBatchISASweep); the bar for the
-// AVX2 kernel is beating SSE2 here.
+// generic, AVX2 (where supported) — on the paper's Welch-t 6102×76
+// workload at batch 64.  One op is one permutation.  Both produce bitwise
+// identical statistics (TestStatsBatchISASweep).
 func BenchmarkKernelISA(b *testing.B) {
 	d, err := NewDesign(Welch, halfLabels(76))
 	if err != nil {

@@ -2,6 +2,7 @@ package stat
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sprint/internal/matrix"
@@ -83,9 +84,18 @@ func kernelCases(t *testing.T) []struct {
 	}
 }
 
-// TestKernelAgreesWithLegacyFunc: the batched kernel and the per-row
-// statistic function must agree to rounding (and exactly on NaN-ness) for
-// every test and many random labellings, with and without missing values.
+// statsOne evaluates every row of k under one labelling the way the engine
+// does at BatchSize 1 and for a prep's observed statistics: a batch of one
+// through OpenBatch + StatsRows.
+func statsOne(k BatchKernel, lab []int, out []float64) {
+	s := &BatchScratch{}
+	k.OpenBatch(lab, 1, s)
+	k.StatsRows(0, k.Rows(), out, 1, 1, s)
+}
+
+// TestKernelAgreesWithLegacyFunc: the kernel and the per-row statistic
+// function must agree to rounding (and exactly on NaN-ness) for every test
+// and many random labellings, with and without missing values.
 func TestKernelAgreesWithLegacyFunc(t *testing.T) {
 	for _, tc := range kernelCases(t) {
 		tc := tc
@@ -99,17 +109,13 @@ func TestKernelAgreesWithLegacyFunc(t *testing.T) {
 						Ranks(m.Row(i), scratch)
 					}
 				}
-				k, err := NewKernel(d, m)
-				if err != nil {
-					t.Fatal(err)
-				}
+				k := mustKernel(t, d, m)
 				fn := d.Func()
 				out := make([]float64, m.Rows)
 				lab := append([]int(nil), d.Labels...)
 				r := lcg(7)
-				s := k.NewScratch()
 				for trial := 0; trial < 50; trial++ {
-					k.Stats(lab, out, s)
+					statsOne(k, lab, out)
 					for i := 0; i < m.Rows; i++ {
 						want := fn(m.Row(i), lab)
 						if math.IsNaN(want) != math.IsNaN(out[i]) {
@@ -130,33 +136,6 @@ func TestKernelAgreesWithLegacyFunc(t *testing.T) {
 	}
 }
 
-// TestKernelNilScratch: a nil scratch must allocate internally and give
-// the same answers.
-func TestKernelNilScratch(t *testing.T) {
-	for _, tc := range kernelCases(t) {
-		d := tc.design
-		m := testMatrix(4, d.N, 3, false)
-		if d.NeedsRanks() {
-			for i := 0; i < m.Rows; i++ {
-				Ranks(m.Row(i), nil)
-			}
-		}
-		k, err := NewKernel(d, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := make([]float64, m.Rows)
-		b := make([]float64, m.Rows)
-		k.Stats(d.Labels, a, nil)
-		k.Stats(d.Labels, b, k.NewScratch())
-		for i := range a {
-			if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-				t.Fatalf("%s row %d: nil scratch %v != sized scratch %v", tc.name, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestTwoSampleComplementExactNegation pins the tie discipline: the
 // complement labelling must produce the bitwise-negated statistic, for
 // the NaN-bearing balanced case included.
@@ -173,18 +152,15 @@ func TestTwoSampleComplementExactNegation(t *testing.T) {
 				Ranks(m.Row(i), nil)
 			}
 		}
-		k, err := NewKernel(d, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := mustKernel(t, d, m)
 		comp := make([]int, len(labels))
 		for i, l := range labels {
 			comp[i] = 1 - l
 		}
 		a := make([]float64, m.Rows)
 		b := make([]float64, m.Rows)
-		k.Stats(labels, a, nil)
-		k.Stats(comp, b, nil)
+		statsOne(k, labels, a)
+		statsOne(k, comp, b)
 		for i := range a {
 			if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
 				if math.IsNaN(a[i]) != math.IsNaN(b[i]) {
@@ -208,20 +184,17 @@ func TestFRelabelExactInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testMatrix(8, d.N, 0x777, true)
-	k, err := NewKernel(d, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := mustKernel(t, d, m)
 	perms := [][3]int{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}, {0, 2, 1}, {1, 0, 2}, {2, 1, 0}}
 	base := make([]float64, m.Rows)
-	k.Stats(labels, base, nil)
+	statsOne(k, labels, base)
 	relab := make([]int, len(labels))
 	out := make([]float64, m.Rows)
 	for _, p := range perms[1:] {
 		for i, l := range labels {
 			relab[i] = p[l]
 		}
-		k.Stats(relab, out, nil)
+		statsOne(k, relab, out)
 		for i := range out {
 			if !(out[i] == base[i] || (math.IsNaN(out[i]) && math.IsNaN(base[i]))) {
 				t.Errorf("relabel %v row %d: F %v != %v exactly", p, i, out[i], base[i])
@@ -246,12 +219,9 @@ func TestFRelabelInvarianceEqualMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := NewKernel(d, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := mustKernel(t, d, m)
 	base := make([]float64, 1)
-	k.Stats(labels, base, nil)
+	statsOne(k, labels, base)
 	perms := [][3]int{{1, 2, 0}, {2, 0, 1}, {0, 2, 1}, {1, 0, 2}, {2, 1, 0}}
 	relab := make([]int, len(labels))
 	out := make([]float64, 1)
@@ -259,7 +229,7 @@ func TestFRelabelInvarianceEqualMoments(t *testing.T) {
 		for i, l := range labels {
 			relab[i] = p[l]
 		}
-		k.Stats(relab, out, nil)
+		statsOne(k, relab, out)
 		if out[0] != base[0] {
 			t.Errorf("relabel %v: F %v != %v exactly (equal-moment classes)", p, out[0], base[0])
 		}
@@ -275,18 +245,15 @@ func TestPairTFullFlipExactNegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testMatrix(6, d.N, 0x5150, true)
-	k, err := NewKernel(d, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := mustKernel(t, d, m)
 	flip := make([]int, len(labels))
 	for i, l := range labels {
 		flip[i] = 1 - l
 	}
 	a := make([]float64, m.Rows)
 	b := make([]float64, m.Rows)
-	k.Stats(labels, a, nil)
-	k.Stats(flip, b, nil)
+	statsOne(k, labels, a)
+	statsOne(k, flip, b)
 	for i := range a {
 		if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
 			if math.IsNaN(a[i]) != math.IsNaN(b[i]) {
@@ -319,12 +286,9 @@ func TestKernelQuantizedZeroVarianceNaN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := NewKernel(d, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := mustKernel(t, d, m)
 		out := make([]float64, 1)
-		k.Stats(labels, out, nil)
+		statsOne(k, labels, out)
 		if !math.IsNaN(out[0]) {
 			t.Errorf("%s: kernel gave %v for a zero-variance labelling, want NaN", name, out[0])
 		}
@@ -353,12 +317,9 @@ func TestKernelConstantRowsNaN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := NewKernel(d, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := mustKernel(t, d, m)
 		out := make([]float64, m.Rows)
-		k.Stats(labels, out, nil)
+		statsOne(k, labels, out)
 		if !math.IsNaN(out[0]) || !math.IsNaN(out[1]) {
 			t.Errorf("%v: constant rows gave (%v, %v), want NaN", test, out[0], out[1])
 		}
@@ -377,5 +338,15 @@ func TestNewKernelShapeValidation(t *testing.T) {
 	bad := matrix.Matrix{Data: make([]float64, 7), Rows: 2, Cols: 4}
 	if _, err := NewKernel(d, bad); err == nil {
 		t.Error("NewKernel accepted an inconsistent flat buffer")
+	}
+}
+
+// TestSetKernelISARejectsSSE2: the retired sse2 lane is an unknown name —
+// the error lists the names that exist and the active ISA stays put.
+func TestSetKernelISARejectsSSE2(t *testing.T) {
+	before := ActiveKernelISA()
+	isa, err := SetKernelISA("sse2")
+	if err == nil || !strings.Contains(err.Error(), "auto, generic or avx2") || isa != before || ActiveKernelISA() != before {
+		t.Fatalf(`SetKernelISA("sse2") = %v, %v with %v active; want an error naming auto, generic, avx2 and %v kept`, isa, err, ActiveKernelISA(), before)
 	}
 }

@@ -88,7 +88,7 @@ func tailRows(lab []int) [][]float64 {
 }
 
 // TestStatsBatchISASweep pins the two-sample t batch kernel to the scalar
-// Stats bit for bit — NaN payloads included — under every ISA this CPU
+// oracle bit for bit — NaN payloads included — under every ISA this CPU
 // runs: Welch and pooled, balanced and unbalanced designs, both stride
 // forms the callers use and a third, batch sizes around the four-labelling
 // groups, row ranges that start mid-quad and leave 0–3 rows over, an
@@ -149,7 +149,7 @@ func TestStatsBatchISASweep(t *testing.T) {
 									for i := lo; i < hi; i++ {
 										got, w := out[p*ps+(i-lo)*rs], want.At(p, i)
 										if math.Float64bits(got) != math.Float64bits(w) {
-											t.Fatalf("%v %s nb=%d rows [%d,%d) labelling %d row %d: %v (%#x), Stats %v (%#x)",
+											t.Fatalf("%v %s nb=%d rows [%d,%d) labelling %d row %d: %v (%#x), oracle %v (%#x)",
 												isa, sf.name, nb, lo, hi, p, i, got, math.Float64bits(got), w, math.Float64bits(w))
 										}
 									}
