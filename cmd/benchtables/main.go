@@ -47,44 +47,11 @@ func run(args []string, w io.Writer) error {
 	genes := fs.Int("genes", 600, "measured workload: gene count (scaled from 6102)")
 	perms := fs.Int64("perms", 3000, "measured workload: permutation count (scaled from 150000)")
 	csvOut := fs.Bool("csv", false, "emit model profiles for all platforms as CSV and exit")
-	jsonIngest := fs.Bool("json-ingest", false, "run the dataset-plane ingest benchmarks (spb vs JSON, cold vs hot prep), emit JSON, and exit")
-	jsonServe := fs.Bool("json-serve", false, "run the serving-plane saturation sweep (admission control under 1x/2x/4x load), emit JSON, and exit")
-	jsonDist := fs.Bool("json-dist", false, "run the distributed-scaling sweep (coordinator + 1/2/4 in-process workers, bitwise-checked), emit JSON, and exit")
-	jsonRecover := fs.Bool("json-recover", false, "run the crash-recovery sweep (journal replay latency vs queue depth, bitwise-checked), emit JSON, and exit")
-	jsonSeq := fs.Bool("json-seq", false, "run the exact-vs-sequential sweep on the paper workload, emit JSON, and exit")
-	seqPerms := fs.String("seq-perms", "10000,100000,1000000", "sequential sweep: comma-separated planned permutation counts")
-	distPerms := fs.Int64("dist-perms", 30000, "distributed sweep: permutation count")
-	recoverPerms := fs.Int64("recover-perms", 100000, "recovery sweep: permutation count per interrupted job")
-	serveSeconds := fs.Float64("serve-seconds", 2, "saturation sweep: offered-load duration per level, seconds")
-	serveLevels := fs.String("serve-levels", "1,2,4", "saturation sweep: comma-separated capacity multipliers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *csvOut {
 		return emitCSV(w)
-	}
-	if *jsonIngest {
-		return emitJSONIngest(w, *genes)
-	}
-	if *jsonDist {
-		return emitJSONDist(w, *genes, *distPerms)
-	}
-	if *jsonRecover {
-		return emitJSONRecover(w, *genes, *recoverPerms)
-	}
-	if *jsonSeq {
-		perms, err := parseSeqPerms(*seqPerms)
-		if err != nil {
-			return err
-		}
-		return emitJSONSeq(w, *genes, perms)
-	}
-	if *jsonServe {
-		levels, err := parseServeLevels(*serveLevels)
-		if err != nil {
-			return err
-		}
-		return emitJSONServe(w, *genes, *serveSeconds, levels)
 	}
 	if !*all && *table == 0 && *figure == 0 && !*measure {
 		*all = true

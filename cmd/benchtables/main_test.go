@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -84,107 +83,5 @@ func TestMeasuredModeRunsRealParallel(t *testing.T) {
 func TestBadFlagRejected(t *testing.T) {
 	if err := run([]string{"-bogus"}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown flag accepted")
-	}
-}
-
-func TestJSONServeEmitsSweep(t *testing.T) {
-	var out bytes.Buffer
-	// One tiny load level keeps the real serving sweep fast in CI.
-	if err := run([]string{"-json-serve", "-genes", "60", "-serve-seconds", "0.2", "-serve-levels", "1"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		CapacityPerS float64 `json:"capacity_jobs_per_s"`
-		Levels       []struct {
-			Multiplier float64 `json:"multiplier"`
-			Offered    int64   `json:"offered"`
-			Accepted   int64   `json:"accepted"`
-			Shed       int64   `json:"shed_429"`
-		} `json:"levels"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if doc.CapacityPerS <= 0 {
-		t.Fatalf("capacity %g", doc.CapacityPerS)
-	}
-	if len(doc.Levels) != 1 || doc.Levels[0].Multiplier != 1 {
-		t.Fatalf("levels %+v", doc.Levels)
-	}
-	if lvl := doc.Levels[0]; lvl.Offered == 0 || lvl.Accepted+lvl.Shed != lvl.Offered {
-		t.Fatalf("offered %d != accepted %d + shed %d", lvl.Offered, lvl.Accepted, lvl.Shed)
-	}
-}
-
-func TestParseServeLevels(t *testing.T) {
-	got, err := parseServeLevels("1, 2,4")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0", "-1", "x"} {
-		if _, err := parseServeLevels(bad); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
-	}
-}
-
-func TestJSONDistEmitsSweep(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-json-dist", "-genes", "60", "-dist-perms", "800"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Perms  int64 `json:"perms"`
-		Levels []struct {
-			Workers          int  `json:"workers"`
-			BitwiseIdentical bool `json:"bitwise_identical"`
-		} `json:"levels"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("json-dist output is not JSON: %v", err)
-	}
-	if doc.Perms != 800 || len(doc.Levels) != 3 {
-		t.Fatalf("perms=%d levels=%d, want 800/3", doc.Perms, len(doc.Levels))
-	}
-	for _, lv := range doc.Levels {
-		if !lv.BitwiseIdentical {
-			t.Errorf("%d-worker level not bitwise identical", lv.Workers)
-		}
-	}
-}
-
-func TestJSONRecoverEmitsSweep(t *testing.T) {
-	var out bytes.Buffer
-	// Moderate perms keep each interrupted job alive past the first
-	// checkpoint window but finish the sweep quickly in CI.
-	if err := run([]string{"-json-recover", "-genes", "100", "-recover-perms", "100000"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Perms  int64 `json:"perms"`
-		Levels []struct {
-			Jobs             int     `json:"jobs"`
-			JournalBytes     int64   `json:"journal_bytes"`
-			RecoveryS        float64 `json:"recovery_s"`
-			JobsReplayed     int64   `json:"jobs_replayed"`
-			BitwiseIdentical bool    `json:"bitwise_identical"`
-		} `json:"levels"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("json-recover output is not JSON: %v", err)
-	}
-	if doc.Perms != 100000 || len(doc.Levels) != 3 {
-		t.Fatalf("perms=%d levels=%d, want 100000/3", doc.Perms, len(doc.Levels))
-	}
-	for _, lv := range doc.Levels {
-		if !lv.BitwiseIdentical {
-			t.Errorf("%d-job level not bitwise identical", lv.Jobs)
-		}
-		if lv.JournalBytes == 0 {
-			t.Errorf("%d-job level recorded an empty journal", lv.Jobs)
-		}
-		if lv.JobsReplayed < int64(lv.Jobs) {
-			t.Errorf("%d-job level replayed only %d jobs", lv.Jobs, lv.JobsReplayed)
-		}
 	}
 }

@@ -96,7 +96,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	seqTol := fs.Float64("seq-tolerance", 0, "default sequential p-value tolerance for submissions that set none (0 = engine default 0.02)")
 	metricsInterval := fs.Duration("metrics-interval", 0, "flush a metrics snapshot to the log this often (0 = final snapshot only)")
 	tenantLimits := fs.String("tenant-limits", "", `per-tenant token buckets: "rate=R,burst=N" defaults plus "tenant=R:N" overrides (empty or "off" = unlimited)`)
-	queuePolicy := fs.String("queue-policy", "fair", "queue discipline: fair (interactive overtakes bulk) or fifo (arrival order)")
 	interactiveB := fs.Int64("interactive-max-b", 10000, "sampled jobs with B at most this count as interactive")
 	maxQueueWait := fs.Duration("max-queue-wait", 0, "shed submissions whose predicted queue wait exceeds this (0 = only shed on a full queue)")
 	logDst := fs.String("log", "stderr", "structured JSON log destination: stderr, stdout or a file path")
@@ -246,7 +245,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			DatasetCacheSize:    *dsCache,
 			DatasetDir:          *dsDir,
 			Metrics:             reg,
-			QueuePolicy:         *queuePolicy,
 			InteractiveMaxB:     *interactiveB,
 			TenantLimits:        limits,
 			MaxQueueWait:        *maxQueueWait,
@@ -315,7 +313,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		slog.String("addr", boundAddr),
 		slog.String("role", *role),
 		slog.String("kernel", active),
-		slog.String("queue_policy", *queuePolicy),
 		slog.Bool("rate_limited", limits.Default.Rate > 0 || len(limits.Overrides) > 0),
 	)
 	errc := make(chan error, 1)

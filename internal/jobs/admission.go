@@ -315,12 +315,10 @@ func (t *tenantLimiter) active() int {
 
 // ---- Weighted-fair queue ------------------------------------------------
 
-// fairQueue is the two-class bounded queue the workers pop from.  Under
-// the "fair" policy, interactive pops outnumber bulk pops weight:1 while
-// both classes are backlogged; an empty class cedes its slots, so a
-// lone class drains at full speed and neither class starves.  Under
-// "fifo" the classes still exist (for metrics) but pops follow global
-// arrival order, reproducing the old single-FIFO behaviour exactly.
+// fairQueue is the two-class bounded queue the workers pop from.
+// Interactive pops outnumber bulk pops weight:1 while both classes are
+// backlogged; an empty class cedes its slots, so a lone class drains at
+// full speed and neither class starves.
 type fairQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -330,12 +328,11 @@ type fairQueue struct {
 
 	size, capTotal int
 	weight, credit int
-	fifo           bool
 	closed         bool
 }
 
-func newFairQueue(capTotal, weight int, fifo bool) *fairQueue {
-	q := &fairQueue{capTotal: capTotal, weight: weight, credit: weight, fifo: fifo}
+func newFairQueue(capTotal, weight int) *fairQueue {
+	q := &fairQueue{capTotal: capTotal, weight: weight, credit: weight}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -348,7 +345,7 @@ func (q *fairQueue) full() bool {
 }
 
 // tryPush appends j to its class, failing when the queue is full or
-// closed.  j.class and j.enqueueSeq must be set by the caller.
+// closed.  j.class must be set by the caller.
 func (q *fairQueue) tryPush(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -393,13 +390,6 @@ func (q *fairQueue) pickLocked() JobClass {
 		return ClassBulk
 	case bEmpty:
 		return ClassInteractive
-	case q.fifo:
-		// Global arrival order: serve the older head.
-		if q.q[ClassInteractive][q.head[ClassInteractive]].enqueueSeq <
-			q.q[ClassBulk][q.head[ClassBulk]].enqueueSeq {
-			return ClassInteractive
-		}
-		return ClassBulk
 	case q.credit > 0:
 		q.credit--
 		return ClassInteractive

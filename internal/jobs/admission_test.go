@@ -163,24 +163,21 @@ func TestTenantLimiterIsolation(t *testing.T) {
 	}
 }
 
-func qjob(class JobClass, seq int64) *job {
-	return &job{class: class, enqueueSeq: seq}
+func qjob(class JobClass) *job {
+	return &job{class: class}
 }
 
 // TestFairQueueWeightedInterleave pins the pop order when both classes
 // are backlogged: weight interactive pops per bulk pop.
 func TestFairQueueWeightedInterleave(t *testing.T) {
-	q := newFairQueue(64, 2, false)
-	seq := int64(0)
+	q := newFairQueue(64, 2)
 	for i := 0; i < 9; i++ {
-		seq++
-		if !q.tryPush(qjob(ClassBulk, seq)) {
+		if !q.tryPush(qjob(ClassBulk)) {
 			t.Fatal("push failed")
 		}
 	}
 	for i := 0; i < 6; i++ {
-		seq++
-		if !q.tryPush(qjob(ClassInteractive, seq)) {
+		if !q.tryPush(qjob(ClassInteractive)) {
 			t.Fatal("push failed")
 		}
 	}
@@ -214,13 +211,10 @@ func TestFairQueueWeightedInterleave(t *testing.T) {
 // at least one job of each class.
 func TestFairQueueNoStarvation(t *testing.T) {
 	const weight = 4
-	q := newFairQueue(512, weight, false)
-	seq := int64(0)
+	q := newFairQueue(512, weight)
 	for i := 0; i < 200; i++ {
-		seq++
-		q.tryPush(qjob(ClassBulk, seq))
-		seq++
-		q.tryPush(qjob(ClassInteractive, seq))
+		q.tryPush(qjob(ClassBulk))
+		q.tryPush(qjob(ClassInteractive))
 	}
 	var order []JobClass
 	for q.len() > 0 {
@@ -246,31 +240,12 @@ func TestFairQueueNoStarvation(t *testing.T) {
 	}
 }
 
-// TestFairQueueFIFOPolicy: under fifo the pops reproduce global arrival
-// order exactly, classes notwithstanding.
-func TestFairQueueFIFOPolicy(t *testing.T) {
-	q := newFairQueue(64, 4, true)
-	classes := []JobClass{ClassBulk, ClassBulk, ClassInteractive, ClassBulk,
-		ClassInteractive, ClassInteractive, ClassBulk}
-	for i, c := range classes {
-		if !q.tryPush(qjob(c, int64(i+1))) {
-			t.Fatal("push failed")
-		}
-	}
-	for i := 1; q.len() > 0; i++ {
-		j, _ := q.pop()
-		if j.enqueueSeq != int64(i) {
-			t.Fatalf("fifo pop %d returned seq %d", i, j.enqueueSeq)
-		}
-	}
-}
-
 func TestFairQueueCapacityAndClose(t *testing.T) {
-	q := newFairQueue(2, 4, false)
-	if !q.tryPush(qjob(ClassBulk, 1)) || !q.tryPush(qjob(ClassInteractive, 2)) {
+	q := newFairQueue(2, 4)
+	if !q.tryPush(qjob(ClassBulk)) || !q.tryPush(qjob(ClassInteractive)) {
 		t.Fatal("pushes under capacity failed")
 	}
-	if !q.full() || q.tryPush(qjob(ClassBulk, 3)) {
+	if !q.full() || q.tryPush(qjob(ClassBulk)) {
 		t.Fatal("over-capacity push admitted")
 	}
 	q.close()
@@ -284,7 +259,7 @@ func TestFairQueueCapacityAndClose(t *testing.T) {
 	if j, ok := q.pop(); ok || j != nil {
 		t.Fatal("pop on drained closed queue did not report closed")
 	}
-	if q.tryPush(qjob(ClassBulk, 4)) {
+	if q.tryPush(qjob(ClassBulk)) {
 		t.Fatal("push accepted after close")
 	}
 }
@@ -292,32 +267,31 @@ func TestFairQueueCapacityAndClose(t *testing.T) {
 // TestFairQueueConcurrent drives pushers against poppers under -race and
 // requires every accepted job to be popped exactly once.
 func TestFairQueueConcurrent(t *testing.T) {
-	q := newFairQueue(1024, 4, false)
+	q := newFairQueue(1024, 4)
 	const pushers, per = 4, 500
 
 	var pushed sync.Map
 	var wgPush sync.WaitGroup
 	for p := 0; p < pushers; p++ {
 		wgPush.Add(1)
-		go func(p int) {
+		go func() {
 			defer wgPush.Done()
 			for i := 0; i < per; i++ {
-				seq := int64(p*per + i + 1)
 				class := ClassBulk
 				if i%3 == 0 {
 					class = ClassInteractive
 				}
-				j := qjob(class, seq)
+				j := qjob(class)
 				for !q.tryPush(j) {
 					time.Sleep(time.Microsecond)
 				}
-				pushed.Store(seq, true)
+				pushed.Store(j, true)
 			}
-		}(p)
+		}()
 	}
 
 	var mu sync.Mutex
-	popped := make(map[int64]int)
+	popped := make(map[*job]int)
 	var wgPop sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wgPop.Add(1)
@@ -329,7 +303,7 @@ func TestFairQueueConcurrent(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				popped[j.enqueueSeq]++
+				popped[j]++
 				mu.Unlock()
 			}
 		}()
@@ -341,8 +315,8 @@ func TestFairQueueConcurrent(t *testing.T) {
 	count := 0
 	pushed.Range(func(k, _ any) bool {
 		count++
-		if popped[k.(int64)] != 1 {
-			t.Fatalf("job %d popped %d times", k.(int64), popped[k.(int64)])
+		if n := popped[k.(*job)]; n != 1 {
+			t.Fatalf("a job was popped %d times", n)
 		}
 		return true
 	})

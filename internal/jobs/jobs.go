@@ -1,8 +1,8 @@
 // Package jobs implements the asynchronous job layer of pmaxtd: a bounded
-// FIFO queue of permutation-testing analyses, a worker pool that runs them
-// through core.Run with per-job rank counts, a content-addressed cache of
-// finished results, and a checkpoint store that lets a cancelled, evicted
-// or crashed job resume where it stopped instead of restarting.
+// weighted-fair queue of permutation-testing analyses, a worker pool that
+// runs them through core.Run with per-job rank counts, a content-addressed
+// cache of finished results, and a checkpoint store that lets a cancelled,
+// evicted or crashed job resume where it stopped instead of restarting.
 //
 // The design follows the service shape the paper's pmaxT implies but never
 // builds: the analysis itself is deterministic and bit-identical for any
@@ -75,7 +75,7 @@ type Spec struct {
 type State string
 
 const (
-	// Queued jobs wait in the FIFO for a free worker.
+	// Queued jobs wait in the queue for a free worker.
 	Queued State = "queued"
 	// Running jobs own a worker and are processing permutations.
 	Running State = "running"
@@ -314,7 +314,7 @@ func jobKey(datasetDigest string, labels []int, opt core.Options) (string, error
 
 // Errors reported by the manager.
 var (
-	// ErrQueueFull rejects a submission when the FIFO is at capacity.
+	// ErrQueueFull rejects a submission when the queue is at capacity.
 	ErrQueueFull = fmt.Errorf("jobs: queue full")
 	// ErrClosed rejects operations on a closed manager.
 	ErrClosed = fmt.Errorf("jobs: manager closed")

@@ -87,10 +87,6 @@ type Config struct {
 	// counters).  Nil gets a private registry, so instrumentation is
 	// always on; callers that serve /metrics pass their own.
 	Metrics *metrics.Registry
-	// QueuePolicy selects how workers pop queued jobs: "fair" (default —
-	// the two-class weighted-fair queue, interactive over bulk) or
-	// "fifo" (strict global arrival order, the pre-admission behaviour).
-	QueuePolicy string
 	// InteractiveMaxB classifies submissions: sampled jobs with B at or
 	// under this bound count as interactive, everything else (including
 	// complete enumerations) as bulk.  An explicit Spec.Class overrides.
@@ -177,9 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = metrics.New()
 	}
-	if c.QueuePolicy == "" {
-		c.QueuePolicy = "fair"
-	}
 	if c.InteractiveMaxB < 1 {
 		c.InteractiveMaxB = 10000
 	}
@@ -193,7 +186,7 @@ func (c Config) withDefaults() Config {
 }
 
 // job is the manager's mutable record of one submission.  All fields are
-// guarded by Manager.mu except class/tenant/enqueueSeq/enqueuedAt, which
+// guarded by Manager.mu except class/tenant/enqueuedAt, which
 // are immutable after Submit.
 type job struct {
 	id   string
@@ -209,7 +202,6 @@ type job struct {
 
 	tenant     string
 	class      JobClass
-	enqueueSeq int64
 	enqueuedAt time.Time
 
 	state       State
@@ -300,7 +292,7 @@ type Stats struct {
 
 	// ---- Admission / observability plane (PR 6) ----
 
-	// QueuePolicy names the active pop discipline ("fair" or "fifo");
+	// QueuePolicy names the pop discipline, always "fair";
 	// QueuedInteractive/QueuedBulk split Queued by class.
 	QueuePolicy       string `json:"queue_policy"`
 	QueuedInteractive int    `json:"queued_interactive"`
@@ -402,9 +394,6 @@ type Manager struct {
 // drain and stop it.
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
-	if cfg.QueuePolicy != "fair" && cfg.QueuePolicy != "fifo" {
-		return nil, fmt.Errorf("jobs: unknown queue policy %q (want fair or fifo)", cfg.QueuePolicy)
-	}
 	ckpts, err := newCkptStore(cfg.CheckpointDir, cfg.MaxCheckpoints)
 	if err != nil {
 		return nil, err
@@ -420,7 +409,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cache:     newResultCache(cfg.CacheSize),
 		ckpts:     ckpts,
 		datasets:  datasets,
-		queue:     newFairQueue(cfg.QueueDepth, cfg.InteractiveWeight, cfg.QueuePolicy == "fifo"),
+		queue:     newFairQueue(cfg.QueueDepth, cfg.InteractiveWeight),
 		tenants:   newTenantLimiter(cfg.TenantLimits),
 		drain:     &drainMeter{},
 		met:       newMgrMetrics(cfg.Metrics),
@@ -589,7 +578,6 @@ func (m *Manager) recoverJob(rec *journalRecord) bool {
 		ds:          ds,
 		tenant:      rec.Tenant,
 		class:       class,
-		enqueueSeq:  jobSeq(rec.ID),
 		enqueuedAt:  now,
 		state:       Queued,
 		total:       canon.B,
@@ -803,7 +791,6 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		ds:          ds,
 		tenant:      spec.Tenant,
 		class:       class,
-		enqueueSeq:  m.seq,
 		enqueuedAt:  now,
 		state:       Queued,
 		total:       canon.B, // 0 for complete enumerations until planned
@@ -950,7 +937,7 @@ func (m *Manager) StatsSnapshot() Stats {
 	}
 	m.mu.Unlock()
 
-	s.QueuePolicy = m.cfg.QueuePolicy
+	s.QueuePolicy = "fair"
 	s.QueuedInteractive, s.QueuedBulk = qi, qb
 	s.DrainRatePerSec = drainRate
 	s.Recovering = m.recovering.Load()

@@ -166,7 +166,7 @@ func MaxTCheckpointed(x [][]float64, classlabel []int, opt Options, resume *Chec
 }
 
 // Server is the pmaxtd job server: the permutation testing function behind
-// an asynchronous JSON-over-HTTP API with a bounded FIFO queue, a worker
+// an asynchronous JSON-over-HTTP API with a bounded fair queue, a worker
 // pool, a content-addressed result cache and checkpoint-backed resume.
 // Mount Handler on an http.Server (or use the cmd/pmaxtd daemon).
 type Server = httpapi.Server
