@@ -217,15 +217,14 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		"push":  reg.Counter("cluster_rpc_timeout_total", "call", "push"),
 	}
 	c.metShardCorrupt = reg.Counter("integrity_shard_corrupt_total")
-	reg.Help("cluster_ledger_records_total", "Durable merge-ledger records journaled, by kind (plan, shard, redispatch).")
+	reg.Help("cluster_ledger_records_total", "Durable merge-ledger records journaled, by kind: plan (a shard partition) or shard (an accepted delivery).")
 	reg.Help("cluster_ledger_jobs_replayed_total", "Jobs whose journaled merge ledger was adopted after a coordinator restart.")
 	reg.Help("cluster_ledger_windows_replayed_total", "Shard deliveries re-merged from the journal on restart — windows that were NOT recomputed.")
 	reg.Help("cluster_ledger_invalid_total", "Replayed merge ledgers discarded after failing validation (plan drift, span gaps).")
 	reg.Help("cluster_lease_renewals_total", "Shard-lease heartbeats delivered to workers.")
 	c.metLedgerRecords = map[string]*metrics.Counter{
-		"plan":       reg.Counter("cluster_ledger_records_total", "kind", "plan"),
-		"shard":      reg.Counter("cluster_ledger_records_total", "kind", "shard"),
-		"redispatch": reg.Counter("cluster_ledger_records_total", "kind", "redispatch"),
+		"plan":  reg.Counter("cluster_ledger_records_total", "kind", "plan"),
+		"shard": reg.Counter("cluster_ledger_records_total", "kind", "shard"),
 	}
 	c.metLedgerJobs = reg.Counter("cluster_ledger_jobs_replayed_total")
 	c.metLedgerWindows = reg.Counter("cluster_ledger_windows_replayed_total")
@@ -1003,14 +1002,12 @@ func (st *jobState) release(rec *shardRec) {
 }
 
 // requeue returns a failed dispatch to the queue, flipping the shard to
-// coordinator-local once its remote attempts are exhausted.  The
-// re-dispatch decision is journaled as a ledger audit record.
-func (st *jobState) requeue(rec *shardRec, reason, from string) {
+// coordinator-local once its remote attempts are exhausted.
+func (st *jobState) requeue(rec *shardRec, reason string) {
 	st.c.retries.Add(1)
 	if m, ok := st.c.metRetries[reason]; ok {
 		m.Inc()
 	}
-	requeued := false
 	st.mu.Lock()
 	rec.inflight--
 	st.c.inflight.Add(-1)
@@ -1024,17 +1021,10 @@ func (st *jobState) requeue(rec *shardRec, reason, from string) {
 		if !rec.queued {
 			rec.queued = true
 			st.queue = append(st.queue, rec)
-			requeued = true
 		}
 	}
-	lo, hi := rec.lo, rec.hi
 	st.mu.Unlock()
 	st.cond.Broadcast()
-	if requeued && st.led != nil {
-		st.led.RecordRedispatch(lo, hi, from, reason)
-		st.c.ledgerRecords.Add(1)
-		st.c.metLedgerRecords["redispatch"].Inc()
-	}
 }
 
 // deliver merges one shard delivery under the exactly-once rule and
@@ -1195,7 +1185,7 @@ func (st *jobState) stragglerTicker(after time.Duration, stop <-chan struct{}) {
 		case <-t.C:
 		}
 		now := st.c.cfg.Clock()
-		var bumped [][2]int64
+		bumped := false
 		st.mu.Lock()
 		if len(st.queue) == 0 && st.remaining > 0 && st.err == nil && !st.finished {
 			for _, rec := range st.shards {
@@ -1205,22 +1195,15 @@ func (st *jobState) stragglerTicker(after time.Duration, stop <-chan struct{}) {
 				if now.Sub(rec.dispatchedAt) >= after {
 					rec.spec, rec.queued = true, true
 					st.queue = append(st.queue, rec)
-					bumped = append(bumped, [2]int64{rec.lo, rec.hi})
+					bumped = true
 					st.c.retries.Add(1)
 					st.c.metRetries[retryStraggler].Inc()
 				}
 			}
 		}
 		st.mu.Unlock()
-		if len(bumped) > 0 {
+		if bumped {
 			st.cond.Broadcast()
-			if st.led != nil {
-				for _, w := range bumped {
-					st.led.RecordRedispatch(w[0], w[1], "", retryStraggler)
-					st.c.ledgerRecords.Add(1)
-					st.c.metLedgerRecords["redispatch"].Inc()
-				}
-			}
 		}
 	}
 }
@@ -1262,7 +1245,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 				slog.String("worker", m.addr), slog.Int64("lo", lo), slog.Int64("hi", hi),
 				slog.String("error", err.Error()))
 			c.markDown(m)
-			st.requeue(rec, retryError, m.addr)
+			st.requeue(rec, retryError)
 			return false
 		case status == http.StatusNotFound && reason == reasonUnknownDataset && !*pushed:
 			// First 404 from this worker: push the .spb once, then
@@ -1273,7 +1256,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 				c.cfg.Logger.LogAttrs(st.ctx, slog.LevelWarn, "cluster_dataset_push_failed",
 					slog.String("worker", m.addr), slog.String("error", perr.Error()))
 				c.markDown(m)
-				st.requeue(rec, retryError, m.addr)
+				st.requeue(rec, retryError)
 				return false
 			}
 			c.pushes.Add(1)
@@ -1290,7 +1273,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 					slog.String("worker", m.addr), slog.Int64("lo", lo), slog.Int64("hi", hi))
 				c.metShardCorrupt.Inc()
 				c.markDown(m)
-				st.requeue(rec, retryCorrupt, m.addr)
+				st.requeue(rec, retryCorrupt)
 				return false
 			}
 			st.deliver(rec, resp, m.addr)
@@ -1302,7 +1285,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 			c.cfg.Logger.LogAttrs(st.ctx, slog.LevelWarn, "cluster_shard_refused",
 				slog.String("worker", m.addr), slog.Int("status", status), slog.String("reason", reason))
 			c.markDown(m)
-			st.requeue(rec, retryError, m.addr)
+			st.requeue(rec, retryError)
 			return false
 		}
 	}

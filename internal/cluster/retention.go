@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"container/list"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 
@@ -25,10 +24,10 @@ import (
 // replay has not re-admitted yet, and the parked results are exactly
 // what that replay will come back for.  Entries age out LRU instead.
 //
-// Disk entries reuse the journal's framing (u32-LE length, u64-LE
-// CRC64-ECMA, JSON payload); the payload is the full ShardResponse,
-// whose own CRC64 stamp is verified again on load, so a corrupt file
-// can never re-enter the merge path.
+// A disk entry is one durable record (durable.WriteRecord) whose
+// payload is the full ShardResponse as JSON; the response's own CRC64
+// stamp is verified again on load, so a corrupt file can never re-enter
+// the merge path.
 
 // retainKey identifies one retained shard result.
 type retainKey struct {
@@ -51,10 +50,9 @@ type retention struct {
 	byKey map[retainKey]*list.Element
 }
 
-var retainCRCTable = crc64.MakeTable(crc64.ECMA)
-
 // newRetention builds the store and, when dir is set, loads every valid
-// retained result from a previous life (corrupt files are quarantined).
+// retained result from a previous life into memory (corrupt files are
+// quarantined; valid ones stay as they are on disk).
 func newRetention(dir string, max int) (*retention, error) {
 	rt := &retention{dir: dir, max: max, ll: list.New(), byKey: make(map[retainKey]*list.Element)}
 	if dir == "" {
@@ -68,43 +66,36 @@ func newRetention(dir string, max int) (*retention, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		resp, ok := readRetained(name)
-		if !ok {
+		resp, err := readRetained(name)
+		if errors.Is(err, durable.ErrCorrupt) {
 			durable.Quarantine(name)
-			continue
 		}
-		rt.put(retainKey{resp.Fingerprint, resp.Lo, resp.Hi}, resp)
+		if err == nil {
+			rt.insert(retainKey{resp.Fingerprint, resp.Lo, resp.Hi}, resp)
+		}
 	}
 	return rt, nil
 }
 
-// readRetained parses and verifies one retained-result file.
-func readRetained(path string) (*ShardResponse, bool) {
-	data, err := durable.ReadFile(path, "retain.read")
-	if err != nil || len(data) < 12 {
-		return nil, false
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	sum := binary.LittleEndian.Uint64(data[4:])
-	if n < 2 || 12+n != len(data) {
-		return nil, false
-	}
-	payload := data[12:]
-	if crc64.Checksum(payload, retainCRCTable) != sum {
-		return nil, false
+// readRetained reads and verifies one retained-result file.  A payload
+// that is not a consistent, correctly stamped response is corrupt.
+func readRetained(path string) (*ShardResponse, error) {
+	payload, err := durable.ReadRecord(path, "retain.read")
+	if err != nil {
+		return nil, err
 	}
 	var resp ShardResponse
 	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, false
+		return nil, fmt.Errorf("%s: %w: %v", path, durable.ErrCorrupt, err)
 	}
 	// The response must be internally consistent and carry a verified
 	// end-to-end stamp, exactly as if it had just been computed.
 	if resp.Fingerprint == 0 || resp.Next <= resp.Lo || resp.Next > resp.Hi ||
 		resp.B != resp.Next-resp.Lo || len(resp.Raw) != len(resp.Adj) ||
 		resp.CRC64 == 0 || resp.CRC64 != resp.CRC() {
-		return nil, false
+		return nil, fmt.Errorf("%s: %w: inconsistent or unstamped response", path, durable.ErrCorrupt)
 	}
-	return &resp, true
+	return &resp, nil
 }
 
 // fileName is the on-disk name for a key.
@@ -123,10 +114,24 @@ func (rt *retention) get(k retainKey) *ShardResponse {
 	return el.Value.(*retainEntry).resp
 }
 
-// put stores (or replaces) the result for k and evicts LRU entries past
-// the bound.  Disk errors degrade to memory-only retention: the entry
+// put stores (or replaces) the result for k, on disk too when the store
+// has a dir.  Disk errors degrade to memory-only retention: the entry
 // still serves this life, it just will not survive the next one.
 func (rt *retention) put(k retainKey, resp *ShardResponse) {
+	if rt.max == 0 {
+		return
+	}
+	if rt.dir != "" {
+		if payload, err := json.Marshal(resp); err == nil {
+			durable.WriteRecord(rt.fileName(k), payload, "retain.write")
+		}
+	}
+	rt.insert(k, resp)
+}
+
+// insert stores (or replaces) the result for k in memory and evicts LRU
+// entries past the bound, deleting their files.
+func (rt *retention) insert(k retainKey, resp *ShardResponse) {
 	if rt.max == 0 {
 		return
 	}
@@ -135,15 +140,6 @@ func (rt *retention) put(k retainKey, resp *ShardResponse) {
 		rt.ll.MoveToFront(el)
 	} else {
 		rt.byKey[k] = rt.ll.PushFront(&retainEntry{key: k, resp: resp})
-	}
-	if rt.dir != "" {
-		payload, err := json.Marshal(resp)
-		if err == nil {
-			buf := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-			buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(payload, retainCRCTable))
-			buf = append(buf, payload...)
-			durable.WriteFileAtomic(rt.fileName(k), buf, "retain.write")
-		}
 	}
 	for rt.max > 0 && rt.ll.Len() > rt.max {
 		el := rt.ll.Back()

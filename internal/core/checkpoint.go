@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 
@@ -58,58 +55,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
 	return &c, nil
-}
-
-// ---- integrity-framed serialisation (crash-safe disk mirrors) ----------
-
-// Framed checkpoint layout: an 8-byte magic, the little-endian body
-// length, the CRC64 (ECMA) of the body, then the gob body.  The frame
-// turns any torn write, short read or flipped bit into a loud
-// ErrCheckpointCorrupt instead of silently resuming from damaged counts.
-var (
-	ckptMagic    = [8]byte{'S', 'P', 'C', 'K', 'P', 'T', '0', '1'}
-	ckptCRCTable = crc64.MakeTable(crc64.ECMA)
-)
-
-// ErrCheckpointCorrupt reports a checkpoint whose integrity frame fails
-// to verify: a torn write, truncation or bit flip.  Callers quarantine
-// the file and fall back to an older prefix or a fresh run.
-var ErrCheckpointCorrupt = fmt.Errorf("core: checkpoint corrupt (bad frame or CRC)")
-
-// EncodeFramed serialises the checkpoint inside a CRC64 integrity
-// frame and returns the bytes, ready for an atomic file write.
-func (c *Checkpoint) EncodeFramed() ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(c); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 24+body.Len())
-	out = append(out, ckptMagic[:]...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(body.Len()))
-	out = binary.LittleEndian.AppendUint64(out, crc64.Checksum(body.Bytes(), ckptCRCTable))
-	return append(out, body.Bytes()...), nil
-}
-
-// DecodeCheckpointBytes reads a checkpoint from data, verifying its
-// integrity frame.  Unframed bytes — a bare gob included — are corrupt.
-func DecodeCheckpointBytes(data []byte) (*Checkpoint, error) {
-	if len(data) < 24 || !bytes.Equal(data[:8], ckptMagic[:]) {
-		return nil, fmt.Errorf("%w: no frame", ErrCheckpointCorrupt)
-	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	sum := binary.LittleEndian.Uint64(data[16:24])
-	body := data[24:]
-	if uint64(len(body)) != n {
-		return nil, fmt.Errorf("%w: frame claims %d body bytes, file holds %d", ErrCheckpointCorrupt, n, len(body))
-	}
-	if crc64.Checksum(body, ckptCRCTable) != sum {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCheckpointCorrupt)
-	}
-	ck, err := DecodeCheckpoint(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	return ck, nil
 }
 
 // engineVersion tags the statistics engine whose counts a checkpoint

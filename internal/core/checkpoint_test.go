@@ -131,56 +131,3 @@ func TestDecodeCheckpointGarbage(t *testing.T) {
 		t.Error("garbage checkpoint decoded")
 	}
 }
-
-// TestFramedRoundtrip pins the integrity-frame encoding: EncodeFramed →
-// DecodeCheckpointBytes is lossless, and every single-byte flip anywhere
-// in the frame is reported as ErrCheckpointCorrupt — never decoded.
-func TestFramedRoundtrip(t *testing.T) {
-	ck := &Checkpoint{
-		Fingerprint: 0xdeadbeefcafef00d,
-		TotalB:      1000, Complete: true, Next: 400, Done: 400,
-		Raw: []int64{1, 2, 3, 4}, Adj: []int64{4, 3, 2, 1},
-	}
-	data, err := ck.EncodeFramed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCheckpointBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint != ck.Fingerprint || got.Next != ck.Next || got.Done != ck.Done ||
-		len(got.Raw) != 4 || got.Raw[2] != 3 || got.Adj[0] != 4 {
-		t.Fatalf("roundtrip mismatch: %+v", got)
-	}
-
-	for off := 0; off < len(data); off++ {
-		mut := append([]byte(nil), data...)
-		mut[off] ^= 0x01
-		if _, err := DecodeCheckpointBytes(mut); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("flip@%d: err=%v, want ErrCheckpointCorrupt", off, err)
-		}
-	}
-	// Every truncation is corrupt too (torn write at the final path).
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeCheckpointBytes(data[:cut]); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("cut@%d: err=%v, want ErrCheckpointCorrupt", cut, err)
-		}
-	}
-}
-
-// TestFramedLegacyFallback: the unframed legacy form has no fallback any
-// more — a bare gob, whole or truncated, is corrupt and gets quarantined
-// like any other file without a frame.
-func TestFramedLegacyFallback(t *testing.T) {
-	ck := &Checkpoint{TotalB: 77, Next: 33, Raw: []int64{9}, Adj: []int64{8}}
-	var buf bytes.Buffer
-	if err := ck.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, data := range [][]byte{buf.Bytes(), buf.Bytes()[:buf.Len()/2]} {
-		if got, err := DecodeCheckpointBytes(data); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("bare gob of %d bytes: got %+v, err=%v, want ErrCheckpointCorrupt", len(data), got, err)
-		}
-	}
-}

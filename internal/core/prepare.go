@@ -181,7 +181,7 @@ func RunPrepared(p *Prepared, opt Options, ctl RunControl) (*Result, error) {
 	prof.CreateData = time.Since(start)
 
 	kernelStart := time.Now()
-	if _, err := processRange(p, cfg, plan, gen, counts, first, totalB, ctl, false); err != nil {
+	if _, err := processRange(p, cfg, plan, gen, counts, first, totalB, ctl); err != nil {
 		return nil, err
 	}
 	prof.MainKernel = time.Since(kernelStart)

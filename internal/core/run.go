@@ -38,10 +38,9 @@ type RunControl struct {
 	// remaining run as one window.
 	Every int64
 	// Save, when non-nil, receives a snapshot after every window except
-	// the one that completes a full run (RunShard saves its last window
-	// too): the result follows at once, and redoing that one window after
-	// a crash reproduces it bit for bit.  An error from Save aborts the
-	// run.
+	// the one that completes the run or shard: the result follows at
+	// once, and redoing that one window after a crash reproduces it bit
+	// for bit.  An error from Save aborts the run.
 	Save func(*Checkpoint) error
 	// OnProgress, when non-nil, is called after every window with the
 	// number of permutations processed so far (including resumed ones) and

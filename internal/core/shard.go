@@ -125,12 +125,10 @@ func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Gener
 // boundary of the last completed window when ctl.Ctx cancels — counts
 // then hold a valid partial covering everything below that boundary,
 // which is what lets a draining worker hand its progress back instead
-// of discarding it.  saveFinal says whether the window ending at limit is
-// checkpointed like the others: a shard's is (the worker parks prefixes
-// from its checkpoints), a full run's is not — the caller finalizes from
-// counts next, so that checkpoint would be written, fsynced and dropped
-// within microseconds.
-func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, ctl RunControl, saveFinal bool) (int64, error) {
+// of discarding it.  The window ending at limit is not checkpointed: the
+// caller finalizes or ships counts next, so that checkpoint would be
+// written, fsynced and dropped within microseconds.
+func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, ctl RunControl) (int64, error) {
 	prep := p.prep
 	nprocs := ctl.NProcs
 	if nprocs < 1 {
@@ -192,7 +190,7 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 		if ctl.OnWindow != nil {
 			ctl.OnWindow(span, time.Since(windowStart))
 		}
-		if ctl.Save != nil && (hi < limit || saveFinal) {
+		if ctl.Save != nil && hi < limit {
 			snap := &Checkpoint{
 				Fingerprint: plan.Fingerprint,
 				TotalB:      plan.TotalB,
@@ -317,7 +315,7 @@ func RunShard(p *Prepared, opt Options, lo, hi int64, ctl RunControl) (*ShardCou
 	if err != nil {
 		return nil, err
 	}
-	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, ctl, true)
+	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, ctl)
 	sc.Next = next
 	return sc, runErr
 }

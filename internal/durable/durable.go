@@ -1,9 +1,11 @@
 // Package durable is the one place the daemon writes files it must be
-// able to trust after a crash: checkpoints, the job journal and dataset
-// mirrors all go through WriteFileAtomic, which makes the full
-// temp-file → write → fsync(file) → rename → fsync(dir) dance, so a
-// kill -9 at any instruction leaves either the complete old file or the
-// complete new file — never a torn one.  Every entry point consults
+// able to trust after a crash: checkpoints, the job journal, retained
+// shard results and dataset mirrors all go through WriteFileAtomic,
+// which makes the full temp-file → write → fsync(file) → rename →
+// fsync(dir) dance, so a kill -9 at any instruction leaves either the
+// complete old file or the complete new file — never a torn one.  All
+// but the dataset mirrors (which carry their own format) also share one
+// CRC-checked record frame (frame.go).  Every entry point consults
 // internal/faultinject first, which is how the chaos suite drives
 // torn-write, short-read, disk-full and corrupt-byte schedules through
 // the exact code paths production uses.

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -75,20 +76,20 @@ func (s *ckptStore) put(key string, ck *core.Checkpoint) (evicted []string) {
 	return evicted
 }
 
-// writeDisk mirrors ck to disk (no-op without a dir).  The bytes carry
-// a CRC64 integrity frame and land via the durable temp-file + fsync +
-// atomic-rename path, so a crash at any instruction leaves either the
-// old checkpoint or the new one, never a torn body.  The previous
-// generation is rotated to "<key>.ckpt.prev" first: if the NEW file is
-// later found corrupt (bit rot, injected fault), load falls back to the
-// older prefix instead of restarting from zero.  Call without holding
-// the manager lock.
+// writeDisk mirrors ck to disk (no-op without a dir): Checkpoint.Encode's
+// gob is the payload of one durable record, which lands via the
+// temp-file + fsync + atomic-rename path, so a crash at any instruction
+// leaves either the old checkpoint or the new one, never a torn body.
+// The previous generation is rotated to "<key>.ckpt.prev" first: if the
+// NEW file is later found corrupt (bit rot, injected fault), load falls
+// back to the older prefix instead of restarting from zero.  Call
+// without holding the manager lock.
 func (s *ckptStore) writeDisk(key string, ck *core.Checkpoint) error {
 	if s.dir == "" {
 		return nil
 	}
-	data, err := ck.EncodeFramed()
-	if err != nil {
+	var body bytes.Buffer
+	if err := ck.Encode(&body); err != nil {
 		return err
 	}
 	p := s.path(key)
@@ -98,7 +99,7 @@ func (s *ckptStore) writeDisk(key string, ck *core.Checkpoint) error {
 		// staler than it could have been.
 		_ = os.Rename(p, p+".prev")
 	}
-	return durable.WriteFileAtomic(p, data, "ckpt.write")
+	return durable.WriteRecord(p, body.Bytes(), "ckpt.write")
 }
 
 // removeDisk deletes key's checkpoint files (all generations), if any.
@@ -141,21 +142,22 @@ func (s *ckptStore) load(key string) *core.Checkpoint {
 }
 
 // loadGeneration reads and verifies one checkpoint file, quarantining
-// it on corruption.
+// it on corruption.  A record whose payload is not a checkpoint gob is
+// corrupt too.
 func (s *ckptStore) loadGeneration(key, path string) *core.Checkpoint {
-	data, err := durable.ReadFile(path, "ckpt.read")
-	if err != nil {
-		return nil
-	}
-	ck, err := core.DecodeCheckpointBytes(data)
-	if err != nil {
-		if errors.Is(err, core.ErrCheckpointCorrupt) {
-			_ = durable.Quarantine(path)
-			if s.noteCorrupt != nil {
-				s.noteCorrupt(key)
-			}
+	body, err := durable.ReadRecord(path, "ckpt.read")
+	var ck *core.Checkpoint
+	if err == nil {
+		ck, err = core.DecodeCheckpoint(bytes.NewReader(body))
+		if err != nil {
+			err = fmt.Errorf("%w: %v", durable.ErrCorrupt, err)
 		}
-		return nil
+	}
+	if errors.Is(err, durable.ErrCorrupt) {
+		_ = durable.Quarantine(path)
+		if s.noteCorrupt != nil {
+			s.noteCorrupt(key)
+		}
 	}
 	return ck
 }

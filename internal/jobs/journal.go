@@ -1,10 +1,9 @@
 package jobs
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,28 +24,29 @@ import (
 // resume from their newest valid checkpoint, so the recovered result is
 // bitwise identical to an uninterrupted run.
 //
-// Record framing: u32 little-endian payload length, u64 little-endian
-// CRC64 (ECMA) of the payload, then the JSON payload.  Appends are
-// fsync'd before the submission is acknowledged.  Replay stops at the
-// first frame that fails its length or CRC check — a torn tail from a
-// crash mid-append loses at most the final record, never the log — and
-// the file is truncated back to the valid prefix so later appends stay
-// readable.
+// Each record is one durable frame (durable.AppendFrame) around a JSON
+// payload.  Appends are fsync'd before the submission is acknowledged;
+// a failed append is cut back off the file, so the log always ends on
+// a whole frame.  Replay stops at the first frame that fails its length
+// or CRC check — a torn tail from a crash mid-append loses at most the
+// final record, never the log — and the file is truncated back to the
+// valid prefix so later appends stay readable.
 //
 // Record semantics (idempotent by job id; the LAST record wins):
 //
 //	submit  the job exists; payload rebuilds its Spec (dataset digest,
 //	        labels, canonical options, nprocs/every, tenant, class)
-//	start   a worker picked it up (progress hint only: resume identity
-//	        is the content key, not the lifecycle phase)
-//	ckpt    a checkpoint covering [0, next) was durably written
-//	plan / shard / redispatch
+//	plan / shard
 //	        the distributed merge ledger (see ledger.go): the shard
-//	        plan, accepted deliveries, and re-dispatch audit records
-//	        of a coordinator-run job, replayed so a restarted
-//	        coordinator re-dispatches only undelivered windows
+//	        plan and accepted deliveries of a coordinator-run job,
+//	        replayed so a restarted coordinator re-dispatches only
+//	        undelivered windows
 //	done / fail / cancel
 //	        terminal — the job is never replayed
+//
+// Older daemons also wrote start, ckpt and redispatch records; replay
+// reads past them as no-ops.  A running job resumes from the checkpoint
+// store by content key, so no progress is journaled.
 //
 // Deliberately NOT journaled: cache hits (no work to redo) and
 // shutdown-driven cancellations (a SIGTERM'd daemon's queued and
@@ -54,8 +54,8 @@ import (
 // keep their pending journal state).
 //
 // Compaction: when the live file exceeds compactEvery frames it is
-// rewritten — one submit (plus latest ckpt hint) per pending job — via
-// an atomic rename, bounding the log by the number of live jobs rather
+// rewritten — one submit (plus its ledger) per pending job — via an
+// atomic rename, bounding the log by the number of live jobs rather
 // than the daemon's lifetime.
 
 // journalRecord is one journal frame's payload.
@@ -76,43 +76,32 @@ type journalRecord struct {
 	Every   int64         `json:"every,omitempty"`
 	Tenant  string        `json:"tenant,omitempty"`
 	Class   string        `json:"class,omitempty"`
-	// Next is the checkpoint progress hint carried by ckpt records.
-	Next int64 `json:"next,omitempty"`
 	// Distributed merge-ledger payloads (see ledger.go): Plan for "plan"
-	// records, Shard for "shard" records, Redispatch for "redispatch".
-	Plan       *LedgerState      `json:"plan,omitempty"`
-	Shard      *LedgerDelivery   `json:"shard,omitempty"`
-	Redispatch *ledgerRedispatch `json:"redispatch,omitempty"`
+	// records, Shard for "shard" records.
+	Plan  *LedgerState    `json:"plan,omitempty"`
+	Shard *LedgerDelivery `json:"shard,omitempty"`
 }
 
 // journalEntry is the live, compaction-driving view of one job id.
 type journalEntry struct {
 	submit   *journalRecord // nil once terminal (payload released)
-	lastType string
-	next     int64
+	terminal bool
 	// ledger is the distributed merge ledger accumulated from plan/shard
 	// records; nil until a plan record lands, reset by each plan record,
 	// released at the terminal record.
 	ledger *LedgerState
 }
 
-func (e *journalEntry) terminal() bool {
-	switch e.lastType {
-	case "done", "fail", "cancel":
-		return true
-	}
-	return false
-}
-
-var journalCRCTable = crc64.MakeTable(crc64.ECMA)
+// pending reports whether replay must re-admit the job.
+func (e *journalEntry) pending() bool { return !e.terminal && e.submit != nil }
 
 // journalFileName is the single live journal file inside JournalDir.
 const journalFileName = "journal.log"
 
 // jobJournal owns the append fd and the live entry view.  It has its
 // own mutex: appends from the Submit path run under the manager lock
-// (per-id record order is the manager's state order), while ckpt
-// records append from Save callbacks without it.
+// (per-id record order is the manager's state order), while ledger
+// records append from the coordinator without it.
 type jobJournal struct {
 	mu           sync.Mutex
 	path         string
@@ -127,9 +116,6 @@ type journalReplay struct {
 	// Pending lists the submit records of non-terminal jobs, in id
 	// order — the re-admission work list.
 	Pending []*journalRecord
-	// CkptNext maps pending ids to their newest journaled checkpoint
-	// index (progress hint; resume reads the checkpoint store).
-	CkptNext map[string]int64
 	// Ledgers maps pending ids to their replayed distributed merge
 	// ledgers (plan + verified-framing deliveries); the coordinator
 	// re-validates delivery CRCs and span coverage before adopting.
@@ -147,9 +133,7 @@ func appendFrame(buf []byte, rec *journalRecord) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(payload, journalCRCTable))
-	return append(buf, payload...), nil
+	return durable.AppendFrame(buf, payload), nil
 }
 
 // scanJournal walks data frame by frame, calling visit for each valid
@@ -158,18 +142,8 @@ func appendFrame(buf []byte, rec *journalRecord) ([]byte, error) {
 func scanJournal(data []byte, visit func(*journalRecord)) (frames int, validLen int, truncated bool) {
 	off := 0
 	for off < len(data) {
-		if len(data)-off < 12 {
-			return frames, off, true
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint64(data[off+4:])
-		// A frame longer than the remaining file, or absurdly large, is
-		// a torn or corrupt length word.
-		if n < 2 || n > 1<<24 || off+12+n > len(data) {
-			return frames, off, true
-		}
-		payload := data[off+12 : off+12+n]
-		if crc64.Checksum(payload, journalCRCTable) != sum {
+		payload, size, err := durable.NextFrame(data[off:])
+		if err != nil {
 			return frames, off, true
 		}
 		var rec journalRecord
@@ -178,7 +152,7 @@ func scanJournal(data []byte, visit func(*journalRecord)) (frames int, validLen 
 		}
 		visit(&rec)
 		frames++
-		off += 12 + n
+		off += size
 	}
 	return frames, off, false
 }
@@ -210,7 +184,7 @@ func openJournal(dir string, compactEvery int) (*jobJournal, *journalReplay, err
 		compactEvery: compactEvery,
 		entries:      make(map[string]*journalEntry),
 	}
-	rep := &journalReplay{CkptNext: make(map[string]int64), Ledgers: make(map[string]*LedgerState)}
+	rep := &journalReplay{Ledgers: make(map[string]*LedgerState)}
 
 	data, err := os.ReadFile(jl.path)
 	if err != nil && !os.IsNotExist(err) {
@@ -235,18 +209,8 @@ func openJournal(dir string, compactEvery int) (*jobJournal, *journalReplay, err
 		}
 	}
 
-	ids := make([]string, 0, len(jl.entries))
-	for id, e := range jl.entries {
-		if !e.terminal() && e.submit != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return jobSeq(ids[a]) < jobSeq(ids[b]) })
-	for _, id := range ids {
+	for _, id := range jl.pendingIDs() {
 		rep.Pending = append(rep.Pending, jl.entries[id].submit)
-		if n := jl.entries[id].next; n > 0 {
-			rep.CkptNext[id] = n
-		}
 		// Hand the replay a shallow snapshot: later appends extend the
 		// live entry's slice without disturbing this header.
 		if led := jl.entries[id].ledger; led != nil {
@@ -263,6 +227,18 @@ func openJournal(dir string, compactEvery int) (*jobJournal, *journalReplay, err
 	return jl, rep, nil
 }
 
+// pendingIDs lists the ids replay must re-admit, in submission order.
+func (jl *jobJournal) pendingIDs() []string {
+	var ids []string
+	for id, e := range jl.entries {
+		if e.pending() {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(a, b int) bool { return jobSeq(ids[a]) < jobSeq(ids[b]) })
+	return ids
+}
+
 // apply folds one record into the live entry view.  Callers hold jl.mu
 // (or run before concurrency exists, in openJournal).
 func (jl *jobJournal) apply(rec *journalRecord) {
@@ -271,14 +247,9 @@ func (jl *jobJournal) apply(rec *journalRecord) {
 		e = &journalEntry{}
 		jl.entries[rec.ID] = e
 	}
-	e.lastType = rec.T
 	switch rec.T {
 	case "submit":
-		e.submit = rec
-	case "ckpt":
-		if rec.Next > e.next {
-			e.next = rec.Next
-		}
+		e.submit, e.terminal = rec, false
 	case "plan":
 		// A plan supersedes any earlier plan AND its deliveries: the
 		// coordinator writes one exactly when replayed state was invalid.
@@ -294,9 +265,8 @@ func (jl *jobJournal) apply(rec *journalRecord) {
 		if e.ledger != nil && rec.Shard != nil {
 			e.ledger.Deliveries = append(e.ledger.Deliveries, *rec.Shard)
 		}
-	case "redispatch":
-		// Audit only; nothing to fold.
 	case "done", "fail", "cancel":
+		e.terminal = true
 		e.submit = nil // payload no longer needed; entry stays terminal
 		e.ledger = nil
 	}
@@ -319,15 +289,26 @@ func (jl *jobJournal) append(rec *journalRecord) error {
 	if err != nil {
 		return err
 	}
+	end, err := jl.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
 	frame, fault := faultinject.MutateWrite("journal.append", frame)
-	if _, err := jl.f.Write(frame); err != nil {
-		return err
+	if _, err = jl.f.Write(frame); err == nil {
+		err = jl.f.Sync()
 	}
-	if err := jl.f.Sync(); err != nil {
-		return err
+	if err == nil && fault == faultinject.WriteTorn {
+		err = fmt.Errorf("jobs: journal append: %w", faultinject.ErrInjected)
 	}
-	if fault == faultinject.WriteTorn {
-		return fmt.Errorf("jobs: journal append: %w", faultinject.ErrInjected)
+	if err != nil {
+		// A partial frame would end every later replay there, losing the
+		// appends after it: cut the file back to its last whole frame, or
+		// stop appending if even that fails.
+		if jl.f.Truncate(end) != nil {
+			jl.f.Close()
+			jl.f = nil
+		}
+		return err
 	}
 	jl.frames++
 	if jl.frames >= jl.compactEvery {
@@ -336,7 +317,7 @@ func (jl *jobJournal) append(rec *journalRecord) error {
 	return nil
 }
 
-// compact rewrites the journal to one submit (+ checkpoint hint) per
+// compact rewrites the journal to one submit (plus its ledger) per
 // pending job, dropping terminal history.
 func (jl *jobJournal) compact() error {
 	jl.mu.Lock()
@@ -345,30 +326,17 @@ func (jl *jobJournal) compact() error {
 }
 
 func (jl *jobJournal) compactLocked() error {
-	ids := make([]string, 0, len(jl.entries))
-	for id, e := range jl.entries {
-		if !e.terminal() && e.submit != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return jobSeq(ids[a]) < jobSeq(ids[b]) })
 	var buf []byte
 	frames := 0
 	var err error
-	for _, id := range ids {
+	for _, id := range jl.pendingIDs() {
 		e := jl.entries[id]
 		if buf, err = appendFrame(buf, e.submit); err != nil {
 			return err
 		}
 		frames++
-		if e.next > 0 {
-			if buf, err = appendFrame(buf, &journalRecord{T: "ckpt", ID: id, Key: e.submit.Key, Next: e.next}); err != nil {
-				return err
-			}
-			frames++
-		}
 		// Rewrite the merge ledger: one plan frame plus one frame per
-		// delivery (redispatch audit records are dropped here).
+		// delivery.
 		if e.ledger != nil {
 			plan := *e.ledger
 			plan.Deliveries = nil
@@ -400,7 +368,7 @@ func (jl *jobJournal) compactLocked() error {
 	jl.f = f
 	jl.frames = frames
 	for id, e := range jl.entries {
-		if e.terminal() {
+		if e.terminal {
 			delete(jl.entries, id)
 		}
 	}
@@ -411,13 +379,7 @@ func (jl *jobJournal) compactLocked() error {
 func (jl *jobJournal) pendingCount() int {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	n := 0
-	for _, e := range jl.entries {
-		if !e.terminal() && e.submit != nil {
-			n++
-		}
-	}
-	return n
+	return len(jl.pendingIDs())
 }
 
 // close releases the append fd.

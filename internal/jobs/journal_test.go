@@ -1,12 +1,14 @@
 package jobs
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"sprint/internal/core"
+	"sprint/internal/faultinject"
 )
 
 func journalPath(dir string) string { return filepath.Join(dir, journalFileName) }
@@ -137,8 +139,9 @@ func TestJournalCRCFlip(t *testing.T) {
 }
 
 // TestJournalLastRecordWins pins the idempotent-by-id semantics:
-// duplicate submits collapse to one entry, and a terminal record removes
-// the job from replay no matter how many earlier records name it.
+// duplicate submits collapse to one entry, a terminal record removes
+// the job from replay no matter how many earlier records name it, and
+// the start and ckpt records older daemons wrote change nothing.
 func TestJournalLastRecordWins(t *testing.T) {
 	dir := t.TempDir()
 	jl, _, err := openJournal(dir, 0)
@@ -153,8 +156,7 @@ func TestJournalLastRecordWins(t *testing.T) {
 		sub("j000001"), sub("j000001"), // duplicate submit
 		{T: "start", ID: "j000001", Key: "k-j000001"},
 		sub("j000002"),
-		{T: "ckpt", ID: "j000002", Key: "k-j000002", Next: 500},
-		{T: "ckpt", ID: "j000002", Key: "k-j000002", Next: 300}, // stale hint, must not regress
+		{T: "ckpt", ID: "j000002", Key: "k-j000002"},
 		sub("j000003"),
 		{T: "done", ID: "j000003"},
 		sub("j000004"),
@@ -176,17 +178,14 @@ func TestJournalLastRecordWins(t *testing.T) {
 	if rep.Pending[0].ID != "j000001" || rep.Pending[1].ID != "j000002" {
 		t.Fatalf("pending order %v", rep.Pending)
 	}
-	if rep.CkptNext["j000002"] != 500 {
-		t.Fatalf("ckpt hint %d, want 500", rep.CkptNext["j000002"])
-	}
 	if rep.MaxSeq != 4 {
 		t.Fatalf("MaxSeq %d, want 4", rep.MaxSeq)
 	}
 }
 
 // TestJournalCompaction verifies the size bound: terminal churn is
-// rewritten away, pending jobs (and their checkpoint hints) survive, and
-// the reopened append fd lands on the new inode.
+// rewritten away, pending jobs (and their ledgers) survive, and the
+// reopened append fd lands on the new inode.
 func TestJournalCompaction(t *testing.T) {
 	dir := t.TempDir()
 	jl, _, err := openJournal(dir, 8)
@@ -205,7 +204,7 @@ func TestJournalCompaction(t *testing.T) {
 			}
 		}
 	}
-	if err := jl.append(&journalRecord{T: "ckpt", ID: "j000020", Key: "kj000020", Next: 700}); err != nil {
+	if err := jl.append(&journalRecord{T: "plan", ID: "j000020", Key: "kj000020", Plan: testPlan(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if jl.frames >= 8 {
@@ -213,7 +212,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	// Appends after compaction must reach the NEW file, not the orphaned
 	// pre-rename inode.
-	if err := jl.append(&journalRecord{T: "start", ID: "j000020", Key: "kj000020"}); err != nil {
+	if err := jl.append(&journalRecord{T: "shard", ID: "j000020", Key: "kj000020", Shard: testDelivery(0, 50, 50, 2, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	jl.close()
@@ -225,7 +224,94 @@ func TestJournalCompaction(t *testing.T) {
 	if len(rep.Pending) != 1 || rep.Pending[0].ID != "j000020" {
 		t.Fatalf("pending after compaction: %+v", rep.Pending)
 	}
-	if rep.CkptNext["j000020"] != 700 {
-		t.Fatalf("ckpt hint lost in compaction: %v", rep.CkptNext)
+	if led := rep.Ledgers["j000020"]; led == nil || len(led.Deliveries) != 1 {
+		t.Fatalf("ledger lost in compaction: %+v", led)
+	}
+}
+
+// TestJournalFailedAppendKeepsLaterRecords: an append that fails after
+// writing part of its frame is cut back off the file, so the records
+// appended after it still replay.
+func TestJournalFailedAppendKeepsLaterRecords(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, err := openJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faultinject.Parse("journal.append:torn:n=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Install(inj)
+	t.Cleanup(faultinject.Disable)
+	opt := core.DefaultOptions()
+	for i := 1; i <= 3; i++ {
+		id := fmt.Sprintf("j%06d", i)
+		err := jl.append(&journalRecord{T: "submit", ID: id, Key: "k" + id, Opt: &opt})
+		if (i == 2) != (err != nil) {
+			t.Fatalf("append %s: err=%v", id, err)
+		}
+	}
+	faultinject.Disable()
+	jl.close()
+
+	_, rep, err := openJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CorruptFrames != 0 || len(rep.Pending) != 2 ||
+		rep.Pending[0].ID != "j000001" || rep.Pending[1].ID != "j000003" {
+		t.Fatalf("replay after a torn append: corrupt=%d pending=%+v, want j000001 and j000003",
+			rep.CorruptFrames, rep.Pending)
+	}
+}
+
+// TestJournalReplaysOlderFormat replays a journal written by the daemon
+// before start, ckpt and redispatch records were retired
+// (testdata/journal_v1.log: every record kind, terminal and pending jobs,
+// a re-plan and an orphan delivery).  The pending set, the ledgers and
+// the scan counts must equal what that daemon replayed from the same
+// bytes (testdata/journal_v1.want.json).
+func TestJournalReplaysOlderFormat(t *testing.T) {
+	log, err := os.ReadFile(filepath.Join("testdata", "journal_v1.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "journal_v1.want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, rep, err := openJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+
+	type ledger struct {
+		Plan       *LedgerState     `json:"plan"`
+		Deliveries []LedgerDelivery `json:"deliveries"`
+	}
+	got := struct {
+		Pending       []*journalRecord   `json:"pending"`
+		Ledgers       map[string]*ledger `json:"ledgers"`
+		MaxSeq        int64              `json:"max_seq"`
+		Frames        int                `json:"frames"`
+		CorruptFrames int                `json:"corrupt_frames"`
+	}{rep.Pending, map[string]*ledger{}, rep.MaxSeq, rep.Frames, rep.CorruptFrames}
+	for id, led := range rep.Ledgers {
+		plan := *led
+		plan.Deliveries = nil
+		got.Ledgers[id] = &ledger{&plan, led.Deliveries}
+	}
+	js, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(js)+"\n" != string(want) {
+		t.Fatalf("replay of the older journal differs:\ngot  %s\nwant %s", js, want)
 	}
 }

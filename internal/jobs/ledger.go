@@ -1,29 +1,26 @@
 package jobs
 
 // This file is the durable merge ledger of a distributed run: the
-// journal-backed record of the coordinator's shard plan, every accepted
-// shard delivery (counts + CRC), and re-dispatch decisions.  It is what
-// lets a coordinator that was SIGKILLed mid-job restart, replay the
-// ledger, merge the already-delivered windows from the journal, and
-// re-dispatch only the uncovered remainder — zero recomputation of
-// delivered shards, bitwise-identical final results.
+// journal-backed record of the coordinator's shard plan and every
+// accepted shard delivery (counts + CRC).  It is what lets a
+// coordinator that was SIGKILLed mid-job restart, replay the ledger,
+// merge the already-delivered windows from the journal, and re-dispatch
+// only the uncovered remainder — zero recomputation of delivered
+// shards, bitwise-identical final results.
 //
-// Ledger records ride the PR 8 job journal (same CRC64 framing, fsync
-// discipline, torn-tail truncation and compaction), as three new record
-// kinds keyed by job id:
+// Ledger records ride the job journal (same durable frame, fsync
+// discipline, torn-tail truncation and compaction), as two record kinds
+// keyed by job id:
 //
-//	plan        the shard plan: fingerprint, planned total, resume
-//	            start, span boundaries, and (sequential resume) the
-//	            frozen per-row effective counts.  A plan record RESETS
-//	            any deliveries journaled under an earlier plan — it is
-//	            written exactly when the coordinator decides the replayed
-//	            state is unusable and partitions afresh.
-//	shard       one accepted delivery: the window, its exceedance count
-//	            vectors, and the worker's CRC64 stamp, verified again on
-//	            replay before the window is trusted.
-//	redispatch  an audit record of a window being re-queued (error,
-//	            partial hand-off, corrupt response); replay ignores it,
-//	            compaction drops it.
+//	plan   the shard plan: fingerprint, planned total, resume start,
+//	       span boundaries, and (sequential resume) the frozen per-row
+//	       effective counts.  A plan record RESETS any deliveries
+//	       journaled under an earlier plan — it is written exactly when
+//	       the coordinator decides the replayed state is unusable and
+//	       partitions afresh.
+//	shard  one accepted delivery: the window, its exceedance count
+//	       vectors, and the delivery's CRC64 stamp, verified again on
+//	       replay before the window is trusted.
 //
 // The coordinator appends deliveries OUTSIDE its dispatch lock (fsync
 // latency must not serialize the merge).  The crash window this opens
@@ -33,9 +30,10 @@ package jobs
 
 // LedgerDelivery is one journaled shard delivery: the exact counts the
 // coordinator merged for the window [Lo, Next) of the dispatch window
-// [Lo, Hi).  Raw/Adj are full-length row vectors; CRC64 is the worker's
-// response stamp (0 for coordinator-local shards) and is re-verified on
-// replay before the delivery is adopted.
+// [Lo, Hi).  Raw/Adj are full-length row vectors; CRC64 is the
+// delivery's response stamp (worker-computed, or stamped by the
+// coordinator's own loop for local shards) and is re-verified on replay
+// before the delivery is adopted.
 type LedgerDelivery struct {
 	Lo     int64   `json:"lo"`
 	Next   int64   `json:"next"`
@@ -70,14 +68,6 @@ type LedgerState struct {
 	// [Start, TotalB).
 	Spans      [][2]int64       `json:"spans"`
 	Deliveries []LedgerDelivery `json:"-"`
-}
-
-// ledgerRedispatch is the audit payload of a "redispatch" record.
-type ledgerRedispatch struct {
-	Lo     int64  `json:"lo"`
-	Hi     int64  `json:"hi"`
-	Worker string `json:"worker,omitempty"`
-	Reason string `json:"reason,omitempty"`
 }
 
 // JobLedger is the coordinator's handle on one job's durable ledger: the
@@ -118,15 +108,6 @@ func (l *JobLedger) RecordDelivery(d *LedgerDelivery) {
 		return
 	}
 	l.appendFn(&journalRecord{T: "shard", ID: l.id, Key: l.key, Shard: d})
-}
-
-// RecordRedispatch journals a re-dispatch decision for audit.
-func (l *JobLedger) RecordRedispatch(lo, hi int64, worker, reason string) {
-	if l == nil {
-		return
-	}
-	l.appendFn(&journalRecord{T: "redispatch", ID: l.id, Key: l.key,
-		Redispatch: &ledgerRedispatch{Lo: lo, Hi: hi, Worker: worker, Reason: reason}})
 }
 
 // ledgerFor builds the job's ledger handle, claiming any replayed state

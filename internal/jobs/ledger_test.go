@@ -44,8 +44,9 @@ func testDelivery(lo, next, hi int64, rows int, v int64) *LedgerDelivery {
 
 // TestJournalLedgerReplay pins the merge-ledger record semantics: plan +
 // shard records replay into a LedgerState for the pending job, a second
-// plan record RESETS the accumulated deliveries, redispatch records are
-// audit-only, and a terminal record drops the ledger entirely.
+// plan record RESETS the accumulated deliveries, the redispatch records
+// older daemons wrote are no-ops, and a terminal record drops the ledger
+// entirely.
 func TestJournalLedgerReplay(t *testing.T) {
 	const rows = 3
 	dir, jl, id := ledgerTestJournal(t, 0)
@@ -57,8 +58,7 @@ func TestJournalLedgerReplay(t *testing.T) {
 	}
 	must(&journalRecord{T: "plan", ID: id, Key: "k1", Plan: testPlan(rows)})
 	must(&journalRecord{T: "shard", ID: id, Key: "k1", Shard: testDelivery(0, 50, 50, rows, 1)})
-	must(&journalRecord{T: "redispatch", ID: id, Key: "k1",
-		Redispatch: &ledgerRedispatch{Lo: 50, Hi: 100, Worker: "w", Reason: "error"}})
+	must(&journalRecord{T: "redispatch", ID: id, Key: "k1"})
 	must(&journalRecord{T: "shard", ID: id, Key: "k1", Shard: testDelivery(50, 80, 100, rows, 2)})
 	jl.close()
 
@@ -109,9 +109,9 @@ func TestJournalLedgerReplay(t *testing.T) {
 }
 
 // TestJournalLedgerCompaction pins the compaction round trip: the ledger
-// survives as one plan frame plus one frame per delivery (redispatch
-// audit history is dropped), and a shard record without a live plan is
-// never replayed.
+// survives as one plan frame plus one frame per delivery (an older
+// daemon's redispatch records are dropped), and a shard record without a
+// live plan is never replayed.
 func TestJournalLedgerCompaction(t *testing.T) {
 	const rows = 2
 	dir, jl, id := ledgerTestJournal(t, 0)
@@ -119,8 +119,7 @@ func TestJournalLedgerCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := jl.append(&journalRecord{T: "redispatch", ID: id, Key: "k1",
-			Redispatch: &ledgerRedispatch{Lo: 0, Hi: 50, Reason: "straggler"}}); err != nil {
+		if err := jl.append(&journalRecord{T: "redispatch", ID: id, Key: "k1"}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1042,7 +1042,6 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 		j.done = resume.Done
 		m.stats.Resumed++
 	}
-	m.journalAppend(&journalRecord{T: "start", ID: j.id, Key: j.key})
 	m.mu.Unlock()
 	if resume != nil {
 		m.met.resumed.Inc()
@@ -1069,10 +1068,6 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 				return err
 			}
 			m.met.ckptWrite.ObserveDuration(time.Since(writeStart))
-			// The ckpt record is a progress hint (resume reads the
-			// checkpoint store by content key); it is journaled only
-			// AFTER the checkpoint itself is durably on disk.
-			m.journalAppend(&journalRecord{T: "ckpt", ID: j.id, Key: j.key, Next: ck.Next})
 			if m.cfg.OnCheckpoint != nil {
 				m.cfg.OnCheckpoint(j.id, ck.Done, ck.TotalB)
 			}

@@ -553,3 +553,69 @@ func TestStoredWideDesignSurvivesJournal(t *testing.T) {
 	}
 	m2.Close()
 }
+
+// TestPreUpgradeCheckpointQuarantined: a checkpoint in the retired
+// SPCKPT01 layout (testdata/spckpt01.bin, written for this spec by the
+// daemon before checkpoints became durable records, which resumed from
+// it at 1024) is quarantined on first load, and its job recomputes from
+// zero to the uninterrupted result bit for bit.
+func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
+	data, err := microarray.Generate(microarray.GenOptions{
+		Genes: 40, Samples: 20, Classes: 2, DiffFraction: 0.2, EffectSize: 2.0, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions()
+	opt.B, opt.Seed = 20000, 3
+	spec := Spec{X: data.X, Labels: data.Labels, Opt: opt, NProcs: 1, Every: 1024}
+	key, err := spec.contentKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != "bc6a1b1bcf7a27fb574ac9a497569284c23cb5f19e1717356c3b68e8eca8e716" {
+		t.Fatalf("spec key %s is not the one the fixture was written for", key)
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "spckpt01.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(old[:8]) != "SPCKPT01" {
+		t.Fatalf("fixture starts %q, want the SPCKPT01 magic", old[:8])
+	}
+	dirs := newDurableDirs(t)
+	if err := os.MkdirAll(dirs.ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dirs.ckpt, key+".ckpt"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := NewManager(dirs.config(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m, st.ID)
+	if fin.State != Done || fin.ResumedFrom != 0 {
+		t.Fatalf("job %s (%s) resumed from %d, want done from 0", fin.State, fin.Error, fin.ResumedFrom)
+	}
+	if s := m.StatsSnapshot(); s.CorruptCheckpoints != 1 {
+		t.Fatalf("CorruptCheckpoints %d, want 1 (the SPCKPT01 file)", s.CorruptCheckpoints)
+	}
+	res, _, err := m.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MaxT(spec.X, spec.Labels, spec.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+	sameFloats(t, "RawP", res.RawP, want.RawP)
+	sameFloats(t, "Stat", res.Stat, want.Stat)
+}
