@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	queue := fs.Int("queue", 64, "job queue depth; a full queue sheds submissions with 429")
 	nprocs := fs.Int("nprocs", 0, "default ranks per job (0 = all CPUs)")
 	every := fs.Int64("every", 1000, "default checkpoint window (permutations)")
-	cache := fs.Int("cache", 128, "result cache entries (negative disables)")
+	cache := fs.Int("cache", 128, "result cache entries (negative disables cache hits)")
 	ckptDir := fs.String("checkpoint-dir", "", "persist checkpoints here to survive restarts (empty = memory only)")
 	journalDir := fs.String("journal-dir", "", "write-ahead job journal directory; on restart queued and running jobs replay to byte-identical results (empty = no journal). Defaults -checkpoint-dir and -dataset-dir to subdirectories when those are unset")
 	dsCache := fs.Int("dataset-cache", 0, "in-memory dataset registry entries (0 = default 32, negative disables)")

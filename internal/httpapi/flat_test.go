@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"sprint/internal/jobs"
@@ -97,6 +98,34 @@ func TestExplicitNullXFlat(t *testing.T) {
 	}
 	if fin := pollTerminal(t, ts.URL, st.ID); fin.State != "done" {
 		t.Fatalf("job finished %+v", fin)
+	}
+}
+
+// TestEvictedResultIsGone: the result cache is the one owner of finished
+// results, so once more than CacheSize jobs finish, the oldest job's
+// result answers 410 with a resubmit hint while the newest still answers
+// 200.
+func TestEvictedResultIsGone(t *testing.T) {
+	_, ts := newTestServer(t, jobs.Config{Workers: 1, DefaultNProcs: 1, CacheSize: 2})
+	data := testDataset(t)
+	var ids []string
+	for b := int64(100); b < 103; b++ { // three distinct content keys
+		var st StatusJSON
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", submitBody(t, data, b, 1, 100), &st); code != http.StatusAccepted {
+			t.Fatalf("submit code %d", code)
+		}
+		if fin := pollTerminal(t, ts.URL, st.ID); fin.State != "done" {
+			t.Fatalf("job %s finished %+v", st.ID, fin)
+		}
+		ids = append(ids, st.ID)
+	}
+	var e map[string]string
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+ids[0]+"/result", nil, &e); code != http.StatusGone || !strings.Contains(e["error"], "resubmit") {
+		t.Fatalf("evicted result: code %d %v, want 410 with a resubmit hint", code, e)
+	}
+	var res ResultJSON
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+ids[2]+"/result", nil, &res); code != http.StatusOK {
+		t.Fatalf("newest result code %d, want 200", code)
 	}
 }
 

@@ -173,7 +173,9 @@ var jsonNull = []byte("null")
 // one append per cell, no per-cell pointer or interface boxing — because
 // x_flat payloads carry hundreds of thousands of cells.  The outer decoder
 // has already validated JSON syntax, so tokens between commas are numbers
-// or null (neither can contain ',' or ']').
+// or null (neither can contain ',' or ']'); numbers convert through
+// parseNumber, the x_flat scanner's conversion, so both matrix forms
+// decode every cell to the same bits.
 func (f *Floats) UnmarshalJSON(b []byte) error {
 	if bytes.Equal(bytes.TrimSpace(b), jsonNull) {
 		return nil // conventional Unmarshaler behaviour: null is a no-op
@@ -208,7 +210,7 @@ func (f *Floats) UnmarshalJSON(b []byte) error {
 		if bytes.Equal(tok, jsonNull) {
 			out = append(out, math.NaN())
 		} else {
-			v, err := strconv.ParseFloat(string(tok), 64)
+			v, err := parseNumber(tok)
 			if err != nil {
 				return fmt.Errorf("httpapi: array cell %d: %w", len(out), err)
 			}
@@ -668,6 +670,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 	case errors.Is(err, jobs.ErrNotDone):
 		writeJSON(w, http.StatusConflict, statusJSON(st))
+	case errors.Is(err, jobs.ErrResultEvicted):
+		// The error text carries the hint: resubmitting the same body
+		// recomputes the identical bits.
+		writeError(w, http.StatusGone, err)
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)
 	default:

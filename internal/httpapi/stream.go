@@ -9,9 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
-	"unsafe"
 )
 
 // This file owns how request bodies enter the server: optional gzip
@@ -359,7 +357,7 @@ func (fs *flatScanner) lit(s string) error {
 }
 
 // isJSONNumber validates b against RFC 8259's number grammar.  The guard
-// matters because the token is handed to strconv.ParseFloat, which also
+// matters because parseNumber's fallback is strconv.ParseFloat, which also
 // accepts "NaN", "Infinity", hex floats and digit underscores — inputs
 // the buffered json decoder (and this decoder's documented contract)
 // must reject.
@@ -403,19 +401,25 @@ func isJSONNumber(b []byte) bool {
 	return i == len(b)
 }
 
+// isNumberEnd reports the bytes that end a number token inside x_flat.
+func isNumberEnd(c byte) bool {
+	return c == ',' || c == ']' || isJSONSpace(c)
+}
+
 // number consumes one number token (cursor on its first byte) and parses
-// it.  The token view is handed to ParseFloat without a string copy;
-// ParseFloat does not retain it past the call.
+// it.  The common token — grammatical, converted by the fast path and
+// ended inside the window — costs one pass over its bytes; any other
+// finds its end first and goes through parseNumber.
 func (fs *flatScanner) number() (float64, error) {
+	if v, n, ok := fastNumber(fs.win[fs.i:]); ok && fs.i+n < len(fs.win) && isNumberEnd(fs.win[fs.i+n]) {
+		fs.i += n
+		return v, nil
+	}
 	j := fs.i
 	for {
 		for j < len(fs.win) {
-			if c := fs.win[j]; c == ',' || c == ']' || isJSONSpace(c) {
-				tok := fs.win[fs.i:j]
-				if !isJSONNumber(tok) {
-					return 0, fmt.Errorf("invalid JSON number %q", tok)
-				}
-				v, err := strconv.ParseFloat(unsafe.String(&fs.win[fs.i], j-fs.i), 64)
+			if isNumberEnd(fs.win[j]) {
+				v, err := parseNumber(fs.win[fs.i:j])
 				fs.i = j
 				return v, err
 			}

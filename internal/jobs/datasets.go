@@ -200,11 +200,11 @@ func (s *dsStore) writeDisk(id string, m matrix.Matrix) error {
 	if fi, err := os.Stat(s.path(id)); err == nil && fi.Mode().IsRegular() {
 		return nil // already mirrored (content-addressed: bytes identical)
 	}
-	var buf bytes.Buffer
-	if err := matrix.Encode(&buf, m, nil, nil, matrix.RowMajor); err != nil {
+	buf, err := matrix.EncodeBytes(m, nil, nil, matrix.RowMajor)
+	if err != nil {
 		return err
 	}
-	return durable.WriteFileAtomic(s.path(id), buf.Bytes(), "dataset.write")
+	return durable.WriteFileAtomic(s.path(id), buf, "dataset.write")
 }
 
 // readDisk loads a mirrored dataset and verifies its content address.

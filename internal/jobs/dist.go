@@ -98,9 +98,10 @@ func (m *Manager) runDistributed(ctx context.Context, j *job, prepared *core.Pre
 		req.Prepared = prepared
 	} else {
 		// Matrix submissions enter the content-addressed plane at
-		// dispatch: digest once, prepare once, and workers pull (or are
-		// pushed) the same bytes any dataset job would use.
-		req.DatasetID = DatasetDigest(j.data)
+		// dispatch under the digest taken at submission: prepare once,
+		// and workers pull (or are pushed) the same bytes any dataset job
+		// would use.
+		req.DatasetID = j.digest
 		req.Matrix = j.data
 		p, err := core.Prepare(j.data, j.spec.Labels, j.spec.Opt)
 		if err != nil {

@@ -19,7 +19,7 @@ func TestStaleCheckpointRestartsFresh(t *testing.T) {
 	}
 	defer m.Close()
 
-	key, err := spec.contentKey()
+	key, _, err := spec.contentKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,7 @@ func TestFlatSubmissionComputesCorrectly(t *testing.T) {
 
 // TestFlatSubmissionDoesNotMutateBuffer: Submit must never modify the
 // caller's XFlat slice — a rejected submission (queue full, bad options)
-// must be retryable verbatim, so the in-place transpose has to happen on
-// a private copy.
+// must be retryable verbatim, so the transpose writes a new buffer.
 func TestFlatSubmissionDoesNotMutateBuffer(t *testing.T) {
 	spec := flatSpec(t)
 	orig := append([]float64(nil), spec.XFlat...)
@@ -169,7 +168,7 @@ func TestFlatSubmissionDoesNotMutateBuffer(t *testing.T) {
 			t.Fatalf("failed Submit mutated XFlat at %d", i)
 		}
 	}
-	// A successful one too: the transpose must work on a copy.
+	// A successful one too: the transpose must not write in place.
 	st, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

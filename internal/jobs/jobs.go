@@ -36,7 +36,7 @@ type Spec struct {
 	Labels []int
 	// XFlat, when non-nil, supplies the matrix as one flat column-major
 	// buffer (R's native layout: Genes×Samples values, column by column)
-	// instead of X.  The manager transposes a private copy into the
+	// instead of X.  The manager transposes it into a new buffer in the
 	// engine's row-major layout; the caller's slice is never modified, so
 	// a submission rejected with ErrQueueFull can be retried verbatim.
 	// Exactly one of X, XFlat and DatasetID must be set.
@@ -174,9 +174,9 @@ func (s *Spec) validate() error {
 
 // resolve converts the submission's matrix payload (row slices or a flat
 // column-major buffer) into the engine's flat row-major matrix.  The
-// caller's buffers are never modified: the flat form is transposed on a
-// private copy, so a submission rejected later (queue full, closed
-// manager) can be retried verbatim.
+// caller's buffers are never modified: the flat form is transposed out of
+// place into a new buffer, so a submission rejected later (queue full,
+// closed manager) can be retried verbatim.
 func (s *Spec) resolve() (matrix.Matrix, error) {
 	if err := s.validate(); err != nil {
 		return matrix.Matrix{}, err
@@ -187,8 +187,8 @@ func (s *Spec) resolve() (matrix.Matrix, error) {
 		return matrix.Matrix{}, fmt.Errorf("jobs: dataset submissions have no matrix payload to resolve")
 	}
 	if s.XFlat != nil {
-		buf := append([]float64(nil), s.XFlat...)
-		return matrix.FromColumnMajor(buf, s.Genes, s.Samples), nil
+		// Column-major genes×samples is row-major samples×genes.
+		return matrix.Matrix{Data: matrix.Transpose(s.XFlat, s.Samples, s.Genes), Rows: s.Genes, Cols: s.Samples}, nil
 	}
 	m, err := matrix.FromRows(s.X)
 	if err != nil {
@@ -200,24 +200,31 @@ func (s *Spec) resolve() (matrix.Matrix, error) {
 // contentKey hashes the submission whichever form it arrived in —
 // producing exactly KeyMatrix of the resolved matrix — without copying or
 // transposing anything, so cache hits and queue-full rejections never pay
-// the matrix copy.  Dataset-id submissions hash nothing at all: the id IS
-// the matrix digest, so the key costs a few hundred bytes of SHA-256
-// instead of a pass over the cells.
-func (s *Spec) contentKey() (string, error) {
+// the matrix copy.  It also returns the dataset digest inside the key, so
+// the caller never hashes the cells a second time.  Dataset-id
+// submissions hash nothing at all: the id IS the matrix digest, so the
+// key costs a few hundred bytes of SHA-256 instead of a pass over the
+// cells.
+func (s *Spec) contentKey() (key, digest string, err error) {
 	if err := s.validate(); err != nil {
-		return "", err
+		return "", "", err
 	}
-	if s.DatasetID != "" {
-		return jobKey(s.DatasetID, s.Labels, s.Opt)
-	}
-	var digest string
-	if s.XFlat != nil {
+	switch {
+	case s.DatasetID != "":
+		digest = s.DatasetID
+	case s.XFlat != nil:
 		genes := s.Genes
-		digest = datasetDigestAt(genes, s.Samples, func(i, j int) float64 { return s.XFlat[j*genes+i] })
-	} else {
-		digest = datasetDigestAt(len(s.X), len(s.X[0]), func(i, j int) float64 { return s.X[i][j] })
+		digest = datasetDigestRows(genes, s.Samples, func(i int, row []float64) []float64 {
+			for j := range row {
+				row[j] = s.XFlat[j*genes+i]
+			}
+			return row
+		})
+	default:
+		digest = datasetDigestRows(len(s.X), len(s.X[0]), func(i int, _ []float64) []float64 { return s.X[i] })
 	}
-	return jobKey(digest, s.Labels, s.Opt)
+	key, err = jobKey(digest, s.Labels, s.Opt)
+	return key, digest, err
 }
 
 // DatasetDigest computes the content address of a matrix: a SHA-256 over
@@ -227,31 +234,32 @@ func (s *Spec) contentKey() (string, error) {
 // The digest is the dataset id of the registry: same cells, same id —
 // however the matrix arrived (rows, flat column-major or binary).
 func DatasetDigest(m matrix.Matrix) string {
-	return datasetDigestAt(m.Rows, m.Cols, m.At)
+	return datasetDigestRows(m.Rows, m.Cols, func(i int, _ []float64) []float64 { return m.Row(i) })
 }
 
-// datasetDigestAt is DatasetDigest through a cell accessor, so row-slice
-// and column-major flat payloads hash without being transposed first.
-func datasetDigestAt(rows, cols int, at func(i, j int) float64) string {
+// datasetDigestRows is DatasetDigest over a row source, so row-slice and
+// column-major flat payloads hash without being transposed first.  row(i,
+// scratch) returns row i's cols cells, either as a view or gathered into
+// scratch; each row reaches the hash as one write.
+func datasetDigestRows(rows, cols int, row func(i int, scratch []float64) []float64) string {
 	canonNaN := math.Float64bits(math.NaN())
 	h := sha256.New()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
 	h.Write([]byte("sprint-dataset-v1"))
-	writeU64(uint64(rows))
-	writeU64(uint64(cols))
+	var shape [16]byte
+	binary.LittleEndian.PutUint64(shape[:8], uint64(rows))
+	binary.LittleEndian.PutUint64(shape[8:], uint64(cols))
+	h.Write(shape[:])
+	scratch := make([]float64, cols)
+	buf := make([]byte, 8*cols)
 	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			v := at(i, j)
-			if math.IsNaN(v) {
-				writeU64(canonNaN)
-			} else {
-				writeU64(math.Float64bits(v))
+		for j, v := range row(i, scratch) {
+			bits := math.Float64bits(v)
+			if v != v { // NaN
+				bits = canonNaN
 			}
+			binary.LittleEndian.PutUint64(buf[8*j:], bits)
 		}
+		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -322,6 +330,10 @@ var (
 	ErrUnknownJob = fmt.Errorf("jobs: unknown job")
 	// ErrNotDone reports a result request for an unfinished job.
 	ErrNotDone = fmt.Errorf("jobs: job not done")
+	// ErrResultEvicted reports a done job whose result has left the result
+	// cache.  Results are a pure function of the inputs, so resubmitting
+	// the job recomputes the identical bits.
+	ErrResultEvicted = fmt.Errorf("jobs: result evicted from the result cache; resubmit the job to recompute it")
 	// ErrUnknownDataset reports a dataset id the registry does not hold
 	// (neither in memory nor in its disk mirror).
 	ErrUnknownDataset = fmt.Errorf("jobs: unknown dataset")

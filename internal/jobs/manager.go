@@ -39,8 +39,11 @@ type Config struct {
 	// keeps the engine defaults (0.05 and 0.02).
 	DefaultSeqAlpha     float64
 	DefaultSeqTolerance float64
-	// CacheSize bounds the result cache (entries).  Defaults to 128.
-	// Negative disables caching.
+	// CacheSize bounds the result cache (entries), the one owner of
+	// finished results: Manager.Result answers from it, and a done job whose
+	// result has aged out reports ErrResultEvicted.  Defaults to 128.
+	// Negative disables cache hits at Submit only; finished results still
+	// stay fetchable from an LRU of the default size.
 	CacheSize int
 	// CheckpointDir, when non-empty, mirrors checkpoints to disk so
 	// resume survives a daemon restart.  Empty keeps them in memory only.
@@ -139,6 +142,10 @@ func (c Config) applyModeDefaults(opt core.Options) core.Options {
 	return opt
 }
 
+// defaultCacheSize is the result cache's entry bound when Config leaves
+// CacheSize zero or negative.
+const defaultCacheSize = 128
+
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = runtime.NumCPU() / 2
@@ -156,7 +163,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultEvery = 1000
 	}
 	if c.CacheSize == 0 {
-		c.CacheSize = 128
+		c.CacheSize = defaultCacheSize
 	}
 	if c.MaxJobs < 1 {
 		c.MaxJobs = 4096
@@ -192,13 +199,15 @@ type job struct {
 	id   string
 	key  string
 	spec Spec
-	// data is the resolved flat matrix the analysis runs on; the spec's
-	// X/XFlat payloads are released at submission once data exists.
-	// Dataset-id jobs carry no data at all: ds pins the registry entry
-	// (one reference, held from submission to the terminal state) and the
+	// data is the resolved flat matrix the analysis runs on, and digest
+	// its DatasetDigest, taken once at submission; the spec's X/XFlat
+	// payloads are released at submission once data exists.  Dataset-id
+	// jobs carry no data at all: ds pins the registry entry (one
+	// reference, held from submission to the terminal state) and the
 	// worker runs over its shared preparation instead.
-	data matrix.Matrix
-	ds   *dsEntry
+	data   matrix.Matrix
+	digest string
+	ds     *dsEntry
 
 	tenant     string
 	class      JobClass
@@ -210,7 +219,6 @@ type job struct {
 	resumedFrom int64
 	cacheHit    bool
 	profile     core.Profile
-	result      *core.Result
 
 	// Sequential-mode live progress (updated from the run's OnSeq hook):
 	// rows still accumulating and per-row evaluations already saved.
@@ -402,11 +410,15 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	cacheMax := cfg.CacheSize
+	if cacheMax < 0 {
+		cacheMax = defaultCacheSize
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:       cfg,
 		jobs:      make(map[string]*job),
-		cache:     newResultCache(cfg.CacheSize),
+		cache:     newResultCache(cacheMax),
 		ckpts:     ckpts,
 		datasets:  datasets,
 		queue:     newFairQueue(cfg.QueueDepth, cfg.InteractiveWeight),
@@ -675,7 +687,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	// The content key is computed in place, whichever payload form was
 	// submitted: cache hits and shed submissions never pay the matrix
 	// copy that resolve makes.
-	key, err := spec.contentKey()
+	key, digest, err := spec.contentKey()
 	if err != nil {
 		return Status{}, err
 	}
@@ -685,7 +697,11 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		m.mu.Unlock()
 		return Status{}, ErrClosed
 	}
-	if res, ok := m.cache.get(key); ok {
+	var res *core.Result
+	if m.cfg.CacheSize >= 0 {
+		res, _ = m.cache.get(key)
+	}
+	if res != nil {
 		now := m.cfg.Clock()
 		m.seq++
 		j := &job{
@@ -696,7 +712,6 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 			class:       class,
 			state:       Done,
 			cacheHit:    true,
-			result:      res,
 			done:        res.B,
 			total:       res.B,
 			submittedAt: now,
@@ -740,12 +755,11 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	// Cache miss: attach the payload outside the lock.  Dataset
 	// submissions pin their registry entry (one reference held until the
 	// job is terminal) and carry no matrix at all; matrix submissions
-	// make the engine's private copy (the one copy) — a transpose of the
-	// paper's exon-array matrix takes tens of milliseconds and must not
+	// make the engine's private copy (the one copy) — a copy or transpose
+	// of the paper's exon-array matrix takes milliseconds and must not
 	// stall API handlers.
 	var data matrix.Matrix
 	var ds *dsEntry
-	datasetDigest := spec.DatasetID
 	if spec.DatasetID != "" {
 		ds, err = m.datasetRef(spec.DatasetID)
 		if err != nil {
@@ -762,13 +776,12 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		if m.journal != nil {
 			// The journal records datasets by content address only, so a
 			// matrix submission becomes durable by mirroring its cells
-			// into the dataset plane first.  The digest equals the one
+			// into the dataset plane first.  The digest is the one
 			// inside the content key, so the replayed dataset-id job
 			// shares this job's cache and checkpoint identity exactly.
 			// A failed mirror degrades durability (the job would replay
 			// as unrecoverable), never service.
-			datasetDigest = DatasetDigest(data)
-			if err := m.datasets.writeDisk(datasetDigest, data); err != nil {
+			if err := m.datasets.writeDisk(digest, data); err != nil {
 				m.journalAppendEr.Add(1)
 				m.met.journalAppendErr.Inc()
 			}
@@ -788,6 +801,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		key:         key,
 		spec:        spec,
 		data:        data,
+		digest:      digest,
 		ds:          ds,
 		tenant:      spec.Tenant,
 		class:       class,
@@ -810,7 +824,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	// once the client holds the job id, a crash cannot forget the job.
 	// Appending under m.mu is what orders this record before any
 	// lifecycle record a fast worker could write.
-	m.journalAppend(submitRecord(j, datasetDigest))
+	m.journalAppend(submitRecord(j, digest))
 	return j.status(), nil
 }
 
@@ -860,8 +874,9 @@ func (m *Manager) Get(id string) (Status, error) {
 	return j.status(), nil
 }
 
-// Result returns the finished result of a job, or ErrNotDone while it is
-// still queued, running, cancelled or failed.
+// Result returns the finished result of a job from the result cache,
+// ErrNotDone while the job is still queued, running, cancelled or failed,
+// and ErrResultEvicted once a done job's result has aged out of the cache.
 func (m *Manager) Result(id string) (*core.Result, Status, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -869,10 +884,14 @@ func (m *Manager) Result(id string) (*core.Result, Status, error) {
 	if !ok {
 		return nil, Status{}, ErrUnknownJob
 	}
-	if j.state != Done || j.result == nil {
+	if j.state != Done {
 		return nil, j.status(), ErrNotDone
 	}
-	return j.result, j.status(), nil
+	res, ok := m.cache.get(j.key)
+	if !ok {
+		return nil, j.status(), ErrResultEvicted
+	}
+	return res, j.status(), nil
 }
 
 // Cancel stops a job.  A queued job is marked cancelled and skipped when a
@@ -1137,7 +1156,6 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	switch {
 	case err == nil:
 		j.state = Done
-		j.result = res
 		j.profile = res.Profile
 		j.done, j.total = res.B, res.B
 		if res.Sequential() {

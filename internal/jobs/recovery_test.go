@@ -569,7 +569,7 @@ func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.B, opt.Seed = 20000, 3
 	spec := Spec{X: data.X, Labels: data.Labels, Opt: opt, NProcs: 1, Every: 1024}
-	key, err := spec.contentKey()
+	key, _, err := spec.contentKey()
 	if err != nil {
 		t.Fatal(err)
 	}
