@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -363,6 +365,52 @@ func TestStreamingDecodeBoundsMemory(t *testing.T) {
 	if streamAlloc > bufferedAlloc*2/5 {
 		t.Errorf("streaming decode allocated %d bytes vs buffered %d — whole-body buffering is back?",
 			streamAlloc, bufferedAlloc)
+	}
+}
+
+// TestFlatShapeAfterArray: an x_flat array whose genes and samples follow
+// it decodes to the same cells as one whose shape comes first, across the
+// scanner's block boundaries, and costs at most its cells twice over (the
+// blocks, then the joined slice) rather than append growth's repeated
+// copies.
+func TestFlatShapeAfterArray(t *testing.T) {
+	for _, n := range []int{0, 1, 1024, 1025, 5*flatBlockMax + 3} {
+		cells := make([]string, n)
+		for i := range cells {
+			cells[i] = strconv.FormatFloat(float64(i)/7-3, 'g', -1, 64)
+		}
+		if n > 1 {
+			cells[n/2] = "null"
+		}
+		arr := `"x_flat":[` + strings.Join(cells, ",") + `]`
+		shape := fmt.Sprintf(`"genes":%d,"samples":1`, n)
+		first, err := DecodeSubmit(strings.NewReader(`{"dataset":{` + shape + `,` + arr + `}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := strings.NewReader(`{"dataset":{` + arr + `,` + shape + `}}`)
+		var before, end runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		after, err := DecodeSubmit(body)
+		runtime.ReadMemStats(&end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := after.Dataset.XFlat, first.Dataset.XFlat
+		if len(got) != n || len(want) != n || after.Dataset.Genes != n {
+			t.Fatalf("n=%d: decoded %d cells (shape first: %d), genes %d", n, len(got), len(want), after.Dataset.Genes)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d cell %d: shape after %v, shape first %v", n, i, got[i], want[i])
+			}
+		}
+		if n > flatBlockMax {
+			if alloc := end.TotalAlloc - before.TotalAlloc; alloc > uint64(n)*8*5/2 {
+				t.Errorf("n=%d: decode allocated %d bytes, more than 2.5× the %d cell bytes", n, alloc, n*8)
+			}
+		}
 	}
 }
 

@@ -257,7 +257,7 @@ func (sd *submitDecoder) decodeRows(out *Matrix) error {
 // allocating nothing per cell.  When the shape fields arrived before the
 // array (the common key order), the slice is sized once up front.
 func (sd *submitDecoder) decodeFlat(d *DatasetJSON, out *Floats) error {
-	br := bufio.NewReader(sd.takeover())
+	br := bufio.NewReaderSize(sd.takeover(), flatReadSize)
 	// The hint comes from client-controlled fields, so it bounds nothing
 	// by itself: a 60-byte body claiming genes=samples=4e6 must not make
 	// the server attempt a 140 TB allocation.  Cap the preallocation at
@@ -287,6 +287,11 @@ func (sd *submitDecoder) decodeFlat(d *DatasetJSON, out *Floats) error {
 // flatWindow is the Peek window of the x_flat scanner.  It bounds both
 // the scan granularity and the longest single number token accepted.
 const flatWindow = 4096
+
+// flatReadSize is the x_flat scanner's read buffer: a refill reads up to
+// this many bytes of body at once, so an 8 MB array takes about 130 reads
+// from the connection instead of the 2000 a window-sized buffer would.
+const flatReadSize = 64 << 10
 
 // isJSONSpace reports JSON's four whitespace bytes.
 func isJSONSpace(c byte) bool {
@@ -464,7 +469,7 @@ func (fs *flatScanner) finish() error {
 // ',' if one follows, leaving br exactly where resume needs it.  sizeHint
 // (0 = unknown) pre-sizes the slice so the usual genes×samples payload
 // costs one allocation.
-func scanFlat(br *bufio.Reader, sizeHint int) (vals Floats, absent bool, err error) {
+func scanFlat(br *bufio.Reader, sizeHint int) (Floats, bool, error) {
 	fs := &flatScanner{br: br}
 	c, err := fs.next()
 	if err != nil {
@@ -488,18 +493,14 @@ func scanFlat(br *bufio.Reader, sizeHint int) (vals Floats, absent bool, err err
 		return nil, false, fmt.Errorf("expected an array of numbers")
 	}
 	fs.i++
-	if sizeHint > 0 {
-		vals = make(Floats, 0, sizeHint)
-	} else {
-		vals = make(Floats, 0, 1024)
-	}
+	cells := newFlatCells(sizeHint)
 	c, err = fs.next()
 	if err != nil {
 		return nil, false, err
 	}
 	if c == ']' {
 		fs.i++
-		return vals, false, fs.finish()
+		return cells.join(), false, fs.finish()
 	}
 	for {
 		c, err = fs.next()
@@ -510,13 +511,13 @@ func scanFlat(br *bufio.Reader, sizeHint int) (vals Floats, absent bool, err err
 			if err := fs.lit("null"); err != nil {
 				return nil, false, err
 			}
-			vals = append(vals, math.NaN())
+			cells.add(math.NaN())
 		} else {
 			v, err := fs.number()
 			if err != nil {
-				return nil, false, fmt.Errorf("cell %d: %w", len(vals), err)
+				return nil, false, fmt.Errorf("cell %d: %w", cells.len(), err)
 			}
-			vals = append(vals, v)
+			cells.add(v)
 		}
 		c, err = fs.next()
 		if err != nil {
@@ -526,11 +527,62 @@ func scanFlat(br *bufio.Reader, sizeHint int) (vals Floats, absent bool, err err
 		switch c {
 		case ',':
 		case ']':
-			return vals, false, fs.finish()
+			return cells.join(), false, fs.finish()
 		default:
-			return nil, false, fmt.Errorf("cell %d: expected ',' or ']', got %q", len(vals), c)
+			return nil, false, fmt.Errorf("cell %d: expected ',' or ']', got %q", cells.len(), c)
 		}
 	}
+}
+
+// flatBlockMax bounds the blocks flatCells fills: they double from the
+// first block's size up to this many cells (512 KB) and stay there.
+const flatBlockMax = 1 << 16
+
+// flatCells accumulates the cells of one x_flat array.  With the shape
+// known up front the first block is sized to the whole array and nothing
+// is ever copied.  Without it (x_flat before genes and samples) full
+// blocks are kept as they are and joined once, at the end, into one
+// exactly sized slice: append growth would instead copy the prefix again
+// at every step, about four times the array in all.
+type flatCells struct {
+	full [][]float64 // filled blocks, in order
+	n    int         // cells in full
+	cur  []float64   // the block being filled
+}
+
+func newFlatCells(sizeHint int) *flatCells {
+	if sizeHint <= 0 {
+		sizeHint = 1024
+	}
+	return &flatCells{cur: make([]float64, 0, sizeHint)}
+}
+
+func (c *flatCells) add(v float64) {
+	if len(c.cur) == cap(c.cur) {
+		c.spill()
+	}
+	c.cur = append(c.cur, v)
+}
+
+// spill files the full current block and starts the next one.
+func (c *flatCells) spill() {
+	c.full = append(c.full, c.cur)
+	c.n += len(c.cur)
+	c.cur = make([]float64, 0, min(2*cap(c.cur), flatBlockMax))
+}
+
+func (c *flatCells) len() int { return c.n + len(c.cur) }
+
+// join returns every cell in one slice.
+func (c *flatCells) join() Floats {
+	if len(c.full) == 0 {
+		return c.cur
+	}
+	out := make(Floats, 0, c.len())
+	for _, b := range c.full {
+		out = append(out, b...)
+	}
+	return append(out, c.cur...)
 }
 
 // decodeDatasetUpload streams a PUT /v1/datasets JSON body: a bare
