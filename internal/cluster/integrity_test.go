@@ -5,8 +5,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sprint/internal/cluster"
 	"sprint/internal/core"
@@ -216,23 +218,51 @@ func TestClusterPushDigestEcho(t *testing.T) {
 		})
 	}
 
+	// holdFirstShard keeps the honest worker's first shard request until
+	// the liar's echo has been rejected.  Without it, w2 (and the
+	// coordinator's local loop behind it) can claim every shard before w1
+	// is sent one, and w1 never receives a push to lie about.
+	reg := metrics.New()
+	mismatches := reg.Counter("integrity_push_digest_mismatch_total")
+	var heldTooLong atomic.Bool
+	holdFirstShard := func(next http.Handler) http.Handler {
+		var once sync.Once
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/cluster/v1/shards") {
+				once.Do(func() {
+					deadline := time.Now().Add(10 * time.Second)
+					for mismatches.Value() == 0 && r.Context().Err() == nil {
+						if time.Now().After(deadline) {
+							heldTooLong.Store(true)
+							return
+						}
+						time.Sleep(time.Millisecond)
+					}
+				})
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+
 	// w1 starts empty and lies about what it registered; w2 is preloaded
 	// and honest, so the job has a clean path to converge through.
 	w1 := newWorkerNode(t, lyingEcho)
-	w2 := newWorkerNode(t, nil)
+	w2 := newWorkerNode(t, holdFirstShard)
 	if _, _, err := w2.srv.Manager().PutDataset(x); err != nil {
 		t.Fatal(err)
 	}
 
-	reg := metrics.New()
 	_, cm := coordManager(t, cluster.CoordinatorConfig{
 		Workers: []string{w1.ts.URL, w2.ts.URL},
 		Metrics: reg,
 	})
 
 	got := runOn(t, cm, x, lab, opt)
+	if heldTooLong.Load() {
+		t.Fatal("honest worker's first shard held 10 s without a lying push echo being counted")
+	}
 	sameRes(t, "push-echo", got, want)
-	if n := reg.Counter("integrity_push_digest_mismatch_total").Value(); n == 0 {
+	if mismatches.Value() == 0 {
 		t.Error("lying push echo not counted")
 	}
 }

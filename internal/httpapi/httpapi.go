@@ -224,21 +224,10 @@ func (f *Floats) UnmarshalJSON(b []byte) error {
 	}
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler with the result writer's array
+// formatter, so encoding/json and the direct writer agree byte for byte.
 func (f Floats) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 1+len(f)*8)
-	buf = append(buf, '[')
-	for i, v := range f {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			buf = append(buf, "null"...)
-		} else {
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-		}
-	}
-	return append(buf, ']'), nil
+	return appendFloats(make([]byte, 0, 2+len(f)*8), f, nil), nil
 }
 
 // DatasetJSON is the submission payload's data block.  The matrix arrives
@@ -417,7 +406,10 @@ func statusJSON(st jobs.Status) StatusJSON {
 	return out
 }
 
-// ResultJSON is the GET /v1/jobs/{id}/result body.
+// ResultJSON is the GET /v1/jobs/{id}/result body.  The handler writes it
+// with appendResult (result.go), not encoding/json; a field added here
+// needs a line there, and TestResultDocumentMatchesEncodingJSON fails
+// until it has one.
 type ResultJSON struct {
 	ID       string `json:"id"`
 	Key      string `json:"key"`
@@ -695,7 +687,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			out.BEffective = res.BEff
 			out.PermsSaved = res.SeqPermsSaved()
 		}
-		writeJSON(w, http.StatusOK, out)
+		writeResult(w, &out)
 	}
 }
 
