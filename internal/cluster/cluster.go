@@ -37,8 +37,6 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"hash/crc64"
 	"net/http"
 	"time"
 
@@ -56,6 +54,9 @@ const (
 
 	datasetsPath   = "/v1/datasets"
 	spbContentType = "application/x-sprint-spb"
+	// countsContentType marks a shard response body that is one counts
+	// record (core.Checkpoint.AppendRecord).
+	countsContentType = "application/x-sprint-counts"
 )
 
 // Route is one HTTP route a cluster node mounts on the daemon's mux.
@@ -137,6 +138,13 @@ type WorkerNodeInfo struct {
 // and Fingerprint the coordinator's plan fingerprint, which the worker
 // must reproduce bit-for-bit before computing (engine or option drift
 // across nodes fails loudly instead of merging wrong counts).
+//
+// The worker answers 200 with one counts record (countsContentType)
+// covering [Lo, Next) of the window; Next < Hi is a drained worker's
+// prefix hand-off, whose remainder the coordinator re-dispatches.  The
+// record's frame CRC is the end-to-end check: a bit flipped anywhere
+// between the worker's kernel and the coordinator's merge rejects the
+// delivery whole and re-dispatches the shard.
 type ShardRequest struct {
 	JobKey      string       `json:"job_key"`
 	DatasetID   string       `json:"dataset_id"`
@@ -155,64 +163,6 @@ type ShardRequest struct {
 	// collect the result from retention.  Renewed via LeasesPath; 0 ties
 	// the compute to the request context (pre-lease behavior).
 	LeaseMS int64 `json:"lease_ms,omitempty"`
-}
-
-// ShardResponse carries a shard's counts back.  Counts cover [Lo, Next);
-// Partial marks a drained worker's prefix hand-off (Next < Hi), whose
-// remainder [Next, Hi) the coordinator re-dispatches.  CRC64 is the
-// end-to-end integrity checksum over the count-bearing fields (see CRC):
-// the worker stamps it after computing, the coordinator re-derives it
-// after decoding, and a mismatch — a bit flipped anywhere between the
-// worker's kernel and the coordinator's merge — rejects the delivery
-// whole and re-dispatches the shard.  A zero checksum is rejected the
-// same way: every node stamps one.
-type ShardResponse struct {
-	Lo          int64   `json:"lo"`
-	Next        int64   `json:"next"`
-	Hi          int64   `json:"hi"`
-	TotalB      int64   `json:"total_b"`
-	Complete    bool    `json:"complete"`
-	Fingerprint uint64  `json:"fingerprint"`
-	Partial     bool    `json:"partial"`
-	B           int64   `json:"b"`
-	Raw         []int64 `json:"raw"`
-	Adj         []int64 `json:"adj"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-	CRC64       uint64  `json:"crc64,omitempty"`
-}
-
-// shardCRCTable is the CRC64 polynomial shared with the checkpoint and
-// journal frames (ECMA).
-var shardCRCTable = crc64.MakeTable(crc64.ECMA)
-
-// CRC derives the response's integrity checksum: CRC64-ECMA over the
-// little-endian encoding of every field that feeds the merge — the
-// range, the plan identity and the count vectors (length-prefixed, so
-// boundary shifts between Raw and Adj cannot cancel out).  ElapsedMS is
-// excluded: it is telemetry, and a float would round-trip JSON less
-// predictably than the integers.
-func (r *ShardResponse) CRC() uint64 {
-	h := crc64.New(shardCRCTable)
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	put(uint64(r.Lo))
-	put(uint64(r.Next))
-	put(uint64(r.Hi))
-	put(uint64(r.TotalB))
-	put(uint64(r.B))
-	put(r.Fingerprint)
-	put(uint64(len(r.Raw)))
-	for _, v := range r.Raw {
-		put(uint64(v))
-	}
-	put(uint64(len(r.Adj)))
-	for _, v := range r.Adj {
-		put(uint64(v))
-	}
-	return h.Sum64()
 }
 
 // errorBody is the JSON error payload of the internal API, with a

@@ -72,14 +72,14 @@ func newLedgerState(rows int, lo, hi int64) (*jobState, *shardRec) {
 	return st, rec
 }
 
-func resp(lo, next, hi int64, fp uint64, rows int, fill int64) *ShardResponse {
+func resp(lo, next, hi int64, fp uint64, rows int, fill int64) *core.Checkpoint {
 	raw := make([]int64, rows)
 	adj := make([]int64, rows)
 	for i := range raw {
 		raw[i], adj[i] = fill, fill
 	}
-	return &ShardResponse{Lo: lo, Next: next, Hi: hi, TotalB: hi, Fingerprint: fp,
-		B: next - lo, Raw: raw, Adj: adj}
+	return &core.Checkpoint{Next: next, Hi: hi, TotalB: hi, Fingerprint: fp,
+		Done: next - lo, Raw: raw, Adj: adj}
 }
 
 // TestLedgerExactlyOnce is the double-dispatch idempotency property: of
@@ -93,7 +93,7 @@ func TestLedgerExactlyOnce(t *testing.T) {
 	st.c.inflight.Add(2)
 
 	first := resp(0, 100, 100, 0xfeed, rows, 7)
-	st.deliver(rec, first, "w")
+	st.deliver(rec, first, nil, "w")
 	if st.merged.B != 100 || st.merged.Raw[0] != 7 {
 		t.Fatalf("first delivery not merged: B=%d raw=%v", st.merged.B, st.merged.Raw)
 	}
@@ -102,7 +102,7 @@ func TestLedgerExactlyOnce(t *testing.T) {
 	}
 
 	// The duplicate (same window, same counts) must change nothing.
-	st.deliver(rec, resp(0, 100, 100, 0xfeed, rows, 7), "w")
+	st.deliver(rec, resp(0, 100, 100, 0xfeed, rows, 7), nil, "w")
 	if st.merged.B != 100 || st.merged.Raw[0] != 7 || st.merged.Adj[0] != 7 {
 		t.Fatalf("duplicate delivery double-counted: B=%d raw=%v", st.merged.B, st.merged.Raw)
 	}
@@ -112,7 +112,7 @@ func TestLedgerExactlyOnce(t *testing.T) {
 // wrong window start, wrong row count, inconsistent B.
 func TestLedgerRejectsDrift(t *testing.T) {
 	const rows = 2
-	bad := []*ShardResponse{
+	bad := []*core.Checkpoint{
 		resp(0, 100, 100, 0xbad, rows, 1),   // fingerprint drift
 		resp(10, 100, 100, 0xfeed, rows, 1), // does not start at rec.lo
 		resp(0, 0, 100, 0xfeed, rows, 1),    // empty window
@@ -120,13 +120,13 @@ func TestLedgerRejectsDrift(t *testing.T) {
 		resp(0, 100, 100, 0xfeed, 5, 1),     // wrong row count
 	}
 	inconsistent := resp(0, 100, 100, 0xfeed, rows, 1)
-	inconsistent.B = 42 // B != Next-Lo
+	inconsistent.Done = 42 // counts over [58, 100), not from rec.lo
 	bad = append(bad, inconsistent)
 	for i, r := range bad {
 		st, rec := newLedgerState(rows, 0, 100)
 		rec.inflight = 1
 		st.c.inflight.Add(1)
-		st.deliver(rec, r, "w")
+		st.deliver(rec, r, nil, "w")
 		if st.merged.B != 0 || rec.done || st.remaining != 1 {
 			t.Errorf("bad delivery %d accepted: B=%d done=%v", i, st.merged.B, rec.done)
 		}
@@ -141,7 +141,7 @@ func TestLedgerPartialAdvances(t *testing.T) {
 	st, rec := newLedgerState(rows, 0, 100)
 	rec.inflight = 1
 	st.c.inflight.Add(1)
-	st.deliver(rec, resp(0, 40, 100, 0xfeed, rows, 3), "w")
+	st.deliver(rec, resp(0, 40, 100, 0xfeed, rows, 3), nil, "w")
 	if st.merged.B != 40 || rec.lo != 40 || rec.done || !rec.queued {
 		t.Fatalf("partial not advanced: B=%d lo=%d done=%v queued=%v",
 			st.merged.B, rec.lo, rec.done, rec.queued)
@@ -150,14 +150,14 @@ func TestLedgerPartialAdvances(t *testing.T) {
 	// the advanced lo and is discarded.
 	rec.inflight = 1
 	st.c.inflight.Add(1)
-	st.deliver(rec, resp(0, 100, 100, 0xfeed, rows, 3), "w")
+	st.deliver(rec, resp(0, 100, 100, 0xfeed, rows, 3), nil, "w")
 	if st.merged.B != 40 {
 		t.Fatalf("stale full-window delivery merged over partial: B=%d", st.merged.B)
 	}
 	// The remainder completes the shard.
 	rec.inflight = 1
 	st.c.inflight.Add(1)
-	st.deliver(rec, resp(40, 100, 100, 0xfeed, rows, 5), "w")
+	st.deliver(rec, resp(40, 100, 100, 0xfeed, rows, 5), nil, "w")
 	if st.merged.B != 100 || !rec.done || st.remaining != 0 {
 		t.Fatalf("remainder not merged: B=%d done=%v", st.merged.B, rec.done)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sprint/internal/core"
+	"sprint/internal/durable"
 	"sprint/internal/jobs"
 	"sprint/internal/matrix"
 	"sprint/internal/maxt"
@@ -201,7 +202,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	reg.Help("cluster_workers_live", "Workers currently considered live.")
 	reg.Help("cluster_shards_in_flight", "Shards currently dispatched and unresolved.")
 	reg.Help("cluster_rpc_timeout_total", "Cluster RPCs that hit their deadline, by call.")
-	reg.Help("integrity_shard_corrupt_total", "Shard deliveries rejected for a CRC mismatch and re-dispatched.")
+	reg.Help("integrity_shard_corrupt_total", "Shard deliveries rejected as corrupt (frame CRC, record version or length, content type) and re-dispatched.")
 	reg.Help("integrity_push_digest_mismatch_total", "Dataset pushes whose echoed content id disagreed with the local digest.")
 	reg.Help("cluster_seq_early_stops_total", "Sequential jobs whose merged counts satisfied the stopping rule before every shard finished.")
 	c.metDispatched = reg.Counter("cluster_shards_dispatched_total")
@@ -625,10 +626,9 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	if adopt != nil {
 		c.ledgerJobs.Add(1)
 		c.metLedgerJobs.Inc()
-		for i := range adopt.deliveries {
-			d := &adopt.deliveries[i]
-			mergeMasked(merged, d.Raw, d.Adj, d.B, frozen)
-			if d.Lo == 0 {
+		for _, d := range adopt.deliveries {
+			mergeMasked(merged, d.Raw, d.Adj, d.Done, frozen)
+			if d.Next == d.Done {
 				seenObserved = true
 			}
 		}
@@ -723,7 +723,7 @@ func mergeMasked(dst *maxt.Counts, raw, adj []int64, b int64, frozen []int64) {
 // fully-covered spans dropped).
 type adoption struct {
 	remaining  [][2]int64
-	deliveries []jobs.LedgerDelivery
+	deliveries []*core.Checkpoint
 }
 
 // adoptLedger validates a replayed ledger against the freshly planned
@@ -733,11 +733,12 @@ type adoption struct {
 // under the journal (engine upgrade, different checkpoint) and the
 // whole ledger is discarded: the job re-partitions from the resume
 // prefix alone and writes a fresh plan record.  Within a valid plan,
-// deliveries are adopted per span as a contiguous CRC-verified chain
-// from the span's lo; a delivery that does not chain or fails its
-// checksum drops together with the rest of its span's chain, and those
-// windows simply recompute.  Correctness never rides on the journal —
-// it can only save work, not corrupt the merge.
+// deliveries are adopted per span as a contiguous chain from the span's
+// lo, each counts record verified against the CRC its worker framed it
+// with; a delivery that does not chain or fails its check drops together
+// with the rest of its span's chain, and those windows simply recompute.
+// Correctness never rides on the journal — it can only save work, not
+// corrupt the merge.
 func (c *Coordinator) adoptLedger(rep *jobs.LedgerState, plan core.Plan, sequential bool, start int64, frozen []int64) *adoption {
 	if rep == nil {
 		return nil
@@ -779,27 +780,24 @@ func (c *Coordinator) adoptLedger(rep *jobs.LedgerState, plan core.Plan, sequent
 	for i, sp := range rep.Spans {
 		lo[i] = sp[0]
 	}
-	var adopted []jobs.LedgerDelivery
+	var adopted []*core.Checkpoint
 	// Deliveries were journaled in merge order, so one pass chains them.
-	for _, d := range rep.Deliveries {
+	for _, del := range rep.Deliveries {
+		d, err := core.DecodeRecord(del.Counts)
+		if err != nil {
+			c.metShardCorrupt.Inc()
+			continue
+		}
+		dlo := d.Next - d.Done
 		idx := -1
 		for i, sp := range rep.Spans {
-			if d.Lo >= sp[0] && d.Hi == sp[1] {
+			if dlo >= sp[0] && d.Hi == sp[1] {
 				idx = i
 				break
 			}
 		}
-		if idx < 0 || d.Lo != lo[idx] || d.Next <= d.Lo || d.Next > d.Hi ||
-			d.B != d.Next-d.Lo ||
-			len(d.Raw) != plan.Rows || len(d.Adj) != plan.Rows {
-			continue
-		}
-		chk := ShardResponse{
-			Lo: d.Lo, Next: d.Next, Hi: d.Hi, TotalB: plan.TotalB,
-			Fingerprint: plan.Fingerprint, B: d.B, Raw: d.Raw, Adj: d.Adj,
-		}
-		if d.CRC64 == 0 || chk.CRC() != d.CRC64 {
-			c.metShardCorrupt.Inc()
+		if idx < 0 || dlo != lo[idx] || d.Done == 0 ||
+			d.Fingerprint != plan.Fingerprint || d.TotalB != plan.TotalB || len(d.Raw) != plan.Rows {
 			continue
 		}
 		lo[idx] = d.Next
@@ -1032,10 +1030,13 @@ func (st *jobState) requeue(rec *shardRec, reason string) {
 // equals the record's current lo and the fingerprint matches the plan;
 // anything else — duplicate, stale range, drifted node — is discarded
 // whole.  A partial delivery (next < hi) merges its prefix and requeues
-// the remainder.  from names the delivering worker ("local" for the
-// coordinator's own loop) for the ledger record.
-func (st *jobState) deliver(rec *shardRec, resp *ShardResponse, from string) {
+// the remainder.  counts is ck's record as it arrived, journaled as it
+// is (nil for the coordinator's own loop, which encodes it only to
+// journal it); from names the delivering worker ("local" for that loop)
+// for the ledger record.
+func (st *jobState) deliver(rec *shardRec, ck *core.Checkpoint, counts []byte, from string) {
 	rows := st.plan.Rows
+	lo := ck.Next - ck.Done
 	st.mu.Lock()
 	rec.inflight--
 	st.c.inflight.Add(-1)
@@ -1045,27 +1046,19 @@ func (st *jobState) deliver(rec *shardRec, resp *ShardResponse, from string) {
 		rec.dispatchedAt = st.c.cfg.Clock()
 	}
 	ok := !rec.done && st.err == nil && !st.finished &&
-		resp.Fingerprint == st.plan.Fingerprint &&
-		resp.TotalB == st.plan.TotalB &&
-		resp.Lo == rec.lo && resp.Next > rec.lo && resp.Next <= rec.hi &&
-		resp.B == resp.Next-resp.Lo &&
-		len(resp.Raw) == rows && len(resp.Adj) == rows
-	var ledDel *jobs.LedgerDelivery
+		ck.Fingerprint == st.plan.Fingerprint &&
+		ck.TotalB == st.plan.TotalB &&
+		lo == rec.lo && ck.Next > rec.lo && ck.Next <= rec.hi && ck.Hi == rec.hi &&
+		len(ck.Raw) == rows && len(ck.Adj) == rows
 	if ok {
-		mergeMasked(st.merged, resp.Raw, resp.Adj, resp.B, st.frozen)
-		rec.lo = resp.Next
+		mergeMasked(st.merged, ck.Raw, ck.Adj, ck.Done, st.frozen)
+		rec.lo = ck.Next
 		if rec.lo == rec.hi {
 			rec.done = true
 			st.remaining--
 		} else if !rec.queued {
 			rec.queued = true
 			st.queue = append(st.queue, rec)
-		}
-		if st.led != nil {
-			ledDel = &jobs.LedgerDelivery{
-				Lo: resp.Lo, Next: resp.Next, Hi: rec.hi, B: resp.B,
-				Raw: resp.Raw, Adj: resp.Adj, CRC64: resp.CRC64, Worker: from,
-			}
 		}
 		if st.req.OnProgress != nil {
 			st.req.OnProgress(st.merged.B, st.plan.TotalB)
@@ -1077,7 +1070,7 @@ func (st *jobState) deliver(rec *shardRec, resp *ShardResponse, from string) {
 			// count is conditioned on the observed statistics being in
 			// the ledger.  Merged shards cover disjoint index ranges of
 			// one iid sampled sequence, so any union is a valid sample.
-			if resp.Lo == 0 {
+			if lo == 0 {
 				st.seenObserved = true
 			}
 			if st.seenObserved && st.remaining > 0 {
@@ -1092,12 +1085,15 @@ func (st *jobState) deliver(rec *shardRec, resp *ShardResponse, from string) {
 	partial := ok && !rec.done
 	st.mu.Unlock()
 	st.cond.Broadcast()
-	if ledDel != nil {
+	if ok && st.led != nil {
 		// Journal OUTSIDE the dispatch lock: the append fsyncs, and that
 		// latency must not serialize the merge.  The crash window this
 		// opens is safe — a merged-but-unjournaled delivery re-dispatches
 		// after restart and worker retention re-serves it from cache.
-		st.led.RecordDelivery(ledDel)
+		if counts == nil {
+			counts = ck.AppendRecord(nil)
+		}
+		st.led.RecordDelivery(&jobs.LedgerDelivery{Worker: from, Counts: counts})
 		st.c.ledgerRecords.Add(1)
 		st.c.metLedgerRecords["shard"].Inc()
 	}
@@ -1161,14 +1157,7 @@ func (st *jobState) localLoop() {
 		}
 		st.c.localDone.Add(1)
 		st.c.metLocal.Inc()
-		resp := &ShardResponse{
-			Lo: sc.Lo, Next: sc.Next, Hi: hi,
-			TotalB: sc.Plan.TotalB, Complete: sc.Plan.Complete,
-			Fingerprint: sc.Plan.Fingerprint,
-			B:           sc.Counts.B, Raw: sc.Counts.Raw, Adj: sc.Counts.Adj,
-		}
-		resp.CRC64 = resp.CRC()
-		st.deliver(rec, resp, "local")
+		st.deliver(rec, sc.Checkpoint(), nil, "local")
 	}
 }
 
@@ -1237,9 +1226,23 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 		c.dispatched.Add(1)
 		c.metDispatched.Inc()
 		rpcStart := time.Now()
-		resp, status, reason, err := c.postShard(st.ctx, m.addr, &sreq)
+		ck, counts, status, reason, err := c.postShard(st.ctx, m.addr, &sreq, st.plan.Rows)
 		c.metRPC.ObserveDuration(time.Since(rpcStart))
 		switch {
+		case errors.Is(err, durable.ErrCorrupt):
+			// Corruption is detected HERE, not in deliver(): deliver
+			// silently discards a bad body without requeueing (that is
+			// its duplicate-suppression contract), which would leave the
+			// shard waiting on a straggler tick that never comes.  A
+			// rejected delivery re-dispatches immediately instead.  A
+			// worker of another record version fails here too.
+			c.cfg.Logger.LogAttrs(st.ctx, slog.LevelWarn, "cluster_shard_corrupt",
+				slog.String("worker", m.addr), slog.Int64("lo", lo), slog.Int64("hi", hi),
+				slog.String("error", err.Error()))
+			c.metShardCorrupt.Inc()
+			c.markDown(m)
+			st.requeue(rec, retryCorrupt)
+			return false
 		case err != nil:
 			c.cfg.Logger.LogAttrs(st.ctx, slog.LevelWarn, "cluster_shard_failed",
 				slog.String("worker", m.addr), slog.Int64("lo", lo), slog.Int64("hi", hi),
@@ -1263,20 +1266,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 			c.metPushes.Inc()
 			continue
 		case status == http.StatusOK:
-			// Corruption is detected HERE, not in deliver(): deliver
-			// silently discards a bad body without requeueing (that is
-			// its duplicate-suppression contract), which would leave the
-			// shard waiting on a straggler tick that never comes.  A
-			// rejected delivery re-dispatches immediately instead.
-			if resp.CRC64 == 0 || resp.CRC64 != resp.CRC() {
-				c.cfg.Logger.LogAttrs(st.ctx, slog.LevelWarn, "cluster_shard_corrupt",
-					slog.String("worker", m.addr), slog.Int64("lo", lo), slog.Int64("hi", hi))
-				c.metShardCorrupt.Inc()
-				c.markDown(m)
-				st.requeue(rec, retryCorrupt)
-				return false
-			}
-			st.deliver(rec, resp, m.addr)
+			st.deliver(rec, ck, counts, m.addr)
 			return true
 		default:
 			// Refused: draining (503), fingerprint drift (409), or a
@@ -1309,38 +1299,56 @@ func (c *Coordinator) callCtx(ctx context.Context, call string, d time.Duration)
 	return tctx, cancel, note
 }
 
-// postShard performs one shard RPC under DispatchTimeout.  A non-200
-// answer is returned as (nil, status, reason, nil); transport-level
-// problems (including the deadline) as err.
-func (c *Coordinator) postShard(ctx context.Context, addr string, sreq *ShardRequest) (*ShardResponse, int, string, error) {
+// postShard performs one shard RPC under DispatchTimeout and returns the
+// decoded counts record with its bytes.  A non-200 answer is returned as
+// (nil, nil, status, reason, nil); a body that is not one counts record
+// over rows rows — wrong content type, longer than the record, failing
+// its decode — as an error wrapping durable.ErrCorrupt; transport-level
+// problems (including the deadline) as any other err.
+func (c *Coordinator) postShard(ctx context.Context, addr string, sreq *ShardRequest, rows int) (*core.Checkpoint, []byte, int, string, error) {
 	body, err := json.Marshal(sreq)
 	if err != nil {
-		return nil, 0, "", err
+		return nil, nil, 0, "", err
 	}
 	ctx, cancel, noteTimeout := c.callCtx(ctx, "shard", c.cfg.DispatchTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, "POST", addr+ShardPath, bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, "", err
+		return nil, nil, 0, "", err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hresp, err := c.client.Do(hreq)
 	if err != nil {
 		noteTimeout(err)
-		return nil, 0, "", err
+		return nil, nil, 0, "", err
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		var eb errorBody
 		json.NewDecoder(io.LimitReader(hresp.Body, 1<<16)).Decode(&eb)
-		return nil, hresp.StatusCode, eb.Reason, nil
+		return nil, nil, hresp.StatusCode, eb.Reason, nil
 	}
-	var resp ShardResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
+	if ct := hresp.Header.Get("Content-Type"); ct != countsContentType {
+		return nil, nil, 0, "", fmt.Errorf("shard response: %w: content type %q, want %s", durable.ErrCorrupt, ct, countsContentType)
+	}
+	// Read at most one byte past the record the plan implies: a longer
+	// body is corrupt whatever it claims, and is never buffered whole.
+	size := core.RecordSize(rows)
+	counts := make([]byte, size+1)
+	n, err := io.ReadFull(hresp.Body, counts)
+	switch {
+	case err == nil:
+		return nil, nil, 0, "", fmt.Errorf("shard response: %w: longer than the %d-byte record", durable.ErrCorrupt, size)
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
 		noteTimeout(err)
-		return nil, 0, "", fmt.Errorf("decoding shard response: %w", err)
+		return nil, nil, 0, "", fmt.Errorf("reading shard response: %w", err)
 	}
-	return &resp, http.StatusOK, "", nil
+	counts = counts[:n]
+	ck, err := core.DecodeRecord(counts)
+	if err != nil {
+		return nil, nil, 0, "", fmt.Errorf("shard response: %w", err)
+	}
+	return ck, counts, http.StatusOK, "", nil
 }
 
 // pushDataset uploads the matrix to a worker's public dataset API as

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,61 +17,11 @@ import (
 	"sprint/internal/metrics"
 )
 
-// TestShardResponseCRC pins the checksum contract: the CRC covers every
-// result-bearing field, and only those — timing metadata must not
-// invalidate a response relayed through a cache or proxy.
-func TestShardResponseCRC(t *testing.T) {
-	base := cluster.ShardResponse{
-		Lo: 10, Next: 20, Hi: 30, TotalB: 100, B: 10,
-		Fingerprint: 0xabcdef, Raw: []int64{1, 2, 3}, Adj: []int64{3, 2, 1},
-		ElapsedMS: 5,
-	}
-	want := base.CRC()
-	if want == 0 {
-		t.Fatal("CRC of a populated response is zero (zero is rejected as corrupt)")
-	}
-	if got := base.CRC(); got != want {
-		t.Fatalf("CRC not stable: %x then %x", want, got)
-	}
-
-	mutations := []struct {
-		name string
-		mut  func(r *cluster.ShardResponse)
-	}{
-		{"Lo", func(r *cluster.ShardResponse) { r.Lo++ }},
-		{"Next", func(r *cluster.ShardResponse) { r.Next++ }},
-		{"Hi", func(r *cluster.ShardResponse) { r.Hi++ }},
-		{"TotalB", func(r *cluster.ShardResponse) { r.TotalB++ }},
-		{"B", func(r *cluster.ShardResponse) { r.B++ }},
-		{"Fingerprint", func(r *cluster.ShardResponse) { r.Fingerprint++ }},
-		{"Raw value", func(r *cluster.ShardResponse) { r.Raw[1]++ }},
-		{"Adj value", func(r *cluster.ShardResponse) { r.Adj[0]++ }},
-		{"Raw truncated", func(r *cluster.ShardResponse) { r.Raw = r.Raw[:2] }},
-		{"Adj extended", func(r *cluster.ShardResponse) { r.Adj = append(r.Adj, 0) }},
-	}
-	for _, m := range mutations {
-		r := base
-		r.Raw = append([]int64(nil), base.Raw...)
-		r.Adj = append([]int64(nil), base.Adj...)
-		m.mut(&r)
-		if r.CRC() == want {
-			t.Errorf("%s: CRC unchanged after mutation", m.name)
-		}
-	}
-
-	// Timing is metadata, not a result: excluded by design.
-	r := base
-	r.ElapsedMS = 99999
-	if r.CRC() != want {
-		t.Error("ElapsedMS changed the CRC; it must be excluded")
-	}
-}
-
-// corruptOnce wraps a worker handler and applies damage to the FIRST
-// shard response — the wire-level silent corruption the coordinator's
-// end-to-end check exists to catch.  Deterministic, unlike a random byte
-// flip: the JSON stays valid, so only the CRC check can reject it.
-func corruptOnce(done *atomic.Bool, damage func(*cluster.ShardResponse)) func(http.Handler) http.Handler {
+// corruptOnce wraps a worker handler and lets damage write the FIRST
+// 200 shard response in place of the good body — the wire-level silent
+// corruption the coordinator's end-to-end check exists to catch.  The
+// good response's headers are already set on w.
+func corruptOnce(done *atomic.Bool, damage func(w http.ResponseWriter, body []byte)) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if !strings.HasSuffix(r.URL.Path, "/cluster/v1/shards") || done.Load() {
@@ -79,38 +30,57 @@ func corruptOnce(done *atomic.Bool, damage func(*cluster.ShardResponse)) func(ht
 			}
 			rec := httptest.NewRecorder()
 			next.ServeHTTP(rec, r)
-			body := rec.Body.Bytes()
-			var resp cluster.ShardResponse
-			if rec.Code == http.StatusOK && json.Unmarshal(body, &resp) == nil && len(resp.Raw) > 0 && done.CompareAndSwap(false, true) {
-				damage(&resp)
-				body, _ = json.Marshal(&resp)
-			}
 			for k, vs := range rec.Header() {
 				for _, v := range vs {
 					w.Header().Add(k, v)
 				}
 			}
-			w.Header().Set("Content-Length", "")
+			if rec.Code == http.StatusOK && done.CompareAndSwap(false, true) {
+				damage(w, rec.Body.Bytes())
+				return
+			}
 			w.WriteHeader(rec.Code)
-			w.Write(body)
+			w.Write(rec.Body.Bytes())
 		})
 	}
 }
 
 // TestClusterCorruptShardRedispatch is the end-to-end integrity check:
-// a worker whose first shard response carries silently damaged counts
-// (valid JSON, stale CRC) or no checksum at all (zero CRC — there is no
-// pre-CRC worker to interoperate with) must be caught by the coordinator,
-// the shard re-dispatched, and the final result bitwise identical to a
-// clean run.
+// a worker whose first shard response has one byte flipped (the frame's
+// CRC no longer matches it), has junk appended after the record, or
+// declares a 2 GB body and streams it must be caught by the coordinator
+// — reading at most one byte past the record the plan implies — the
+// shard re-dispatched, and the final result bitwise identical to a clean
+// run.
 func TestClusterCorruptShardRedispatch(t *testing.T) {
 	x := synthX(25, 12, 31)
 	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 5}
 	want := standalone(t, x, lab, opt)
-	for name, damage := range map[string]func(*cluster.ShardResponse){
-		"stale-crc": func(r *cluster.ShardResponse) { r.Raw[0] += 7 }, // CRC64 left describing the true counts
-		"zero-crc":  func(r *cluster.ShardResponse) { r.CRC64 = 0 },
+	for name, damage := range map[string]func(http.ResponseWriter, []byte){
+		"stale-crc": func(w http.ResponseWriter, body []byte) {
+			body[len(body)/2] ^= 0x01
+			w.Write(body)
+		},
+		"junk-appended": func(w http.ResponseWriter, body []byte) {
+			body = append(body, "junk"...)
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+		},
+		"2GB-length": func(w http.ResponseWriter, body []byte) {
+			const declared = 2 << 30
+			w.Header().Set("Content-Length", strconv.Itoa(declared))
+			if _, err := w.Write(body); err != nil {
+				return
+			}
+			// Stream until the coordinator hangs up.
+			zeros := make([]byte, 64<<10)
+			for sent := len(body); sent < declared; sent += len(zeros) {
+				if _, err := w.Write(zeros[:min(len(zeros), declared-sent)]); err != nil {
+					return
+				}
+			}
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var corrupted atomic.Bool
@@ -148,8 +118,8 @@ func TestClusterCorruptShardRedispatch(t *testing.T) {
 
 // TestClusterFaultInjectTransportCorrupt drives the same invariant
 // through the faultinject transport (a random byte flip in the response
-// body): whether the mangled body dies in the JSON decoder or at the
-// CRC check, no damaged count may reach the result.
+// body): whether the flip lands in the frame's length word, its CRC or
+// the counts, no damaged count may reach the result.
 func TestClusterFaultInjectTransportCorrupt(t *testing.T) {
 	x := synthX(25, 12, 32)
 	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -51,7 +52,7 @@ func shardFingerprint(t *testing.T, n *workerNode, id string, lab []int, opt cor
 }
 
 // postShard sends one raw shard RPC and decodes whatever comes back.
-func postShard(t *testing.T, url string, req *cluster.ShardRequest) (int, *cluster.ShardResponse, string) {
+func postShard(t *testing.T, url string, req *cluster.ShardRequest) (int, *core.Checkpoint, string) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -63,11 +64,15 @@ func postShard(t *testing.T, url string, req *cluster.ShardRequest) (int, *clust
 	}
 	defer hr.Body.Close()
 	if hr.StatusCode == http.StatusOK {
-		var resp cluster.ShardResponse
-		if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
+		rec, err := io.ReadAll(hr.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return hr.StatusCode, &resp, ""
+		resp, err := core.DecodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hr.StatusCode, resp, ""
 	}
 	var eb struct {
 		Error  string `json:"error"`
@@ -112,9 +117,9 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 		if reason != "lease_lapsed" {
 			t.Fatalf("lapsed shard: status %d reason %q, want partial or lease_lapsed", code, reason)
 		}
-	} else if !part.Partial || part.Next <= part.Lo || part.Next >= totalB {
+	} else if part.Next == part.Hi || part.Done <= 0 || part.Next >= totalB {
 		t.Fatalf("lapsed shard returned Partial=%v [%d,%d) of %d, want a strict prefix",
-			part.Partial, part.Lo, part.Next, totalB)
+			part.Next < part.Hi, part.Next-part.Done, part.Next, totalB)
 	}
 	wi := n.w.Info().Worker
 	if wi.LeaseExpired < 1 {
@@ -131,8 +136,8 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 	if code != http.StatusOK || full == nil {
 		t.Fatalf("re-probe: status %d reason %q", code, reason)
 	}
-	if full.Partial || full.Next != totalB || full.B != totalB {
-		t.Fatalf("re-probe returned Partial=%v Next=%d B=%d, want the complete window", full.Partial, full.Next, full.B)
+	if full.Next < full.Hi || full.Next != totalB || full.Done != totalB {
+		t.Fatalf("re-probe returned Partial=%v Next=%d B=%d, want the complete window", full.Next < full.Hi, full.Next, full.Done)
 	}
 	if part != nil && n.w.Info().Worker.RetainedResumes != 1 {
 		t.Fatalf("retained_resumes = %d, want 1", n.w.Info().Worker.RetainedResumes)
@@ -149,8 +154,8 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 	if code != http.StatusOK || want == nil {
 		t.Fatalf("clean compute: status %d reason %q", code, reason)
 	}
-	if full.CRC64 != want.CRC64 || full.B != want.B {
-		t.Fatalf("resumed shard CRC %016x B %d != clean %016x B %d", full.CRC64, full.B, want.CRC64, want.B)
+	if !bytes.Equal(full.AppendRecord(nil), want.AppendRecord(nil)) || full.Done != want.Done {
+		t.Fatalf("resumed shard record B %d != clean B %d", full.Done, want.Done)
 	}
 	for i := range want.Raw {
 		if full.Raw[i] != want.Raw[i] || full.Adj[i] != want.Adj[i] {
@@ -186,7 +191,7 @@ func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 	}
 	type outcome struct {
 		code   int
-		resp   *cluster.ShardResponse
+		resp   *core.Checkpoint
 		reason string
 	}
 	done := make(chan outcome, 1)
@@ -223,7 +228,7 @@ func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 
 	out := <-done
 	if out.code == http.StatusOK {
-		if !out.resp.Partial {
+		if out.resp.Next == out.resp.Hi {
 			t.Fatal("disowned shard returned a complete window; the cancel never landed")
 		}
 	} else if out.reason != "lease_lapsed" {
@@ -240,11 +245,11 @@ func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 	// The window is still recoverable: a re-probe completes it.
 	req.LeaseMS = 0
 	code, full, reason := postShard(t, n.ts.URL, req)
-	if code != http.StatusOK || full == nil || full.Partial {
+	if code != http.StatusOK || full == nil || full.Next < full.Hi {
 		t.Fatalf("post-disown re-probe: status %d reason %q", code, reason)
 	}
-	if full.B != totalB {
-		t.Fatalf("post-disown window B = %d, want %d", full.B, totalB)
+	if full.Done != totalB {
+		t.Fatalf("post-disown window B = %d, want %d", full.Done, totalB)
 	}
 }
 

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"sprint/internal/core"
 	"sprint/internal/durable"
 )
 
@@ -24,10 +24,10 @@ import (
 // replay has not re-admitted yet, and the parked results are exactly
 // what that replay will come back for.  Entries age out LRU instead.
 //
-// A disk entry is one durable record (durable.WriteRecord) whose
-// payload is the full ShardResponse as JSON; the response's own CRC64
-// stamp is verified again on load, so a corrupt file can never re-enter
-// the merge path.
+// An entry is the counts record the worker sent, byte for byte; on disk
+// it is written as it is and verified by core.DecodeRecord on load, so a
+// corrupt file — or an older daemon's JSON — can never re-enter the
+// merge path.
 
 // retainKey identifies one retained shard result.
 type retainKey struct {
@@ -35,10 +35,12 @@ type retainKey struct {
 	lo, hi int64
 }
 
-// retainEntry is one cached result; resp is immutable once stored.
+// retainEntry is one cached result: its counts record, immutable once
+// stored, and whether the record covers its whole window.
 type retainEntry struct {
-	key  retainKey
-	resp *ShardResponse
+	key      retainKey
+	rec      []byte
+	complete bool
 }
 
 // retention is the LRU store.  Callers synchronize externally (the
@@ -66,36 +68,19 @@ func newRetention(dir string, max int) (*retention, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		resp, err := readRetained(name)
+		rec, err := durable.ReadFile(name, "retain.read")
+		var ck *core.Checkpoint
+		if err == nil {
+			ck, err = core.DecodeRecord(rec)
+		}
 		if errors.Is(err, durable.ErrCorrupt) {
 			durable.Quarantine(name)
 		}
 		if err == nil {
-			rt.insert(retainKey{resp.Fingerprint, resp.Lo, resp.Hi}, resp)
+			rt.insert(retainKey{ck.Fingerprint, ck.Next - ck.Done, ck.Hi}, rec, ck.Next == ck.Hi)
 		}
 	}
 	return rt, nil
-}
-
-// readRetained reads and verifies one retained-result file.  A payload
-// that is not a consistent, correctly stamped response is corrupt.
-func readRetained(path string) (*ShardResponse, error) {
-	payload, err := durable.ReadRecord(path, "retain.read")
-	if err != nil {
-		return nil, err
-	}
-	var resp ShardResponse
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("%s: %w: %v", path, durable.ErrCorrupt, err)
-	}
-	// The response must be internally consistent and carry a verified
-	// end-to-end stamp, exactly as if it had just been computed.
-	if resp.Fingerprint == 0 || resp.Next <= resp.Lo || resp.Next > resp.Hi ||
-		resp.B != resp.Next-resp.Lo || len(resp.Raw) != len(resp.Adj) ||
-		resp.CRC64 == 0 || resp.CRC64 != resp.CRC() {
-		return nil, fmt.Errorf("%s: %w: inconsistent or unstamped response", path, durable.ErrCorrupt)
-	}
-	return &resp, nil
 }
 
 // fileName is the on-disk name for a key.
@@ -103,43 +88,43 @@ func (rt *retention) fileName(k retainKey) string {
 	return filepath.Join(rt.dir, fmt.Sprintf("%016x-%d-%d.shard", k.fp, k.lo, k.hi))
 }
 
-// get returns the retained result for k (nil on miss) and marks it
-// most recently used.
-func (rt *retention) get(k retainKey) *ShardResponse {
+// get returns the retained record for k (nil on miss) and whether it
+// covers the whole window, and marks it most recently used.
+func (rt *retention) get(k retainKey) (rec []byte, complete bool) {
 	el, ok := rt.byKey[k]
 	if !ok {
-		return nil
+		return nil, false
 	}
 	rt.ll.MoveToFront(el)
-	return el.Value.(*retainEntry).resp
+	e := el.Value.(*retainEntry)
+	return e.rec, e.complete
 }
 
-// put stores (or replaces) the result for k, on disk too when the store
+// put stores (or replaces) the record for k, on disk too when the store
 // has a dir.  Disk errors degrade to memory-only retention: the entry
 // still serves this life, it just will not survive the next one.
-func (rt *retention) put(k retainKey, resp *ShardResponse) {
+func (rt *retention) put(k retainKey, rec []byte, complete bool) {
 	if rt.max == 0 {
 		return
 	}
 	if rt.dir != "" {
-		if payload, err := json.Marshal(resp); err == nil {
-			durable.WriteRecord(rt.fileName(k), payload, "retain.write")
-		}
+		durable.WriteFileAtomic(rt.fileName(k), rec, "retain.write")
 	}
-	rt.insert(k, resp)
+	rt.insert(k, rec, complete)
 }
 
-// insert stores (or replaces) the result for k in memory and evicts LRU
+// insert stores (or replaces) the record for k in memory and evicts LRU
 // entries past the bound, deleting their files.
-func (rt *retention) insert(k retainKey, resp *ShardResponse) {
+func (rt *retention) insert(k retainKey, rec []byte, complete bool) {
 	if rt.max == 0 {
 		return
 	}
 	if el, ok := rt.byKey[k]; ok {
-		el.Value.(*retainEntry).resp = resp
+		e := el.Value.(*retainEntry)
+		e.rec, e.complete = rec, complete
 		rt.ll.MoveToFront(el)
 	} else {
-		rt.byKey[k] = rt.ll.PushFront(&retainEntry{key: k, resp: resp})
+		rt.byKey[k] = rt.ll.PushFront(&retainEntry{key: k, rec: rec, complete: complete})
 	}
 	for rt.max > 0 && rt.ll.Len() > rt.max {
 		el := rt.ll.Back()

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -257,12 +258,13 @@ func (w *Worker) handlePing(rw http.ResponseWriter, r *http.Request) {
 	writeClusterJSON(rw, http.StatusOK, map[string]any{"ok": !w.draining.Load(), "role": "worker"})
 }
 
-func (w *Worker) refuse(rw http.ResponseWriter, status int, reason, msg string) {
+// refusal counts a refused shard and returns its outcome.
+func (w *Worker) refusal(status int, reason, msg string) *shardOutcome {
 	w.refused.Add(1)
 	if c, ok := w.metRefused[reason]; ok {
 		c.Inc()
 	}
-	writeClusterJSON(rw, status, errorBody{Error: msg, Reason: reason})
+	return &shardOutcome{status: status, body: errorBody{Error: msg, Reason: reason}}
 }
 
 // shardTask is one in-flight shard compute, shared by the original
@@ -280,23 +282,31 @@ type shardTask struct {
 }
 
 // shardOutcome is a compute's result as it is delivered to every
-// requester: a complete/partial response, or a status + error body.
+// requester: a complete or partial counts record, or a status + error
+// body.
 type shardOutcome struct {
 	status int
-	resp   *ShardResponse
+	rec    []byte
 	body   errorBody
 }
 
 func writeOutcome(rw http.ResponseWriter, out *shardOutcome) {
-	if out == nil {
+	switch {
+	case out == nil:
 		writeClusterJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "shard abandoned before compute"})
-		return
+	case out.rec != nil:
+		writeCounts(rw, out.rec)
+	default:
+		writeClusterJSON(rw, out.status, out.body)
 	}
-	if out.resp != nil {
-		writeClusterJSON(rw, out.status, out.resp)
-		return
-	}
-	writeClusterJSON(rw, out.status, out.body)
+}
+
+// writeCounts answers 200 with one counts record.
+func writeCounts(rw http.ResponseWriter, rec []byte) {
+	rw.Header().Set("Content-Type", countsContentType)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(rec)))
+	rw.WriteHeader(http.StatusOK)
+	rw.Write(rec)
 }
 
 // handleShard serves one shard window.  In order: a retained complete
@@ -307,7 +317,7 @@ func writeOutcome(rw http.ResponseWriter, out *shardOutcome) {
 // the next re-probe.
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	if w.draining.Load() {
-		w.refuse(rw, http.StatusServiceUnavailable, reasonDraining, "worker draining")
+		writeOutcome(rw, w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining"))
 		return
 	}
 	var req ShardRequest
@@ -331,13 +341,13 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	k := retainKey{req.Fingerprint, req.Lo, req.Hi}
 	leaseD := time.Duration(req.LeaseMS) * time.Millisecond
 	w.mu.Lock()
-	if rs := w.retain.get(k); rs != nil && !rs.Partial {
+	if rec, complete := w.retain.get(k); complete {
 		w.mu.Unlock()
 		w.retainedHits.Add(1)
 		w.metRetainedHits.Inc()
 		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_retained_hit",
-			slog.Int64("lo", rs.Lo), slog.Int64("hi", rs.Hi))
-		writeClusterJSON(rw, http.StatusOK, rs)
+			slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
+		writeCounts(rw, rec)
 		return
 	}
 	if t := w.tasks[k]; t != nil {
@@ -380,13 +390,6 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 // cancelled by drain, lease expiry or an authoritative disown — never
 // by the requester's death — and a cancelled prefix parks in retention.
 func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTask) *shardOutcome {
-	refusal := func(status int, reason, msg string) *shardOutcome {
-		w.refused.Add(1)
-		if c, ok := w.metRefused[reason]; ok {
-			c.Inc()
-		}
-		return &shardOutcome{status: status, body: errorBody{Error: msg, Reason: reason}}
-	}
 	leased := task != nil && req.LeaseMS > 0
 
 	var ctx context.Context
@@ -406,10 +409,10 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
 		if w.draining.Load() {
-			return refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
+			return w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
 		}
 		if leased {
-			return refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed before compute started")
+			return w.refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed before compute started")
 		}
 		return nil // requester gone, nothing computed
 	}
@@ -418,7 +421,7 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	prep, release, err := w.cfg.Source.PreparedDataset(req.DatasetID, req.Labels, req.Options)
 	if err != nil {
 		if errors.Is(err, jobs.ErrUnknownDataset) {
-			return refusal(http.StatusNotFound, reasonUnknownDataset, "unknown dataset "+req.DatasetID)
+			return w.refusal(http.StatusNotFound, reasonUnknownDataset, "unknown dataset "+req.DatasetID)
 		}
 		return &shardOutcome{status: http.StatusBadRequest, body: errorBody{Error: err.Error()}}
 	}
@@ -433,36 +436,31 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	// different sequence than the coordinator planned, computing would
 	// merge wrong counts — refuse instead.
 	if req.Fingerprint != 0 && req.Fingerprint != plan.Fingerprint {
-		return refusal(http.StatusConflict, reasonFingerprint,
+		return w.refusal(http.StatusConflict, reasonFingerprint,
 			fmt.Sprintf("plan fingerprint %016x != coordinator %016x", plan.Fingerprint, req.Fingerprint))
 	}
 	if req.TotalB != 0 && req.TotalB != plan.TotalB {
-		return refusal(http.StatusConflict, reasonFingerprint,
+		return w.refusal(http.StatusConflict, reasonFingerprint,
 			fmt.Sprintf("plan B %d != coordinator %d", plan.TotalB, req.TotalB))
 	}
 
 	// A parked partial prefix of this exact window (lease lapsed or the
 	// worker drained in a previous probe) seeds the compute: only the
 	// remainder is recomputed, and the counts stay bitwise identical.
+	// The retained record is keyed by this window, so it is this plan's
+	// prefix from req.Lo; its totals are checked as RunShard would.
 	var resume *core.Checkpoint
 	if task != nil {
 		w.mu.Lock()
-		prev := w.retain.get(retainKey{req.Fingerprint, req.Lo, req.Hi})
+		rec, complete := w.retain.get(retainKey{req.Fingerprint, req.Lo, req.Hi})
 		w.mu.Unlock()
-		if prev != nil && prev.Partial && prev.Fingerprint == plan.Fingerprint &&
-			prev.TotalB == plan.TotalB && prev.Lo == req.Lo &&
-			prev.Next > req.Lo && prev.Next < req.Hi && len(prev.Raw) == plan.Rows {
-			resume = &core.Checkpoint{
-				Fingerprint: plan.Fingerprint,
-				TotalB:      plan.TotalB,
-				Complete:    plan.Complete,
-				Next:        prev.Next,
-				Done:        prev.B,
-				Raw:         prev.Raw,
-				Adj:         prev.Adj,
+		if rec != nil && !complete {
+			if prev, err := core.DecodeRecord(rec); err == nil &&
+				prev.TotalB == plan.TotalB && prev.Complete == plan.Complete && len(prev.Raw) == plan.Rows {
+				resume = prev
+				w.retainedResumes.Add(1)
+				w.metRetainedResumes.Inc()
 			}
-			w.retainedResumes.Add(1)
-			w.metRetainedResumes.Inc()
 		}
 	}
 
@@ -496,35 +494,25 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 		// so the coordinator redispatches it whole; anything else is a
 		// plain error.
 		if w.draining.Load() {
-			return refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
+			return w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
 		}
 		if leased && w.leaseLapsed(task) {
-			return refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed")
+			return w.refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed")
 		}
 		return &shardOutcome{status: http.StatusInternalServerError, body: errorBody{Error: runErr.Error()}}
 	}
-	resp := ShardResponse{
-		Lo:          sc.Lo,
-		Next:        sc.Next,
-		Hi:          req.Hi,
-		TotalB:      sc.Plan.TotalB,
-		Complete:    sc.Plan.Complete,
-		Fingerprint: sc.Plan.Fingerprint,
-		Partial:     sc.Next < req.Hi,
-		B:           sc.Counts.B,
-		Raw:         sc.Counts.Raw,
-		Adj:         sc.Counts.Adj,
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
-	}
-	resp.CRC64 = resp.CRC()
+	// The result is encoded once: these bytes are sent, retained and
+	// written to disk as they are.
+	rec := sc.Checkpoint().AppendRecord(nil)
+	partial := sc.Next < sc.Hi
 	// Park the result — complete or partial — for re-delivery: this is
 	// what makes a coordinator restart recomputation-free.
 	if task != nil {
 		w.mu.Lock()
-		w.retain.put(retainKey{req.Fingerprint, req.Lo, req.Hi}, &resp)
+		w.retain.put(retainKey{req.Fingerprint, req.Lo, req.Hi}, rec, !partial)
 		w.mu.Unlock()
 	}
-	if resp.Partial {
+	if partial {
 		w.partial.Add(1)
 		w.metPartial.Inc()
 	} else {
@@ -534,11 +522,11 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_served",
 		slog.String("dataset", req.DatasetID),
 		slog.Int64("lo", sc.Lo), slog.Int64("next", sc.Next), slog.Int64("hi", req.Hi),
-		slog.Bool("partial", resp.Partial),
+		slog.Bool("partial", partial),
 		slog.Bool("resumed", resume != nil),
 		slog.Duration("elapsed", elapsed),
 	)
-	return &shardOutcome{status: http.StatusOK, resp: &resp}
+	return &shardOutcome{status: http.StatusOK, rec: rec}
 }
 
 // leaseLapsed reports whether the task's lease expired or was disowned.

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
+	"sprint/internal/durable"
 	"sprint/internal/matrix"
 	"sprint/internal/rng"
 )
@@ -21,7 +22,8 @@ import (
 // fingerprint of the inputs so that a checkpoint cannot silently resume a
 // different analysis.
 
-// Checkpoint is a resumable snapshot of a permutation run.
+// Checkpoint is a resumable snapshot of a permutation run, and the one
+// record of a window's counts: a shard's result is a Checkpoint too.
 type Checkpoint struct {
 	// Fingerprint ties the checkpoint to (options, labels, data shape,
 	// data sample); resuming with a different analysis fails loudly.
@@ -30,8 +32,10 @@ type Checkpoint struct {
 	// generator choice.
 	TotalB   int64
 	Complete bool
-	// Next is the first unprocessed permutation index.
-	Next int64
+	// Next is the first unprocessed permutation index and Hi the end of
+	// the window [Next-Done, Hi) the counts accumulate over: TotalB for a
+	// whole run, the shard's end for a shard.
+	Next, Hi int64
 	// Raw, Adj and Done are the accumulated exceedance counts and the
 	// number of permutations they cover.
 	Raw, Adj []int64
@@ -43,18 +47,120 @@ type Checkpoint struct {
 	BEff []int64
 }
 
-// Encode serialises the checkpoint.
+// A counts record is one durable frame around the fixed little-endian
+// payload
+//
+//	u8 version ∥ u8 flags ∥ u64 fingerprint ∥ i64 total_b, next, done, hi ∥
+//	u32 rows ∥ i64 raw[rows] ∥ i64 adj[rows] ∥ [i64 b_eff[rows]]
+//
+// where flags bit 0 is Complete and bit 1 marks the b_eff vector.  The
+// frame's CRC is the record's only integrity check: a worker's record
+// keeps the CRC it was sent with through retention, the merge and the
+// journal.
+const (
+	recordVersion = 1
+	recordHeader  = 46
+	flagComplete  = 1
+	flagBEff      = 2
+)
+
+// RecordSize is the byte size of a counts record over rows rows without
+// a b_eff vector — a shard's — frame included.
+func RecordSize(rows int) int {
+	return durable.FrameHeader + recordHeader + 16*rows
+}
+
+// AppendRecord appends c to buf as one counts record.
+func (c *Checkpoint) AppendRecord(buf []byte) []byte {
+	var flags byte
+	if c.Complete {
+		flags |= flagComplete
+	}
+	if c.BEff != nil {
+		flags |= flagBEff
+	}
+	p := make([]byte, 0, recordHeader+8*(len(c.Raw)+len(c.Adj)+len(c.BEff)))
+	p = append(p, recordVersion, flags)
+	p = binary.LittleEndian.AppendUint64(p, c.Fingerprint)
+	for _, v := range [...]int64{c.TotalB, c.Next, c.Done, c.Hi} {
+		p = binary.LittleEndian.AppendUint64(p, uint64(v))
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(c.Raw)))
+	for _, vs := range [...][]int64{c.Raw, c.Adj, c.BEff} {
+		for _, v := range vs {
+			p = binary.LittleEndian.AppendUint64(p, uint64(v))
+		}
+	}
+	return durable.AppendFrame(buf, p)
+}
+
+// DecodeRecord decodes frame, which must be exactly one counts record.
+// A frame that fails its CRC, an unknown version or flag, a length other
+// than the header implies, and a range outside
+// 0 ≤ next−done ≤ next ≤ hi ≤ total_b fail with an error wrapping
+// durable.ErrCorrupt.  Whether the record belongs to an analysis is the
+// caller's check.
+func DecodeRecord(frame []byte) (*Checkpoint, error) {
+	p, err := durable.OnlyFrame(frame)
+	if err != nil {
+		return nil, fmt.Errorf("core: counts record: %w", err)
+	}
+	corrupt := func(format string, args ...any) (*Checkpoint, error) {
+		return nil, fmt.Errorf("core: counts record: %w: %s", durable.ErrCorrupt, fmt.Sprintf(format, args...))
+	}
+	if len(p) < recordHeader {
+		return corrupt("%d bytes, short of the header", len(p))
+	}
+	if p[0] != recordVersion {
+		return corrupt("version %d, this build reads version %d", p[0], recordVersion)
+	}
+	if p[1]&^(flagComplete|flagBEff) != 0 {
+		return corrupt("unknown flags %#x", p[1])
+	}
+	le := binary.LittleEndian
+	c := &Checkpoint{
+		Fingerprint: le.Uint64(p[2:]),
+		TotalB:      int64(le.Uint64(p[10:])),
+		Next:        int64(le.Uint64(p[18:])),
+		Done:        int64(le.Uint64(p[26:])),
+		Hi:          int64(le.Uint64(p[34:])),
+		Complete:    p[1]&flagComplete != 0,
+	}
+	rows := uint64(le.Uint32(p[42:]))
+	vecs := uint64(2)
+	if p[1]&flagBEff != 0 {
+		vecs = 3
+	}
+	if uint64(len(p)) != recordHeader+8*vecs*rows {
+		return corrupt("%d bytes, the header implies %d", len(p), recordHeader+8*vecs*rows)
+	}
+	if c.Done < 0 || c.Done > c.Next || c.Next > c.Hi || c.Hi > c.TotalB {
+		return corrupt("range next %d, done %d, hi %d, total_b %d breaks 0 ≤ next−done ≤ next ≤ hi ≤ total_b", c.Next, c.Done, c.Hi, c.TotalB)
+	}
+	vs := make([]int64, vecs*rows)
+	for i := range vs {
+		vs[i] = int64(le.Uint64(p[recordHeader+8*i:]))
+	}
+	c.Raw, c.Adj = vs[:rows:rows], vs[rows:2*rows:2*rows]
+	if vecs == 3 {
+		c.BEff = vs[2*rows:]
+	}
+	return c, nil
+}
+
+// Encode writes the checkpoint as one counts record.
 func (c *Checkpoint) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(c)
+	_, err := w.Write(c.AppendRecord(nil))
+	return err
 }
 
 // DecodeCheckpoint reads a checkpoint written by Encode.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
-	return &c, nil
+	return DecodeRecord(data)
 }
 
 // engineVersion tags the statistics engine whose counts a checkpoint

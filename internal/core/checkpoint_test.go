@@ -2,8 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
+
+	"sprint/internal/durable"
 )
 
 func TestCheckpointedMatchesPlainRun(t *testing.T) {
@@ -126,8 +132,91 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 }
 
-func TestDecodeCheckpointGarbage(t *testing.T) {
-	if _, err := DecodeCheckpoint(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Error("garbage checkpoint decoded")
+// goldenCheckpoints are the two records of testdata/counts_v1.bin: a
+// partial exact shard over a complete enumeration, and a sequential run's
+// checkpoint with its b_eff vector.
+func goldenCheckpoints() []*Checkpoint {
+	return []*Checkpoint{
+		{Fingerprint: 0x0123456789abcdef, TotalB: 12870, Complete: true, Next: 7000, Done: 2000, Hi: 9000,
+			Raw: []int64{0, 1, 2000}, Adj: []int64{5, 1999, 2000}},
+		{Fingerprint: 0xfedcba9876543210, TotalB: 1000000, Next: 4096, Done: 4096, Hi: 1000000,
+			Raw: []int64{17, 3, 0, 4096}, Adj: []int64{20, 3, 1, 4096}, BEff: []int64{2048, 0, 0, 1024}},
 	}
+}
+
+// TestCountsRecordGolden pins the counts record byte for byte: the
+// checked-in records decode to goldenCheckpoints and re-encode to the
+// same bytes, with the header fields where the layout puts them.
+func TestCountsRecordGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "counts_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, c := range goldenCheckpoints() {
+		got = c.AppendRecord(got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoding drifted from testdata/counts_v1.bin:\n got  %x\n want %x", got, want)
+	}
+	off := 0
+	for i, c := range goldenCheckpoints() {
+		p, size, err := durable.NextFrame(want[off:])
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		rows, vecs, last := len(c.Raw), 2, c.Adj
+		if c.BEff != nil {
+			vecs, last = 3, c.BEff
+		}
+		le := binary.LittleEndian
+		if p[0] != 1 || le.Uint64(p[2:]) != c.Fingerprint || int64(le.Uint64(p[34:])) != c.Hi ||
+			int(le.Uint32(p[42:])) != rows || len(p) != 46+8*vecs*rows ||
+			int64(le.Uint64(p[46:])) != c.Raw[0] || int64(le.Uint64(p[len(p)-8:])) != last[rows-1] {
+			t.Fatalf("record %d: header or vectors out of place: %x", i, p)
+		}
+		d, err := DecodeRecord(want[off : off+size])
+		if err != nil || !reflect.DeepEqual(d, c) {
+			t.Fatalf("record %d decoded to %+v, %v; want %+v", i, d, err, c)
+		}
+		off += size
+	}
+}
+
+// FuzzCountsRecord drives DecodeRecord with arbitrary bytes, both as a
+// whole frame and framed as a payload, so the header, length and range
+// checks see inputs the CRC would otherwise stop.  Decoding never panics;
+// an accepted record re-encodes to the same bytes, and every single-byte
+// flip and every truncation of it is rejected as corrupt.
+func FuzzCountsRecord(f *testing.F) {
+	for _, c := range goldenCheckpoints() {
+		rec := c.AppendRecord(nil)
+		f.Add(rec)
+		f.Add(rec[durable.FrameHeader:])
+	}
+	f.Add([]byte("not a counts record"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, rec := range [][]byte{data, durable.AppendFrame(nil, data)} {
+			c, err := DecodeRecord(rec)
+			if err != nil {
+				if !errors.Is(err, durable.ErrCorrupt) {
+					t.Fatalf("rejected without ErrCorrupt: %v", err)
+				}
+				continue
+			}
+			if again := c.AppendRecord(nil); !bytes.Equal(again, rec) {
+				t.Fatalf("accepted record re-encodes differently:\n in  %x\n out %x", rec, again)
+			}
+			for off := range rec {
+				mut := bytes.Clone(rec)
+				mut[off] ^= 0xff
+				if _, err := DecodeRecord(mut); !errors.Is(err, durable.ErrCorrupt) {
+					t.Fatalf("flip@%d accepted (%v)", off, err)
+				}
+				if _, err := DecodeRecord(rec[:off]); !errors.Is(err, durable.ErrCorrupt) {
+					t.Fatalf("cut@%d accepted (%v)", off, err)
+				}
+			}
+		}
+	})
 }

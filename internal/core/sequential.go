@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"sprint/internal/maxt"
@@ -153,16 +154,8 @@ func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result,
 		// RunControl.Save): here that is the last of the plan or the one
 		// that froze the last row.
 		if ctl.Save != nil && hi < totalB && !tracker.AllFrozen() {
-			snap := &Checkpoint{
-				Fingerprint: plan.Fingerprint,
-				TotalB:      plan.TotalB,
-				Complete:    plan.Complete,
-				Next:        hi,
-				Raw:         append([]int64(nil), counts.Raw...),
-				Adj:         append([]int64(nil), counts.Adj...),
-				Done:        counts.B,
-				BEff:        append([]int64(nil), bEff...),
-			}
+			snap := plan.snapshot(counts, hi, totalB)
+			snap.BEff = slices.Clone(bEff)
 			if err := ctl.Save(snap); err != nil {
 				return nil, fmt.Errorf("core: checkpoint save at permutation %d: %w", hi, err)
 			}

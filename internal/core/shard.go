@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,6 +85,16 @@ func (p *Prepared) planFor(opt Options) (config, Plan, error) {
 		Rows:        p.prep.Rows(),
 		Fingerprint: fingerprint(cfg, p.clean, p.labels, door),
 	}, nil
+}
+
+// snapshot is the plan's record of counts over [next-counts.B, next) of
+// the window ending at hi, with its own copy of the count vectors.
+func (pl Plan) snapshot(counts *maxt.Counts, next, hi int64) *Checkpoint {
+	return &Checkpoint{
+		Fingerprint: pl.Fingerprint, TotalB: pl.TotalB, Complete: pl.Complete,
+		Next: next, Hi: hi, Done: counts.B,
+		Raw: slices.Clone(counts.Raw), Adj: slices.Clone(counts.Adj),
+	}
 }
 
 // checkResume validates the analysis-identity half of a resume checkpoint
@@ -191,16 +202,7 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 			ctl.OnWindow(span, time.Since(windowStart))
 		}
 		if ctl.Save != nil && hi < limit {
-			snap := &Checkpoint{
-				Fingerprint: plan.Fingerprint,
-				TotalB:      plan.TotalB,
-				Complete:    plan.Complete,
-				Next:        hi,
-				Raw:         append([]int64(nil), counts.Raw...),
-				Adj:         append([]int64(nil), counts.Adj...),
-				Done:        counts.B,
-			}
-			if err := ctl.Save(snap); err != nil {
+			if err := ctl.Save(plan.snapshot(counts, hi, limit)); err != nil {
 				return hi, fmt.Errorf("core: checkpoint save at permutation %d: %w", hi, err)
 			}
 		}
@@ -250,13 +252,19 @@ func fanOut(prep *maxt.Prep, gen perm.Generator, lo, hi int64, partials []*maxt.
 
 // ShardCounts is the partial result of one shard: exceedance counts
 // over the contiguous global index range [Lo, Next) of the plan's
-// permutation sequence.  Next < Hi of the requested range marks a
-// partial shard (the node drained or was cancelled mid-range); the
-// unprocessed remainder [Next, Hi) must be computed elsewhere.
+// permutation sequence.  Next < Hi marks a partial shard (the node
+// drained or was cancelled mid-range); the unprocessed remainder
+// [Next, Hi) must be computed elsewhere.
 type ShardCounts struct {
-	Plan     Plan
-	Lo, Next int64
-	Counts   *maxt.Counts
+	Plan         Plan
+	Lo, Next, Hi int64
+	Counts       *maxt.Counts
+}
+
+// Checkpoint returns the shard's counts as the record a node ships,
+// retains and journals.
+func (sc *ShardCounts) Checkpoint() *Checkpoint {
+	return sc.Plan.snapshot(sc.Counts, sc.Next, sc.Hi)
 }
 
 // RunShard computes exceedance counts for the global permutation index
@@ -307,7 +315,7 @@ func RunShard(p *Prepared, opt Options, lo, hi int64, ctl RunControl) (*ShardCou
 		counts.B = r.Done
 		start = r.Next
 	}
-	sc := &ShardCounts{Plan: plan, Lo: lo, Next: start, Counts: counts}
+	sc := &ShardCounts{Plan: plan, Lo: lo, Next: start, Hi: hi, Counts: counts}
 	if start == hi {
 		return sc, nil
 	}
@@ -347,22 +355,4 @@ func FinalizeCounts(p *Prepared, opt Options, counts *maxt.Counts) (*Result, err
 		Complete: plan.Complete,
 		Profile:  Profile{ComputePValues: time.Since(start)},
 	}, nil
-}
-
-// PartitionShards splits [0, totalB) into n contiguous, deterministic
-// windows following the paper's Figure-2 rank partitioning (Chunk):
-// equal spans up to remainder, observed labelling in the first window.
-// Empty windows (n > totalB) are dropped.
-func PartitionShards(totalB int64, n int) [][2]int64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([][2]int64, 0, n)
-	for r := 0; r < n; r++ {
-		lo, hi := Chunk(totalB, n, r)
-		if lo < hi {
-			out = append(out, [2]int64{lo, hi})
-		}
-	}
-	return out
 }

@@ -9,15 +9,16 @@ import (
 
 // One record frame serves every file the daemon trusts after a crash.
 // The job journal is a sequence of frames; a checkpoint or a retained
-// shard result is a file holding exactly one.  A frame is
+// shard result is a file holding exactly one, a counts record
+// (core.Checkpoint.AppendRecord).  A frame is
 //
 //	u32 little-endian payload length ∥ u64 little-endian CRC64-ECMA of the payload ∥ payload
 //
 // so a torn write, a truncation or a flipped bit anywhere in it fails
 // verification instead of decoding.
 
-// frameHeader is the length word plus the checksum.
-const frameHeader = 12
+// FrameHeader is the length word plus the checksum.
+const FrameHeader = 12
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -38,44 +39,23 @@ func AppendFrame(buf, payload []byte) []byte {
 // Data that does not start with a whole frame whose CRC matches returns
 // an error wrapping ErrCorrupt.
 func NextFrame(data []byte) (payload []byte, size int, err error) {
-	if len(data) < frameHeader {
+	if len(data) < FrameHeader {
 		return nil, 0, fmt.Errorf("%w: %d bytes, short of a frame header", ErrCorrupt, len(data))
 	}
 	n := int(binary.LittleEndian.Uint32(data))
-	if n > len(data)-frameHeader {
-		return nil, 0, fmt.Errorf("%w: frame claims %d payload bytes, %d remain", ErrCorrupt, n, len(data)-frameHeader)
+	if n > len(data)-FrameHeader {
+		return nil, 0, fmt.Errorf("%w: frame claims %d payload bytes, %d remain", ErrCorrupt, n, len(data)-FrameHeader)
 	}
-	payload = data[frameHeader : frameHeader+n]
+	payload = data[FrameHeader : FrameHeader+n]
 	if crc64.Checksum(payload, crcTable) != binary.LittleEndian.Uint64(data[4:]) {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	return payload, frameHeader + n, nil
+	return payload, FrameHeader + n, nil
 }
 
-// WriteRecord replaces path with payload in one frame, through
-// WriteFileAtomic with the fault schedule of site.
-func WriteRecord(path string, payload []byte, site string) error {
-	return WriteFileAtomic(path, AppendFrame(make([]byte, 0, frameHeader+len(payload)), payload), site)
-}
-
-// ReadRecord reads path, applying the read faults of site, and returns
-// the payload of the one frame the file must hold exactly.  A file that
-// fails the frame returns an error wrapping ErrCorrupt; I/O errors, a
-// missing file included, are returned as they are.
-func ReadRecord(path, site string) ([]byte, error) {
-	data, err := ReadFile(path, site)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := onlyFrame(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return payload, nil
-}
-
-// onlyFrame returns the payload of data, which must be exactly one frame.
-func onlyFrame(data []byte) ([]byte, error) {
+// OnlyFrame returns the payload of data, which must be exactly one
+// frame: bytes after it are damage too.
+func OnlyFrame(data []byte) ([]byte, error) {
 	payload, size, err := NextFrame(data)
 	if err == nil && size != len(data) {
 		return nil, fmt.Errorf("%w: %d bytes after the frame", ErrCorrupt, len(data)-size)

@@ -18,12 +18,21 @@ var ecma = crc64.MakeTable(crc64.ECMA)
 // with a matching length word and CRC.
 func checkFrame(t *testing.T, frame, payload []byte) {
 	t.Helper()
-	if len(frame) != frameHeader+len(payload) ||
+	if len(frame) != FrameHeader+len(payload) ||
 		binary.LittleEndian.Uint32(frame) != uint32(len(payload)) ||
 		binary.LittleEndian.Uint64(frame[4:]) != crc64.Checksum(payload, ecma) ||
-		!bytes.Equal(frame[frameHeader:], payload) {
+		!bytes.Equal(frame[FrameHeader:], payload) {
 		t.Fatalf("accepted %d-byte payload from a frame that does not verify: % x", len(payload), frame)
 	}
+}
+
+// readRecord reads the one frame the file at path must hold.
+func readRecord(path string) ([]byte, error) {
+	data, err := ReadFile(path, "t.read")
+	if err != nil {
+		return nil, err
+	}
+	return OnlyFrame(data)
 }
 
 // recordFile writes data to a fresh file and returns its path.
@@ -36,13 +45,14 @@ func recordFile(t *testing.T, data []byte) string {
 	return path
 }
 
-// TestFramedRoundtrip pins the frame: WriteRecord → ReadRecord is
+// TestFramedRoundtrip pins the frame: a framed file written through
+// WriteFileAtomic and read back through OnlyFrame is
 // lossless, and every single-byte flip anywhere in the file, and every
 // truncation of it, is reported as ErrCorrupt — never decoded.
 func TestFramedRoundtrip(t *testing.T) {
 	payload := []byte(`{"fp":16045690984503098046,"next":400,"raw":[1,2,3,4]}`)
 	path := filepath.Join(t.TempDir(), "r.rec")
-	if err := WriteRecord(path, payload, "t.write"); err != nil {
+	if err := WriteFileAtomic(path, AppendFrame(nil, payload), "t.write"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -50,7 +60,7 @@ func TestFramedRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFrame(t, data, payload)
-	got, err := ReadRecord(path, "t.read")
+	got, err := readRecord(path)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("roundtrip: %q, %v", got, err)
 	}
@@ -58,21 +68,21 @@ func TestFramedRoundtrip(t *testing.T) {
 	for off := 0; off < len(data); off++ {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x01
-		if got, err := ReadRecord(recordFile(t, mut), "t.read"); !errors.Is(err, ErrCorrupt) {
+		if got, err := readRecord(recordFile(t, mut)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip@%d: got %q, err=%v, want ErrCorrupt", off, got, err)
 		}
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if got, err := ReadRecord(recordFile(t, data[:cut]), "t.read"); !errors.Is(err, ErrCorrupt) {
+		if got, err := readRecord(recordFile(t, data[:cut])); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut@%d: got %q, err=%v, want ErrCorrupt", cut, got, err)
 		}
 	}
 	// Bytes after the one frame are damage too.
-	if _, err := ReadRecord(recordFile(t, append(data, 0)), "t.read"); !errors.Is(err, ErrCorrupt) {
+	if _, err := readRecord(recordFile(t, append(data, 0))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: err=%v, want ErrCorrupt", err)
 	}
 	// A missing file is an I/O error, not corruption.
-	if _, err := ReadRecord(path+".missing", "t.read"); err == nil || errors.Is(err, ErrCorrupt) {
+	if _, err := readRecord(path + ".missing"); err == nil || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing file: err=%v", err)
 	}
 }
@@ -87,7 +97,7 @@ func TestFramedLegacyFallback(t *testing.T) {
 	binary.LittleEndian.PutUint64(spckpt[16:], crc64.Checksum(body, ecma))
 	spckpt = append(spckpt, body...)
 	for _, data := range [][]byte{body, body[:len(body)/2], spckpt} {
-		if got, err := ReadRecord(recordFile(t, data), "t.read"); !errors.Is(err, ErrCorrupt) {
+		if got, err := readRecord(recordFile(t, data)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("unframed %d bytes: got %q, err=%v, want ErrCorrupt", len(data), got, err)
 		}
 	}
@@ -103,11 +113,11 @@ func TestNextFrameWalksALog(t *testing.T) {
 		log = AppendFrame(log, p)
 	}
 	whole := len(log)
-	log = AppendFrame(log, []byte("torn"))[:whole+frameHeader+2]
+	log = AppendFrame(log, []byte("torn"))[:whole+FrameHeader+2]
 	off := 0
 	for i, want := range payloads {
 		got, size, err := NextFrame(log[off:])
-		if err != nil || !bytes.Equal(got, want) || size != frameHeader+len(want) {
+		if err != nil || !bytes.Equal(got, want) || size != FrameHeader+len(want) {
 			t.Fatalf("frame %d at %d: %q, size %d, %v", i, off, got, size, err)
 		}
 		off += size
@@ -125,16 +135,16 @@ func TestNextFrameWalksALog(t *testing.T) {
 func TestWriteRecordTornIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.rec")
 	install(t, "t.write:torn")
-	if err := WriteRecord(path, []byte("0123456789abcdef"), "t.write"); err == nil {
+	if err := WriteFileAtomic(path, AppendFrame(nil, []byte("0123456789abcdef")), "t.write"); err == nil {
 		t.Fatal("torn write reported success")
 	}
-	if _, err := ReadRecord(path, "t.read"); !errors.Is(err, ErrCorrupt) {
+	if _, err := readRecord(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn record: err=%v, want ErrCorrupt", err)
 	}
 }
 
 // FuzzFrame feeds arbitrary bytes to both readers — the log walk
-// (NextFrame) and ReadRecord's one-frame check — and requires that
+// (NextFrame) and OnlyFrame's one-frame check — and requires that
 // neither panics, fails with anything but ErrCorrupt, or returns a
 // payload whose length word and CRC do not match.
 func FuzzFrame(f *testing.F) {
@@ -162,12 +172,12 @@ func FuzzFrame(f *testing.F) {
 			checkFrame(t, data[off:off+size], payload)
 			off += size
 		}
-		payload, err := onlyFrame(data)
+		payload, err := OnlyFrame(data)
 		switch {
 		case err == nil:
 			checkFrame(t, data, payload)
 		case !errors.Is(err, ErrCorrupt):
-			t.Fatalf("onlyFrame: %v", err)
+			t.Fatalf("OnlyFrame: %v", err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -76,10 +75,10 @@ func (s *ckptStore) put(key string, ck *core.Checkpoint) (evicted []string) {
 	return evicted
 }
 
-// writeDisk mirrors ck to disk (no-op without a dir): Checkpoint.Encode's
-// gob is the payload of one durable record, which lands via the
-// temp-file + fsync + atomic-rename path, so a crash at any instruction
-// leaves either the old checkpoint or the new one, never a torn body.
+// writeDisk mirrors ck to disk (no-op without a dir) as one counts
+// record, which lands via the temp-file + fsync + atomic-rename path, so
+// a crash at any instruction leaves either the old checkpoint or the new
+// one, never a torn body.
 // The previous generation is rotated to "<key>.ckpt.prev" first: if the
 // NEW file is later found corrupt (bit rot, injected fault), load falls
 // back to the older prefix instead of restarting from zero.  Call
@@ -88,10 +87,6 @@ func (s *ckptStore) writeDisk(key string, ck *core.Checkpoint) error {
 	if s.dir == "" {
 		return nil
 	}
-	var body bytes.Buffer
-	if err := ck.Encode(&body); err != nil {
-		return err
-	}
 	p := s.path(key)
 	if _, err := os.Stat(p); err == nil {
 		// Rotation is not atomic with the write, but every intermediate
@@ -99,7 +94,7 @@ func (s *ckptStore) writeDisk(key string, ck *core.Checkpoint) error {
 		// staler than it could have been.
 		_ = os.Rename(p, p+".prev")
 	}
-	return durable.WriteRecord(p, body.Bytes(), "ckpt.write")
+	return durable.WriteFileAtomic(p, ck.AppendRecord(nil), "ckpt.write")
 }
 
 // removeDisk deletes key's checkpoint files (all generations), if any.
@@ -142,16 +137,13 @@ func (s *ckptStore) load(key string) *core.Checkpoint {
 }
 
 // loadGeneration reads and verifies one checkpoint file, quarantining
-// it on corruption.  A record whose payload is not a checkpoint gob is
-// corrupt too.
+// it on corruption — an older daemon's gob payload included: it passes
+// the frame but not the record's version byte.
 func (s *ckptStore) loadGeneration(key, path string) *core.Checkpoint {
-	body, err := durable.ReadRecord(path, "ckpt.read")
+	data, err := durable.ReadFile(path, "ckpt.read")
 	var ck *core.Checkpoint
 	if err == nil {
-		ck, err = core.DecodeCheckpoint(bytes.NewReader(body))
-		if err != nil {
-			err = fmt.Errorf("%w: %v", durable.ErrCorrupt, err)
-		}
+		ck, err = core.DecodeRecord(data)
 	}
 	if errors.Is(err, durable.ErrCorrupt) {
 		_ = durable.Quarantine(path)

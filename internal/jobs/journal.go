@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,12 +26,14 @@ import (
 // bitwise identical to an uninterrupted run.
 //
 // Each record is one durable frame (durable.AppendFrame) around a JSON
-// payload.  Appends are fsync'd before the submission is acknowledged;
-// a failed append is cut back off the file, so the log always ends on
-// a whole frame.  Replay stops at the first frame that fails its length
-// or CRC check — a torn tail from a crash mid-append loses at most the
-// final record, never the log — and the file is truncated back to the
-// valid prefix so later appends stay readable.
+// payload, which a shard record follows with '\n' and its counts record
+// (json.Marshal never writes a raw newline, so the split is
+// unambiguous).  Appends are fsync'd before the submission is
+// acknowledged; a failed append is cut back off the file, so the log
+// always ends on a whole frame.  Replay stops at the first frame that
+// fails its length or CRC check — a torn tail from a crash mid-append
+// loses at most the final record, never the log — and the file is
+// truncated back to the valid prefix so later appends stay readable.
 //
 // Record semantics (idempotent by job id; the LAST record wins):
 //
@@ -44,9 +47,11 @@ import (
 //	done / fail / cancel
 //	        terminal — the job is never replayed
 //
-// Older daemons also wrote start, ckpt and redispatch records; replay
-// reads past them as no-ops.  A running job resumes from the checkpoint
-// store by content key, so no progress is journaled.
+// Older daemons also wrote start, ckpt and redispatch records, and shard
+// records with their counts spelled out in JSON; replay reads past them
+// as no-ops, so those windows are dispatched again.  A running job
+// resumes from the checkpoint store by content key, so no progress is
+// journaled.
 //
 // Deliberately NOT journaled: cache hits (no work to redo) and
 // shutdown-driven cancellations (a SIGTERM'd daemon's queued and
@@ -77,9 +82,11 @@ type journalRecord struct {
 	Tenant  string        `json:"tenant,omitempty"`
 	Class   string        `json:"class,omitempty"`
 	// Distributed merge-ledger payloads (see ledger.go): Plan for "plan"
-	// records, Shard for "shard" records.
-	Plan  *LedgerState    `json:"plan,omitempty"`
-	Shard *LedgerDelivery `json:"shard,omitempty"`
+	// records, Worker and Counts for "shard" records.  Counts rides after
+	// the JSON, not in it.
+	Plan   *LedgerState `json:"plan,omitempty"`
+	Worker string       `json:"worker,omitempty"`
+	Counts []byte       `json:"-"`
 }
 
 // journalEntry is the live, compaction-driving view of one job id.
@@ -117,8 +124,8 @@ type journalReplay struct {
 	// order — the re-admission work list.
 	Pending []*journalRecord
 	// Ledgers maps pending ids to their replayed distributed merge
-	// ledgers (plan + verified-framing deliveries); the coordinator
-	// re-validates delivery CRCs and span coverage before adopting.
+	// ledgers (plan + deliveries); the coordinator re-verifies each
+	// delivery's counts record and span coverage before adopting.
 	Ledgers map[string]*LedgerState
 	// Frames and CorruptFrames count what the scan saw; MaxSeq is the
 	// highest job sequence number any record named.
@@ -132,6 +139,9 @@ func appendFrame(buf []byte, rec *journalRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return buf, err
+	}
+	if rec.Counts != nil {
+		payload = append(append(payload, '\n'), rec.Counts...)
 	}
 	return durable.AppendFrame(buf, payload), nil
 }
@@ -147,6 +157,9 @@ func scanJournal(data []byte, visit func(*journalRecord)) (frames int, validLen 
 			return frames, off, true
 		}
 		var rec journalRecord
+		if i := bytes.IndexByte(payload, '\n'); i >= 0 {
+			payload, rec.Counts = payload[:i], bytes.Clone(payload[i+1:])
+		}
 		if err := json.Unmarshal(payload, &rec); err != nil || rec.T == "" || rec.ID == "" {
 			return frames, off, true
 		}
@@ -262,8 +275,8 @@ func (jl *jobJournal) apply(rec *journalRecord) {
 		// Deliveries without a live plan (the plan append itself failed)
 		// are dropped: replay must never trust counts it cannot anchor to
 		// a validated span layout.
-		if e.ledger != nil && rec.Shard != nil {
-			e.ledger.Deliveries = append(e.ledger.Deliveries, *rec.Shard)
+		if e.ledger != nil && rec.Counts != nil {
+			e.ledger.Deliveries = append(e.ledger.Deliveries, LedgerDelivery{Worker: rec.Worker, Counts: rec.Counts})
 		}
 	case "done", "fail", "cancel":
 		e.terminal = true
@@ -344,8 +357,8 @@ func (jl *jobJournal) compactLocked() error {
 				return err
 			}
 			frames++
-			for i := range e.ledger.Deliveries {
-				if buf, err = appendFrame(buf, &journalRecord{T: "shard", ID: id, Key: e.submit.Key, Shard: &e.ledger.Deliveries[i]}); err != nil {
+			for _, d := range e.ledger.Deliveries {
+				if buf, err = appendFrame(buf, &journalRecord{T: "shard", ID: id, Key: e.submit.Key, Worker: d.Worker, Counts: d.Counts}); err != nil {
 					return err
 				}
 				frames++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sprint/internal/core"
@@ -212,7 +213,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	// Appends after compaction must reach the NEW file, not the orphaned
 	// pre-rename inode.
-	if err := jl.append(&journalRecord{T: "shard", ID: "j000020", Key: "kj000020", Shard: testDelivery(0, 50, 50, 2, 4)}); err != nil {
+	if err := jl.append(shardRecord("j000020", "kj000020", 0, 50, 50, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
 	jl.close()
@@ -269,9 +270,11 @@ func TestJournalFailedAppendKeepsLaterRecords(t *testing.T) {
 // TestJournalReplaysOlderFormat replays a journal written by the daemon
 // before start, ckpt and redispatch records were retired
 // (testdata/journal_v1.log: every record kind, terminal and pending jobs,
-// a re-plan and an orphan delivery).  The pending set, the ledgers and
-// the scan counts must equal what that daemon replayed from the same
-// bytes (testdata/journal_v1.want.json).
+// a re-plan and an orphan delivery).  The pending set, the plans and the
+// scan counts must equal what that daemon replayed from the same bytes
+// (testdata/journal_v1.want.json).  Its shard records spell their counts
+// out in JSON, which replay reads as no-ops: the ledgers keep their plans
+// with no deliveries, so those windows are dispatched again.
 func TestJournalReplaysOlderFormat(t *testing.T) {
 	log, err := os.ReadFile(filepath.Join("testdata", "journal_v1.log"))
 	if err != nil {
@@ -314,4 +317,44 @@ func TestJournalReplaysOlderFormat(t *testing.T) {
 	if string(js)+"\n" != string(want) {
 		t.Fatalf("replay of the older journal differs:\ngot  %s\nwant %s", js, want)
 	}
+}
+
+// FuzzJournalScan drives scanJournal with arbitrary bytes.  It never
+// panics, stops inside the input, reports a truncation exactly when it
+// stops short of the end, and re-scanning the valid prefix it reports
+// visits the same records.
+func FuzzJournalScan(f *testing.F) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "journal_v1.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	// The current format: a shard record carries its counts frame after
+	// the JSON.
+	opt := core.DefaultOptions()
+	var log []byte
+	for _, rec := range []*journalRecord{
+		{T: "submit", ID: "j000001", Key: "k1", Dataset: "sha256:abc", Labels: []int{0, 0, 1, 1}, Opt: &opt},
+		{T: "plan", ID: "j000001", Key: "k1", Plan: testPlan(2)},
+		shardRecord("j000001", "k1", 0, 50, 50, 2, 3),
+	} {
+		if log, err = appendFrame(log, rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(log)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var recs []*journalRecord
+		frames, validLen, truncated := scanJournal(data, func(rec *journalRecord) { recs = append(recs, rec) })
+		if validLen < 0 || validLen > len(data) || frames != len(recs) || truncated != (validLen < len(data)) {
+			t.Fatalf("scan of %d bytes: %d frames (%d visited), valid %d, truncated %v",
+				len(data), frames, len(recs), validLen, truncated)
+		}
+		var again []*journalRecord
+		frames2, validLen2, truncated2 := scanJournal(data[:validLen], func(rec *journalRecord) { again = append(again, rec) })
+		if frames2 != frames || validLen2 != validLen || truncated2 || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("re-scan of the valid prefix: %d frames, valid %d, truncated %v; want %d, %d",
+				frames2, validLen2, truncated2, frames, validLen)
+		}
+	})
 }

@@ -2,7 +2,7 @@ package jobs
 
 // This file is the durable merge ledger of a distributed run: the
 // journal-backed record of the coordinator's shard plan and every
-// accepted shard delivery (counts + CRC).  It is what lets a
+// accepted shard delivery.  It is what lets a
 // coordinator that was SIGKILLed mid-job restart, replay the ledger,
 // merge the already-delivered windows from the journal, and re-dispatch
 // only the uncovered remainder — zero recomputation of delivered
@@ -18,9 +18,10 @@ package jobs
 //	       journaled under an earlier plan — it is written exactly when
 //	       the coordinator decides the replayed state is unusable and
 //	       partitions afresh.
-//	shard  one accepted delivery: the window, its exceedance count
-//	       vectors, and the delivery's CRC64 stamp, verified again on
-//	       replay before the window is trusted.
+//	shard  one accepted delivery: its counts record
+//	       (core.Checkpoint.AppendRecord) exactly as the delivering node
+//	       framed it, whose CRC the coordinator verifies again on replay
+//	       before the window is trusted.
 //
 // The coordinator appends deliveries OUTSIDE its dispatch lock (fsync
 // latency must not serialize the merge).  The crash window this opens
@@ -28,21 +29,13 @@ package jobs
 // is simply re-dispatched after restart, and worker-side retention
 // re-serves it without recomputation.
 
-// LedgerDelivery is one journaled shard delivery: the exact counts the
-// coordinator merged for the window [Lo, Next) of the dispatch window
-// [Lo, Hi).  Raw/Adj are full-length row vectors; CRC64 is the
-// delivery's response stamp (worker-computed, or stamped by the
-// coordinator's own loop for local shards) and is re-verified on replay
-// before the delivery is adopted.
+// LedgerDelivery is one journaled shard delivery: the counts record the
+// coordinator merged, byte for byte as the worker sent it (or as the
+// coordinator's own loop encoded it for a local shard), and the node
+// that delivered it.
 type LedgerDelivery struct {
-	Lo     int64   `json:"lo"`
-	Next   int64   `json:"next"`
-	Hi     int64   `json:"hi"`
-	B      int64   `json:"b"`
-	Raw    []int64 `json:"raw"`
-	Adj    []int64 `json:"adj"`
-	CRC64  uint64  `json:"crc,omitempty"`
-	Worker string  `json:"worker,omitempty"`
+	Worker string
+	Counts []byte
 }
 
 // LedgerState is the replayable merge state of one distributed job: the
@@ -100,14 +93,14 @@ func (l *JobLedger) RecordPlan(st *LedgerState) {
 	l.appendFn(&journalRecord{T: "plan", ID: l.id, Key: l.key, Plan: st})
 }
 
-// RecordDelivery journals one accepted shard delivery.  The delivery's
-// slices are retained by the journal's live view until compaction; the
-// caller must not mutate them afterwards.
+// RecordDelivery journals one accepted shard delivery.  The journal's
+// live view retains d.Counts until compaction; the caller must not
+// mutate it afterwards.
 func (l *JobLedger) RecordDelivery(d *LedgerDelivery) {
 	if l == nil || d == nil {
 		return
 	}
-	l.appendFn(&journalRecord{T: "shard", ID: l.id, Key: l.key, Shard: d})
+	l.appendFn(&journalRecord{T: "shard", ID: l.id, Key: l.key, Worker: d.Worker, Counts: d.Counts})
 }
 
 // ledgerFor builds the job's ledger handle, claiming any replayed state

@@ -39,7 +39,24 @@ func testDelivery(lo, next, hi int64, rows int, v int64) *LedgerDelivery {
 	for i := range raw {
 		raw[i], adj[i] = v, v
 	}
-	return &LedgerDelivery{Lo: lo, Next: next, Hi: hi, B: next - lo, Raw: raw, Adj: adj, CRC64: 7, Worker: "w"}
+	ck := &core.Checkpoint{Fingerprint: 0xfeed, TotalB: 100, Next: next, Done: next - lo, Hi: hi, Raw: raw, Adj: adj}
+	return &LedgerDelivery{Worker: "w", Counts: ck.AppendRecord(nil)}
+}
+
+// shardRecord is the journal record of testDelivery(lo, next, hi, rows, v).
+func shardRecord(id, key string, lo, next, hi int64, rows int, v int64) *journalRecord {
+	d := testDelivery(lo, next, hi, rows, v)
+	return &journalRecord{T: "shard", ID: id, Key: key, Worker: d.Worker, Counts: d.Counts}
+}
+
+// deliveryCounts decodes a replayed delivery's counts record.
+func deliveryCounts(t *testing.T, d LedgerDelivery) *core.Checkpoint {
+	t.Helper()
+	ck, err := core.DecodeRecord(d.Counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
 }
 
 // TestJournalLedgerReplay pins the merge-ledger record semantics: plan +
@@ -57,9 +74,9 @@ func TestJournalLedgerReplay(t *testing.T) {
 		}
 	}
 	must(&journalRecord{T: "plan", ID: id, Key: "k1", Plan: testPlan(rows)})
-	must(&journalRecord{T: "shard", ID: id, Key: "k1", Shard: testDelivery(0, 50, 50, rows, 1)})
+	must(shardRecord(id, "k1", 0, 50, 50, rows, 1))
 	must(&journalRecord{T: "redispatch", ID: id, Key: "k1"})
-	must(&journalRecord{T: "shard", ID: id, Key: "k1", Shard: testDelivery(50, 80, 100, rows, 2)})
+	must(shardRecord(id, "k1", 50, 80, 100, rows, 2))
 	jl.close()
 
 	jl2, rep, err := openJournal(dir, 0)
@@ -76,8 +93,8 @@ func TestJournalLedgerReplay(t *testing.T) {
 	if len(led.Deliveries) != 2 {
 		t.Fatalf("replayed %d deliveries, want 2", len(led.Deliveries))
 	}
-	d := led.Deliveries[1]
-	if d.Lo != 50 || d.Next != 80 || d.Hi != 100 || d.B != 30 || d.Raw[0] != 2 || d.Worker != "w" {
+	d := deliveryCounts(t, led.Deliveries[1])
+	if d.Next-d.Done != 50 || d.Next != 80 || d.Hi != 100 || d.Done != 30 || d.Raw[0] != 2 || led.Deliveries[1].Worker != "w" {
 		t.Fatalf("delivery payload drifted: %+v", d)
 	}
 
@@ -123,7 +140,7 @@ func TestJournalLedgerCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := jl.append(&journalRecord{T: "shard", ID: id, Key: "k1", Shard: testDelivery(0, 50, 50, rows, 9)}); err != nil {
+	if err := jl.append(shardRecord(id, "k1", 0, 50, 50, rows, 9)); err != nil {
 		t.Fatal(err)
 	}
 	if err := jl.compact(); err != nil {
@@ -140,7 +157,7 @@ func TestJournalLedgerCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rep.Ledgers[id]
-	if led == nil || len(led.Deliveries) != 1 || led.Deliveries[0].Raw[0] != 9 {
+	if led == nil || len(led.Deliveries) != 1 || deliveryCounts(t, led.Deliveries[0]).Raw[0] != 9 {
 		t.Fatalf("compacted ledger did not replay: %+v", led)
 	}
 
@@ -155,7 +172,7 @@ func TestJournalLedgerCompaction(t *testing.T) {
 	opt := core.DefaultOptions()
 	for _, rec := range []*journalRecord{
 		{T: "submit", ID: "j000002", Key: "k2", Dataset: "sha256:def", Labels: []int{0, 1}, Opt: &opt},
-		{T: "shard", ID: "j000002", Key: "k2", Shard: testDelivery(0, 50, 50, rows, 1)},
+		shardRecord("j000002", "k2", 0, 50, 50, rows, 1),
 	} {
 		if err := jl2.append(rec); err != nil {
 			t.Fatal(err)

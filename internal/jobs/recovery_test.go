@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sprint/internal/core"
+	"sprint/internal/durable"
 	"sprint/internal/faultinject"
 	"sprint/internal/microarray"
 )
@@ -369,8 +370,8 @@ func TestCkptStoreQuarantine(t *testing.T) {
 	var corrupted []string
 	s.noteCorrupt = func(key string) { corrupted = append(corrupted, key) }
 
-	older := &core.Checkpoint{Next: 100}
-	newer := &core.Checkpoint{Next: 200}
+	older := &core.Checkpoint{TotalB: 1000, Next: 100, Hi: 1000}
+	newer := &core.Checkpoint{TotalB: 1000, Next: 200, Hi: 1000}
 	if err := s.writeDisk("k1", older); err != nil {
 		t.Fatal(err)
 	}
@@ -554,11 +555,14 @@ func TestStoredWideDesignSurvivesJournal(t *testing.T) {
 	m2.Close()
 }
 
-// TestPreUpgradeCheckpointQuarantined: a checkpoint in the retired
-// SPCKPT01 layout (testdata/spckpt01.bin, written for this spec by the
-// daemon before checkpoints became durable records, which resumed from
-// it at 1024) is quarantined on first load, and its job recomputes from
-// zero to the uninterrupted result bit for bit.
+// TestPreUpgradeCheckpointQuarantined: a checkpoint in a retired layout
+// is quarantined on first load, and its job recomputes from zero to the
+// uninterrupted result bit for bit.  Both fixtures were written for this
+// spec by an older daemon, which resumed from them at 1024:
+// testdata/spckpt01.bin in the SPCKPT01 layout, from before checkpoints
+// became durable records, and testdata/ckpt_gob.bin, a durable record
+// around the gob payload checkpoints carried before they became counts
+// records — it passes the frame check and fails the version byte.
 func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
 	data, err := microarray.Generate(microarray.GenOptions{
 		Genes: 40, Samples: 20, Classes: 2, DiffFraction: 0.2, EffectSize: 2.0, Seed: 5,
@@ -574,48 +578,53 @@ func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	if key != "bc6a1b1bcf7a27fb574ac9a497569284c23cb5f19e1717356c3b68e8eca8e716" {
-		t.Fatalf("spec key %s is not the one the fixture was written for", key)
-	}
-	old, err := os.ReadFile(filepath.Join("testdata", "spckpt01.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(old[:8]) != "SPCKPT01" {
-		t.Fatalf("fixture starts %q, want the SPCKPT01 magic", old[:8])
-	}
-	dirs := newDurableDirs(t)
-	if err := os.MkdirAll(dirs.ckpt, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dirs.ckpt, key+".ckpt"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := NewManager(dirs.config(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	st, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin := waitTerminal(t, m, st.ID)
-	if fin.State != Done || fin.ResumedFrom != 0 {
-		t.Fatalf("job %s (%s) resumed from %d, want done from 0", fin.State, fin.Error, fin.ResumedFrom)
-	}
-	if s := m.StatsSnapshot(); s.CorruptCheckpoints != 1 {
-		t.Fatalf("CorruptCheckpoints %d, want 1 (the SPCKPT01 file)", s.CorruptCheckpoints)
-	}
-	res, _, err := m.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("spec key %s is not the one the fixtures were written for", key)
 	}
 	want, err := core.MaxT(spec.X, spec.Labels, spec.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameFloats(t, "AdjP", res.AdjP, want.AdjP)
-	sameFloats(t, "RawP", res.RawP, want.RawP)
-	sameFloats(t, "Stat", res.Stat, want.Stat)
+	for _, fixture := range []string{"spckpt01.bin", "ckpt_gob.bin"} {
+		t.Run(fixture, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := durable.OnlyFrame(old); fixture == "spckpt01.bin" && string(old[:8]) != "SPCKPT01" ||
+				fixture == "ckpt_gob.bin" && err != nil {
+				t.Fatalf("fixture starts %q (frame: %v), not the layout it is named for", old[:8], err)
+			}
+			dirs := newDurableDirs(t)
+			if err := os.MkdirAll(dirs.ckpt, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dirs.ckpt, key+".ckpt"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			m, err := NewManager(dirs.config(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			st, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin := waitTerminal(t, m, st.ID)
+			if fin.State != Done || fin.ResumedFrom != 0 {
+				t.Fatalf("job %s (%s) resumed from %d, want done from 0", fin.State, fin.Error, fin.ResumedFrom)
+			}
+			if s := m.StatsSnapshot(); s.CorruptCheckpoints != 1 {
+				t.Fatalf("CorruptCheckpoints %d, want 1 (the %s file)", s.CorruptCheckpoints, fixture)
+			}
+			res, _, err := m.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+			sameFloats(t, "RawP", res.RawP, want.RawP)
+			sameFloats(t, "Stat", res.Stat, want.Stat)
+		})
+	}
 }
