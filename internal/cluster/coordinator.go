@@ -73,8 +73,8 @@ type CoordinatorConfig struct {
 	// restart, short enough not to burn CPU forever).  Defaults to 15s;
 	// negative disables leases (shards die with their request).
 	LeaseDuration time.Duration
-	// Metrics receives the coordinator-side cluster series; nil gets a
-	// private registry.
+	// Metrics receives the coordinator-side cluster series, which Info
+	// reads back; nil gets a private registry.
 	Metrics *metrics.Registry
 	// Logger receives dispatch lifecycle logs; nil discards.
 	Logger *slog.Logger
@@ -105,19 +105,9 @@ type Coordinator struct {
 	active       map[*jobState]struct{}
 	leaseTicking bool
 
-	inflight      atomic.Int64
-	dispatched    atomic.Int64
-	retries       atomic.Int64
-	pushes        atomic.Int64
-	jobsDist      atomic.Int64
-	jobsDecl      atomic.Int64
-	localDone     atomic.Int64
-	seqStops      atomic.Int64
-	ledgerRecords atomic.Int64
-	ledgerJobs    atomic.Int64
-	ledgerWindows atomic.Int64
-	ledgerInvalid atomic.Int64
-	leaseRenews   atomic.Int64
+	// inflight backs the cluster_shards_in_flight gauge; every other
+	// count lives only in the registry handles below, which Info reads.
+	inflight atomic.Int64
 
 	metDispatched    *metrics.Counter
 	metSeqStops      *metrics.Counter
@@ -193,7 +183,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	reg := cfg.Metrics
 	reg.Help("cluster_shards_dispatched_total", "Shard RPCs dispatched to workers.")
-	reg.Help("cluster_shard_retries_total", "Shard re-dispatches, by reason (error, partial, straggler).")
+	reg.Help("cluster_shard_retries_total", "Shard re-dispatches, by reason (error, partial, straggler, corrupt).")
 	reg.Help("cluster_dataset_pushes_total", "Datasets pushed to workers that answered 404 for a content address.")
 	reg.Help("cluster_jobs_distributed_total", "Jobs run across the cluster.")
 	reg.Help("cluster_jobs_declined_total", "Jobs declined back to the local path (no live workers or B under threshold).")
@@ -238,7 +228,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.metLocal = reg.Counter("cluster_local_shards_total")
 	c.metRPC = reg.Histogram("cluster_shard_rpc_seconds", metrics.DefLatencyBuckets)
 	reg.GaugeFunc("cluster_workers_live", func() float64 {
-		return float64(len(c.live(c.cfg.Clock())))
+		_, live := c.memberInfos()
+		return float64(live)
 	})
 	reg.GaugeFunc("cluster_shards_in_flight", func() float64 {
 		return float64(c.inflight.Load())
@@ -260,8 +251,37 @@ func (c *Coordinator) Routes() []Route {
 
 // Info implements Node.
 func (c *Coordinator) Info() Info {
+	members, live := c.memberInfos()
+	return Info{
+		Role: "coordinator",
+		Coordinator: &CoordinatorInfo{
+			Workers:          members,
+			WorkersLive:      live,
+			ShardsInFlight:   int(c.inflight.Load()),
+			ShardsDispatched: c.metDispatched.Value(),
+			ShardRetries:     sumCounters(c.metRetries),
+			DatasetPushes:    c.metPushes.Value(),
+			JobsDistributed:  c.metJobsDist.Value(),
+			JobsDeclined:     c.metJobsDecl.Value(),
+			LocalShards:      c.metLocal.Value(),
+			SeqEarlyStops:    c.metSeqStops.Value(),
+
+			LedgerRecords:         sumCounters(c.metLedgerRecords),
+			LedgerJobsReplayed:    c.metLedgerJobs.Value(),
+			LedgerWindowsReplayed: c.metLedgerWindows.Value(),
+			LedgerInvalid:         c.metLedgerInvalid.Value(),
+			LeaseRenewals:         c.metLeaseRenewals.Value(),
+		},
+	}
+}
+
+// memberInfos snapshots the membership and counts its live workers: the
+// one definition behind Info's workers_live and the cluster_workers_live
+// gauge.
+func (c *Coordinator) memberInfos() ([]MemberInfo, int) {
 	now := c.cfg.Clock()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	members := make([]MemberInfo, 0, len(c.members))
 	live := 0
 	for _, m := range c.members {
@@ -275,28 +295,16 @@ func (c *Coordinator) Info() Info {
 		}
 		members = append(members, mi)
 	}
-	c.mu.Unlock()
-	return Info{
-		Role: "coordinator",
-		Coordinator: &CoordinatorInfo{
-			Workers:          members,
-			WorkersLive:      live,
-			ShardsInFlight:   int(c.inflight.Load()),
-			ShardsDispatched: c.dispatched.Load(),
-			ShardRetries:     c.retries.Load(),
-			DatasetPushes:    c.pushes.Load(),
-			JobsDistributed:  c.jobsDist.Load(),
-			JobsDeclined:     c.jobsDecl.Load(),
-			LocalShards:      c.localDone.Load(),
-			SeqEarlyStops:    c.seqStops.Load(),
+	return members, live
+}
 
-			LedgerRecords:         c.ledgerRecords.Load(),
-			LedgerJobsReplayed:    c.ledgerJobs.Load(),
-			LedgerWindowsReplayed: c.ledgerWindows.Load(),
-			LedgerInvalid:         c.ledgerInvalid.Load(),
-			LeaseRenewals:         c.leaseRenews.Load(),
-		},
+// sumCounters totals a labelled counter family.
+func sumCounters(family map[string]*metrics.Counter) int64 {
+	var n int64
+	for _, c := range family {
+		n += c.Value()
 	}
+	return n
 }
 
 func (c *Coordinator) handlePing(w http.ResponseWriter, r *http.Request) {
@@ -473,7 +481,6 @@ func (c *Coordinator) postLease(addr string, body *leaseBody) {
 	}
 	io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<12))
 	hresp.Body.Close()
-	c.leaseRenews.Add(1)
 	c.metLeaseRenewals.Inc()
 }
 
@@ -614,17 +621,14 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	// honoured (the local path would recompute them), and the localLoop
 	// covers the remainder even with zero live workers.
 	if adopt == nil && (len(workers) == 0 || plan.TotalB < c.cfg.MinDistB) {
-		c.jobsDecl.Add(1)
 		c.metJobsDecl.Inc()
 		return nil, jobs.ErrNotDistributed
 	}
-	c.jobsDist.Add(1)
 	c.metJobsDist.Inc()
 
 	seenObserved := start > 0
 	var spans [][2]int64
 	if adopt != nil {
-		c.ledgerJobs.Add(1)
 		c.metLedgerJobs.Inc()
 		for _, d := range adopt.deliveries {
 			mergeMasked(merged, d.Raw, d.Adj, d.Done, frozen)
@@ -632,7 +636,6 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 				seenObserved = true
 			}
 		}
-		c.ledgerWindows.Add(int64(len(adopt.deliveries)))
 		c.metLedgerWindows.Add(int64(len(adopt.deliveries)))
 		if req.OnProgress != nil && merged.B > 0 {
 			req.OnProgress(merged.B, plan.TotalB)
@@ -655,7 +658,6 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 				Complete: plan.Complete, Rows: plan.Rows,
 				Start: start, Seq: sequential, BEff: frozen, Spans: spans,
 			})
-			c.ledgerRecords.Add(1)
 			c.metLedgerRecords["plan"].Inc()
 		}
 	}
@@ -665,7 +667,6 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	if sequential && seenObserved && len(spans) > 0 {
 		if settled, serr := core.SeqAllSettledFrozen(req.Prepared, seqOpt, merged, frozen); serr == nil && settled {
 			spans = nil
-			c.seqStops.Add(1)
 			c.metSeqStops.Inc()
 		}
 	}
@@ -744,7 +745,6 @@ func (c *Coordinator) adoptLedger(rep *jobs.LedgerState, plan core.Plan, sequent
 		return nil
 	}
 	invalid := func(why string) *adoption {
-		c.ledgerInvalid.Add(1)
 		c.metLedgerInvalid.Inc()
 		c.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "cluster_ledger_invalid",
 			slog.String("why", why))
@@ -1002,10 +1002,7 @@ func (st *jobState) release(rec *shardRec) {
 // requeue returns a failed dispatch to the queue, flipping the shard to
 // coordinator-local once its remote attempts are exhausted.
 func (st *jobState) requeue(rec *shardRec, reason string) {
-	st.c.retries.Add(1)
-	if m, ok := st.c.metRetries[reason]; ok {
-		m.Inc()
-	}
+	st.c.metRetries[reason].Inc()
 	st.mu.Lock()
 	rec.inflight--
 	st.c.inflight.Add(-1)
@@ -1073,10 +1070,11 @@ func (st *jobState) deliver(rec *shardRec, ck *core.Checkpoint, counts []byte, f
 			if lo == 0 {
 				st.seenObserved = true
 			}
-			if st.seenObserved && st.remaining > 0 {
+			// A delivery that lands after the stop but before runShards
+			// finishes still merges; the stop itself is counted once.
+			if st.seenObserved && st.remaining > 0 && !st.earlyStop {
 				if settled, serr := core.SeqAllSettledFrozen(st.req.Prepared, st.seqOpt, st.merged, st.frozen); serr == nil && settled {
 					st.earlyStop = true
-					st.c.seqStops.Add(1)
 					st.c.metSeqStops.Inc()
 				}
 			}
@@ -1094,11 +1092,9 @@ func (st *jobState) deliver(rec *shardRec, ck *core.Checkpoint, counts []byte, f
 			counts = ck.AppendRecord(nil)
 		}
 		st.led.RecordDelivery(&jobs.LedgerDelivery{Worker: from, Counts: counts})
-		st.c.ledgerRecords.Add(1)
 		st.c.metLedgerRecords["shard"].Inc()
 	}
 	if partial {
-		st.c.retries.Add(1)
 		st.c.metRetries[retryPartial].Inc()
 	}
 }
@@ -1155,7 +1151,6 @@ func (st *jobState) localLoop() {
 			st.abort(err)
 			return
 		}
-		st.c.localDone.Add(1)
 		st.c.metLocal.Inc()
 		st.deliver(rec, sc.Checkpoint(), nil, "local")
 	}
@@ -1185,7 +1180,6 @@ func (st *jobState) stragglerTicker(after time.Duration, stop <-chan struct{}) {
 					rec.spec, rec.queued = true, true
 					st.queue = append(st.queue, rec)
 					bumped = true
-					st.c.retries.Add(1)
 					st.c.metRetries[retryStraggler].Inc()
 				}
 			}
@@ -1223,7 +1217,6 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 		sreq.LeaseMS = int64(d / time.Millisecond)
 	}
 	for {
-		c.dispatched.Add(1)
 		c.metDispatched.Inc()
 		rpcStart := time.Now()
 		ck, counts, status, reason, err := c.postShard(st.ctx, m.addr, &sreq, st.plan.Rows)
@@ -1262,7 +1255,6 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 				st.requeue(rec, retryError)
 				return false
 			}
-			c.pushes.Add(1)
 			c.metPushes.Inc()
 			continue
 		case status == http.StatusOK:

@@ -58,8 +58,8 @@ type WorkerConfig struct {
 	// MaxRetained bounds the retained-result cache (LRU past it).
 	// Defaults to 128; negative disables retention.
 	MaxRetained int
-	// Metrics receives the worker-side cluster series; nil gets a
-	// private registry.
+	// Metrics receives the worker-side cluster series, which Info reads
+	// back; nil gets a private registry.
 	Metrics *metrics.Registry
 	// Logger receives shard lifecycle logs; nil discards.
 	Logger *slog.Logger
@@ -89,17 +89,8 @@ type Worker struct {
 	retain *retention
 	tasks  map[retainKey]*shardTask
 
-	served  atomic.Int64
-	partial atomic.Int64
-	refused atomic.Int64
-
-	retainedHits    atomic.Int64
-	retainedResumes atomic.Int64
-	inflightJoins   atomic.Int64
-	leaseRenewed    atomic.Int64
-	leaseExpired    atomic.Int64
-	leaseDisowned   atomic.Int64
-
+	// The registry handles are the worker's only counters; Info reads
+	// them back.
 	metServed          *metrics.Counter
 	metPartial         *metrics.Counter
 	metRefused         map[string]*metrics.Counter
@@ -193,9 +184,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w.metLeaseExpired = reg.Counter("cluster_lease_expired_total")
 	w.metLeaseDisowned = reg.Counter("cluster_lease_disowned_total")
 	reg.GaugeFunc("cluster_worker_retained_results", func() float64 {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return float64(w.retain.size())
+		return float64(w.retained())
 	})
 	return w
 }
@@ -216,7 +205,7 @@ func (w *Worker) Routes() []Route {
 // Info implements Node.
 func (w *Worker) Info() Info {
 	w.mu.Lock()
-	coord, active, retained := w.coordinator, w.active, w.retain.size()
+	coord, active := w.coordinator, w.active
 	w.mu.Unlock()
 	return Info{
 		Role: "worker",
@@ -224,18 +213,27 @@ func (w *Worker) Info() Info {
 			Coordinator:     coord,
 			Draining:        w.draining.Load(),
 			ShardsActive:    active,
-			ShardsServed:    w.served.Load(),
-			ShardsPartial:   w.partial.Load(),
-			ShardsRefused:   w.refused.Load(),
-			ShardsRetained:  retained,
-			RetainedHits:    w.retainedHits.Load(),
-			RetainedResumes: w.retainedResumes.Load(),
-			InflightJoins:   w.inflightJoins.Load(),
-			LeaseRenewed:    w.leaseRenewed.Load(),
-			LeaseExpired:    w.leaseExpired.Load(),
-			LeaseDisowned:   w.leaseDisowned.Load(),
+			ShardsServed:    w.metServed.Value(),
+			ShardsPartial:   w.metPartial.Value(),
+			ShardsRefused:   sumCounters(w.metRefused),
+			ShardsRetained:  w.retained(),
+			RetainedHits:    w.metRetainedHits.Value(),
+			RetainedResumes: w.metRetainedResumes.Value(),
+			InflightJoins:   w.metInflightJoins.Value(),
+			LeaseRenewed:    w.metLeaseRenewed.Value(),
+			LeaseExpired:    w.metLeaseExpired.Value(),
+			LeaseDisowned:   w.metLeaseDisowned.Value(),
 		},
 	}
+}
+
+// retained counts the shard results held in retention: the one
+// definition behind Info's shards_retained and the
+// cluster_worker_retained_results gauge.
+func (w *Worker) retained() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.retain.size()
 }
 
 // Draining reports whether Drain has been called.
@@ -260,10 +258,7 @@ func (w *Worker) handlePing(rw http.ResponseWriter, r *http.Request) {
 
 // refusal counts a refused shard and returns its outcome.
 func (w *Worker) refusal(status int, reason, msg string) *shardOutcome {
-	w.refused.Add(1)
-	if c, ok := w.metRefused[reason]; ok {
-		c.Inc()
-	}
+	w.metRefused[reason].Inc()
 	return &shardOutcome{status: status, body: errorBody{Error: msg, Reason: reason}}
 }
 
@@ -343,7 +338,6 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	if rec, complete := w.retain.get(k); complete {
 		w.mu.Unlock()
-		w.retainedHits.Add(1)
 		w.metRetainedHits.Inc()
 		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_retained_hit",
 			slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
@@ -359,7 +353,6 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 			}
 		}
 		w.mu.Unlock()
-		w.inflightJoins.Add(1)
 		w.metInflightJoins.Inc()
 		select {
 		case <-t.done:
@@ -458,7 +451,6 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 			if prev, err := core.DecodeRecord(rec); err == nil &&
 				prev.TotalB == plan.TotalB && prev.Complete == plan.Complete && len(prev.Raw) == plan.Rows {
 				resume = prev
-				w.retainedResumes.Add(1)
 				w.metRetainedResumes.Inc()
 			}
 		}
@@ -513,10 +505,8 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 		w.mu.Unlock()
 	}
 	if partial {
-		w.partial.Add(1)
 		w.metPartial.Inc()
 	} else {
-		w.served.Add(1)
 		w.metServed.Inc()
 	}
 	w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_served",
@@ -546,7 +536,6 @@ func (w *Worker) watchLease(t *shardTask) {
 		d := time.Until(t.lease)
 		w.mu.Unlock()
 		if d <= 0 {
-			w.leaseExpired.Add(1)
 			w.metLeaseExpired.Inc()
 			w.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "cluster_shard_lease_expired")
 			t.cancel()
@@ -595,12 +584,8 @@ func (w *Worker) handleLeases(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.mu.Unlock()
-	if ack.Renewed > 0 {
-		w.leaseRenewed.Add(int64(ack.Renewed))
-		w.metLeaseRenewed.Add(int64(ack.Renewed))
-	}
+	w.metLeaseRenewed.Add(int64(ack.Renewed))
 	if ack.Disowned > 0 {
-		w.leaseDisowned.Add(int64(ack.Disowned))
 		w.metLeaseDisowned.Add(int64(ack.Disowned))
 		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shards_disowned",
 			slog.Int("count", ack.Disowned))

@@ -25,7 +25,8 @@ import (
 //   - Load shedding turns refusal into guidance: every rejection carries
 //     a Retry-After derived from the observed queue drain rate — the
 //     truthful "come back when a slot will exist" number — and every
-//     shed or throttle decision is itself counted.
+//     refusal, a tenant-bucket throttle included, is counted once in
+//     jobs_shed_total by reason.
 //
 // All admission state lives beside the queue, guarded by its own locks,
 // never by Manager.mu: a scrape or a throttle decision must not contend

@@ -188,6 +188,17 @@ func (s *dsStore) remove(e *dsEntry) {
 	delete(s.entries, e.id)
 }
 
+// resident reports the in-memory registry: its entry count, their
+// payload bytes and the job references pinning them.  Callers hold the
+// manager lock.
+func (s *dsStore) resident() (n int, bytes int64, pins int) {
+	for _, e := range s.entries {
+		bytes += int64(len(e.m.Data)) * 8
+		pins += e.refs
+	}
+	return len(s.entries), bytes, pins
+}
+
 // writeDisk mirrors the matrix to "<id>.spb" (no-op without a dir)
 // through the durable atomic-write path: temp file, fsync, rename,
 // directory fsync — a crash never leaves a torn dataset, and the
@@ -342,10 +353,9 @@ func (m *Manager) PutDataset(x matrix.Matrix) (DatasetInfo, bool, error) {
 	}
 	e := &dsEntry{id: id, m: x, createdAt: now, lastUse: now, preps: make(map[string]*prepSlot)}
 	m.datasets.insert(e)
-	m.stats.DatasetsAdded++
+	m.met.dsAdded.Inc()
 	info := e.info()
 	m.mu.Unlock()
-	m.met.dsAdded.Inc()
 
 	// The disk mirror write happens outside the lock (it can be tens of
 	// megabytes).  A mirror failure degrades durability, not service:
@@ -442,10 +452,9 @@ func (m *Manager) datasetRef(id string) (*dsEntry, error) {
 	now := m.cfg.Clock()
 	if e, ok := m.datasets.entries[id]; ok {
 		e.refs++
-		m.stats.DatasetHits++
+		m.met.dsHits.Inc()
 		m.datasets.touch(e, now)
 		m.mu.Unlock()
-		m.met.dsHits.Inc()
 		return e, nil
 	}
 	m.mu.Unlock()
@@ -456,13 +465,12 @@ func (m *Manager) datasetRef(id string) (*dsEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.met.dsReloads.Inc()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, ErrClosed
 	}
-	m.stats.DatasetReloads++
+	m.met.dsReloads.Inc()
 	now = m.cfg.Clock()
 	if e, ok := m.datasets.entries[id]; ok { // lost a reload race: use theirs
 		e.refs++

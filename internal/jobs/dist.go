@@ -158,16 +158,9 @@ func (m *Manager) prepFromEntry(e *dsEntry, labels []int, opt core.Options) (*co
 		slot.prepared, slot.err = core.Prepare(e.m, labels, opt)
 		m.met.stagePrep.ObserveDuration(time.Since(buildStart))
 	})
-	m.mu.Lock()
 	// Exactly one caller per slot observes built (whoever won the Once,
 	// which under a race need not be the slot's creator); everyone else
 	// reused a preparation they did not pay for.
-	if built {
-		m.stats.PrepBuilds++
-	} else {
-		m.stats.PrepHits++
-	}
-	m.mu.Unlock()
 	if built {
 		m.met.prepBuilds.Inc()
 	} else {

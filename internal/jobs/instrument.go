@@ -7,6 +7,7 @@ import (
 // mgrMetrics holds the Manager's pre-registered metric handles: every
 // hot-path update is an atomic on a handle resolved once at startup, so
 // the steady-state job path adds zero allocations and zero map lookups.
+// They are the manager's only counters: StatsSnapshot reads them back.
 type mgrMetrics struct {
 	submitted  [numClasses]*metrics.Counter
 	completed  [numClasses]*metrics.Counter
@@ -15,7 +16,6 @@ type mgrMetrics struct {
 	cacheHits  *metrics.Counter
 	resumed    *metrics.Counter
 	shed       map[string]*metrics.Counter // by reason
-	throttled  *metrics.Counter
 	prepBuilds *metrics.Counter
 	prepHits   *metrics.Counter
 	dsAdded    *metrics.Counter
@@ -55,7 +55,6 @@ func newMgrMetrics(reg *metrics.Registry) *mgrMetrics {
 	reg.Help("jobs_cache_hits_total", "Submissions answered from the content-addressed result cache.")
 	reg.Help("jobs_resumed_total", "Jobs resumed from a retained checkpoint.")
 	reg.Help("jobs_shed_total", "Submissions refused by the admission plane, by reason.")
-	reg.Help("jobs_throttled_total", "Submissions refused by a tenant token bucket.")
 	reg.Help("prep_builds_total", "Full dataset preparations built (scrub + rank + moment precompute).")
 	reg.Help("prep_hits_total", "Dataset jobs that reused a cached preparation.")
 	reg.Help("datasets_added_total", "Datasets registered (deduplicated re-uploads excluded).")
@@ -84,7 +83,6 @@ func newMgrMetrics(reg *metrics.Registry) *mgrMetrics {
 		cancelled:        reg.Counter("jobs_cancelled_total"),
 		cacheHits:        reg.Counter("jobs_cache_hits_total"),
 		resumed:          reg.Counter("jobs_resumed_total"),
-		throttled:        reg.Counter("jobs_throttled_total"),
 		prepBuilds:       reg.Counter("prep_builds_total"),
 		prepHits:         reg.Counter("prep_hits_total"),
 		dsAdded:          reg.Counter("datasets_added_total"),
@@ -123,7 +121,9 @@ func newMgrMetrics(reg *metrics.Registry) *mgrMetrics {
 // registerGauges exposes the manager's live state as callback gauges.
 // They run at scrape/snapshot time and take the manager (or queue)
 // locks briefly; the registry never holds its own lock across the
-// callback, so there is no lock-order hazard.
+// callback, so there is no lock-order hazard.  A quantity StatsSnapshot
+// also reports comes from the accessor both call, so the two surfaces
+// cannot disagree on what it means.
 func (m *Manager) registerGauges(reg *metrics.Registry) {
 	reg.Help("queue_depth", "Jobs waiting for a worker, by class.")
 	reg.GaugeFunc("queue_depth", func() float64 {
@@ -140,39 +140,29 @@ func (m *Manager) registerGauges(reg *metrics.Registry) {
 	reg.GaugeFunc("workers_busy", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		running := 0
-		for _, j := range m.jobs {
-			if j.state == Running {
-				running++
-			}
-		}
+		_, running := m.liveJobsLocked()
 		return float64(running)
 	})
 	reg.Help("datasets_resident", "Datasets in the in-memory registry.")
 	reg.GaugeFunc("datasets_resident", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return float64(len(m.datasets.entries))
+		n, _, _ := m.datasets.resident()
+		return float64(n)
 	})
 	reg.Help("dataset_resident_bytes", "Payload bytes of in-memory registered datasets.")
 	reg.GaugeFunc("dataset_resident_bytes", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		var b int64
-		for _, e := range m.datasets.entries {
-			b += int64(len(e.m.Data)) * 8
-		}
+		_, b, _ := m.datasets.resident()
 		return float64(b)
 	})
 	reg.Help("dataset_pins", "Dataset references currently held by queued or running jobs.")
 	reg.GaugeFunc("dataset_pins", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		var refs int
-		for _, e := range m.datasets.entries {
-			refs += e.refs
-		}
-		return float64(refs)
+		_, _, pins := m.datasets.resident()
+		return float64(pins)
 	})
 	reg.Help("tenants_active", "Tenants with admission state resident.")
 	reg.GaugeFunc("tenants_active", func() float64 { return float64(m.tenants.active()) })
@@ -180,4 +170,27 @@ func (m *Manager) registerGauges(reg *metrics.Registry) {
 	reg.GaugeFunc("queue_drain_rate_per_sec", func() float64 {
 		return m.drain.ratePerSec(m.cfg.Clock())
 	})
+}
+
+// liveJobsLocked counts the job table's queued and running jobs.
+// Callers hold m.mu.
+func (m *Manager) liveJobsLocked() (queued, running int) {
+	for _, j := range m.jobs {
+		switch j.state {
+		case Queued:
+			queued++
+		case Running:
+			running++
+		}
+	}
+	return queued, running
+}
+
+// sumClasses totals a per-class counter family.
+func sumClasses(cs *[numClasses]*metrics.Counter) int64 {
+	var n int64
+	for _, c := range cs {
+		n += c.Value()
+	}
+	return n
 }

@@ -86,9 +86,11 @@ type Config struct {
 	JournalCompactEvery int
 
 	// Metrics is the registry the manager instruments (queue depth and
-	// wait, per-stage timings, shed/throttle decisions, dataset-plane
-	// counters).  Nil gets a private registry, so instrumentation is
-	// always on; callers that serve /metrics pass their own.
+	// wait, per-stage timings, shed decisions, dataset-plane counters)
+	// and the only store of its counters: StatsSnapshot reads them back.
+	// Nil gets a private registry, so instrumentation is always on;
+	// callers that serve /metrics pass their own, shared with no other
+	// Manager (two would count into, and report, the same series).
 	Metrics *metrics.Registry
 	// InteractiveMaxB classifies submissions: sampled jobs with B at or
 	// under this bound count as interactive, everything else (including
@@ -264,9 +266,10 @@ type ClassLatency struct {
 	P99Ms float64 `json:"p99_ms"`
 }
 
-// Stats is the manager-wide counter snapshot served by /v1/stats.  The
-// pre-admission fields keep their names and meanings; the admission and
-// observability plane appends, never renames.
+// Stats is the manager-wide counter snapshot served by /v1/stats: a
+// view of the metrics registry, whose handles are the only counters.
+// The pre-admission fields keep their names and meanings; the admission
+// and observability plane appends, never renames.
 type Stats struct {
 	Submitted     int64 `json:"submitted"`
 	Completed     int64 `json:"completed"`
@@ -374,7 +377,6 @@ type Manager struct {
 	cache    *resultCache
 	ckpts    *ckptStore
 	datasets *dsStore
-	stats    Stats
 
 	queue   *fairQueue
 	tenants *tenantLimiter
@@ -383,9 +385,8 @@ type Manager struct {
 
 	// journal is the write-ahead job log (nil when disabled);
 	// recovering is set while replayed jobs are being re-admitted.
-	journal         *jobJournal
-	recovering      atomic.Bool
-	journalAppendEr atomic.Int64
+	journal    *jobJournal
+	recovering atomic.Bool
 	// ledgers holds replayed distributed merge ledgers by job id until
 	// the job's first dispatch claims its state (guarded by mu).
 	ledgers map[string]*LedgerState
@@ -431,25 +432,14 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.onWindow = func(perms int64, elapsed time.Duration) {
 		m.met.kernelWin.ObserveDuration(elapsed)
 	}
-	// Evictions happen under m.mu at several call sites; the callback
-	// keeps the counter beside the rest of the stats.
-	m.datasets.noteEvict = func(n int) {
-		m.stats.DatasetEvictions += int64(n)
-		m.met.dsEvicted.Add(int64(n))
-	}
+	// Evictions happen under m.mu at several call sites; one callback
+	// counts them all.
+	m.datasets.noteEvict = func(n int) { m.met.dsEvicted.Add(int64(n)) }
 	// Integrity observers: quarantined checkpoint generations and
 	// corrupt dataset mirrors surface as counters, never as job errors
 	// — the read paths fall back (older prefix, B=0, re-push).
-	m.ckpts.noteCorrupt = func(key string) {
-		m.stats.CorruptCheckpoints++
-		m.met.ckptCorrupt.Inc()
-	}
-	m.datasets.noteCorrupt = func(id string) {
-		m.mu.Lock()
-		m.stats.CorruptDatasets++
-		m.mu.Unlock()
-		m.met.dsCorrupt.Inc()
-	}
+	m.ckpts.noteCorrupt = func(key string) { m.met.ckptCorrupt.Inc() }
+	m.datasets.noteCorrupt = func(id string) { m.met.dsCorrupt.Inc() }
 
 	// Journal replay happens BEFORE workers start: the replayed state
 	// (sequence number, pending set) must be complete before any new
@@ -462,10 +452,7 @@ func NewManager(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		m.seq = replay.MaxSeq
-		m.stats.JournalCorruptFrames = int64(replay.CorruptFrames)
-		if replay.CorruptFrames > 0 {
-			m.met.journalCorrupt.Add(int64(replay.CorruptFrames))
-		}
+		m.met.journalCorrupt.Add(int64(replay.CorruptFrames))
 		m.ledgers = replay.Ledgers
 	}
 
@@ -537,9 +524,8 @@ func (m *Manager) recoverJob(rec *journalRecord) bool {
 			return false
 		}
 		m.insertLocked(j)
-		m.stats.Failed++
-		m.mu.Unlock()
 		m.met.failed.Inc()
+		m.mu.Unlock()
 		m.journalAppend(&journalRecord{T: "fail", ID: rec.ID, Key: rec.Key})
 		return true
 	}
@@ -566,9 +552,6 @@ func (m *Manager) recoverJob(rec *journalRecord) bool {
 	key, err := jobKey(rec.Dataset, rec.Labels, canon)
 	if err != nil || key != rec.Key {
 		m.met.journalCorrupt.Inc()
-		m.mu.Lock()
-		m.stats.JournalCorruptFrames++
-		m.mu.Unlock()
 		return true
 	}
 	ds, err := m.datasetRef(rec.Dataset)
@@ -596,9 +579,8 @@ func (m *Manager) recoverJob(rec *journalRecord) bool {
 		submittedAt: now,
 	}
 	m.insertLocked(j)
-	m.stats.JournalReplayed++
-	m.mu.Unlock()
 	m.met.journalReplayed.Inc()
+	m.mu.Unlock()
 
 	// The queue may be momentarily full of other replayed jobs; unlike
 	// Submit, recovery must not shed — these jobs were already admitted
@@ -628,7 +610,6 @@ func (m *Manager) journalAppend(rec *journalRecord) {
 	}
 	start := time.Now()
 	if err := m.journal.append(rec); err != nil {
-		m.journalAppendEr.Add(1)
 		m.met.journalAppendErr.Inc()
 		return
 	}
@@ -646,16 +627,6 @@ func (m *Manager) shed(reason string, sentinel error, retryAfter time.Duration, 
 		retryAfter = m.drain.retryAfter(m.queue.len(), now)
 	}
 	m.met.shed[reason].Inc()
-	m.mu.Lock()
-	switch reason {
-	case "queue_full":
-		m.stats.ShedQueueFull++
-	case "queue_wait":
-		m.stats.ShedQueueWait++
-	case "rate_limited":
-		m.stats.ShedRateLimited++
-	}
-	m.mu.Unlock()
 	return &OverloadError{Reason: reason, RetryAfter: retryAfter, sentinel: sentinel}
 }
 
@@ -718,12 +689,10 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 			startedAt:   now,
 			finishedAt:  now,
 		}
-		m.stats.Submitted++
-		m.stats.CacheHits++
-		m.insertLocked(j)
-		m.mu.Unlock()
 		m.met.submitted[class].Inc()
 		m.met.cacheHits.Inc()
+		m.insertLocked(j)
+		m.mu.Unlock()
 		return j.status(), nil
 	}
 	m.mu.Unlock()
@@ -732,7 +701,6 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	// Tenant token bucket: the submission costs one token whatever
 	// happens next, so a client cannot probe the queue for free.
 	if ok, refill := m.tenants.take(spec.Tenant, now); !ok {
-		m.met.throttled.Inc()
 		return Status{}, m.shed("rate_limited", ErrRateLimited, refill, now)
 	}
 	// Fast-fail before paying the resolve copy; the enqueue below
@@ -782,7 +750,6 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 			// A failed mirror degrades durability (the job would replay
 			// as unrecoverable), never service.
 			if err := m.datasets.writeDisk(digest, data); err != nil {
-				m.journalAppendEr.Add(1)
 				m.met.journalAppendErr.Inc()
 			}
 		}
@@ -817,7 +784,6 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		m.mu.Lock() // restore for the deferred unlock
 		return Status{}, err
 	}
-	m.stats.Submitted++
 	m.met.submitted[class].Inc()
 	m.insertLocked(j)
 	// The write-ahead record lands (fsync'd) before Submit returns:
@@ -912,7 +878,6 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		j.state = Cancelled
 		j.finishedAt = m.cfg.Clock()
 		m.releaseJobLocked(j)
-		m.stats.Cancelled++
 		m.met.cancelled.Inc()
 		m.journalAppend(&journalRecord{T: "cancel", ID: j.id, Key: j.key})
 	case Running:
@@ -925,47 +890,67 @@ func (m *Manager) Cancel(id string) (Status, error) {
 }
 
 // StatsSnapshot returns the current counters, the admission-plane state
-// and the queue-age digests.
+// and the queue-age digests.  Every counter is read from the metrics
+// registry — the manager keeps no second count — under m.mu, so the
+// snapshot is consistent with the job table: a state change a caller saw
+// through Get is already counted here.
 func (m *Manager) StatsSnapshot() Stats {
 	qi, qb := m.queue.lens()
-	now := m.cfg.Clock()
-	drainRate := m.drain.ratePerSec(now)
+	drainRate := m.drain.ratePerSec(m.cfg.Clock())
 	tenantsActive := m.tenants.active()
 	tenants := m.tenants.snapshot(32)
 
+	met := m.met
 	m.mu.Lock()
-	s := m.stats
-	s.QueueCap = m.cfg.QueueDepth
-	s.Workers = m.cfg.Workers
-	s.Kernel = core.KernelName()
-	s.PermOrder = core.PermOrderPolicy
-	s.Jobs = len(m.jobs)
-	s.CachedResults = m.cache.len()
-	s.Checkpoints = m.ckpts.len()
-	s.Datasets = len(m.datasets.entries)
-	for _, e := range m.datasets.entries {
-		s.DatasetBytes += int64(len(e.m.Data)) * 8
+	s := Stats{
+		Submitted:     sumClasses(&met.submitted),
+		Completed:     sumClasses(&met.completed),
+		Failed:        met.failed.Value(),
+		Cancelled:     met.cancelled.Value(),
+		CacheHits:     met.cacheHits.Value(),
+		Resumed:       met.resumed.Value(),
+		QueueCap:      m.cfg.QueueDepth,
+		Workers:       m.cfg.Workers,
+		Jobs:          len(m.jobs),
+		CachedResults: m.cache.len(),
+		Checkpoints:   m.ckpts.len(),
+		DatasetsAdded: met.dsAdded.Value(),
+		PrepBuilds:    met.prepBuilds.Value(),
+		PrepHits:      met.prepHits.Value(),
+		Kernel:        core.KernelName(),
+		PermOrder:     core.PermOrderPolicy,
+
+		QueuePolicy:       "fair",
+		QueuedInteractive: qi,
+		QueuedBulk:        qb,
+		ShedQueueFull:     met.shed["queue_full"].Value(),
+		ShedQueueWait:     met.shed["queue_wait"].Value(),
+		ShedRateLimited:   met.shed["rate_limited"].Value(),
+		DrainRatePerSec:   drainRate,
+		DatasetHits:       met.dsHits.Value(),
+		DatasetReloads:    met.dsReloads.Value(),
+		DatasetEvictions:  met.dsEvicted.Value(),
+		TenantsActive:     tenantsActive,
+		Tenants:           tenants,
+
+		Recovering:           m.recovering.Load(),
+		JournalReplayed:      met.journalReplayed.Value(),
+		JournalCorruptFrames: met.journalCorrupt.Value(),
+		JournalAppendErrors:  met.journalAppendErr.Value(),
+		CorruptCheckpoints:   met.ckptCorrupt.Value(),
+		CorruptDatasets:      met.dsCorrupt.Value(),
+
+		SeqRowsStopped:      met.seqRowsStopped.Value(),
+		SeqPermsSaved:       met.seqPermsSaved.Value(),
+		SeqJobsEarlyStopped: met.seqJobEarlyStop.Value(),
 	}
-	for _, j := range m.jobs {
-		switch j.state {
-		case Queued:
-			s.Queued++
-		case Running:
-			s.Running++
-		}
-	}
+	s.Queued, s.Running = m.liveJobsLocked()
+	s.Datasets, s.DatasetBytes, _ = m.datasets.resident()
 	m.mu.Unlock()
 
-	s.QueuePolicy = "fair"
-	s.QueuedInteractive, s.QueuedBulk = qi, qb
-	s.DrainRatePerSec = drainRate
-	s.Recovering = m.recovering.Load()
-	s.JournalAppendErrors = m.journalAppendEr.Load()
 	if m.journal != nil {
 		s.JournalPending = m.journal.pendingCount()
 	}
-	s.TenantsActive = tenantsActive
-	s.Tenants = tenants
 	if s.Submitted > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(s.Submitted)
 	}
@@ -979,8 +964,8 @@ func (m *Manager) StatsSnapshot() Stats {
 			P99Ms: h.Quantile(0.99) * 1000,
 		}
 	}
-	s.QueueWaitInteractive = digest(m.met.queueWait[ClassInteractive])
-	s.QueueWaitBulk = digest(m.met.queueWait[ClassBulk])
+	s.QueueWaitInteractive = digest(met.queueWait[ClassInteractive])
+	s.QueueWaitBulk = digest(met.queueWait[ClassBulk])
 	return s
 }
 
@@ -1047,9 +1032,8 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 		j.state = Cancelled
 		j.finishedAt = m.cfg.Clock()
 		m.releaseJobLocked(j)
-		m.stats.Cancelled++
-		m.mu.Unlock()
 		m.met.cancelled.Inc()
+		m.mu.Unlock()
 		return
 	}
 	j.state = Running
@@ -1059,12 +1043,9 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	if resume != nil {
 		j.resumedFrom = resume.Next
 		j.done = resume.Done
-		m.stats.Resumed++
-	}
-	m.mu.Unlock()
-	if resume != nil {
 		m.met.resumed.Inc()
 	}
+	m.mu.Unlock()
 
 	ctl := core.RunControl{
 		Ctx:      ctx,
@@ -1166,16 +1147,12 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 			j.seqPermsSaved = res.SeqPermsSaved()
 			m.met.seqRowsStopped.Add(int64(res.SeqRowsStopped()))
 			m.met.seqPermsSaved.Add(res.SeqPermsSaved())
-			m.stats.SeqRowsStopped += int64(res.SeqRowsStopped())
-			m.stats.SeqPermsSaved += res.SeqPermsSaved()
 			if res.B < res.PlannedB {
 				m.met.seqJobEarlyStop.Inc()
-				m.stats.SeqJobsEarlyStopped++
 			}
 		}
 		m.cache.put(j.key, res)
 		m.ckpts.drop(j.key)
-		m.stats.Completed++
 		m.met.completed[j.class].Inc()
 		m.journalAppend(&journalRecord{T: "done", ID: j.id, Key: j.key})
 	case j.cancelRequested || errors.Is(err, context.Canceled):
@@ -1183,7 +1160,6 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 		// window so an identical resubmission resumes from it.
 		j.state = Cancelled
 		j.err = err
-		m.stats.Cancelled++
 		m.met.cancelled.Inc()
 		if j.cancelRequested {
 			// Only USER cancellations are journaled terminal.  A
@@ -1195,7 +1171,6 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	default:
 		j.state = Failed
 		j.err = err
-		m.stats.Failed++
 		m.met.failed.Inc()
 		m.journalAppend(&journalRecord{T: "fail", ID: j.id, Key: j.key})
 	}
