@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -116,9 +117,11 @@ func TestCoordinatorSIGKILLRestartBitwiseIdentity(t *testing.T) {
 	}()
 
 	// The worker outlives the coordinator crash; its shard leases are
-	// what keep orphaned computes alive until the restart re-probes.
+	// what keep orphaned computes alive until the restart re-probes, and
+	// its journal tree holds the retained results they park.
+	wJournal := t.TempDir()
 	wArgs := []string{"-addr", "127.0.0.1:0", "-workers", "1", "-role", "worker",
-		"-retention-dir", t.TempDir(), "-metrics-interval", "0"}
+		"-journal-dir", wJournal, "-metrics-interval", "0"}
 	_, wBase := startDaemon(t, wArgs)
 
 	journalDir := t.TempDir()
@@ -257,5 +260,8 @@ func TestCoordinatorSIGKILLRestartBitwiseIdentity(t *testing.T) {
 		scrapeMetric(t, wBase, "cluster_worker_inflight_joins_total")
 	if reDelivered < 1 {
 		t.Errorf("worker re-delivered nothing from retention/in-flight after the restart")
+	}
+	if parked, _ := filepath.Glob(filepath.Join(wJournal, "retained", "*.shard")); len(parked) == 0 {
+		t.Errorf("worker retained no shard results under %s/retained", wJournal)
 	}
 }

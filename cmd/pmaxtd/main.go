@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	pmaxtd -addr :8080 -workers 2 -queue 64 -checkpoint-dir /var/lib/pmaxtd \
+//	pmaxtd -addr :8080 -workers 2 -queue 64 -journal-dir /var/lib/pmaxtd \
 //	       -tenant-limits "rate=5,burst=10" -metrics-interval 60s
 //
 // Submit and poll with curl:
@@ -60,9 +60,10 @@ import (
 	"syscall"
 	"time"
 
-	"sprint"
 	"sprint/internal/cluster"
+	"sprint/internal/core"
 	"sprint/internal/faultinject"
+	"sprint/internal/httpapi"
 	"sprint/internal/jobs"
 	"sprint/internal/metrics"
 )
@@ -74,89 +75,91 @@ func main() {
 	}
 }
 
+// errNegativeLease refuses a negative -lease: every shard carries a
+// lease, and 0 already selects the default.
+var errNegativeLease = errors.New("-lease must not be negative (0 = default 15s)")
+
+// options holds the parsed command line.
+type options struct {
+	addr, journalDir, pprofAddr, tenantLimits, logDst, faults string
+	role, clusterWorkers, join, advertise                     string
+	workers, queue, nprocs, shardNProcs, shardsPerWorker      int
+	every, maxBody, interactiveB, distMinB                    int64
+	metricsInterval, maxQueueWait, lease                      time.Duration
+}
+
+// newFlagSet binds every pmaxtd flag to o.  TestFlagsPinned holds the
+// list: a new flag is a deliberate, reviewed change.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("pmaxtd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = half the CPUs)")
+	fs.IntVar(&o.queue, "queue", 64, "job queue depth; a full queue sheds submissions with 429")
+	fs.IntVar(&o.nprocs, "nprocs", 0, "default ranks per job (0 = all CPUs)")
+	fs.Int64Var(&o.every, "every", 1000, "default checkpoint window (permutations)")
+	fs.StringVar(&o.journalDir, "journal-dir", "", "state directory: the write-ahead job journal plus checkpoints/, datasets/ and, on a worker, retained/ beneath it; on restart queued and running jobs replay to byte-identical results (empty = memory only)")
+	fs.Int64Var(&o.maxBody, "max-body", 256<<20, "maximum submission body bytes")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+	fs.DurationVar(&o.metricsInterval, "metrics-interval", 0, "flush a metrics snapshot to the log this often (0 = final snapshot only)")
+	fs.StringVar(&o.tenantLimits, "tenant-limits", "", `per-tenant token buckets: "rate=R,burst=N" defaults plus "tenant=R:N" overrides (empty or "off" = unlimited)`)
+	fs.Int64Var(&o.interactiveB, "interactive-max-b", 10000, "sampled jobs with B at most this count as interactive")
+	fs.DurationVar(&o.maxQueueWait, "max-queue-wait", 0, "shed submissions whose predicted queue wait exceeds this (0 = only shed on a full queue)")
+	fs.StringVar(&o.logDst, "log", "stderr", "structured JSON log destination: stderr, stdout or a file path")
+	fs.StringVar(&o.role, "role", "standalone", "cluster role: standalone, coordinator or worker")
+	fs.StringVar(&o.clusterWorkers, "cluster-workers", "", "coordinator: comma-separated worker base URLs (http://host:port)")
+	fs.StringVar(&o.join, "join", "", "worker: coordinator base URL to register with (heartbeat membership)")
+	fs.StringVar(&o.advertise, "advertise", "", "worker: base URL to register under (default http://<host>:<port> of -addr)")
+	fs.Int64Var(&o.distMinB, "dist-min-b", 1000, "coordinator: run jobs with B under this locally instead of distributing")
+	fs.IntVar(&o.shardNProcs, "shard-nprocs", 0, "coordinator: ranks each worker uses per shard (0 = worker default)")
+	fs.IntVar(&o.shardsPerWorker, "shards-per-worker", 2, "coordinator: shards carved per live worker")
+	fs.DurationVar(&o.lease, "lease", 0, "coordinator: shard compute lease renewed by heartbeat; a worker keeps an orphaned shard alive this long after its coordinator dies (0 = default 15s)")
+	fs.StringVar(&o.faults, "faults", os.Getenv("SPRINT_FAULTS"),
+		"deterministic fault-injection spec for crash testing, e.g. \"seed=7;ckpt.write:torn:n=2\" (default $SPRINT_FAULTS; empty = disabled)")
+	return fs
+}
+
+// stateDir places a store beneath the journal tree; without a journal
+// every store is memory only.
+func (o *options) stateDir(name string) string {
+	if o.journalDir == "" {
+		return ""
+	}
+	return filepath.Join(o.journalDir, name)
+}
+
 // run starts the daemon and blocks until stop closes or a termination
 // signal arrives.  stop exists for tests; pass nil in production.
 func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
-	fs := flag.NewFlagSet("pmaxtd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "worker pool size (0 = half the CPUs)")
-	queue := fs.Int("queue", 64, "job queue depth; a full queue sheds submissions with 429")
-	nprocs := fs.Int("nprocs", 0, "default ranks per job (0 = all CPUs)")
-	every := fs.Int64("every", 1000, "default checkpoint window (permutations)")
-	cache := fs.Int("cache", 128, "result cache entries (negative disables cache hits)")
-	ckptDir := fs.String("checkpoint-dir", "", "persist checkpoints here to survive restarts (empty = memory only)")
-	journalDir := fs.String("journal-dir", "", "write-ahead job journal directory; on restart queued and running jobs replay to byte-identical results (empty = no journal). Defaults -checkpoint-dir and -dataset-dir to subdirectories when those are unset")
-	dsCache := fs.Int("dataset-cache", 0, "in-memory dataset registry entries (0 = default 32, negative disables)")
-	dsDir := fs.String("dataset-dir", "", "mirror registered datasets here as .spb files so they survive restarts (empty = memory only)")
-	maxBody := fs.Int64("max-body", 256<<20, "maximum submission body bytes")
-	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, avx2 (results are identical on all)")
-	mode := fs.String("mode", "exact", "default run mode for submissions that set none: exact or sequential")
-	seqAlpha := fs.Float64("seq-alpha", 0, "default sequential significance level for submissions that set none (0 = engine default 0.05)")
-	seqTol := fs.Float64("seq-tolerance", 0, "default sequential p-value tolerance for submissions that set none (0 = engine default 0.02)")
-	metricsInterval := fs.Duration("metrics-interval", 0, "flush a metrics snapshot to the log this often (0 = final snapshot only)")
-	tenantLimits := fs.String("tenant-limits", "", `per-tenant token buckets: "rate=R,burst=N" defaults plus "tenant=R:N" overrides (empty or "off" = unlimited)`)
-	interactiveB := fs.Int64("interactive-max-b", 10000, "sampled jobs with B at most this count as interactive")
-	maxQueueWait := fs.Duration("max-queue-wait", 0, "shed submissions whose predicted queue wait exceeds this (0 = only shed on a full queue)")
-	logDst := fs.String("log", "stderr", "structured JSON log destination: stderr, stdout or a file path")
-	role := fs.String("role", "standalone", "cluster role: standalone, coordinator or worker")
-	clusterWorkers := fs.String("cluster-workers", "", "coordinator: comma-separated worker base URLs (http://host:port)")
-	join := fs.String("join", "", "worker: coordinator base URL to register with (heartbeat membership)")
-	advertise := fs.String("advertise", "", "worker: base URL to register under (default http://<host>:<port> of -addr)")
-	distMinB := fs.Int64("dist-min-b", 1000, "coordinator: run jobs with B under this locally instead of distributing")
-	shardNProcs := fs.Int("shard-nprocs", 0, "coordinator: ranks each worker uses per shard (0 = worker default)")
-	shardsPerWorker := fs.Int("shards-per-worker", 2, "coordinator: shards carved per live worker")
-	lease := fs.Duration("lease", 0, "coordinator: shard compute lease renewed by heartbeat; a worker keeps an orphaned shard alive this long after its coordinator dies (0 = default 15s, negative disables)")
-	retentionDir := fs.String("retention-dir", "", "worker: persist finished and parked shard results here for coordinator-restart re-delivery (default <journal-dir>/retained when -journal-dir is set; empty = memory only)")
-	retained := fs.Int("retention", 0, "worker: retained shard results kept for re-delivery (0 = default 128, negative disables)")
-	faults := fs.String("faults", os.Getenv("SPRINT_FAULTS"),
-		"deterministic fault-injection spec for crash testing, e.g. \"seed=7;ckpt.write:torn:n=2\" (default $SPRINT_FAULTS; empty = disabled)")
-	if err := fs.Parse(args); err != nil {
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
 		return err
 	}
-	// A journal without its companion stores could replay a job whose
-	// checkpoint or dataset evaporated with the process; default both
-	// into the journal tree so one flag buys full crash safety.
-	if *journalDir != "" {
-		if *ckptDir == "" {
-			*ckptDir = filepath.Join(*journalDir, "checkpoints")
-		}
-		if *dsDir == "" {
-			*dsDir = filepath.Join(*journalDir, "datasets")
-		}
-	}
-	faultsInj, err := faultinject.Setup(*faults)
+	faultsInj, err := faultinject.Setup(o.faults)
 	if err != nil {
 		return err
 	}
-	active, err := sprint.SetKernel(*kernel)
+	limits, err := jobs.ParseTenantLimits(o.tenantLimits)
 	if err != nil {
 		return err
 	}
-	limits, err := jobs.ParseTenantLimits(*tenantLimits)
-	if err != nil {
-		return err
-	}
-	switch *role {
+	switch o.role {
 	case "standalone", "coordinator", "worker":
 	default:
-		return fmt.Errorf("unknown -role %q (want standalone, coordinator or worker)", *role)
+		return fmt.Errorf("unknown -role %q (want standalone, coordinator or worker)", o.role)
 	}
-	switch *mode {
-	case "", sprint.ModeExact, sprint.ModeSequential:
-	default:
-		return fmt.Errorf("unknown -mode %q (want exact or sequential)", *mode)
-	}
-	if *role != "worker" && *join != "" {
+	if o.role != "worker" && o.join != "" {
 		return errors.New("-join requires -role worker")
 	}
-	if *role != "coordinator" && *clusterWorkers != "" {
+	if o.role != "coordinator" && o.clusterWorkers != "" {
 		return errors.New("-cluster-workers requires -role coordinator")
+	}
+	if o.lease < 0 {
+		return errNegativeLease
 	}
 
 	var logw io.Writer
 	var logClose func() error
-	switch *logDst {
+	switch o.logDst {
 	case "stderr":
 		logw = os.Stderr
 	case "stdout":
@@ -164,7 +167,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		// lines is safe, both writers are line-buffered.
 		logw = stdout
 	default:
-		f, err := os.OpenFile(*logDst, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(o.logDst, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("opening log file: %w", err)
 		}
@@ -175,22 +178,23 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		defer logClose()
 	}
 
-	fmt.Fprintf(stdout, "pmaxtd: kernel %s\n", active)
+	kernel := core.KernelName()
+	fmt.Fprintf(stdout, "pmaxtd: kernel %s\n", kernel)
 	// The fault plane is strictly for crash/chaos testing: the injected
 	// schedule is deterministic per seed, and the cluster client below is
 	// wrapped so transport faults fire too.  Say so loudly — a daemon
 	// accidentally started with $SPRINT_FAULTS set should be obvious.
 	var faultClient *http.Client
 	if faultsInj != nil {
-		fmt.Fprintf(stdout, "pmaxtd: FAULT INJECTION ACTIVE: %s\n", *faults)
+		fmt.Fprintf(stdout, "pmaxtd: FAULT INJECTION ACTIVE: %s\n", o.faults)
 		faultClient = &http.Client{Transport: &faultinject.Transport{}}
 	}
-	if *pprofAddr != "" {
+	if o.pprofAddr != "" {
 		// The pprof handlers live on the DefaultServeMux, kept off the API
 		// listener so profiling can stay on a private interface.  Only the
 		// listener runs in the goroutine; stdout stays single-writer.
-		fmt.Fprintf(stdout, "pmaxtd: pprof on %s\n", *pprofAddr)
-		addr := *pprofAddr
+		fmt.Fprintf(stdout, "pmaxtd: pprof on %s\n", o.pprofAddr)
+		addr := o.pprofAddr
 		go func() {
 			if err := http.ListenAndServe(addr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "pmaxtd: pprof:", err)
@@ -210,9 +214,9 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	// state rides each RunJob call), so the order is safe.
 	var coord *cluster.Coordinator
 	var dist jobs.Distributor
-	if *role == "coordinator" {
+	if o.role == "coordinator" {
 		var staticWorkers []string
-		for _, w := range strings.Split(*clusterWorkers, ",") {
+		for _, w := range strings.Split(o.clusterWorkers, ",") {
 			if w = strings.TrimSpace(w); w != "" {
 				staticWorkers = append(staticWorkers, w)
 			}
@@ -220,37 +224,34 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		coord = cluster.NewCoordinator(cluster.CoordinatorConfig{
 			Workers:         staticWorkers,
 			Client:          faultClient,
-			ShardsPerWorker: *shardsPerWorker,
-			MinDistB:        *distMinB,
-			WorkerNProcs:    *shardNProcs,
-			LeaseDuration:   *lease,
+			ShardsPerWorker: o.shardsPerWorker,
+			MinDistB:        o.distMinB,
+			WorkerNProcs:    o.shardNProcs,
+			LeaseDuration:   o.lease,
 			Metrics:         reg,
 			Logger:          logger,
 		})
 		dist = coord
 	}
 
-	srv, err := sprint.NewServer(sprint.ServerConfig{
-		Jobs: sprint.JobsConfig{
-			Workers:             *workers,
-			QueueDepth:          *queue,
-			DefaultNProcs:       *nprocs,
-			DefaultEvery:        *every,
-			DefaultMode:         *mode,
-			DefaultSeqAlpha:     *seqAlpha,
-			DefaultSeqTolerance: *seqTol,
-			CacheSize:           *cache,
-			CheckpointDir:       *ckptDir,
-			JournalDir:          *journalDir,
-			DatasetCacheSize:    *dsCache,
-			DatasetDir:          *dsDir,
-			Metrics:             reg,
-			InteractiveMaxB:     *interactiveB,
-			TenantLimits:        limits,
-			MaxQueueWait:        *maxQueueWait,
-			Distributor:         dist,
+	// One flag buys full crash safety: the journal, the checkpoints and
+	// the dataset mirror a replayed job needs all live in one tree.
+	srv, err := httpapi.New(httpapi.Config{
+		Jobs: jobs.Config{
+			Workers:         o.workers,
+			QueueDepth:      o.queue,
+			DefaultNProcs:   o.nprocs,
+			DefaultEvery:    o.every,
+			JournalDir:      o.journalDir,
+			CheckpointDir:   o.stateDir("checkpoints"),
+			DatasetDir:      o.stateDir("datasets"),
+			Metrics:         reg,
+			InteractiveMaxB: o.interactiveB,
+			TenantLimits:    limits,
+			MaxQueueWait:    o.maxQueueWait,
+			Distributor:     dist,
 		},
-		MaxBodyBytes: *maxBody,
+		MaxBodyBytes: o.maxBody,
 		Logger:       logger,
 	})
 	if err != nil {
@@ -261,19 +262,15 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	switch {
 	case coord != nil:
 		srv.AttachCluster(coord)
-	case *role == "worker":
-		// Retention rides the journal tree by default: one flag buys
-		// coordinator-crash survival of delivered AND undelivered work.
-		if *retentionDir == "" && *journalDir != "" {
-			*retentionDir = filepath.Join(*journalDir, "retained")
-		}
+	case o.role == "worker":
+		// Retention rides the same tree, so a worker survives a
+		// coordinator crash with delivered AND undelivered work intact.
 		worker = cluster.NewWorker(cluster.WorkerConfig{
 			Source:       srv.Manager(),
 			Client:       faultClient,
-			NProcs:       *nprocs,
-			Every:        *every,
-			RetentionDir: *retentionDir,
-			MaxRetained:  *retained,
+			NProcs:       o.nprocs,
+			Every:        o.every,
+			RetentionDir: o.stateDir("retained"),
 			Metrics:      reg,
 			Logger:       logger,
 		})
@@ -283,7 +280,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	// The flusher snapshots the registry on the interval (when one is
 	// set) and once more at shutdown — the final snapshot is emitted
 	// through the same sink, so no samples are lost to the exit path.
-	flusher := metrics.NewFlusher(reg, *metricsInterval, func(s *metrics.Snapshot) {
+	flusher := metrics.NewFlusher(reg, o.metricsInterval, func(s *metrics.Snapshot) {
 		logger.LogAttrs(context.Background(), slog.LevelInfo, "metrics_snapshot",
 			slog.Time("at", s.At),
 			slog.Int("samples", len(s.Samples)),
@@ -297,7 +294,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 
 	// Listen before serving so a worker knows its bound port — ":0"
 	// works for ephemeral test clusters — and -advertise can default.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		srv.Close()
 		flusher.Stop()
@@ -308,11 +305,11 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	// stdout stays single-writer (the test harness hands us a plain
 	// bytes.Buffer): all prints happen on this goroutine.
 	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(stdout, "pmaxtd: %s listening on %s\n", *role, boundAddr)
+	fmt.Fprintf(stdout, "pmaxtd: %s listening on %s\n", o.role, boundAddr)
 	logger.LogAttrs(context.Background(), slog.LevelInfo, "listening",
 		slog.String("addr", boundAddr),
-		slog.String("role", *role),
-		slog.String("kernel", active),
+		slog.String("role", o.role),
+		slog.String("kernel", kernel),
 		slog.Bool("rate_limited", limits.Default.Rate > 0 || len(limits.Overrides) > 0),
 	)
 	errc := make(chan error, 1)
@@ -321,15 +318,15 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	}()
 
 	var joinCancel context.CancelFunc
-	advertiseURL := *advertise
-	if worker != nil && *join != "" {
+	advertiseURL := o.advertise
+	if worker != nil && o.join != "" {
 		if advertiseURL == "" {
 			advertiseURL = "http://" + advertisableAddr(boundAddr)
 		}
-		fmt.Fprintf(stdout, "pmaxtd: joining %s as %s\n", *join, advertiseURL)
+		fmt.Fprintf(stdout, "pmaxtd: joining %s as %s\n", o.join, advertiseURL)
 		var joinCtx context.Context
 		joinCtx, joinCancel = context.WithCancel(context.Background())
-		go worker.Join(joinCtx, *join, advertiseURL, 0)
+		go worker.Join(joinCtx, o.join, advertiseURL, 0)
 	}
 
 	sigc := make(chan os.Signal, 1)
@@ -364,8 +361,8 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	if joinCancel != nil {
 		joinCancel()
 	}
-	if worker != nil && *join != "" {
-		worker.Deregister(*join, advertiseURL)
+	if worker != nil && o.join != "" {
+		worker.Deregister(o.join, advertiseURL)
 	}
 	srv.Close() // cancels running jobs at their next checkpoint window
 	// Drained and stopped: flush the final snapshot so every counter the

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +40,27 @@ func TestBadFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-bogus"}, &out, nil); err == nil {
 		t.Fatal("bogus flag accepted")
+	}
+	if err := run([]string{"-lease", "-1s"}, &out, nil); !errors.Is(err, errNegativeLease) {
+		t.Fatalf("negative -lease: %v, want errNegativeLease", err)
+	}
+}
+
+// TestFlagsPinned holds the daemon's whole flag surface.  Adding a flag
+// means editing this list in the same change.
+func TestFlagsPinned(t *testing.T) {
+	want := []string{
+		"addr", "advertise", "cluster-workers", "dist-min-b", "every",
+		"faults", "interactive-max-b", "join", "journal-dir", "lease",
+		"log", "max-body", "max-queue-wait", "metrics-interval", "nprocs",
+		"pprof-addr", "queue", "role", "shard-nprocs", "shards-per-worker",
+		"tenant-limits", "workers",
+	}
+	var got []string
+	newFlagSet(new(options)).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("pmaxtd flags = %q\nwant %q", got, want)
 	}
 }
 

@@ -74,7 +74,7 @@ type Node interface {
 	// Routes lists the node's internal API routes.
 	Routes() []Route
 	// Info snapshots the node's cluster state for /v1/stats and
-	// /healthz.
+	// /v1/readyz.
 	Info() Info
 }
 

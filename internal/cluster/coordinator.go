@@ -46,7 +46,7 @@ type CoordinatorConfig struct {
 	// StragglerAfter speculatively re-dispatches a shard in flight
 	// longer than this once the queue is otherwise empty; the first
 	// complete delivery wins (the merge ledger discards the loser).
-	// Defaults to 5s; 0 keeps the default, negative disables.
+	// Defaults to 5s.
 	StragglerAfter time.Duration
 	// HeartbeatTTL expires joined workers that stop heartbeating.
 	// Defaults to 10s.
@@ -58,10 +58,9 @@ type CoordinatorConfig struct {
 	// accepts a connection and then hangs (half-open TCP, wedged kernel)
 	// surfaces as a retryable error instead of stalling the job forever.
 	// It must comfortably exceed the slowest expected shard compute.
-	// Defaults to 15m; negative disables.
+	// Defaults to 15m.
 	DispatchTimeout time.Duration
-	// PushTimeout bounds one dataset push.  Defaults to 2m; negative
-	// disables.
+	// PushTimeout bounds one dataset push.  Defaults to 2m.
 	PushTimeout time.Duration
 	// WorkerNProcs is the rank count shard requests ask workers for
 	// (0 = each worker's own default).
@@ -70,8 +69,7 @@ type CoordinatorConfig struct {
 	// dispatch and renewed by the coordinator's lease heartbeat: a
 	// worker keeps computing an orphaned shard this long after its
 	// coordinator vanishes (long enough to park useful work for a
-	// restart, short enough not to burn CPU forever).  Defaults to 15s;
-	// negative disables leases (shards die with their request).
+	// restart, short enough not to burn CPU forever).  Defaults to 15s.
 	LeaseDuration time.Duration
 	// Metrics receives the coordinator-side cluster series, which Info
 	// reads back; nil gets a private registry.
@@ -146,7 +144,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.MaxAttempts < 1 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.StragglerAfter == 0 {
+	if cfg.StragglerAfter <= 0 {
 		cfg.StragglerAfter = 5 * time.Second
 	}
 	if cfg.HeartbeatTTL <= 0 {
@@ -155,13 +153,13 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.DownFor <= 0 {
 		cfg.DownFor = 3 * time.Second
 	}
-	if cfg.DispatchTimeout == 0 {
+	if cfg.DispatchTimeout <= 0 {
 		cfg.DispatchTimeout = 15 * time.Minute
 	}
-	if cfg.PushTimeout == 0 {
+	if cfg.PushTimeout <= 0 {
 		cfg.PushTimeout = 2 * time.Minute
 	}
-	if cfg.LeaseDuration == 0 {
+	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = 15 * time.Second
 	}
 	if cfg.Metrics == nil {
@@ -411,7 +409,7 @@ func (c *Coordinator) markDown(m *member) {
 func (c *Coordinator) registerActive(st *jobState) {
 	c.mu.Lock()
 	c.active[st] = struct{}{}
-	if !c.leaseTicking && c.cfg.LeaseDuration > 0 {
+	if !c.leaseTicking {
 		c.leaseTicking = true
 		go c.leaseLoop()
 	}
@@ -911,11 +909,9 @@ func (c *Coordinator) runShards(ctx context.Context, p runShardsParams, merged *
 		st.abort(fmt.Errorf("cluster: job aborted: %w", context.Cause(ctx)))
 	})
 	defer stopAbort()
-	if d := c.cfg.StragglerAfter; d > 0 {
-		stopTick := make(chan struct{})
-		defer close(stopTick)
-		go st.stragglerTicker(d, stopTick)
-	}
+	stopTick := make(chan struct{})
+	defer close(stopTick)
+	go st.stragglerTicker(c.cfg.StragglerAfter, stopTick)
 
 	st.mu.Lock()
 	for st.remaining > 0 && st.err == nil && !st.earlyStop {
@@ -1212,9 +1208,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 		TotalB:      st.plan.TotalB,
 		Fingerprint: st.plan.Fingerprint,
 		NProcs:      c.cfg.WorkerNProcs,
-	}
-	if d := c.cfg.LeaseDuration; d > 0 {
-		sreq.LeaseMS = int64(d / time.Millisecond)
+		LeaseMS:     int64(c.cfg.LeaseDuration / time.Millisecond),
 	}
 	for {
 		c.metDispatched.Inc()
@@ -1277,9 +1271,6 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 // timeout accounting: if the call dies of THIS deadline (not the job's
 // own cancellation), the named cluster_rpc_timeout_total series ticks.
 func (c *Coordinator) callCtx(ctx context.Context, call string, d time.Duration) (context.Context, context.CancelFunc, func(error)) {
-	if d <= 0 {
-		return ctx, func() {}, func(error) {}
-	}
 	tctx, cancel := context.WithTimeout(ctx, d)
 	note := func(err error) {
 		if err != nil && errors.Is(tctx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {

@@ -282,7 +282,7 @@ func TestClusterCoordinatorRestartReplaysLedger(t *testing.T) {
 		return cluster.CoordinatorConfig{
 			Workers:         []string{w1.ts.URL},
 			ShardsPerWorker: 6,
-			StragglerAfter:  -1, // any retry below must mean real recomputation
+			StragglerAfter:  time.Hour, // any retry below must mean real recomputation
 			Metrics:         reg,
 		}
 	}

@@ -104,9 +104,6 @@ func (rt *retention) get(k retainKey) (rec []byte, complete bool) {
 // has a dir.  Disk errors degrade to memory-only retention: the entry
 // still serves this life, it just will not survive the next one.
 func (rt *retention) put(k retainKey, rec []byte, complete bool) {
-	if rt.max == 0 {
-		return
-	}
 	if rt.dir != "" {
 		durable.WriteFileAtomic(rt.fileName(k), rec, "retain.write")
 	}
@@ -116,9 +113,6 @@ func (rt *retention) put(k retainKey, rec []byte, complete bool) {
 // insert stores (or replaces) the record for k in memory and evicts LRU
 // entries past the bound, deleting their files.
 func (rt *retention) insert(k retainKey, rec []byte, complete bool) {
-	if rt.max == 0 {
-		return
-	}
 	if el, ok := rt.byKey[k]; ok {
 		e := el.Value.(*retainEntry)
 		e.rec, e.complete = rec, complete
@@ -126,7 +120,7 @@ func (rt *retention) insert(k retainKey, rec []byte, complete bool) {
 	} else {
 		rt.byKey[k] = rt.ll.PushFront(&retainEntry{key: k, rec: rec, complete: complete})
 	}
-	for rt.max > 0 && rt.ll.Len() > rt.max {
+	for rt.ll.Len() > rt.max {
 		el := rt.ll.Back()
 		e := el.Value.(*retainEntry)
 		rt.ll.Remove(el)

@@ -56,7 +56,7 @@ type WorkerConfig struct {
 	// in memory only.
 	RetentionDir string
 	// MaxRetained bounds the retained-result cache (LRU past it).
-	// Defaults to 128; negative disables retention.
+	// Defaults to 128.
 	MaxRetained int
 	// Metrics receives the worker-side cluster series, which Info reads
 	// back; nil gets a private registry.
@@ -130,10 +130,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: cfg.JoinTimeout}
 	}
-	if cfg.MaxRetained == 0 {
+	if cfg.MaxRetained < 1 {
 		cfg.MaxRetained = 128
-	} else if cfg.MaxRetained < 0 {
-		cfg.MaxRetained = 0
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{

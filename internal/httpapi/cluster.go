@@ -2,24 +2,22 @@ package httpapi
 
 import (
 	"net/http"
-	"time"
 
 	"sprint/internal/cluster"
 	"sprint/internal/jobs"
 )
 
 // This file mounts a cluster node (coordinator or worker) on the
-// daemon's instrumented mux and extends /v1/stats and /v1/healthz with
-// the node's role and membership.  Both extensions are strictly
-// additive: every pre-cluster field keeps its name and meaning (pinned
-// by TestStatsFieldNamesPinned), and a standalone daemon reports
-// role "standalone" with no cluster object at all.
+// daemon's instrumented mux, extends /v1/stats with the node's role and
+// membership, and makes /v1/readyz report a worker's drain.  The stats
+// extension is strictly additive: every pre-cluster field keeps its
+// name and meaning (pinned by TestStatsFieldNamesPinned), and a
+// standalone daemon reports role "standalone" with no cluster object.
 
 // AttachCluster mounts the node's internal API routes (shard compute,
 // membership, ping) under the same request-id/logging/latency
-// middleware as the public routes, and makes /v1/stats and /v1/healthz
-// report the node's role and cluster state.  Call it after New and
-// before serving.
+// middleware as the public routes, and makes /v1/stats report the
+// node's role and cluster state.  Call it after New and before serving.
 func (s *Server) AttachCluster(n cluster.Node) {
 	s.cluster = n
 	for _, rt := range n.Routes() {
@@ -44,55 +42,6 @@ func (s *Server) statsDoc() statsJSON {
 		info := s.cluster.Info()
 		doc.Role = info.Role
 		doc.Cluster = &info
-	}
-	return doc
-}
-
-// healthzDoc builds the /v1/healthz document: the original status and
-// uptime keys, plus role, the additive "ready" flag, and — on cluster
-// nodes — a membership summary.  While the manager replays its journal
-// status reads "recovering" (and ready is false): the process is alive
-// and serving, but jobs admitted before the crash are still being
-// re-admitted, so load balancers should hold traffic (see /v1/readyz).
-func (s *Server) healthzDoc() map[string]any {
-	ready, _ := s.readiness()
-	doc := map[string]any{
-		"status":   "ok",
-		"uptime_s": time.Since(s.started).Seconds(),
-		"role":     "standalone",
-		"ready":    ready,
-	}
-	if s.mgr.Recovering() {
-		doc["status"] = "recovering"
-	}
-	if s.cluster == nil {
-		return doc
-	}
-	info := s.cluster.Info()
-	doc["role"] = info.Role
-	switch {
-	case info.Coordinator != nil:
-		workers := make([]map[string]any, 0, len(info.Coordinator.Workers))
-		for _, m := range info.Coordinator.Workers {
-			workers = append(workers, map[string]any{"addr": m.Addr, "live": m.Live, "static": m.Static})
-		}
-		doc["cluster"] = map[string]any{
-			"workers":          workers,
-			"workers_live":     info.Coordinator.WorkersLive,
-			"shards_in_flight": info.Coordinator.ShardsInFlight,
-		}
-	case info.Worker != nil:
-		cl := map[string]any{
-			"draining":      info.Worker.Draining,
-			"shards_active": info.Worker.ShardsActive,
-		}
-		if info.Worker.Coordinator != "" {
-			cl["coordinator"] = info.Worker.Coordinator
-		}
-		doc["cluster"] = cl
-		if info.Worker.Draining {
-			doc["status"] = "draining"
-		}
 	}
 	return doc
 }

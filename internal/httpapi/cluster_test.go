@@ -58,21 +58,12 @@ func TestStatsFieldNamesPinned(t *testing.T) {
 	if _, ok := doc["cluster"]; ok {
 		t.Error("standalone /v1/stats carries a cluster object")
 	}
-
-	hz := getDoc(t, ts.URL+"/v1/healthz")
-	for _, f := range []string{"status", "uptime_s"} {
-		if _, ok := hz[f]; !ok {
-			t.Errorf("/v1/healthz lost pinned field %q", f)
-		}
-	}
-	if hz["role"] != "standalone" || hz["status"] != "ok" {
-		t.Errorf("healthz role/status = %v/%v", hz["role"], hz["status"])
-	}
 }
 
 // TestStatsClusterFields: a daemon with a mounted worker node reports
-// its role, shard counters and membership through /v1/stats and
-// /v1/healthz, and serves the cluster ping route through the same mux.
+// its role, shard counters and membership through /v1/stats, serves the
+// cluster ping route through the same mux, and goes not-ready on
+// /v1/readyz while it drains.
 func TestStatsClusterFields(t *testing.T) {
 	srv, ts := newTestServer(t, jobs.Config{})
 	w := cluster.NewWorker(cluster.WorkerConfig{Source: srv.Manager()})
@@ -95,18 +86,13 @@ func TestStatsClusterFields(t *testing.T) {
 			t.Errorf("cluster.worker missing %q", f)
 		}
 	}
+	if wk["draining"] != false {
+		t.Errorf("idle worker draining = %v", wk["draining"])
+	}
 	for _, f := range statsPinnedFields {
 		if _, ok := doc[f]; !ok {
 			t.Errorf("worker /v1/stats lost pinned field %q", f)
 		}
-	}
-
-	hz := getDoc(t, ts.URL+"/v1/healthz")
-	if hz["role"] != "worker" || hz["status"] != "ok" {
-		t.Errorf("healthz role/status = %v/%v", hz["role"], hz["status"])
-	}
-	if _, ok := hz["cluster"]; !ok {
-		t.Error("worker healthz has no cluster summary")
 	}
 
 	// The node's internal routes ride the instrumented mux.
@@ -115,11 +101,15 @@ func TestStatsClusterFields(t *testing.T) {
 		t.Errorf("ping = %v", ping)
 	}
 
-	// A draining worker reports through healthz.
+	// A draining worker reports through /v1/stats and /v1/readyz.
 	w.Drain()
-	hz = getDoc(t, ts.URL+"/v1/healthz")
-	if hz["status"] != "draining" {
-		t.Errorf("draining healthz status = %v", hz["status"])
+	doc = getDoc(t, ts.URL+"/v1/stats")
+	if wk := doc["cluster"].(map[string]any)["worker"].(map[string]any); wk["draining"] != true {
+		t.Errorf("draining worker stats draining = %v", wk["draining"])
+	}
+	var ready map[string]any
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/readyz", nil, &ready); code != http.StatusServiceUnavailable || ready["status"] != "draining" {
+		t.Errorf("draining readyz: code %d body %v", code, ready)
 	}
 }
 
@@ -144,11 +134,14 @@ func TestStatsCoordinatorFields(t *testing.T) {
 			t.Errorf("cluster.coordinator missing %q", f)
 		}
 	}
-	hz := getDoc(t, ts.URL+"/v1/healthz")
-	if hz["role"] != "coordinator" {
-		t.Errorf("healthz role = %v", hz["role"])
+	if co["workers_live"] != float64(1) {
+		t.Errorf("cluster.coordinator.workers_live = %v, want 1", co["workers_live"])
 	}
-	if cl, ok := hz["cluster"].(map[string]any); !ok || cl["workers_live"] != float64(1) {
-		t.Errorf("healthz cluster summary = %v", hz["cluster"])
+	workers, ok := co["workers"].([]any)
+	if !ok || len(workers) != 1 {
+		t.Fatalf("cluster.coordinator.workers = %v, want one member", co["workers"])
+	}
+	if m := workers[0].(map[string]any); m["addr"] != "http://w1:1" || m["static"] != true {
+		t.Errorf("static member = %v", m)
 	}
 }

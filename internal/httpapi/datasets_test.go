@@ -505,22 +505,3 @@ func TestFlatHintBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDatasetsDisabledConsistent403: with the registry disabled, every
-// dataset-touching route — including a dataset_id submission — reports
-// 403, not a mix of statuses.
-func TestDatasetsDisabledConsistent403(t *testing.T) {
-	_, ts := newTestServer(t, jobs.Config{Workers: 1, DatasetCacheSize: -1})
-	var e map[string]string
-	if code := doJSON(t, http.MethodPut, ts.URL+"/v1/datasets",
-		[]byte(`{"x":[[1,2],[3,4]]}`), &e); code != http.StatusForbidden {
-		t.Fatalf("disabled PUT code %d, want 403 (%v)", code, e)
-	}
-	body := []byte(`{"dataset":{"dataset_id":"` + strings.Repeat("ab", 32) + `","labels":[0,1]}}`)
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &e); code != http.StatusForbidden {
-		t.Fatalf("disabled dataset_id submit code %d, want 403 (%v)", code, e)
-	}
-	if code := doRaw(t, http.MethodDelete, ts.URL+"/v1/datasets/"+strings.Repeat("ab", 32), nil, nil, &e); code != http.StatusForbidden {
-		t.Fatalf("disabled DELETE code %d, want 403 (%v)", code, e)
-	}
-}

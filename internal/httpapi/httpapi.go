@@ -9,7 +9,6 @@
 //	GET    /v1/datasets         list registered datasets
 //	GET    /v1/datasets/{id}    one dataset's registry entry
 //	DELETE /v1/datasets/{id}    evict a dataset (409 while jobs pin it)
-//	GET    /v1/healthz          combined health document (status + ready)
 //	GET    /v1/livez            liveness: 200 whenever the process serves
 //	GET    /v1/readyz           readiness: 503 while recovering/draining
 //	GET    /v1/stats            queue / cache / worker counters (JSON)
@@ -77,7 +76,6 @@ type Server struct {
 	mgr      *jobs.Manager
 	mux      *http.ServeMux
 	maxBody  int64
-	started  time.Time
 	reg      *metrics.Registry
 	log      *slog.Logger
 	routeMet map[string]*routeMetrics
@@ -103,7 +101,6 @@ func New(cfg Config) (*Server, error) {
 		mgr:      mgr,
 		mux:      http.NewServeMux(),
 		maxBody:  cfg.MaxBodyBytes,
-		started:  time.Now(),
 		reg:      cfg.Jobs.Metrics,
 		log:      cfg.Logger,
 		routeMet: make(map[string]*routeMetrics),
@@ -121,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 	handle("GET", "/v1/datasets", s.handleListDatasets)
 	handle("GET", "/v1/datasets/{id}", s.handleDatasetInfo)
 	handle("DELETE", "/v1/datasets/{id}", s.handleDeleteDataset)
-	handle("GET", "/v1/healthz", s.handleHealthz)
 	handle("GET", "/v1/livez", s.handleLivez)
 	handle("GET", "/v1/readyz", s.handleReadyz)
 	handle("GET", "/v1/stats", s.handleStats)
@@ -474,8 +470,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, jobs.ErrUnknownDataset):
 		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, jobs.ErrDatasetsDisabled):
-		writeError(w, http.StatusForbidden, err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 	default:
@@ -567,8 +561,6 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 		// it — with the durability warning, not a rejection that blames
 		// the client for a server-side disk fault.
 		writeJSON(w, code, DatasetUploadJSON{DatasetInfo: info, MirrorError: err.Error()})
-	case errors.Is(err, jobs.ErrDatasetsDisabled):
-		writeError(w, http.StatusForbidden, err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 	default:
@@ -637,8 +629,6 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 	case errors.Is(err, jobs.ErrDatasetBusy):
 		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, jobs.ErrDatasetsDisabled):
-		writeError(w, http.StatusForbidden, err)
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)
 	default:
@@ -698,10 +688,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, statusJSON(st))
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthzDoc())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -257,9 +257,9 @@ func TestErrorPaths(t *testing.T) {
 		t.Fatalf("bad options code %d (%v)", code, e)
 	}
 
-	var health map[string]any
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, &health); code != http.StatusOK || health["status"] != "ok" {
-		t.Fatalf("healthz code %d body %v", code, health)
+	var live map[string]any
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/livez", nil, &live); code != http.StatusOK || live["status"] != "ok" {
+		t.Fatalf("livez code %d body %v", code, live)
 	}
 }
 
@@ -314,8 +314,8 @@ func TestQueueFullOverHTTP(t *testing.T) {
 // TestLivenessReadinessSplit pins the health split: /v1/livez is a bare
 // process check that never 503s for operational states, /v1/readyz
 // reports traffic-worthiness (draining and journal recovery are
-// not-ready), and /v1/healthz keeps its historical fields while gaining
-// the additive "ready" flag.
+// not-ready).  The pair is the whole health surface: role and membership
+// live in /v1/stats.
 func TestLivenessReadinessSplit(t *testing.T) {
 	srv, ts := newTestServer(t, jobs.Config{})
 
@@ -327,18 +327,8 @@ func TestLivenessReadinessSplit(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/readyz", nil, &ready); code != http.StatusOK || ready["ready"] != true {
 		t.Fatalf("readyz code %d body %v", code, ready)
 	}
-	var health map[string]any
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, &health); code != http.StatusOK {
-		t.Fatalf("healthz code %d", code)
-	}
-	// Historical fields stay pinned; "ready" is additive.
-	if health["status"] != "ok" || health["ready"] != true {
-		t.Fatalf("healthz body %v", health)
-	}
-	for _, field := range []string{"uptime_s", "role"} {
-		if _, ok := health[field]; !ok {
-			t.Errorf("healthz lost historical field %q", field)
-		}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("retired /v1/healthz answered %d, want 404", code)
 	}
 
 	// A draining worker is alive but must stop receiving traffic.

@@ -21,7 +21,7 @@ func TestRequestIDMiddleware(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{})
 
 	// A client-supplied id is propagated back verbatim.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/livez", nil)
 	req.Header.Set("X-Request-Id", "cafebabe00000001")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -33,7 +33,7 @@ func TestRequestIDMiddleware(t *testing.T) {
 	}
 
 	// Without one, the server mints a 16-hex-char id.
-	resp, err = http.Get(ts.URL + "/v1/healthz")
+	resp, err = http.Get(ts.URL + "/v1/livez")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestStructuredRequestLog(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/livez", nil)
 	req.Header.Set("X-Request-Id", "feedface00000002")
 	req.Header.Set("X-Tenant", "acme")
 	resp, err := http.DefaultClient.Do(req)
@@ -87,7 +87,7 @@ func TestStructuredRequestLog(t *testing.T) {
 		t.Fatal("no http_request log line")
 	}
 	if line["request_id"] != "feedface00000002" || line["tenant"] != "acme" ||
-		line["route"] != "/v1/healthz" || line["status"] != float64(200) {
+		line["route"] != "/v1/livez" || line["status"] != float64(200) {
 		t.Fatalf("log line %v", line)
 	}
 	if _, ok := line["duration"]; !ok {
@@ -101,7 +101,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{})
 
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/v1/healthz")
+		resp, err := http.Get(ts.URL + "/v1/livez")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("exposition lint: %v", problems)
 	}
 	for _, want := range []string{
-		`http_requests_total{code="2xx",route="/v1/healthz"} 3`,
+		`http_requests_total{code="2xx",route="/v1/livez"} 3`,
 		`http_requests_total{code="4xx",route="/v1/jobs/{id}"} 1`,
 		`# TYPE http_request_seconds histogram`,
 		`# TYPE queue_depth gauge`,
@@ -154,17 +154,17 @@ func TestMiddlewareLatencyBuckets(t *testing.T) {
 	srv, ts := newTestServer(t, jobs.Config{})
 	const hits = 5
 	for i := 0; i < hits; i++ {
-		resp, err := http.Get(ts.URL + "/v1/healthz")
+		resp, err := http.Get(ts.URL + "/v1/livez")
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	h := srv.Metrics().Histogram("http_request_seconds", nil, "route", "/v1/healthz")
+	h := srv.Metrics().Histogram("http_request_seconds", nil, "route", "/v1/livez")
 	if got := h.Count(); got != hits {
 		t.Fatalf("histogram count = %d, want %d", got, hits)
 	}
-	// A healthz round-trip is far under the top finite bucket, so the
+	// A livez round-trip is far under the top finite bucket, so the
 	// quantile estimate must stay inside the bucket range.
 	if q := h.Quantile(0.99); q <= 0 || q > 60 {
 		t.Fatalf("p99 = %v", q)
@@ -177,8 +177,8 @@ func TestMiddlewareLatencyBuckets(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	wantInf := fmt.Sprintf(`http_request_seconds_bucket{route="/v1/healthz",le="+Inf"} %d`, hits)
-	wantCount := fmt.Sprintf(`http_request_seconds_count{route="/v1/healthz"} %d`, hits)
+	wantInf := fmt.Sprintf(`http_request_seconds_bucket{route="/v1/livez",le="+Inf"} %d`, hits)
+	wantCount := fmt.Sprintf(`http_request_seconds_count{route="/v1/livez"} %d`, hits)
 	for _, want := range []string{wantInf, wantCount} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %q", want)

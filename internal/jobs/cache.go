@@ -38,9 +38,6 @@ func (c *resultCache) get(key string) (*core.Result, bool) {
 // put stores res under key, evicting the least recently used entry beyond
 // capacity.
 func (c *resultCache) put(key string, res *core.Result) {
-	if c.max <= 0 {
-		return
-	}
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).res = res
 		c.order.MoveToFront(el)

@@ -98,7 +98,7 @@ type prepSlot struct {
 // owning Manager's mutex; disk reads and writes happen outside it.
 type dsStore struct {
 	dir      string
-	max      int // in-memory entry bound; <0 disables the registry
+	max      int // in-memory entry bound
 	maxPreps int // per-dataset preparation bound
 	order    *list.List
 	entries  map[string]*dsEntry
@@ -119,8 +119,6 @@ func newDSStore(dir string, max, maxPreps int) (*dsStore, error) {
 	return &dsStore{dir: dir, max: max, maxPreps: maxPreps,
 		order: list.New(), entries: make(map[string]*dsEntry)}, nil
 }
-
-func (s *dsStore) disabled() bool { return s.max < 0 }
 
 // validDatasetID guards the id before it becomes a file name: dataset ids
 // are lowercase hex SHA-256 digests, nothing else reaches the filesystem.
@@ -164,9 +162,6 @@ func (s *dsStore) insert(e *dsEntry) {
 // removed: the mirror is the persistent tier an evicted entry reloads
 // from.
 func (s *dsStore) evict(keep *dsEntry) {
-	if s.max <= 0 {
-		return
-	}
 	evicted := 0
 	for el := s.order.Back(); el != nil && s.order.Len() > s.max; {
 		prev := el.Prev()
@@ -293,7 +288,7 @@ func (s *dsStore) prepSlotFor(e *dsEntry, opt core.Options, labels []int, now ti
 		slot.lastUse = now
 		return slot, true
 	}
-	if s.maxPreps > 0 && len(e.preps) >= s.maxPreps {
+	if len(e.preps) >= s.maxPreps {
 		oldestKey := ""
 		var oldest time.Time
 		for k, sl := range e.preps {
@@ -331,10 +326,6 @@ func (m *Manager) PutDataset(x matrix.Matrix) (DatasetInfo, bool, error) {
 	if m.closed {
 		m.mu.Unlock()
 		return DatasetInfo{}, false, ErrClosed
-	}
-	if m.datasets.disabled() {
-		m.mu.Unlock()
-		return DatasetInfo{}, false, ErrDatasetsDisabled
 	}
 	now := m.cfg.Clock()
 	if e, ok := m.datasets.entries[id]; ok {
@@ -384,10 +375,6 @@ func (m *Manager) Datasets() []DatasetInfo {
 // digest pass, and no LRU mutation for a metadata request.
 func (m *Manager) DatasetInfoByID(id string) (DatasetInfo, error) {
 	m.mu.Lock()
-	if m.datasets.disabled() {
-		m.mu.Unlock()
-		return DatasetInfo{}, ErrDatasetsDisabled
-	}
 	if e, ok := m.datasets.entries[id]; ok {
 		info := e.info()
 		m.mu.Unlock()
@@ -410,9 +397,6 @@ func (m *Manager) DatasetInfoByID(id string) (DatasetInfo, error) {
 func (m *Manager) DeleteDataset(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.datasets.disabled() {
-		return ErrDatasetsDisabled
-	}
 	e, ok := m.datasets.entries[id]
 	if ok && e.refs > 0 {
 		return ErrDatasetBusy
@@ -445,10 +429,6 @@ func (m *Manager) DeleteDataset(id string) error {
 // disk mirror.
 func (m *Manager) datasetRef(id string) (*dsEntry, error) {
 	m.mu.Lock()
-	if m.datasets.disabled() {
-		m.mu.Unlock()
-		return nil, ErrDatasetsDisabled
-	}
 	now := m.cfg.Clock()
 	if e, ok := m.datasets.entries[id]; ok {
 		e.refs++

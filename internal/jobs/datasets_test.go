@@ -426,15 +426,6 @@ func TestDatasetErrors(t *testing.T) {
 		t.Errorf("submit after delete: %v, want ErrUnknownDataset", err)
 	}
 
-	// Disabled registry.
-	md, err := NewManager(Config{Workers: 1, DatasetCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer md.Close()
-	if _, _, err := md.PutDataset(x.Clone()); !errors.Is(err, ErrDatasetsDisabled) {
-		t.Errorf("disabled registry put: %v, want ErrDatasetsDisabled", err)
-	}
 }
 
 // TestDatasetInfoIsAPureRead: info for a disk-mirrored, memory-evicted

@@ -340,7 +340,4 @@ var (
 	// ErrDatasetBusy rejects deleting a dataset that queued or running
 	// jobs still hold a reference to.
 	ErrDatasetBusy = fmt.Errorf("jobs: dataset in use by queued or running jobs")
-	// ErrDatasetsDisabled rejects registry operations when the manager
-	// was configured with a negative DatasetCacheSize.
-	ErrDatasetsDisabled = fmt.Errorf("jobs: dataset registry disabled")
 )

@@ -136,33 +136,6 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledKeepsResults: a negative CacheSize turns off cache hits
-// at Submit, not result retention — a just-finished job's result is still
-// fetchable, and the identical resubmission computes again.
-func TestCacheDisabledKeepsResults(t *testing.T) {
-	spec := testSpec(t)
-	m, err := NewManager(Config{Workers: 1, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for round := 0; round < 2; round++ {
-		st, err := m.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CacheHit {
-			t.Fatalf("round %d: cache hit with CacheSize -1", round)
-		}
-		if fin := waitTerminal(t, m, st.ID); fin.State != Done {
-			t.Fatalf("round %d: job %s (%s)", round, fin.State, fin.Error)
-		}
-		if _, _, err := m.Result(st.ID); err != nil {
-			t.Fatalf("round %d: result of a just-finished job: %v", round, err)
-		}
-	}
-}
-
 func TestCancelThenResubmitResumes(t *testing.T) {
 	spec := testSpec(t)
 	var mgr atomic.Pointer[Manager]

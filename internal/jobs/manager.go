@@ -30,20 +30,9 @@ type Config struct {
 	// DefaultEvery is the checkpoint/progress window for jobs that do not
 	// choose one, in permutations.  Defaults to 1000.
 	DefaultEvery int64
-	// DefaultMode, when non-empty, is the engine mode applied to
-	// submissions that leave Opt.Mode blank: "exact" (the zero-value
-	// default) or "sequential".  An explicit Spec.Opt.Mode always wins.
-	DefaultMode string
-	// DefaultSeqAlpha and DefaultSeqTolerance seed the sequential
-	// stopping parameters of submissions that leave them zero; zero here
-	// keeps the engine defaults (0.05 and 0.02).
-	DefaultSeqAlpha     float64
-	DefaultSeqTolerance float64
 	// CacheSize bounds the result cache (entries), the one owner of
 	// finished results: Manager.Result answers from it, and a done job whose
 	// result has aged out reports ErrResultEvicted.  Defaults to 128.
-	// Negative disables cache hits at Submit only; finished results still
-	// stay fetchable from an LRU of the default size.
 	CacheSize int
 	// CheckpointDir, when non-empty, mirrors checkpoints to disk so
 	// resume survives a daemon restart.  Empty keeps them in memory only.
@@ -56,10 +45,9 @@ type Config struct {
 	// beyond it.  Defaults to 4096.
 	MaxJobs int
 	// DatasetCacheSize bounds the in-memory dataset registry (entries).
-	// Defaults to 32.  Negative disables the registry: PutDataset and
-	// dataset-id submissions are rejected.  Entries referenced by queued
-	// or running jobs are never evicted, so the bound can be transiently
-	// exceeded while every entry is in use.
+	// Defaults to 32.  Entries referenced by queued or running jobs are
+	// never evicted, so the bound can be transiently exceeded while every
+	// entry is in use.
 	DatasetCacheSize int
 	// DatasetDir, when non-empty, mirrors registered datasets to disk as
 	// "<digest>.spb" files (typically alongside CheckpointDir), so they
@@ -124,30 +112,8 @@ type Config struct {
 	OnCheckpoint func(id string, done, total int64)
 }
 
-// applyModeDefaults fills the server-configured engine mode and stopping
-// parameters into a submission that left them blank.  An explicit
-// Opt.Mode always wins, and the sequential knobs are only seeded on jobs
-// that actually resolve to sequential mode — exact submissions stay
-// untouched so their content keys cannot drift.
-func (c Config) applyModeDefaults(opt core.Options) core.Options {
-	if opt.Mode == "" && c.DefaultMode != "" {
-		opt.Mode = c.DefaultMode
-	}
-	if opt.Mode == core.ModeSequential {
-		if opt.SeqAlpha == 0 {
-			opt.SeqAlpha = c.DefaultSeqAlpha
-		}
-		if opt.SeqTolerance == 0 {
-			opt.SeqTolerance = c.DefaultSeqTolerance
-		}
-	}
-	return opt
-}
-
-// defaultCacheSize is the result cache's entry bound when Config leaves
-// CacheSize zero or negative.
-const defaultCacheSize = 128
-
+// withDefaults fills every bound left below 1 (and every nil hook) with
+// its documented default.
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = runtime.NumCPU() / 2
@@ -164,19 +130,19 @@ func (c Config) withDefaults() Config {
 	if c.DefaultEvery < 1 {
 		c.DefaultEvery = 1000
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = defaultCacheSize
+	if c.CacheSize < 1 {
+		c.CacheSize = 128
 	}
 	if c.MaxJobs < 1 {
 		c.MaxJobs = 4096
 	}
-	if c.MaxCheckpoints == 0 {
+	if c.MaxCheckpoints < 1 {
 		c.MaxCheckpoints = 512
 	}
-	if c.DatasetCacheSize == 0 {
+	if c.DatasetCacheSize < 1 {
 		c.DatasetCacheSize = 32
 	}
-	if c.MaxPrepsPerDataset == 0 {
+	if c.MaxPrepsPerDataset < 1 {
 		c.MaxPrepsPerDataset = 8
 	}
 	if c.Metrics == nil {
@@ -411,15 +377,11 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	cacheMax := cfg.CacheSize
-	if cacheMax < 0 {
-		cacheMax = defaultCacheSize
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:       cfg,
 		jobs:      make(map[string]*job),
-		cache:     newResultCache(cacheMax),
+		cache:     newResultCache(cfg.CacheSize),
 		ckpts:     ckpts,
 		datasets:  datasets,
 		queue:     newFairQueue(cfg.QueueDepth, cfg.InteractiveWeight),
@@ -639,7 +601,6 @@ func (m *Manager) shed(reason string, sentinel error, retryAfter time.Duration, 
 // carrying the Retry-After guidance; cache hits are exempt from
 // admission control — they occupy no worker.
 func (m *Manager) Submit(spec Spec) (Status, error) {
-	spec.Opt = m.cfg.applyModeDefaults(spec.Opt)
 	canon, err := core.CanonicalOptions(spec.Opt)
 	if err != nil {
 		return Status{}, err
@@ -668,11 +629,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		m.mu.Unlock()
 		return Status{}, ErrClosed
 	}
-	var res *core.Result
-	if m.cfg.CacheSize >= 0 {
-		res, _ = m.cache.get(key)
-	}
-	if res != nil {
+	if res, _ := m.cache.get(key); res != nil {
 		now := m.cfg.Clock()
 		m.seq++
 		j := &job{

@@ -201,24 +201,3 @@ func TestKeyExactModeStable(t *testing.T) {
 		t.Fatal("sequential stopping knobs do not reach the content key")
 	}
 }
-
-// TestApplyModeDefaults covers the daemon-level -mode default: it fills
-// only submissions that did not choose, and the explicit knobs always win.
-func TestApplyModeDefaults(t *testing.T) {
-	cfg := Config{DefaultMode: core.ModeSequential, DefaultSeqAlpha: 0.01, DefaultSeqTolerance: 0.015}
-	opt := cfg.applyModeDefaults(core.Options{})
-	if opt.Mode != core.ModeSequential || opt.SeqAlpha != 0.01 || opt.SeqTolerance != 0.015 {
-		t.Fatalf("defaults not applied: %+v", opt)
-	}
-	opt = cfg.applyModeDefaults(core.Options{Mode: core.ModeExact})
-	if opt.Mode != core.ModeExact || opt.SeqAlpha != 0 || opt.SeqTolerance != 0 {
-		t.Fatalf("explicit exact overridden: %+v", opt)
-	}
-	opt = cfg.applyModeDefaults(core.Options{Mode: core.ModeSequential, SeqAlpha: 0.2})
-	if opt.SeqAlpha != 0.2 || opt.SeqTolerance != 0.015 {
-		t.Fatalf("explicit alpha clobbered: %+v", opt)
-	}
-	if opt := (Config{}).applyModeDefaults(core.Options{}); opt.Mode != "" {
-		t.Fatalf("no-default config rewrote mode: %+v", opt)
-	}
-}

@@ -99,7 +99,7 @@ func PMaxT(x [][]float64, classlabel []int, nprocs int, opt Options) (*Result, e
 
 // SetKernel selects the two-sample accumulation kernel by name — "auto",
 // "generic" or "avx2" — returning the name now active.  Meant for
-// process startup (the pmaxt/pmaxtd -kernel flags); every kernel produces
+// process startup (the pmaxt -kernel flag); every kernel produces
 // bitwise identical results, so this is purely a performance knob.
 func SetKernel(name string) (string, error) { return core.SetKernel(name) }
 
