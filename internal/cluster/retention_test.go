@@ -8,105 +8,23 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sprint/internal/core"
-	"sprint/internal/durable"
+	"sprint/internal/faultinject"
 	"sprint/internal/jobs"
 	"sprint/internal/matrix"
 	"sprint/internal/microarray"
 )
 
-// retainedRecord is a complete counts record for the window [lo, hi).
-func retainedRecord(lo, hi int64) (retainKey, []byte) {
-	ck := &core.Checkpoint{
-		Fingerprint: 0xfeedface, TotalB: 1000, Next: hi, Done: hi - lo, Hi: hi,
-		Raw: []int64{3, 1, 4}, Adj: []int64{1, 5, 9},
-	}
-	return retainKey{ck.Fingerprint, lo, hi}, ck.AppendRecord(nil)
-}
+// fixtureFP is the plan fingerprint of retentionFixture's analysis.
+const fixtureFP = 0x22cd6749383278fe
 
-// TestRetentionReloadServesWithoutRewrite: a worker restart loads each
-// valid retained file into memory and serves it; the file itself is
-// left alone (same inode, no atomic rewrite).
-func TestRetentionReloadServesWithoutRewrite(t *testing.T) {
-	dir := t.TempDir()
-	rt, err := newRetention(dir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, want := retainedRecord(0, 100)
-	rt.put(k, want, true)
-	before, err := os.Stat(rt.fileName(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rt2, err := newRetention(dir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, complete := rt2.get(k); !bytes.Equal(got, want) || !complete {
-		t.Fatalf("reloaded %x (complete %v), want %x", got, complete, want)
-	}
-	after, err := os.Stat(rt2.fileName(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !os.SameFile(before, after) {
-		t.Fatal("reload rewrote the retained file")
-	}
-}
-
-// TestRetentionReloadQuarantinesCorrupt: a retained file with a flipped
-// byte, a truncated one, one whose CRC word is wrong, one whose frame
-// verifies around a record of another version, and the JSON an older
-// daemon retained are each moved to .corrupt on reload and never served.
-// The older daemon's file is quarantined once, and its window recomputes
-// bit for bit.
-func TestRetentionReloadQuarantinesCorrupt(t *testing.T) {
-	k, framed := retainedRecord(0, 100)
-	wrongCRC := bytes.Clone(framed)
-	wrongCRC[4] ^= 0x01
-	flipped := bytes.Clone(framed)
-	flipped[len(flipped)/2] ^= 0x01
-	v2 := bytes.Clone(framed[durable.FrameHeader:])
-	v2[0] = 2
-	parentJSON, err := os.ReadFile(filepath.Join("testdata", "shard_json.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{
-		"flipped byte":    flipped,
-		"truncated":       framed[:len(framed)-5],
-		"wrong CRC":       wrongCRC,
-		"unknown version": durable.AppendFrame(nil, v2),
-		"parent JSON":     parentJSON,
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := (&retention{dir: dir}).fileName(k)
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			rt, err := newRetention(dir, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := rt.get(k); got != nil || rt.size() != 0 {
-				t.Fatalf("corrupt file served: %x (size %d)", got, rt.size())
-			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("corrupt file still at its path: %v", err)
-			}
-			if _, err := os.Stat(path + ".corrupt"); err != nil {
-				t.Fatalf("corrupt file not quarantined: %v", err)
-			}
-		})
-	}
-
-	// testdata/shard_json.bin is what the daemon retained for window
-	// [0, 400) of this analysis before shard results became counts
-	// records, under the name it wrote.
+// retentionFixture is the analysis the testdata retention files were
+// written for: a manager holding its dataset, the shard request for its
+// whole window [0, 400), and the record a direct RunShard computes.
+func retentionFixture(t *testing.T) (*jobs.Manager, []byte, []byte) {
+	t.Helper()
 	data, err := microarray.Generate(microarray.GenOptions{Genes: 30, Samples: 12, Classes: 2, DiffFraction: 0.2, EffectSize: 2.0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +38,7 @@ func TestRetentionReloadQuarantinesCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	t.Cleanup(m.Close)
 	info, _, err := m.PutDataset(x)
 	if err != nil {
 		t.Fatal(err)
@@ -134,46 +52,126 @@ func TestRetentionReloadQuarantinesCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const fixtureFP = 0x22cd6749383278fe
 	if plan.Fingerprint != fixtureFP || plan.TotalB != 400 {
-		t.Fatalf("plan %016x B %d is not the one the fixture was written for", plan.Fingerprint, plan.TotalB)
-	}
-	dir := t.TempDir()
-	pk := retainKey{fixtureFP, 0, 400}
-	path := (&retention{dir: dir}).fileName(pk)
-	if err := os.WriteFile(path, parentJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	newW := func() *Worker {
-		return NewWorker(WorkerConfig{Source: m, RetentionDir: dir, Every: 50, NProcs: 1})
-	}
-	w := newW()
-	if w.retain.size() != 0 {
-		t.Fatal("the older daemon's JSON was loaded")
-	}
-	req, _ := json.Marshal(ShardRequest{JobKey: "k", DatasetID: info.ID, Labels: data.Labels, Options: opt,
-		Lo: 0, Hi: 400, TotalB: 400, Fingerprint: fixtureFP, NProcs: 1})
-	rec := httptest.NewRecorder()
-	w.handleShard(rec, httptest.NewRequest("POST", ShardPath, bytes.NewReader(req)))
-	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != countsContentType {
-		t.Fatalf("shard answered %d %q: %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
+		t.Fatalf("plan %016x B %d is not the one the fixtures were written for", plan.Fingerprint, plan.TotalB)
 	}
 	sc, err := core.RunShard(prep, opt, 0, 400, core.RunControl{NProcs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sc.Checkpoint().AppendRecord(nil); !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Fatal("recomputed window differs from a direct RunShard")
+	req, _ := json.Marshal(ShardRequest{JobKey: "k", DatasetID: info.ID, Labels: data.Labels, Options: opt,
+		Lo: 0, Hi: 400, TotalB: 400, Fingerprint: fixtureFP, NProcs: 1})
+	return m, req, sc.Checkpoint().AppendRecord(nil)
+}
+
+// probe posts req to w's shard handler and requires a counts record.
+func probe(t *testing.T, w *Worker, req []byte) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	w.handleShard(rec, httptest.NewRequest("POST", ShardPath, bytes.NewReader(req)))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != countsContentType {
+		t.Fatalf("shard answered %d %q: %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
 	}
-	if hits := w.Info().Worker.RetainedHits; hits != 0 {
-		t.Fatalf("retained hits %d: the quarantined JSON was served", hits)
+	return rec.Body.Bytes()
+}
+
+// TestWorkerParentRetention: a restarted worker answers from what an
+// older daemon retained.  testdata/retained holds the counts record the
+// daemon retained for window [0, 400) of the fixture analysis before
+// checkpoints and retained shards shared one store: it is re-delivered
+// as a retained hit, bit for bit, and the file is not rewritten.
+// testdata/shard_json.bin is what the daemon retained for the same
+// window before shard results became counts records: it is quarantined
+// on its first lookup, the window recomputes bit for bit, and the next
+// restart serves the recomputed record, leaving one quarantined file.
+func TestWorkerParentRetention(t *testing.T) {
+	m, req, want := retentionFixture(t)
+	name := "22cd6749383278fe-0-400.shard"
+	for _, tc := range []struct {
+		name, fixture string
+		hit           bool
+	}{
+		{"counts record", filepath.Join("testdata", "retained", name), true},
+		{"JSON", filepath.Join("testdata", "shard_json.bin"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile(tc.fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newW := func() *Worker {
+				return NewWorker(WorkerConfig{Source: m, RetentionDir: dir, Every: 50, NProcs: 1})
+			}
+			w := newW()
+			if got := probe(t, w, req); !bytes.Equal(got, want) {
+				t.Fatal("the window's record differs from a direct RunShard")
+			}
+			if hits := w.Info().Worker.RetainedHits; (hits == 1) != tc.hit {
+				t.Fatalf("retained hits %d, want a hit: %v", hits, tc.hit)
+			}
+			if tc.hit {
+				after, err := os.Stat(path)
+				if err != nil || !os.SameFile(before, after) {
+					t.Fatalf("the retained file was rewritten (%v)", err)
+				}
+				return
+			}
+			w2 := newW()
+			if got := probe(t, w2, req); !bytes.Equal(got, want) || w2.Info().Worker.RetainedHits != 1 {
+				t.Fatal("restart did not serve the recomputed record")
+			}
+			if q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(q) != 1 {
+				t.Fatalf("quarantined files %v, want the one JSON file", q)
+			}
+		})
 	}
-	// Once: the recomputed record replaced it on disk and the next
-	// restart serves that, leaving the one quarantined file.
-	if got, complete := newW().retain.get(pk); !bytes.Equal(got, rec.Body.Bytes()) || !complete {
-		t.Fatal("restart did not reload the recomputed record")
+}
+
+// TestWorkerInfoDuringRetentionWrite: a retention write — an fsync,
+// here held for 400 ms by the delay fault — never blocks the worker's
+// mutex, so Info (and with it lease handling and every shard probe)
+// keeps answering while a shard's record lands on disk.
+func TestWorkerInfoDuringRetentionWrite(t *testing.T) {
+	m, req, _ := retentionFixture(t)
+	inj, err := faultinject.Parse("retain.write:delay:ms=400")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(q) != 1 {
-		t.Fatalf("quarantined files %v, want the one JSON file", q)
+	faultinject.Install(inj)
+	defer faultinject.Disable()
+	w := NewWorker(WorkerConfig{Source: m, RetentionDir: t.TempDir(), Every: 50, NProcs: 1})
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.handleShard(rec, httptest.NewRequest("POST", ShardPath, bytes.NewReader(req)))
+	}()
+	for {
+		select {
+		case <-done:
+			if rec.Code != http.StatusOK {
+				t.Fatalf("shard answered %d: %s", rec.Code, rec.Body.Bytes())
+			}
+			if st := inj.Stats(); st["retain.write:delay"] != 1 {
+				t.Fatalf("injector stats %v, want one delayed retention write", st)
+			}
+			return
+		default:
+		}
+		start := time.Now()
+		w.Info()
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("Info took %v during a retention write", d)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -82,12 +82,17 @@ type Worker struct {
 	mu          sync.Mutex
 	coordinator string // joined coordinator base URL, for Info
 	active      int
-	// retain and tasks implement coordinator-crash tolerance: retained
-	// results re-deliver without recomputation, and the task map
-	// singleflights re-probes of a window that is still computing.
-	// Both are guarded by mu.
-	retain *retention
-	tasks  map[retainKey]*shardTask
+	// tasks singleflights re-probes of a window that is still
+	// computing, keyed like retain (see retainKey).
+	tasks map[string]*shardTask
+	// retain keeps every computed window's counts record — complete or
+	// a parked partial prefix — so a coordinator that restarts and
+	// re-probes the window gets it back without recomputation.  It has
+	// its own lock; nothing holds mu across its disk I/O.  A disown never
+	// purges it: a restarted coordinator's authoritative lease set cannot
+	// include jobs its ledger replay has not re-admitted yet, and the
+	// parked results are exactly what that replay comes back for.
+	retain *core.Store
 
 	// The registry handles are the worker's only counters; Info reads
 	// them back.
@@ -140,15 +145,17 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		drainCtx:  ctx,
 		drainStop: cancel,
-		tasks:     make(map[retainKey]*shardTask),
+		tasks:     make(map[string]*shardTask),
 	}
-	rt, err := newRetention(cfg.RetentionDir, cfg.MaxRetained)
+	sc := core.StoreConfig{Dir: cfg.RetentionDir, Ext: ".shard", Site: "retain", Max: cfg.MaxRetained}
+	rt, err := core.OpenStore(sc)
 	if err != nil {
 		// A broken retention dir degrades to memory-only retention:
 		// crash tolerance shrinks, shard service does not.
 		cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "cluster_retention_disabled",
 			slog.String("dir", cfg.RetentionDir), slog.String("error", err.Error()))
-		rt, _ = newRetention("", cfg.MaxRetained)
+		sc.Dir = ""
+		rt, _ = core.OpenStore(sc)
 	}
 	w.retain = rt
 	w.scratch.New = func() any { return &core.RunScratch{} }
@@ -228,11 +235,7 @@ func (w *Worker) Info() Info {
 // retained counts the shard results held in retention: the one
 // definition behind Info's shards_retained and the
 // cluster_worker_retained_results gauge.
-func (w *Worker) retained() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.retain.size()
-}
+func (w *Worker) retained() int { return w.retain.Len() }
 
 // Draining reports whether Drain has been called.
 func (w *Worker) Draining() bool { return w.draining.Load() }
@@ -328,20 +331,12 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	}
 	if req.Fingerprint == 0 {
 		// No plan identity, no retention or singleflight to key on.
-		writeOutcome(rw, w.computeShard(r, &req, nil))
+		writeOutcome(rw, w.computeShard(r, &req, nil, nil))
 		return
 	}
-	k := retainKey{req.Fingerprint, req.Lo, req.Hi}
+	k := retainKey(&req)
 	leaseD := time.Duration(req.LeaseMS) * time.Millisecond
 	w.mu.Lock()
-	if rec, complete := w.retain.get(k); complete {
-		w.mu.Unlock()
-		w.metRetainedHits.Inc()
-		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_retained_hit",
-			slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
-		writeCounts(rw, rec)
-		return
-	}
 	if t := w.tasks[k]; t != nil {
 		// Attach to the identical in-flight compute; the re-probe is
 		// fresh evidence of coordinator interest, so it renews the lease.
@@ -365,7 +360,20 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.tasks[k] = t
 	w.mu.Unlock()
-	out := w.computeShard(r, &req, t)
+	// Looked up only once the task is registered: a compute retains its
+	// record before it deregisters, so a re-probe that finds no task
+	// finds the record.
+	rec := w.retain.Get(k)
+	prev, _ := core.DecodeRecord(rec)
+	var out *shardOutcome
+	if prev != nil && prev.Next == prev.Hi {
+		w.metRetainedHits.Inc()
+		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_retained_hit",
+			slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
+		out = &shardOutcome{status: http.StatusOK, rec: rec}
+	} else {
+		out = w.computeShard(r, &req, t, prev)
+	}
 	t.out = out
 	w.mu.Lock()
 	delete(w.tasks, k)
@@ -374,13 +382,20 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	writeOutcome(rw, out)
 }
 
+// retainKey names a window in retention and the task map:
+// "<fingerprint>-<lo>-<hi>", also the retained file's name.
+func retainKey(req *ShardRequest) string {
+	return fmt.Sprintf("%016x-%d-%d", req.Fingerprint, req.Lo, req.Hi)
+}
+
 // computeShard runs the validate → compute → retain pipeline for one
 // window and returns the outcome every requester of the window gets.
 // task is nil for fingerprint-less requests (no retention); a leased
 // task decouples the compute's lifetime from the requester: it is
 // cancelled by drain, lease expiry or an authoritative disown — never
 // by the requester's death — and a cancelled prefix parks in retention.
-func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTask) *shardOutcome {
+// prev is the window's retained partial record, if any.
+func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTask, prev *core.Checkpoint) *shardOutcome {
 	leased := task != nil && req.LeaseMS > 0
 
 	var ctx context.Context
@@ -438,20 +453,11 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	// A parked partial prefix of this exact window (lease lapsed or the
 	// worker drained in a previous probe) seeds the compute: only the
 	// remainder is recomputed, and the counts stay bitwise identical.
-	// The retained record is keyed by this window, so it is this plan's
-	// prefix from req.Lo; its totals are checked as RunShard would.
+	// Its totals are checked as RunShard would.
 	var resume *core.Checkpoint
-	if task != nil {
-		w.mu.Lock()
-		rec, complete := w.retain.get(retainKey{req.Fingerprint, req.Lo, req.Hi})
-		w.mu.Unlock()
-		if rec != nil && !complete {
-			if prev, err := core.DecodeRecord(rec); err == nil &&
-				prev.TotalB == plan.TotalB && prev.Complete == plan.Complete && len(prev.Raw) == plan.Rows {
-				resume = prev
-				w.metRetainedResumes.Inc()
-			}
-		}
+	if prev != nil && prev.TotalB == plan.TotalB && prev.Complete == plan.Complete && len(prev.Raw) == plan.Rows {
+		resume = prev
+		w.metRetainedResumes.Inc()
 	}
 
 	nprocs := req.NProcs
@@ -496,11 +502,11 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	rec := sc.Checkpoint().AppendRecord(nil)
 	partial := sc.Next < sc.Hi
 	// Park the result — complete or partial — for re-delivery: this is
-	// what makes a coordinator restart recomputation-free.
+	// what makes a coordinator restart recomputation-free.  A failed
+	// write degrades to memory-only retention: the record still serves
+	// this life, it just will not survive the next one.
 	if task != nil {
-		w.mu.Lock()
-		w.retain.put(retainKey{req.Fingerprint, req.Lo, req.Hi}, rec, !partial)
-		w.mu.Unlock()
+		w.retain.Put(retainKey(req), rec)
 	}
 	if partial {
 		w.metPartial.Inc()
@@ -551,7 +557,7 @@ func (w *Worker) watchLease(t *shardTask) {
 // leased compute whose plan fingerprint is listed gets its lease
 // extended; when the body is authoritative, unlisted computes are
 // disowned — cancelled now, their prefix parked by the compute path.
-// Retention is never purged here (see retention.go for why).
+// Retention is never purged here (see Worker.retain for why).
 func (w *Worker) handleLeases(rw http.ResponseWriter, r *http.Request) {
 	var body leaseBody
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body); err != nil {

@@ -24,16 +24,18 @@ func TestStaleCheckpointRestartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant a checkpoint whose fingerprint cannot match any analysis.
-	m.mu.Lock()
-	m.ckpts.put(key, &core.Checkpoint{
+	stale := &core.Checkpoint{
 		Fingerprint: 0xbad,
 		TotalB:      spec.Opt.B,
 		Next:        100,
 		Done:        100,
+		Hi:          spec.Opt.B,
 		Raw:         make([]int64, len(spec.X)),
 		Adj:         make([]int64, len(spec.X)),
-	})
-	m.mu.Unlock()
+	}
+	if err := m.ckpts.Put(key, stale.AppendRecord(nil)); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := m.Submit(spec)
 	if err != nil {

@@ -341,7 +341,7 @@ type Manager struct {
 	jobs     map[string]*job
 	order    []string // submission order, for pruning
 	cache    *resultCache
-	ckpts    *ckptStore
+	ckpts    *core.Store
 	datasets *dsStore
 
 	queue   *fairQueue
@@ -369,9 +369,15 @@ type Manager struct {
 // drain and stop it.
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
-	ckpts, err := newCkptStore(cfg.CheckpointDir, cfg.MaxCheckpoints)
+	met := newMgrMetrics(cfg.Metrics)
+	// Quarantined checkpoint generations surface as a counter, never as
+	// a job error: the read path falls back (older prefix, B=0).
+	ckpts, err := core.OpenStore(core.StoreConfig{
+		Dir: cfg.CheckpointDir, Ext: ".ckpt", Site: "ckpt", Max: cfg.MaxCheckpoints,
+		OnCorrupt: met.ckptCorrupt.Inc,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("jobs: checkpoints: %w", err)
 	}
 	datasets, err := newDSStore(cfg.DatasetDir, cfg.DatasetCacheSize, cfg.MaxPrepsPerDataset)
 	if err != nil {
@@ -387,7 +393,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		queue:     newFairQueue(cfg.QueueDepth, cfg.InteractiveWeight),
 		tenants:   newTenantLimiter(cfg.TenantLimits),
 		drain:     &drainMeter{},
-		met:       newMgrMetrics(cfg.Metrics),
+		met:       met,
 		baseCtx:   ctx,
 		cancelAll: cancel,
 	}
@@ -397,10 +403,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	// Evictions happen under m.mu at several call sites; one callback
 	// counts them all.
 	m.datasets.noteEvict = func(n int) { m.met.dsEvicted.Add(int64(n)) }
-	// Integrity observers: quarantined checkpoint generations and
-	// corrupt dataset mirrors surface as counters, never as job errors
-	// — the read paths fall back (older prefix, B=0, re-push).
-	m.ckpts.noteCorrupt = func(key string) { m.met.ckptCorrupt.Inc() }
+	// Corrupt dataset mirrors surface as a counter, never as a job
+	// error — the read path falls back to a re-push.
 	m.datasets.noteCorrupt = func(id string) { m.met.dsCorrupt.Inc() }
 
 	// Journal replay happens BEFORE workers start: the replayed state
@@ -870,7 +874,7 @@ func (m *Manager) StatsSnapshot() Stats {
 		Workers:       m.cfg.Workers,
 		Jobs:          len(m.jobs),
 		CachedResults: m.cache.len(),
-		Checkpoints:   m.ckpts.len(),
+		Checkpoints:   m.ckpts.Len(),
 		DatasetsAdded: met.dsAdded.Value(),
 		PrepBuilds:    met.prepBuilds.Value(),
 		PrepHits:      met.prepHits.Value(),
@@ -979,6 +983,9 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 
 	popped := m.cfg.Clock()
 	m.met.queueWait[j.class].ObserveDuration(popped.Sub(j.enqueuedAt))
+	// The store verified the record when it read it from disk, so a
+	// decode error here cannot happen; a nil resume starts from B=0.
+	resume, _ := core.DecodeRecord(m.ckpts.Get(j.key))
 
 	m.mu.Lock()
 	if j.state != Queued { // cancelled while waiting
@@ -996,7 +1003,6 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	j.state = Running
 	j.startedAt = popped
 	j.cancel = cancel
-	resume := m.ckpts.load(j.key)
 	if resume != nil {
 		j.resumedFrom = resume.Next
 		j.done = resume.Done
@@ -1012,16 +1018,10 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 		Scratch:  scratch,
 		OnWindow: m.onWindow,
 		Save: func(ck *core.Checkpoint) error {
-			m.mu.Lock()
-			evicted := m.ckpts.put(j.key, ck)
-			m.mu.Unlock()
-			// Disk I/O stays outside the lock: a checkpoint encode can
-			// be megabytes and must not stall API handlers.
-			for _, k := range evicted {
-				m.ckpts.removeDisk(k)
-			}
+			// A failed write fails the job: truthful failure beats
+			// silent loss of the progress a restart would resume.
 			writeStart := time.Now()
-			if err := m.ckpts.writeDisk(j.key, ck); err != nil {
+			if err := m.ckpts.Put(j.key, ck.AppendRecord(nil)); err != nil {
 				return err
 			}
 			m.met.ckptWrite.ObserveDuration(time.Since(writeStart))
@@ -1071,8 +1071,8 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 			// version whose fingerprints no longer validate — must not
 			// poison its content key forever: discard it and run fresh
 			// instead of failing every future submission of this dataset.
+			m.ckpts.Drop(j.key)
 			m.mu.Lock()
-			m.ckpts.drop(j.key)
 			j.resumedFrom, j.done = 0, 0
 			m.mu.Unlock()
 			ctl.Resume = nil
@@ -1084,6 +1084,11 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	m.drain.observe(finished)
 	m.met.jobDuration[j.class].ObserveDuration(finished.Sub(popped))
 
+	if err == nil {
+		// The result lands in the cache below, so the checkpoint has
+		// nothing left to resume; deferred first, it runs after Unlock.
+		defer m.ckpts.Drop(j.key)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.finishedAt = finished
@@ -1109,7 +1114,6 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 			}
 		}
 		m.cache.put(j.key, res)
-		m.ckpts.drop(j.key)
 		m.met.completed[j.class].Inc()
 		m.journalAppend(&journalRecord{T: "done", ID: j.id, Key: j.key})
 	case j.cancelRequested || errors.Is(err, context.Canceled):

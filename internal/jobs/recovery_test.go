@@ -353,54 +353,9 @@ func TestRestartWithCorruptCheckpoint(t *testing.T) {
 	if s := m2.StatsSnapshot(); s.CorruptCheckpoints == 0 {
 		t.Fatal("corrupt checkpoint not counted")
 	}
-	// No .corrupt file remains here: the finished job's drop() removes
-	// every generation — TestCkptStoreQuarantine pins the quarantine
-	// rename itself.
-}
-
-// TestCkptStoreQuarantine pins the disk-level contract: a checkpoint
-// file that fails its CRC frame is renamed to .corrupt (kept for
-// forensics, never re-read) and the .prev generation serves the resume.
-func TestCkptStoreQuarantine(t *testing.T) {
-	dir := t.TempDir()
-	s, err := newCkptStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var corrupted []string
-	s.noteCorrupt = func(key string) { corrupted = append(corrupted, key) }
-
-	older := &core.Checkpoint{TotalB: 1000, Next: 100, Hi: 1000}
-	newer := &core.Checkpoint{TotalB: 1000, Next: 200, Hi: 1000}
-	if err := s.writeDisk("k1", older); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.writeDisk("k1", newer); err != nil { // rotates older to .prev
-		t.Fatal(err)
-	}
-	p := s.path("k1")
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got := s.load("k1")
-	if got == nil || got.Next != 100 {
-		t.Fatalf("load after corruption: %+v, want the .prev generation (Next=100)", got)
-	}
-	if len(corrupted) != 1 || corrupted[0] != "k1" {
-		t.Fatalf("noteCorrupt calls %v", corrupted)
-	}
-	if _, err := os.Stat(p + ".corrupt"); err != nil {
-		t.Fatalf("damaged file not quarantined: %v", err)
-	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatalf("damaged file still at the live path: %v", err)
-	}
+	// No .corrupt file remains here: the finished job's Drop removes
+	// every generation — core's TestStore pins the quarantine rename
+	// itself.
 }
 
 // TestRestartWithDatasetGone pins the unrecoverable path: a journaled
@@ -555,15 +510,10 @@ func TestStoredWideDesignSurvivesJournal(t *testing.T) {
 	m2.Close()
 }
 
-// TestPreUpgradeCheckpointQuarantined: a checkpoint in a retired layout
-// is quarantined on first load, and its job recomputes from zero to the
-// uninterrupted result bit for bit.  Both fixtures were written for this
-// spec by an older daemon, which resumed from them at 1024:
-// testdata/spckpt01.bin in the SPCKPT01 layout, from before checkpoints
-// became durable records, and testdata/ckpt_gob.bin, a durable record
-// around the gob payload checkpoints carried before they became counts
-// records — it passes the frame check and fails the version byte.
-func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
+// fixtureSpec is the job every checkpoint fixture in testdata was
+// written for, its content key, and its uninterrupted result.
+func fixtureSpec(t *testing.T) (Spec, string, *core.Result) {
+	t.Helper()
 	data, err := microarray.Generate(microarray.GenOptions{
 		Genes: 40, Samples: 20, Classes: 2, DiffFraction: 0.2, EffectSize: 2.0, Seed: 5,
 	})
@@ -584,6 +534,76 @@ func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return spec, key, want
+}
+
+// TestParentCheckpointResumes: checkpoint files written by the daemon
+// before checkpoints and retained shards shared one store —
+// testdata/checkpoints holds a job cancelled at 4096 permutations, with
+// its .prev generation at 3072 — resume the job, and the result equals
+// an uninterrupted run bit for bit.  With the current file gone (a
+// crash between rotation and write) the .prev generation alone resumes.
+func TestParentCheckpointResumes(t *testing.T) {
+	spec, key, want := fixtureSpec(t)
+	for _, tc := range []struct {
+		name  string
+		files []string
+		from  int64
+	}{
+		{"current", []string{".ckpt", ".ckpt.prev"}, 4096},
+		{"prev only", []string{".ckpt.prev"}, 3072},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirs := newDurableDirs(t)
+			if err := os.MkdirAll(dirs.ckpt, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, ext := range tc.files {
+				data, err := os.ReadFile(filepath.Join("testdata", "checkpoints", key+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dirs.ckpt, key+ext), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := NewManager(dirs.config(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			st, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin := waitTerminal(t, m, st.ID)
+			if fin.State != Done || fin.ResumedFrom != tc.from {
+				t.Fatalf("job %s (%s) resumed from %d, want done from %d", fin.State, fin.Error, fin.ResumedFrom, tc.from)
+			}
+			if s := m.StatsSnapshot(); s.CorruptCheckpoints != 0 {
+				t.Fatalf("CorruptCheckpoints %d, want 0", s.CorruptCheckpoints)
+			}
+			res, _, err := m.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+			sameFloats(t, "RawP", res.RawP, want.RawP)
+			sameFloats(t, "Stat", res.Stat, want.Stat)
+		})
+	}
+}
+
+// TestPreUpgradeCheckpointQuarantined: a checkpoint in a retired layout
+// is quarantined on first load, and its job recomputes from zero to the
+// uninterrupted result bit for bit.  Both fixtures were written for this
+// spec by an older daemon, which resumed from them at 1024:
+// testdata/spckpt01.bin in the SPCKPT01 layout, from before checkpoints
+// became durable records, and testdata/ckpt_gob.bin, a durable record
+// around the gob payload checkpoints carried before they became counts
+// records — it passes the frame check and fails the version byte.
+func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
+	spec, key, want := fixtureSpec(t)
 	for _, fixture := range []string{"spckpt01.bin", "ckpt_gob.bin"} {
 		t.Run(fixture, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("testdata", fixture))
