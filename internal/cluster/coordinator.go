@@ -558,57 +558,32 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	// checkpoint values (masked out of every merge) while the active rows
 	// keep accumulating — the distributed continuation of exactly what
 	// the local engine would do.
-	seqOpt := req.Opt
-	canon, err := core.CanonicalOptions(req.Opt)
+	jobOpt := req.Opt
+	jobPlan, err := core.PlanRun(req.Prepared, jobOpt)
 	if err != nil {
 		return nil, err
 	}
-	sequential := canon.Mode == core.ModeSequential
-	var seqFingerprint uint64
+	sequential := jobPlan.Sequential()
+	plan := jobPlan
 	if sequential {
-		seqPlan, err := core.PlanRun(req.Prepared, seqOpt)
-		if err != nil {
-			return nil, err
-		}
-		seqFingerprint = seqPlan.Fingerprint
 		req.Opt.Mode = core.ModeExact
 		req.Opt.SeqAlpha, req.Opt.SeqTolerance = 0, 0
-	}
-	plan, err := core.PlanRun(req.Prepared, req.Opt)
-	if err != nil {
-		return nil, err
-	}
-
-	merged := maxt.NewCounts(plan.Rows)
-	start := int64(0)
-	var frozen []int64
-	// A valid prefix checkpoint is just a pre-merged shard covering
-	// [0, Next): merge it and dispatch only the remainder.  An invalid
-	// one (engine drift, different analysis) is ignored, not fatal —
-	// the cluster recomputes from scratch.  Sequential jobs checkpoint
-	// under the sequential fingerprint (mode + stopping parameters are
-	// mixed in), so the prefix check compares against that.
-	ckptFP := plan.Fingerprint
-	if sequential {
-		ckptFP = seqFingerprint
-	}
-	if r := req.Resume; r != nil &&
-		r.Fingerprint == ckptFP && r.TotalB == plan.TotalB &&
-		r.Complete == plan.Complete && r.Next == r.Done &&
-		len(r.Raw) == plan.Rows && len(r.Adj) == plan.Rows && r.Next <= plan.TotalB {
-		copy(merged.Raw, r.Raw)
-		copy(merged.Adj, r.Adj)
-		merged.B = r.Done
-		start = r.Next
-		if sequential {
-			for _, b := range r.BEff {
-				if b != 0 {
-					frozen = append([]int64(nil), r.BEff...)
-					break
-				}
-			}
+		if plan, err = core.PlanRun(req.Prepared, req.Opt); err != nil {
+			return nil, err
 		}
 	}
+
+	// A valid prefix checkpoint is just a pre-merged shard covering
+	// [0, Next): merge it and dispatch only the remainder.  The job's
+	// own plan judges it — sequential jobs checkpoint under the
+	// sequential fingerprint — and an invalid one (engine drift,
+	// different analysis) is ignored, not fatal: the cluster recomputes
+	// from scratch.
+	merged, frozen, err := jobPlan.Resume(req.Resume, 0, plan.TotalB)
+	if err != nil {
+		merged, frozen = maxt.NewCounts(plan.Rows), nil
+	}
+	start := merged.B
 
 	led := req.Ledger
 	adopt := c.adoptLedger(led.Replayed(), plan, sequential, start, frozen)
@@ -629,7 +604,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	if adopt != nil {
 		c.metLedgerJobs.Inc()
 		for _, d := range adopt.deliveries {
-			mergeMasked(merged, d.Raw, d.Adj, d.Done, frozen)
+			merged.MergeMasked(&maxt.Counts{Raw: d.Raw, Adj: d.Adj, B: d.Done}, frozen)
 			if d.Next == d.Done {
 				seenObserved = true
 			}
@@ -662,58 +637,25 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 
 	// An adopted sequential merge may already satisfy the stopping rule;
 	// do not dispatch what the rule says we do not need.
-	if sequential && seenObserved && len(spans) > 0 {
-		if settled, serr := core.SeqAllSettledFrozen(req.Prepared, seqOpt, merged, frozen); serr == nil && settled {
-			spans = nil
-			c.metSeqStops.Inc()
-		}
+	if seenObserved && len(spans) > 0 && core.SeqAllSettled(req.Prepared, jobPlan, merged, frozen) {
+		spans = nil
+		c.metSeqStops.Inc()
 	}
 
 	if len(spans) > 0 {
 		if err := c.runShards(ctx, runShardsParams{
-			req: req, plan: plan, seq: sequential, seqOpt: seqOpt,
+			req: req, plan: plan, jobPlan: jobPlan,
 			seenObserved: seenObserved, frozen: frozen, led: led,
 		}, merged, spans, workers); err != nil {
 			return nil, err
 		}
 	}
-	nprocs := len(workers)
-	if nprocs == 0 {
-		nprocs = 1
-	}
-	if sequential {
-		res, err := core.FinalizeCountsSequentialFrozen(req.Prepared, seqOpt, merged, frozen)
-		if err != nil {
-			return nil, err
-		}
-		res.NProcs = nprocs
-		return res, nil
-	}
-	res, err := core.FinalizeCounts(req.Prepared, req.Opt, merged)
+	res, err := core.FinalizeCounts(req.Prepared, jobOpt, merged, frozen)
 	if err != nil {
 		return nil, err
 	}
-	res.NProcs = nprocs
+	res.NProcs = max(len(workers), 1)
 	return res, nil
-}
-
-// mergeMasked merges one delivery's counts, pinning rows a resumed
-// sequential checkpoint froze: their exceedance counts stay at the
-// checkpoint values (their denominators are the checkpoint's BEff, not
-// the job's B), while B — the shared denominator of the active rows —
-// always advances.
-func mergeMasked(dst *maxt.Counts, raw, adj []int64, b int64, frozen []int64) {
-	if frozen == nil {
-		dst.Merge(&maxt.Counts{Raw: raw, Adj: adj, B: b})
-		return
-	}
-	for i := range raw {
-		if frozen[i] == 0 {
-			dst.Raw[i] += raw[i]
-			dst.Adj[i] += adj[i]
-		}
-	}
-	dst.B += b
 }
 
 // adoption is the validated outcome of replaying a job's durable merge
@@ -833,14 +775,13 @@ type jobState struct {
 	req  jobs.DistRequest
 	plan core.Plan
 
-	// Sequential whole-job stopping: seq marks the job, seqOpt carries
-	// the original sequential options the stopping rule evaluates under,
+	// Sequential whole-job stopping: jobPlan is the job's own plan,
+	// whose stopping rule (none for exact jobs) judges the merge,
 	// seenObserved records that the merge covers permutation index 0 (the
 	// observed labelling — the rule is meaningless before it lands), and
 	// earlyStop is the coordinator's stop decision: dispatch loops drain,
 	// in-flight shard RPCs are cancelled, and the merge finalizes as-is.
-	seq          bool
-	seqOpt       core.Options
+	jobPlan      core.Plan
 	seenObserved bool
 	earlyStop    bool
 
@@ -866,8 +807,7 @@ type jobState struct {
 type runShardsParams struct {
 	req          jobs.DistRequest
 	plan         core.Plan
-	seq          bool
-	seqOpt       core.Options
+	jobPlan      core.Plan
 	seenObserved bool // resume prefix already covers the observed labelling
 	frozen       []int64
 	led          *jobs.JobLedger
@@ -881,7 +821,7 @@ func (c *Coordinator) runShards(ctx context.Context, p runShardsParams, merged *
 	defer cancel()
 	st := &jobState{
 		c: c, ctx: jobCtx, req: p.req, plan: p.plan, merged: merged, remaining: len(spans),
-		seq: p.seq, seqOpt: p.seqOpt, seenObserved: p.seenObserved,
+		jobPlan: p.jobPlan, seenObserved: p.seenObserved,
 		frozen: p.frozen, led: p.led, loops: make(map[string]bool),
 	}
 	st.cond = sync.NewCond(&st.mu)
@@ -1044,7 +984,7 @@ func (st *jobState) deliver(rec *shardRec, ck *core.Checkpoint, counts []byte, f
 		lo == rec.lo && ck.Next > rec.lo && ck.Next <= rec.hi && ck.Hi == rec.hi &&
 		len(ck.Raw) == rows && len(ck.Adj) == rows
 	if ok {
-		mergeMasked(st.merged, ck.Raw, ck.Adj, ck.Done, st.frozen)
+		st.merged.MergeMasked(&maxt.Counts{Raw: ck.Raw, Adj: ck.Adj, B: ck.Done}, st.frozen)
 		rec.lo = ck.Next
 		if rec.lo == rec.hi {
 			rec.done = true
@@ -1056,24 +996,21 @@ func (st *jobState) deliver(rec *shardRec, ck *core.Checkpoint, counts []byte, f
 		if st.req.OnProgress != nil {
 			st.req.OnProgress(st.merged.B, st.plan.TotalB)
 		}
-		if st.seq {
-			// Whole-job stopping on the merge ledger.  The rule only
-			// makes sense once the observed labelling (permutation index
-			// 0, always the first span's first index) is merged — every
-			// count is conditioned on the observed statistics being in
-			// the ledger.  Merged shards cover disjoint index ranges of
-			// one iid sampled sequence, so any union is a valid sample.
-			if lo == 0 {
-				st.seenObserved = true
-			}
-			// A delivery that lands after the stop but before runShards
-			// finishes still merges; the stop itself is counted once.
-			if st.seenObserved && st.remaining > 0 && !st.earlyStop {
-				if settled, serr := core.SeqAllSettledFrozen(st.req.Prepared, st.seqOpt, st.merged, st.frozen); serr == nil && settled {
-					st.earlyStop = true
-					st.c.metSeqStops.Inc()
-				}
-			}
+		// Whole-job stopping on the merge ledger.  The rule only makes
+		// sense once the observed labelling (permutation index 0, always
+		// the first span's first index) is merged — every count is
+		// conditioned on the observed statistics being in the ledger.
+		// Merged shards cover disjoint index ranges of one iid sampled
+		// sequence, so any union is a valid sample.  A delivery that
+		// lands after the stop but before runShards finishes still
+		// merges; the stop itself is counted once.
+		if lo == 0 {
+			st.seenObserved = true
+		}
+		if st.seenObserved && st.remaining > 0 && !st.earlyStop &&
+			core.SeqAllSettled(st.req.Prepared, st.jobPlan, st.merged, st.frozen) {
+			st.earlyStop = true
+			st.c.metSeqStops.Inc()
 		}
 	}
 	partial := ok && !rec.done

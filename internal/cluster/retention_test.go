@@ -175,3 +175,44 @@ func TestWorkerInfoDuringRetentionWrite(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestWorkerRetainedPrefixResumeRule: a retained partial seeds the
+// window's compute only when the plan's resume rule accepts it for this
+// window; one it rejects — here counts starting at 100 filed under the
+// window [0, 400) — is ignored and the window computes from scratch.
+// Either way the worker answers the record a direct RunShard computes.
+func TestWorkerRetainedPrefixResumeRule(t *testing.T) {
+	m, req, want := retentionFixture(t)
+	var sr ShardRequest
+	if err := json.Unmarshal(req, &sr); err != nil {
+		t.Fatal(err)
+	}
+	prep, release, err := m.PreparedDataset(sr.DatasetID, sr.Labels, sr.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	for _, tc := range []struct {
+		lo, hi  int64
+		resumed int64
+	}{{0, 200, 1}, {100, 300, 0}} {
+		sc, err := core.RunShard(prep, sr.Options, tc.lo, tc.hi, core.RunControl{NProcs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Filed as a partial of the window: counts over [lo, hi), next hi.
+		ck := sc.Checkpoint()
+		ck.Hi = 400
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "22cd6749383278fe-0-400.shard"), ck.AppendRecord(nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorker(WorkerConfig{Source: m, RetentionDir: dir, Every: 50, NProcs: 1})
+		if got := probe(t, w, req); !bytes.Equal(got, want) {
+			t.Fatalf("retained [%d, %d): the window's record differs from a direct RunShard", tc.lo, tc.hi)
+		}
+		if n := w.Info().Worker.RetainedResumes; n != tc.resumed {
+			t.Fatalf("retained [%d, %d): %d retained resumes, want %d", tc.lo, tc.hi, n, tc.resumed)
+		}
+	}
+}

@@ -269,6 +269,29 @@ func TestClusterSequentialResumeWithFrozenRowsDistributes(t *testing.T) {
 		t.Fatalf("pinned %d rows, checkpoint froze %d", pinned, frozenRows)
 	}
 
+	// A checkpoint the resume rule rejects is ignored, not fatal: the job
+	// computes from scratch, so no row is pinned.
+	for _, bad := range []func(c *core.Checkpoint){
+		func(c *core.Checkpoint) { c.BEff = c.BEff[1:] },
+		func(c *core.Checkpoint) { c.Done-- },
+	} {
+		ck := *last
+		bad(&ck)
+		fresh, err := coord.RunJob(context.Background(), jobs.DistRequest{
+			Key: "k", DatasetID: jobs.DatasetDigest(x), Matrix: x,
+			Labels: lab, Opt: canon, Prepared: p,
+			Resume: &ck, NProcs: 1, Every: 50,
+		})
+		if err != nil {
+			t.Fatalf("rejected checkpoint failed the job: %v", err)
+		}
+		for i, be := range fresh.BEff {
+			if !math.IsNaN(fresh.Stat[i]) && be != fresh.B {
+				t.Fatalf("rejected checkpoint pinned row %d at %d of %d", i, be, fresh.B)
+			}
+		}
+	}
+
 	// Accuracy: within the confidence-sequence tolerance of an exact
 	// full-length run, statistics and order identical.
 	exactOpt := opt

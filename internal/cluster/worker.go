@@ -453,9 +453,9 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	// A parked partial prefix of this exact window (lease lapsed or the
 	// worker drained in a previous probe) seeds the compute: only the
 	// remainder is recomputed, and the counts stay bitwise identical.
-	// Its totals are checked as RunShard would.
+	// One that fails the plan's resume rule is ignored.
 	var resume *core.Checkpoint
-	if prev != nil && prev.TotalB == plan.TotalB && prev.Complete == plan.Complete && len(prev.Raw) == plan.Rows {
+	if _, _, err := plan.Resume(prev, req.Lo, req.Hi); prev != nil && err == nil {
 		resume = prev
 		w.metRetainedResumes.Inc()
 	}

@@ -96,10 +96,10 @@ func (c *Checkpoint) AppendRecord(buf []byte) []byte {
 
 // DecodeRecord decodes frame, which must be exactly one counts record.
 // A frame that fails its CRC, an unknown version or flag, a length other
-// than the header implies, and a range outside
-// 0 ≤ next−done ≤ next ≤ hi ≤ total_b fail with an error wrapping
-// durable.ErrCorrupt.  Whether the record belongs to an analysis is the
-// caller's check.
+// than the header implies, a range outside
+// 0 ≤ next−done ≤ next ≤ hi ≤ total_b and a b_eff entry outside
+// [0, done] fail with an error wrapping durable.ErrCorrupt.  Whether
+// the record belongs to an analysis is the caller's check.
 func DecodeRecord(frame []byte) (*Checkpoint, error) {
 	p, err := durable.OnlyFrame(frame)
 	if err != nil {
@@ -144,6 +144,11 @@ func DecodeRecord(frame []byte) (*Checkpoint, error) {
 	c.Raw, c.Adj = vs[:rows:rows], vs[rows:2*rows:2*rows]
 	if vecs == 3 {
 		c.BEff = vs[2*rows:]
+		for i, b := range c.BEff {
+			if b < 0 || b > c.Done {
+				return corrupt("b_eff[%d] = %d outside [0, done %d]", i, b, c.Done)
+			}
+		}
 	}
 	return c, nil
 }

@@ -130,6 +130,101 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := MaxTCheckpointed(x, lab, Options{Test: "bogus"}, nil, 5, nil); err == nil {
 		t.Error("bad options accepted")
 	}
+
+	// The one resume rule: every case gets the same verdict from
+	// Plan.Resume — which the coordinator and a worker's retained-prefix
+	// lookup call directly — from RunPrepared in the case's mode and,
+	// for exact plans, from RunShard.
+	data, seqOpt := seqTestData(t, 11)
+	seqOpt.B = 4096
+	exactOpt := seqOpt
+	exactOpt.Mode = ModeExact
+	p, err := Prepare(rowsInputT(t, data.X), data.Labels, exactOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := func(opt Options, run func(RunControl) error) *Checkpoint {
+		var ck *Checkpoint
+		err := run(RunControl{NProcs: 2, Every: 1024, Save: func(c *Checkpoint) error {
+			if ck == nil {
+				ck = c
+			}
+			return nil
+		}})
+		if err != nil || ck == nil {
+			t.Fatalf("%s run: err %v, checkpoint %v", opt.Mode, err, ck)
+		}
+		return ck
+	}
+	whole := func(opt Options) func(RunControl) error {
+		return func(ctl RunControl) error { _, err := RunPrepared(p, opt, ctl); return err }
+	}
+	exactCk := first(exactOpt, whole(exactOpt))
+	seqCk := first(seqOpt, whole(seqOpt))
+	const shardLo, shardHi = 1024, 3072
+	shardCk := first(exactOpt, func(ctl RunControl) error {
+		_, err := RunShard(p, exactOpt, shardLo, shardHi, ctl)
+		return err
+	})
+	if seqCk.BEff == nil || shardCk.Next-shardCk.Done != shardLo {
+		t.Fatalf("fixtures: sequential BEff %v, shard counts from %d", seqCk.BEff, shardCk.Next-shardCk.Done)
+	}
+	edit := func(c *Checkpoint, f func(*Checkpoint)) *Checkpoint {
+		c2 := *c
+		f(&c2)
+		return &c2
+	}
+	rows := len(data.X)
+	for _, tc := range []struct {
+		name string
+		ck   *Checkpoint
+		seq  bool
+		lo   int64
+		ok   bool
+	}{
+		{"exact prefix", exactCk, false, 0, true},
+		{"sequential prefix", seqCk, true, 0, true},
+		{"shard partial at lo", shardCk, false, shardLo, true},
+		{"partial to a whole run", shardCk, false, 0, false},
+		{"partial to another shard", shardCk, false, shardLo + 1, false},
+		{"fingerprint", edit(exactCk, func(c *Checkpoint) { c.Fingerprint++ }), false, 0, false},
+		{"TotalB", edit(exactCk, func(c *Checkpoint) { c.TotalB++ }), false, 0, false},
+		{"Complete", edit(exactCk, func(c *Checkpoint) { c.Complete = true }), false, 0, false},
+		{"rows", edit(exactCk, func(c *Checkpoint) { c.Raw, c.Adj = c.Raw[1:], c.Adj[1:] }), false, 0, false},
+		{"exact to sequential", exactCk, true, 0, false},
+		{"sequential to exact", seqCk, false, 0, false},
+		{"BEff on exact", edit(exactCk, func(c *Checkpoint) { c.BEff = make([]int64, rows) }), false, 0, false},
+		{"BEff short", edit(seqCk, func(c *Checkpoint) { c.BEff = c.BEff[1:] }), true, 0, false},
+		{"BEff missing", edit(seqCk, func(c *Checkpoint) { c.BEff = nil }), true, 0, false},
+	} {
+		opt := exactOpt
+		if tc.seq {
+			opt = seqOpt
+		}
+		plan, err := PlanRun(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi := plan.TotalB
+		if tc.lo > 0 {
+			hi = shardHi
+		}
+		verdict := func(path string, err error) {
+			if (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrCheckpointMismatch)) {
+				t.Errorf("%s: %s returned %v, want accepted %v", tc.name, path, err, tc.ok)
+			}
+		}
+		_, _, err = plan.Resume(tc.ck, tc.lo, hi)
+		verdict("Plan.Resume", err)
+		if tc.lo == 0 {
+			_, err = RunPrepared(p, opt, RunControl{NProcs: 2, Every: 1024, Resume: tc.ck})
+			verdict("RunPrepared", err)
+		}
+		if !tc.seq {
+			_, err = RunShard(p, opt, tc.lo, hi, RunControl{NProcs: 2, Resume: tc.ck})
+			verdict("RunShard", err)
+		}
+	}
 }
 
 // goldenCheckpoints are the two records of testdata/counts_v1.bin: a
@@ -181,6 +276,15 @@ func TestCountsRecordGolden(t *testing.T) {
 		}
 		off += size
 	}
+	// Every b_eff entry lies in [0, done]: a frozen row froze at a
+	// permutation count the record's counts cover.
+	for _, b := range []int64{-1, 4097} {
+		c := goldenCheckpoints()[1]
+		c.BEff[1] = b
+		if _, err := DecodeRecord(c.AppendRecord(nil)); !errors.Is(err, durable.ErrCorrupt) {
+			t.Errorf("b_eff %d with done %d decoded: %v", b, c.Done, err)
+		}
+	}
 }
 
 // FuzzCountsRecord drives DecodeRecord with arbitrary bytes, both as a
@@ -203,6 +307,11 @@ func FuzzCountsRecord(f *testing.F) {
 					t.Fatalf("rejected without ErrCorrupt: %v", err)
 				}
 				continue
+			}
+			for i, b := range c.BEff {
+				if b < 0 || b > c.Done {
+					t.Fatalf("accepted b_eff[%d] = %d outside [0, done %d]", i, b, c.Done)
+				}
 			}
 			if again := c.AppendRecord(nil); !bytes.Equal(again, rec) {
 				t.Fatalf("accepted record re-encodes differently:\n in  %x\n out %x", rec, again)

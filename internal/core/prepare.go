@@ -8,6 +8,7 @@ import (
 
 	"sprint/internal/matrix"
 	"sprint/internal/maxt"
+	"sprint/internal/seqstop"
 	"sprint/internal/stat"
 )
 
@@ -142,9 +143,6 @@ func RunPrepared(p *Prepared, opt Options, ctl RunControl) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.mode == modeSequential {
-		return runSequential(p, cfg, plan, ctl)
-	}
 	prep, totalB := p.prep, plan.TotalB
 
 	nprocs := ctl.NProcs
@@ -152,24 +150,17 @@ func RunPrepared(p *Prepared, opt Options, ctl RunControl) (*Result, error) {
 		nprocs = runtime.GOMAXPROCS(0)
 	}
 
-	counts := maxt.NewCounts(prep.Rows())
-	first := int64(0)
-	if ctl.Resume != nil {
-		r := ctl.Resume
-		if err := plan.checkResume(r, prep.Rows()); err != nil {
-			return nil, err
+	counts, frozen, err := plan.Resume(ctl.Resume, 0, totalB)
+	if err != nil {
+		return nil, err
+	}
+	first := counts.B
+	var tracker *seqstop.Tracker
+	if plan.seq != nil {
+		tracker = seqstop.NewTracker(*plan.seq, prep.Order, prep.Valid)
+		if err := tracker.Restore(frozen); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
 		}
-		// A full-run checkpoint is a pure prefix: counts cover [0, Next).
-		if r.Next != r.Done {
-			return nil, ckptMismatch("progress", fmt.Sprintf("counts for %d of %d permutations (a shard partial)", r.Done, r.Next), "a pure prefix (Next == Done)")
-		}
-		if r.BEff != nil {
-			return nil, ckptMismatch("mode", "sequential freeze state", "an exact-mode checkpoint")
-		}
-		copy(counts.Raw, r.Raw)
-		copy(counts.Adj, r.Adj)
-		counts.B = r.Done
-		first = r.Next
 	}
 
 	// One generator covering every remaining permutation; the window
@@ -181,27 +172,20 @@ func RunPrepared(p *Prepared, opt Options, ctl RunControl) (*Result, error) {
 	prof.CreateData = time.Since(start)
 
 	kernelStart := time.Now()
-	if _, err := processRange(p, cfg, plan, gen, counts, first, totalB, ctl); err != nil {
+	if _, err := processRange(p, cfg, plan, gen, counts, first, totalB, tracker, ctl); err != nil {
 		return nil, err
 	}
 	prof.MainKernel = time.Since(kernelStart)
 
 	start = time.Now()
-	if counts.B != totalB {
-		return nil, fmt.Errorf("core: accumulated permutation count %d, want %d", counts.B, totalB)
+	if tracker != nil {
+		frozen = tracker.BEff()
 	}
-	final := maxt.Finalize(prep, counts)
+	res, err := p.finalize(plan, counts, frozen)
+	if err != nil {
+		return nil, err
+	}
 	prof.ComputePValues = time.Since(start)
-
-	return &Result{
-		Stat:      final.Stat,
-		RawP:      final.RawP,
-		AdjP:      final.AdjP,
-		Order:     final.Order,
-		B:         final.B,
-		Complete:  plan.Complete,
-		NProcs:    nprocs,
-		Profile:   prof,
-		KernelMax: prof.MainKernel,
-	}, nil
+	res.NProcs, res.Profile, res.KernelMax = nprocs, prof, prof.MainKernel
+	return res, nil
 }

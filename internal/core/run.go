@@ -31,7 +31,8 @@ type RunControl struct {
 	// available CPU.  Results are bit-identical at any rank count.
 	NProcs int
 	// Resume continues a previous run from its checkpoint.  The checkpoint
-	// must match the analysis (ErrCheckpointMismatch otherwise).
+	// must pass Plan.Resume for the run's window (ErrCheckpointMismatch
+	// otherwise).
 	Resume *Checkpoint
 	// Every is the window length in permutations — the granularity of
 	// progress, cancellation and checkpoints.  Values < 1 select the whole

@@ -243,6 +243,10 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := PlanRun(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := len(data.X)
 
 	counts := maxt.NewCounts(rows)
@@ -252,12 +256,16 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 		counts.Raw[i] = 128
 		counts.Adj[i] = 128
 	}
-	settled, err := SeqAllSettled(p, opt, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if settled {
+	if SeqAllSettled(p, plan, counts, nil) {
 		t.Fatal("p̂=0.5 at b=256 reported settled")
+	}
+	// Freezing every row settles the job whatever its counts.
+	all := make([]int64, rows)
+	for i := range all {
+		all[i] = 128
+	}
+	if !SeqAllSettled(p, plan, counts, all) {
+		t.Fatal("all rows frozen but not settled")
 	}
 	// All-zero counts at a large b: every row certifies significant.
 	clear(counts.Raw)
@@ -266,15 +274,11 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 	if counts.B > opt.B {
 		counts.B = opt.B
 	}
-	settled, err = SeqAllSettled(p, opt, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !settled {
+	if !SeqAllSettled(p, plan, counts, nil) {
 		t.Fatal("all-zero counts at large b not settled")
 	}
 
-	res, err := FinalizeCountsSequential(p, opt, counts)
+	res, err := FinalizeCounts(p, opt, counts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +289,21 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 		if math.IsNaN(res.Stat[i]) {
 			continue
 		}
-		if bp != 0 {
-			t.Fatalf("RawP[%d] = %v for a zero count", i, bp)
+		if bp != 0 || res.BEff[i] != counts.B {
+			t.Fatalf("row %d: RawP %v over %d permutations, want 0 over %d", i, bp, res.BEff[i], counts.B)
 		}
+	}
+	// A frozen row keeps its own effective count.
+	frozen := make([]int64, rows)
+	r0 := p.prep.Order[0]
+	frozen[r0] = 512
+	counts.Raw[r0] = 256
+	res, err = FinalizeCounts(p, opt, counts, frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BEff[r0] != 512 || res.RawP[r0] != 0.5 {
+		t.Fatalf("frozen row: RawP %v over %d, want 0.5 over 512", res.RawP[r0], res.BEff[r0])
 	}
 
 	exactOpt := opt
@@ -296,16 +312,28 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SeqAllSettled(pExact, exactOpt, counts); err == nil {
-		t.Fatal("SeqAllSettled accepted exact mode")
+	exactPlan, err := PlanRun(pExact, exactOpt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := FinalizeCountsSequential(pExact, exactOpt, counts); err == nil {
-		t.Fatal("FinalizeCountsSequential accepted exact mode")
+	if SeqAllSettled(pExact, exactPlan, counts, nil) {
+		t.Fatal("an exact plan settled")
+	}
+	short := maxt.NewCounts(rows)
+	short.B = exactOpt.B - 1
+	if _, err := FinalizeCounts(pExact, exactOpt, short, nil); err == nil {
+		t.Fatal("exact finalize accepted counts short of the plan")
+	}
+	if _, err := FinalizeCounts(pExact, exactOpt, counts, frozen); err == nil {
+		t.Fatal("exact finalize accepted freeze state")
 	}
 	bad := maxt.NewCounts(rows)
 	bad.B = opt.B + 1
-	if _, err := FinalizeCountsSequential(p, opt, bad); err == nil {
+	if _, err := FinalizeCounts(p, opt, bad, nil); err == nil {
 		t.Fatal("merged B beyond the plan accepted")
+	}
+	if _, err := FinalizeCounts(p, opt, counts, frozen[:1]); err == nil {
+		t.Fatal("short frozen vector accepted")
 	}
 }
 

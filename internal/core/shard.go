@@ -10,6 +10,7 @@ import (
 
 	"sprint/internal/maxt"
 	"sprint/internal/perm"
+	"sprint/internal/seqstop"
 )
 
 // This file is the distribution surface of the engine: the paper's Step
@@ -29,10 +30,11 @@ import (
 //     is counted exactly once.
 //   - Finalize is a pure function of (Prep, merged counts).
 //
-// Plan captures the shared identity every node must agree on; RunShard
-// computes one range; FinalizeCounts turns fully merged counts into the
-// Result.  RunPrepared is now the single-node composition of the same
-// pieces.
+// Plan captures the shared identity every node must agree on and
+// Plan.Resume its one resume rule; processRange is the one window loop;
+// RunShard computes one range; FinalizeCounts turns merged counts into
+// the Result.  RunPrepared is the single-node composition of the same
+// pieces, in both run modes.
 
 // Plan is the resolved permutation plan of an analysis: everything a
 // set of nodes must agree on before splitting the range.  Two nodes
@@ -52,7 +54,12 @@ type Plan struct {
 	// as it ties checkpoints: engine version, validated options,
 	// enumeration order, labels and a data sample.
 	Fingerprint uint64
+	// seq is the stopping rule of a sequential plan; nil for exact.
+	seq *seqstop.Config
 }
+
+// Sequential reports whether the plan runs the early-stopping engine.
+func (pl Plan) Sequential() bool { return pl.seq != nil }
 
 // PlanRun resolves opt against the preparation without running anything.
 func PlanRun(p *Prepared, opt Options) (Plan, error) {
@@ -78,13 +85,21 @@ func (p *Prepared) planFor(opt Options) (config, Plan, error) {
 		return cfg, Plan{}, fmt.Errorf("core: mode \"sequential\" requires sampled permutations, but the plan resolved to the complete enumeration (%d labellings, which is exact by definition); run exact mode instead", totalB)
 	}
 	door := useComplete && cfg.doorOrder(p.design)
-	return cfg, Plan{
+	plan := Plan{
 		TotalB:      totalB,
 		Complete:    useComplete,
 		Door:        door,
 		Rows:        p.prep.Rows(),
 		Fingerprint: fingerprint(cfg, p.clean, p.labels, door),
-	}, nil
+	}
+	if cfg.mode == modeSequential {
+		sc, err := seqstop.New(cfg.seqAlpha, cfg.seqTol, p.prep.Valid)
+		if err != nil {
+			return cfg, Plan{}, fmt.Errorf("core: %w", err)
+		}
+		plan.seq = &sc
+	}
+	return cfg, plan, nil
 }
 
 // snapshot is the plan's record of counts over [next-counts.B, next) of
@@ -97,21 +112,44 @@ func (pl Plan) snapshot(counts *maxt.Counts, next, hi int64) *Checkpoint {
 	}
 }
 
-// checkResume validates the analysis-identity half of a resume checkpoint
-// against the plan, naming the field that drifted so mismatches are
-// debuggable; range/progress semantics stay with the caller.
-func (pl Plan) checkResume(r *Checkpoint, rows int) error {
+// Resume is the one resume rule of every window a plan's counts
+// accumulate over — a whole run is the window starting at 0, a shard the
+// one starting at its lo.  It validates r as progress of the window
+// [lo, hi) and returns the counts r seeds, covering [lo, lo+counts.B),
+// and the rows r froze (nil when none are).  A nil r seeds zero counts.
+// r must name the plan (fingerprint, TotalB, Complete, rows), be a
+// prefix of the window (Next−Done == lo, Next ≤ hi), and carry freeze
+// state exactly when the plan is sequential, one entry per row.  A
+// rejection wraps ErrCheckpointMismatch naming the field that drifted.
+func (pl Plan) Resume(r *Checkpoint, lo, hi int64) (*maxt.Counts, []int64, error) {
+	counts := maxt.NewCounts(pl.Rows)
+	if r == nil {
+		return counts, nil, nil
+	}
 	switch {
 	case r.Fingerprint != pl.Fingerprint:
-		return ckptMismatch("fingerprint", fmt.Sprintf("%016x", r.Fingerprint), fmt.Sprintf("%016x", pl.Fingerprint))
+		return nil, nil, ckptMismatch("fingerprint", fmt.Sprintf("%016x", r.Fingerprint), fmt.Sprintf("%016x", pl.Fingerprint))
 	case r.TotalB != pl.TotalB:
-		return ckptMismatch("TotalB", r.TotalB, pl.TotalB)
+		return nil, nil, ckptMismatch("TotalB", r.TotalB, pl.TotalB)
 	case r.Complete != pl.Complete:
-		return ckptMismatch("Complete", r.Complete, pl.Complete)
-	case len(r.Raw) != rows || len(r.Adj) != rows:
-		return ckptMismatch("rows", fmt.Sprintf("%d raw / %d adj counts", len(r.Raw), len(r.Adj)), rows)
+		return nil, nil, ckptMismatch("Complete", r.Complete, pl.Complete)
+	case len(r.Raw) != pl.Rows || len(r.Adj) != pl.Rows:
+		return nil, nil, ckptMismatch("rows", fmt.Sprintf("%d raw / %d adj counts", len(r.Raw), len(r.Adj)), pl.Rows)
+	case r.Next-r.Done != lo || r.Next < lo || r.Next > hi:
+		return nil, nil, ckptMismatch("range", fmt.Sprintf("counts over [%d, %d)", r.Next-r.Done, r.Next), fmt.Sprintf("a prefix of [%d, %d)", lo, hi))
+	case pl.seq == nil && r.BEff != nil:
+		return nil, nil, ckptMismatch("mode", "sequential freeze state", "an exact-mode checkpoint")
+	case pl.seq != nil && len(r.BEff) != pl.Rows:
+		return nil, nil, ckptMismatch("BEff rows", len(r.BEff), pl.Rows)
 	}
-	return nil
+	copy(counts.Raw, r.Raw)
+	copy(counts.Adj, r.Adj)
+	counts.B = r.Done
+	var frozen []int64
+	if slices.ContainsFunc(r.BEff, func(b int64) bool { return b != 0 }) {
+		frozen = slices.Clone(r.BEff)
+	}
+	return counts, frozen, nil
 }
 
 // generatorFor builds the permutation generator serving indices
@@ -130,16 +168,22 @@ func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Gener
 	}
 }
 
-// processRange drives the windowed multi-rank kernel loop over
-// permutation indices [first, limit), merging exceedance counts into
-// counts.  It returns the first unprocessed index: limit on success, the
-// boundary of the last completed window when ctl.Ctx cancels — counts
-// then hold a valid partial covering everything below that boundary,
-// which is what lets a draining worker hand its progress back instead
-// of discarding it.  The window ending at limit is not checkpointed: the
-// caller finalizes or ships counts next, so that checkpoint would be
-// written, fsynced and dropped within microseconds.
-func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, ctl RunControl) (int64, error) {
+// processRange is the engine's one window loop: it drives the windowed
+// multi-rank kernel over permutation indices [first, limit), merging
+// exceedance counts into counts.  It returns the first unprocessed
+// index: limit on success, the boundary of the last completed window
+// when ctl.Ctx cancels — counts then hold a valid partial covering
+// everything below that boundary, which is what lets a draining worker
+// hand its progress back instead of discarding it.  The window ending
+// at limit is not checkpointed: the caller finalizes or ships counts
+// next, so that checkpoint would be written, fsynced and dropped within
+// microseconds.
+//
+// tr, non-nil on sequential runs, applies the stopping rule at every
+// window boundary: each window computes from the frozen prefix down,
+// merges only rows still accumulating, checkpoints the freeze state, and
+// the loop stops as soon as every row is frozen.
+func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, tr *seqstop.Tracker, ctl RunControl) (int64, error) {
 	prep := p.prep
 	nprocs := ctl.NProcs
 	if nprocs < 1 {
@@ -147,11 +191,11 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 	}
 	batch := cfg.effectiveBatch()
 	every := ctl.Every
+	if every < 1 && tr != nil {
+		every = DefaultSeqWindow
+	}
 	if every < 1 {
-		every = limit - first
-		if every < 1 {
-			every = 1
-		}
+		every = max(limit-first, 1)
 	} else {
 		// Align the window (and therefore every checkpoint boundary) to a
 		// whole number of kernel batches, so no window ends on a ragged
@@ -170,47 +214,68 @@ func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts
 	rs.ensure(prep, nprocs)
 	scratches, partials := rs.scratches, rs.partials
 
-	for lo := first; lo < limit; lo += every {
+	lo := first
+	for ; lo < limit && (tr == nil || !tr.AllFrozen()); lo += every {
 		if ctl.Ctx != nil {
 			if err := ctl.Ctx.Err(); err != nil {
 				return lo, fmt.Errorf("core: run stopped at permutation %d of %d: %w", lo, plan.TotalB, err)
 			}
 		}
-		hi := lo + every
-		if hi > limit {
-			hi = limit
-		}
-		span := hi - lo
+		hi := min(lo+every, limit)
 		var windowStart time.Time
 		if ctl.OnWindow != nil {
 			windowStart = time.Now()
 		}
-		if nprocs == 1 {
-			maxt.ProcessBatched(prep, gen, lo, hi, counts, scratches[0], batch)
+		if nprocs == 1 && tr == nil {
+			maxt.ProcessFrom(prep, gen, lo, hi, counts, scratches[0], batch, 0)
 		} else {
-			fanOut(prep, gen, lo, hi, partials, scratches, nprocs, batch, 0)
-			for r := 0; r < nprocs; r++ {
-				if partials[r].B > 0 {
-					counts.Merge(partials[r])
-					clear(partials[r].Raw)
-					clear(partials[r].Adj)
-					partials[r].B = 0
+			// A sequential window computes the step-down positions from the
+			// first unfrozen one down, and the merge skips frozen rows:
+			// their counts stay pinned at their freeze boundary even while
+			// the kernel still computes them (a frozen row below an active
+			// one).
+			from, frozen := 0, []int64(nil)
+			if tr != nil {
+				from, frozen = tr.FrozenPrefix(), tr.BEff()
+			}
+			if nprocs == 1 {
+				maxt.ProcessFrom(prep, gen, lo, hi, partials[0], scratches[0], batch, from)
+			} else {
+				fanOut(prep, gen, lo, hi, partials, scratches, nprocs, batch, from)
+			}
+			for _, pc := range partials[:nprocs] {
+				if pc.B > 0 {
+					counts.MergeMasked(pc, frozen)
+					pc.Reset(len(pc.Raw))
 				}
 			}
 		}
 		if ctl.OnWindow != nil {
-			ctl.OnWindow(span, time.Since(windowStart))
+			ctl.OnWindow(hi-lo, time.Since(windowStart))
 		}
-		if ctl.Save != nil && hi < limit {
-			if err := ctl.Save(plan.snapshot(counts, hi, limit)); err != nil {
+		if tr != nil {
+			tr.Observe(counts.Raw, counts.Adj, counts.B)
+		}
+		// The window that completes the run is not checkpointed (see
+		// RunControl.Save): the last of the range, or the one that froze
+		// the last row.
+		if ctl.Save != nil && hi < limit && (tr == nil || !tr.AllFrozen()) {
+			snap := plan.snapshot(counts, hi, limit)
+			if tr != nil {
+				snap.BEff = slices.Clone(tr.BEff())
+			}
+			if err := ctl.Save(snap); err != nil {
 				return hi, fmt.Errorf("core: checkpoint save at permutation %d: %w", hi, err)
 			}
 		}
 		if ctl.OnProgress != nil {
 			ctl.OnProgress(counts.B, plan.TotalB)
 		}
+		if tr != nil && ctl.OnSeq != nil {
+			ctl.OnSeq(prep.Valid-tr.FrozenRows(), tr.PermsSaved(plan.TotalB))
+		}
 	}
-	return limit, nil
+	return min(lo, limit), nil
 }
 
 // rankPiece is the least number of permutations a rank claims at a time.
@@ -297,24 +362,11 @@ func RunShard(p *Prepared, opt Options, lo, hi int64, ctl RunControl) (*ShardCou
 	if lo < 0 || hi > plan.TotalB || lo >= hi {
 		return nil, fmt.Errorf("core: shard range [%d, %d) outside plan [0, %d)", lo, hi, plan.TotalB)
 	}
-	counts := maxt.NewCounts(plan.Rows)
-	start := lo
-	if ctl.Resume != nil {
-		r := ctl.Resume
-		if err := plan.checkResume(r, plan.Rows); err != nil {
-			return nil, err
-		}
-		// A shard checkpoint's counts cover [Next-Done, Next); they only
-		// belong to this shard when that range starts at lo and ends
-		// inside [lo, hi].
-		if r.Next-r.Done != lo || r.Next < lo || r.Next > hi {
-			return nil, ckptMismatch("range", fmt.Sprintf("counts over [%d, %d)", r.Next-r.Done, r.Next), fmt.Sprintf("a prefix of shard [%d, %d)", lo, hi))
-		}
-		copy(counts.Raw, r.Raw)
-		copy(counts.Adj, r.Adj)
-		counts.B = r.Done
-		start = r.Next
+	counts, _, err := plan.Resume(ctl.Resume, lo, hi)
+	if err != nil {
+		return nil, err
 	}
+	start := lo + counts.B
 	sc := &ShardCounts{Plan: plan, Lo: lo, Next: start, Hi: hi, Counts: counts}
 	if start == hi {
 		return sc, nil
@@ -323,36 +375,74 @@ func RunShard(p *Prepared, opt Options, lo, hi int64, ctl RunControl) (*ShardCou
 	if err != nil {
 		return nil, err
 	}
-	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, ctl)
+	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, nil, ctl)
 	sc.Next = next
 	return sc, runErr
 }
 
-// FinalizeCounts converts fully merged exceedance counts into the final
+// FinalizeCounts converts merged exceedance counts into the final
 // Result: the deterministic Step 5 a coordinator applies after merging
-// every shard.  counts must cover the whole plan (counts.B == TotalB);
-// the Result is then bitwise identical to a single-node run, no matter
-// how the range was partitioned or in which order shards merged.
-func FinalizeCounts(p *Prepared, opt Options, counts *maxt.Counts) (*Result, error) {
+// its shards.  An exact plan's counts must cover the whole plan
+// (counts.B == TotalB); the Result is then bitwise identical to a
+// single-node run, no matter how the range was partitioned or in which
+// order shards merged.  A sequential plan's counts cover counts.B ≤
+// TotalB permutations: a row with frozen[i] != 0 — a row a resumed
+// checkpoint froze, whose counts were merged with Counts.MergeMasked —
+// is estimated over frozen[i] permutations, every other row over
+// counts.B.  frozen is nil when no row is frozen, and always for exact
+// plans.
+func FinalizeCounts(p *Prepared, opt Options, counts *maxt.Counts, frozen []int64) (*Result, error) {
 	_, plan, err := p.planFor(opt)
 	if err != nil {
 		return nil, err
 	}
-	if counts.B != plan.TotalB {
-		return nil, fmt.Errorf("core: merged permutation count %d, want %d", counts.B, plan.TotalB)
-	}
-	if len(counts.Raw) != plan.Rows || len(counts.Adj) != plan.Rows {
-		return nil, fmt.Errorf("core: merged count vectors have %d rows, want %d", len(counts.Raw), plan.Rows)
-	}
 	start := time.Now()
-	final := maxt.Finalize(p.prep, counts)
+	res, err := p.finalize(plan, counts, frozen)
+	if err != nil {
+		return nil, err
+	}
+	res.Profile.ComputePValues = time.Since(start)
+	return res, nil
+}
+
+// finalize is FinalizeCounts under a resolved plan.
+func (p *Prepared) finalize(plan Plan, counts *maxt.Counts, frozen []int64) (*Result, error) {
+	switch {
+	case counts.B < 0 || counts.B > plan.TotalB || (plan.seq == nil && counts.B != plan.TotalB):
+		return nil, fmt.Errorf("core: merged permutation count %d does not fit a plan of %d (sequential %v)", counts.B, plan.TotalB, plan.Sequential())
+	case len(counts.Raw) != plan.Rows || len(counts.Adj) != plan.Rows:
+		return nil, fmt.Errorf("core: merged count vectors have %d/%d rows, want %d", len(counts.Raw), len(counts.Adj), plan.Rows)
+	case frozen != nil && (plan.seq == nil || len(frozen) != plan.Rows):
+		return nil, fmt.Errorf("core: frozen vector of %d rows for a %d-row plan (sequential %v)", len(frozen), plan.Rows, plan.Sequential())
+	}
+	prep := p.prep
+	if plan.seq == nil {
+		final := maxt.Finalize(prep, counts)
+		return &Result{
+			Stat:     final.Stat,
+			RawP:     final.RawP,
+			AdjP:     final.AdjP,
+			Order:    final.Order,
+			B:        final.B,
+			Complete: plan.Complete,
+		}, nil
+	}
+	bEff := make([]int64, prep.Rows())
+	for _, r := range prep.Order[:prep.Valid] {
+		bEff[r] = counts.B
+		if frozen != nil && frozen[r] != 0 {
+			bEff[r] = frozen[r]
+		}
+	}
+	final := maxt.FinalizeEffective(prep, counts, bEff)
 	return &Result{
 		Stat:     final.Stat,
 		RawP:     final.RawP,
 		AdjP:     final.AdjP,
 		Order:    final.Order,
-		B:        final.B,
-		Complete: plan.Complete,
-		Profile:  Profile{ComputePValues: time.Since(start)},
+		B:        counts.B,
+		Mode:     ModeSequential,
+		PlannedB: plan.TotalB,
+		BEff:     bEff,
 	}, nil
 }

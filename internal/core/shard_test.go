@@ -111,7 +111,7 @@ func TestShardMergeAssociativity(t *testing.T) {
 			for _, i := range order {
 				merged.Merge(parts[i].Counts)
 			}
-			got, err := FinalizeCounts(p, tc.opt, merged)
+			got, err := FinalizeCounts(p, tc.opt, merged, nil)
 			if err != nil {
 				t.Fatalf("%s: finalize: %v", tc.name, err)
 			}

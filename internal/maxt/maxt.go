@@ -274,6 +274,24 @@ func (c *Counts) Merge(o *Counts) {
 	c.B += o.B
 }
 
+// MergeMasked is Merge for a sequential run: rows with frozen[i] != 0
+// keep their counts, pinned at the permutation count they froze at,
+// while B — the shared denominator of the rows still accumulating —
+// advances.  A nil frozen merges every row.
+func (c *Counts) MergeMasked(o *Counts, frozen []int64) {
+	if frozen == nil {
+		c.Merge(o)
+		return
+	}
+	for i, f := range frozen {
+		if f == 0 {
+			c.Raw[i] += o.Raw[i]
+			c.Adj[i] += o.Adj[i]
+		}
+	}
+	c.B += o.B
+}
+
 // Reset zeroes c for n rows, reusing its buffers when they are large
 // enough — the counterpart of ScratchFrom for per-worker count reuse.
 func (c *Counts) Reset(n int) {

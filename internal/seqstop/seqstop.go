@@ -187,7 +187,7 @@ func (t *Tracker) Restore(bEff []int64) error {
 	copy(t.bEff, bEff)
 	t.frozen = 0
 	for j := 0; j < t.valid; j++ {
-		if t.bEff[t.order[j]] > 0 {
+		if t.bEff[t.order[j]] != 0 {
 			t.frozen++
 		}
 	}
@@ -220,7 +220,7 @@ func (t *Tracker) Observe(raw, adj []int64, b int64) int {
 
 // advancePrefix extends the maximal all-frozen prefix of the order.
 func (t *Tracker) advancePrefix() {
-	for t.prefix < t.valid && t.bEff[t.order[t.prefix]] > 0 {
+	for t.prefix < t.valid && t.bEff[t.order[t.prefix]] != 0 {
 		t.prefix++
 	}
 }
@@ -244,20 +244,6 @@ func (t *Tracker) AllFrozen() bool { return t.frozen == t.valid }
 // active, and permanently 0 for rows with no computable statistic).  The
 // slice is the tracker's own; callers snapshot it before mutating state.
 func (t *Tracker) BEff() []int64 { return t.bEff }
-
-// Fill assigns b_eff = b to every still-active valid row — the final
-// bookkeeping of a run that reached its planned B (or stopped as a whole)
-// with rows still accumulating.
-func (t *Tracker) Fill(b int64) {
-	for j := 0; j < t.valid; j++ {
-		r := t.order[j]
-		if t.bEff[r] == 0 {
-			t.bEff[r] = b
-			t.frozen++
-		}
-	}
-	t.advancePrefix()
-}
 
 // PermsSaved returns the permutations already committed as saved against a
 // planned total: the sum over frozen rows of totalB − b_eff.  It grows

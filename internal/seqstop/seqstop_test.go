@@ -144,7 +144,7 @@ func TestTrackerPrefixInvariant(t *testing.T) {
 	}
 }
 
-func TestTrackerFillAndPermsSaved(t *testing.T) {
+func TestTrackerPermsSaved(t *testing.T) {
 	c, _ := New(0, 0, 3)
 	order := []int{0, 1, 2}
 	tr := NewTracker(c, order, 3)
@@ -156,15 +156,14 @@ func TestTrackerFillAndPermsSaved(t *testing.T) {
 	if got, want := tr.PermsSaved(total), 2*(total-4096); got != want {
 		t.Fatalf("PermsSaved = %d, want %d", got, want)
 	}
-	savedBefore := tr.PermsSaved(total)
-	tr.Fill(total)
-	if !tr.AllFrozen() || tr.FrozenPrefix() != 3 {
-		t.Fatal("Fill left active rows")
-	}
-	// A row filled at the planned total saves nothing; earlier freezes
+	// A row frozen at the planned total saves nothing; earlier freezes
 	// keep their committed saving.
-	if got := tr.PermsSaved(total); got != savedBefore {
-		t.Fatalf("PermsSaved changed across Fill: %d -> %d", savedBefore, got)
+	tr.Observe([]int64{0, 0, 0}, []int64{0, 0, 0}, total)
+	if !tr.AllFrozen() || tr.FrozenPrefix() != 3 {
+		t.Fatal("the last row did not freeze")
+	}
+	if got, want := tr.PermsSaved(total), 2*(total-4096); got != want {
+		t.Fatalf("PermsSaved = %d after the last freeze, want %d", got, want)
 	}
 }
 
@@ -205,9 +204,5 @@ func TestObserveSkipsInvalidTail(t *testing.T) {
 	}
 	if tr.BEff()[2] != 0 {
 		t.Fatal("invalid row acquired a b_eff")
-	}
-	tr.Fill(1 << 20)
-	if tr.BEff()[2] != 0 {
-		t.Fatal("Fill touched the invalid tail")
 	}
 }
