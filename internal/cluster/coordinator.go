@@ -40,9 +40,6 @@ type CoordinatorConfig struct {
 	// are not worth a round trip.  Defaults to 0: distribute whenever a
 	// worker is live.
 	MinDistB int64
-	// MaxAttempts bounds remote dispatch attempts per shard; beyond it
-	// the shard is computed on the coordinator itself.  Defaults to 3.
-	MaxAttempts int
 	// StragglerAfter speculatively re-dispatches a shard in flight
 	// longer than this once the queue is otherwise empty; the first
 	// complete delivery wins (the merge ledger discards the loser).
@@ -54,14 +51,6 @@ type CoordinatorConfig struct {
 	// DownFor is how long a worker that failed a dispatch is skipped
 	// before being tried again.  Defaults to 3s.
 	DownFor time.Duration
-	// DispatchTimeout bounds one shard RPC end to end, so a worker that
-	// accepts a connection and then hangs (half-open TCP, wedged kernel)
-	// surfaces as a retryable error instead of stalling the job forever.
-	// It must comfortably exceed the slowest expected shard compute.
-	// Defaults to 15m.
-	DispatchTimeout time.Duration
-	// PushTimeout bounds one dataset push.  Defaults to 2m.
-	PushTimeout time.Duration
 	// WorkerNProcs is the rank count shard requests ask workers for
 	// (0 = each worker's own default).
 	WorkerNProcs int
@@ -79,6 +68,20 @@ type CoordinatorConfig struct {
 	// Clock overrides time.Now in tests.
 	Clock func() time.Time
 }
+
+// The coordinator's fixed dispatch bounds: nothing configures them.
+const (
+	// maxAttempts bounds remote dispatch attempts per shard; beyond it
+	// the shard is computed on the coordinator itself.
+	maxAttempts = 3
+	// dispatchTimeout bounds one shard RPC end to end, so a worker that
+	// accepts a connection and then hangs (half-open TCP, wedged kernel)
+	// surfaces as a retryable error instead of stalling the job forever.
+	// It must comfortably exceed the slowest expected shard compute.
+	dispatchTimeout = 15 * time.Minute
+	// pushTimeout bounds one dataset push.
+	pushTimeout = 2 * time.Minute
+)
 
 // member is one worker as the coordinator tracks it.
 type member struct {
@@ -141,9 +144,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.ShardsPerWorker < 1 {
 		cfg.ShardsPerWorker = 2
 	}
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = 3
-	}
 	if cfg.StragglerAfter <= 0 {
 		cfg.StragglerAfter = 5 * time.Second
 	}
@@ -152,12 +152,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	if cfg.DownFor <= 0 {
 		cfg.DownFor = 3 * time.Second
-	}
-	if cfg.DispatchTimeout <= 0 {
-		cfg.DispatchTimeout = 15 * time.Minute
-	}
-	if cfg.PushTimeout <= 0 {
-		cfg.PushTimeout = 2 * time.Minute
 	}
 	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = 15 * time.Second
@@ -945,7 +939,7 @@ func (st *jobState) requeue(rec *shardRec, reason string) {
 	if !rec.done && st.err == nil && !st.finished {
 		if reason == retryError {
 			rec.attempts++
-			if rec.attempts >= st.c.cfg.MaxAttempts {
+			if rec.attempts >= maxAttempts {
 				rec.local = true
 			}
 		}
@@ -1219,7 +1213,7 @@ func (c *Coordinator) callCtx(ctx context.Context, call string, d time.Duration)
 	return tctx, cancel, note
 }
 
-// postShard performs one shard RPC under DispatchTimeout and returns the
+// postShard performs one shard RPC under dispatchTimeout and returns the
 // decoded counts record with its bytes.  A non-200 answer is returned as
 // (nil, nil, status, reason, nil); a body that is not one counts record
 // over rows rows — wrong content type, longer than the record, failing
@@ -1230,7 +1224,7 @@ func (c *Coordinator) postShard(ctx context.Context, addr string, sreq *ShardReq
 	if err != nil {
 		return nil, nil, 0, "", err
 	}
-	ctx, cancel, noteTimeout := c.callCtx(ctx, "shard", c.cfg.DispatchTimeout)
+	ctx, cancel, noteTimeout := c.callCtx(ctx, "shard", dispatchTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, "POST", addr+ShardPath, bytes.NewReader(body))
 	if err != nil {
@@ -1272,7 +1266,7 @@ func (c *Coordinator) postShard(ctx context.Context, addr string, sreq *ShardReq
 }
 
 // pushDataset uploads the matrix to a worker's public dataset API as
-// .spb bytes, under PushTimeout.  The worker recomputes the content
+// .spb bytes, under pushTimeout.  The worker recomputes the content
 // address from the received bytes and echoes it in the response; the
 // coordinator requires the echo to equal the id its shard requests will
 // name (want) — a disagreement means the payload was damaged in flight
@@ -1286,7 +1280,7 @@ func (c *Coordinator) pushDataset(ctx context.Context, addr, want string, m matr
 	if err := matrix.Encode(&buf, m, nil, nil, matrix.RowMajor); err != nil {
 		return err
 	}
-	ctx, cancel, noteTimeout := c.callCtx(ctx, "push", c.cfg.PushTimeout)
+	ctx, cancel, noteTimeout := c.callCtx(ctx, "push", pushTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, "PUT", addr+datasetsPath, bytes.NewReader(buf.Bytes()))
 	if err != nil {

@@ -64,7 +64,15 @@ func runOn(t *testing.T, m *jobs.Manager, x matrix.Matrix, labels []int, opt cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Submit(jobs.Spec{DatasetID: info.ID, Labels: labels, Opt: opt, NProcs: 1, Every: 50})
+	return runSpec(t, m, jobs.Spec{DatasetID: info.ID, Labels: labels, Opt: opt})
+}
+
+// runSpec submits spec with one rank and 50-permutation windows and
+// waits for the result.
+func runSpec(t *testing.T, m *jobs.Manager, spec jobs.Spec) *core.Result {
+	t.Helper()
+	spec.NProcs, spec.Every = 1, 50
+	st, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +212,45 @@ func TestClusterBitwiseIdentitySweep(t *testing.T) {
 
 // TestClusterPushOn404 starts workers with empty registries: the first
 // shard answers 404 unknown_dataset, the coordinator pushes the .spb
-// once per worker, and the job still converges bit-identically.
+// once per worker, and the job still converges bit-identically — for a
+// dataset-id submission and for an inline one, whose job-owned entry
+// the coordinator pushes under the same digest without ever listing it.
 func TestClusterPushOn404(t *testing.T) {
 	x := synthX(25, 12, 7)
 	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 3}
-	w1 := newWorkerNode(t, nil)
-	w2 := newWorkerNode(t, nil)
-	coord, cm := coordManager(t, cluster.CoordinatorConfig{Workers: []string{w1.ts.URL, w2.ts.URL}})
-
 	want := standalone(t, x, lab, opt)
-	got := runOn(t, cm, x, lab, opt)
-	sameRes(t, "push-on-404", got, want)
-	if p := coord.Info().Coordinator.DatasetPushes; p < 1 || p > 2 {
-		t.Errorf("dataset pushes = %d, want 1..2 (once per worker that 404ed)", p)
+	rows := make([][]float64, x.Rows)
+	for i := range rows {
+		rows[i] = x.Row(i)
+	}
+	for _, tc := range []struct {
+		name         string
+		inline       bool
+		wantDatasets int
+	}{
+		{"dataset", false, 1},
+		{"inline", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w1 := newWorkerNode(t, nil)
+			w2 := newWorkerNode(t, nil)
+			coord, cm := coordManager(t, cluster.CoordinatorConfig{Workers: []string{w1.ts.URL, w2.ts.URL}})
+
+			var got *core.Result
+			if tc.inline {
+				got = runSpec(t, cm, jobs.Spec{X: rows, Labels: lab, Opt: opt})
+			} else {
+				got = runOn(t, cm, x, lab, opt)
+			}
+			sameRes(t, "push-on-404/"+tc.name, got, want)
+			if p := coord.Info().Coordinator.DatasetPushes; p < 1 || p > 2 {
+				t.Errorf("dataset pushes = %d, want 1..2 (once per worker that 404ed)", p)
+			}
+			if n := len(cm.Datasets()); n != tc.wantDatasets {
+				t.Errorf("coordinator lists %d datasets, want %d", n, tc.wantDatasets)
+			}
+		})
 	}
 }
 

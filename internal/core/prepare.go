@@ -39,12 +39,19 @@ type Prepared struct {
 	nonpara bool
 	na      float64
 
-	// scrubTime and buildTime record what Prepare spent, so wrappers that
-	// prepare and run in one call (RunMatrix) can report the historical
-	// profile sections.  Cached reuse deliberately does NOT charge them:
-	// a cache hit really does skip that work.
+	// scrubTime and buildTime record what Prepare spent, for ChargeBuild.
 	scrubTime time.Duration
 	buildTime time.Duration
+}
+
+// ChargeBuild adds what Prepare spent building p to prof's historical
+// sections — scrub is pre-processing, design + prep build is data
+// creation — exactly as the pre-split code timed them.  It is the rule
+// for a run that built its own preparation; a run that reused a cached
+// one does not call it, because it really did skip that work.
+func (p *Prepared) ChargeBuild(prof *Profile) {
+	prof.PreProcessing += p.scrubTime
+	prof.CreateData += p.buildTime
 }
 
 // prepBuilds counts Prepare calls process-wide.  The jobs layer asserts

@@ -125,12 +125,7 @@ func RunMatrix(x matrix.Matrix, classlabel []int, opt Options, ctl RunControl) (
 	if err != nil {
 		return nil, err
 	}
-	// The preparation happened inline on this call: charge its cost to
-	// the historical profile sections (scrub is pre-processing, design +
-	// prep build is data creation), exactly as the pre-split code timed
-	// them.
-	res.Profile.PreProcessing += p.scrubTime
-	res.Profile.CreateData += p.buildTime
+	p.ChargeBuild(&res.Profile)
 	return res, nil
 }
 

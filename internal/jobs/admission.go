@@ -19,7 +19,7 @@ import (
 //     the wire — and unknown tenants share a configurable default limit.
 //   - A two-class weighted-fair queue separates interactive jobs (small
 //     permutation counts, a human waiting) from bulk sweeps.  When both
-//     classes are backlogged, interactive jobs get InteractiveWeight pops
+//     classes are backlogged, interactive jobs get interactiveWeight pops
 //     for every bulk pop; an empty class yields its slots entirely, so
 //     neither class can starve the other.
 //   - Load shedding turns refusal into guidance: every rejection carries

@@ -40,6 +40,9 @@ import (
 //     and every later job on the same key skips scrub, ranking and
 //     moment precompute entirely (observable via Stats.PrepBuilds /
 //     Stats.PrepHits).
+//   - An inline x/x_flat submission runs over a job-owned entry of the
+//     same shape: its resolved cells under the digest inside its content
+//     key, never listed or counted by the registry, dropped with the job.
 
 // DatasetInfo is a public snapshot of one registry entry.
 type DatasetInfo struct {
@@ -59,8 +62,12 @@ type DatasetInfo struct {
 	LastUsedAt time.Time `json:"last_used_at"`
 }
 
-// dsEntry is the registry's record of one dataset.  All fields except the
-// prepSlot internals are guarded by the owning Manager's mutex.
+// dsEntry is the record of one dataset a job runs over.  A registry
+// entry is listed (el non-nil while it is resident); a job-owned entry —
+// an inline x/x_flat submission's resolved cells — never is: it is not
+// in the index, the LRU or any listing, and it is dropped with its job.
+// All fields except the prepSlot internals are guarded by the owning
+// Manager's mutex.
 type dsEntry struct {
 	id string
 	m  matrix.Matrix
@@ -73,6 +80,12 @@ type dsEntry struct {
 	// handed out under the manager lock; the expensive build happens
 	// outside it, serialised per slot by sync.Once.
 	preps map[string]*prepSlot
+}
+
+// newEntry builds an unlisted entry over x holding refs references;
+// dsStore.insert lists it in the registry.
+func newEntry(id string, x matrix.Matrix, refs int, now time.Time) *dsEntry {
+	return &dsEntry{id: id, m: x, refs: refs, createdAt: now, lastUse: now, preps: make(map[string]*prepSlot)}
 }
 
 func (e *dsEntry) info() DatasetInfo {
@@ -97,11 +110,10 @@ type prepSlot struct {
 // dsStore is the dataset registry.  Map/list state is guarded by the
 // owning Manager's mutex; disk reads and writes happen outside it.
 type dsStore struct {
-	dir      string
-	max      int // in-memory entry bound
-	maxPreps int // per-dataset preparation bound
-	order    *list.List
-	entries  map[string]*dsEntry
+	dir     string
+	max     int // in-memory entry bound
+	order   *list.List
+	entries map[string]*dsEntry
 	// noteEvict, when non-nil, observes LRU evictions (count of entries
 	// removed).  It is called with the manager lock held.
 	noteEvict func(n int)
@@ -110,14 +122,13 @@ type dsStore struct {
 	noteCorrupt func(id string)
 }
 
-func newDSStore(dir string, max, maxPreps int) (*dsStore, error) {
+func newDSStore(dir string, max int) (*dsStore, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("jobs: dataset dir: %w", err)
 		}
 	}
-	return &dsStore{dir: dir, max: max, maxPreps: maxPreps,
-		order: list.New(), entries: make(map[string]*dsEntry)}, nil
+	return &dsStore{dir: dir, max: max, order: list.New(), entries: make(map[string]*dsEntry)}, nil
 }
 
 // validDatasetID guards the id before it becomes a file name: dataset ids
@@ -142,7 +153,9 @@ func (s *dsStore) path(id string) string {
 // touch marks e most recently used.  Callers hold the manager lock.
 func (s *dsStore) touch(e *dsEntry, now time.Time) {
 	e.lastUse = now
-	s.order.MoveToFront(e.el)
+	if e.el != nil { // job-owned entries have no list element
+		s.order.MoveToFront(e.el)
+	}
 }
 
 // insert records a new entry and evicts beyond the bound.  Callers hold
@@ -279,16 +292,15 @@ func prepKeyFor(opt core.Options, labels []int) string {
 
 // prepSlotFor returns the entry's build-once slot for (opt, labels),
 // creating it (and evicting the least recently used preparation beyond
-// maxPreps) on first request.  The second return reports whether the slot
-// already existed — a preparation cache hit.  Callers hold the manager
-// lock; the actual build runs later, outside it, via slot.once.
-func (s *dsStore) prepSlotFor(e *dsEntry, opt core.Options, labels []int, now time.Time) (*prepSlot, bool) {
+// maxPrepsPerDataset) on first request.  Callers hold the manager lock;
+// the actual build runs later, outside it, via slot.once.
+func prepSlotFor(e *dsEntry, opt core.Options, labels []int, now time.Time) *prepSlot {
 	key := prepKeyFor(opt, labels)
 	if slot, ok := e.preps[key]; ok {
 		slot.lastUse = now
-		return slot, true
+		return slot
 	}
-	if len(e.preps) >= s.maxPreps {
+	if len(e.preps) >= maxPrepsPerDataset {
 		oldestKey := ""
 		var oldest time.Time
 		for k, sl := range e.preps {
@@ -300,7 +312,7 @@ func (s *dsStore) prepSlotFor(e *dsEntry, opt core.Options, labels []int, now ti
 	}
 	slot := &prepSlot{lastUse: now}
 	e.preps[key] = slot
-	return slot, false
+	return slot
 }
 
 // ---- Manager surface ---------------------------------------------------
@@ -342,7 +354,7 @@ func (m *Manager) PutDataset(x matrix.Matrix) (DatasetInfo, bool, error) {
 		}
 		return info, false, nil
 	}
-	e := &dsEntry{id: id, m: x, createdAt: now, lastUse: now, preps: make(map[string]*prepSlot)}
+	e := newEntry(id, x, 0, now)
 	m.datasets.insert(e)
 	m.met.dsAdded.Inc()
 	info := e.info()
@@ -465,7 +477,7 @@ func (m *Manager) datasetRef(id string) (*dsEntry, error) {
 	if _, err := os.Stat(m.datasets.path(id)); err != nil {
 		return nil, ErrUnknownDataset
 	}
-	e := &dsEntry{id: id, m: x, refs: 1, createdAt: now, lastUse: now, preps: make(map[string]*prepSlot)}
+	e := newEntry(id, x, 1, now)
 	m.datasets.insert(e)
 	return e, nil
 }
@@ -477,19 +489,4 @@ func (m *Manager) releaseDatasetLocked(e *dsEntry) {
 	}
 	e.refs--
 	m.datasets.evict(nil) // an unpinned entry may now satisfy a pending bound
-}
-
-// preparedFor returns the shared preparation for a dataset job, building
-// it on first use.  Concurrent first users of one (dataset, labels,
-// options) key block on a single build; every other caller reuses the
-// cached value without touching a cell.  The spec's options must already
-// be canonical (Submit guarantees it).
-func (m *Manager) preparedFor(j *job) (*core.Prepared, error) {
-	m.mu.Lock()
-	e := j.ds
-	m.mu.Unlock()
-	if e == nil {
-		return nil, ErrUnknownDataset
-	}
-	return m.prepFromEntry(e, j.spec.Labels, j.spec.Opt)
 }

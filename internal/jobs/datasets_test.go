@@ -135,59 +135,84 @@ func TestDatasetSubmissionMatchesXFlat(t *testing.T) {
 	}
 }
 
-// TestDatasetPrepReuse: N jobs over one dataset with different seeds must
-// build the preparation exactly once — the cross-job Prep reuse the data
-// plane exists for — and the reuse must be visible in both the manager
-// stats and the process-wide core.PrepBuilds counter.
+// TestDatasetPrepReuse: N jobs over one registered dataset with
+// different seeds must build the preparation exactly once — the
+// cross-job Prep reuse the data plane exists for — and the reuse must be
+// visible in both the manager stats and the process-wide
+// core.PrepBuilds counter.  N inline jobs run over job-owned entries
+// instead: one build each, charged to each job's profile, and no entry
+// ever listed in the registry.
 func TestDatasetPrepReuse(t *testing.T) {
-	x, labels, opt := dsTestMatrix(t)
-	m, err := NewManager(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	info, _, err := m.PutDataset(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const jobs = 6
-	before := core.PrepBuilds()
-	ids := make([]string, jobs)
-	for i := 0; i < jobs; i++ {
-		o := opt
-		o.Seed = uint64(100 + i) // distinct content keys: no result-cache hits
-		st, err := m.Submit(Spec{DatasetID: info.ID, Labels: labels, Opt: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = st.ID
-	}
-	for _, id := range ids {
-		if fin := waitTerminal(t, m, id); fin.State != Done {
-			t.Fatalf("job %s finished %+v", id, fin)
-		}
-	}
-	if got := core.PrepBuilds() - before; got != 1 {
-		t.Fatalf("%d jobs built %d preparations, want exactly 1", jobs, got)
-	}
-	st := m.StatsSnapshot()
-	if st.PrepBuilds != 1 || st.PrepHits != jobs-1 {
-		t.Fatalf("prep stats builds=%d hits=%d, want 1/%d", st.PrepBuilds, st.PrepHits, jobs-1)
-	}
+	for _, tc := range []struct {
+		name                     string
+		inline                   bool
+		wantBuilds, wantDatasets int64
+	}{
+		{"dataset", false, 1, 1},
+		{"inline", true, jobs, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x, labels, opt := dsTestMatrix(t)
+			m, err := NewManager(Config{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			spec := Spec{X: testSpec(t).X}
+			if !tc.inline {
+				info, _, err := m.PutDataset(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec = Spec{DatasetID: info.ID}
+			}
+			submit := func(labels []int, seed uint64) string {
+				t.Helper()
+				s := spec
+				s.Labels, s.Opt = labels, opt
+				s.Opt.Seed = seed // distinct content keys: no result-cache hits
+				st, err := m.Submit(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.ID
+			}
 
-	// A different prep key (other labels) builds a second preparation.
-	swapped := append([]int(nil), labels...)
-	swapped[0], swapped[len(swapped)-1] = swapped[len(swapped)-1], swapped[0]
-	o := opt
-	o.Seed = 999
-	st2, err := m.Submit(Spec{DatasetID: info.ID, Labels: swapped, Opt: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, m, st2.ID)
-	if got := core.PrepBuilds() - before; got != 2 {
-		t.Fatalf("new labels built %d preparations total, want 2", got)
+			before := core.PrepBuilds()
+			ids := make([]string, jobs)
+			for i := range ids {
+				ids[i] = submit(labels, uint64(100+i))
+			}
+			for _, id := range ids {
+				fin := waitTerminal(t, m, id)
+				if fin.State != Done {
+					t.Fatalf("job %s finished %+v", id, fin)
+				}
+				if tc.inline && fin.Profile.PreProcessing+fin.Profile.CreateData <= 0 {
+					t.Errorf("inline job %s profile %+v does not charge the prep it built", id, fin.Profile)
+				}
+			}
+			if got := core.PrepBuilds() - before; got != tc.wantBuilds {
+				t.Fatalf("%d jobs built %d preparations, want %d", jobs, got, tc.wantBuilds)
+			}
+			st := m.StatsSnapshot()
+			if st.PrepBuilds != tc.wantBuilds || st.PrepHits != jobs-tc.wantBuilds {
+				t.Fatalf("prep stats builds=%d hits=%d, want %d/%d", st.PrepBuilds, st.PrepHits, tc.wantBuilds, jobs-tc.wantBuilds)
+			}
+			if int64(st.Datasets) != tc.wantDatasets || st.DatasetsAdded != tc.wantDatasets || int64(len(m.Datasets())) != tc.wantDatasets {
+				t.Fatalf("registry holds %d datasets (%d added, %d listed), want %d",
+					st.Datasets, st.DatasetsAdded, len(m.Datasets()), tc.wantDatasets)
+			}
+
+			// A different prep key (other labels) builds one more preparation.
+			swapped := append([]int(nil), labels...)
+			swapped[0], swapped[len(swapped)-1] = swapped[len(swapped)-1], swapped[0]
+			waitTerminal(t, m, submit(swapped, 999))
+			if got := core.PrepBuilds() - before; got != tc.wantBuilds+1 {
+				t.Fatalf("new labels built %d preparations total, want %d", got, tc.wantBuilds+1)
+			}
+		})
 	}
 }
 

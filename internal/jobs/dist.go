@@ -31,8 +31,9 @@ type DistRequest struct {
 	// Key is the job's content key (cache/checkpoint identity).
 	Key string
 	// DatasetID is the content address workers pull the dataset by.  It
-	// is always set: matrix submissions are digested at dispatch time,
-	// so no matrix bytes ride the shard path either way.
+	// is always set: an inline submission's job-owned entry carries the
+	// digest taken at submission, so no matrix bytes ride the shard path
+	// either way.
 	DatasetID string
 	// Matrix holds the coordinator-resident cells, used only to push
 	// the dataset to a worker that answers 404 for DatasetID.
@@ -73,43 +74,28 @@ type Distributor interface {
 // the manager falls back to the local execution path.
 var ErrNotDistributed = errors.New("jobs: job not distributed")
 
-// runDistributed builds the dispatch request for one popped job and
-// hands it to the configured distributor.
-func (m *Manager) runDistributed(ctx context.Context, j *job, prepared *core.Prepared, resume *core.Checkpoint) (*core.Result, error) {
-	req := DistRequest{
-		Key:    j.key,
-		Labels: j.spec.Labels,
-		Opt:    j.spec.Opt,
-		Resume: resume,
-		NProcs: j.spec.NProcs,
-		Every:  j.spec.Every,
+// runDistributed builds the dispatch request for one popped job over
+// its entry e and hands it to the configured distributor.  e is held
+// from submission to the terminal state, so its matrix is immutable and
+// safe to alias here.
+func (m *Manager) runDistributed(ctx context.Context, j *job, e *dsEntry, prepared *core.Prepared, resume *core.Checkpoint) (*core.Result, error) {
+	return m.cfg.Distributor.RunJob(ctx, DistRequest{
+		Key:       j.key,
+		DatasetID: e.id,
+		Matrix:    e.m,
+		Labels:    j.spec.Labels,
+		Opt:       j.spec.Opt,
+		Prepared:  prepared,
+		Resume:    resume,
+		NProcs:    j.spec.NProcs,
+		Every:     j.spec.Every,
 		OnProgress: func(done, total int64) {
 			m.mu.Lock()
 			j.done, j.total = done, total
 			m.mu.Unlock()
 		},
 		Ledger: m.ledgerFor(j),
-	}
-	if j.spec.DatasetID != "" {
-		// j.ds is pinned from submission to the terminal state, so the
-		// entry's matrix is immutable and safe to alias here.
-		req.DatasetID = j.spec.DatasetID
-		req.Matrix = j.ds.m
-		req.Prepared = prepared
-	} else {
-		// Matrix submissions enter the content-addressed plane at
-		// dispatch under the digest taken at submission: prepare once,
-		// and workers pull (or are pushed) the same bytes any dataset job
-		// would use.
-		req.DatasetID = j.digest
-		req.Matrix = j.data
-		p, err := core.Prepare(j.data, j.spec.Labels, j.spec.Opt)
-		if err != nil {
-			return nil, err
-		}
-		req.Prepared = p
-	}
-	return m.cfg.Distributor.RunJob(ctx, req)
+	})
 }
 
 // PreparedDataset is the worker-side shard surface: it resolves a
@@ -132,7 +118,7 @@ func (m *Manager) PreparedDataset(id string, labels []int, opt core.Options) (*c
 		m.releaseDatasetLocked(e)
 		m.mu.Unlock()
 	}
-	p, err := m.prepFromEntry(e, labels, canon)
+	p, _, err := m.prepFromEntry(e, labels, canon)
 	if err != nil {
 		release()
 		return nil, nil, err
@@ -141,17 +127,18 @@ func (m *Manager) PreparedDataset(id string, labels []int, opt core.Options) (*c
 }
 
 // prepFromEntry returns the entry's shared preparation for (labels,
-// opt), building it on first use.  Concurrent first users of one key
-// block on a single build; everyone else reuses the cached value.  opt
-// must be canonical and the caller must hold a reference on e.
-func (m *Manager) prepFromEntry(e *dsEntry, labels []int, opt core.Options) (*core.Prepared, error) {
+// opt), building it on first use; built reports that this call paid for
+// the build.  Concurrent first users of one key block on a single build;
+// everyone else reuses the cached value.  It is the jobs layer's only
+// core.Prepare call, for registry and job-owned entries alike.  opt must
+// be canonical and the caller must hold a reference on e.
+func (m *Manager) prepFromEntry(e *dsEntry, labels []int, opt core.Options) (p *core.Prepared, built bool, err error) {
 	m.mu.Lock()
 	now := m.cfg.Clock()
-	slot, _ := m.datasets.prepSlotFor(e, opt, labels, now)
+	slot := prepSlotFor(e, opt, labels, now)
 	m.datasets.touch(e, now)
 	m.mu.Unlock()
 
-	built := false
 	slot.once.Do(func() {
 		built = true
 		buildStart := time.Now()
@@ -166,5 +153,5 @@ func (m *Manager) prepFromEntry(e *dsEntry, labels []int, opt core.Options) (*co
 	} else {
 		m.met.prepHits.Inc()
 	}
-	return slot.prepared, slot.err
+	return slot.prepared, built, slot.err
 }

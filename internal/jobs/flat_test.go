@@ -1,62 +1,114 @@
 package jobs
 
 import (
+	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"sprint/internal/core"
 )
 
+// resumeRecorder is a Distributor that runs the job locally over the
+// shared preparation and records the resume checkpoint it was handed.
+type resumeRecorder struct {
+	mu     sync.Mutex
+	calls  int
+	resume *core.Checkpoint
+}
+
+func (d *resumeRecorder) RunJob(ctx context.Context, req DistRequest) (*core.Result, error) {
+	d.mu.Lock()
+	d.calls++
+	d.resume = req.Resume
+	d.mu.Unlock()
+	return core.RunPrepared(req.Prepared, req.Opt, core.RunControl{
+		Ctx: ctx, NProcs: req.NProcs, Resume: req.Resume, Every: req.Every,
+	})
+}
+
 // TestStaleCheckpointRestartsFresh: a checkpoint that no longer validates
 // (e.g. one written by an older engine version) must be discarded and the
 // job recomputed from scratch — not left to fail every future submission
-// of its content key.
+// of its content key — and leave no resume trace: no resumed count, no
+// resume point, and no stale record handed to a distributor.
 func TestStaleCheckpointRestartsFresh(t *testing.T) {
-	spec := testSpec(t)
-	m, err := NewManager(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	for _, tc := range []struct {
+		name string
+		dist *resumeRecorder
+	}{
+		{"standalone", nil},
+		{"distributor", &resumeRecorder{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec(t)
+			cfg := Config{Workers: 1}
+			if tc.dist != nil {
+				cfg.Distributor = tc.dist
+			}
+			m, err := NewManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
 
-	key, _, err := spec.contentKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant a checkpoint whose fingerprint cannot match any analysis.
-	stale := &core.Checkpoint{
-		Fingerprint: 0xbad,
-		TotalB:      spec.Opt.B,
-		Next:        100,
-		Done:        100,
-		Hi:          spec.Opt.B,
-		Raw:         make([]int64, len(spec.X)),
-		Adj:         make([]int64, len(spec.X)),
-	}
-	if err := m.ckpts.Put(key, stale.AppendRecord(nil)); err != nil {
-		t.Fatal(err)
-	}
+			key, _, err := spec.contentKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Plant a checkpoint whose fingerprint cannot match any analysis.
+			stale := &core.Checkpoint{
+				Fingerprint: 0xbad,
+				TotalB:      spec.Opt.B,
+				Next:        100,
+				Done:        100,
+				Hi:          spec.Opt.B,
+				Raw:         make([]int64, len(spec.X)),
+				Adj:         make([]int64, len(spec.X)),
+			}
+			if err := m.ckpts.Put(key, stale.AppendRecord(nil)); err != nil {
+				t.Fatal(err)
+			}
 
-	st, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+			st, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin := waitTerminal(t, m, st.ID)
+			if fin.State != Done {
+				t.Fatalf("job with stale checkpoint finished %+v, want done", fin)
+			}
+			if fin.ResumedFrom != 0 {
+				t.Errorf("stale checkpoint was resumed from %d, want fresh start", fin.ResumedFrom)
+			}
+			if n := m.StatsSnapshot().Resumed; n != 0 {
+				t.Errorf("resumed counter = %d after a rejected checkpoint, want 0", n)
+			}
+			if tc.dist != nil {
+				tc.dist.mu.Lock()
+				calls, resume := tc.dist.calls, tc.dist.resume
+				tc.dist.mu.Unlock()
+				if calls != 1 {
+					t.Errorf("distributor ran %d times, want 1", calls)
+				}
+				if resume != nil {
+					t.Errorf("distributor was handed the stale checkpoint %+v", resume)
+				}
+			}
+			if rec := m.ckpts.Get(key); rec != nil {
+				t.Errorf("stale record still stored under the key (%d bytes)", len(rec))
+			}
+			res, _, err := m.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.MaxT(testSpec(t).X, spec.Labels, spec.Opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+		})
 	}
-	fin := waitTerminal(t, m, st.ID)
-	if fin.State != Done {
-		t.Fatalf("job with stale checkpoint finished %+v, want done", fin)
-	}
-	if fin.ResumedFrom != 0 {
-		t.Errorf("stale checkpoint was resumed from %d, want fresh start", fin.ResumedFrom)
-	}
-	res, _, err := m.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.MaxT(testSpec(t).X, spec.Labels, spec.Opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFloats(t, "AdjP", res.AdjP, want.AdjP)
 }
 
 // flatSpec rebuilds testSpec's dataset as a flat column-major buffer —

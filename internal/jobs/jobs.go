@@ -1,8 +1,9 @@
 // Package jobs implements the asynchronous job layer of pmaxtd: a bounded
 // weighted-fair queue of permutation-testing analyses, a worker pool that
-// runs them through core.Run with per-job rank counts, a content-addressed
-// cache of finished results, and a checkpoint store that lets a cancelled,
-// evicted or crashed job resume where it stopped instead of restarting.
+// runs them through core.RunPrepared with per-job rank counts, a
+// content-addressed cache of finished results, and a checkpoint store
+// that lets a cancelled, evicted or crashed job resume where it stopped
+// instead of restarting.
 //
 // The design follows the service shape the paper's pmaxT implies but never
 // builds: the analysis itself is deterministic and bit-identical for any
@@ -173,19 +174,12 @@ func (s *Spec) validate() error {
 }
 
 // resolve converts the submission's matrix payload (row slices or a flat
-// column-major buffer) into the engine's flat row-major matrix.  The
-// caller's buffers are never modified: the flat form is transposed out of
-// place into a new buffer, so a submission rejected later (queue full,
-// closed manager) can be retried verbatim.
+// column-major buffer) into the engine's flat row-major matrix; s must
+// be a validated inline submission (contentKey validates).  The caller's
+// buffers are never modified: the flat form is transposed out of place
+// into a new buffer, so a submission rejected later (queue full, closed
+// manager) can be retried verbatim.
 func (s *Spec) resolve() (matrix.Matrix, error) {
-	if err := s.validate(); err != nil {
-		return matrix.Matrix{}, err
-	}
-	if s.DatasetID != "" {
-		// Dataset submissions never resolve a matrix here: the worker
-		// fetches the registry's shared preparation instead.
-		return matrix.Matrix{}, fmt.Errorf("jobs: dataset submissions have no matrix payload to resolve")
-	}
 	if s.XFlat != nil {
 		// Column-major genes×samples is row-major samples×genes.
 		return matrix.Matrix{Data: matrix.Transpose(s.XFlat, s.Samples, s.Genes), Rows: s.Genes, Cols: s.Samples}, nil

@@ -406,13 +406,13 @@ func (jl *jobJournal) close() {
 }
 
 // submitRecord builds the durable form of a job at admission time.
-func submitRecord(j *job, datasetDigest string) *journalRecord {
+func submitRecord(j *job) *journalRecord {
 	opt := j.spec.Opt
 	return &journalRecord{
 		T:       "submit",
 		ID:      j.id,
 		Key:     j.key,
-		Dataset: datasetDigest,
+		Dataset: j.ds.id,
 		Labels:  j.spec.Labels,
 		Opt:     &opt,
 		NProcs:  j.spec.NProcs,

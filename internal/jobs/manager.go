@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sprint/internal/core"
-	"sprint/internal/matrix"
 	"sprint/internal/metrics"
 )
 
@@ -37,13 +36,6 @@ type Config struct {
 	// CheckpointDir, when non-empty, mirrors checkpoints to disk so
 	// resume survives a daemon restart.  Empty keeps them in memory only.
 	CheckpointDir string
-	// MaxCheckpoints bounds the checkpoint store; the least recently
-	// updated checkpoints (i.e. abandoned analyses) are discarded beyond
-	// it, memory and disk file both.  Defaults to 512.
-	MaxCheckpoints int
-	// MaxJobs bounds the job table; the oldest finished jobs are pruned
-	// beyond it.  Defaults to 4096.
-	MaxJobs int
 	// DatasetCacheSize bounds the in-memory dataset registry (entries).
 	// Defaults to 32.  Entries referenced by queued or running jobs are
 	// never evicted, so the bound can be transiently exceeded while every
@@ -54,10 +46,6 @@ type Config struct {
 	// survive LRU eviction and daemon restarts.  Empty keeps the registry
 	// memory-only.
 	DatasetDir string
-	// MaxPrepsPerDataset bounds the cached preparations (scrub + rank +
-	// moment precompute state) kept per dataset, one per distinct
-	// (labels, test, side, nonpara, NA) combination.  Defaults to 8.
-	MaxPrepsPerDataset int
 	// JournalDir, when non-empty, enables the write-ahead job journal:
 	// every admitted job is durably recorded before Submit returns, and
 	// a restarted manager replays the journal, re-admits every
@@ -68,10 +56,6 @@ type Config struct {
 	// a DatasetDir they are replayed as failed: unrecoverable).  Empty
 	// disables journaling.
 	JournalDir string
-	// JournalCompactEvery bounds the journal file: past this many
-	// frames it is compacted to one submit record per live job.
-	// Defaults to 4096.
-	JournalCompactEvery int
 
 	// Metrics is the registry the manager instruments (queue depth and
 	// wait, per-stage timings, shed decisions, dataset-plane counters)
@@ -85,9 +69,6 @@ type Config struct {
 	// complete enumerations) as bulk.  An explicit Spec.Class overrides.
 	// Defaults to 10000.
 	InteractiveMaxB int64
-	// InteractiveWeight is how many interactive pops one bulk pop is
-	// worth while both classes are backlogged.  Defaults to 4.
-	InteractiveWeight int
 	// TenantLimits configures per-tenant token buckets.  The zero value
 	// admits everything (no rate limiting).
 	TenantLimits TenantLimits
@@ -112,6 +93,27 @@ type Config struct {
 	OnCheckpoint func(id string, done, total int64)
 }
 
+// The manager's fixed bounds: nothing configures them.
+const (
+	// maxCheckpoints bounds the checkpoint store; the least recently
+	// updated checkpoints (abandoned analyses) are discarded beyond it,
+	// memory and disk file both.
+	maxCheckpoints = 512
+	// maxJobs bounds the job table; the oldest finished jobs are pruned
+	// beyond it.
+	maxJobs = 4096
+	// maxPrepsPerDataset bounds the cached preparations (scrub + rank +
+	// moment precompute state) kept per dataset entry, one per distinct
+	// (labels, test, side, nonpara, NA) combination.
+	maxPrepsPerDataset = 8
+	// journalCompactEvery bounds the journal file: past this many frames
+	// it is compacted to one submit record per live job.
+	journalCompactEvery = 4096
+	// interactiveWeight is how many interactive pops one bulk pop is
+	// worth while both classes are backlogged.
+	interactiveWeight = 4
+)
+
 // withDefaults fills every bound left below 1 (and every nil hook) with
 // its documented default.
 func (c Config) withDefaults() Config {
@@ -133,26 +135,14 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize < 1 {
 		c.CacheSize = 128
 	}
-	if c.MaxJobs < 1 {
-		c.MaxJobs = 4096
-	}
-	if c.MaxCheckpoints < 1 {
-		c.MaxCheckpoints = 512
-	}
 	if c.DatasetCacheSize < 1 {
 		c.DatasetCacheSize = 32
-	}
-	if c.MaxPrepsPerDataset < 1 {
-		c.MaxPrepsPerDataset = 8
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.New()
 	}
 	if c.InteractiveMaxB < 1 {
 		c.InteractiveMaxB = 10000
-	}
-	if c.InteractiveWeight < 1 {
-		c.InteractiveWeight = 4
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -167,15 +157,12 @@ type job struct {
 	id   string
 	key  string
 	spec Spec
-	// data is the resolved flat matrix the analysis runs on, and digest
-	// its DatasetDigest, taken once at submission; the spec's X/XFlat
-	// payloads are released at submission once data exists.  Dataset-id
-	// jobs carry no data at all: ds pins the registry entry (one
-	// reference, held from submission to the terminal state) and the
-	// worker runs over its shared preparation instead.
-	data   matrix.Matrix
-	digest string
-	ds     *dsEntry
+	// ds is the dataset entry the job runs over, held from submission to
+	// the terminal state: a pinned registry entry for dataset-id jobs, a
+	// job-owned entry over the resolved cells for inline ones (the spec's
+	// X/XFlat payloads are released once it exists).  Either way the
+	// worker runs over the entry's shared preparation.
+	ds *dsEntry
 
 	tenant     string
 	class      JobClass
@@ -373,13 +360,13 @@ func NewManager(cfg Config) (*Manager, error) {
 	// Quarantined checkpoint generations surface as a counter, never as
 	// a job error: the read path falls back (older prefix, B=0).
 	ckpts, err := core.OpenStore(core.StoreConfig{
-		Dir: cfg.CheckpointDir, Ext: ".ckpt", Site: "ckpt", Max: cfg.MaxCheckpoints,
+		Dir: cfg.CheckpointDir, Ext: ".ckpt", Site: "ckpt", Max: maxCheckpoints,
 		OnCorrupt: met.ckptCorrupt.Inc,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("jobs: checkpoints: %w", err)
 	}
-	datasets, err := newDSStore(cfg.DatasetDir, cfg.DatasetCacheSize, cfg.MaxPrepsPerDataset)
+	datasets, err := newDSStore(cfg.DatasetDir, cfg.DatasetCacheSize)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +377,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cache:     newResultCache(cfg.CacheSize),
 		ckpts:     ckpts,
 		datasets:  datasets,
-		queue:     newFairQueue(cfg.QueueDepth, cfg.InteractiveWeight),
+		queue:     newFairQueue(cfg.QueueDepth, interactiveWeight),
 		tenants:   newTenantLimiter(cfg.TenantLimits),
 		drain:     &drainMeter{},
 		met:       met,
@@ -413,7 +400,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	var replay *journalReplay
 	if cfg.JournalDir != "" {
 		var err error
-		m.journal, replay, err = openJournal(cfg.JournalDir, cfg.JournalCompactEvery)
+		m.journal, replay, err = openJournal(cfg.JournalDir, journalCompactEvery)
 		if err != nil {
 			return nil, err
 		}
@@ -496,26 +483,15 @@ func (m *Manager) recoverJob(rec *journalRecord) bool {
 		return true
 	}
 
-	canon, err := core.CanonicalOptions(spec.Opt)
+	class, err := m.normalize(&spec)
 	if err != nil {
 		return fail(err)
-	}
-	spec.Opt = canon
-	class, err := classFor(spec.Class, canon.B, m.cfg.InteractiveMaxB)
-	if err != nil {
-		return fail(err)
-	}
-	if spec.NProcs < 1 {
-		spec.NProcs = m.cfg.DefaultNProcs
-	}
-	if spec.Every < 1 {
-		spec.Every = m.cfg.DefaultEvery
 	}
 	// The journaled key must equal the key this process would compute:
 	// anything else is a corrupt or cross-version record, and running
 	// the wrong analysis under a recycled id would be worse than
 	// dropping it.
-	key, err := jobKey(rec.Dataset, rec.Labels, canon)
+	key, err := jobKey(rec.Dataset, rec.Labels, spec.Opt)
 	if err != nil || key != rec.Key {
 		m.met.journalCorrupt.Inc()
 		return true
@@ -541,7 +517,7 @@ func (m *Manager) recoverJob(rec *journalRecord) bool {
 		class:       class,
 		enqueuedAt:  now,
 		state:       Queued,
-		total:       canon.B,
+		total:       spec.Opt.B,
 		submittedAt: now,
 	}
 	m.insertLocked(j)
@@ -586,6 +562,28 @@ func (m *Manager) journalAppend(rec *journalRecord) {
 // Metrics returns the registry the manager instruments.
 func (m *Manager) Metrics() *metrics.Registry { return m.cfg.Metrics }
 
+// normalize puts a submitted or replayed spec in the form the manager
+// runs: canonical options and the NProcs/Every defaults.  It returns the
+// spec's fairness class.
+func (m *Manager) normalize(spec *Spec) (JobClass, error) {
+	canon, err := core.CanonicalOptions(spec.Opt)
+	if err != nil {
+		return 0, err
+	}
+	spec.Opt = canon
+	class, err := classFor(spec.Class, canon.B, m.cfg.InteractiveMaxB)
+	if err != nil {
+		return 0, err
+	}
+	if spec.NProcs < 1 {
+		spec.NProcs = m.cfg.DefaultNProcs
+	}
+	if spec.Every < 1 {
+		spec.Every = m.cfg.DefaultEvery
+	}
+	return class, nil
+}
+
 // shed records one admission refusal and builds the typed rejection the
 // HTTP layer turns into 429 + Retry-After.
 func (m *Manager) shed(reason string, sentinel error, retryAfter time.Duration, now time.Time) error {
@@ -605,20 +603,9 @@ func (m *Manager) shed(reason string, sentinel error, retryAfter time.Duration, 
 // carrying the Retry-After guidance; cache hits are exempt from
 // admission control — they occupy no worker.
 func (m *Manager) Submit(spec Spec) (Status, error) {
-	canon, err := core.CanonicalOptions(spec.Opt)
+	class, err := m.normalize(&spec)
 	if err != nil {
 		return Status{}, err
-	}
-	spec.Opt = canon
-	class, err := classFor(spec.Class, canon.B, m.cfg.InteractiveMaxB)
-	if err != nil {
-		return Status{}, err
-	}
-	if spec.NProcs < 1 {
-		spec.NProcs = m.cfg.DefaultNProcs
-	}
-	if spec.Every < 1 {
-		spec.Every = m.cfg.DefaultEvery
 	}
 	// The content key is computed in place, whichever payload form was
 	// submitted: cache hits and shed submissions never pay the matrix
@@ -681,13 +668,13 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		}
 	}
 
-	// Cache miss: attach the payload outside the lock.  Dataset
-	// submissions pin their registry entry (one reference held until the
-	// job is terminal) and carry no matrix at all; matrix submissions
-	// make the engine's private copy (the one copy) — a copy or transpose
-	// of the paper's exon-array matrix takes milliseconds and must not
-	// stall API handlers.
-	var data matrix.Matrix
+	// Cache miss: attach the job's dataset entry outside the lock.
+	// Dataset submissions pin their registry entry (one reference held
+	// until the job is terminal); matrix submissions make the engine's
+	// private copy (the one copy) into a job-owned entry under the digest
+	// inside the content key — a copy or transpose of the paper's
+	// exon-array matrix takes milliseconds and must not stall API
+	// handlers.
 	var ds *dsEntry
 	if spec.DatasetID != "" {
 		ds, err = m.datasetRef(spec.DatasetID)
@@ -696,12 +683,13 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		}
 	} else {
 		ingestStart := time.Now()
-		data, err = spec.resolve()
+		data, err := spec.resolve()
 		if err != nil {
 			return Status{}, err
 		}
 		m.met.stageIngest.ObserveDuration(time.Since(ingestStart))
-		spec.X, spec.XFlat = nil, nil // data supersedes the submission payload
+		spec.X, spec.XFlat = nil, nil // the entry supersedes the submission payload
+		ds = newEntry(digest, data, 1, now)
 		if m.journal != nil {
 			// The journal records datasets by content address only, so a
 			// matrix submission becomes durable by mirroring its cells
@@ -728,14 +716,12 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		id:          fmt.Sprintf("j%06d", m.seq),
 		key:         key,
 		spec:        spec,
-		data:        data,
-		digest:      digest,
 		ds:          ds,
 		tenant:      spec.Tenant,
 		class:       class,
 		enqueuedAt:  now,
 		state:       Queued,
-		total:       canon.B, // 0 for complete enumerations until planned
+		total:       spec.Opt.B, // 0 for complete enumerations until planned
 		submittedAt: now,
 	}
 	if !m.queue.tryPush(j) {
@@ -751,16 +737,16 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	// once the client holds the job id, a crash cannot forget the job.
 	// Appending under m.mu is what orders this record before any
 	// lifecycle record a fast worker could write.
-	m.journalAppend(submitRecord(j, digest))
+	m.journalAppend(submitRecord(j))
 	return j.status(), nil
 }
 
-// releaseJobLocked frees a terminal job's inputs: the (potentially very
-// large) matrix, the labels, and — for dataset jobs — the registry
-// reference that protected the dataset from eviction while the job was
-// alive.  Callers hold m.mu.
+// releaseJobLocked frees a terminal job's inputs: the labels and its
+// dataset entry — a registry entry's reference, which protected it from
+// eviction while the job was alive, or the job-owned entry itself with
+// its (potentially very large) matrix.  Callers hold m.mu.
 func (m *Manager) releaseJobLocked(j *job) {
-	j.data, j.spec.Labels = matrix.Matrix{}, nil
+	j.spec.Labels = nil
 	if j.ds != nil {
 		m.releaseDatasetLocked(j.ds)
 		j.ds = nil
@@ -768,15 +754,15 @@ func (m *Manager) releaseJobLocked(j *job) {
 }
 
 // insertLocked records j and prunes the oldest finished jobs beyond
-// MaxJobs.  Callers hold m.mu.
+// maxJobs.  Callers hold m.mu.
 func (m *Manager) insertLocked(j *job) {
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	if len(m.jobs) <= m.cfg.MaxJobs {
+	if len(m.jobs) <= maxJobs {
 		return
 	}
 	kept := m.order[:0]
-	excess := len(m.jobs) - m.cfg.MaxJobs
+	excess := len(m.jobs) - maxJobs
 	for _, id := range m.order {
 		if excess > 0 {
 			if old, ok := m.jobs[id]; ok && old.state.Terminal() {
@@ -949,14 +935,32 @@ func (m *Manager) Close() {
 	}
 }
 
-// execute runs one job's analysis: over the shared preparation for
-// dataset jobs, over the job's private matrix otherwise.  Both paths are
-// bit-identical for the same inputs.
-func (m *Manager) execute(j *job, prepared *core.Prepared, ctl core.RunControl) (*core.Result, error) {
-	if prepared != nil {
-		return core.RunPrepared(prepared, j.spec.Opt, ctl)
+// resumeFor is the job's one resume verdict, made before dispatch: the
+// stored checkpoint under the job's key, judged by Plan.Resume — the
+// rule core.RunPrepared, the coordinator and every shard apply — over
+// the whole run.  A rejected record (engine drift, a stale fingerprint)
+// is dropped so it cannot poison the key, and the job runs fresh; an
+// accepted one is recorded as the job's resume point.  The store
+// verified the record when it read it from disk, so a decode error
+// cannot happen here.
+func (m *Manager) resumeFor(j *job, prepared *core.Prepared) (*core.Checkpoint, error) {
+	ck, _ := core.DecodeRecord(m.ckpts.Get(j.key))
+	if ck == nil {
+		return nil, nil
 	}
-	return core.RunMatrix(j.data, j.spec.Labels, j.spec.Opt, ctl)
+	plan, err := core.PlanRun(prepared, j.spec.Opt)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := plan.Resume(ck, 0, plan.TotalB); err != nil {
+		m.ckpts.Drop(j.key)
+		return nil, nil
+	}
+	m.mu.Lock()
+	j.resumedFrom, j.done = ck.Next, ck.Done
+	m.met.resumed.Inc()
+	m.mu.Unlock()
+	return ck, nil
 }
 
 // worker pops jobs from the fair queue and runs them to a terminal
@@ -976,16 +980,15 @@ func (m *Manager) worker() {
 	}
 }
 
-// run executes one job through core.Run with the manager's hooks.
+// run executes one job: the shared preparation of its dataset entry,
+// the resume verdict on its stored checkpoint, then the distributor or
+// core.RunPrepared — one path, however the job was submitted.
 func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	defer cancel()
 
 	popped := m.cfg.Clock()
 	m.met.queueWait[j.class].ObserveDuration(popped.Sub(j.enqueuedAt))
-	// The store verified the record when it read it from disk, so a
-	// decode error here cannot happen; a nil resume starts from B=0.
-	resume, _ := core.DecodeRecord(m.ckpts.Get(j.key))
 
 	m.mu.Lock()
 	if j.state != Queued { // cancelled while waiting
@@ -1003,61 +1006,25 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	j.state = Running
 	j.startedAt = popped
 	j.cancel = cancel
-	if resume != nil {
-		j.resumedFrom = resume.Next
-		j.done = resume.Done
-		m.met.resumed.Inc()
-	}
+	e := j.ds // held until the terminal state below releases it
 	m.mu.Unlock()
 
-	ctl := core.RunControl{
-		Ctx:      ctx,
-		NProcs:   j.spec.NProcs,
-		Resume:   resume,
-		Every:    j.spec.Every,
-		Scratch:  scratch,
-		OnWindow: m.onWindow,
-		Save: func(ck *core.Checkpoint) error {
-			// A failed write fails the job: truthful failure beats
-			// silent loss of the progress a restart would resume.
-			writeStart := time.Now()
-			if err := m.ckpts.Put(j.key, ck.AppendRecord(nil)); err != nil {
-				return err
-			}
-			m.met.ckptWrite.ObserveDuration(time.Since(writeStart))
-			if m.cfg.OnCheckpoint != nil {
-				m.cfg.OnCheckpoint(j.id, ck.Done, ck.TotalB)
-			}
-			return nil
-		},
-		OnProgress: func(done, total int64) {
-			m.mu.Lock()
-			j.done, j.total = done, total
-			m.mu.Unlock()
-		},
-		OnSeq: func(activeRows int, permsSaved int64) {
-			m.mu.Lock()
-			j.seqActiveRows, j.seqPermsSaved = activeRows, permsSaved
-			m.mu.Unlock()
-		},
+	// The entry's preparation is built once per (dataset, labels, prep
+	// options) key and reused read-only by every later job on that key,
+	// so a hot-prep job goes from queue pop to its first permutation
+	// without scrubbing, ranking or precomputing anything.
+	prepared, built, err := m.prepFromEntry(e, j.spec.Labels, j.spec.Opt)
+	var resume *core.Checkpoint
+	if err == nil {
+		resume, err = m.resumeFor(j, prepared)
 	}
-	// Dataset jobs run over the registry's shared preparation — built
-	// once per (dataset, labels, prep options) key, reused read-only by
-	// every later job on that key — so a cache-hit job goes from queue
-	// pop to its first permutation without scrubbing, ranking or
-	// precomputing anything.
-	var prepared *core.Prepared
 	var res *core.Result
-	var err error
 	distributed := false
-	if j.spec.DatasetID != "" {
-		prepared, err = m.preparedFor(j)
-	}
 	// A coordinator hands the job to its distributor first; a declined
 	// job (ErrNotDistributed) falls through to the local path below,
 	// which computes the identical bits on this node alone.
 	if err == nil && m.cfg.Distributor != nil {
-		res, err = m.runDistributed(ctx, j, prepared, resume)
+		res, err = m.runDistributed(ctx, j, e, prepared, resume)
 		if errors.Is(err, ErrNotDistributed) {
 			res, err = nil, nil
 		} else {
@@ -1065,19 +1032,40 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 		}
 	}
 	if err == nil && !distributed {
-		res, err = m.execute(j, prepared, ctl)
-		if resume != nil && errors.Is(err, core.ErrCheckpointMismatch) {
-			// A stale checkpoint — e.g. one written by an older engine
-			// version whose fingerprints no longer validate — must not
-			// poison its content key forever: discard it and run fresh
-			// instead of failing every future submission of this dataset.
-			m.ckpts.Drop(j.key)
-			m.mu.Lock()
-			j.resumedFrom, j.done = 0, 0
-			m.mu.Unlock()
-			ctl.Resume = nil
-			res, err = m.execute(j, prepared, ctl)
-		}
+		res, err = core.RunPrepared(prepared, j.spec.Opt, core.RunControl{
+			Ctx:      ctx,
+			NProcs:   j.spec.NProcs,
+			Resume:   resume,
+			Every:    j.spec.Every,
+			Scratch:  scratch,
+			OnWindow: m.onWindow,
+			Save: func(ck *core.Checkpoint) error {
+				// A failed write fails the job: truthful failure beats
+				// silent loss of the progress a restart would resume.
+				writeStart := time.Now()
+				if err := m.ckpts.Put(j.key, ck.AppendRecord(nil)); err != nil {
+					return err
+				}
+				m.met.ckptWrite.ObserveDuration(time.Since(writeStart))
+				if m.cfg.OnCheckpoint != nil {
+					m.cfg.OnCheckpoint(j.id, ck.Done, ck.TotalB)
+				}
+				return nil
+			},
+			OnProgress: func(done, total int64) {
+				m.mu.Lock()
+				j.done, j.total = done, total
+				m.mu.Unlock()
+			},
+			OnSeq: func(activeRows int, permsSaved int64) {
+				m.mu.Lock()
+				j.seqActiveRows, j.seqPermsSaved = activeRows, permsSaved
+				m.mu.Unlock()
+			},
+		})
+	}
+	if err == nil && built {
+		prepared.ChargeBuild(&res.Profile)
 	}
 
 	finished := m.cfg.Clock()
