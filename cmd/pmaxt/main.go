@@ -42,9 +42,7 @@ func run(args []string, stdout io.Writer) error {
 	nonpara := fs.String("nonpara", "n", "y = rank-transform the data first")
 	na := fs.Float64("na", sprint.DefaultNA, "missing value code")
 	seed := fs.Uint64("seed", 0, "permutation RNG seed")
-	batch := fs.Int("batch", 0, "kernel permutation batch size (0 = auto; results are identical at any value)")
 	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, avx2 (results are identical on all)")
-	order := fs.String("order", "auto", "complete-enumeration order: auto, lex, door (results are identical on all)")
 	mode := fs.String("mode", "exact", "run mode: exact (fixed B, bit-reproducible) or sequential (adaptive early stopping)")
 	seqAlpha := fs.Float64("seq-alpha", 0, "sequential mode: significance level the stopping rule certifies decisions at (0 = default 0.05)")
 	seqTol := fs.Float64("seq-tolerance", 0, "sequential mode: p-value half-width a row must reach before freezing (0 = default 0.02)")
@@ -58,12 +56,6 @@ func run(args []string, stdout io.Writer) error {
 	if *dataPath == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -data")
-	}
-	if *mode == sprint.ModeSequential && *order == "door" {
-		// Fail at the flag level with the flags named, before any data is
-		// read: the door order exists only for complete enumeration, which
-		// the sequential engine rejects anyway.
-		return fmt.Errorf("-mode sequential does not support -order door (sequential runs sample permutations; door is a complete-enumeration order)")
 	}
 	if _, err := sprint.SetKernel(*kernel); err != nil {
 		return err
@@ -111,9 +103,8 @@ func run(args []string, stdout io.Writer) error {
 
 	opt := sprint.Options{
 		Test: *test, Side: *side, FixedSeedSampling: *fss,
-		B: *b, NA: *na, Nonpara: *nonpara, Seed: *seed, BatchSize: *batch,
-		PermOrder: *order,
-		Mode:      *mode, SeqAlpha: *seqAlpha, SeqTolerance: *seqTol,
+		B: *b, NA: *na, Nonpara: *nonpara, Seed: *seed,
+		Mode: *mode, SeqAlpha: *seqAlpha, SeqTolerance: *seqTol,
 	}
 	var res *sprint.Result
 	switch {

@@ -153,13 +153,14 @@ func standalone(t *testing.T, x matrix.Matrix, labels []int, opt core.Options) *
 // TestClusterBitwiseIdentitySweep is the tentpole acceptance check: a
 // coordinator plus two workers produce results bitwise identical to a
 // single standalone node for all six statistics, both generators, and
-// both enumeration orders (lex and revolving-door, which exercises the
-// delta-evaluation paths).
+// both enumeration orders (combinadic, and revolving-door, which
+// exercises the delta-evaluation paths).
 func TestClusterBitwiseIdentitySweep(t *testing.T) {
 	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 	flab := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}
 	plab := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
 	blab := []int{0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2}
+	clab := []int{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2} // 2 970 labellings
 	cases := []struct {
 		name string
 		lab  []int
@@ -168,18 +169,17 @@ func TestClusterBitwiseIdentitySweep(t *testing.T) {
 		{"welch/otf", lab, core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 300, Seed: 1}},
 		{"welch/stored", lab, core.Options{Test: "t", Side: "upper", FixedSeedSampling: "n", B: 300, Seed: 2}},
 		{"equalvar/stored", lab, core.Options{Test: "t.equalvar", Side: "abs", FixedSeedSampling: "n", B: 200, Seed: 4}},
-		{"wilcoxon/complete/lex", lab, core.Options{Test: "wilcoxon", Side: "abs", B: 0, PermOrder: "lex"}},
-		{"wilcoxon/complete/door", lab, core.Options{Test: "wilcoxon", Side: "abs", B: 0, PermOrder: "door"}},
+		{"wilcoxon/complete/door", lab, core.Options{Test: "wilcoxon", Side: "abs", B: 0}},
 		{"f/otf", flab, core.Options{Test: "f", Side: "abs", FixedSeedSampling: "y", B: 200, Seed: 6}},
+		{"f/complete", clab, core.Options{Test: "f", Side: "abs", B: 0}},
 		{"pairt/complete", plab, core.Options{Test: "pairt", Side: "abs", B: 0, Seed: 7}},
 		{"blockf/otf", blab, core.Options{Test: "blockf", Side: "abs", FixedSeedSampling: "y", B: 150, Seed: 9}},
 	}
 	w1 := newWorkerNode(t, nil)
 	w2 := newWorkerNode(t, nil)
-	// One matrix per case — perm order is canonicalised out of the
-	// content key, so reusing a matrix would answer the door-order case
-	// from the lex case's cache instead of distributing it.  Preload
-	// every matrix on both workers (content address: same bytes, same id).
+	// One matrix per case, so no case can be answered from another's
+	// cache entry instead of being distributed.  Preload every matrix on
+	// both workers (content address: same bytes, same id).
 	xs := make([]matrix.Matrix, len(cases))
 	for i := range cases {
 		xs[i] = synthX(30, 12, 2024+uint64(i))

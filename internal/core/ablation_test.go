@@ -32,7 +32,7 @@ func BenchmarkAblationBroadcastProtocol(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opt := Options{B: 2, Seed: 1, ScalarParams: scalar}
 			for i := 0; i < b.N; i++ {
-				if _, err := PMaxT(x, lab, 8, opt); err != nil {
+				if _, err := collective(x, lab, 8, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -55,7 +55,7 @@ func BenchmarkAblationGenerator(b *testing.B) {
 			opt := Options{B: 500, Seed: 1, FixedSeedSampling: fss}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MaxT(x, lab, opt); err != nil {
+				if _, err := serialRun(x, lab, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -72,7 +72,7 @@ func BenchmarkAblationProcessCount(b *testing.B) {
 		b.Run(fmt.Sprintf("procs=%d", np), func(b *testing.B) {
 			opt := Options{B: 1000, Seed: 1}
 			for i := 0; i < b.N; i++ {
-				if _, err := PMaxT(x, lab, np, opt); err != nil {
+				if _, err := collective(x, lab, np, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -87,7 +87,7 @@ func BenchmarkAblationCheckpointOverhead(b *testing.B) {
 	opt := Options{B: 500, Seed: 1}
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := MaxT(x, lab, opt); err != nil {
+			if _, err := serialRun(x, lab, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,8 +95,8 @@ func BenchmarkAblationCheckpointOverhead(b *testing.B) {
 	for _, every := range []int64{50, 250} {
 		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := MaxTCheckpointed(x, lab, opt, nil, every,
-					func(c *Checkpoint) error { return nil }); err != nil {
+				if _, err := RunMatrix(mat(x), lab, opt, RunControl{NProcs: 1, Every: every,
+					Save: func(c *Checkpoint) error { return nil }}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -179,12 +179,15 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // vector and the fingerprint gained the run mode, so a v4 checkpoint —
 // which cannot carry freeze state — must fail loudly with
 // ErrCheckpointMismatch rather than resume under rules it never ran.
-// BatchSize and the kernel ISA are deliberately NOT part of the
+// The batch and the kernel ISA are deliberately NOT part of the
 // fingerprint: both are bitwise neutral AND order-neutral, so
-// checkpoints are interchangeable across them.  The resolved enumeration
-// order (doorOrder) IS part of it: a checkpoint's counts are a prefix
-// over one specific order, so resuming under a different order would
-// process the wrong remainder.
+// checkpoints are interchangeable across them.  The enumeration order
+// (doorOrder) IS part of it: a checkpoint's counts are a prefix over one
+// specific order, so resuming under a different order would process the
+// wrong remainder.  The order is now a function of the design, so every
+// checkpoint this engine writes carries the design's own order bit; one
+// written under an order earlier engines let a caller force fails
+// Plan.Resume and its run recomputes.
 const engineVersion = 5
 
 // fingerprint summarises the analysis identity: the engine version,
@@ -233,21 +236,4 @@ var ErrCheckpointMismatch = fmt.Errorf("core: checkpoint does not match this ana
 // that something did.  errors.Is(err, ErrCheckpointMismatch) still holds.
 func ckptMismatch(field string, got, want any) error {
 	return fmt.Errorf("%w: %s drifted (checkpoint has %v, analysis wants %v)", ErrCheckpointMismatch, field, got, want)
-}
-
-// MaxTCheckpointed runs the serial permutation loop with periodic
-// checkpoints.  Every `every` permutations — but not at the end, where the
-// result itself follows — it calls save with a snapshot; if save returns
-// an error the run stops and returns that error, leaving the caller free
-// to retry later from the last saved state.  Pass resume = nil for a fresh
-// run, or a previously saved checkpoint to continue one.  The final result
-// is bit-identical to an uninterrupted MaxT with the same options.
-//
-// It is the serial special case of Run, kept as the stable historical
-// entry point.
-func MaxTCheckpointed(x [][]float64, classlabel []int, opt Options, resume *Checkpoint, every int64, save func(*Checkpoint) error) (*Result, error) {
-	if every <= 0 {
-		return nil, fmt.Errorf("core: checkpoint interval %d must be positive", every)
-	}
-	return Run(x, classlabel, opt, RunControl{Resume: resume, Every: every, Save: save})
 }

@@ -16,23 +16,22 @@ func TestCheckpointedMatchesPlainRun(t *testing.T) {
 	x := synthMatrix(25, 12, 3, 17)
 	lab := twoClass(6, 6)
 	for _, fss := range []string{"y", "n"} {
-		// BatchSize 1 pins the scalar engine so the requested window length
-		// is used verbatim (batched runs round it up; see run_test.go).
-		opt := Options{B: 200, Seed: 3, FixedSeedSampling: fss, BatchSize: 1}
-		plain, err := MaxT(x, lab, opt)
+		opt := Options{B: 200, Seed: 3, FixedSeedSampling: fss}
+		plain, err := collective(x, lab, 1, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var saves int
-		ck, err := MaxTCheckpointed(x, lab, opt, nil, 37, func(c *Checkpoint) error {
+		// The window of 37 rounds up to one kernel batch.
+		ck, err := RunMatrix(mat(x), lab, opt, RunControl{Every: 37, Save: func(c *Checkpoint) error {
 			saves++
 			return nil
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Six windows; the one that completes the run is not saved.
-		if want := (200+36)/37 - 1; saves != want {
+		// Four windows; the one that completes the run is not saved.
+		if want := (200+DefaultBatchSize-1)/DefaultBatchSize - 1; saves != want {
 			t.Errorf("fss=%s: %d saves, want %d", fss, saves, want)
 		}
 		resultsEqual(t, "checkpointed-vs-plain/"+fss, plain, ck)
@@ -43,8 +42,8 @@ func TestCheckpointResumeAfterInterruption(t *testing.T) {
 	x := synthMatrix(20, 12, 2, 23)
 	lab := twoClass(6, 6)
 	for _, fss := range []string{"y", "n"} {
-		opt := Options{B: 150, Seed: 9, FixedSeedSampling: fss, BatchSize: 1}
-		plain, err := MaxT(x, lab, opt)
+		opt := Options{B: 150, Seed: 9, FixedSeedSampling: fss}
+		plain, err := collective(x, lab, 1, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,19 +53,19 @@ func TestCheckpointResumeAfterInterruption(t *testing.T) {
 		boom := errors.New("simulated node failure")
 		var persisted *Checkpoint
 		var calls int
-		_, err = MaxTCheckpointed(x, lab, opt, nil, 40, func(c *Checkpoint) error {
+		_, err = RunMatrix(mat(x), lab, opt, RunControl{Every: 64, Save: func(c *Checkpoint) error {
 			calls++
 			persisted = c
 			if calls == 2 {
 				return boom
 			}
 			return nil
-		})
+		}})
 		if !errors.Is(err, boom) {
 			t.Fatalf("fss=%s: interruption error = %v", fss, err)
 		}
-		if persisted == nil || persisted.Next != 80 {
-			t.Fatalf("fss=%s: persisted checkpoint at %v, want Next=80", fss, persisted)
+		if persisted == nil || persisted.Next != 128 {
+			t.Fatalf("fss=%s: persisted checkpoint at %v, want Next=128", fss, persisted)
 		}
 
 		// Serialise and deserialise, as a real deployment would.
@@ -79,7 +78,7 @@ func TestCheckpointResumeAfterInterruption(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		resumed, err := MaxTCheckpointed(x, lab, opt, restored, 40, nil)
+		resumed, err := RunMatrix(mat(x), lab, opt, RunControl{Resume: restored, Every: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,28 +91,28 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	lab := twoClass(6, 6)
 	opt := Options{B: 100, Seed: 1}
 	var saved *Checkpoint
-	if _, err := MaxTCheckpointed(x, lab, opt, nil, 50, func(c *Checkpoint) error {
+	if _, err := RunMatrix(mat(x), lab, opt, RunControl{Every: 50, Save: func(c *Checkpoint) error {
 		saved = c
 		return nil
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Different seed -> different permutation stream -> must refuse.
 	optSeed := opt
 	optSeed.Seed = 2
-	if _, err := MaxTCheckpointed(x, lab, optSeed, saved, 50, nil); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := RunMatrix(mat(x), lab, optSeed, RunControl{Resume: saved}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("seed change accepted: %v", err)
 	}
 	// Different data -> must refuse.
 	x2 := synthMatrix(10, 12, 1, 6)
-	if _, err := MaxTCheckpointed(x2, lab, opt, saved, 50, nil); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := RunMatrix(mat(x2), lab, opt, RunControl{Resume: saved}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("data change accepted: %v", err)
 	}
 	// Different B -> must refuse.
 	optB := opt
 	optB.B = 400
-	if _, err := MaxTCheckpointed(x, lab, optB, saved, 50, nil); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := RunMatrix(mat(x), lab, optB, RunControl{Resume: saved}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("B change accepted: %v", err)
 	}
 }
@@ -121,13 +120,10 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 func TestCheckpointValidation(t *testing.T) {
 	x := synthMatrix(5, 12, 1, 5)
 	lab := twoClass(6, 6)
-	if _, err := MaxTCheckpointed(x, lab, Options{B: 10}, nil, 0, nil); err == nil {
-		t.Error("interval 0 accepted")
-	}
-	if _, err := MaxTCheckpointed(nil, lab, Options{B: 10}, nil, 5, nil); err == nil {
+	if _, err := RunMatrix(mat(nil), lab, Options{B: 10}, RunControl{Every: 5}); err == nil {
 		t.Error("empty matrix accepted")
 	}
-	if _, err := MaxTCheckpointed(x, lab, Options{Test: "bogus"}, nil, 5, nil); err == nil {
+	if _, err := RunMatrix(mat(x), lab, Options{Test: "bogus"}, RunControl{Every: 5}); err == nil {
 		t.Error("bad options accepted")
 	}
 
@@ -139,7 +135,7 @@ func TestCheckpointValidation(t *testing.T) {
 	seqOpt.B = 4096
 	exactOpt := seqOpt
 	exactOpt.Mode = ModeExact
-	p, err := Prepare(rowsInputT(t, data.X), data.Labels, exactOpt)
+	p, err := Prepare(mat(data.X), data.Labels, exactOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 func TestSingleGeneMatrix(t *testing.T) {
 	x := [][]float64{{1.3, 2.7, 1.9, 6.1, 7.3, 6.8}}
 	lab := twoClass(3, 3)
-	serial, err := MaxT(x, lab, Options{B: 100, Seed: 1})
+	serial, err := serialRun(x, lab, Options{B: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := PMaxT(x, lab, 4, Options{B: 100, Seed: 1})
+	par, err := collective(x, lab, 4, Options{B: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSingleGeneMatrix(t *testing.T) {
 func TestMinimumDesignFourColumns(t *testing.T) {
 	// Smallest valid two-sample design: 2 vs 2 columns, C(4,2) = 6.
 	x := synthMatrix(8, 4, 2, 3)
-	res, err := MaxT(x, twoClass(2, 2), Options{B: 0})
+	res, err := serialRun(x, twoClass(2, 2), Options{B: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMinimumDesignFourColumns(t *testing.T) {
 func TestBOfOne(t *testing.T) {
 	// B = 1 means only the observed labelling: every p-value is 1.
 	x := synthMatrix(5, 12, 1, 4)
-	res, err := MaxT(x, twoClass(6, 6), Options{B: 1, Seed: 1})
+	res, err := serialRun(x, twoClass(6, 6), Options{B: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +63,17 @@ func TestMoreProcsThanPermutations(t *testing.T) {
 	// must still match the serial run exactly.
 	x := synthMatrix(10, 12, 2, 9)
 	lab := twoClass(6, 6)
-	serial, err := MaxT(x, lab, Options{B: 10, Seed: 2})
+	serial, err := serialRun(x, lab, Options{B: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fss := range []string{"y", "n"} {
 		opt := Options{B: 10, Seed: 2, FixedSeedSampling: fss}
-		s2, err := MaxT(x, lab, opt)
+		s2, err := serialRun(x, lab, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := PMaxT(x, lab, 16, opt)
+		par, err := collective(x, lab, 16, opt)
 		if err != nil {
 			t.Fatalf("fss=%s: %v", fss, err)
 		}
@@ -89,11 +89,11 @@ func TestManyRanksStress(t *testing.T) {
 	// trees at depth 6.
 	x := synthMatrix(12, 12, 2, 11)
 	lab := twoClass(6, 6)
-	serial, err := MaxT(x, lab, Options{B: 256, Seed: 5})
+	serial, err := serialRun(x, lab, Options{B: 256, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := PMaxT(x, lab, 64, Options{B: 256, Seed: 5})
+	par, err := collective(x, lab, 64, Options{B: 256, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAllRowsDegenerate(t *testing.T) {
 		{5, 5, 5, 5, 5, 5},
 		{2, 2, 2, 2, 2, 2},
 	}
-	res, err := PMaxT(x, twoClass(3, 3), 2, Options{B: 50, Seed: 1})
+	res, err := collective(x, twoClass(3, 3), 2, Options{B: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestMostlyMissingColumnStillRuns(t *testing.T) {
 	for i := range x {
 		x[i][3] = math.NaN()
 	}
-	serial, err := MaxT(x, twoClass(6, 6), Options{B: 80, Seed: 3})
+	serial, err := serialRun(x, twoClass(6, 6), Options{B: 80, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := PMaxT(x, twoClass(6, 6), 3, Options{B: 80, Seed: 3})
+	par, err := collective(x, twoClass(6, 6), 3, Options{B: 80, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTiesInObservedStatisticsDeterministicOrder(t *testing.T) {
 	// must break ties by row index, identically in serial and parallel.
 	row := []float64{1.1, 2.2, 0.9, 5.1, 6.2, 5.4}
 	x := [][]float64{row, append([]float64(nil), row...), append([]float64(nil), row...)}
-	serial, err := MaxT(x, twoClass(3, 3), Options{B: 60, Seed: 6})
+	serial, err := serialRun(x, twoClass(3, 3), Options{B: 60, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTiesInObservedStatisticsDeterministicOrder(t *testing.T) {
 			break
 		}
 	}
-	par, err := PMaxT(x, twoClass(3, 3), 3, Options{B: 60, Seed: 6})
+	par, err := collective(x, twoClass(3, 3), 3, Options{B: 60, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestWideMatrixManyColumns(t *testing.T) {
 	lab := twoClass(38, 38)
 	for _, fss := range []string{"y", "n"} {
 		opt := Options{B: 64, Seed: 4, FixedSeedSampling: fss}
-		serial, err := MaxT(x, lab, opt)
+		serial, err := serialRun(x, lab, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := PMaxT(x, lab, 5, opt)
+		par, err := collective(x, lab, 5, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestWideMatrixManyColumns(t *testing.T) {
 
 func TestKernelMaxAtLeastMasterKernel(t *testing.T) {
 	x := synthMatrix(30, 12, 3, 13)
-	res, err := PMaxT(x, twoClass(6, 6), 6, Options{B: 300, Seed: 7})
+	res, err := collective(x, twoClass(6, 6), 6, Options{B: 300, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestSequentialGolden(t *testing.T) {
 		data, opt := seqTestData(t, seed)
 		for _, nprocs := range []int{1, 2, 3} {
 			for _, every := range []int64{0, 64, 1000, 4096} {
-				res, err := Run(data.X, data.Labels, opt, RunControl{NProcs: nprocs, Every: every})
+				res, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{NProcs: nprocs, Every: every})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -52,7 +52,7 @@ func TestSequentialGolden(t *testing.T) {
 		// Cancel after the second checkpoint, resume at another rank count.
 		ctx, cancel := context.WithCancel(context.Background())
 		var last *Checkpoint
-		_, err := Run(data.X, data.Labels, opt, RunControl{Ctx: ctx, NProcs: 2, Every: 1000,
+		_, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{Ctx: ctx, NProcs: 2, Every: 1000,
 			Save: func(c *Checkpoint) error {
 				if last = c; c.Done >= 2000 {
 					cancel()
@@ -62,7 +62,7 @@ func TestSequentialGolden(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("seed %d: cut run returned %v, want context.Canceled", seed, err)
 		}
-		res, err := Run(data.X, data.Labels, opt, RunControl{NProcs: 3, Every: 1000, Resume: last})
+		res, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{NProcs: 3, Every: 1000, Resume: last})
 		if err != nil {
 			t.Fatal(err)
 		}

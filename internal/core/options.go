@@ -1,7 +1,8 @@
 // Package core implements pmaxT, the SPRINT parallel permutation testing
-// function, and MaxT, its serial mt.maxT-equivalent baseline.  The parallel
-// path follows the six execution steps of Section 3.2 of the paper and
-// reports the five timed sections of Tables I–V (pre-processing, broadcast
+// function, twice: PMaxTMatrix is the paper's collective, following the six
+// execution steps of Section 3.2, and Prepare + RunPrepared is the service
+// engine, whose one-rank run is the serial mt.maxT baseline.  Both report
+// the five timed sections of Tables I–V (pre-processing, broadcast
 // parameters, create data, main kernel, compute p-values).
 package core
 
@@ -28,12 +29,13 @@ const DefaultNA = -93074815.62
 const DefaultMaxComplete = 1 << 22
 
 // DefaultBatchSize is the permutation batch the main kernel evaluates per
-// matrix pass when Options.BatchSize is 0 (auto).  Batching is bitwise
-// neutral — any batch size produces exactly the scalar path's statistics,
-// counts, cache keys and checkpoints — so the default is purely a
-// performance choice: large enough to amortise each row load over many
-// permutations, small enough that the per-batch label and output buffers
-// stay cache-resident.
+// matrix pass.  A labelling's statistics are bitwise independent of the
+// batch it rides in, so the batch is purely a performance choice: large
+// enough to amortise each row load over many permutations, small enough
+// that the per-batch label and output buffers stay cache-resident.  It is
+// a constant, not an option: the sequential engine's stop grid rounds up
+// to it, so a caller-chosen batch would change sequential results under
+// one content key.
 const DefaultBatchSize = 64
 
 // Options mirrors the R signature
@@ -75,13 +77,6 @@ type Options struct {
 	// paper's future-work item 3.  Results are identical; only the
 	// "Broadcast parameters" section changes.
 	ScalarParams bool
-	// BatchSize is the number of permutations the main kernel evaluates
-	// per pass over the matrix: 0 selects DefaultBatchSize, 1 evaluates
-	// one labelling per pass, larger values trade scratch memory for fewer
-	// matrix sweeps.  A labelling's statistics are bitwise identical at
-	// every batch size, so BatchSize never changes results — it is
-	// excluded from job cache keys and checkpoint fingerprints.
-	BatchSize int
 	// Mode selects the permutation engine: "exact" (the default) runs
 	// every planned permutation and is bitwise-unchanged from earlier
 	// engines; "sequential" stops rows — and whole jobs — early, as soon
@@ -104,18 +99,6 @@ type Options struct {
 	// its exact value with high probability, simultaneously across rows.
 	// 0 selects the default (0.02).  Ignored in exact mode.
 	SeqTolerance float64
-	// PermOrder selects the enumeration order of complete permutation
-	// runs: "auto" (default) uses the revolving-door Gray order on
-	// two-sample designs — enabling the O(1) delta kernel on rank data —
-	// and the combinadic order otherwise; "lex" forces the combinadic
-	// order everywhere; "door" demands the revolving-door order and fails
-	// on designs that do not admit it.  Every order enumerates the same
-	// labelling set, so results and job cache keys are identical — like
-	// BatchSize, PermOrder is excluded from cache keys.  It IS part of
-	// the checkpoint fingerprint: a checkpoint's counts are a prefix over
-	// one specific enumeration order, so resuming under a different order
-	// would process the wrong remainder.
-	PermOrder string
 }
 
 // DefaultOptions returns the documented mt.maxT defaults.
@@ -170,43 +153,6 @@ func parseRunMode(s string) (runMode, error) {
 	return 0, fmt.Errorf("core: unknown mode %q (want exact or sequential)", s)
 }
 
-// permOrder is the validated enumeration-order knob.
-type permOrder int
-
-const (
-	// orderAuto picks the revolving-door order where it applies.
-	orderAuto permOrder = iota
-	// orderLex forces the combinadic (lexicographic-rank) order.
-	orderLex
-	// orderDoor demands the revolving-door order.
-	orderDoor
-)
-
-var orderNames = map[permOrder]string{
-	orderAuto: "auto",
-	orderLex:  "lex",
-	orderDoor: "door",
-}
-
-func (o permOrder) String() string {
-	if s, ok := orderNames[o]; ok {
-		return s
-	}
-	return fmt.Sprintf("permOrder(%d)", int(o))
-}
-
-func parsePermOrder(s string) (permOrder, error) {
-	if s == "" {
-		return orderAuto, nil
-	}
-	for o, name := range orderNames {
-		if name == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown perm order %q (want auto, lex or door)", s)
-}
-
 // config is the validated, enum-typed form of Options.
 type config struct {
 	test         stat.Test
@@ -218,40 +164,20 @@ type config struct {
 	seed         uint64
 	maxComplete  int64
 	scalarParams bool
-	batch        int
-	order        permOrder
 	mode         runMode
 	seqAlpha     float64
 	seqTol       float64
 }
 
-// effectiveBatch resolves the BatchSize knob: 0 means auto.
-func (cfg config) effectiveBatch() int {
-	if cfg.batch > 0 {
-		return cfg.batch
-	}
-	return DefaultBatchSize
-}
-
-// completeGen builds the complete-enumeration generator under the order
-// knob: the revolving-door Gray order when it applies (enabling the delta
-// kernel), the combinadic order otherwise.  An explicit "door" on a design
-// that cannot run it is an error rather than a silent fallback.
-func (cfg config) completeGen(d *stat.Design) (perm.Generator, error) {
-	if cfg.doorOrder(d) {
+// completeGen builds the complete-enumeration generator: the
+// revolving-door Gray order where the design admits it (enabling the
+// delta kernel), the combinadic order otherwise.  The order is a function
+// of the design alone, so the checkpoint fingerprint's order bit is too.
+func completeGen(d *stat.Design) (perm.Generator, error) {
+	if perm.RevolvingDoorOK(d) {
 		return perm.NewRevolvingDoor(d)
 	}
-	if cfg.order == orderDoor {
-		return nil, fmt.Errorf("core: perm order \"door\" requires a two-sample design (test %v does not admit a revolving-door enumeration)", d.Test)
-	}
 	return perm.NewComplete(d)
-}
-
-// doorOrder reports whether a complete enumeration for this design runs
-// in revolving-door order — the resolved form of the PermOrder knob that
-// the checkpoint fingerprint records.
-func (cfg config) doorOrder(d *stat.Design) bool {
-	return cfg.order != orderLex && perm.RevolvingDoorOK(d)
 }
 
 // parseOptions validates opt and fills defaults, mirroring the parameter
@@ -305,19 +231,10 @@ func parseOptions(opt Options) (config, error) {
 	if opt.MaxComplete < 0 {
 		return cfg, fmt.Errorf("core: MaxComplete must be positive")
 	}
-	if opt.BatchSize < 0 {
-		return cfg, fmt.Errorf("core: BatchSize = %d must be >= 0 (0 selects the default)", opt.BatchSize)
-	}
-	if cfg.order, err = parsePermOrder(opt.PermOrder); err != nil {
-		return cfg, err
-	}
 	if cfg.mode, err = parseRunMode(opt.Mode); err != nil {
 		return cfg, err
 	}
 	if cfg.mode == modeSequential {
-		if cfg.order == orderDoor {
-			return cfg, fmt.Errorf("core: mode \"sequential\" cannot run under perm order \"door\": a complete enumeration is exact by definition, so early stopping would only destroy that exactness")
-		}
 		if opt.B == 0 {
 			// Catch the explicit request here so services reject it at
 			// submission; the auto case (a complete count at most B) is
@@ -335,7 +252,6 @@ func parseOptions(opt Options) (config, error) {
 	cfg.seed = opt.Seed
 	cfg.maxComplete = opt.MaxComplete
 	cfg.scalarParams = opt.ScalarParams
-	cfg.batch = opt.BatchSize
 	return cfg, nil
 }
 
@@ -383,8 +299,8 @@ func SetKernel(name string) (string, error) {
 // "generic").
 func KernelName() string { return stat.ActiveKernelISA().String() }
 
-// PermOrderPolicy describes the default (PermOrder = "auto") enumeration
-// order, surfaced by the pmaxtd /stats endpoint.
+// PermOrderPolicy describes the one enumeration order policy, surfaced
+// by the pmaxtd /stats endpoint.
 const PermOrderPolicy = "auto: revolving-door (delta kernel) for complete two-sample enumerations, combinadic otherwise"
 
 // scrubNA returns m with the NA code replaced by NaN.  A pure scan runs
@@ -413,13 +329,4 @@ func scrubNA(m matrix.Matrix, na float64) matrix.Matrix {
 		}
 	}
 	return out
-}
-
-// rowsInput adapts the legacy [][]float64 surface to the flat engine,
-// preserving the historical empty-matrix error.
-func rowsInput(x [][]float64) (matrix.Matrix, error) {
-	if len(x) == 0 {
-		return matrix.Matrix{}, fmt.Errorf("core: empty input matrix")
-	}
-	return matrix.FromRows(x)
 }

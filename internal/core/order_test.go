@@ -2,10 +2,10 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"sprint/internal/microarray"
+	"sprint/internal/perm"
 )
 
 // orderTestData builds a dataset small enough for complete enumeration
@@ -27,30 +27,60 @@ func orderTestData(t *testing.T, test string) (*microarray.Dataset, Options) {
 
 // TestPermOrderResultsIdentical asserts every enumeration order produces
 // bitwise identical results — the order changes the sequence, never the
-// set — serial and parallel, parametric and rank-based.
+// set — serial and parallel, parametric and rank-based.  The engine picks
+// the revolving door for these two-sample designs; the combinadic order
+// is driven through the same window loop with perm.NewComplete, and both
+// must equal the paper collective.
 func TestPermOrderResultsIdentical(t *testing.T) {
 	for _, test := range []string{"t", "wilcoxon"} {
 		for _, nonpara := range []string{"n", "y"} {
 			data, opt := orderTestData(t, test)
 			opt.Nonpara = nonpara
-			opt.PermOrder = "lex"
-			want, err := MaxT(data.X, data.Labels, opt)
+			want, err := collective(data.X, data.Labels, 1, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !want.Complete {
 				t.Fatal("expected a complete enumeration")
 			}
-			for _, order := range []string{"auto", "door", ""} {
-				opt.PermOrder = order
-				got, err := MaxT(data.X, data.Labels, opt)
+			p, err := Prepare(mat(data.X), data.Labels, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, plan, err := p.planFor(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !perm.RevolvingDoorOK(p.design) {
+				t.Fatalf("%s: two-sample design has no revolving-door order", test)
+			}
+			for _, nprocs := range []int{1, 3} {
+				door, err := RunPrepared(p, opt, RunControl{NProcs: nprocs})
 				if err != nil {
-					t.Fatalf("order %q: %v", order, err)
+					t.Fatal(err)
+				}
+				sameResult(t, door, want)
+
+				lex, err := perm.NewComplete(p.design)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts, _, err := plan.Resume(nil, 0, plan.TotalB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := processRange(p, plan, lex, counts, 0, plan.TotalB, nil, RunControl{NProcs: nprocs, Every: 100}); err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.finalize(plan, counts, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
 				sameResult(t, got, want)
-				par, err := PMaxT(data.X, data.Labels, 3, opt)
+
+				par, err := collective(data.X, data.Labels, nprocs, opt)
 				if err != nil {
-					t.Fatalf("order %q parallel: %v", order, err)
+					t.Fatal(err)
 				}
 				sameResult(t, par, want)
 			}
@@ -58,80 +88,52 @@ func TestPermOrderResultsIdentical(t *testing.T) {
 	}
 }
 
-// TestPermOrderDoorRequiresTwoSample pins the explicit-door error on
-// designs without a revolving-door enumeration.
-func TestPermOrderDoorRequiresTwoSample(t *testing.T) {
+// TestPermOrderCheckpointFingerprint asserts checkpoints are tied to the
+// enumeration order: a prefix of counts accumulated in one order is not a
+// valid resume point for another, so resuming across orders fails loudly.
+// The engine picks the revolving door for every complete two-sample
+// design, so the combinadic checkpoint here — the record an earlier
+// engine wrote when a caller forced that order — is forged from the door
+// one by re-fingerprinting it.
+func TestPermOrderCheckpointFingerprint(t *testing.T) {
 	data, err := microarray.Generate(microarray.GenOptions{
-		Genes: 10, Samples: 8, Classes: 2, DiffFraction: 0.2,
-		EffectSize: 2, Seed: 3,
+		Genes: 40, Samples: 12, Classes: 2,
+		DiffFraction: 0.1, EffectSize: 2.0, MissingRate: 0.02, Seed: 23,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairLabels := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	opt := DefaultOptions()
-	opt.Test = "pairt"
-	opt.B = 0
-	opt.PermOrder = "door"
-	if _, err := MaxT(data.X, pairLabels, opt); err == nil || !strings.Contains(err.Error(), "door") {
-		t.Fatalf("pairt + door: err = %v, want a door-order error", err)
-	}
-	opt.PermOrder = "bogus"
-	if _, err := MaxT(data.X, pairLabels, opt); err == nil {
-		t.Fatal("bogus order accepted")
-	}
-}
-
-// TestPermOrderCheckpointFingerprint asserts checkpoints are tied to the
-// enumeration order: a prefix of counts accumulated in one order is not a
-// valid resume point for another, so resuming across orders fails loudly.
-func TestPermOrderCheckpointFingerprint(t *testing.T) {
-	data, opt := orderTestData(t, "wilcoxon")
-	var last *Checkpoint
-	save := func(c *Checkpoint) error { last = c; return nil }
-	opt.PermOrder = "door"
-	if _, err := Run(data.X, data.Labels, opt, RunControl{Every: 100, Save: save}); err != nil {
+	opt := Options{Test: "wilcoxon", B: 0} // C(12, 6) = 924 labellings
+	p, err := Prepare(mat(data.X), data.Labels, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if last == nil {
+	var door *Checkpoint
+	if _, err := RunPrepared(p, opt, RunControl{Every: 100, Save: func(c *Checkpoint) error { door = c; return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	if door == nil {
 		t.Fatal("no checkpoint saved")
 	}
-	opt.PermOrder = "lex"
-	if _, err := Run(data.X, data.Labels, opt, RunControl{Resume: last}); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("lex run resumed a door checkpoint: %v", err)
-	}
-	// "auto" resolves to door on this design, so the checkpoint IS valid.
-	opt.PermOrder = "auto"
-	res, err := Run(data.X, data.Labels, opt, RunControl{Resume: last})
+	cfg, err := parseOptions(opt)
 	if err != nil {
-		t.Fatalf("auto run rejected a door checkpoint: %v", err)
+		t.Fatal(err)
 	}
-	opt.PermOrder = "door"
-	want, err := MaxT(data.X, data.Labels, opt)
+	lex := *door
+	lex.Fingerprint = fingerprint(cfg, p.clean, p.labels, false)
+	if lex.Fingerprint == door.Fingerprint {
+		t.Fatal("the fingerprint ignores the enumeration order")
+	}
+	if _, err := RunPrepared(p, opt, RunControl{Resume: &lex}); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("door run resumed a combinadic checkpoint: %v", err)
+	}
+	res, err := RunPrepared(p, opt, RunControl{Resume: door})
+	if err != nil {
+		t.Fatalf("door run rejected its own checkpoint: %v", err)
+	}
+	want, err := PMaxTMatrix(mat(data.X), data.Labels, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, res, want)
-}
-
-// TestPermOrderExcludedFromCanonicalIdentity asserts the knob survives
-// canonicalisation (it still selects the execution strategy) while two
-// option sets differing only in PermOrder stay equivalent analyses —
-// the property jobs.KeyMatrix relies on to share cache entries.
-func TestPermOrderExcludedFromCanonicalIdentity(t *testing.T) {
-	a, err := CanonicalOptions(Options{B: 100, PermOrder: "lex"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PermOrder != "lex" {
-		t.Fatalf("canonical PermOrder = %q, want lex", a.PermOrder)
-	}
-	b, err := CanonicalOptions(Options{B: 100, PermOrder: "door"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.PermOrder, b.PermOrder = "", ""
-	if a != b {
-		t.Fatalf("options differing only in PermOrder canonicalise differently: %+v vs %+v", a, b)
-	}
 }

@@ -28,7 +28,7 @@ func (p Profile) Total() time.Duration {
 	return p.PreProcessing + p.BroadcastParams + p.CreateData + p.MainKernel + p.ComputePValues
 }
 
-// Result is the outcome of a MaxT or PMaxT run.  A Result is read-only:
+// Result is the outcome of a permutation run.  A Result is read-only:
 // Stat and Order alias the preparation they were computed over, which
 // RunPrepared shares among all runs on it, and the jobs layer hands one
 // cached *Result to every job with the same content key.
@@ -196,8 +196,8 @@ func evalPMaxT(c *mpi.Comm, args any) (any, error) {
 		}
 		if cfg.mode == modeSequential {
 			// The sprintfw collective is a fixed-work protocol: every rank
-			// must process its whole chunk.  The supervised Run path owns
-			// sequential execution.
+			// must process its whole chunk.  The supervised RunPrepared
+			// path owns sequential execution.
 			return nil, fmt.Errorf("core: pmaxt (MPI-style collective) supports mode \"exact\" only; run mode \"sequential\" through Run or RunPrepared")
 		}
 		if j.x.IsEmpty() {
@@ -255,14 +255,13 @@ func evalPMaxT(c *mpi.Comm, args any) (any, error) {
 	// batches), forwards its generator to the chunk's first permutation
 	// (Figure 2) and accumulates local counts in permutation batches.
 	start = time.Now()
-	batch := cfg.effectiveBatch()
-	lo, hi := ChunkAligned(totalB, c.Size(), c.Rank(), batch)
+	lo, hi := ChunkAligned(totalB, c.Size(), c.Rank(), DefaultBatchSize)
 	var gen perm.Generator
 	switch {
 	case useComplete:
-		// Every rank builds the same generator, so the order knob (and
-		// with it the delta fast path) applies identically across ranks.
-		gen, err = cfg.completeGen(design)
+		// Every rank builds the same generator, so the enumeration order
+		// (and with it the delta fast path) is identical across ranks.
+		gen, err = completeGen(design)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +271,7 @@ func evalPMaxT(c *mpi.Comm, args any) (any, error) {
 		gen = perm.NewStored(design, cfg.seed, totalB, lo, hi)
 	}
 	counts := maxt.NewCounts(prep.Rows())
-	maxt.ProcessBatched(prep, gen, lo, hi, counts, nil, batch)
+	maxt.ProcessBatched(prep, gen, lo, hi, counts, nil, DefaultBatchSize)
 	kernel := time.Since(start)
 	if master {
 		prof.MainKernel = kernel
@@ -329,10 +328,9 @@ func broadcastParams(c *mpi.Comm, cfg config) config {
 		side := cfg.side.String()
 		fss := boolToYN(cfg.fixedSeed)
 		np := boolToYN(cfg.nonpara)
-		ord := cfg.order.String()
-		msg.strLens = []int{len(test), len(side), len(fss), len(np), len(ord)}
-		msg.strs = []byte(test + side + fss + np + ord)
-		msg.scalars = []int64{cfg.b, int64(cfg.seed), cfg.maxComplete, int64(cfg.batch)}
+		msg.strLens = []int{len(test), len(side), len(fss), len(np)}
+		msg.strs = []byte(test + side + fss + np)
+		msg.scalars = []int64{cfg.b, int64(cfg.seed), cfg.maxComplete}
 	}
 	lens := mpi.Bcast(c, 0, msg.strLens)
 	strs := mpi.Bcast(c, 0, msg.strs)
@@ -345,11 +343,9 @@ func broadcastParams(c *mpi.Comm, cfg config) config {
 	side, _ := maxt.ParseSide(next(lens[1]))
 	fixed := next(lens[2]) == "y"
 	nonpara := next(lens[3]) == "y"
-	order, _ := parsePermOrder(next(lens[4]))
 	return config{
 		test: test, side: side, fixedSeed: fixed, nonpara: nonpara,
 		b: scal[0], seed: uint64(scal[1]), maxComplete: scal[2],
-		batch: int(scal[3]), order: order,
 	}
 }
 
@@ -359,7 +355,7 @@ func (cfg config) toScalars() []int64 {
 	return []int64{
 		int64(cfg.test), int64(cfg.side), boolToInt64(cfg.fixedSeed),
 		boolToInt64(cfg.nonpara), cfg.b, int64(cfg.seed), cfg.maxComplete,
-		boolToInt64(cfg.scalarParams), int64(cfg.batch), int64(cfg.order),
+		boolToInt64(cfg.scalarParams),
 	}
 }
 
@@ -373,8 +369,6 @@ func configFromScalars(s []int64) config {
 		seed:         uint64(s[5]),
 		maxComplete:  s[6],
 		scalarParams: s[7] != 0,
-		batch:        int(s[8]),
-		order:        permOrder(s[9]),
 	}
 }
 
@@ -401,25 +395,14 @@ func maxInt64Op(acc, in []int64) []int64 {
 	return acc
 }
 
-// PMaxT runs the parallel permutation testing function on nprocs goroutine
-// ranks: the Go counterpart of
+// PMaxTMatrix runs the parallel permutation testing function on nprocs
+// goroutine ranks: the Go counterpart of
 //
 //	mpiexec -n nprocs R -f script_using_pmaxT.R
 //
-// The interface is identical to MaxT, which mirrors the paper's design goal
-// of identical mt.maxT/pmaxT signatures.  Results are bit-identical to the
-// serial run for every option combination and any nprocs.  nprocs <= 0
+// x is not modified.  Results are bit-identical to the service engine's
+// (RunMatrix) for every option combination and any nprocs.  nprocs <= 0
 // selects runtime.GOMAXPROCS(0): every available CPU.
-func PMaxT(x [][]float64, classlabel []int, nprocs int, opt Options) (*Result, error) {
-	m, err := rowsInput(x)
-	if err != nil {
-		return nil, err
-	}
-	return PMaxTMatrix(m, classlabel, nprocs, opt)
-}
-
-// PMaxTMatrix is PMaxT on the flat matrix the engine computes on; x is not
-// modified.
 func PMaxTMatrix(x matrix.Matrix, classlabel []int, nprocs int, opt Options) (*Result, error) {
 	if nprocs <= 0 {
 		nprocs = runtime.GOMAXPROCS(0)
@@ -437,85 +420,4 @@ func PMaxTMatrix(x matrix.Matrix, classlabel []int, nprocs int, opt Options) (*R
 		return nil, err
 	}
 	return res, nil
-}
-
-// MaxT is the serial baseline, equivalent to the original mt.maxT: the same
-// computation without any communication steps.  Its profile reports zero
-// broadcast time and the whole permutation loop as the main kernel.
-func MaxT(x [][]float64, classlabel []int, opt Options) (*Result, error) {
-	m, err := rowsInput(x)
-	if err != nil {
-		return nil, err
-	}
-	return MaxTMatrix(m, classlabel, opt)
-}
-
-// MaxTMatrix is MaxT on the flat matrix the engine computes on; x is not
-// modified.
-func MaxTMatrix(x matrix.Matrix, classlabel []int, opt Options) (*Result, error) {
-	var prof Profile
-	start := time.Now()
-	cfg, err := parseOptions(opt)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.mode == modeSequential {
-		// Sequential runs need the supervised window loop (per-window
-		// stopping decisions); delegate rather than silently running a
-		// mode this fixed-work loop cannot honour.  Serial, like MaxT.
-		return RunMatrix(x, classlabel, opt, RunControl{NProcs: 1})
-	}
-	if x.IsEmpty() {
-		return nil, fmt.Errorf("core: empty input matrix")
-	}
-	clean := scrubNA(x, cfg.na)
-	prof.PreProcessing = time.Since(start)
-
-	start = time.Now()
-	design, err := stat.NewDesign(cfg.test, classlabel)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := maxt.NewPrepMatrix(clean, design, cfg.side, cfg.nonpara)
-	if err != nil {
-		return nil, err
-	}
-	useComplete, totalB, err := planPermutations(cfg, design)
-	if err != nil {
-		return nil, err
-	}
-	prof.CreateData = time.Since(start)
-
-	start = time.Now()
-	var gen perm.Generator
-	switch {
-	case useComplete:
-		gen, err = cfg.completeGen(design)
-		if err != nil {
-			return nil, err
-		}
-	case cfg.fixedSeed:
-		gen = perm.NewRandom(design, cfg.seed, totalB)
-	default:
-		gen = perm.NewStored(design, cfg.seed, totalB, 0, totalB)
-	}
-	counts := maxt.NewCounts(prep.Rows())
-	maxt.ProcessBatched(prep, gen, 0, totalB, counts, nil, cfg.effectiveBatch())
-	prof.MainKernel = time.Since(start)
-
-	start = time.Now()
-	final := maxt.Finalize(prep, counts)
-	prof.ComputePValues = time.Since(start)
-
-	return &Result{
-		Stat:      final.Stat,
-		RawP:      final.RawP,
-		AdjP:      final.AdjP,
-		Order:     final.Order,
-		B:         final.B,
-		Complete:  useComplete,
-		NProcs:    1,
-		Profile:   prof,
-		KernelMax: prof.MainKernel,
-	}, nil
 }

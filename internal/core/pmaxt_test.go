@@ -6,8 +6,27 @@ import (
 	"strings"
 	"testing"
 
+	"sprint/internal/matrix"
 	"sprint/internal/rng"
 )
+
+// mat adapts [][]float64 test data to the engine's flat matrix; empty or
+// ragged input becomes the empty matrix, which every entry point rejects.
+func mat(x [][]float64) matrix.Matrix {
+	m, _ := matrix.FromRows(x)
+	return m
+}
+
+// serialRun is the facade's MaxT: the service engine on one rank.
+func serialRun(x [][]float64, lab []int, opt Options) (*Result, error) {
+	return RunMatrix(mat(x), lab, opt, RunControl{NProcs: 1})
+}
+
+// collective is the paper's pmaxT on nprocs ranks: the independent
+// orchestration the service engine is checked against.
+func collective(x [][]float64, lab []int, nprocs int, opt Options) (*Result, error) {
+	return PMaxTMatrix(mat(x), lab, nprocs, opt)
+}
 
 // synthMatrix builds a deterministic rows×cols matrix with the first
 // nDiff rows differentially expressed between the two halves of columns.
@@ -83,12 +102,12 @@ func TestParallelIdenticalToSerial(t *testing.T) {
 		{"welch/scalarparams", lab, Options{Test: "t", B: 100, Seed: 11, ScalarParams: true}},
 	}
 	for _, tc := range cases {
-		serial, err := MaxT(x, tc.lab, tc.opt)
+		serial, err := serialRun(x, tc.lab, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", tc.name, err)
 		}
 		for _, nprocs := range []int{1, 2, 3, 4, 7} {
-			par, err := PMaxT(x, tc.lab, nprocs, tc.opt)
+			par, err := collective(x, tc.lab, nprocs, tc.opt)
 			if err != nil {
 				t.Fatalf("%s nprocs=%d: %v", tc.name, nprocs, err)
 			}
@@ -156,7 +175,7 @@ func TestFigure2Distribution(t *testing.T) {
 func TestCompleteEnumerationChosenWhenSmall(t *testing.T) {
 	// C(8,4) = 70 < B = 1000, so exact enumeration replaces sampling.
 	x := synthMatrix(5, 8, 1, 3)
-	res, err := MaxT(x, twoClass(4, 4), Options{B: 1000})
+	res, err := serialRun(x, twoClass(4, 4), Options{B: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +186,7 @@ func TestCompleteEnumerationChosenWhenSmall(t *testing.T) {
 
 func TestCompleteRequestedExplicitly(t *testing.T) {
 	x := synthMatrix(5, 8, 1, 3)
-	res, err := MaxT(x, twoClass(4, 4), Options{B: 0})
+	res, err := serialRun(x, twoClass(4, 4), Options{B: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +197,7 @@ func TestCompleteRequestedExplicitly(t *testing.T) {
 
 func TestCompleteTooLargeAsksForExplicitB(t *testing.T) {
 	x := synthMatrix(3, 20, 1, 3)
-	_, err := MaxT(x, twoClass(10, 10), Options{B: 0, MaxComplete: 1000})
+	_, err := serialRun(x, twoClass(10, 10), Options{B: 0, MaxComplete: 1000})
 	if err == nil || !strings.Contains(err.Error(), "request a smaller number") {
 		t.Fatalf("error = %v, want limit message", err)
 	}
@@ -186,7 +205,7 @@ func TestCompleteTooLargeAsksForExplicitB(t *testing.T) {
 
 func TestCompleteOverflowAsksForExplicitB(t *testing.T) {
 	x := synthMatrix(3, 76, 1, 3)
-	_, err := MaxT(x, twoClass(38, 38), Options{B: 0})
+	_, err := serialRun(x, twoClass(38, 38), Options{B: 0})
 	if err == nil {
 		t.Fatal("overflowing complete count accepted")
 	}
@@ -206,11 +225,11 @@ func TestNAValuesExcluded(t *testing.T) {
 	xnan[3][4] = math.NaN()
 	lab := twoClass(6, 6)
 	opt := Options{B: 100, Seed: 1}
-	a, err := MaxT(xna, lab, opt)
+	a, err := serialRun(xna, lab, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MaxT(xnan, lab, opt)
+	b, err := serialRun(xnan, lab, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +239,7 @@ func TestNAValuesExcluded(t *testing.T) {
 func TestCustomNACode(t *testing.T) {
 	x := synthMatrix(6, 12, 2, 5)
 	x[0][0] = -999
-	res, err := MaxT(x, twoClass(6, 6), Options{B: 50, NA: -999, Seed: 1})
+	res, err := serialRun(x, twoClass(6, 6), Options{B: 50, NA: -999, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +259,14 @@ func TestOptionValidationErrors(t *testing.T) {
 		{B: -5},
 	}
 	for i, opt := range cases {
-		if _, err := MaxT(x, lab, opt); err == nil {
+		if _, err := serialRun(x, lab, opt); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, opt)
 		}
 	}
-	if _, err := MaxT(nil, lab, Options{B: 10}); err == nil {
+	if _, err := serialRun(nil, lab, Options{B: 10}); err == nil {
 		t.Error("empty matrix accepted")
 	}
-	if _, err := MaxT(x, lab, Options{B: 10, BatchSize: -1}); err == nil {
-		t.Error("negative BatchSize accepted")
-	}
-	if _, err := PMaxT(x, lab, 2, Options{Test: "bogus"}); err == nil {
+	if _, err := collective(x, lab, 2, Options{Test: "bogus"}); err == nil {
 		t.Error("parallel run with invalid options succeeded")
 	}
 }
@@ -260,7 +276,7 @@ func TestOptionValidationErrors(t *testing.T) {
 func TestPMaxTDefaultNProcs(t *testing.T) {
 	x := synthMatrix(4, 12, 1, 1)
 	lab := twoClass(6, 6)
-	res, err := PMaxT(x, lab, 0, Options{B: 20})
+	res, err := collective(x, lab, 0, Options{B: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +298,7 @@ func TestDefaultOptionsAreValid(t *testing.T) {
 
 func TestProfileSectionsPopulated(t *testing.T) {
 	x := synthMatrix(50, 12, 5, 6)
-	res, err := PMaxT(x, twoClass(6, 6), 3, Options{B: 500, Seed: 2})
+	res, err := collective(x, twoClass(6, 6), 3, Options{B: 500, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +316,7 @@ func TestProfileSectionsPopulated(t *testing.T) {
 
 func TestSpikedGenesMostSignificant(t *testing.T) {
 	x := synthMatrix(40, 16, 4, 7)
-	res, err := PMaxT(x, twoClass(8, 8), 4, Options{B: 2000, Seed: 3})
+	res, err := collective(x, twoClass(8, 8), 4, Options{B: 2000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +339,8 @@ func TestSpikedGenesMostSignificant(t *testing.T) {
 func TestSeedChangesRandomisedResults(t *testing.T) {
 	x := synthMatrix(20, 12, 2, 8)
 	lab := twoClass(6, 6)
-	a, _ := MaxT(x, lab, Options{B: 100, Seed: 1})
-	b, _ := MaxT(x, lab, Options{B: 100, Seed: 99})
+	a, _ := serialRun(x, lab, Options{B: 100, Seed: 1})
+	b, _ := serialRun(x, lab, Options{B: 100, Seed: 99})
 	same := true
 	for i := range a.RawP {
 		if a.RawP[i] != b.RawP[i] {
@@ -344,7 +360,7 @@ func TestStoredAndOnTheFlyBothValid(t *testing.T) {
 	x := synthMatrix(10, 12, 1, 9)
 	lab := twoClass(6, 6)
 	for _, fss := range []string{"y", "n"} {
-		res, err := MaxT(x, lab, Options{B: 500, Seed: 4, FixedSeedSampling: fss})
+		res, err := serialRun(x, lab, Options{B: 500, Seed: 4, FixedSeedSampling: fss})
 		if err != nil {
 			t.Fatalf("fss=%s: %v", fss, err)
 		}
@@ -356,8 +372,8 @@ func TestStoredAndOnTheFlyBothValid(t *testing.T) {
 
 // TestStoredGeneratorWideDesigns: the stored generator's bytes hold class
 // labels, not column indices, so a two-sample design of 130 samples runs
-// under fixed_seed_sampling "n" — PMaxT and Run equal the serial MaxT bit
-// for bit — while an F design of 129 classes, whose labels do not fit a
+// under fixed_seed_sampling "n" — the service engine equals the serial
+// collective bit for bit — while an F design of 129 classes, whose labels do not fit a
 // byte, is refused with an error by every entry point.
 func TestStoredGeneratorWideDesigns(t *testing.T) {
 	x, lab := synthMatrix(3, 130, 1, 77), twoClass(65, 65)
@@ -367,16 +383,18 @@ func TestStoredGeneratorWideDesigns(t *testing.T) {
 	}
 	opt := Options{Test: "t", FixedSeedSampling: "n", B: 60, Seed: 3}
 	fopt := Options{Test: "f", FixedSeedSampling: "n", B: 60, Seed: 3}
-	serial, err := MaxT(x, lab, opt)
+	serial, err := collective(x, lab, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaxT(fx, flab, fopt); err == nil || !strings.Contains(err.Error(), "129") {
+	if _, err := serialRun(fx, flab, fopt); err == nil || !strings.Contains(err.Error(), "129") {
 		t.Errorf("maxt: 129 classes under stored sampling gave %v, want a refusal naming them", err)
 	}
 	for name, run := range map[string]func([][]float64, []int, Options) (*Result, error){
-		"pmaxt": func(x [][]float64, l []int, o Options) (*Result, error) { return PMaxT(x, l, 2, o) },
-		"run":   func(x [][]float64, l []int, o Options) (*Result, error) { return Run(x, l, o, RunControl{NProcs: 2}) },
+		"pmaxt": func(x [][]float64, l []int, o Options) (*Result, error) { return collective(x, l, 2, o) },
+		"run": func(x [][]float64, l []int, o Options) (*Result, error) {
+			return RunMatrix(mat(x), l, o, RunControl{NProcs: 2})
+		},
 	} {
 		got, err := run(x, lab, opt)
 		if err != nil {

@@ -18,8 +18,8 @@ import (
 // a job server running a thousand analyses over one dataset (different
 // seeds, different B) builds that state ONCE and shares it read-only
 // across jobs and workers.  A Prepared depends only on (matrix, labels,
-// test, side, nonpara, NA code); everything per-run (B, seed, order,
-// batch, rank count, checkpoints) stays in RunPrepared.
+// test, side, nonpara, NA code); everything per-run (B, seed, rank count,
+// checkpoints) stays in RunPrepared.
 
 // Prepared is the immutable, shareable preparation of analyses over one
 // (dataset, labels, test, side, nonpara, NA) tuple.  It is safe for
@@ -73,7 +73,7 @@ func (p *Prepared) Labels() []int { return p.labels }
 // options (Test, Side, Nonpara, NA).  x is not modified.  The returned
 // value may be cached and shared by any number of concurrent RunPrepared
 // calls whose options agree on that subset — B, Seed, FixedSeedSampling,
-// PermOrder, BatchSize and MaxComplete are free to vary per run.
+// MaxComplete and Mode are free to vary per run.
 func Prepare(x matrix.Matrix, classlabel []int, opt Options) (*Prepared, error) {
 	cfg, err := parseOptions(opt)
 	if err != nil {
@@ -179,7 +179,7 @@ func RunPrepared(p *Prepared, opt Options, ctl RunControl) (*Result, error) {
 	prof.CreateData = time.Since(start)
 
 	kernelStart := time.Now()
-	if _, err := processRange(p, cfg, plan, gen, counts, first, totalB, tracker, ctl); err != nil {
+	if _, err := processRange(p, plan, gen, counts, first, totalB, tracker, ctl); err != nil {
 		return nil, err
 	}
 	prof.MainKernel = time.Since(kernelStart)

@@ -166,8 +166,7 @@ func TestRunPreparedMismatch(t *testing.T) {
 	for _, ok := range []Options{
 		{Test: "t", B: 50, Seed: 9},
 		{Test: "t", B: 100, FixedSeedSampling: "n"},
-		{Test: "t", B: 100, BatchSize: 16},
-		{Test: "t", B: 100, PermOrder: "lex"},
+		{Test: "t", B: 0},
 	} {
 		if _, err := RunPrepared(p, ok, RunControl{}); err != nil {
 			t.Errorf("options %+v: unexpected error %v", ok, err)

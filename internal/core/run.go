@@ -10,7 +10,7 @@ import (
 )
 
 // This file generalises the permutation loop for long-lived callers (the
-// pmaxtd job server): the same bit-exact computation as MaxT / PMaxT, but
+// pmaxtd job server): the same bit-exact computation as PMaxTMatrix, but
 // driven in windows so that a supervisor can observe progress, cancel the
 // run between windows, and persist resumable checkpoints.  The kernel of
 // each window is still divided among ranks as Figure 2 of the paper divides
@@ -20,7 +20,7 @@ import (
 // window size, resume point and claiming order.
 
 // RunControl carries the service hooks of a supervised run.  The zero value
-// is an uncheckpointed run equivalent to MaxT, parallel over every CPU.
+// is an uncheckpointed run, parallel over every CPU.
 type RunControl struct {
 	// Ctx cancels the run between windows; nil means never.  A cancelled
 	// run returns the context's error: the last saved checkpoint is the
@@ -90,24 +90,13 @@ func (rs *RunScratch) ensure(prep *maxt.Prep, nprocs int) {
 	}
 }
 
-// Run executes the permutation testing function under the given control.
-// Results are bit-identical to MaxT with the same options, regardless of
-// NProcs, Every and any cancel/resume history.
-func Run(x [][]float64, classlabel []int, opt Options, ctl RunControl) (*Result, error) {
-	m, err := rowsInput(x)
-	if err != nil {
-		return nil, err
-	}
-	return RunMatrix(m, classlabel, opt, ctl)
-}
-
-// RunMatrix is Run on the flat matrix the engine computes on; x is not
-// modified.  Large callers (the job server) use it directly so the only
-// full-matrix copies left are the NA scrub (skipped when clean) and the
-// prep's private transform copy.  It is Prepare + RunPrepared in one call;
-// callers that run many analyses over one dataset should hold the
-// Prepared themselves (or submit by dataset id to the job server) so the
-// preparation is paid once, not per run.
+// RunMatrix executes the permutation testing function over x under the
+// given control; x is not modified.  Results are bit-identical to
+// PMaxTMatrix with the same options, regardless of NProcs, Every and any
+// cancel/resume history; NProcs 1 is the serial mt.maxT baseline.  It is
+// Prepare + RunPrepared in one call; callers that run many analyses over
+// one dataset should hold the Prepared themselves (or submit by dataset
+// id to the job server) so the preparation is paid once, not per run.
 func RunMatrix(x matrix.Matrix, classlabel []int, opt Options, ctl RunControl) (*Result, error) {
 	// Observe cancellation before the expensive setup too (preparation
 	// and the stored generator materialise the whole remaining run), so
@@ -147,13 +136,9 @@ func CanonicalOptions(opt Options) (Options, error) {
 		Nonpara:           boolToYN(cfg.nonpara),
 		Seed:              cfg.seed,
 		MaxComplete:       cfg.maxComplete,
-		ScalarParams:      cfg.scalarParams,
-		// Like ScalarParams, BatchSize and PermOrder are preserved (they
-		// still select the execution strategy) but never hashed into
-		// content keys: results are bitwise identical at every batch size
-		// and under every enumeration order.
-		BatchSize: cfg.batch,
-		PermOrder: cfg.order.String(),
+		// ScalarParams is preserved (it selects the collective's wire
+		// protocol) but never hashed into content keys.
+		ScalarParams: cfg.scalarParams,
 		// Mode names the engine; the sequential knobs canonicalise to
 		// their resolved values in sequential mode and to zero in exact
 		// mode, where they cannot affect anything.  Content keys hash the

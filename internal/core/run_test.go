@@ -52,38 +52,11 @@ func sameResult(t *testing.T, got, want *Result) {
 	}
 }
 
-func TestRunMatchesMaxT(t *testing.T) {
-	data, opt := runTestData(t)
-	want, err := MaxT(data.X, data.Labels, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fss := range []string{"y", "n"} {
-		opt := opt
-		opt.FixedSeedSampling = fss
-		want := want
-		if fss == "n" {
-			if want, err = MaxT(data.X, data.Labels, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, nprocs := range []int{1, 3, 4} {
-			for _, every := range []int64{0, 1, 64, 1000} {
-				got, err := Run(data.X, data.Labels, opt, RunControl{NProcs: nprocs, Every: every})
-				if err != nil {
-					t.Fatalf("fss=%s nprocs=%d every=%d: %v", fss, nprocs, every, err)
-				}
-				sameResult(t, got, want)
-			}
-		}
-	}
-}
-
 func TestRunProgressAndCheckpoints(t *testing.T) {
 	data, opt := runTestData(t)
 	var progress []int64
 	var snaps []*Checkpoint
-	_, err := Run(data.X, data.Labels, opt, RunControl{
+	_, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{
 		NProcs: 2,
 		Every:  100,
 		Save:   func(c *Checkpoint) error { snaps = append(snaps, c); return nil },
@@ -114,43 +87,23 @@ func TestRunProgressAndCheckpoints(t *testing.T) {
 		}
 	}
 
-	// With the scalar path forced, the requested window is used verbatim.
-	progress = progress[:0]
-	optScalar := opt
-	optScalar.BatchSize = 1
-	if _, err := Run(data.X, data.Labels, optScalar, RunControl{
-		NProcs:     2,
-		Every:      100,
-		OnProgress: func(done, total int64) { progress = append(progress, done) },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wantDone = []int64{100, 200, 300, 400}
-	for i, d := range wantDone {
-		if progress[i] != d {
-			t.Fatalf("scalar window %d: progress %v, want %v", i, progress, wantDone)
-		}
-	}
 }
 
 func TestRunCancelAndResume(t *testing.T) {
 	data, opt := runTestData(t)
+	x := mat(data.X)
 	for _, fss := range []string{"y", "n"} {
 		opt := opt
 		opt.FixedSeedSampling = fss
-		want, err := MaxT(data.X, data.Labels, opt)
+		want, err := PMaxTMatrix(x, data.Labels, 1, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Cancel mid-run; keep the last checkpoint.  The checkpoint is
-		// written by the SCALAR engine (BatchSize 1), so its boundary is
-		// not a batch multiple.
+		// Cancel mid-run; keep the last checkpoint.
 		ctx, cancel := context.WithCancel(context.Background())
-		scalar := opt
-		scalar.BatchSize = 1
 		var last *Checkpoint
-		_, err = Run(data.X, data.Labels, scalar, RunControl{
+		_, err = RunMatrix(x, data.Labels, opt, RunControl{
 			Ctx:   ctx,
 			Every: 100,
 			Save: func(c *Checkpoint) error {
@@ -164,19 +117,28 @@ func TestRunCancelAndResume(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("fss=%s: cancelled run returned %v, want context.Canceled", fss, err)
 		}
-		if last == nil || last.Done != 200 {
-			t.Fatalf("fss=%s: last checkpoint %+v, want Done=200", fss, last)
+		if last == nil || last.Done != 256 {
+			t.Fatalf("fss=%s: last checkpoint %+v, want Done=256", fss, last)
 		}
 
-		// Resume from it on a different rank count AND a different batch
-		// size — batching is excluded from the fingerprint because the
-		// batched path is bitwise identical — and match MaxT bit for bit.
-		for _, bs := range []int{0, 1, 16} {
-			resumeOpt := opt
-			resumeOpt.BatchSize = bs
-			got, err := Run(data.X, data.Labels, resumeOpt, RunControl{NProcs: 3, Every: 100, Resume: last})
+		// A shard over [0, 37) ends off the batch grid; its counts are a
+		// valid resume point all the same, because counts are a pure
+		// prefix sum over the permutation sequence.
+		p, err := Prepare(x, data.Labels, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, err := RunShard(p, opt, 0, 37, RunControl{NProcs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Resume each on a different rank count and match the collective
+		// bit for bit.
+		for _, from := range []*Checkpoint{last, shard.Checkpoint()} {
+			got, err := RunMatrix(x, data.Labels, opt, RunControl{NProcs: 3, Every: 100, Resume: from})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("fss=%s: resume from %d: %v", fss, from.Next, err)
 			}
 			sameResult(t, got, want)
 		}
@@ -187,7 +149,7 @@ func TestRunRejectsForeignCheckpoint(t *testing.T) {
 	data, opt := runTestData(t)
 	var last *Checkpoint
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Run(data.X, data.Labels, opt, RunControl{
+	_, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{
 		Ctx: ctx, Every: 100,
 		Save: func(c *Checkpoint) error { last = c; cancel(); return nil },
 	})
@@ -196,7 +158,7 @@ func TestRunRejectsForeignCheckpoint(t *testing.T) {
 	}
 	other := opt
 	other.Seed++
-	if _, err := Run(data.X, data.Labels, other, RunControl{Resume: last}); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := RunMatrix(mat(data.X), data.Labels, other, RunControl{Resume: last}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("foreign checkpoint accepted: %v", err)
 	}
 }
@@ -209,7 +171,7 @@ func TestCanonicalOptions(t *testing.T) {
 	want := Options{
 		Test: "t", Side: "abs", FixedSeedSampling: "y", B: 500,
 		NA: DefaultNA, Nonpara: "n", MaxComplete: DefaultMaxComplete,
-		PermOrder: "auto", Mode: ModeExact,
+		Mode: ModeExact,
 	}
 	if canon != want {
 		t.Fatalf("canonical = %+v, want %+v", canon, want)

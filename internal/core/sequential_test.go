@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"sprint/internal/matrix"
 	"sprint/internal/maxt"
 	"sprint/internal/microarray"
 )
@@ -40,13 +39,13 @@ func TestExactModeBitwiseInvariant(t *testing.T) {
 			legacy := opt
 			legacy.Test, legacy.FixedSeedSampling = test, fss
 			legacy.Mode = ""
-			want, err := MaxT(data.X, data.Labels, legacy)
+			want, err := collective(data.X, data.Labels, 1, legacy)
 			if err != nil {
 				t.Fatal(err)
 			}
 			explicit := legacy
 			explicit.Mode = ModeExact
-			got, err := MaxT(data.X, data.Labels, explicit)
+			got, err := serialRun(data.X, data.Labels, explicit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +53,7 @@ func TestExactModeBitwiseInvariant(t *testing.T) {
 			if got.Sequential() || got.BEff != nil || got.SeqPermsSaved() != 0 {
 				t.Fatalf("exact result carries sequential metadata: mode=%q bEff=%v", got.Mode, got.BEff)
 			}
-			got, err = Run(data.X, data.Labels, explicit, RunControl{NProcs: 3, Every: 128})
+			got, err = RunMatrix(mat(data.X), data.Labels, explicit, RunControl{NProcs: 3, Every: 128})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,11 +71,11 @@ func TestSequentialMatchesExactWithinTolerance(t *testing.T) {
 		data, opt := seqTestData(t, seed)
 		exactOpt := opt
 		exactOpt.Mode = ModeExact
-		exact, err := Run(data.X, data.Labels, exactOpt, RunControl{NProcs: 2})
+		exact, err := RunMatrix(mat(data.X), data.Labels, exactOpt, RunControl{NProcs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Run(data.X, data.Labels, opt, RunControl{NProcs: 2})
+		seq, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{NProcs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,14 +124,14 @@ func TestSequentialResumeDeterministic(t *testing.T) {
 	data, opt := seqTestData(t, 11)
 	const every = 2048
 
-	want, err := Run(data.X, data.Labels, opt, RunControl{NProcs: 2, Every: every})
+	want, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{NProcs: 2, Every: every})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var last *Checkpoint
-	_, err = Run(data.X, data.Labels, opt, RunControl{
+	_, err = RunMatrix(mat(data.X), data.Labels, opt, RunControl{
 		Ctx: ctx, NProcs: 2, Every: every,
 		Save: func(c *Checkpoint) error {
 			last = c
@@ -149,7 +148,7 @@ func TestSequentialResumeDeterministic(t *testing.T) {
 		t.Fatal("sequential checkpoint lacks freeze state")
 	}
 
-	got, err := Run(data.X, data.Labels, opt, RunControl{NProcs: 3, Every: every, Resume: last})
+	got, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{NProcs: 3, Every: every, Resume: last})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,21 +176,15 @@ func TestSequentialRejections(t *testing.T) {
 	complete := smallOpt
 	complete.Mode = ModeSequential
 	complete.B = 0
-	if _, err := MaxT(small.X, small.Labels, complete); err == nil || !strings.Contains(err.Error(), "sequential") {
+	if _, err := serialRun(small.X, small.Labels, complete); err == nil || !strings.Contains(err.Error(), "sequential") {
 		t.Fatalf("complete enumeration accepted sequential mode: %v", err)
 	}
 
-	door := opt
-	door.PermOrder = "door"
-	if _, err := MaxT(data.X, data.Labels, door); err == nil || !strings.Contains(err.Error(), "door") {
-		t.Fatalf("door order accepted sequential mode: %v", err)
-	}
-
-	if _, err := PMaxT(data.X, data.Labels, 2, opt); err == nil || !strings.Contains(err.Error(), "sequential") {
+	if _, err := collective(data.X, data.Labels, 2, opt); err == nil || !strings.Contains(err.Error(), "sequential") {
 		t.Fatalf("PMaxT collective accepted sequential mode: %v", err)
 	}
 
-	p, err := Prepare(rowsInputT(t, data.X), data.Labels, opt)
+	p, err := Prepare(mat(data.X), data.Labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +194,7 @@ func TestSequentialRejections(t *testing.T) {
 
 	bogus := opt
 	bogus.Mode = "adaptive"
-	if _, err := MaxT(data.X, data.Labels, bogus); err == nil {
+	if _, err := serialRun(data.X, data.Labels, bogus); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -212,7 +205,7 @@ func TestSequentialRejections(t *testing.T) {
 func TestExactResumeRejectsSequentialCheckpoint(t *testing.T) {
 	data, opt := runTestData(t)
 	var last *Checkpoint
-	_, err := Run(data.X, data.Labels, opt, RunControl{
+	_, err := RunMatrix(mat(data.X), data.Labels, opt, RunControl{
 		Every: 100,
 		Save:  func(c *Checkpoint) error { last = c; return nil },
 	})
@@ -221,7 +214,7 @@ func TestExactResumeRejectsSequentialCheckpoint(t *testing.T) {
 	}
 	forged := *last
 	forged.BEff = make([]int64, len(last.Raw))
-	_, err = Run(data.X, data.Labels, opt, RunControl{Resume: &forged})
+	_, err = RunMatrix(mat(data.X), data.Labels, opt, RunControl{Resume: &forged})
 	if !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "mode") {
 		t.Fatalf("exact resume of sequential freeze state: %v, want mode mismatch", err)
 	}
@@ -230,7 +223,7 @@ func TestExactResumeRejectsSequentialCheckpoint(t *testing.T) {
 	// exact checkpoint — the fingerprints differ by construction.
 	seqOpt := opt
 	seqOpt.Mode = ModeSequential
-	if _, err := Run(data.X, data.Labels, seqOpt, RunControl{Resume: last}); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := RunMatrix(mat(data.X), data.Labels, seqOpt, RunControl{Resume: last}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("sequential resume of exact checkpoint: %v", err)
 	}
 }
@@ -239,7 +232,7 @@ func TestExactResumeRejectsSequentialCheckpoint(t *testing.T) {
 // hand-built merge ledgers.
 func TestSeqAllSettledAndFinalize(t *testing.T) {
 	data, opt := seqTestData(t, 13)
-	p, err := Prepare(rowsInputT(t, data.X), data.Labels, opt)
+	p, err := Prepare(mat(data.X), data.Labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +301,7 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 
 	exactOpt := opt
 	exactOpt.Mode = ModeExact
-	pExact, err := Prepare(rowsInputT(t, data.X), data.Labels, exactOpt)
+	pExact, err := Prepare(mat(data.X), data.Labels, exactOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,14 +328,4 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 	if _, err := FinalizeCounts(p, opt, counts, frozen[:1]); err == nil {
 		t.Fatal("short frozen vector accepted")
 	}
-}
-
-// rowsInputT adapts [][]float64 test data to the engine's flat matrix.
-func rowsInputT(t *testing.T, x [][]float64) matrix.Matrix {
-	t.Helper()
-	m, err := rowsInput(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }

@@ -84,7 +84,7 @@ func (p *Prepared) planFor(opt Options) (config, Plan, error) {
 	if cfg.mode == modeSequential && useComplete {
 		return cfg, Plan{}, fmt.Errorf("core: mode \"sequential\" requires sampled permutations, but the plan resolved to the complete enumeration (%d labellings, which is exact by definition); run exact mode instead", totalB)
 	}
-	door := useComplete && cfg.doorOrder(p.design)
+	door := useComplete && perm.RevolvingDoorOK(p.design)
 	plan := Plan{
 		TotalB:      totalB,
 		Complete:    useComplete,
@@ -160,7 +160,7 @@ func (pl Plan) Resume(r *Checkpoint, lo, hi int64) (*maxt.Counts, []int64, error
 func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Generator, error) {
 	switch {
 	case plan.Complete:
-		return cfg.completeGen(p.design)
+		return completeGen(p.design)
 	case cfg.fixedSeed:
 		return perm.NewRandom(p.design, cfg.seed, plan.TotalB), nil
 	default:
@@ -183,13 +183,13 @@ func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Gener
 // window boundary: each window computes from the frozen prefix down,
 // merges only rows still accumulating, checkpoints the freeze state, and
 // the loop stops as soon as every row is frozen.
-func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, tr *seqstop.Tracker, ctl RunControl) (int64, error) {
+func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, tr *seqstop.Tracker, ctl RunControl) (int64, error) {
 	prep := p.prep
 	nprocs := ctl.NProcs
 	if nprocs < 1 {
 		nprocs = runtime.GOMAXPROCS(0)
 	}
-	batch := cfg.effectiveBatch()
+	const batch = DefaultBatchSize
 	every := ctl.Every
 	if every < 1 && tr != nil {
 		every = DefaultSeqWindow
@@ -375,7 +375,7 @@ func RunShard(p *Prepared, opt Options, lo, hi int64, ctl RunControl) (*ShardCou
 	if err != nil {
 		return nil, err
 	}
-	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, nil, ctl)
+	next, runErr := processRange(p, plan, gen, counts, start, hi, nil, ctl)
 	sc.Next = next
 	return sc, runErr
 }

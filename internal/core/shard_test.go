@@ -5,24 +5,13 @@ import (
 	"slices"
 	"testing"
 
-	"sprint/internal/matrix"
 	"sprint/internal/maxt"
 )
 
-// fromRowsT adapts the [][]float64 test fixtures to the matrix layout
-// Prepare takes.
-func fromRowsT(t *testing.T, x [][]float64) matrix.Matrix {
-	t.Helper()
-	m, err := matrix.FromRows(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // shardCases is the distribution test matrix: all six statistics, both
-// generators, sampled and complete enumeration, default and door order —
-// every path a cluster shard can take.
+// generators, sampled and complete enumeration in both orders (revolving
+// door for two samples, combinadic otherwise) — every path a cluster shard
+// can take.
 func shardCases() []struct {
 	name string
 	lab  []int
@@ -32,6 +21,7 @@ func shardCases() []struct {
 	flab := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}
 	plab := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
 	blab := []int{0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2}
+	clab := []int{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2} // 2 970 labellings
 	return []struct {
 		name string
 		lab  []int
@@ -41,9 +31,9 @@ func shardCases() []struct {
 		{"welch/stored", lab, Options{Test: "t", Side: "upper", FixedSeedSampling: "n", B: 200, Seed: 2}},
 		{"equalvar/stored", lab, Options{Test: "t.equalvar", Side: "abs", FixedSeedSampling: "n", B: 150, Seed: 4}},
 		{"wilcoxon/otf", lab, Options{Test: "wilcoxon", Side: "abs", FixedSeedSampling: "y", B: 150, Seed: 5}},
-		{"wilcoxon/complete/lex", lab, Options{Test: "wilcoxon", Side: "abs", B: 0, PermOrder: "lex"}},
-		{"wilcoxon/complete/door", lab, Options{Test: "wilcoxon", Side: "abs", B: 0, PermOrder: "door"}},
+		{"wilcoxon/complete/door", lab, Options{Test: "wilcoxon", Side: "abs", B: 0}},
 		{"f/otf", flab, Options{Test: "f", Side: "abs", FixedSeedSampling: "y", B: 150, Seed: 6}},
+		{"f/complete", clab, Options{Test: "f", Side: "abs", B: 0}},
 		{"pairt/complete", plab, Options{Test: "pairt", Side: "abs", B: 0, Seed: 7}},
 		{"blockf/otf", blab, Options{Test: "blockf", Side: "abs", FixedSeedSampling: "y", B: 100, Seed: 9}},
 	}
@@ -70,7 +60,7 @@ func unevenSpans(total int64) [][2]int64 {
 func TestShardMergeAssociativity(t *testing.T) {
 	x := synthMatrix(30, 12, 5, 2024)
 	for _, tc := range shardCases() {
-		p, err := Prepare(fromRowsT(t, x), tc.lab, tc.opt)
+		p, err := Prepare(mat(x), tc.lab, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: prepare: %v", tc.name, err)
 		}
@@ -128,7 +118,7 @@ func TestRunShardResumeAndCancel(t *testing.T) {
 	x := synthMatrix(20, 12, 3, 77)
 	lab := twoClass(6, 6)
 	opt := Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 11}
-	p, err := Prepare(fromRowsT(t, x), lab, opt)
+	p, err := Prepare(mat(x), lab, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +176,7 @@ func TestRunShardBounds(t *testing.T) {
 	x := synthMatrix(5, 12, 0, 3)
 	lab := twoClass(6, 6)
 	opt := Options{Test: "t", B: 50, Seed: 1}
-	p, err := Prepare(fromRowsT(t, x), lab, opt)
+	p, err := Prepare(mat(x), lab, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +193,7 @@ func TestRunShardBounds(t *testing.T) {
 // every statistic and generator, at batch sizes below, at and above
 // rankPiece, with more ranks than pieces and windows shorter than a piece.
 func TestFanOutCountsEveryIndexOnce(t *testing.T) {
-	x := fromRowsT(t, synthMatrix(30, 12, 5, 2024))
+	x := mat(synthMatrix(30, 12, 5, 2024))
 	for _, tc := range shardCases() {
 		p, err := Prepare(x, tc.lab, tc.opt)
 		if err != nil {

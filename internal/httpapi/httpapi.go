@@ -146,6 +146,9 @@ type Matrix [][]float64
 // UnmarshalJSON implements json.Unmarshaler; each row decodes through
 // Floats, sharing its null-to-NaN handling and boxing-free number scan.
 func (m *Matrix) UnmarshalJSON(b []byte) error {
+	if bytes.Equal(bytes.TrimSpace(b), jsonNull) {
+		return nil // conventional Unmarshaler behaviour: null is a no-op
+	}
 	var rows []Floats
 	if err := json.Unmarshal(b, &rows); err != nil {
 		return err
@@ -250,9 +253,12 @@ type DatasetJSON struct {
 	Labels []int `json:"labels"`
 }
 
-// OptionsJSON mirrors core.Options field for field; zero values select the
-// same defaults, except that b = 0 (or omitted) requests the complete
-// enumeration exactly as in mt.maxT.
+// OptionsJSON names the analysis: core.Options' fields, less the
+// collective's ScalarParams wire ablation.  Zero values select the same
+// defaults, except that b = 0 (or omitted) requests the complete
+// enumeration exactly as in mt.maxT.  How the engine cuts the work is not
+// a parameter: a body naming batch_size, perm_order or scalar_params is an
+// unknown field and answers 400.
 type OptionsJSON struct {
 	Test              string  `json:"test,omitempty"`
 	Side              string  `json:"side,omitempty"`
@@ -262,15 +268,6 @@ type OptionsJSON struct {
 	Nonpara           string  `json:"nonpara,omitempty"`
 	Seed              uint64  `json:"seed,omitempty"`
 	MaxComplete       int64   `json:"max_complete,omitempty"`
-	ScalarParams      bool    `json:"scalar_params,omitempty"`
-	// BatchSize selects the kernel's permutation batch (0 = server
-	// default).  It never changes results or cache keys — the batched
-	// path is bitwise identical to the scalar path.
-	BatchSize int `json:"batch_size,omitempty"`
-	// PermOrder selects the complete-enumeration order: "auto" (default,
-	// revolving-door where the delta kernel applies), "lex" or "door".
-	// Like BatchSize it never changes results or cache keys.
-	PermOrder string `json:"perm_order,omitempty"`
 	// Mode selects the engine: "exact" (default) or "sequential", which
 	// stops rows — and the whole job — as soon as every p-value is pinned
 	// within p_tolerance (see target_alpha / p_tolerance below).
@@ -293,9 +290,6 @@ func (o OptionsJSON) options() core.Options {
 		Nonpara:           o.Nonpara,
 		Seed:              o.Seed,
 		MaxComplete:       o.MaxComplete,
-		ScalarParams:      o.ScalarParams,
-		BatchSize:         o.BatchSize,
-		PermOrder:         o.PermOrder,
 		Mode:              o.Mode,
 		SeqAlpha:          o.TargetAlpha,
 		SeqTolerance:      o.PTolerance,

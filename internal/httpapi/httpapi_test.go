@@ -3,9 +3,11 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,7 +146,11 @@ func TestEndToEndBitIdentity(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.B = B
 	opt.Seed = 13
-	want, err := core.MaxT(data.X, data.Labels, opt)
+	x, err := data.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.PMaxTMatrix(x, data.Labels, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +267,62 @@ func TestErrorPaths(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/livez", nil, &live); code != http.StatusOK || live["status"] != "ok" {
 		t.Fatalf("livez code %d body %v", code, live)
 	}
+}
+
+// TestSubmitRejectsExecutionKnobs: how the engine cuts the work is not a
+// parameter of the analysis, so a body naming the batch, the enumeration
+// order or the collective's wire protocol is refused, naming the field,
+// rather than accepted under a content key that ignores it.
+func TestSubmitRejectsExecutionKnobs(t *testing.T) {
+	_, ts := newTestServer(t, jobs.Config{})
+	for _, field := range []string{"batch_size", "perm_order", "scalar_params"} {
+		value := map[string]any{"batch_size": 7, "perm_order": "lex", "scalar_params": true}[field]
+		body, _ := json.Marshal(map[string]any{
+			"dataset": map[string]any{"x": [][]float64{{1, 2, 3, 4}}, "labels": []int{0, 0, 1, 1}},
+			"options": map[string]any{"b": 10, field: value},
+		})
+		var e map[string]string
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &e); code != http.StatusBadRequest || !strings.Contains(e["error"], field) {
+			t.Errorf("%s: code %d, error %q; want 400 naming the field", field, code, e["error"])
+		}
+	}
+}
+
+// FuzzDecodeSubmit holds the streaming submit decoder to its claim: it
+// accepts exactly what encoding/json with DisallowUnknownFields accepts,
+// and on accept returns the same request, NaN equal to NaN.
+func FuzzDecodeSubmit(f *testing.F) {
+	for _, seed := range []string{
+		`{"dataset":{"x":[[1,2.5,null],[4,-0,6e-3]],"labels":[0,0,1]},"options":{"b":100,"seed":3},"nprocs":2,"checkpoint_every":64,"class":"bulk"}`,
+		`{"options":{"test":"wilcoxon","b":0},"dataset":{"genes":2,"samples":3,"x_flat":[1,null,3,4,5,6],"labels":[0,1,1]}}`,
+		`{"dataset":{"x_flat":[1,2],"labels":[0,1],"samples":2,"genes":1},"nprocs":1}`,
+		`{"dataset":{"dataset_id":"sha256:abc","labels":[0,1]},"options":{"mode":"sequential","target_alpha":0.01,"p_tolerance":0.05}}`,
+		`{"dataset":{"x":[[1,2]],"labels":[0,1]},"options":{"batch_size":7}}`,
+		`{"dataset":{"x":[[1,2]],"labels":[0,1]},"options":{"perm_order":"lex"}}`,
+		`{"dataset":{"x":[[1,2]],"labels":[0,1]},"options":{"scalar_params":true}}`,
+		`{"dataset":{"x":[[1,2]],"x":[[3,4]],"labels":[0,1]},"nprocs":1,"nprocs":2,"options":{"b":5},"options":{"seed":9}}`,
+		`{"dataset":{"x":[[1,2]],"x":null,"x_flat":null,"labels":null},"options":null,"class":null}`,
+		`{"dataset":null,"dataset":{"labels":[1]}}`,
+		`null`,
+		`{"Dataset":{"X":[[1]],"Labels":[0]},"NProcs":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gotErr := DecodeSubmit(bytes.NewReader(body))
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		want := &SubmitRequest{}
+		wantErr := dec.Decode(want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeSubmit err %v, encoding/json err %v on %q", gotErr, wantErr, body)
+		}
+		// %#v spells floats exactly (and every NaN alike) and tells a nil
+		// slice from an empty one.
+		if gotErr == nil && fmt.Sprintf("%#v", *got) != fmt.Sprintf("%#v", *want) {
+			t.Fatalf("on %q:\nDecodeSubmit  %#v\nencoding/json %#v", body, *got, *want)
+		}
+	})
 }
 
 func TestQueueFullOverHTTP(t *testing.T) {

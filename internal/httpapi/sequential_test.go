@@ -92,7 +92,11 @@ func TestSequentialOverHTTP(t *testing.T) {
 	opt.Mode = core.ModeSequential
 	opt.SeqAlpha = alpha
 	opt.SeqTolerance = tol
-	want, err := core.Run(data.X, data.Labels, opt, core.RunControl{NProcs: 2, Every: every})
+	x, err := data.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.RunMatrix(x, data.Labels, opt, core.RunControl{NProcs: 2, Every: every})
 	if err != nil {
 		t.Fatal(err)
 	}

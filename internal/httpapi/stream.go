@@ -146,7 +146,7 @@ func DecodeSubmit(r io.Reader) (*SubmitRequest, error) {
 	sd := newSubmitDecoder(r)
 	req := &SubmitRequest{}
 	err := sd.decodeObject(func(key string) error {
-		switch key {
+		switch fieldName(key, "dataset", "options", "nprocs", "checkpoint_every", "class") {
 		case "dataset":
 			return sd.decodeDataset(&req.Dataset)
 		case "options":
@@ -170,7 +170,7 @@ func DecodeSubmit(r io.Reader) (*SubmitRequest, error) {
 // decodeDataset streams one DatasetJSON object (or null).
 func (sd *submitDecoder) decodeDataset(d *DatasetJSON) error {
 	return sd.decodeObject(func(key string) error {
-		switch key {
+		switch fieldName(key, "x", "x_flat", "genes", "samples", "dataset_id", "labels") {
 		case "x":
 			return sd.decodeRows(&d.X)
 		case "x_flat":
@@ -187,6 +187,18 @@ func (sd *submitDecoder) decodeDataset(d *DatasetJSON) error {
 			return fmt.Errorf("unknown dataset field %q", key)
 		}
 	})
+}
+
+// fieldName returns the name in names that key selects the way
+// encoding/json matches a key to a struct field — under Unicode case
+// folding — or key itself when none does.
+func fieldName(key string, names ...string) string {
+	for _, n := range names {
+		if strings.EqualFold(key, n) {
+			return n
+		}
+	}
+	return key
 }
 
 // decodeObject consumes one JSON object (or null), dispatching each key
@@ -448,14 +460,26 @@ func (fs *flatScanner) number() (float64, error) {
 
 // finish positions br for resume: the consumed prefix is discarded, and
 // one following ',' (if the enclosing object continues) is swallowed so
-// the resume prefix concatenates cleanly.
+// the resume prefix concatenates cleanly.  What the swallowed comma hid
+// is checked here: the array must be followed by ',' and a key, or by
+// the enclosing object's '}'.
 func (fs *flatScanner) finish() error {
 	c, err := fs.next()
 	if err != nil {
 		return err
 	}
-	if c == ',' {
+	switch c {
+	case '}':
+	case ',':
 		fs.i++
+		if c, err = fs.next(); err != nil {
+			return err
+		}
+		if c != '"' {
+			return fmt.Errorf("expected an object key after ',', got %q", c)
+		}
+	default:
+		return fmt.Errorf("expected ',' or '}' after the array, got %q", c)
 	}
 	fs.br.Discard(fs.i)
 	fs.i = 0

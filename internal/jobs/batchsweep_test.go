@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,11 +29,15 @@ func sweepMatrix(rows, cols int, seed uint64) matrix.Matrix {
 	return m
 }
 
-// TestBatchSizeInvariance is the batching refactor's end-to-end property
-// sweep: for every test × side × nonpara setting on random NA-bearing,
-// unbalanced, tied designs, runs at every BatchSize must produce bitwise
-// equal statistics and p-values (hence identical exceedance counts),
-// identical jobs cache keys, and identical checkpoint fingerprints.
+// TestBatchSizeInvariance is the end-to-end property sweep over how a
+// job's work is cut: for every test × side × nonpara setting on random
+// NA-bearing, unbalanced, tied designs, runs at every rank count and
+// window length (each window a whole number of the engine's kernel
+// batches) must produce bitwise equal statistics and p-values — equal to
+// the paper collective's, which cuts the sequence into batch-aligned rank
+// chunks instead — under one content key and one checkpoint fingerprint.
+// The batch itself is a constant of the engine; its own axis runs at the
+// counting layer (maxt.TestProcessBatchedCountsEqualProcess).
 func TestBatchSizeInvariance(t *testing.T) {
 	designs := []struct {
 		name   string
@@ -47,106 +52,86 @@ func TestBatchSizeInvariance(t *testing.T) {
 		{"pairt", "pairt", []int{0, 1, 1, 0, 0, 1, 1, 0}},
 		{"blockf", "blockf", []int{0, 1, 2, 2, 0, 1, 1, 2, 0}},
 	}
-	batchSizes := []int{0, 1, 2, 7, 64, 128}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
 	for _, d := range designs {
 		d := d
 		t.Run(d.name, func(t *testing.T) {
 			m := sweepMatrix(13, len(d.labels), 0xabc^uint64(len(d.labels)))
+			x := make([][]float64, m.Rows)
+			for i := range x {
+				x[i] = m.Row(i)
+			}
 			for _, side := range []string{"abs", "upper", "lower"} {
 				for _, nonpara := range []string{"n", "y"} {
-					base := core.Options{
-						Test: d.test, Side: side, Nonpara: nonpara,
-						B: 101, Seed: 23, BatchSize: 1,
+					opt := core.Options{Test: d.test, Side: side, Nonpara: nonpara, B: 101, Seed: 23}
+					wantKey, err := KeyMatrix(m, d.labels, opt)
+					if err != nil {
+						t.Fatal(err)
 					}
-					var wantRes *core.Result
-					var wantKey string
-					var wantFP uint64
-					for _, bs := range batchSizes {
-						opt := base
-						opt.BatchSize = bs
-
-						key, err := KeyMatrix(m, d.labels, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						// The fingerprint comes from the plan, not from a saved
-						// checkpoint: a run that fits one window (36 complete
-						// permutations at batch 64) saves none.  Checkpoints
-						// that are saved must carry it.
-						prepared, err := core.Prepare(m, d.labels, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						plan, err := core.PlanRun(prepared, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fp := plan.Fingerprint
-						res, err := core.RunPrepared(prepared, opt, core.RunControl{
-							NProcs: 2, Every: 33,
-							Save: func(c *core.Checkpoint) error {
-								if c.Fingerprint != fp {
-									t.Errorf("side=%s np=%s bs=%d: checkpoint fingerprint %x, plan %x", side, nonpara, bs, c.Fingerprint, fp)
-								}
-								return nil
-							},
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if wantRes == nil {
-							wantRes, wantKey, wantFP = res, key, fp
-							continue
-						}
-						if key != wantKey {
-							t.Fatalf("side=%s np=%s bs=%d: cache key %s != %s", side, nonpara, bs, key, wantKey)
-						}
-						if fp != wantFP {
-							t.Fatalf("side=%s np=%s bs=%d: checkpoint fingerprint %x != %x", side, nonpara, bs, fp, wantFP)
-						}
-						for i := range wantRes.Stat {
-							if math.Float64bits(res.Stat[i]) != math.Float64bits(wantRes.Stat[i]) &&
-								!(math.IsNaN(res.Stat[i]) && math.IsNaN(wantRes.Stat[i])) {
-								t.Fatalf("side=%s np=%s bs=%d row %d: stat %v != %v", side, nonpara, bs, i, res.Stat[i], wantRes.Stat[i])
+					prepared, err := core.Prepare(m, d.labels, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The fingerprint comes from the plan, not from a saved
+					// checkpoint: a run that fits one window saves none.
+					// Checkpoints that are saved must carry it.
+					plan, err := core.PlanRun(prepared, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fp := plan.Fingerprint
+					want, err := core.PMaxTMatrix(m, d.labels, 1, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check := func(how string, res *core.Result) {
+						t.Helper()
+						for i := range want.Stat {
+							if !same(res.Stat[i], want.Stat[i]) {
+								t.Fatalf("side=%s np=%s %s row %d: stat %v != %v", side, nonpara, how, i, res.Stat[i], want.Stat[i])
 							}
-							if math.Float64bits(res.RawP[i]) != math.Float64bits(wantRes.RawP[i]) &&
-								!(math.IsNaN(res.RawP[i]) && math.IsNaN(wantRes.RawP[i])) {
-								t.Fatalf("side=%s np=%s bs=%d row %d: rawp %v != %v", side, nonpara, bs, i, res.RawP[i], wantRes.RawP[i])
+							if !same(res.RawP[i], want.RawP[i]) {
+								t.Fatalf("side=%s np=%s %s row %d: rawp %v != %v", side, nonpara, how, i, res.RawP[i], want.RawP[i])
 							}
-							if math.Float64bits(res.AdjP[i]) != math.Float64bits(wantRes.AdjP[i]) &&
-								!(math.IsNaN(res.AdjP[i]) && math.IsNaN(wantRes.AdjP[i])) {
-								t.Fatalf("side=%s np=%s bs=%d row %d: adjp %v != %v", side, nonpara, bs, i, res.AdjP[i], wantRes.AdjP[i])
+							if !same(res.AdjP[i], want.AdjP[i]) {
+								t.Fatalf("side=%s np=%s %s row %d: adjp %v != %v", side, nonpara, how, i, res.AdjP[i], want.AdjP[i])
 							}
+						}
+					}
+					for _, nprocs := range []int{1, 2, 3} {
+						par, err := core.PMaxTMatrix(m, d.labels, nprocs, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(fmt.Sprintf("collective nprocs=%d", nprocs), par)
+						for _, every := range []int64{0, 1, 7, 33, 64, 100} {
+							spec := Spec{X: x, Labels: d.labels, Opt: opt, NProcs: nprocs, Every: every}
+							key, _, err := spec.contentKey()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if key != wantKey {
+								t.Fatalf("side=%s np=%s nprocs=%d every=%d: content key %s != %s", side, nonpara, nprocs, every, key, wantKey)
+							}
+							res, err := core.RunPrepared(prepared, opt, core.RunControl{
+								NProcs: nprocs, Every: every,
+								Save: func(c *core.Checkpoint) error {
+									if c.Fingerprint != fp {
+										t.Errorf("side=%s np=%s nprocs=%d every=%d: checkpoint fingerprint %x, plan %x", side, nonpara, nprocs, every, c.Fingerprint, fp)
+									}
+									return nil
+								},
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							check(fmt.Sprintf("nprocs=%d every=%d", nprocs, every), res)
 						}
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestBatchSizeCacheHit: two submissions differing only in BatchSize must
-// share one content key, so the second is answered from the result cache.
-func TestBatchSizeCacheHit(t *testing.T) {
-	mgr, err := NewManager(Config{Workers: 1, DefaultNProcs: 1, CacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	x := [][]float64{{1, 2, 3, 4, 5, 6, 0.5}, {6, 5, 4, 3, 2, 1, 2.5}, {2, 4, 1, 5, 3, 6, 1.5}}
-	labels := []int{0, 0, 0, 1, 1, 1, 1}
-	first := Spec{X: x, Labels: labels, Opt: core.Options{B: 50, BatchSize: 16}}
-	st, err := mgr.Submit(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, mgr, st.ID)
-	second := Spec{X: x, Labels: labels, Opt: core.Options{B: 50, BatchSize: 1}}
-	st2, err := mgr.Submit(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.CacheHit {
-		t.Errorf("submission differing only in BatchSize missed the cache (keys %s vs %s)", st.Key, st2.Key)
 	}
 }

@@ -411,7 +411,7 @@ func TestDatasetDiskMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MaxT(testSpec(t).X, labels, opt)
+	want, err := reference(testSpec(t).X, labels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestStaleCheckpointRestartsFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.MaxT(testSpec(t).X, spec.Labels, spec.Opt)
+			want, err := reference(testSpec(t).X, spec.Labels, spec.Opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestFlatSubmissionComputesCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MaxT(rows.X, rows.Labels, rows.Opt)
+	want, err := reference(rows.X, rows.Labels, rows.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 // Spec describes one analysis submission.
 type Spec struct {
 	// X is the expression matrix (rows = genes, columns = samples) and
-	// Labels assigns each column a class, exactly as in core.MaxT.
+	// Labels assigns each column a class, exactly as in sprint.MaxT.
 	X      [][]float64
 	Labels []int
 	// XFlat, when non-nil, supplies the matrix as one flat column-major

@@ -250,8 +250,8 @@ type Stats struct {
 	// Kernel is the active two-sample accumulation kernel ISA
 	// ("avx2" or "generic" — process-wide runtime dispatch).
 	Kernel string `json:"kernel"`
-	// PermOrder describes the enumeration order jobs run under when they
-	// leave Options.PermOrder at its default.
+	// PermOrder describes the enumeration order policy every job runs
+	// under.
 	PermOrder string `json:"perm_order"`
 
 	// ---- Admission / observability plane (PR 6) ----

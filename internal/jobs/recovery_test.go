@@ -123,7 +123,7 @@ func TestRestartReplaysInterruptedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.MaxT(specs[i].X, specs[i].Labels, specs[i].Opt)
+		want, err := reference(specs[i].X, specs[i].Labels, specs[i].Opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestRestartResumesFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MaxT(spec.X, spec.Labels, spec.Opt)
+	want, err := reference(spec.X, spec.Labels, spec.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRestartAfterUncheckpointedFinalWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MaxT(spec.X, spec.Labels, spec.Opt)
+	want, err := reference(spec.X, spec.Labels, spec.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestRestartWithCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MaxT(spec.X, spec.Labels, spec.Opt)
+	want, err := reference(spec.X, spec.Labels, spec.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is slow")
 	}
-	want, wantErr := core.MaxT(recoverySpec(t, 21).X, recoverySpec(t, 21).Labels, recoverySpec(t, 21).Opt)
+	want, wantErr := reference(recoverySpec(t, 21).X, recoverySpec(t, 21).Labels, recoverySpec(t, 21).Opt)
 	if wantErr != nil {
 		t.Fatal(wantErr)
 	}
@@ -530,7 +530,7 @@ func fixtureSpec(t *testing.T) (Spec, string, *core.Result) {
 	if key != "bc6a1b1bcf7a27fb574ac9a497569284c23cb5f19e1717356c3b68e8eca8e716" {
 		t.Fatalf("spec key %s is not the one the fixtures were written for", key)
 	}
-	want, err := core.MaxT(spec.X, spec.Labels, spec.Opt)
+	want, err := reference(spec.X, spec.Labels, spec.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,6 +592,67 @@ func TestParentCheckpointResumes(t *testing.T) {
 			sameFloats(t, "Stat", res.Stat, want.Stat)
 		})
 	}
+}
+
+// TestParentLexJobRecomputes: testdata/lexjob is a daemon tree written
+// when a job could still pick its enumeration order and kernel batch — a
+// complete Wilcoxon job submitted with perm_order "lex" and batch_size 7,
+// shut down mid-run at 16 408 of 184 756 permutations.  The journal's two
+// option keys are ignored on replay, the job runs under the design's own
+// revolving-door order, its combinadic checkpoint fails the resume check,
+// and the job recomputes from zero to the collective's bits under the
+// content key it was submitted with.
+func TestParentLexJobRecomputes(t *testing.T) {
+	dirs := newDurableDirs(t)
+	for dst, src := range map[string]string{dirs.journal: "journal", dirs.ckpt: "checkpoints", dirs.ds: "datasets"} {
+		files, err := os.ReadDir(filepath.Join("testdata", "lexjob", src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dst, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join("testdata", "lexjob", src, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, f.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	data, err := microarray.Generate(microarray.GenOptions{
+		Genes: 100, Samples: 20, Classes: 2, DiffFraction: 0.2, EffectSize: 2.0, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{X: data.X, Labels: data.Labels, Opt: core.Options{Test: "wilcoxon", B: 0}}
+	if key, _, err := spec.contentKey(); err != nil || key != "0521121e70fc0cf21366916776e13912444bf8c71b5813776f5e7b2c2c6d9bdf" {
+		t.Fatalf("content key %s (%v), not the one the job was journaled under", key, err)
+	}
+
+	m, err := NewManager(dirs.config(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	st := waitRecoveredTerminal(t, m, "j000001")
+	if st.State != Done || st.ResumedFrom != 0 || m.StatsSnapshot().Resumed != 0 {
+		t.Fatalf("job %s (%s) resumed from %d (%d resumed), want done from 0", st.State, st.Error, st.ResumedFrom, m.StatsSnapshot().Resumed)
+	}
+	res, _, err := m.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := reference(spec.X, spec.Labels, spec.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+	sameFloats(t, "RawP", res.RawP, want.RawP)
+	sameFloats(t, "Stat", res.Stat, want.Stat)
 }
 
 // TestPreUpgradeCheckpointQuarantined: a checkpoint in a retired layout

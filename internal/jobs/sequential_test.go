@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sprint/internal/core"
+	"sprint/internal/matrix"
 	"sprint/internal/microarray"
 )
 
@@ -62,7 +63,11 @@ func TestSequentialJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Run(spec.X, spec.Labels, spec.Opt,
+	x, err := matrix.FromRows(spec.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.RunMatrix(x, spec.Labels, spec.Opt,
 		core.RunControl{NProcs: spec.NProcs, Every: spec.Every})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +147,11 @@ func TestSequentialJobCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Run(spec.X, spec.Labels, spec.Opt,
+	x, err := matrix.FromRows(spec.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.RunMatrix(x, spec.Labels, spec.Opt,
 		core.RunControl{NProcs: spec.NProcs, Every: spec.Every})
 	if err != nil {
 		t.Fatal(err)

@@ -85,8 +85,8 @@ func kernelCases(t *testing.T) []struct {
 }
 
 // statsOne evaluates every row of k under one labelling the way the engine
-// does at BatchSize 1 and for a prep's observed statistics: a batch of one
-// through OpenBatch + StatsRows.
+// does in maxt.Process and for a prep's observed statistics: a batch of
+// one through OpenBatch + StatsRows.
 func statsOne(k BatchKernel, lab []int, out []float64) {
 	s := &BatchScratch{}
 	k.OpenBatch(lab, 1, s)

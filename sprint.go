@@ -38,6 +38,7 @@
 package sprint
 
 import (
+	"fmt"
 	"io"
 
 	"sprint/internal/core"
@@ -85,7 +86,7 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // genes, columns = samples); classlabel assigns each column a class as
 // required by the chosen test.
 func MaxT(x [][]float64, classlabel []int, opt Options) (*Result, error) {
-	return core.MaxT(x, classlabel, opt)
+	return Run(x, classlabel, opt, RunControl{NProcs: 1})
 }
 
 // PMaxT computes the same result as MaxT using nprocs parallel ranks.  The
@@ -94,7 +95,11 @@ func MaxT(x [][]float64, classlabel []int, opt Options) (*Result, error) {
 // only by the master), and partial exceedance counts are reduced on the
 // master — the algorithm of Section 3.2 of the paper.
 func PMaxT(x [][]float64, classlabel []int, nprocs int, opt Options) (*Result, error) {
-	return core.PMaxT(x, classlabel, nprocs, opt)
+	m, err := rowsMatrix(x)
+	if err != nil {
+		return nil, err
+	}
+	return core.PMaxTMatrix(m, classlabel, nprocs, opt)
 }
 
 // SetKernel selects the two-sample accumulation kernel by name — "auto",
@@ -162,7 +167,10 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // permutations the save callback receives a snapshot that a later call can
 // resume from.  The final result is bit-identical to an uninterrupted run.
 func MaxTCheckpointed(x [][]float64, classlabel []int, opt Options, resume *Checkpoint, every int64, save func(*Checkpoint) error) (*Result, error) {
-	return core.MaxTCheckpointed(x, classlabel, opt, resume, every, save)
+	if every <= 0 {
+		return nil, fmt.Errorf("sprint: checkpoint interval %d must be positive", every)
+	}
+	return Run(x, classlabel, opt, RunControl{Resume: resume, Every: every, Save: save})
 }
 
 // Server is the pmaxtd job server: the permutation testing function behind
@@ -195,7 +203,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // an NProcs-way parallel kernel.  Results are bit-identical to MaxT for
 // every control setting.
 func Run(x [][]float64, classlabel []int, opt Options, ctl RunControl) (*Result, error) {
-	return core.Run(x, classlabel, opt, ctl)
+	m, err := rowsMatrix(x)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunMatrix(m, classlabel, opt, ctl)
+}
+
+// rowsMatrix copies the row-per-gene surface into the flat matrix the
+// engine computes on.
+func rowsMatrix(x [][]float64) (matrix.Matrix, error) {
+	if len(x) == 0 {
+		return matrix.Matrix{}, fmt.Errorf("sprint: empty input matrix")
+	}
+	return matrix.FromRows(x)
 }
 
 // RunControl carries the service hooks of a supervised Run.

@@ -2,6 +2,7 @@ package sprint_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -99,6 +100,120 @@ func ExampleMaxT() {
 	// permutations: 20 (complete: true)
 	// most significant row: 0
 	// raw p of row 0: 0.10
+}
+
+// ExampleMaxTCheckpointed is the paper's future-work item 1: a long run
+// snapshots its exceedance counts every few thousand permutations, a
+// simulated node failure stops it at 40 %, and the run resumes from the
+// encoded checkpoint to a result bit-identical to an uninterrupted one.
+func ExampleMaxTCheckpointed() {
+	data, err := sprint.GenerateDataset(sprint.DatasetOptions{
+		Genes: 100, Samples: 24, Classes: 2,
+		DiffFraction: 0.04, EffectSize: 2.5, Seed: 33,
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	opt := sprint.DefaultOptions()
+	opt.B, opt.Seed = 20000, 8
+
+	var saved bytes.Buffer
+	crash := errors.New("simulated node failure")
+	_, err = sprint.MaxTCheckpointed(data.X, data.Labels, opt, nil, 4096, func(c *sprint.Checkpoint) error {
+		saved.Reset()
+		if err := c.Encode(&saved); err != nil {
+			return err
+		}
+		fmt.Printf("checkpoint: %d/%d permutations done\n", c.Done, c.TotalB)
+		if c.Next >= opt.B*2/5 {
+			return crash
+		}
+		return nil
+	})
+	fmt.Println("first run:", err)
+
+	resume, err := sprint.DecodeCheckpoint(&saved)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	resumed, err := sprint.MaxTCheckpointed(data.X, data.Labels, opt, resume, 4096, func(*sprint.Checkpoint) error { return nil })
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	reference, err := sprint.MaxT(data.X, data.Labels, opt)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	same := true
+	for i := range reference.AdjP {
+		same = same && math.Float64bits(reference.RawP[i]) == math.Float64bits(resumed.RawP[i]) &&
+			math.Float64bits(reference.AdjP[i]) == math.Float64bits(resumed.AdjP[i])
+	}
+	fmt.Printf("resumed at %d; bit-identical to an uninterrupted run: %v\n", resume.Next, same)
+	fmt.Println("top gene:", data.GeneNames[resumed.Order[0]])
+
+	// Output:
+	// checkpoint: 4096/20000 permutations done
+	// checkpoint: 8192/20000 permutations done
+	// first run: core: checkpoint save at permutation 8192: simulated node failure
+	// resumed at 8192; bit-identical to an uninterrupted run: true
+	// top gene: g000002.DE
+}
+
+// ExamplePMaxT_complete runs exact designs (B = 0): small sample counts
+// enumerate every distinct labelling on the fly, so the p-values are exact
+// rather than Monte Carlo estimates.  A design too large to enumerate is
+// refused with a request for an explicit B, as in mt.maxT.
+func ExamplePMaxT_complete() {
+	for _, design := range []struct {
+		test string
+		gen  sprint.DatasetOptions
+	}{
+		{"t", sprint.DatasetOptions{Genes: 300, Samples: 10, Classes: 2, DiffFraction: 0.03, EffectSize: 3.5, Seed: 21}},
+		{"pairt", sprint.DatasetOptions{Genes: 300, Samples: 20, Classes: 2, Paired: true, DiffFraction: 0.03, EffectSize: 2.5, Seed: 22}},
+	} {
+		data, err := sprint.GenerateDataset(design.gen)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		opt := sprint.DefaultOptions()
+		opt.Test, opt.B = design.test, 0
+		res, err := sprint.PMaxT(data.X, data.Labels, 4, opt)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		top := res.Order[0]
+		fmt.Printf("%s: %d exact permutations (complete: %v); top gene %s, raw p %.5f\n",
+			design.test, res.B, res.Complete, data.GeneNames[top], res.RawP[top])
+	}
+
+	wide, err := sprint.GenerateDataset(sprint.DatasetOptions{Genes: 10, Samples: 76, Classes: 2, Seed: 7})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	opt := sprint.DefaultOptions()
+	opt.B = 0 // C(76, 38) ~ 9e21 labellings
+	_, err = sprint.MaxT(wide.X, wide.Labels, opt)
+	fmt.Println("76 samples:", err)
+
+	// Output:
+	// t: 252 exact permutations (complete: true); top gene g000004.DE, raw p 0.00794
+	// pairt: 1024 exact permutations (complete: true); top gene g000009.DE, raw p 0.00195
+	// 76 samples: core: complete permutations (more than 2^63) exceed the maximum allowed limit (4194304); please request a smaller number of permutations explicitly via B
+}
+
+func TestMaxTCheckpointedRejectsInterval(t *testing.T) {
+	x := [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
+	if _, err := sprint.MaxTCheckpointed(x, []int{0, 0, 1, 1}, sprint.Options{B: 10}, nil, 0, nil); err == nil {
+		t.Fatal("interval 0 accepted")
+	}
 }
 
 func TestPcorPublicAPI(t *testing.T) {
