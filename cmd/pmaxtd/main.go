@@ -326,7 +326,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		fmt.Fprintf(stdout, "pmaxtd: joining %s as %s\n", o.join, advertiseURL)
 		var joinCtx context.Context
 		joinCtx, joinCancel = context.WithCancel(context.Background())
-		go worker.Join(joinCtx, o.join, advertiseURL, 0)
+		go worker.Join(joinCtx, o.join, advertiseURL)
 	}
 
 	sigc := make(chan os.Signal, 1)

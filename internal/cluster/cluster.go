@@ -48,7 +48,6 @@ import (
 // pushes reuse the public /v1/datasets PUT.
 const (
 	ShardPath   = "/cluster/v1/shards"
-	PingPath    = "/cluster/v1/ping"
 	WorkersPath = "/cluster/v1/workers"
 	LeasesPath  = "/cluster/v1/leases"
 
@@ -139,6 +138,11 @@ type WorkerNodeInfo struct {
 // must reproduce bit-for-bit before computing (engine or option drift
 // across nodes fails loudly instead of merging wrong counts).
 //
+// The contract: every request names its plan (Fingerprint != 0,
+// TotalB > 0) and holds a lease (LeaseMS > 0).  A request without any
+// of the three answers 400, as an undecodable body does, before the
+// worker looks up the dataset.
+//
 // The worker answers 200 with one counts record (countsContentType)
 // covering [Lo, Next) of the window; Next < Hi is a drained worker's
 // prefix hand-off, whose remainder the coordinator re-dispatches.  The
@@ -146,6 +150,7 @@ type WorkerNodeInfo struct {
 // between the worker's kernel and the coordinator's merge rejects the
 // delivery whole and re-dispatches the shard.
 type ShardRequest struct {
+	// JobKey names the coordinator's job in the worker's shard log.
 	JobKey      string       `json:"job_key"`
 	DatasetID   string       `json:"dataset_id"`
 	Labels      []int        `json:"labels"`
@@ -160,8 +165,8 @@ type ShardRequest struct {
 	// LeaseMS grants the worker a compute lease: the shard may keep
 	// computing for this many milliseconds after its requester vanishes,
 	// on the expectation that a restarted coordinator will re-probe and
-	// collect the result from retention.  Renewed via LeasesPath; 0 ties
-	// the compute to the request context (pre-lease behavior).
+	// collect the result from retention.  Re-probes and LeasesPath
+	// heartbeats renew it.
 	LeaseMS int64 `json:"lease_ms,omitempty"`
 }
 
@@ -185,22 +190,15 @@ type joinBody struct {
 	Addr string `json:"addr"`
 }
 
-// leaseBody is the coordinator's lease heartbeat: every in-flight shard
-// whose plan fingerprint appears in Fingerprints has its lease extended
-// by LeaseMS.  Authoritative means the list is the coordinator's
-// complete active set, so a shard fingerprint NOT listed is disowned —
-// the worker cancels it, parks the partial prefix in retention, and
-// frees the CPU.  Retention itself is never purged by a disown: a
-// restarting coordinator renews leases before its ledger replay admits
-// every job, and parked results are exactly what the replay collects.
+// leaseBody is the coordinator's lease heartbeat, its complete active
+// set: every in-flight shard whose plan fingerprint appears in
+// Fingerprints has its lease extended by LeaseMS, and every one that
+// does not is disowned — the worker cancels it, parks the partial
+// prefix in retention, and frees the CPU.  Retention itself is never
+// purged by a disown: a restarting coordinator renews leases before its
+// ledger replay admits every job, and parked results are exactly what
+// the replay collects.
 type leaseBody struct {
-	Fingerprints  []uint64 `json:"fingerprints"`
-	LeaseMS       int64    `json:"lease_ms"`
-	Authoritative bool     `json:"authoritative,omitempty"`
-}
-
-// leaseAck reports what a lease heartbeat did on the worker.
-type leaseAck struct {
-	Renewed  int `json:"renewed"`
-	Disowned int `json:"disowned"`
+	Fingerprints []uint64 `json:"fingerprints"`
+	LeaseMS      int64    `json:"lease_ms"`
 }

@@ -58,7 +58,8 @@ type CoordinatorConfig struct {
 	// dispatch and renewed by the coordinator's lease heartbeat: a
 	// worker keeps computing an orphaned shard this long after its
 	// coordinator vanishes (long enough to park useful work for a
-	// restart, short enough not to burn CPU forever).  Defaults to 15s.
+	// restart, short enough not to burn CPU forever).  Defaults to 15s;
+	// a positive lease under 1ms is sent as 1ms, the wire's granularity.
 	LeaseDuration time.Duration
 	// Metrics receives the coordinator-side cluster series, which Info
 	// reads back; nil gets a private registry.
@@ -81,6 +82,15 @@ const (
 	dispatchTimeout = 15 * time.Minute
 	// pushTimeout bounds one dataset push.
 	pushTimeout = 2 * time.Minute
+)
+
+// Membership timing: a joined worker heartbeats every joinInterval, and
+// the coordinator expires it after defaultHeartbeatTTL without one
+// (unless CoordinatorConfig.HeartbeatTTL says otherwise), so a worker
+// may miss two heartbeats and stay live.
+const (
+	joinInterval        = 3 * time.Second
+	defaultHeartbeatTTL = 10 * time.Second
 )
 
 // member is one worker as the coordinator tracks it.
@@ -148,7 +158,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cfg.StragglerAfter = 5 * time.Second
 	}
 	if cfg.HeartbeatTTL <= 0 {
-		cfg.HeartbeatTTL = 10 * time.Second
+		cfg.HeartbeatTTL = defaultHeartbeatTTL
 	}
 	if cfg.DownFor <= 0 {
 		cfg.DownFor = 3 * time.Second
@@ -237,7 +247,6 @@ func (c *Coordinator) Routes() []Route {
 	return []Route{
 		{Method: "POST", Pattern: WorkersPath, Handler: c.handleJoin},
 		{Method: "DELETE", Pattern: WorkersPath, Handler: c.handleLeave},
-		{Method: "GET", Pattern: PingPath, Handler: c.handlePing},
 	}
 }
 
@@ -297,10 +306,6 @@ func sumCounters(family map[string]*metrics.Counter) int64 {
 		n += c.Value()
 	}
 	return n
-}
-
-func (c *Coordinator) handlePing(w http.ResponseWriter, r *http.Request) {
-	writeClusterJSON(w, http.StatusOK, map[string]any{"ok": true, "role": "coordinator"})
 }
 
 // handleJoin registers (or re-heartbeats) a worker.  A re-registering
@@ -416,13 +421,19 @@ func (c *Coordinator) deregisterActive(st *jobState) {
 	c.mu.Unlock()
 }
 
+// leaseMS is the lease every shard dispatch and heartbeat grants, in
+// the wire's milliseconds: LeaseDuration, but never 0, which the shard
+// contract refuses.
+func (c *Coordinator) leaseMS() int64 {
+	return max(int64(c.cfg.LeaseDuration/time.Millisecond), 1)
+}
+
 // leaseLoop renews the compute leases of every active job's shards on
 // all live workers, at a third of the lease duration so two heartbeats
-// can be lost before a lease lapses.  Each heartbeat is authoritative:
-// it carries the coordinator's complete active fingerprint set, so
-// workers disown (park, then cancel) shards from a previous coordinator
-// life.  The loop exits when the active set drains and restarts with
-// the next job.
+// can be lost before a lease lapses.  Each heartbeat carries the
+// coordinator's complete active fingerprint set, so workers disown
+// (park, then cancel) shards from a previous coordinator life.  The
+// loop exits when the active set drains and restarts with the next job.
 func (c *Coordinator) leaseLoop() {
 	interval := c.cfg.LeaseDuration / 3
 	if interval < 50*time.Millisecond {
@@ -442,19 +453,16 @@ func (c *Coordinator) leaseLoop() {
 			fps = append(fps, st.plan.Fingerprint)
 		}
 		c.mu.Unlock()
-		body := leaseBody{
-			Fingerprints:  fps,
-			LeaseMS:       int64(c.cfg.LeaseDuration / time.Millisecond),
-			Authoritative: true,
-		}
+		body := leaseBody{Fingerprints: fps, LeaseMS: c.leaseMS()}
 		for _, m := range c.live(c.cfg.Clock()) {
 			c.postLease(m.addr, &body)
 		}
 	}
 }
 
-// postLease delivers one lease heartbeat; failures are ignored (the
-// worker-side lease expiry is the backstop).
+// postLease delivers one lease heartbeat and counts it once the worker
+// accepts it (200); failures are ignored (the worker-side lease expiry
+// is the backstop).
 func (c *Coordinator) postLease(addr string, body *leaseBody) {
 	payload, err := json.Marshal(body)
 	if err != nil {
@@ -473,7 +481,9 @@ func (c *Coordinator) postLease(addr string, body *leaseBody) {
 	}
 	io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<12))
 	hresp.Body.Close()
-	c.metLeaseRenewals.Inc()
+	if hresp.StatusCode == http.StatusOK {
+		c.metLeaseRenewals.Inc()
+	}
 }
 
 // offerActive offers every active job's remaining queue to a worker
@@ -500,7 +510,6 @@ func (st *jobState) offer(m *member) {
 		return
 	}
 	st.loops[m.addr] = true
-	st.remotes++
 	st.mu.Unlock()
 	go st.remoteLoop(m)
 }
@@ -791,7 +800,6 @@ type jobState struct {
 	queue     []*shardRec
 	merged    *maxt.Counts
 	remaining int
-	remotes   int             // live remote dispatch loops
 	loops     map[string]bool // worker addr -> has an active remote loop
 	finished  bool
 	err       error
@@ -828,7 +836,6 @@ func (c *Coordinator) runShards(ctx context.Context, p runShardsParams, merged *
 	// finishes at once deletes its entry under st.mu while this one would
 	// still be writing the next.
 	st.mu.Lock()
-	st.remotes = len(workers)
 	for _, m := range workers {
 		st.loops[m.addr] = true
 	}
@@ -908,7 +915,7 @@ func (st *jobState) takeLocked(localLoop bool) *shardRec {
 		}
 		eligible := !rec.local
 		if localLoop {
-			eligible = rec.local || st.remotes == 0
+			eligible = rec.local || len(st.loops) == 0
 		}
 		if take == nil && eligible {
 			take = rec
@@ -1032,7 +1039,6 @@ func (st *jobState) deliver(rec *shardRec, ck *core.Checkpoint, counts []byte, f
 func (st *jobState) remoteLoop(m *member) {
 	defer func() {
 		st.mu.Lock()
-		st.remotes--
 		delete(st.loops, m.addr)
 		st.mu.Unlock()
 		st.cond.Broadcast()
@@ -1139,7 +1145,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 		TotalB:      st.plan.TotalB,
 		Fingerprint: st.plan.Fingerprint,
 		NProcs:      c.cfg.WorkerNProcs,
-		LeaseMS:     int64(c.cfg.LeaseDuration / time.Millisecond),
+		LeaseMS:     c.leaseMS(),
 	}
 	for {
 		c.metDispatched.Inc()
@@ -1304,7 +1310,7 @@ func (c *Coordinator) pushDataset(ctx context.Context, addr, want string, m matr
 		noteTimeout(err)
 		return fmt.Errorf("dataset push: decoding response: %w", err)
 	}
-	if want != "" && echo.ID != want {
+	if echo.ID != want {
 		c.metPushEcho.Inc()
 		return fmt.Errorf("dataset push: worker registered %q, want %q", echo.ID, want)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,9 +130,9 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 		t.Fatalf("shards_retained = %d after a parked partial, want >= 1", wi.ShardsRetained)
 	}
 
-	// Re-probe the identical window without a lease: the parked prefix
-	// seeds the compute and only the remainder runs.
-	req.LeaseMS = 0
+	// Re-probe the identical window under a lease that outlasts it: the
+	// parked prefix seeds the compute and only the remainder runs.
+	req.LeaseMS = 60000
 	code, full, reason := postShard(t, n.ts.URL, req)
 	if code != http.StatusOK || full == nil {
 		t.Fatalf("re-probe: status %d reason %q", code, reason)
@@ -148,9 +149,7 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 	if _, _, err := clean.srv.Manager().PutDataset(x); err != nil {
 		t.Fatal(err)
 	}
-	req2 := *req
-	req2.LeaseMS = 0
-	code, want, reason := postShard(t, clean.ts.URL, &req2)
+	code, want, reason := postShard(t, clean.ts.URL, req)
 	if code != http.StatusOK || want == nil {
 		t.Fatalf("clean compute: status %d reason %q", code, reason)
 	}
@@ -164,11 +163,12 @@ func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
 	}
 }
 
-// TestWorkerAuthoritativeDisownParksAndRetains pins the disown side: an
-// authoritative lease heartbeat that does NOT list an in-flight shard's
-// fingerprint cancels the compute immediately — but never purges
-// retention, because a parked prefix is exactly what a restarted
-// coordinator comes back for.
+// TestWorkerAuthoritativeDisownParksAndRetains pins the disown side:
+// every lease heartbeat is the coordinator's complete active set, so
+// one that does NOT list an in-flight shard's fingerprint cancels the
+// compute immediately — with no "authoritative" key in the body — but
+// never purges retention, because a parked prefix is exactly what a
+// restarted coordinator comes back for.
 func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 	x := synthX(120, 20, 52)
 	lab := make([]int, 20)
@@ -209,11 +209,8 @@ func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 	}
 
 	// The coordinator of record says: my complete active set is empty.
-	ack := struct {
-		Renewed  int `json:"renewed"`
-		Disowned int `json:"disowned"`
-	}{}
-	hb := []byte(`{"fingerprints":[],"lease_ms":0,"authoritative":true}`)
+	var ack map[string]any
+	hb := []byte(`{"fingerprints":[],"lease_ms":60000}`)
 	hr, err := http.Post(n.ts.URL+cluster.LeasesPath, "application/json", bytes.NewReader(hb))
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +219,8 @@ func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if ack.Disowned != 1 {
-		t.Fatalf("heartbeat ack disowned = %d, want 1", ack.Disowned)
+	if hr.StatusCode != http.StatusOK || ack["ok"] != true {
+		t.Fatalf("heartbeat answered %d %v, want 200 {\"ok\":true}", hr.StatusCode, ack)
 	}
 
 	out := <-done
@@ -243,13 +240,89 @@ func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
 	}
 
 	// The window is still recoverable: a re-probe completes it.
-	req.LeaseMS = 0
 	code, full, reason := postShard(t, n.ts.URL, req)
 	if code != http.StatusOK || full == nil || full.Next < full.Hi {
 		t.Fatalf("post-disown re-probe: status %d reason %q", code, reason)
 	}
 	if full.Done != totalB {
 		t.Fatalf("post-disown window B = %d, want %d", full.Done, totalB)
+	}
+}
+
+// TestWorkerShardContract: a shard request must name its plan
+// (fingerprint, total_b) and hold a lease.  One that lacks any of the
+// three answers 400, like an undecodable body, and computes nothing.
+func TestWorkerShardContract(t *testing.T) {
+	x := synthX(30, 12, 53)
+	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
+	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 7}
+	n := leaseWorkerNode(t)
+	info, _, err := n.srv.Manager().PutDataset(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, totalB := shardFingerprint(t, n, info.ID, lab, opt)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*cluster.ShardRequest)
+	}{
+		{"fingerprint 0", func(r *cluster.ShardRequest) { r.Fingerprint = 0 }},
+		{"total_b 0", func(r *cluster.ShardRequest) { r.TotalB = 0 }},
+		{"lease_ms 0", func(r *cluster.ShardRequest) { r.LeaseMS = 0 }},
+	} {
+		req := &cluster.ShardRequest{
+			JobKey: "contract", DatasetID: info.ID, Labels: lab, Options: opt,
+			Lo: 0, Hi: totalB, TotalB: totalB, Fingerprint: fp, NProcs: 1, LeaseMS: 60000,
+		}
+		tc.mutate(req)
+		if code, _, _ := postShard(t, n.ts.URL, req); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
+		}
+	}
+	if wi := n.w.Info().Worker; wi.ShardsServed != 0 || wi.ShardsPartial != 0 || wi.ShardsRefused != 0 {
+		t.Fatalf("contract violations reached the compute path: served %d partial %d refused %d",
+			wi.ShardsServed, wi.ShardsPartial, wi.ShardsRefused)
+	}
+}
+
+// TestClusterLeaseFloor: a lease under the wire's 1 ms granularity is
+// sent as 1 ms, not truncated to 0 (which the shard contract refuses),
+// and the job still finishes bitwise identical.
+func TestClusterLeaseFloor(t *testing.T) {
+	x := synthX(30, 12, 54)
+	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
+	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 9}
+	var mu sync.Mutex
+	var leases []int64
+	w := newWorkerNode(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == "POST" && r.URL.Path == cluster.ShardPath {
+				body, _ := io.ReadAll(r.Body)
+				var req cluster.ShardRequest
+				if err := json.Unmarshal(body, &req); err == nil {
+					mu.Lock()
+					leases = append(leases, req.LeaseMS)
+					mu.Unlock()
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
+	_, cm := coordManager(t, cluster.CoordinatorConfig{
+		Workers:       []string{w.ts.URL},
+		LeaseDuration: 500 * time.Microsecond,
+	})
+	sameRes(t, "lease-floor", runOn(t, cm, x, lab, opt), standalone(t, x, lab, opt))
+	mu.Lock()
+	defer mu.Unlock()
+	if len(leases) == 0 {
+		t.Fatal("no shard request reached the worker")
+	}
+	for i, l := range leases {
+		if l != 1 {
+			t.Fatalf("shard request %d: lease_ms %d, want 1", i, l)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func retentionFixture(t *testing.T) (*jobs.Manager, []byte, []byte) {
 		t.Fatal(err)
 	}
 	req, _ := json.Marshal(ShardRequest{JobKey: "k", DatasetID: info.ID, Labels: data.Labels, Options: opt,
-		Lo: 0, Hi: 400, TotalB: 400, Fingerprint: fixtureFP, NProcs: 1})
+		Lo: 0, Hi: 400, TotalB: 400, Fingerprint: fixtureFP, NProcs: 1, LeaseMS: 60000})
 	return m, req, sc.Checkpoint().AppendRecord(nil)
 }
 

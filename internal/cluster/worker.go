@@ -34,13 +34,10 @@ type WorkerConfig struct {
 	// daemon's *jobs.Manager.
 	Source PrepSource
 	// Client performs the join/deregister control RPCs; nil uses a
-	// private client with JoinTimeout.  Control calls must never hang:
+	// private client with joinTimeout.  Control calls must never hang:
 	// a heartbeat stuck on a half-open coordinator connection would
 	// stall the whole heartbeat loop and expire the membership.
 	Client *http.Client
-	// JoinTimeout bounds one registration or deregistration RPC.
-	// Defaults to 5s.
-	JoinTimeout time.Duration
 	// NProcs is the default rank count per shard (0 = all CPUs); a
 	// shard request carrying its own NProcs wins.
 	NProcs int
@@ -48,22 +45,27 @@ type WorkerConfig struct {
 	// permutations — the drain granularity: a draining worker stops at
 	// the next window boundary and ships the prefix.  Defaults to 1000.
 	Every int64
-	// MaxConcurrent bounds concurrently computing shards (further
-	// requests queue on the semaphore).  Defaults to 2.
-	MaxConcurrent int
 	// RetentionDir, when set, disk-backs the retained-result cache so
 	// shard results survive a worker restart too.  Empty keeps retention
 	// in memory only.
 	RetentionDir string
-	// MaxRetained bounds the retained-result cache (LRU past it).
-	// Defaults to 128.
-	MaxRetained int
 	// Metrics receives the worker-side cluster series, which Info reads
 	// back; nil gets a private registry.
 	Metrics *metrics.Registry
 	// Logger receives shard lifecycle logs; nil discards.
 	Logger *slog.Logger
 }
+
+// The worker's fixed bounds: nothing configures them.
+const (
+	// joinTimeout bounds one registration or deregistration RPC.
+	joinTimeout = 5 * time.Second
+	// maxConcurrent bounds concurrently computing shards (further
+	// requests queue on the semaphore).
+	maxConcurrent = 2
+	// maxRetained bounds the retained-result cache (LRU past it).
+	maxRetained = 128
+)
 
 // Worker serves shard compute requests on a daemon.  It is mounted on
 // the daemon's instrumented mux via Routes and drained via Drain before
@@ -89,8 +91,8 @@ type Worker struct {
 	// a parked partial prefix — so a coordinator that restarts and
 	// re-probes the window gets it back without recomputation.  It has
 	// its own lock; nothing holds mu across its disk I/O.  A disown never
-	// purges it: a restarted coordinator's authoritative lease set cannot
-	// include jobs its ledger replay has not re-admitted yet, and the
+	// purges it: a restarted coordinator's lease heartbeat cannot list
+	// jobs its ledger replay has not re-admitted yet, and the
 	// parked results are exactly what that replay comes back for.
 	retain *core.Store
 
@@ -120,34 +122,25 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Every < 1 {
 		cfg.Every = 1000
 	}
-	if cfg.MaxConcurrent < 1 {
-		cfg.MaxConcurrent = 2
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.JoinTimeout <= 0 {
-		cfg.JoinTimeout = 5 * time.Second
-	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: cfg.JoinTimeout}
-	}
-	if cfg.MaxRetained < 1 {
-		cfg.MaxRetained = 128
+		cfg.Client = &http.Client{Timeout: joinTimeout}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{
 		cfg:       cfg,
 		client:    cfg.Client,
-		sem:       make(chan struct{}, cfg.MaxConcurrent),
+		sem:       make(chan struct{}, maxConcurrent),
 		drainCtx:  ctx,
 		drainStop: cancel,
 		tasks:     make(map[string]*shardTask),
 	}
-	sc := core.StoreConfig{Dir: cfg.RetentionDir, Ext: ".shard", Site: "retain", Max: cfg.MaxRetained}
+	sc := core.StoreConfig{Dir: cfg.RetentionDir, Ext: ".shard", Site: "retain", Max: maxRetained}
 	rt, err := core.OpenStore(sc)
 	if err != nil {
 		// A broken retention dir degrades to memory-only retention:
@@ -181,7 +174,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	reg.Help("cluster_worker_inflight_joins_total", "Shard re-probes that attached to an identical in-flight compute.")
 	reg.Help("cluster_lease_renewed_total", "Shard lease renewals applied on this worker.")
 	reg.Help("cluster_lease_expired_total", "Shard computes cancelled by lease expiry and parked in retention.")
-	reg.Help("cluster_lease_disowned_total", "Shard computes cancelled because an authoritative coordinator disowned them.")
+	reg.Help("cluster_lease_disowned_total", "Shard computes cancelled because a coordinator heartbeat disowned them.")
 	w.metRetainedHits = reg.Counter("cluster_worker_retained_hits_total")
 	w.metRetainedResumes = reg.Counter("cluster_worker_retained_resumes_total")
 	w.metInflightJoins = reg.Counter("cluster_worker_inflight_joins_total")
@@ -197,12 +190,11 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Role implements Node.
 func (w *Worker) Role() string { return "worker" }
 
-// Routes implements Node: the shard compute endpoint and a liveness
-// ping.
+// Routes implements Node: the shard compute endpoint and the lease
+// heartbeat.
 func (w *Worker) Routes() []Route {
 	return []Route{
 		{Method: "POST", Pattern: ShardPath, Handler: w.handleShard},
-		{Method: "GET", Pattern: PingPath, Handler: w.handlePing},
 		{Method: "POST", Pattern: LeasesPath, Handler: w.handleLeases},
 	}
 }
@@ -253,10 +245,6 @@ func (w *Worker) Drain() {
 	}
 }
 
-func (w *Worker) handlePing(rw http.ResponseWriter, r *http.Request) {
-	writeClusterJSON(rw, http.StatusOK, map[string]any{"ok": !w.draining.Load(), "role": "worker"})
-}
-
 // refusal counts a refused shard and returns its outcome.
 func (w *Worker) refusal(status int, reason, msg string) *shardOutcome {
 	w.metRefused[reason].Inc()
@@ -266,15 +254,16 @@ func (w *Worker) refusal(status int, reason, msg string) *shardOutcome {
 // shardTask is one in-flight shard compute, shared by the original
 // requester and any re-probe of the same window that attaches to it
 // (a restarted coordinator re-dispatching while the compute still
-// runs).  lease, disowned and cancel are guarded by the worker mutex;
-// out is published before done closes and immutable afterwards.
+// runs).  lease and disowned are guarded by the worker mutex; cancel is
+// set at registration and never changes; out is published before done
+// closes and immutable afterwards.
 type shardTask struct {
 	fp       uint64
 	done     chan struct{}
 	out      *shardOutcome
-	lease    time.Time // zero for unleased computes
+	lease    time.Time
 	disowned bool
-	cancel   context.CancelFunc // nil for unleased computes
+	cancel   context.CancelFunc
 }
 
 // shardOutcome is a compute's result as it is delivered to every
@@ -287,14 +276,11 @@ type shardOutcome struct {
 }
 
 func writeOutcome(rw http.ResponseWriter, out *shardOutcome) {
-	switch {
-	case out == nil:
-		writeClusterJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "shard abandoned before compute"})
-	case out.rec != nil:
+	if out.rec != nil {
 		writeCounts(rw, out.rec)
-	default:
-		writeClusterJSON(rw, out.status, out.body)
+		return
 	}
+	writeClusterJSON(rw, out.status, out.body)
 }
 
 // writeCounts answers 200 with one counts record.
@@ -305,12 +291,13 @@ func writeCounts(rw http.ResponseWriter, rec []byte) {
 	rw.Write(rec)
 }
 
-// handleShard serves one shard window.  In order: a retained complete
-// result is re-delivered without recomputation; a re-probe of a window
-// that is already computing attaches to it (renewing its lease); and
-// otherwise the window computes — resuming from a parked partial prefix
-// when retention holds one — with the result parked in retention for
-// the next re-probe.
+// handleShard serves one shard window.  In order: a request that breaks
+// the ShardRequest contract is refused; a retained complete result is
+// re-delivered without recomputation; a re-probe of a window that is
+// already computing attaches to it (renewing its lease); and otherwise
+// the window computes — resuming from a parked partial prefix when
+// retention holds one — with the result parked in retention for the
+// next re-probe.
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	if w.draining.Load() {
 		writeOutcome(rw, w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining"))
@@ -329,21 +316,18 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		writeClusterJSON(rw, http.StatusBadRequest, errorBody{Error: "sequential mode never dispatches to workers: shards compute exact counts, the coordinator applies the stopping rule to the merge"})
 		return
 	}
-	if req.Fingerprint == 0 {
-		// No plan identity, no retention or singleflight to key on.
-		writeOutcome(rw, w.computeShard(r, &req, nil, nil))
+	if req.Fingerprint == 0 || req.TotalB <= 0 || req.LeaseMS <= 0 {
+		writeClusterJSON(rw, http.StatusBadRequest, errorBody{Error: "bad shard request: fingerprint, total_b and lease_ms are required"})
 		return
 	}
 	k := retainKey(&req)
-	leaseD := time.Duration(req.LeaseMS) * time.Millisecond
+	lease := time.Now().Add(time.Duration(req.LeaseMS) * time.Millisecond)
 	w.mu.Lock()
 	if t := w.tasks[k]; t != nil {
 		// Attach to the identical in-flight compute; the re-probe is
 		// fresh evidence of coordinator interest, so it renews the lease.
-		if leaseD > 0 {
-			if nl := time.Now().Add(leaseD); nl.After(t.lease) {
-				t.lease = nl
-			}
+		if lease.After(t.lease) {
+			t.lease = lease
 		}
 		w.mu.Unlock()
 		w.metInflightJoins.Inc()
@@ -354,10 +338,10 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	t := &shardTask{fp: req.Fingerprint, done: make(chan struct{})}
-	if leaseD > 0 {
-		t.lease = time.Now().Add(leaseD)
-	}
+	// The compute's lifetime is the task's, not the requester's: drain,
+	// lease expiry or a disown cancel it — never the requester's death.
+	ctx, cancel := context.WithCancel(w.drainCtx)
+	t := &shardTask{fp: req.Fingerprint, done: make(chan struct{}), lease: lease, cancel: cancel}
 	w.tasks[k] = t
 	w.mu.Unlock()
 	// Looked up only once the task is registered: a compute retains its
@@ -368,12 +352,14 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	var out *shardOutcome
 	if prev != nil && prev.Next == prev.Hi {
 		w.metRetainedHits.Inc()
-		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_retained_hit",
+		w.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "cluster_shard_retained_hit",
 			slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
 		out = &shardOutcome{status: http.StatusOK, rec: rec}
 	} else {
-		out = w.computeShard(r, &req, t, prev)
+		go w.watchLease(t)
+		out = w.computeShard(ctx, &req, t, prev)
 	}
+	cancel()
 	t.out = out
 	w.mu.Lock()
 	delete(w.tasks, k)
@@ -389,38 +375,17 @@ func retainKey(req *ShardRequest) string {
 }
 
 // computeShard runs the validate → compute → retain pipeline for one
-// window and returns the outcome every requester of the window gets.
-// task is nil for fingerprint-less requests (no retention); a leased
-// task decouples the compute's lifetime from the requester: it is
-// cancelled by drain, lease expiry or an authoritative disown — never
-// by the requester's death — and a cancelled prefix parks in retention.
+// window under the task's context and returns the outcome every
+// requester of the window gets; a cancelled prefix parks in retention.
 // prev is the window's retained partial record, if any.
-func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTask, prev *core.Checkpoint) *shardOutcome {
-	leased := task != nil && req.LeaseMS > 0
-
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if leased {
-		ctx, cancel = context.WithCancel(w.drainCtx)
-		w.mu.Lock()
-		task.cancel = cancel
-		w.mu.Unlock()
-		go w.watchLease(task)
-	} else {
-		ctx, cancel = mergeDone(r.Context(), w.drainCtx)
-	}
-	defer cancel()
-
+func (w *Worker) computeShard(ctx context.Context, req *ShardRequest, task *shardTask, prev *core.Checkpoint) *shardOutcome {
 	select {
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
 		if w.draining.Load() {
 			return w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
 		}
-		if leased {
-			return w.refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed before compute started")
-		}
-		return nil // requester gone, nothing computed
+		return w.refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed before compute started")
 	}
 	defer func() { <-w.sem }()
 
@@ -441,11 +406,11 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	// order, labels and a data sample: if this node would enumerate a
 	// different sequence than the coordinator planned, computing would
 	// merge wrong counts — refuse instead.
-	if req.Fingerprint != 0 && req.Fingerprint != plan.Fingerprint {
+	if req.Fingerprint != plan.Fingerprint {
 		return w.refusal(http.StatusConflict, reasonFingerprint,
 			fmt.Sprintf("plan fingerprint %016x != coordinator %016x", plan.Fingerprint, req.Fingerprint))
 	}
-	if req.TotalB != 0 && req.TotalB != plan.TotalB {
+	if req.TotalB != plan.TotalB {
 		return w.refusal(http.StatusConflict, reasonFingerprint,
 			fmt.Sprintf("plan B %d != coordinator %d", plan.TotalB, req.TotalB))
 	}
@@ -492,7 +457,7 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 		if w.draining.Load() {
 			return w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
 		}
-		if leased && w.leaseLapsed(task) {
+		if w.leaseLapsed(task) {
 			return w.refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed")
 		}
 		return &shardOutcome{status: http.StatusInternalServerError, body: errorBody{Error: runErr.Error()}}
@@ -505,15 +470,14 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 	// what makes a coordinator restart recomputation-free.  A failed
 	// write degrades to memory-only retention: the record still serves
 	// this life, it just will not survive the next one.
-	if task != nil {
-		w.retain.Put(retainKey(req), rec)
-	}
+	w.retain.Put(retainKey(req), rec)
 	if partial {
 		w.metPartial.Inc()
 	} else {
 		w.metServed.Inc()
 	}
-	w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shard_served",
+	w.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "cluster_shard_served",
+		slog.String("job_key", req.JobKey),
 		slog.String("dataset", req.DatasetID),
 		slog.Int64("lo", sc.Lo), slog.Int64("next", sc.Next), slog.Int64("hi", req.Hi),
 		slog.Bool("partial", partial),
@@ -527,10 +491,10 @@ func (w *Worker) computeShard(r *http.Request, req *ShardRequest, task *shardTas
 func (w *Worker) leaseLapsed(t *shardTask) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return t.disowned || (!t.lease.IsZero() && time.Now().After(t.lease))
+	return t.disowned || time.Now().After(t.lease)
 }
 
-// watchLease cancels a leased compute when its lease — which re-probes
+// watchLease cancels a compute when its lease — which re-probes
 // and lease heartbeats keep pushing forward — finally lapses, so an
 // orphaned shard parks its prefix instead of burning CPU forever for a
 // coordinator that may never return.
@@ -554,10 +518,10 @@ func (w *Worker) watchLease(t *shardTask) {
 }
 
 // handleLeases applies a coordinator lease heartbeat: every in-flight
-// leased compute whose plan fingerprint is listed gets its lease
-// extended; when the body is authoritative, unlisted computes are
-// disowned — cancelled now, their prefix parked by the compute path.
-// Retention is never purged here (see Worker.retain for why).
+// compute whose plan fingerprint is listed gets its lease extended, and
+// every unlisted one is disowned — cancelled now, its prefix parked by
+// the compute path.  Retention is never purged here (see Worker.retain
+// for why).
 func (w *Worker) handleLeases(rw http.ResponseWriter, r *http.Request) {
 	var body leaseBody
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body); err != nil {
@@ -569,43 +533,37 @@ func (w *Worker) handleLeases(rw http.ResponseWriter, r *http.Request) {
 		listed[fp] = true
 	}
 	until := time.Now().Add(time.Duration(body.LeaseMS) * time.Millisecond)
-	ack := leaseAck{}
+	var renewed, disowned int64
 	w.mu.Lock()
 	for _, t := range w.tasks {
-		if t.cancel == nil {
-			continue // unleased compute: lifetime is its requester's
-		}
 		switch {
-		case listed[t.fp] && body.LeaseMS > 0:
+		case listed[t.fp]:
 			if until.After(t.lease) {
 				t.lease = until
+				renewed++
 			}
-			ack.Renewed++
-		case body.Authoritative && !listed[t.fp] && !t.disowned:
+		case !t.disowned:
 			t.disowned = true
 			t.cancel()
-			ack.Disowned++
+			disowned++
 		}
 	}
 	w.mu.Unlock()
-	w.metLeaseRenewed.Add(int64(ack.Renewed))
-	if ack.Disowned > 0 {
-		w.metLeaseDisowned.Add(int64(ack.Disowned))
+	w.metLeaseRenewed.Add(renewed)
+	if disowned > 0 {
+		w.metLeaseDisowned.Add(disowned)
 		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shards_disowned",
-			slog.Int("count", ack.Disowned))
+			slog.Int64("count", disowned))
 	}
-	writeClusterJSON(rw, http.StatusOK, ack)
+	writeClusterJSON(rw, http.StatusOK, map[string]any{"ok": true})
 }
 
-// Join registers the worker with a coordinator and heartbeats until
-// Drain (or ctx cancellation); advertise is this daemon's base URL as
-// the coordinator should dial it.  Registration failures are retried on
-// the heartbeat interval — a worker that boots before its coordinator
-// joins as soon as the coordinator is up.
-func (w *Worker) Join(ctx context.Context, coordinator, advertise string, interval time.Duration) {
-	if interval <= 0 {
-		interval = 3 * time.Second
-	}
+// Join registers the worker with a coordinator and heartbeats every
+// joinInterval until Drain (or ctx cancellation); advertise is this
+// daemon's base URL as the coordinator should dial it.  Registration
+// failures are retried on the heartbeat interval — a worker that boots
+// before its coordinator joins as soon as the coordinator is up.
+func (w *Worker) Join(ctx context.Context, coordinator, advertise string) {
 	w.mu.Lock()
 	w.coordinator = coordinator
 	w.mu.Unlock()
@@ -617,7 +575,7 @@ func (w *Worker) Join(ctx context.Context, coordinator, advertise string, interv
 	w.hb.Unlock()
 	go func() {
 		defer close(done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(joinInterval)
 		defer t.Stop()
 		for {
 			w.register(hctx, coordinator, advertise)
@@ -632,7 +590,7 @@ func (w *Worker) Join(ctx context.Context, coordinator, advertise string, interv
 
 func (w *Worker) register(ctx context.Context, coordinator, advertise string) {
 	body, _ := json.Marshal(joinBody{Addr: advertise})
-	rctx, cancel := context.WithTimeout(ctx, w.cfg.JoinTimeout)
+	rctx, cancel := context.WithTimeout(ctx, joinTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, "POST", coordinator+WorkersPath, bytes.NewReader(body))
 	if err != nil {
@@ -675,13 +633,6 @@ func (w *Worker) Deregister(coordinator, advertise string) {
 	if resp, err := w.client.Do(req); err == nil {
 		resp.Body.Close()
 	}
-}
-
-// mergeDone derives a context from a that also cancels when b does.
-func mergeDone(a, b context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(a)
-	stop := context.AfterFunc(b, cancel)
-	return ctx, func() { stop(); cancel() }
 }
 
 func writeClusterJSON(w http.ResponseWriter, status int, v any) {

@@ -194,10 +194,9 @@ const engineVersion = 5
 // validated options, the resolved enumeration order, the class labels
 // and a sample of the data.  Any change that could alter the permutation
 // stream — its membership or its order — or the statistics changes the
-// fingerprint.  Sequential mode additionally mixes in its stopping
-// parameters: a sequential checkpoint's frozen rows embody stopping
-// decisions taken under one specific (alpha, tolerance), so resuming
-// under different parameters would freeze the wrong rows.
+// fingerprint.  Sequential mode also mixes in (alpha, tolerance) and its
+// stop grid: a sequential checkpoint's frozen rows embody decisions
+// taken under them, so resuming under others would freeze wrong rows.
 func fingerprint(cfg config, x matrix.Matrix, classlabel []int, doorOrder bool) uint64 {
 	h := rng.Mix64(uint64(engineVersion)<<44 ^ uint64(boolToInt64(doorOrder))<<40 ^ uint64(cfg.test)<<32 ^ uint64(cfg.side)<<24 ^ uint64(boolToInt64(cfg.fixedSeed))<<16 ^ uint64(boolToInt64(cfg.nonpara)))
 	h = rng.Mix64(h ^ uint64(cfg.b) ^ cfg.seed<<1)
@@ -205,6 +204,7 @@ func fingerprint(cfg config, x matrix.Matrix, classlabel []int, doorOrder bool) 
 		h = rng.Mix64(h ^ 0x5e9)
 		h = rng.Mix64(h ^ math.Float64bits(cfg.seqAlpha))
 		h = rng.Mix64(h ^ math.Float64bits(cfg.seqTol))
+		h = rng.Mix64(h ^ DefaultSeqWindow)
 	}
 	h = rng.Mix64(h ^ uint64(x.Rows)<<32 ^ uint64(x.Cols))
 	for _, l := range classlabel {

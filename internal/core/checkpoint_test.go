@@ -132,7 +132,8 @@ func TestCheckpointValidation(t *testing.T) {
 	// lookup call directly — from RunPrepared in the case's mode and,
 	// for exact plans, from RunShard.
 	data, seqOpt := seqTestData(t, 11)
-	seqOpt.B = 4096
+	// Two stop-grid windows, so the sequential run saves one checkpoint.
+	seqOpt.B = 2 * DefaultSeqWindow
 	exactOpt := seqOpt
 	exactOpt.Mode = ModeExact
 	p, err := Prepare(mat(data.X), data.Labels, exactOpt)

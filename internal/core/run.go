@@ -34,9 +34,9 @@ type RunControl struct {
 	// must pass Plan.Resume for the run's window (ErrCheckpointMismatch
 	// otherwise).
 	Resume *Checkpoint
-	// Every is the window length in permutations — the granularity of
-	// progress, cancellation and checkpoints.  Values < 1 select the whole
-	// remaining run as one window.
+	// Every is the window length of exact runs in permutations, their
+	// granularity of progress, cancellation and checkpoints; < 1 is one
+	// window.  Sequential runs use the plan's grid, DefaultSeqWindow.
 	Every int64
 	// Save, when non-nil, receives a snapshot after every window except
 	// the one that completes the run or shard: the result follows at
@@ -91,12 +91,13 @@ func (rs *RunScratch) ensure(prep *maxt.Prep, nprocs int) {
 }
 
 // RunMatrix executes the permutation testing function over x under the
-// given control; x is not modified.  Results are bit-identical to
-// PMaxTMatrix with the same options, regardless of NProcs, Every and any
-// cancel/resume history; NProcs 1 is the serial mt.maxT baseline.  It is
-// Prepare + RunPrepared in one call; callers that run many analyses over
-// one dataset should hold the Prepared themselves (or submit by dataset
-// id to the job server) so the preparation is paid once, not per run.
+// given control; x is not modified.  Results depend on the options only,
+// not on NProcs, Every or any cancel/resume history, in both modes; an
+// exact run is bit-identical to PMaxTMatrix, and NProcs 1 is the serial
+// mt.maxT baseline.  It is Prepare + RunPrepared in one call; callers
+// that run many analyses over one dataset should hold the Prepared
+// themselves (or submit by dataset id to the job server) so the
+// preparation is paid once, not per run.
 func RunMatrix(x matrix.Matrix, classlabel []int, opt Options, ctl RunControl) (*Result, error) {
 	// Observe cancellation before the expensive setup too (preparation
 	// and the stored generator materialise the whole remaining run), so

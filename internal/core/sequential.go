@@ -21,15 +21,14 @@ import "sprint/internal/maxt"
 //     truncates each row's permutation prefix.
 //
 // Every stopping decision is a pure function of the deterministic counts
-// at a window boundary, so a cancelled-and-resumed sequential run (same
-// window length) reproduces an uninterrupted one exactly — the same
-// checkpoint/resume guarantee the exact engine has.
+// at a boundary of the plan's stop grid, so a sequential run reproduces
+// an uninterrupted one exactly at any window length, rank count and
+// cancel/resume history — the same guarantee the exact engine has.
 
-// DefaultSeqWindow is the stopping-rule evaluation window, in
-// permutations, used when RunControl.Every asks for "one window" (< 1).
-// Exact mode treats that as the whole remaining run; sequential mode
-// must still evaluate the rule periodically or it could never stop
-// early, so it falls back to this.
+// DefaultSeqWindow is the sequential stop grid, in permutations: the
+// rule is evaluated, and a checkpoint may be saved, at its multiples
+// only.  It is part of the plan (and its fingerprint); RunControl.Every
+// does not move it.
 const DefaultSeqWindow = 4096
 
 // SeqAllSettled reports whether merged exceedance counts covering

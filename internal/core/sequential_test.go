@@ -9,6 +9,7 @@ import (
 
 	"sprint/internal/maxt"
 	"sprint/internal/microarray"
+	"sprint/internal/seqstop"
 )
 
 // seqTestData builds a dataset large enough that the stopping rule has
@@ -328,4 +329,123 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 	if _, err := FinalizeCounts(p, opt, counts, frozen[:1]); err == nil {
 		t.Fatal("short frozen vector accepted")
 	}
+}
+
+// TestSequentialCoverage holds sequential mode to the guarantee seqstop
+// states: with probability at least 1 − δ, EVERY row's reported p-value
+// is within the tolerance of its exact p-value.  The truth is the
+// complete enumeration (DESIGN §3h defines the exact p-value of a
+// sampled run); each design runs sequential mode under many permutation
+// seeds, and a seed misses when any row's raw (or, separately, adjusted)
+// p-value is off by more than the tolerance.  The miss rate must stay
+// within δ plus a one-sided binomial allowance at level 10⁻³.  Every run
+// is deterministic, so the test cannot flake.
+func TestSequentialCoverage(t *testing.T) {
+	const (
+		seeds = 200
+		tol   = seqstop.DefaultTolerance
+		delta = seqstop.DefaultDelta
+	)
+	allow := binomialUpper(seeds, delta, 1e-3)
+	for _, tc := range []struct {
+		name string
+		gen  microarray.GenOptions
+		test string
+		b    int64
+		ties bool
+	}{
+		// 10 vs 10: C(20, 10) = 184 756 labellings.
+		{"two-sample", microarray.GenOptions{Genes: 100, Samples: 20, Classes: 2,
+			DiffFraction: 0.1, EffectSize: 2.5, Seed: 5}, "t", 100000, false},
+		// 17 pairs: 2^17 = 131 072 sign flips; values rounded to one
+		// decimal (ties) with 5 % missing.
+		{"paired, ties and NAs", microarray.GenOptions{Genes: 30, Samples: 34, Classes: 2,
+			DiffFraction: 0.1, EffectSize: 2.5, MissingRate: 0.05, Paired: true, Seed: 6}, "pairt", 100000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := microarray.Generate(tc.gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.ties {
+				for _, row := range data.X {
+					for j, v := range row {
+						row[j] = math.Round(v*10) / 10
+					}
+				}
+			}
+			opt := DefaultOptions()
+			opt.Test = tc.test
+			p, err := Prepare(mat(data.X), data.Labels, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exactOpt := opt
+			exactOpt.B = 0
+			truth, err := RunPrepared(p, exactOpt, RunControl{NProcs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !truth.Complete {
+				t.Fatal("truth is not the complete enumeration")
+			}
+			seqOpt := opt
+			seqOpt.B, seqOpt.Mode = tc.b, ModeSequential
+			var missRaw, missAdj int
+			var worstRaw, worstAdj float64
+			var sumB int64
+			for s := uint64(1); s <= seeds; s++ {
+				seqOpt.Seed = s
+				res, err := RunPrepared(p, seqOpt, RunControl{NProcs: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var errRaw, errAdj float64
+				for i := range truth.RawP {
+					if math.IsNaN(truth.RawP[i]) {
+						continue
+					}
+					errRaw = max(errRaw, absErr(res.RawP[i], truth.RawP[i]))
+					errAdj = max(errAdj, absErr(res.AdjP[i], truth.AdjP[i]))
+				}
+				if errRaw > tol {
+					missRaw++
+				}
+				if errAdj > tol {
+					missAdj++
+				}
+				worstRaw, worstAdj = max(worstRaw, errRaw), max(worstAdj, errAdj)
+				sumB += res.B
+			}
+			t.Logf("%d seeds: misses raw %d adj %d (allowed %d), worst error raw %.4f adj %.4f, mean stop b %d",
+				seeds, missRaw, missAdj, allow, worstRaw, worstAdj, sumB/seeds)
+			if missRaw > allow || missAdj > allow {
+				t.Fatalf("coverage broken: %d raw and %d adjusted misses in %d seeds, allowed %d",
+					missRaw, missAdj, seeds, allow)
+			}
+		})
+	}
+}
+
+// absErr is |got − want|, with a NaN estimate of a defined p-value as
+// wrong as it gets.
+func absErr(got, want float64) float64 {
+	if math.IsNaN(got) {
+		return 1
+	}
+	return math.Abs(got - want)
+}
+
+// binomialUpper returns the smallest m with P(X > m) <= level for
+// X ~ Binomial(n, p): the most misses a rate-p guarantee explains.
+func binomialUpper(n int, p, level float64) int {
+	pmf := math.Pow(1-p, float64(n)) // P(X = 0)
+	cdf := pmf
+	m := 0
+	for 1-cdf > level && m < n {
+		pmf *= float64(n-m) / float64(m+1) * p / (1 - p)
+		cdf += pmf
+		m++
+	}
+	return m
 }

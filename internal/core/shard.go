@@ -182,7 +182,8 @@ func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Gener
 // tr, non-nil on sequential runs, applies the stopping rule at every
 // window boundary: each window computes from the frozen prefix down,
 // merges only rows still accumulating, checkpoints the freeze state, and
-// the loop stops as soon as every row is frozen.
+// the loop stops as soon as every row is frozen.  Its windows end on the
+// plan's stop grid (DefaultSeqWindow), whatever ctl.Every says.
 func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, tr *seqstop.Tracker, ctl RunControl) (int64, error) {
 	prep := p.prep
 	nprocs := ctl.NProcs
@@ -190,19 +191,16 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 		nprocs = runtime.GOMAXPROCS(0)
 	}
 	const batch = DefaultBatchSize
-	every := ctl.Every
-	if every < 1 && tr != nil {
-		every = DefaultSeqWindow
+	every, grid := ctl.Every, first // exact windows count from first
+	if tr != nil {
+		every, grid = DefaultSeqWindow, 0
 	}
 	if every < 1 {
 		every = max(limit-first, 1)
 	} else {
-		// Align the window (and therefore every checkpoint boundary) to a
-		// whole number of kernel batches, so no window ends on a ragged
-		// tail batch.  Checkpoint semantics are unchanged: a checkpoint
-		// taken at ANY boundary — including one saved by an earlier,
-		// unaligned engine — remains a valid resume point, because counts
-		// are a pure prefix sum over the permutation sequence.
+		// Align the window to whole kernel batches, so no window ends on a
+		// ragged tail batch.  A checkpoint at ANY boundary, aligned or not,
+		// stays a valid resume point: counts are a pure prefix sum.
 		eb := int64(batch)
 		every = (every + eb - 1) / eb * eb
 	}
@@ -215,13 +213,13 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 	scratches, partials := rs.scratches, rs.partials
 
 	lo := first
-	for ; lo < limit && (tr == nil || !tr.AllFrozen()); lo += every {
+	for lo < limit && (tr == nil || !tr.AllFrozen()) {
 		if ctl.Ctx != nil {
 			if err := ctl.Ctx.Err(); err != nil {
 				return lo, fmt.Errorf("core: run stopped at permutation %d of %d: %w", lo, plan.TotalB, err)
 			}
 		}
-		hi := min(lo+every, limit)
+		hi := min(lo+every-(lo-grid)%every, limit)
 		var windowStart time.Time
 		if ctl.OnWindow != nil {
 			windowStart = time.Now()
@@ -274,8 +272,9 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 		if tr != nil && ctl.OnSeq != nil {
 			ctl.OnSeq(prep.Valid-tr.FrozenRows(), tr.PermsSaved(plan.TotalB))
 		}
+		lo = hi
 	}
-	return min(lo, limit), nil
+	return lo, nil
 }
 
 // rankPiece is the least number of permutations a rank claims at a time.

@@ -14,7 +14,7 @@
 // Each clause is site:mode[:param,param...].  Sites name the choke
 // points ("ckpt.write", "ckpt.read", "journal.append",
 // "journal.compact", "dataset.write", "dataset.read", "rpc.shard",
-// "rpc.push", "rpc.ping", "rpc.join"); a trailing '*' matches a prefix
+// "rpc.push", "rpc.join", "rpc.lease"); a trailing '*' matches a prefix
 // ("rpc.*" partitions every cluster call).  Modes:
 //
 //	error     the operation fails with ErrInjected

@@ -10,8 +10,8 @@ import (
 
 // Transport wraps an http.RoundTripper with the fault schedule's
 // cluster-RPC sites: "rpc.shard" (shard dispatch), "rpc.push" (dataset
-// push), "rpc.ping" and "rpc.join" (membership), "rpc.lease" (shard
-// lease heartbeats).  An error fault on the
+// push), "rpc.join" (membership), "rpc.lease" (shard lease
+// heartbeats).  An error fault on the
 // call site fails the round trip before it leaves (a partitioned
 // worker); a delay fault stalls it; a corrupt or shortread fault on the
 // "<site>.resp" sub-site (so "rpc.shard.resp:corrupt", or "rpc.shard*"
@@ -30,8 +30,6 @@ func rpcSite(req *http.Request) string {
 	switch {
 	case strings.HasSuffix(p, "/cluster/v1/shards"):
 		return "rpc.shard"
-	case strings.HasSuffix(p, "/cluster/v1/ping"):
-		return "rpc.ping"
 	case strings.HasSuffix(p, "/cluster/v1/workers"):
 		return "rpc.join"
 	case strings.HasSuffix(p, "/cluster/v1/leases"):

@@ -96,9 +96,9 @@ func TestStatsClusterFields(t *testing.T) {
 	}
 
 	// The node's internal routes ride the instrumented mux.
-	ping := getDoc(t, ts.URL+cluster.PingPath)
-	if ping["ok"] != true {
-		t.Errorf("ping = %v", ping)
+	var hb map[string]any
+	if code := doJSON(t, http.MethodPost, ts.URL+cluster.LeasesPath, []byte(`{"fingerprints":[],"lease_ms":1000}`), &hb); code != http.StatusOK || hb["ok"] != true {
+		t.Errorf("lease heartbeat: code %d body %v", code, hb)
 	}
 
 	// A draining worker reports through /v1/stats and /v1/readyz.

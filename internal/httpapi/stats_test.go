@@ -328,7 +328,7 @@ func driveShards(t *testing.T, srv *Server, base, id string) {
 		t.Fatal(err)
 	}
 	req := cluster.ShardRequest{DatasetID: strings.Repeat("0", 64), Labels: data.Labels, Options: opt,
-		Lo: 0, Hi: plan.TotalB, TotalB: plan.TotalB, Fingerprint: plan.Fingerprint, NProcs: 1}
+		Lo: 0, Hi: plan.TotalB, TotalB: plan.TotalB, Fingerprint: plan.Fingerprint, NProcs: 1, LeaseMS: 60000}
 	for i, want := range []int{http.StatusNotFound, http.StatusOK, http.StatusOK} {
 		if i > 0 {
 			req.DatasetID = id

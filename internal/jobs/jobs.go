@@ -57,8 +57,9 @@ type Spec struct {
 	// NProcs is the rank count for this job's kernel; values < 1 take the
 	// manager's default.
 	NProcs int
-	// Every is the checkpoint/progress window in permutations; values < 1
-	// take the manager's default.
+	// Every is an exact job's checkpoint/progress window in permutations
+	// (a sequential job's is core.DefaultSeqWindow); values < 1 take the
+	// manager's default.
 	Every int64
 	// Tenant names the submitting tenant for rate limiting and accounting
 	// (the X-Tenant header over HTTP).  Empty is the anonymous tenant.

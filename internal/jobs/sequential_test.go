@@ -168,6 +168,46 @@ func TestSequentialJobCrashResume(t *testing.T) {
 	}
 }
 
+// TestSequentialJobWindowInvariant: the checkpoint window paces a
+// sequential job but cannot move where it stops.  One spec, under one
+// content key, run on two managers with checkpoint_every 1000 and 4096,
+// returns the same bits.
+func TestSequentialJobWindowInvariant(t *testing.T) {
+	var results []*core.Result
+	for _, every := range []int64{1000, 4096} {
+		m, err := NewManager(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		spec := seqSpec(t)
+		spec.Every = every
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitTerminal(t, m, st.ID); fin.State != Done {
+			t.Fatalf("every %d: final status %+v", every, fin)
+		}
+		res, _, err := m.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	a, b := results[0], results[1]
+	if a.B != b.B {
+		t.Fatalf("checkpoint_every 1000 stopped at B %d, 4096 at %d", a.B, b.B)
+	}
+	sameFloats(t, "RawP", a.RawP, b.RawP)
+	sameFloats(t, "AdjP", a.AdjP, b.AdjP)
+	for i := range a.BEff {
+		if a.BEff[i] != b.BEff[i] {
+			t.Fatalf("BEff[%d]: %d vs %d", i, a.BEff[i], b.BEff[i])
+		}
+	}
+}
+
 // TestKeyExactModeStable pins the cache-compatibility contract: exact-mode
 // content keys are byte-identical to the pre-mode engine's (an explicit
 // "exact" spells the default), while sequential jobs key on mode and both
