@@ -430,16 +430,16 @@ func (c *Coordinator) leaseMS() int64 {
 
 // leaseLoop renews the compute leases of every active job's shards on
 // all live workers, at a third of the lease duration so two heartbeats
-// can be lost before a lease lapses.  Each heartbeat carries the
-// coordinator's complete active fingerprint set, so workers disown
-// (park, then cancel) shards from a previous coordinator life.  The
-// loop exits when the active set drains and restarts with the next job.
+// can be lost before a lease lapses — however short the lease, or a
+// healthy coordinator's shards would lapse between beats (the 1 ms floor
+// only keeps a lease under 3 ns from handing NewTicker a zero interval,
+// which panics).  Each
+// heartbeat carries the coordinator's complete active fingerprint set, so
+// workers disown (park, then cancel) shards from a previous coordinator
+// life.  The loop exits when the active set drains and restarts with the
+// next job.
 func (c *Coordinator) leaseLoop() {
-	interval := c.cfg.LeaseDuration / 3
-	if interval < 50*time.Millisecond {
-		interval = 50 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(max(c.cfg.LeaseDuration/3, time.Millisecond))
 	defer t.Stop()
 	for range t.C {
 		c.mu.Lock()

@@ -326,6 +326,35 @@ func TestClusterLeaseFloor(t *testing.T) {
 	}
 }
 
+// TestLeaseHeartbeatFollowsLease: the coordinator's heartbeat runs at a
+// third of the lease however short the lease is, so a healthy
+// coordinator's shards never lapse — no lease expiry on the worker, no
+// partial re-dispatch — and the job is bitwise identical to a standalone
+// run.  A heartbeat held to a fixed floor above the lease lets a 30 ms
+// lease lapse between beats.
+func TestLeaseHeartbeatFollowsLease(t *testing.T) {
+	x := synthX(120, 20, 31)
+	lab := make([]int, 20)
+	for i := 10; i < 20; i++ {
+		lab[i] = 1
+	}
+	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 150000, Seed: 23}
+	w := newWorkerNode(t, nil)
+	reg := metrics.New()
+	_, cm := coordManager(t, cluster.CoordinatorConfig{
+		Workers:       []string{w.ts.URL},
+		LeaseDuration: 30 * time.Millisecond,
+		Metrics:       reg,
+	})
+	sameRes(t, "short lease", runOn(t, cm, x, lab, opt), standalone(t, x, lab, opt))
+	if n := w.w.Info().Worker.LeaseExpired; n != 0 {
+		t.Errorf("cluster_lease_expired_total = %d under a live coordinator, want 0", n)
+	}
+	if n := reg.Counter("cluster_shard_retries_total", "reason", "partial").Value(); n != 0 {
+		t.Errorf("partial retries = %d, want 0", n)
+	}
+}
+
 // TestClusterCoordinatorRestartReplaysLedger is the in-process tentpole
 // check: a coordinator manager killed mid-distributed-job is rebuilt
 // over the same journal, replays the merge ledger, re-dispatches ONLY

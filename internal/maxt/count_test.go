@@ -113,6 +113,17 @@ func countISAs() []stat.KernelISA {
 	return out
 }
 
+// repeatLabels labels n columns in runs of run columns per class, cycling
+// through classes 0…k−1: half-and-half designs, pairs, three equal
+// classes, blocks of four treatments.
+func repeatLabels(n, run, k int) []int {
+	lab := make([]int, n)
+	for j := range lab {
+		lab[j] = j / run % k
+	}
+	return lab
+}
+
 // where renders the case a failure message is about.
 func where(ctx []any) string {
 	if len(ctx) == 0 {
@@ -504,53 +515,57 @@ func TestScratchAcrossPrepsZeroAllocs(t *testing.T) {
 
 // BenchmarkCount reports the cost of one (row, permutation) cell at the
 // paper's shapes — Welch t on 6102×76 under random sampling, Wilcoxon on
-// 6102×16 in revolving-door order — for ProcessBatched as the engine runs
-// it (process) and for the same walk of labels and row blocks with the
-// counting skipped (kernel), so the counting share is the difference of
-// the two lines; count is the counter alone on one full block, per lane.
+// 6102×16 in revolving-door order, and the paired t, F and block F kernels
+// on 6102×75–76 under random sampling — for ProcessBatched as the engine
+// runs it (process) and, per kernel ISA, for the same walk of labels and
+// row blocks with the counting skipped (kernel/<isa>), so the counting
+// share is the difference of the two lines; count is the counter alone on
+// one full block, per lane.
 func BenchmarkCount(b *testing.B) {
 	const rows, perms, batch = 6102, 2048, 64
+	random := func(d *stat.Design) perm.Generator { return perm.NewRandom(d, 1, perms) }
 	cases := []struct {
-		name string
-		test stat.Test
-		cols int
-		gen  func(*stat.Design) perm.Generator
+		name   string
+		test   stat.Test
+		labels []int
+		gen    func(*stat.Design) perm.Generator
 	}{
-		{"welch-6102x76-random", stat.Welch, 76, func(d *stat.Design) perm.Generator {
-			return perm.NewRandom(d, 1, perms)
-		}},
-		{"wilcoxon-6102x16-door", stat.Wilcoxon, 16, func(d *stat.Design) perm.Generator {
+		{"welch-6102x76-random", stat.Welch, repeatLabels(76, 38, 2), random},
+		{"wilcoxon-6102x16-door", stat.Wilcoxon, repeatLabels(16, 8, 2), func(d *stat.Design) perm.Generator {
 			g, err := perm.NewRevolvingDoor(d)
 			if err != nil {
 				b.Fatal(err)
 			}
 			return g
 		}},
+		{"pairt-6102x76-random", stat.PairT, repeatLabels(76, 1, 2), random},
+		{"f-6102x75-random", stat.F, repeatLabels(75, 25, 3), random},
+		{"blockf-6102x76-random", stat.BlockF, repeatLabels(76, 1, 4), random},
 	}
 	perCell := func(b *testing.B, cells int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 	}
-	for _, tc := range cases {
-		labels := make([]int, tc.cols)
-		for i := tc.cols / 2; i < tc.cols; i++ {
-			labels[i] = 1
+	// prepUnder builds the case's prep with its kernel on the given ISA.
+	prepUnder := func(b *testing.B, isa stat.KernelISA, d *stat.Design) *Prep {
+		before := stat.ActiveKernelISA()
+		defer stat.SetKernelISA(before.String())
+		if _, err := stat.SetKernelISA(isa.String()); err != nil {
+			b.Fatal(err)
 		}
-		d, err := stat.NewDesign(tc.test, labels)
+		p, err := NewPrepMatrix(cleanMatrix(rows, d.N, 7), d, Abs, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := NewPrepMatrix(cleanMatrix(rows, tc.cols, 7), d, Abs, false)
+		return p
+	}
+	for _, tc := range cases {
+		d, err := stat.NewDesign(tc.test, tc.labels)
 		if err != nil {
 			b.Fatal(err)
 		}
 		gen := tc.gen(d)
-		bk := p.Kernel
-		dk, _ := p.Kernel.(stat.DeltaKernel)
-		dg, door := gen.(perm.DeltaGenerator)
-		if door && (dk == nil || !dk.DeltaOK()) {
-			b.Fatal("delta path not engaged")
-		}
 		b.Run(tc.name+"/process", func(b *testing.B) {
+			p := prepUnder(b, stat.ActiveKernelISA(), d)
 			c := NewCounts(rows)
 			scratch := p.NewScratch()
 			ProcessBatched(p, gen, 0, batch, c, scratch, batch) // warm
@@ -560,30 +575,40 @@ func BenchmarkCount(b *testing.B) {
 			}
 			perCell(b, rows*perms)
 		})
-		b.Run(tc.name+"/kernel", func(b *testing.B) {
-			s := p.NewScratch()
-			p.ensureBatch(s, batch)
-			for i := 0; i < b.N; i++ {
-				for base := int64(0); base < perms; base += batch {
-					if door {
-						dg.LabelsDelta(base, batch, s.lab, s.moves[:batch-1])
-						dk.OpenDelta(s.lab, s.moves[:batch-1], s.bks)
-					} else {
-						gen.Labels(base, batch, s.labs)
-						bk.OpenBatch(s.labs, batch, s.bks)
-					}
-					for bhi := p.Valid; bhi > 0; bhi -= blockRows {
-						blo := max(bhi-blockRows, 0)
+		for _, isa := range countISAs() {
+			b.Run(tc.name+"/kernel/"+isa.String(), func(b *testing.B) {
+				p := prepUnder(b, isa, d)
+				bk := p.Kernel
+				dk, _ := p.Kernel.(stat.DeltaKernel)
+				dg, door := gen.(perm.DeltaGenerator)
+				if door && (dk == nil || !dk.DeltaOK()) {
+					b.Fatal("delta path not engaged")
+				}
+				s := p.NewScratch()
+				p.ensureBatch(s, batch)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for base := int64(0); base < perms; base += batch {
 						if door {
-							dk.DeltaRows(blo, bhi, s.blk, 1, batch, s.bks)
+							dg.LabelsDelta(base, batch, s.lab, s.moves[:batch-1])
+							dk.OpenDelta(s.lab, s.moves[:batch-1], s.bks)
 						} else {
-							bk.StatsRows(blo, bhi, s.blk, 1, batch, s.bks)
+							gen.Labels(base, batch, s.labs)
+							bk.OpenBatch(s.labs, batch, s.bks)
+						}
+						for bhi := p.Valid; bhi > 0; bhi -= blockRows {
+							blo := max(bhi-blockRows, 0)
+							if door {
+								dk.DeltaRows(blo, bhi, s.blk, 1, batch, s.bks)
+							} else {
+								bk.StatsRows(blo, bhi, s.blk, 1, batch, s.bks)
+							}
 						}
 					}
 				}
-			}
-			perCell(b, rows*perms)
-		})
+				perCell(b, rows*perms)
+			})
+		}
 	}
 	blk := cleanMatrix(blockRows, batch, 5).Data
 	for _, isa := range countISAs() {

@@ -133,7 +133,7 @@ func Generate(opt GenOptions) (*Dataset, error) {
 		for s := 0; s < opt.Samples; s++ {
 			v := base + src.NormFloat64()
 			if diff && labels[s] > 0 {
-				v += opt.EffectSize * float64(labels[s])
+				v += float64(opt.EffectSize * float64(labels[s])) // rounded: no FMA on any target
 			}
 			if opt.MissingRate > 0 && src.Float64() < opt.MissingRate {
 				v = math.NaN()

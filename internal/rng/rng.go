@@ -130,8 +130,10 @@ func (s *Source) Intn(n int) int {
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
+// The quotient (a product by 2^-53 once compiled) is rounded explicitly,
+// so an inlining caller's add cannot fuse it into an FMA.
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(float64(s.Uint64()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a standard normal variate using the polar
@@ -139,9 +141,11 @@ func (s *Source) Float64() float64 {
 // by the permutation machinery, so speed matters less than simplicity.
 func (s *Source) NormFloat64() float64 {
 	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
+		// float64(…) rounds each product before the add, so no target
+		// fuses it into an FMA and every architecture draws the same bits.
+		u := float64(2*s.Float64()) - 1
+		v := float64(2*s.Float64()) - 1
+		q := float64(u*u) + float64(v*v)
 		if q == 0 || q >= 1 {
 			continue
 		}

@@ -15,6 +15,20 @@ package stat
 //go:noescape
 func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[40]float64, sign, out *float64, ps, rs int)
 
+// wilxQuad evaluates one row quad of the Wilcoxon delta lane under the
+// first 4·groups labellings of an open chain — the AVX2 routine in
+// accum_avx2_amd64.s, lanes = rows.  q is the quad (intRank.quad), dq the
+// L start offsets then one (In, Out) offset pair per labelling
+// (BatchScratch.dq), qc the constants 0.5, mu1, sd, total four wide, qs
+// the running sums (out) then the row totals sum2; neg selects the tail of
+// a kernel accumulating class 0.  Labelling p's statistic of row r goes to
+// out[p*ps+r*rs], bit for bit what fullLane writes (TestDeltaRowsISASweep,
+// FuzzWilxQuad).  Callers must have verified AVX2 support and that every
+// sum stays within int32 (quadLane).
+//
+//go:noescape
+func wilxQuad(q, dq *int32, L, groups int, qc *[40]float64, qs *[8]int32, neg bool, out *float64, ps, rs int)
+
 // cpuidex executes CPUID with the given leaf and subleaf
 // (cpuid_amd64.s).
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

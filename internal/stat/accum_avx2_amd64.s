@@ -1,8 +1,9 @@
-// The two-sample t fast path's AVX2 lane: tsQuad, one NA-free row quad
-// under every group of four labellings — accumulate, tail and store
-// without leaving the registers.
+// The AVX2 lanes, lanes = rows: tsQuad, the two-sample t fast path (one
+// NA-free row quad under every group of four labellings — accumulate, tail
+// and store without leaving the registers), and wilxQuad, the Wilcoxon
+// delta lane (one row quad along a revolving-door chain).
 //
-// Lanes are rows.  v8 holds the quad column by column, each column's four
+// tsQuad.  v8 holds the quad column by column, each column's four
 // values and their four squares in one 64-byte line (v8[8j+r] = x,
 // v8[8j+4+r] = x·x), and the lists hold 8·j, so one element of one
 // labelling is two VADDPD from memory: s += x, q += x·x, the square being
@@ -86,6 +87,36 @@
 	VMOVHPD      X, (R11)(R13*1) \
 	ADDQ         R12, DX
 
+// BYROW stores four labellings' statistics (Y0, Y2, Y4, Y6, lanes = rows)
+// into the rows of a [position][labelling] block, R13 bytes apart: a
+// transpose to lanes = labellings, one store per row, and DX steps to the
+// next four labellings.  Y8–Y11 are scratch.
+#define BYROW \
+	VUNPCKLPD  Y2, Y0, Y8         \
+	VUNPCKHPD  Y2, Y0, Y9         \
+	VUNPCKLPD  Y6, Y4, Y10        \
+	VUNPCKHPD  Y6, Y4, Y11        \
+	VPERM2F128 $0x20, Y10, Y8, Y0 \
+	VPERM2F128 $0x20, Y11, Y9, Y2 \
+	VPERM2F128 $0x31, Y10, Y8, Y4 \
+	VPERM2F128 $0x31, Y11, Y9, Y6 \
+	LEAQ       (DX)(R13*2), R11   \
+	VMOVUPD    Y0, (DX)           \
+	VMOVUPD    Y2, (DX)(R13*1)    \
+	VMOVUPD    Y4, (R11)          \
+	VMOVUPD    Y6, (R11)(R13*1)   \
+	ADDQ       $32, DX
+
+// BYLABELLING stores the same four as one 32-byte store per labelling,
+// R12 bytes apart (rows contiguous), and steps DX past them.
+#define BYLABELLING \
+	VMOVUPD Y0, (DX)        \
+	VMOVUPD Y2, (DX)(R12*1) \
+	LEAQ    (DX)(R12*2), DX \
+	VMOVUPD Y4, (DX)        \
+	VMOVUPD Y6, (DX)(R12*1) \
+	LEAQ    (DX)(R12*2), DX
+
 // func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[40]float64, sign, out *float64, ps, rs int)
 TEXT ·tsQuad(SB), NOSPLIT, $0-72
 	MOVQ v8+0(FP), SI
@@ -148,37 +179,18 @@ cond:
 	CMPQ R12, $1
 	JNE  bylabelling
 
-	// ps == 1, the engine's [position][labelling] block: transpose to
-	// lanes = labellings, one store per row.
-	VUNPCKLPD  Y2, Y0, Y8
-	VUNPCKHPD  Y2, Y0, Y9
-	VUNPCKLPD  Y6, Y4, Y10
-	VUNPCKHPD  Y6, Y4, Y11
-	VPERM2F128 $0x20, Y10, Y8, Y0
-	VPERM2F128 $0x20, Y11, Y9, Y2
-	VPERM2F128 $0x31, Y10, Y8, Y4
-	VPERM2F128 $0x31, Y11, Y9, Y6
-	LEAQ       (DX)(R13*2), R11
-	VMOVUPD    Y0, (DX)
-	VMOVUPD    Y2, (DX)(R13*1)
-	VMOVUPD    Y4, (R11)
-	VMOVUPD    Y6, (R11)(R13*1)
-	ADDQ       $32, DX
-	JMP        next
+	// ps == 1, the engine's [position][labelling] block.
+	BYROW
+	JMP next
 
 bylabelling:
 	SHLQ $3, R12
 	CMPQ R13, $8
 	JNE  scatter
 
-	// rs == 1, permutation-major (StatsBatch): one store per labelling.
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y2, (DX)(R12*1)
-	LEAQ    (DX)(R12*2), DX
-	VMOVUPD Y4, (DX)
-	VMOVUPD Y6, (DX)(R12*1)
-	LEAQ    (DX)(R12*2), DX
-	JMP     next
+	// rs == 1, permutation-major (StatsBatch).
+	BYLABELLING
+	JMP next
 
 scatter:
 	SCATTER(Y0, X0)
@@ -191,5 +203,130 @@ next:
 	JNZ  group
 
 done:
+	VZEROUPPER
+	RET
+
+// wilxQuad.  q holds the quad column by column, four int32 cells per
+// 16-byte column (intRank), and dq byte offsets 16·j into it: L start
+// columns, then one (In, Out) pair per labelling, labelling 0's a move
+// that changes nothing.  X1 carries the four rows' class-1 sums in int32:
+// a move is two loads, VPSUBD and VPADDD, exact like fullLane's int64
+// update for sums within int32, which quadLane guarantees.  The tail is
+// fullLane's, lane-wise: VCVTDQ2PD (exact), ·0.5, − mu1, / sd; under neg
+// the converted value is sum2 − s and total − ·0.5 comes before − mu1.
+// Each is the IEEE-754 operation the compiled Go performs on the same
+// operands, so a lane's result is fullLane's on every bit
+// (TestDeltaRowsISASweep, FuzzWilxQuad).  Constants: Y12 0.5, Y13 mu1,
+// Y14 sd, Y15 total (qc), X5 sum2 (qs[4:8]); results go to Y0, Y2, Y4, Y6
+// for the shared stores.
+
+// STEP applies the next labelling's move to the sums in X1.
+#define STEP \
+	MOVL    (DI), R9            \
+	MOVL    4(DI), R10          \
+	VMOVDQU (SI)(R9*1), X3      \
+	VPSUBD  (SI)(R10*1), X3, X3 \
+	VPADDD  X3, X1, X1          \
+	ADDQ    $8, DI
+
+// POS turns the converted class-1 sums in Y into statistics.
+#define POS(Y) \
+	VMULPD Y12, Y, Y \
+	VSUBPD Y13, Y, Y \
+	VDIVPD Y14, Y, Y
+
+// NEG steps and turns the class-0 sums sum2 − s into statistics in Y.
+#define NEG(Y) \
+	STEP                 \
+	VPSUBD    X1, X5, X3 \
+	VCVTDQ2PD X3, Y      \
+	VMULPD    Y12, Y, Y  \
+	VSUBPD    Y, Y15, Y  \
+	VSUBPD    Y13, Y, Y  \
+	VDIVPD    Y14, Y, Y
+
+// func wilxQuad(q, dq *int32, L, groups int, qc *[40]float64, qs *[8]int32, neg bool, out *float64, ps, rs int)
+TEXT ·wilxQuad(SB), NOSPLIT, $0-80
+	MOVQ q+0(FP), SI
+	MOVQ dq+8(FP), DI
+	MOVQ L+16(FP), R8
+	MOVQ groups+24(FP), BX
+	MOVQ qc+32(FP), CX
+	MOVQ qs+40(FP), AX
+	MOVQ out+56(FP), DX
+	MOVQ ps+64(FP), R12
+	MOVQ rs+72(FP), R13
+	SHLQ $3, R12 // in bytes
+	SHLQ $3, R13
+	VPXOR X1, X1, X1
+	TESTQ R8, R8
+	JLE   started
+
+start: // the start labelling's class-1 sums
+	MOVL   (DI), R9
+	VPADDD (SI)(R9*1), X1, X1
+	ADDQ   $4, DI
+	DECQ   R8
+	JNZ    start
+
+started:
+	TESTQ   BX, BX
+	JLE     done
+	VMOVUPD 0(CX), Y12
+	VMOVUPD 32(CX), Y13
+	VMOVUPD 64(CX), Y14
+	VMOVUPD 96(CX), Y15
+	VMOVDQU 16(AX), X5
+	CMPB    neg+48(FP), $0
+	JNE     negative
+
+positive:
+	STEP
+	VCVTDQ2PD X1, Y0
+	STEP
+	VCVTDQ2PD X1, Y2
+	STEP
+	VCVTDQ2PD X1, Y4
+	STEP
+	VCVTDQ2PD X1, Y6
+	POS(Y0)
+	POS(Y2)
+	POS(Y4)
+	POS(Y6)
+	JMP store
+
+negative:
+	NEG(Y0)
+	NEG(Y2)
+	NEG(Y4)
+	NEG(Y6)
+
+store:
+	CMPQ R12, $8
+	JNE  bylabelling
+	BYROW
+	JMP  next
+
+bylabelling:
+	CMPQ R13, $8
+	JNE  scatter
+	BYLABELLING
+	JMP  next
+
+scatter:
+	SCATTER(Y0, X0)
+	SCATTER(Y2, X2)
+	SCATTER(Y4, X4)
+	SCATTER(Y6, X6)
+
+next:
+	DECQ BX
+	JZ   done
+	CMPB neg+48(FP), $0
+	JNE  negative
+	JMP  positive
+
+done:
+	VMOVDQU X1, (AX) // the running sums, for the labellings left over
 	VZEROUPPER
 	RET

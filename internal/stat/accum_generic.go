@@ -3,10 +3,14 @@
 package stat
 
 // Portable fallbacks: on non-amd64 the dispatch never selects an assembly
-// ISA (bestISA reports generic), so this binding exists only to satisfy
-// the shared call site in batch.go.
+// ISA (bestISA reports generic), so these bindings exist only to satisfy
+// the shared call sites in batch.go and delta.go.
 
 func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[40]float64, sign, out *float64, ps, rs int) {
+	panic("stat: the AVX2 lane was selected off amd64")
+}
+
+func wilxQuad(q, dq *int32, L, groups int, qc *[40]float64, qs *[8]int32, neg bool, out *float64, ps, rs int) {
 	panic("stat: the AVX2 lane was selected off amd64")
 }
 

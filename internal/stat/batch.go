@@ -120,6 +120,13 @@ type BatchScratch struct {
 	sel8 []int32
 	v8   []float64
 	qc   [40]float64
+	// What wilxQuad reads under avx2 (OpenDelta): the start's class-1
+	// columns then each labelling's move (In, Out) as byte offsets 16·j
+	// into a row quad, labelling 0's move being (0, 0); qc holds 0.5 and
+	// the quad's mu1, sd, total four times each, qs the running sums
+	// (written back) and the quad's row totals sum2.
+	dq []int32
+	qs [8]int32
 	// Per-permutation class bins for F and block F, laid out [perm][class].
 	bn []int
 	bs []float64
@@ -412,10 +419,10 @@ func (k *wilcoxonKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Bat
 					i3 := s.sel[(p+3)*L : (p+4)*L]
 					var s0, s1, s2, s3 int64
 					for e := 0; e < L; e++ {
-						s0 += int64(ri[i0[e]])
-						s1 += int64(ri[i1[e]])
-						s2 += int64(ri[i2[e]])
-						s3 += int64(ri[i3[e]])
+						s0 += int64(ri.at(i0[e]))
+						s1 += int64(ri.at(i1[e]))
+						s2 += int64(ri.at(i2[e]))
+						s3 += int64(ri.at(i3[e]))
 					}
 					out[(p+0)*ps+o] = tail.stat(float64(s0) * 0.5)
 					out[(p+1)*ps+o] = tail.stat(float64(s1) * 0.5)
@@ -426,7 +433,7 @@ func (k *wilcoxonKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Bat
 					idx := s.sel[p*L : (p+1)*L]
 					var isum int64
 					for _, j := range idx {
-						isum += int64(ri[j])
+						isum += int64(ri.at(j))
 					}
 					out[p*ps+o] = tail.stat(float64(isum) * 0.5)
 				}
@@ -436,7 +443,7 @@ func (k *wilcoxonKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Bat
 					nc := 0
 					var isum int64
 					for _, j := range idx {
-						if v := ri[j]; v != 0 {
+						if v := ri.at(j); v != 0 {
 							nc++
 							isum += int64(v)
 						}

@@ -63,7 +63,8 @@ func randomExchangeChain(d *Design, nb int, seed uint64) (lab0 []int, moves []Ex
 // TestStatsDeltaBitwise pins what the engine relies on under a revolving-
 // door order: StatsDelta over a move chain is bitwise identical to
 // StatsBatch over the materialised labellings and to the scalar oracle — with ties, with and without NA holes, balanced and unbalanced —
-// also when the chain is evaluated in ragged row ranges and row-major.  The
+// also when the chain is evaluated in ragged row ranges and row-major, and
+// under every ISA this CPU runs.  The
 // t kernels have no delta path; their cases pin the path the engine then
 // takes, StatsBatch over the materialised chain against the oracle.
 func TestStatsDeltaBitwise(t *testing.T) {
@@ -116,24 +117,27 @@ func TestStatsDeltaBitwise(t *testing.T) {
 					if !dk.DeltaOK() {
 						t.Fatal("wilcoxon DeltaOK = false on rank data")
 					}
-					outDelta := matrix.New(nb, m.Rows)
-					dk.StatsDelta(lab0, moves, outDelta, nil)
-					// The same chain in ragged row ranges, row-major with a
-					// padded row stride, as the engine's block walk asks.
-					const rs = nb + 3
-					blocks := make([]float64, m.Rows*rs)
-					s := &BatchScratch{}
-					dk.OpenDelta(lab0, moves, s)
-					for lo := m.Rows; lo > 0; {
-						hi := lo
-						lo = max(hi-7, 0)
-						dk.DeltaRows(lo, hi, blocks[lo*rs:], 1, rs, s)
-					}
-					for p := 0; p < nb; p++ {
-						for i := 0; i < m.Rows; i++ {
-							a, b, c := outDelta.Row(p)[i], outBatch.Row(p)[i], blocks[i*rs+p]
-							if math.Float64bits(a) != math.Float64bits(b) || math.Float64bits(c) != math.Float64bits(b) {
-								t.Fatalf("perm %d row %d: delta %v, in ranges %v, batch %v", p, i, a, c, b)
+					for isa := ISAGeneric; isa <= bestISA(); isa++ {
+						k.(*wilcoxonKernel).isa = isa
+						outDelta := matrix.New(nb, m.Rows)
+						dk.StatsDelta(lab0, moves, outDelta, nil)
+						// The same chain in ragged row ranges, row-major with a
+						// padded row stride, as the engine's block walk asks.
+						const rs = nb + 3
+						blocks := make([]float64, m.Rows*rs)
+						s := &BatchScratch{}
+						dk.OpenDelta(lab0, moves, s)
+						for lo := m.Rows; lo > 0; {
+							hi := lo
+							lo = max(hi-7, 0)
+							dk.DeltaRows(lo, hi, blocks[lo*rs:], 1, rs, s)
+						}
+						for p := 0; p < nb; p++ {
+							for i := 0; i < m.Rows; i++ {
+								a, b, c := outDelta.Row(p)[i], outBatch.Row(p)[i], blocks[i*rs+p]
+								if math.Float64bits(a) != math.Float64bits(b) || math.Float64bits(c) != math.Float64bits(b) {
+									t.Fatalf("%v perm %d row %d: delta %v, in ranges %v, batch %v", isa, p, i, a, c, b)
+								}
 							}
 						}
 					}
@@ -230,5 +234,26 @@ func TestIntRankGate(t *testing.T) {
 	ir := newIntRank(m3)
 	if ir == nil || !ir.ok[0] || ir.ok[1] || ir.all {
 		t.Fatalf("mixed matrix gate wrong: %+v", ir)
+	}
+}
+
+// TestOpenDeltaRejectsOutOfRangeMove: both delta lanes load a move's
+// columns without bounds checks, so OpenDelta refuses a move outside the
+// matrix before any lane runs.
+func TestOpenDeltaRejectsOutOfRangeMove(t *testing.T) {
+	d, err := NewDesign(Wilcoxon, halfLabels(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := mustKernel(t, d, deltaTestMatrix(4, d.N, false, 3)).(DeltaKernel)
+	for _, mv := range []Exchange{{Out: 8, In: 0}, {Out: 0, In: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("move %+v over %d columns accepted", mv, d.N)
+				}
+			}()
+			k.OpenDelta(d.Labels, []Exchange{mv}, &BatchScratch{})
+		}()
 	}
 }

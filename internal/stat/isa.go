@@ -5,19 +5,22 @@ import (
 	"strings"
 )
 
-// KernelISA names the instruction set the two-sample batch kernel runs on.
-// The two implementations are bitwise interchangeable — every SIMD lane
-// performs one (row, permutation) cell's scalar IEEE-754 operations in the
-// same order (TestStatsBatchISASweep) — so the choice is purely a
-// performance knob, never a correctness one.
+// KernelISA names the instruction set two lanes run on: the two-sample t
+// batch kernel's and the Wilcoxon delta kernel's.  Each lane's
+// implementations are bitwise interchangeable — every SIMD lane performs
+// one (row, permutation) cell's scalar IEEE-754 operations in the same
+// order (TestStatsBatchISASweep, TestDeltaRowsISASweep) — so the choice is
+// purely a performance knob, never a correctness one.
 type KernelISA int
 
 const (
-	// ISAGeneric is the portable pure-Go row-pair kernel.
+	// ISAGeneric is the portable pure-Go code: the row-pair two-sample
+	// kernel and the row-at-a-time delta lane.
 	ISAGeneric KernelISA = iota
-	// ISAAVX2 is the 4-lane assembly routine (amd64 with AVX2): four rows ×
-	// four permutations per iteration, the statistic's tail and the store
-	// in the same registers (tsQuad).
+	// ISAAVX2 is the 4-lane assembly (amd64 with AVX2), lanes = rows, the
+	// statistic's tail and the store in the same registers: four rows ×
+	// four permutations per iteration for the two-sample t (tsQuad), four
+	// rows along a revolving-door chain for the Wilcoxon delta (wilxQuad).
 	ISAAVX2
 )
 

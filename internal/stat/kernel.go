@@ -296,10 +296,11 @@ type wilcoxonKernel struct {
 	totalSq []float64
 	ir      *intRank   // exact integer view; nil if no row is representable
 	tails   []wilxTail // hoisted per-row tail, valid on NA-free rows
+	isa     KernelISA  // delta lane: wilxQuad under avx2
 }
 
 func newWilcoxonKernel(d *Design, m matrix.Matrix) *wilcoxonKernel {
-	k := &wilcoxonKernel{m: m, cls: smallerClass(d)}
+	k := &wilcoxonKernel{m: m, cls: smallerClass(d), isa: activeISA}
 	k.nsel = d.Counts[k.cls]
 	k.n, k.total, k.totalSq = rowTotals(m)
 	k.ir = newIntRank(m)

@@ -234,3 +234,181 @@ func FuzzTSQuad(f *testing.F) {
 		}
 	})
 }
+
+// wilxQuadGo is wilxQuad in Go, the statement the assembly is pinned to:
+// four lanes of int32 sums, wrapping as VPADDD does, and fullLane's tail
+// on each.
+func wilxQuadGo(q, dq []int32, L, groups int, qc *[40]float64, qs *[8]int32, neg bool, out []float64, ps, rs int) {
+	var sum [4]int32
+	for _, o := range dq[:L] {
+		for r := range sum {
+			sum[r] += q[int(o)/4+r]
+		}
+	}
+	mv := dq[L:]
+	for p := 0; p < 4*groups; p++ {
+		in, outc := int(mv[2*p])/4, int(mv[2*p+1])/4
+		for r := range sum {
+			sum[r] += q[in+r] - q[outc+r]
+			half, mu1, sd, total := qc[r], qc[4+r], qc[8+r], qc[12+r]
+			z := (float64(sum[r])*half - mu1) / sd
+			if neg {
+				z = (total - float64(qs[4+r]-sum[r])*half - mu1) / sd
+			}
+			out[p*ps+r*rs] = z
+		}
+	}
+	copy(qs[:4], sum[:])
+}
+
+// FuzzWilxQuad pins the AVX2 delta routine to wilxQuadGo on arbitrary
+// in-gate quads (cells 1…2^20, up to 40 columns, so no sum leaves int32),
+// arbitrary start columns and move chains — repeated columns, and moves
+// that do not keep a valid labelling, included — and arbitrary non-NaN
+// tail constants, comparing results by their bits in each of the three
+// store forms, and the written-back sums.
+func FuzzWilxQuad(f *testing.F) {
+	if bestISA() < ISAAVX2 {
+		f.Skip("no AVX2 on this CPU")
+	}
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"), math.Float64bits(8.5), math.Float64bits(2.25), math.Float64bits(68), false, uint8(0))
+	f.Add(make([]byte, 300), math.Float64bits(-1e300), math.Float64bits(5e-324), math.Float64bits(math.Inf(1)), true, uint8(1))
+	f.Add([]byte{7, 2, 255, 254, 3, 3, 3, 3, 9, 1, 0, 0, 200, 100, 50, 25, 12, 6, 3, 1}, math.Float64bits(0), math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)), true, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, mu1, sd, total uint64, neg bool, form uint8) {
+		cols := min(len(data)/16, 40)
+		if cols < 1 {
+			return
+		}
+		q := make([]int32, 4*cols)
+		var qs [8]int32
+		for c := range q {
+			q[c] = 1 + int32(binary.LittleEndian.Uint32(data[4*c:])%(1<<20))
+			qs[4+c%4] += q[c]
+		}
+		L, groups := int(data[0])%(cols+1), int(data[1])%4
+		dq := make([]int32, L+8*groups)
+		for e := range dq {
+			dq[e] = 16 * (int32(data[(7*e+3)%len(data)]) % int32(cols))
+		}
+		var qc [40]float64
+		finite := func(b uint64) float64 {
+			x := math.Float64frombits(b)
+			if x != x {
+				x = math.Float64frombits(b &^ (1 << 62))
+			}
+			return x
+		}
+		for r := 0; r < 4; r++ {
+			qc[r] = 0.5
+			qc[4+r], qc[8+r], qc[12+r] = finite(mu1+uint64(r)), finite(sd+uint64(r)), finite(total+uint64(r))
+		}
+		sf := strideForms[int(form)%len(strideForms)]
+		ps, rs := sf.ps(4*groups, 4), sf.rs(4*groups, 4)
+		got := make([]float64, max(4*groups*ps+4*rs, 1)) // addressable when groups == 0
+		want := make([]float64, len(got))
+		qsGo := qs
+		wilxQuad(&q[0], &append(dq, 0)[0], L, groups, &qc, &qs, neg, &got[0], ps, rs)
+		wilxQuadGo(q, dq, L, groups, &qc, &qsGo, neg, want, ps, rs)
+		if qs != qsGo {
+			t.Fatalf("L=%d groups=%d: asm sums %v, Go %v", L, groups, qs[:4], qsGo[:4])
+		}
+		for o := range got {
+			if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
+				t.Fatalf("%s L=%d groups=%d cols=%d neg=%v out[%d]: asm %v (%#x), Go %v (%#x)",
+					sf.name, L, groups, cols, neg, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
+			}
+		}
+	})
+}
+
+// TestDeltaRowsISASweep pins the Wilcoxon delta lane to StatsRows over the
+// materialised chain bit for bit under every ISA this CPU runs: both
+// accumulated classes (balanced and unbalanced designs), chains of 1–65
+// labellings around the four-labelling groups, row ranges that start
+// mid-quad and leave 0–3 rows over, matrices padded by 0–3 rows to whole
+// quads, an NA-bearing row and a constant one (the tail that is never
+// computable) breaking quads, a row whose total sits at the int32 gate,
+// and all three stride forms.  Under avx2
+// this is what ties wilxQuad to fullLane.
+func TestDeltaRowsISASweep(t *testing.T) {
+	ranked := func(rows, cols int) matrix.Matrix {
+		m := deltaTestMatrix(rows, cols, false, uint64(cols))
+		m.Row(9)[3] = math.NaN()
+		for j := range m.Row(14) {
+			m.Row(14)[j] = float64(cols+1) / 2
+		}
+		return m
+	}
+	cases := []struct {
+		name  string
+		lab   []int
+		build func(cols int) matrix.Matrix
+	}{
+		{"balanced-16", halfLabels(16), func(cols int) matrix.Matrix { return ranked(27, cols) }},
+		{"unbalanced-small0-13", twoClassLabels(4, 9), func(cols int) matrix.Matrix { return ranked(26, cols) }},
+		{"unbalanced-small1-13", twoClassLabels(9, 4), func(cols int) matrix.Matrix { return ranked(25, cols) }},
+		{"balanced-8", halfLabels(8), func(cols int) matrix.Matrix { return ranked(24, cols) }},
+		// Row 0: 2047 cells 2^19 and one 2^19 − 0.5, so Σ 2v = 2^31 − 1.
+		{"int32-gate-2048", halfLabels(maxIntCols), func(cols int) matrix.Matrix {
+			m := deltaTestMatrix(6, cols, false, 11)
+			for j := range m.Row(0) {
+				m.Row(0)[j] = maxScaled / 2
+			}
+			m.Row(0)[5] -= 0.5
+			return m
+		}},
+	}
+	for _, tc := range cases {
+		d, err := NewDesign(Wilcoxon, tc.lab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.build(d.N)
+			k := mustKernel(t, d, m).(*wilcoxonKernel)
+			if !k.DeltaOK() {
+				t.Fatal("DeltaOK = false")
+			}
+			if tc.name == "int32-gate-2048" && (k.ir.sum2[0] != math.MaxInt32 || !k.quadLane(0)) {
+				t.Fatalf("row 0 total %d, quad lane %v: want the int32 gate's edge, taken", k.ir.sum2[0], k.quadLane(0))
+			}
+			quads := 0
+			for i := 0; i+4 <= m.Rows; i += 4 {
+				if k.quadLane(i) {
+					quads++
+				}
+			}
+			if quads == 0 {
+				t.Fatal("no quad takes wilxQuad")
+			}
+			ranges := [][2]int{{0, m.Rows}, {1, m.Rows - 1}, {2, m.Rows}, {3, m.Rows - 2}, {5, m.Rows}, {min(8, m.Rows-1), m.Rows}}
+			for _, nb := range []int{1, 2, 3, 4, 5, 63, 64, 65} {
+				lab0, moves, labs := randomExchangeChain(d, nb, uint64(nb)*13)
+				want := matrix.New(nb, m.Rows)
+				k.StatsBatch(labs, want, nil)
+				for isa := ISAGeneric; isa <= bestISA(); isa++ {
+					k.isa = isa
+					s := &BatchScratch{}
+					k.OpenDelta(lab0, moves, s)
+					for _, sf := range strideForms {
+						for _, rg := range ranges {
+							lo, hi := rg[0], rg[1]
+							ps, rs := sf.ps(nb, hi-lo), sf.rs(nb, hi-lo)
+							out := make([]float64, nb*ps+(hi-lo)*rs)
+							k.DeltaRows(lo, hi, out, ps, rs, s)
+							for p := 0; p < nb; p++ {
+								for i := lo; i < hi; i++ {
+									got, w := out[p*ps+(i-lo)*rs], want.At(p, i)
+									if math.Float64bits(got) != math.Float64bits(w) {
+										t.Fatalf("%v %s nb=%d rows [%d,%d) labelling %d row %d: delta %v (%#x), StatsRows %v (%#x)",
+											isa, sf.name, nb, lo, hi, p, i, got, math.Float64bits(got), w, math.Float64bits(w))
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

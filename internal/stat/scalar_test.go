@@ -107,13 +107,13 @@ func (k *wilcoxonKernel) Stats(lab []int, out []float64, s *KernelScratch) {
 			var isum int64
 			if full {
 				for _, j := range idx {
-					isum += int64(ri[j])
+					isum += int64(ri.at(int32(j)))
 				}
 				out[i] = k.tails[i].stat(float64(isum) * 0.5)
 			} else {
 				nc := 0
 				for _, j := range idx {
-					if v := ri[j]; v != 0 {
+					if v := ri.at(int32(j)); v != 0 {
 						nc++
 						isum += int64(v)
 					}
