@@ -21,6 +21,7 @@ import (
 
 	"sprint"
 	"sprint/internal/report"
+	"sprint/internal/stat"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func run(args []string, stdout io.Writer) error {
 	nonpara := fs.String("nonpara", "n", "y = rank-transform the data first")
 	na := fs.Float64("na", sprint.DefaultNA, "missing value code")
 	seed := fs.Uint64("seed", 0, "permutation RNG seed")
-	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, avx2 (results are identical on all)")
+	kernel := fs.String("kernel", "auto", "accumulation kernel: "+strings.Join(stat.KernelNames(), ", ")+" (results are identical on all)")
 	mode := fs.String("mode", "exact", "run mode: exact (fixed B, bit-reproducible) or sequential (adaptive early stopping)")
 	seqAlpha := fs.Float64("seq-alpha", 0, "sequential mode: significance level the stopping rule certifies decisions at (0 = default 0.05)")
 	seqTol := fs.Float64("seq-tolerance", 0, "sequential mode: p-value half-width a row must reach before freezing (0 = default 0.02)")

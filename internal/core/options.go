@@ -285,9 +285,9 @@ func planPermutations(cfg config, d *stat.Design) (useComplete bool, total int64
 	return false, cfg.b, nil
 }
 
-// SetKernel selects the two-sample accumulation kernel by name — "auto"
-// (the best the CPU supports), "generic" or "avx2" — returning the name
-// now active.  The choice is process-wide, meant for startup (CLI
+// SetKernel selects the accumulation kernel by name — "auto" (the best
+// the CPU supports) or an ISA, one of stat.KernelNames — returning the
+// name now active.  The choice is process-wide, meant for startup (CLI
 // flags); it never changes results, only wall time, because every kernel
 // performs the identical per-(row, permutation) IEEE-754 chains.
 func SetKernel(name string) (string, error) {
@@ -295,8 +295,8 @@ func SetKernel(name string) (string, error) {
 	return isa.String(), err
 }
 
-// KernelName reports the active accumulation kernel ("avx2" or
-// "generic").
+// KernelName reports the active accumulation kernel, an ISA name from
+// stat.KernelNames.
 func KernelName() string { return stat.ActiveKernelISA().String() }
 
 // PermOrderPolicy describes the one enumeration order policy, surfaced

@@ -104,13 +104,28 @@ func withISA(p *Prep, isa stat.KernelISA) *Prep {
 	return &q
 }
 
-// countISAs lists the counting lanes this CPU can run.
+// countISAs lists the ISAs this CPU can run (stat.SupportedISAs, in
+// KernelISA order), each a counting lane to test and a kernel to time.
 func countISAs() []stat.KernelISA {
-	out := []stat.KernelISA{stat.ISAGeneric}
-	if slices.Contains(stat.SupportedISAs(), stat.ISAAVX2.String()) {
-		out = append(out, stat.ISAAVX2)
+	var out []stat.KernelISA
+	for isa := range stat.SupportedISAs() {
+		out = append(out, stat.KernelISA(isa))
 	}
 	return out
+}
+
+// TestCountQuadsUnderEveryHigherISA: every ISA from avx2 up — those this
+// CPU cannot run too, since only the gate is read — folds all but nb mod 4
+// labellings on the AVX2 counter, so a new ISA cannot silently drop it.
+func TestCountQuadsUnderEveryHigherISA(t *testing.T) {
+	for isa := stat.ISAAVX2; int(isa) < len(stat.KernelNames())-1; isa++ {
+		if got := countQuads(isa, 67); got != 64 {
+			t.Errorf("countQuads(%v, 67) = %d, want 64", isa, got)
+		}
+	}
+	if got := countQuads(stat.ISAGeneric, 67); got != 0 {
+		t.Errorf("countQuads(generic, 67) = %d, want 0", got)
+	}
 }
 
 // repeatLabels labels n columns in runs of run columns per class, cycling

@@ -507,10 +507,7 @@ func tallyRow(z, u []float64, o float64, flip, keep uint64) (r, a int64) {
 // (position, batch) into raw and adj.
 func (p *Prep) countBlock(blk []float64, lo, hi, nb int, u []float64, raw, adj []int64) {
 	flip, keep := p.Side.bits()
-	quads := 0
-	if p.isa == stat.ISAAVX2 {
-		quads = nb &^ 3
-	}
+	quads := countQuads(p.isa, nb)
 	for j := hi - 1; j >= lo; j-- {
 		z, o := blk[(j-lo)*nb:][:nb], p.pobs[j]
 		var r, a int64
@@ -521,6 +518,15 @@ func (p *Prep) countBlock(blk []float64, lo, hi, nb int, u []float64, raw, adj [
 		raw[j] += r + rt
 		adj[j] += a + at
 	}
+}
+
+// countQuads is how many of nb labellings countBlock folds four to a step
+// (countRowAVX2): all but nb mod 4 under avx2 and every ISA above it.
+func countQuads(isa stat.KernelISA, nb int) int {
+	if isa >= stat.ISAAVX2 {
+		return nb &^ 3
+	}
+	return 0
 }
 
 // Result carries the outputs of a maxT run, in the original row order.

@@ -3,11 +3,11 @@
 // and store without leaving the registers), and wilxQuad, the Wilcoxon
 // delta lane (one row quad along a revolving-door chain).
 //
-// tsQuad.  v8 holds the quad column by column, each column's four
-// values and their four squares in one 64-byte line (v8[8j+r] = x,
-// v8[8j+4+r] = x·x), and the lists hold 8·j, so one element of one
-// labelling is two VADDPD from memory: s += x, q += x·x, the square being
-// the rounded product the scalar chain adds.  Four labellings run eight
+// tsQuad.  v8 holds the quad column by column, a column's four values in
+// the first half of its 64-byte line (v8[8j+r] = x; tsOct fills the whole
+// line), and the lists hold 8·j, so one element of one labelling is one
+// load, s += x, then x·x and q += x·x: VMULPD then VADDPD, the rounded
+// product the scalar chain adds, never an FMA.  Four labellings run eight
 // chains at once (Y0…Y7 = s0 q0 s1 q1 s2 q2 s3 q3); within a chain the
 // adds come in ascending selected-column order, as in Stats.
 //
@@ -20,25 +20,14 @@
 // on every bit; a NaN that arises (Inf − Inf, 0·Inf, the root of a
 // negative) is the one default quiet NaN whichever operand order the
 // compiler chose, so payloads agree too (TestStatsBatchISASweep, FuzzTSQuad).
-// The constants come ready broadcast from qc (BatchScratch.openQuad):
-// fa fb da db scale rt m2Tol NaN, then the quad's S and Q by row.
+// The constants come ready broadcast from qc (lanes_amd64.h).
 //
 // Every vector instruction up to VZEROUPPER is VEX-encoded (see
 // internal/maxt/count_amd64.s for what one legacy-SSE instruction among
 // them costs), and a multi-line #define takes no comments.
 
 #include "textflag.h"
-
-#define FA    0(CX)
-#define FB    32(CX)
-#define DA    64(CX)
-#define DB    96(CX)
-#define SCALE 128(CX)
-#define RT    160(CX)
-#define TOL   192(CX)
-#define NANV  224(CX)
-#define SROW  256(CX)
-#define QROW  288(CX)
+#include "lanes_amd64.h"
 
 // TAIL turns one labelling's sums S and sums of squares Q into its four
 // statistics, left in S.  SG is the labelling's sign; Y15 is zero; Y8–Y13
@@ -88,24 +77,11 @@
 	ADDQ         R12, DX
 
 // BYROW stores four labellings' statistics (Y0, Y2, Y4, Y6, lanes = rows)
-// into the rows of a [position][labelling] block, R13 bytes apart: a
-// transpose to lanes = labellings, one store per row, and DX steps to the
-// next four labellings.  Y8–Y11 are scratch.
+// into the rows of a [position][labelling] block (TRANSPOSE), and DX steps
+// to the next four labellings.
 #define BYROW \
-	VUNPCKLPD  Y2, Y0, Y8         \
-	VUNPCKHPD  Y2, Y0, Y9         \
-	VUNPCKLPD  Y6, Y4, Y10        \
-	VUNPCKHPD  Y6, Y4, Y11        \
-	VPERM2F128 $0x20, Y10, Y8, Y0 \
-	VPERM2F128 $0x20, Y11, Y9, Y2 \
-	VPERM2F128 $0x31, Y10, Y8, Y4 \
-	VPERM2F128 $0x31, Y11, Y9, Y6 \
-	LEAQ       (DX)(R13*2), R11   \
-	VMOVUPD    Y0, (DX)           \
-	VMOVUPD    Y2, (DX)(R13*1)    \
-	VMOVUPD    Y4, (R11)          \
-	VMOVUPD    Y6, (R11)(R13*1)   \
-	ADDQ       $32, DX
+	TRANSPOSE(Y0, Y2, Y4, Y6, DX) \
+	ADDQ $32, DX
 
 // BYLABELLING stores the same four as one 32-byte store per labelling,
 // R12 bytes apart (rows contiguous), and steps DX past them.
@@ -117,7 +93,7 @@
 	VMOVUPD Y6, (DX)(R12*1) \
 	LEAQ    (DX)(R12*2), DX
 
-// func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[40]float64, sign, out *float64, ps, rs int)
+// func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int)
 TEXT ·tsQuad(SB), NOSPLIT, $0-72
 	MOVQ v8+0(FP), SI
 	MOVQ sel8+8(FP), DI
@@ -146,19 +122,27 @@ group:
 	JMP    cond
 
 loop:
-	MOVL   (DI), R12 // 8·j of the group's four labellings at this element
-	MOVL   (DI)(R8*1), R13
-	VADDPD (SI)(R12*8), Y0, Y0
-	VADDPD 32(SI)(R12*8), Y1, Y1
-	VADDPD (SI)(R13*8), Y2, Y2
-	VADDPD 32(SI)(R13*8), Y3, Y3
-	MOVL   (DI)(R9*1), R12
-	MOVL   (DI)(R10*1), R13
-	VADDPD (SI)(R12*8), Y4, Y4
-	VADDPD 32(SI)(R12*8), Y5, Y5
-	VADDPD (SI)(R13*8), Y6, Y6
-	VADDPD 32(SI)(R13*8), Y7, Y7
-	ADDQ   $4, DI
+	MOVL    (DI), R12 // 8·j of the group's four labellings at this element
+	MOVL    (DI)(R8*1), R13
+	VMOVUPD (SI)(R12*8), Y8
+	VMOVUPD (SI)(R13*8), Y9
+	VADDPD  Y8, Y0, Y0
+	VMULPD  Y8, Y8, Y8
+	VADDPD  Y8, Y1, Y1
+	VADDPD  Y9, Y2, Y2
+	VMULPD  Y9, Y9, Y9
+	VADDPD  Y9, Y3, Y3
+	MOVL    (DI)(R9*1), R12
+	MOVL    (DI)(R10*1), R13
+	VMOVUPD (SI)(R12*8), Y10
+	VMOVUPD (SI)(R13*8), Y11
+	VADDPD  Y10, Y4, Y4
+	VMULPD  Y10, Y10, Y10
+	VADDPD  Y10, Y5, Y5
+	VADDPD  Y11, Y6, Y6
+	VMULPD  Y11, Y11, Y11
+	VADDPD  Y11, Y7, Y7
+	ADDQ    $4, DI
 
 cond:
 	CMPQ DI, R11
@@ -245,7 +229,7 @@ done:
 	VSUBPD    Y13, Y, Y  \
 	VDIVPD    Y14, Y, Y
 
-// func wilxQuad(q, dq *int32, L, groups int, qc *[40]float64, qs *[8]int32, neg bool, out *float64, ps, rs int)
+// func wilxQuad(q, dq *int32, L, groups int, qc *[48]float64, qs *[8]int32, neg bool, out *float64, ps, rs int)
 TEXT ·wilxQuad(SB), NOSPLIT, $0-80
 	MOVQ q+0(FP), SI
 	MOVQ dq+8(FP), DI

@@ -19,15 +19,15 @@ func accumPairGo(vab *float64, i0 *int32, i1 *int32, n int, acc *[8]float64) {
 		vA0 := gather(vab, 2*j0)
 		vB0 := gather(vab, 2*j0+1)
 		sa0 += vA0
-		qa0 += vA0 * vA0
+		qa0 += float64(vA0 * vA0)
 		sb0 += vB0
-		qb0 += vB0 * vB0
+		qb0 += float64(vB0 * vB0)
 		vA1 := gather(vab, 2*j1)
 		vB1 := gather(vab, 2*j1+1)
 		sa1 += vA1
-		qa1 += vA1 * vA1
+		qa1 += float64(vA1 * vA1)
 		sb1 += vB1
-		qb1 += vB1 * vB1
+		qb1 += float64(vB1 * vB1)
 	}
 	acc[0], acc[1], acc[2], acc[3] = sa0, sb0, qa0, qb0
 	acc[4], acc[5], acc[6], acc[7] = sa1, sb1, qa1, qb1

@@ -17,8 +17,9 @@
 // visited in ascending order and each element feeds the accumulators of
 // every permutation in the batch using it (the F, block-F and paired-t
 // kernels scatter through per-batch transposed label/sign tables; the
-// two-sample kernels run per-permutation selected-column lists, four rows
-// × four permutations at a time under avx2, two × two otherwise).  For any
+// two-sample kernels run per-permutation selected-column lists, eight
+// rows × four permutations at a time under avx512, four × four under
+// avx2, two × two otherwise).  For any
 // single permutation p, every variant touches p's selected columns in
 // ascending order, so p's accumulators receive the identical sequence of
 // IEEE-754 operations whatever the batch size or lane — the property that
@@ -35,13 +36,19 @@
 // via twoSampleStat, wilcoxonStat, fStat, pairTStat, blockFStat), so the
 // lanes' operation sequences cannot diverge — the same argument PR 2's tie
 // discipline makes for mathematically tied labellings.  The one exception
-// is the two-sample t fast path under avx2, where tsQuad
-// (accum_avx2_amd64.s) restates tsTail.stat lane-wise in assembly: there
-// equality is a tested property, not a structural one —
-// TestStatsBatchISASweep pins StatsRows to the scalar oracle bit for bit
-// under every ISA on rows built to reach each branch of the tail,
-// FuzzTSQuad pins the routine to its Go statement (tsQuadGo) on arbitrary
-// bit patterns.
+// is the two-sample t fast path under avx2 and avx512, where tsQuad
+// (accum_avx2_amd64.s) and tsOct (accum_avx512_amd64.s) restate
+// tsTail.stat lane-wise in assembly: there equality is a tested property,
+// not a structural one — TestStatsBatchISASweep pins StatsRows to the
+// scalar oracle bit for bit under every ISA on rows built to reach each
+// branch of the tail, FuzzTSQuad and FuzzTSOct pin the routines to their
+// Go statement (tsLaneGo) on arbitrary bit patterns.
+//
+// Every product in this package that feeds an add or a subtract is written
+// float64(x*y).  The conversion forbids the compiler to fuse the two into
+// one FMA, which it does on arm64 and not on amd64, so every architecture
+// rounds the product as amd64 does (GOARCH=arm64 go build -gcflags=-S
+// lists no FMADD, FMSUB, FNMADD or FNMSUB for this package).
 package stat
 
 import (
@@ -113,13 +120,14 @@ type BatchScratch struct {
 	sign []float64 // per-permutation statistic sign (two-sample t)
 	as   []float64 // per-permutation accumulated sum (paired t)
 	vab  []float64 // interleaved row pair (two-sample fast path)
-	// What tsQuad reads under avx2 (openQuad): the lists again as 8·j, the
-	// row quad with its squares (v8[8j+r] = x, v8[8j+4+r] = x·x, seven
-	// spare cells to start on a cache line), and the tail's constants four
-	// times each — fa fb da db scale rt m2Tol NaN — then the quad's S, Q.
+	// What tsQuad and tsOct read (openQuad): the lists again as 8·j, the
+	// rows by column (v8[8j+r] = row r's x, eight rows to a 64-byte line,
+	// seven spare cells to start on one), and the tail's constants four
+	// times each — fa fb da db scale rt m2Tol NaN — then the rows' S and Q,
+	// eight slots each (lanes_amd64.h).
 	sel8 []int32
 	v8   []float64
-	qc   [40]float64
+	qc   [48]float64
 	// What wilxQuad reads under avx2 (OpenDelta): the start's class-1
 	// columns then each labelling's move (In, Out) as byte offsets 16·j
 	// into a row quad, labelling 0's move being (0, 0); qc holds 0.5 and
@@ -235,15 +243,15 @@ func (k *twoSampleKernel) NewBatchScratch(nb int) *BatchScratch {
 		sel:  make([]int32, nb*k.m.Cols),
 		sign: make([]float64, nb),
 	}
-	if k.isa == ISAAVX2 {
+	if k.isa >= ISAAVX2 {
 		s.sel8 = make([]int32, nb*k.m.Cols)
 		s.v8 = make([]float64, 8*k.m.Cols+7)
 	}
 	return s
 }
 
-// openQuad fills what tsQuad reads beside the row quad: the open batch's
-// lists scaled to v8 offsets and the tail's constants, broadcast.
+// openQuad fills what tsQuad and tsOct read beside the rows: the open
+// batch's lists scaled to v8 offsets and the tail's constants, broadcast.
 func (s *BatchScratch) openQuad(t *tsTail, cols int) {
 	s.sel8 = growI32(s.sel8, len(s.sel))
 	for e, j := range s.sel {
@@ -262,8 +270,79 @@ func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScra
 func (k *twoSampleKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
 	s.open(labs, nb, k.m.Cols)
 	s.L = buildSelLists(s, labs, nb, k.m.Cols, k.cls, true)
-	if tail, ok := newTSTail(k.pooled, s.L, k.m.Cols-s.L); ok && k.isa == ISAAVX2 {
+	if tail, ok := newTSTail(k.pooled, s.L, k.m.Cols-s.L); ok && k.isa >= ISAAVX2 {
 		s.openQuad(&tail, k.m.Cols)
+	}
+}
+
+// laneWidth is the rows per SIMD lane StatsRows runs NA-free rows in:
+// 8 (tsOct) under avx512 when one of the strides is 1, 4 (tsQuad) under
+// avx2 and above, 0 under generic.
+func (k *twoSampleKernel) laneWidth(ps, rs int) int {
+	switch {
+	case k.isa >= ISAAVX512 && (ps == 1 || rs == 1):
+		return 8
+	case k.isa >= ISAAVX2:
+		return 4
+	}
+	return 0
+}
+
+// laneRows evaluates the w NA-free rows from row i (w = 8 or 4) through
+// tsOct or tsQuad for the labellings in whole fours, and the nb mod 4 left
+// over through the scalar chain.  Each call copies the rows into the lane
+// buffer (fillLanes); the routines form the squares in registers.
+func (k *twoSampleKernel) laneRows(i, w int, out []float64, o, ps, rs int, s *BatchScratch, tail *tsTail) {
+	nb, L := s.nb, s.L
+	if g := nb / 4; g > 0 {
+		_ = out[o+(4*g-1)*ps+(w-1)*rs]                         // every store the routine makes is in bounds
+		v8 := s.v8[-(uintptr(unsafe.Pointer(&s.v8[0]))>>3)&7:] // from its first 64-byte boundary
+		k.fillLanes(unsafe.Slice((*[8]float64)(unsafe.Pointer(&v8[0])), len(v8)/8), i, w)
+		copy(s.qc[32:32+w], k.sum[i:i+w])
+		copy(s.qc[40:40+w], k.sumsq[i:i+w])
+		if w == 8 {
+			tsOct(&v8[0], &s.sel8[0], L, g, &s.qc, &s.sign[0], &out[o], ps, rs)
+		} else {
+			tsQuad(&v8[0], &s.sel8[0], L, g, &s.qc, &s.sign[0], &out[o], ps, rs)
+		}
+	}
+	for p := nb &^ 3; p < nb; p++ {
+		idx := s.sel[p*L : (p+1)*L]
+		for r := 0; r < w; r++ {
+			row := k.m.Row(i + r)
+			var sa, qa float64
+			for _, j := range idx {
+				v := row[j]
+				sa += v
+				qa += float64(v * v)
+			}
+			out[p*ps+o+r*rs] = tail.stat(s.sign[p], k.sum[i+r], k.sumsq[i+r], sa, qa)
+		}
+	}
+}
+
+// fillLanes copies rows [i, i+w) (w = 8 or 4) into the lane buffer, one
+// 64-byte line per column: lines[j][r] = row i+r's column j.  The rows are
+// read side by side so that each line is written in one step; a row at a
+// time read slower on BenchmarkCount's kernel/avx512 rung in 7 of 8
+// alternations.
+func (k *twoSampleKernel) fillLanes(lines [][8]float64, i, w int) {
+	c := k.m.Cols
+	rows := k.m.Data[i*c : (i+w)*c]
+	r0, r1, r2, r3 := rows[:c], rows[c:][:c], rows[2*c:][:c], rows[3*c:][:c]
+	lines = lines[:c]
+	if w == 4 {
+		for j := range r0 {
+			l := &lines[j]
+			l[0], l[1], l[2], l[3] = r0[j], r1[j], r2[j], r3[j]
+		}
+		return
+	}
+	r4, r5, r6, r7 := rows[4*c:][:c], rows[5*c:][:c], rows[6*c:][:c], rows[7*c:][:c]
+	for j := range r0 {
+		l := &lines[j]
+		l[0], l[1], l[2], l[3] = r0[j], r1[j], r2[j], r3[j]
+		l[4], l[5], l[6], l[7] = r4[j], r5[j], r6[j], r7[j]
 	}
 }
 
@@ -272,8 +351,18 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 	// On NA-free rows every permutation's accumulated group has exactly L
 	// members, so the tail invariants are one batch-level constant.
 	tail, tailOK := newTSTail(k.pooled, L, cols-L)
-	fast := func(i int) bool { return !k.flat[i] && k.n[i] == cols }
-	quad := k.isa == ISAAVX2
+	fast := func(i, w int) bool { // rows [i, i+w) exist, are NA-free and not constant
+		if i+w > hi {
+			return false
+		}
+		for r := i; r < i+w; r++ {
+			if k.flat[r] || k.n[r] != cols {
+				return false
+			}
+		}
+		return true
+	}
+	lane := k.laneWidth(ps, rs)
 	for i := lo; i < hi; {
 		o := (i - lo) * rs
 		if k.flat[i] {
@@ -283,39 +372,18 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 			i++
 			continue
 		}
-		// NA-free row quads under avx2: tsQuad takes the quad through every
-		// four labellings of the batch, lanes = rows — see the pair path
-		// below for why cross-row/cross-permutation interleaving is the
-		// lever and why lane-wise packed arithmetic stays bitwise equal.
-		// The nb mod 4 labellings left over read the rows themselves.
-		if tailOK && quad && i+3 < hi && fast(i) && fast(i+1) && fast(i+2) && fast(i+3) {
-			if nb >= 4 {
-				v8 := s.v8[-(uintptr(unsafe.Pointer(&s.v8[0]))>>3)&7:] // from its first 64-byte boundary
-				r0, r1, r2, r3 := k.m.Row(i), k.m.Row(i+1), k.m.Row(i+2), k.m.Row(i+3)
-				for j := 0; j < cols; j++ {
-					a, b, c, d := r0[j], r1[j], r2[j], r3[j]
-					l := v8[8*j : 8*j+8 : 8*j+8]
-					l[0], l[1], l[2], l[3] = a, b, c, d
-					l[4], l[5], l[6], l[7] = a*a, b*b, c*c, d*d
-				}
-				copy(s.qc[32:36], k.sum[i:i+4])
-				copy(s.qc[36:40], k.sumsq[i:i+4])
-				tsQuad(&v8[0], &s.sel8[0], L, nb/4, &s.qc, &s.sign[0], &out[o], ps, rs)
-			}
-			for p := nb &^ 3; p < nb; p++ {
-				idx := s.sel[p*L : (p+1)*L]
-				for r := 0; r < 4; r++ {
-					row := k.m.Row(i + r)
-					var sa, qa float64
-					for _, j := range idx {
-						v := row[j]
-						sa += v
-						qa += v * v
-					}
-					out[p*ps+o+r*rs] = tail.stat(s.sign[p], k.sum[i+r], k.sumsq[i+r], sa, qa)
-				}
-			}
-			i += 4
+		// NA-free row octets under avx512, quads under avx2: tsOct or
+		// tsQuad takes them through every four labellings of the batch,
+		// lanes = rows — see the pair path below for why cross-row and
+		// cross-permutation interleaving is the lever and why lane-wise
+		// packed arithmetic stays bitwise equal.
+		w := lane
+		if w == 8 && !fast(i, 8) {
+			w = 4
+		}
+		if tailOK && w > 0 && fast(i, w) {
+			k.laneRows(i, w, out, o, ps, rs, s, &tail)
+			i += w
 			continue
 		}
 		// NA-free rows: every selected cell is present, so the group count
@@ -325,7 +393,7 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 		// accumulation order is fixed by the tie discipline (a serial
 		// dependency chain), so cross-permutation and cross-row
 		// interleaving is what fills the FP pipeline.
-		if tailOK && fast(i) && i+1 < hi && fast(i+1) {
+		if tailOK && fast(i, 2) {
 			rowA, rowB := k.m.Row(i), k.m.Row(i+1)
 			s.vab = growF(s.vab, 2*cols)
 			for j := 0; j < cols; j++ {
@@ -351,10 +419,10 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 				for _, j := range idx {
 					vA := rowA[j]
 					sa += vA
-					qa += vA * vA
+					qa += float64(vA * vA)
 					vB := rowB[j]
 					sb += vB
-					qb += vB * vB
+					qb += float64(vB * vB)
 				}
 				out[p*ps+o] = tail.stat(s.sign[p], SA, QA, sa, qa)
 				out[p*ps+o+rs] = tail.stat(s.sign[p], SB, QB, sb, qb)
@@ -375,7 +443,7 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 				if v == v {
 					na++
 					sa += v
-					qa += v * v
+					qa += float64(v * v)
 				}
 			}
 			out[p*ps+o] = twoSampleStat(k.pooled, s.sign[p], n, S, Q, na, sa, qa)
@@ -553,7 +621,7 @@ func (k *fKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScrat
 				c := p*kk + g
 				bn[c]++
 				bs[c] += v
-				bq[c] += v * v
+				bq[c] += float64(v * v)
 			}
 		}
 		for p := 0; p < nb; p++ {
@@ -605,7 +673,7 @@ func (k *pairTKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchS
 			}
 			sgnCol := s.sgnT[j*nb : j*nb+nb]
 			for p, sg := range sgnCol {
-				sum[p] += sg * dv
+				sum[p] += float64(sg * dv)
 			}
 		}
 		o, m, sumsq := (i-lo)*rs, k.cnt[i], k.sumsq[i]

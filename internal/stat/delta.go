@@ -204,8 +204,8 @@ func (k *wilcoxonKernel) StatsDelta(lab0 []int, moves []Exchange, out matrix.Mat
 }
 
 // OpenDelta keeps the chain and the ascending class-1 columns of lab0 —
-// the set the exchanges operate on — and, under avx2, the same as the byte
-// offsets wilxQuad reads (BatchScratch.dq).
+// the set the exchanges operate on — and, under avx2 and above, the same
+// as the byte offsets wilxQuad reads (BatchScratch.dq).
 func (k *wilcoxonKernel) OpenDelta(lab0 []int, moves []Exchange, s *BatchScratch) {
 	if len(lab0) != k.m.Cols {
 		panic(fmt.Sprintf("stat: delta start labelling has %d entries for %d columns", len(lab0), k.m.Cols))
@@ -225,7 +225,7 @@ func (k *wilcoxonKernel) OpenDelta(lab0 []int, moves []Exchange, s *BatchScratch
 			s.sel = append(s.sel, int32(j))
 		}
 	}
-	if k.isa != ISAAVX2 {
+	if k.isa < ISAAVX2 {
 		return
 	}
 	L := len(s.sel)
@@ -250,7 +250,7 @@ func (k *wilcoxonKernel) OpenDelta(lab0 []int, moves []Exchange, s *BatchScratch
 func (k *wilcoxonKernel) DeltaRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
 	for i := lo; i < hi; {
 		o := (i - lo) * rs
-		if k.isa == ISAAVX2 && i&3 == 0 && i+4 <= hi && k.quadLane(i) {
+		if k.isa >= ISAAVX2 && i&3 == 0 && i+4 <= hi && k.quadLane(i) {
 			k.deltaQuad(i, out, o, ps, rs, s)
 			i += 4
 			continue
@@ -365,11 +365,11 @@ func (k *wilcoxonKernel) fullLane(i int, ri intRow, s1 int64, moves []Exchange, 
 	tail := &k.tails[i]
 	mu1, sd := tail.mu1, tail.sd
 	if k.cls == 1 {
-		out[o] = (float64(s1)*0.5 - mu1) / sd
+		out[o] = (float64(float64(s1)*0.5) - mu1) / sd
 		for _, mv := range moves {
 			o += ps
 			s1 += int64(ri.at(mv.In)) - int64(ri.at(mv.Out))
-			out[o] = (float64(s1)*0.5 - mu1) / sd
+			out[o] = (float64(float64(s1)*0.5) - mu1) / sd
 		}
 		return
 	}
@@ -377,12 +377,12 @@ func (k *wilcoxonKernel) fullLane(i int, ri intRow, s1 int64, moves []Exchange, 
 	// class-1 sum already IS sc's complement — the two derivations compose
 	// to sc0 = float64(sum2−s1)/2 and s1stat = total − sc0, both exact.
 	total, sum2 := tail.total, k.ir.sum2[i]
-	sc0 := float64(sum2-s1) * 0.5
+	sc0 := float64(float64(sum2-s1) * 0.5)
 	out[o] = (total - sc0 - mu1) / sd
 	for _, mv := range moves {
 		o += ps
 		s1 += int64(ri.at(mv.In)) - int64(ri.at(mv.Out))
-		sc0 = float64(sum2-s1) * 0.5
+		sc0 = float64(float64(sum2-s1) * 0.5)
 		out[o] = (total - sc0 - mu1) / sd
 	}
 }

@@ -10,7 +10,9 @@ import (
 // implementations are bitwise interchangeable — every SIMD lane performs
 // one (row, permutation) cell's scalar IEEE-754 operations in the same
 // order (TestStatsBatchISASweep, TestDeltaRowsISASweep) — so the choice is
-// purely a performance knob, never a correctness one.
+// purely a performance knob, never a correctness one.  The ISAs are
+// ordered: each runs every lane of the ones below it, so a lane is gated
+// on isa >= its own (TestLanesUnderEveryHigherISA).
 type KernelISA int
 
 const (
@@ -22,20 +24,30 @@ const (
 	// four permutations per iteration for the two-sample t (tsQuad), four
 	// rows along a revolving-door chain for the Wilcoxon delta (wilxQuad).
 	ISAAVX2
+	// ISAAVX512 adds the 8-lane two-sample t routine (amd64 with AVX512F):
+	// eight rows × four permutations per iteration (tsOct).  The Wilcoxon
+	// delta lane and the counter stay on their AVX2 routines.
+	ISAAVX512
 )
 
-var isaNames = map[KernelISA]string{
+// isaNames is the one list of kernel names, indexed by KernelISA.
+var isaNames = [...]string{
 	ISAGeneric: "generic",
 	ISAAVX2:    "avx2",
+	ISAAVX512:  "avx512",
 }
 
 // String returns the flag-level name of the ISA.
 func (i KernelISA) String() string {
-	if s, ok := isaNames[i]; ok {
-		return s
+	if i >= 0 && int(i) < len(isaNames) {
+		return isaNames[i]
 	}
 	return fmt.Sprintf("KernelISA(%d)", int(i))
 }
+
+// KernelNames lists every name SetKernelISA accepts: "auto", then each
+// ISA, best last.
+func KernelNames() []string { return append([]string{"auto"}, isaNames[:]...) }
 
 // activeISA is the process-wide kernel dispatch choice, initialised to the
 // best ISA the CPU supports.  It is read once per kernel construction
@@ -47,34 +59,29 @@ var activeISA = bestISA()
 func ActiveKernelISA() KernelISA { return activeISA }
 
 // SupportedISAs lists the ISA names this process can run, best last.
-func SupportedISAs() []string {
-	var out []string
-	for isa := ISAGeneric; isa <= bestISA(); isa++ {
-		out = append(out, isa.String())
-	}
-	return out
-}
+func SupportedISAs() []string { return append([]string(nil), isaNames[:bestISA()+1]...) }
 
-// SetKernelISA selects the accumulation kernel by name: "auto" picks the
-// best supported ISA, "generic" and "avx2" force one.  Requesting an ISA
-// the CPU (or GOARCH) cannot run, or a name not listed here, returns an
-// error and leaves the active choice unchanged.  The returned value is the
-// ISA now active.
+// SetKernelISA selects the accumulation kernel by name, one of
+// KernelNames: "auto" picks the best supported ISA, any other forces one.
+// Requesting an ISA the CPU (or GOARCH) cannot run, or a name not listed
+// there, returns an error and leaves the active choice unchanged.  The
+// returned value is the ISA now active.
 func SetKernelISA(name string) (KernelISA, error) {
-	switch strings.ToLower(name) {
-	case "", "auto":
+	name = strings.ToLower(name)
+	if name == "" || name == "auto" {
 		activeISA = bestISA()
 		return activeISA, nil
-	case "generic":
-		activeISA = ISAGeneric
-		return activeISA, nil
-	case "avx2":
-		if bestISA() < ISAAVX2 {
+	}
+	for isa, n := range isaNames {
+		if n != name {
+			continue
+		}
+		if KernelISA(isa) > bestISA() {
 			return activeISA, fmt.Errorf("stat: kernel %q not supported on this CPU (have %s)", name, SupportedISAs())
 		}
-		activeISA = ISAAVX2
+		activeISA = KernelISA(isa)
 		return activeISA, nil
-	default:
-		return activeISA, fmt.Errorf("stat: unknown kernel %q (want auto, generic or avx2)", name)
 	}
+	names := KernelNames()
+	return activeISA, fmt.Errorf("stat: unknown kernel %q (want %s or %s)", name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 }

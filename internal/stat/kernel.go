@@ -188,7 +188,7 @@ func rowTotals(m matrix.Matrix) (n []int, sum, sumsq []float64) {
 			if v == v { // !NaN
 				cnt++
 				s += v
-				q += v * v
+				q += float64(v * v)
 			}
 		}
 		n[i], sum[i], sumsq[i] = cnt, s, q
@@ -247,13 +247,13 @@ func newTSTail(pooled bool, na, nb int) (t tsTail, ok bool) {
 func (t *tsTail) stat(sign, S, Q, sa, qa float64) float64 {
 	sb := S - sa
 	qb := Q - qa
-	m2a := clampM2(qa*t.fa-sa*sa, qa*t.fa)
-	m2b := clampM2(qb*t.fb-sb*sb, qb*t.fb)
-	den := (m2a*t.db + m2b*t.da) * t.scale
+	m2a := clampM2(float64(qa*t.fa)-float64(sa*sa), qa*t.fa)
+	m2b := clampM2(float64(qb*t.fb)-float64(sb*sb), qb*t.fb)
+	den := (float64(m2a*t.db) + float64(m2b*t.da)) * t.scale
 	if den == 0 {
 		return math.NaN()
 	}
-	return sign * (sa*t.fb - sb*t.fa) * t.rt / math.Sqrt(den)
+	return sign * (float64(sa*t.fb) - float64(sb*t.fa)) * t.rt / math.Sqrt(den)
 }
 
 // twoSampleStat is the per-row tail of the two-sample t statistic, shared
@@ -347,7 +347,7 @@ func newWilxTail(cls, nc, nn int, total, totalSq float64) (t wilxTail) {
 		return t
 	}
 	ybar := total / float64(nn)
-	ssq := totalSq - float64(nn)*ybar*ybar
+	ssq := totalSq - float64(float64(nn)*ybar*ybar)
 	variance := float64(n0) * float64(n1) / (float64(nn) * float64(nn-1)) * ssq
 	if variance <= 0 {
 		return t
@@ -363,9 +363,9 @@ func (t *wilxTail) stat(sc float64) float64 {
 	if !t.ok {
 		return math.NaN()
 	}
-	s1 := sc
+	s1 := float64(sc) // rounded: the caller may pass a product
 	if t.neg {
-		s1 = t.total - sc
+		s1 = t.total - s1
 	}
 	return (s1 - t.mu1) / t.sd
 }
@@ -390,12 +390,12 @@ func wilcoxonStat(cls, nc int, sc float64, nn int, total, totalSq float64) float
 		return math.NaN()
 	}
 	ybar := total / float64(nn)
-	ssq := totalSq - float64(nn)*ybar*ybar
+	ssq := totalSq - float64(float64(nn)*ybar*ybar)
 	variance := float64(n0) * float64(n1) / (float64(nn) * float64(nn-1)) * ssq
 	if variance <= 0 {
 		return math.NaN()
 	}
-	return (s1 - float64(n1)*ybar) / math.Sqrt(variance)
+	return (s1 - float64(float64(n1)*ybar)) / math.Sqrt(variance)
 }
 
 // ---- one-way F kernel ----------------------------------------------------
@@ -470,9 +470,9 @@ func fStat(cn []int, cs, cq []float64, ord []int, kk int) float64 {
 	for _, g := range ord {
 		fg := float64(cn[g])
 		mg := cs[g] / fg
-		ssWithin += clampM2(cq[g]-cs[g]*mg, cq[g])
+		ssWithin += clampM2(cq[g]-float64(cs[g]*mg), cq[g])
 		dg := mg - grand
-		ssBetween += fg * dg * dg
+		ssBetween += float64(fg * dg * dg)
 	}
 	dfWithin := total - kk
 	if dfWithin <= 0 || ssWithin <= 0 {
@@ -513,7 +513,7 @@ func newPairTKernel(d *Design, m matrix.Matrix) *pairTKernel {
 			dv := b - a
 			dst[j] = dv
 			k.cnt[i]++
-			k.sumsq[i] += dv * dv
+			k.sumsq[i] += float64(dv * dv)
 		}
 	}
 	return k
@@ -534,12 +534,9 @@ func (k *pairTKernel) Rows() int { return k.diffs.Rows }
 // the zero-variance NaN exactly when the legacy sd was zero (m2s clamps to
 // zero whenever fm·m2 is numerically zero; the threshold scales by fm).
 func pairTStat(sum float64, m int, sumsq float64) float64 {
-	if m < 2 {
-		return math.NaN()
-	}
 	fm := float64(m)
-	m2s := clampM2(sumsq*fm-sum*sum, sumsq*fm)
-	if m2s == 0 {
+	m2s := clampM2(float64(sumsq*fm)-float64(sum*sum), sumsq*fm)
+	if m < 2 || m2s == 0 {
 		return math.NaN()
 	}
 	return sum * math.Sqrt(fm-1) / math.Sqrt(m2s)
@@ -613,11 +610,11 @@ func newBlockFKernel(d *Design, m matrix.Matrix) *blockFKernel {
 			for j := 0; j < kk; j++ {
 				v := row[b*kk+j]
 				dv := v - gm
-				ssTotal += dv * dv
+				ssTotal += float64(dv * dv)
 				bs += v
 			}
 			db := bs/float64(kk) - gm
-			ssBlock += float64(kk) * db * db
+			ssBlock += float64(float64(kk) * db * db)
 		}
 		k.ssTotal[i], k.ssBlock[i] = ssTotal, ssBlock
 	}
@@ -635,7 +632,7 @@ func blockFStat(treatSum []float64, ord []int, used, kk int, gm, ssTotal, ssBloc
 	var ssTreat float64
 	for _, t := range ord {
 		dt := treatSum[t]/float64(used) - gm
-		ssTreat += float64(used) * dt * dt
+		ssTreat += float64(float64(used) * dt * dt)
 	}
 	ssErr := ssTotal - ssTreat - ssBlock
 	dfErr := (kk - 1) * (used - 1)

@@ -175,8 +175,8 @@ func BenchmarkKernelDelta(b *testing.B) {
 }
 
 // BenchmarkKernelISA sweeps the two-sample accumulation kernel dispatch —
-// generic, AVX2 (where supported) — on the paper's Welch-t 6102×76
-// workload at batch 64.  One op is one permutation.  Both produce bitwise
+// generic, AVX2, AVX-512 (where supported) — on the paper's Welch-t 6102×76
+// workload at batch 64.  One op is one permutation.  All produce bitwise
 // identical statistics (TestStatsBatchISASweep).
 func BenchmarkKernelISA(b *testing.B) {
 	d, err := NewDesign(Welch, halfLabels(76))

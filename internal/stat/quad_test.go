@@ -3,34 +3,42 @@ package stat
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"sprint/internal/matrix"
 )
 
-// tsQuadGo is tsQuad in Go, the statement the assembly is pinned to: four
-// lanes, each the scalar chain over the quad buffer (the stored square is
-// what the chain adds) and the scalar tsTail.stat.
-func tsQuadGo(v8 []float64, sel8 []int32, L, groups int, t *tsTail, S, Q *[4]float64, sign, out []float64, ps, rs int) {
+// tsLaneGo is tsQuad (w = 4) and tsOct (w = 8) in Go, the statement the
+// assembly is pinned to: w lanes, each the scalar chain over the lane
+// buffer (the square rounded before it is added) and the scalar
+// tsTail.stat.
+func tsLaneGo(w int, v8 []float64, sel8 []int32, L, groups int, t *tsTail, S, Q []float64, sign, out []float64, ps, rs int) {
 	for p := 0; p < 4*groups; p++ {
-		for r := 0; r < 4; r++ {
+		for r := 0; r < w; r++ {
 			var sa, qa float64
 			for _, o := range sel8[p*L : (p+1)*L] {
-				sa += v8[int(o)+r]
-				qa += v8[int(o)+4+r]
+				x := v8[int(o)+r]
+				sa += x
+				qa += float64(x * x)
 			}
 			out[p*ps+r*rs] = t.stat(sign[p], S[r], Q[r], sa, qa)
 		}
 	}
 }
 
-// strideForms are the (ps, rs) layouts StatsRows is asked for: the engine's
-// [position][labelling] block, StatsBatch's permutation-major matrix, and
-// one that is neither, so tsQuad's three stores are all read back.
-var strideForms = []struct {
+// strideForm is one (ps, rs) layout of a StatsRows output, as a function
+// of the batch size and the rows evaluated.
+type strideForm struct {
 	name   string
 	ps, rs func(nb, rows int) int
-}{
+}
+
+// strideForms are the (ps, rs) layouts StatsRows is asked for: the engine's
+// [position][labelling] block, StatsBatch's permutation-major matrix, and
+// one that is neither, so tsQuad's three stores are all read back (tsOct
+// takes the first two).
+var strideForms = []strideForm{
 	{"ps=1", func(nb, rows int) int { return 1 }, func(nb, rows int) int { return nb }},
 	{"rs=1", func(nb, rows int) int { return rows }, func(nb, rows int) int { return 1 }},
 	{"strided", func(nb, rows int) int { return 2*rows + 1 }, func(nb, rows int) int { return 2 }},
@@ -91,11 +99,13 @@ func tailRows(lab []int) [][]float64 {
 // oracle bit for bit — NaN payloads included — under every ISA this CPU
 // runs: Welch and pooled, balanced and unbalanced designs, both stride
 // forms the callers use and a third, batch sizes around the four-labelling
-// groups, row ranges that start mid-quad and leave 0–3 rows over, an
-// NA-bearing and a constant row breaking the quads, and rows built to
-// reach each branch of the tail.  Under avx2 this is what ties tsQuad's
-// assembly tail to tsTail.stat.
+// groups, row ranges that start mid-octet and leave 0–7 rows over, an
+// NA-bearing and a constant row breaking the lanes, and rows built to
+// reach each branch of the tail, twice over so that every one of them
+// sits in a high lane (4–7) of an aligned octet.  Under avx2 and avx512
+// this is what ties tsQuad's and tsOct's assembly tails to tsTail.stat.
 func TestStatsBatchISASweep(t *testing.T) {
+	logISAs(t)
 	designs := []struct {
 		name string
 		lab  []int
@@ -113,7 +123,11 @@ func TestStatsBatchISASweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(test.String()+"/"+dc.name, func(t *testing.T) {
+				// Two copies, the second 12 rows on: rows 0–11 and 12–23
+				// put tail rows 4–7, then 0–3 and 8–11, in lanes 4–7 of the
+				// octets from row 0.
 				special := tailRows(d.Labels)
+				special = append(special, special...)
 				m := benchMatrix(len(special)+15, d.N, 3)
 				for i, x := range special {
 					copy(m.Row(i), x)
@@ -124,7 +138,7 @@ func TestStatsBatchISASweep(t *testing.T) {
 					m.Row(flat)[j] = 4.5
 				}
 				k := mustKernel(t, d, m).(*twoSampleKernel)
-				ranges := [][2]int{{0, m.Rows}, {1, m.Rows - 1}, {2, m.Rows}, {3, m.Rows - 2}, {5, 9}, {na - 2, flat + 3}}
+				ranges := [][2]int{{0, m.Rows}, {1, m.Rows - 1}, {2, m.Rows}, {3, m.Rows - 2}, {4, m.Rows - 5}, {5, 9}, {5, 17}, {na - 2, flat + 3}}
 				for _, nb := range []int{1, 3, 4, 5, 8, 63, 64, 65} {
 					labs := make([]int, nb*d.N)
 					lab := append([]int(nil), d.Labels...)
@@ -163,18 +177,35 @@ func TestStatsBatchISASweep(t *testing.T) {
 	}
 }
 
-// FuzzTSQuad pins the AVX2 routine to tsQuadGo on arbitrary non-NaN bit
+// logISAs names the ISAs a sweep covers on this CPU and the ones it
+// cannot, so a runner without AVX-512 shows what it skipped.
+func logISAs(t *testing.T) {
+	t.Helper()
+	t.Logf("ISAs covered: %v", SupportedISAs())
+	if missing := isaNames[bestISA()+1:]; len(missing) > 0 {
+		t.Logf("ISAs not covered (this CPU cannot run them): %v", missing)
+	}
+}
+
+// FuzzTSQuad pins the AVX2 routine to tsLaneGo on arbitrary non-NaN bit
 // patterns (an NA-free quad is its precondition; infinities, subnormals
 // and signed zeros are not excluded) under arbitrary selected-column
 // lists — repeated and unordered ones too — comparing results by their
 // bits in each of the three store forms.
-func FuzzTSQuad(f *testing.F) {
-	if bestISA() < ISAAVX2 {
-		f.Skip("no AVX2 on this CPU")
+func FuzzTSQuad(f *testing.F) { fuzzTSLane(f, 4, ISAAVX2, tsQuad, strideForms) }
+
+// FuzzTSOct is FuzzTSQuad for the AVX-512 octet routine, in the two store
+// forms it takes.
+func FuzzTSOct(f *testing.F) { fuzzTSLane(f, 8, ISAAVX512, tsOct, strideForms[:2]) }
+
+func fuzzTSLane(f *testing.F, w int, isa KernelISA, lane func(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int), forms []strideForm) {
+	if bestISA() < isa {
+		f.Skipf("no %v on this CPU (have %v)", isa, SupportedISAs())
 	}
+	f.Logf("covering the %d-row lane under %v", w, isa)
 	seed := func(vals ...float64) []byte {
-		b := make([]byte, 0, 8*len(vals)*4)
-		for rep := 0; rep < 4; rep++ {
+		b := make([]byte, 0, 8*len(vals)*w)
+		for rep := 0; rep < w; rep++ {
 			for _, v := range vals {
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)+uint64(rep))
 			}
@@ -186,24 +217,24 @@ func FuzzTSQuad(f *testing.F) {
 	f.Add(seed(math.Inf(1), 1, math.Inf(-1), 2, math.Copysign(0, -1), 0, 4, 4), uint8(5), false, uint8(2))
 	f.Add(seed(2, 2, 2, 2, 1e10, 1e10, 1e10, 1e10), uint8(4), true, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, nsel uint8, pooled bool, form uint8) {
-		cols := min(len(data)/32, 40)
+		cols := min(len(data)/(8*w), 40)
 		if cols < 1 {
 			return
 		}
-		// The quad buffer as StatsRows builds it, from an odd offset so the
+		// The lane buffer as StatsRows builds it, from an odd offset so the
 		// routine is also run off its preferred alignment.
 		buf := make([]float64, 8*cols+1)
 		v8 := buf[1:]
-		var S, Q [4]float64
+		S, Q := make([]float64, w), make([]float64, w)
 		for j := 0; j < cols; j++ {
-			for r := 0; r < 4; r++ {
-				x := math.Float64frombits(binary.LittleEndian.Uint64(data[8*(4*j+r):]))
+			for r := 0; r < w; r++ {
+				x := math.Float64frombits(binary.LittleEndian.Uint64(data[8*(w*j+r):]))
 				if x != x {
 					x = math.Float64frombits(math.Float64bits(x) &^ (1 << 62)) // a finite pattern
 				}
-				v8[8*j+r], v8[8*j+4+r] = x, x*x
+				v8[8*j+r] = x
 				S[r] += x
-				Q[r] += x * x
+				Q[r] += float64(x * x)
 			}
 		}
 		const groups = 2
@@ -217,15 +248,15 @@ func FuzzTSQuad(f *testing.F) {
 		}
 		tail, _ := newTSTail(pooled, max(L, 2), max(cols-L, 2))
 		s.openQuad(&tail, cols)
-		copy(s.qc[32:36], S[:])
-		copy(s.qc[36:40], Q[:])
-		sf := strideForms[int(form)%len(strideForms)]
-		ps, rs := sf.ps(4*groups, 4), sf.rs(4*groups, 4)
-		got := make([]float64, 4*groups*ps+4*rs)
+		copy(s.qc[32:], S)
+		copy(s.qc[40:], Q)
+		sf := forms[int(form)%len(forms)]
+		ps, rs := sf.ps(4*groups, w), sf.rs(4*groups, w)
+		got := make([]float64, 4*groups*ps+w*rs)
 		want := make([]float64, len(got))
 		sel8 := append(s.sel8, 0) // addressable when L == 0
-		tsQuad(&v8[0], &sel8[0], L, groups, &s.qc, &s.sign[0], &got[0], ps, rs)
-		tsQuadGo(v8, sel8, L, groups, &tail, &S, &Q, s.sign, want, ps, rs)
+		lane(&v8[0], &sel8[0], L, groups, &s.qc, &s.sign[0], &got[0], ps, rs)
+		tsLaneGo(w, v8, sel8, L, groups, &tail, S, Q, s.sign, want, ps, rs)
 		for o := range got {
 			if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
 				t.Fatalf("%s L=%d cols=%d pooled=%v out[%d]: asm %v (%#x), Go %v (%#x)",
@@ -238,7 +269,7 @@ func FuzzTSQuad(f *testing.F) {
 // wilxQuadGo is wilxQuad in Go, the statement the assembly is pinned to:
 // four lanes of int32 sums, wrapping as VPADDD does, and fullLane's tail
 // on each.
-func wilxQuadGo(q, dq []int32, L, groups int, qc *[40]float64, qs *[8]int32, neg bool, out []float64, ps, rs int) {
+func wilxQuadGo(q, dq []int32, L, groups int, qc *[48]float64, qs *[8]int32, neg bool, out []float64, ps, rs int) {
 	var sum [4]int32
 	for _, o := range dq[:L] {
 		for r := range sum {
@@ -290,7 +321,7 @@ func FuzzWilxQuad(f *testing.F) {
 		for e := range dq {
 			dq[e] = 16 * (int32(data[(7*e+3)%len(data)]) % int32(cols))
 		}
-		var qc [40]float64
+		var qc [48]float64
 		finite := func(b uint64) float64 {
 			x := math.Float64frombits(b)
 			if x != x {
@@ -410,5 +441,48 @@ func TestDeltaRowsISASweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLanesUnderEveryHigherISA: under avx2 and every ISA above it that this
+// CPU runs, each SIMD lane still runs — the two-sample routine fills the
+// row totals it reads (the last quad's under avx2, the octet's under avx512), and
+// the Wilcoxon delta routine its row totals and the byte offsets OpenDelta
+// builds for it — so a lane gated on one ISA by equality fails here.
+func TestLanesUnderEveryHigherISA(t *testing.T) {
+	logISAs(t)
+	d, err := NewDesign(Welch, halfLabels(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := mustKernel(t, d, benchMatrix(8, d.N, 5)).(*twoSampleKernel)
+	dw, err := NewDesign(Wilcoxon, halfLabels(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wx := mustKernel(t, dw, deltaTestMatrix(8, dw.N, false, 5)).(*wilcoxonKernel)
+	for isa := ISAAVX2; isa <= bestISA(); isa++ {
+		ts.isa, wx.isa = isa, isa
+		w := 4
+		if isa >= ISAAVX512 {
+			w = 8
+		}
+		s := ts.NewBatchScratch(4)
+		labs := make([]int, 4*d.N)
+		for p := 0; p < 4; p++ {
+			copy(labs[p*d.N:], d.Labels)
+		}
+		ts.OpenBatch(labs, 4, s)
+		ts.StatsRows(0, 8, make([]float64, 4*8), 1, 4, s)
+		if got, want := s.qc[32:32+w], ts.sum[8-w:]; !slices.Equal(got, want) { // the last lane's rows
+			t.Errorf("%v: two-sample lane read row totals %v, want the last %d rows' %v", isa, got, w, want)
+		}
+		lab0, moves, _ := randomExchangeChain(dw, 4, 3)
+		s = &BatchScratch{}
+		wx.OpenDelta(lab0, moves, s)
+		wx.DeltaRows(0, 8, make([]float64, 4*8), 1, 4, s)
+		if len(s.dq) == 0 || s.qs[4] == 0 {
+			t.Errorf("%v: the Wilcoxon delta lane did not run (offsets %d, row total %d)", isa, len(s.dq), s.qs[4])
+		}
 	}
 }

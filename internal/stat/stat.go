@@ -261,7 +261,7 @@ func groupMoments(row []float64, lab []int, k int, n []int, mean, m2 []float64) 
 		n[g]++
 		delta := v - mean[g]
 		mean[g] += delta / float64(n[g])
-		m2[g] += delta * (v - mean[g])
+		m2[g] += float64(delta * (v - mean[g]))
 	}
 }
 
@@ -326,19 +326,19 @@ func wilcoxonZ(row []float64, lab []int) float64 {
 		n[g]++
 		sum[g] += v
 		total += v
-		totalSq += v * v
+		totalSq += float64(v * v)
 	}
 	nn := n[0] + n[1]
 	if n[0] < 2 || n[1] < 2 || nn < 3 {
 		return math.NaN()
 	}
 	ybar := total / float64(nn)
-	ssq := totalSq - float64(nn)*ybar*ybar
+	ssq := totalSq - float64(float64(nn)*ybar*ybar)
 	variance := float64(n[0]) * float64(n[1]) / (float64(nn) * float64(nn-1)) * ssq
 	if variance <= 0 {
 		return math.NaN()
 	}
-	return (sum[1] - float64(n[1])*ybar) / math.Sqrt(variance)
+	return (sum[1] - float64(float64(n[1])*ybar)) / math.Sqrt(variance)
 }
 
 // onewayF computes the one-way ANOVA F-statistic across k classes.
@@ -354,13 +354,13 @@ func onewayF(row []float64, lab []int, k int) float64 {
 			return math.NaN()
 		}
 		total += n[g]
-		grand += mean[g] * float64(n[g])
+		grand += float64(mean[g] * float64(n[g]))
 	}
 	grand /= float64(total)
 	var ssBetween, ssWithin float64
 	for g := 0; g < k; g++ {
 		d := mean[g] - grand
-		ssBetween += float64(n[g]) * d * d
+		ssBetween += float64(float64(n[g]) * d * d)
 		ssWithin += m2[g]
 	}
 	dfBetween := float64(k - 1)
@@ -390,7 +390,7 @@ func pairedT(row []float64, lab []int) float64 {
 		m++
 		delta := d - mean
 		mean += delta / float64(m)
-		m2 += delta * (d - mean)
+		m2 += float64(delta * (d - mean))
 	}
 	if m < 2 {
 		return math.NaN()
@@ -451,20 +451,20 @@ func blockF(row []float64, lab []int, k, blocks int) float64 {
 		}
 		for j := 0; j < k; j++ {
 			d := row[b*k+j] - grandMean
-			ssTotal += d * d
+			ssTotal += float64(d * d)
 		}
 	}
 	var ssTreat, ssBlock float64
 	for t := 0; t < k; t++ {
 		d := treatSum[t]/float64(blockUsed) - grandMean
-		ssTreat += float64(blockUsed) * d * d
+		ssTreat += float64(float64(blockUsed) * d * d)
 	}
 	for b := 0; b < blocks; b++ {
 		if !complete[b] {
 			continue
 		}
 		d := blockSum[b]/float64(k) - grandMean
-		ssBlock += float64(k) * d * d
+		ssBlock += float64(float64(k) * d * d)
 	}
 	ssError := ssTotal - ssTreat - ssBlock
 	dfTreat := float64(k - 1)

@@ -102,8 +102,8 @@ func PMaxT(x [][]float64, classlabel []int, nprocs int, opt Options) (*Result, e
 	return core.PMaxTMatrix(m, classlabel, nprocs, opt)
 }
 
-// SetKernel selects the two-sample accumulation kernel by name — "auto",
-// "generic" or "avx2" — returning the name now active.  Meant for
+// SetKernel selects the accumulation kernel by name — "auto" or an ISA
+// the CPU runs (pmaxt -kernel lists them) — returning the name now active.  Meant for
 // process startup (the pmaxt -kernel flag); every kernel produces
 // bitwise identical results, so this is purely a performance knob.
 func SetKernel(name string) (string, error) { return core.SetKernel(name) }
