@@ -2,8 +2,13 @@
 
 package maxt
 
-// countRowAVX2 is never selected off amd64 (the active ISA is generic
-// there); the binding satisfies the shared call site in countBlock.
-func countRowAVX2(z, u []float64, o float64, flip, keep uint64) (r, a int64) {
-	return tallyRow(z, u, o, flip, keep)
+// Off amd64 the active ISA is generic, so countLane never selects these;
+// the bindings satisfy the shared call sites in countBlock.
+
+func countBlockAVX2(blk []float64, nb int, pobs, u []float64, raw, adj []int64, flip, keep uint64) {
+	panic("maxt: the AVX2 counting lane was selected off amd64")
+}
+
+func countBlockAVX512(blk []float64, nb int, pobs, u []float64, raw, adj []int64, flip, keep uint64) {
+	panic("maxt: the AVX-512 counting lane was selected off amd64")
 }

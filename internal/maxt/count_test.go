@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -114,19 +113,30 @@ func countISAs() []stat.KernelISA {
 	return out
 }
 
-// TestCountQuadsUnderEveryHigherISA: every ISA from avx2 up — those this
-// CPU cannot run too, since only the gate is read — folds all but nb mod 4
-// labellings on the AVX2 counter, so a new ISA cannot silently drop it.
-func TestCountQuadsUnderEveryHigherISA(t *testing.T) {
+// TestCountLaneUnderEveryHigherISA: every ISA from avx2 up — those this
+// CPU cannot run too, since only the gate is read — hands blocks to an
+// assembly lane (from avx512 up, the AVX-512 lane on all nb labellings),
+// so a new ISA cannot silently drop one.
+func TestCountLaneUnderEveryHigherISA(t *testing.T) {
 	for isa := stat.ISAAVX2; int(isa) < len(stat.KernelNames())-1; isa++ {
-		if got := countQuads(isa, 67); got != 64 {
-			t.Errorf("countQuads(%v, 67) = %d, want 64", isa, got)
+		lane, w := countLane(isa, 67)
+		want, ww := stat.ISAAVX2, 64
+		if isa >= stat.ISAAVX512 {
+			want, ww = stat.ISAAVX512, 67
+		}
+		if lane != want || w != ww {
+			t.Errorf("countLane(%v, 67) = %v, %d; want %v, %d", isa, lane, w, want, ww)
 		}
 	}
-	if got := countQuads(stat.ISAGeneric, 67); got != 0 {
-		t.Errorf("countQuads(generic, 67) = %d, want 0", got)
+	if lane, w := countLane(stat.ISAGeneric, 67); lane != stat.ISAGeneric || w != 0 {
+		t.Errorf("countLane(generic, 67) = %v, %d; want generic, 0", lane, w)
 	}
 }
+
+// countNBs are the batch sizes the counting tests sweep: both sides of the
+// AVX2 lane's four-labelling register and the AVX-512 lane's eight, of
+// their 32- and 64-labelling strips, and of two whole strips.
+var countNBs = []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129}
 
 // repeatLabels labels n columns in runs of run columns per class, cycling
 // through classes 0…k−1: half-and-half designs, pairs, three equal
@@ -290,32 +300,37 @@ func TestCountMatchesOracle(t *testing.T) {
 
 // TestCountBlockEdges walks the block structure of ProcessFrom: Valid on
 // both sides of one block and of several, first positions that split a
-// block or a row quad of the two-sample kernel, batch sizes on both sides
-// of the four-labelling step, under sampling and under the revolving door,
-// on every lane — against the oracle's full-run counts.
+// block or a row quad of the two-sample kernel or leave a one-position
+// block, batch sizes on both sides of the four-labelling step and of the
+// lanes' strips (8, 32 and 64 labellings, a ragged last register), under
+// sampling and under the revolving door, on every lane — against the
+// oracle's full-run counts.  The door's 70 labellings are one batch at
+// every nb from 70 up.
 func TestCountBlockEdges(t *testing.T) {
-	const rows, total = 2*blockRows + 9, 70
+	const rows = 2*blockRows + 9
 	designs := []struct {
 		name   string
 		test   stat.Test
 		labels []int
 		door   bool
+		total  int64
 	}{
-		{"welch-random", stat.Welch, []int{0, 1, 0, 1, 1, 0, 1, 0}, false},
-		{"wilcoxon-door", stat.Wilcoxon, []int{0, 0, 0, 0, 1, 1, 1, 1}, true},
+		{"welch-random", stat.Welch, []int{0, 1, 0, 1, 1, 0, 1, 0}, false, 140},
+		{"wilcoxon-door", stat.Wilcoxon, []int{0, 0, 0, 0, 1, 1, 1, 1}, true, 70},
 	}
 	for _, tc := range designs {
 		d, err := stat.NewDesign(tc.test, tc.labels)
 		if err != nil {
 			t.Fatal(err)
 		}
+		total := tc.total
 		var gen perm.Generator = perm.NewRandom(d, 8, total)
 		if tc.door {
 			if gen, err = perm.NewRevolvingDoor(d); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, valid := range []int{0, 1, 3, blockRows - 1, blockRows, blockRows + 1, rows} {
+		for _, valid := range []int{0, 1, 3, blockRows - 1, blockRows, blockRows + 1, 2*blockRows + 1, rows} {
 			m := cleanMatrix(rows, d.N, uint64(valid)+3)
 			for i := valid; i < rows; i++ {
 				for j := range m.Row(i) {
@@ -337,7 +352,7 @@ func TestCountBlockEdges(t *testing.T) {
 					for _, isa := range countISAs() {
 						p := withISA(p, isa)
 						scratch := p.NewScratch()
-						for _, nb := range []int{1, 2, 3, 4, 5, 63, 64, 65} {
+						for _, nb := range countNBs {
 							for _, first := range firsts {
 								got := NewCounts(rows)
 								ProcessFrom(p, gen, 0, total, got, scratch, nb, first)
@@ -354,11 +369,12 @@ func TestCountBlockEdges(t *testing.T) {
 // TestCountMatchesOracleOnStatistics drives the counter alone with
 // statistic vectors no kernel is obliged to produce: NaN, ±Inf, signed
 // zeros and exact ties in both the observed and the permuted position, a
-// batch of them at a time on every lane.  Hand-placed beside the random
-// draws: an observed -Inf (side upper) or +Inf (side lower) meeting a NaN
-// permuted value, which must count and is what forces the NaN → -Inf
-// replacement; -0 permuted against +0 observed and the reverse, which must
-// count on every side; and a batch whose statistics are all tied.
+// batch of them at a time (countNBs) on every lane, in two blocks and in
+// one-position blocks.  Hand-placed beside the random draws: an observed
+// -Inf (side upper) or +Inf (side lower) meeting a NaN permuted value,
+// which must count and is what forces the NaN → -Inf replacement; -0
+// permuted against +0 observed and the reverse, which must count on every
+// side; and a batch whose statistics are all tied.
 func TestCountMatchesOracleOnStatistics(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, negZero, 1, -1, 2.5, -2.5}
@@ -391,7 +407,7 @@ func TestCountMatchesOracleOnStatistics(t *testing.T) {
 		}
 		for _, n := range []int{1, 2, 7, 40} {
 			for _, pat := range patterns {
-				for _, nb := range []int{1, 2, 3, 4, 5, 63, 64, 65} {
+				for _, nb := range countNBs {
 					p := &Prep{Side: side, M: matrix.Matrix{Rows: n}, Stat: draw(n), Obs: make([]float64, n)}
 					if pat.placed {
 						p.Stat[0] = pat.obs0
@@ -425,21 +441,31 @@ func TestCountMatchesOracleOnStatistics(t *testing.T) {
 					}
 					for _, isa := range countISAs() {
 						p.isa = isa
-						raw, adj := make([]int64, p.Valid), make([]int64, p.Valid)
-						u := make([]float64, nb)
-						for b := range u {
-							u[b] = math.Inf(-1)
+						for _, single := range []bool{false, true} {
+							raw, adj := make([]int64, p.Valid), make([]int64, p.Valid)
+							u := make([]float64, nb)
+							for b := range u {
+								u[b] = math.Inf(-1)
+							}
+							if single {
+								// One-position blocks, the bottom first: u carries
+								// across every call.
+								for j := p.Valid - 1; j >= 0; j-- {
+									p.countBlock(blk[j*nb:], j, j+1, nb, u, raw, adj)
+								}
+							} else {
+								// Two blocks, split at an arbitrary position: u carries.
+								mid := p.Valid / 3
+								p.countBlock(blk[mid*nb:], mid, p.Valid, nb, u, raw, adj)
+								p.countBlock(blk, 0, mid, nb, u, raw, adj)
+							}
+							got := NewCounts(n)
+							for j, r := range p.Order[:p.Valid] {
+								got.Raw[r], got.Adj[r] = raw[j], adj[j]
+							}
+							got.B = int64(nb)
+							requireCountsEqual(t, got, want, side, "n", n, "nb", nb, isa, pat.name, "one-position blocks", single)
 						}
-						// Two blocks, split at an arbitrary position: u carries.
-						mid := p.Valid / 3
-						p.countBlock(blk[mid*nb:], mid, p.Valid, nb, u, raw, adj)
-						p.countBlock(blk, 0, mid, nb, u, raw, adj)
-						got := NewCounts(n)
-						for j, r := range p.Order[:p.Valid] {
-							got.Raw[r], got.Adj[r] = raw[j], adj[j]
-						}
-						got.B = int64(nb)
-						requireCountsEqual(t, got, want, side, "n", n, "nb", nb, isa, pat.name)
 					}
 				}
 			}
@@ -447,12 +473,25 @@ func TestCountMatchesOracleOnStatistics(t *testing.T) {
 	}
 }
 
-// FuzzCountRow pins the AVX2 lane to tallyRow on arbitrary bit patterns —
-// every NaN payload, infinities, denormals and signed zeros, in the
-// statistics, the running maxima and the observed value, under each side.
-func FuzzCountRow(f *testing.F) {
-	if !slices.Contains(countISAs(), stat.ISAAVX2) {
-		f.Skip("no AVX2 on this CPU")
+// FuzzCountBlock pins the block lanes to tallyRow walked over positions
+// from the bottom, on arbitrary bit patterns — every NaN payload,
+// infinities, denormals and signed zeros, in the statistics, the running
+// maxima and each position's observed value, under each side — for 1–40
+// positions and 1–130 labellings, under every SIMD ISA this CPU has.  The
+// data is read cyclically, eight bytes a value, so any input of at least
+// eight bytes fills a block.
+func FuzzCountBlock(f *testing.F) {
+	var isas []stat.KernelISA
+	for _, isa := range countISAs() {
+		if isa >= stat.ISAAVX2 {
+			isas = append(isas, isa)
+		}
+	}
+	if len(isas) == 0 {
+		f.Skip("no SIMD ISA on this CPU")
+	}
+	if missing := stat.KernelNames()[1+len(countISAs()):]; len(missing) > 0 {
+		f.Logf("ISAs this CPU cannot run, not fuzzed: %v", missing)
 	}
 	bits := func(vs ...float64) []byte {
 		var out []byte
@@ -462,30 +501,59 @@ func FuzzCountRow(f *testing.F) {
 		return out
 	}
 	nan, inf := math.NaN(), math.Inf(1)
-	f.Add(bits(1, -1, 0, math.Copysign(0, -1), nan, inf, -inf, 2.5, -inf, -inf, 0, 0, 3, nan, inf, -inf), math.Float64bits(0), uint8(0))
-	f.Add(bits(nan, nan, nan, nan, -inf, -inf, -inf, -inf), math.Float64bits(-inf), uint8(1))
-	f.Add(bits(nan, 1, -0.5, inf, inf, -inf, 7, 7), math.Float64bits(inf), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, obits uint64, side uint8) {
-		n := len(data) / 16 &^ 3 // z then u, a whole number of quads
-		if n == 0 {
+	f.Add(bits(1, -1, 0, math.Copysign(0, -1), nan, inf, -inf, 2.5, -inf, -inf, 0, 0, 3, nan, inf, -inf), uint8(1), uint8(16), uint8(0))
+	f.Add(bits(nan, nan, nan, nan, -inf, -inf, -inf), uint8(3), uint8(64), uint8(1))
+	f.Add(bits(nan, 1, -0.5, inf, inf, -inf, 7, 7, 0, -2), uint8(39), uint8(129), uint8(2))
+	f.Add(bits(math.Copysign(0, -1), 0, 5e-324, -5e-324), uint8(8), uint8(71), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, npos, nbm uint8, side uint8) {
+		if len(data) < 8 {
 			return
 		}
-		z, u := make([]float64, n), make([]float64, n)
-		for i := range z {
-			z[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-			u[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(n+i):]))
+		n, nb := 1+int(npos)%40, 1+int(nbm)%130
+		k := 0
+		next := func() float64 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data[8*(k%(len(data)/8)):]))
+			k++
+			return v
 		}
-		o := math.Float64frombits(obits)
-		flip, keep := Side(side % 3).bits()
-		uGo := append([]float64(nil), u...)
-		rGo, aGo := tallyRow(z, uGo, o, flip, keep)
-		r, a := countRowAVX2(z, u, o, flip, keep)
-		if r != rGo || a != aGo {
-			t.Fatalf("side %v o=%v z=%v: asm counts (%d, %d), tallyRow (%d, %d)", Side(side%3), o, z, r, a, rGo, aGo)
+		blk, u, pobs := make([]float64, n*nb), make([]float64, nb), make([]float64, n)
+		for i := range blk {
+			blk[i] = next()
 		}
 		for i := range u {
-			if math.Float64bits(u[i]) != math.Float64bits(uGo[i]) {
-				t.Fatalf("side %v z=%v: asm u[%d] = %x, tallyRow %x", Side(side%3), z, i, math.Float64bits(u[i]), math.Float64bits(uGo[i]))
+			u[i] = next()
+		}
+		for i := range pobs {
+			pobs[i] = next()
+		}
+		s := Side(side % 3)
+		flip, keep := s.bits()
+		uGo := append([]float64(nil), u...)
+		rawGo, adjGo := make([]int64, n), make([]int64, n)
+		for j := n - 1; j >= 0; j-- {
+			rawGo[j], adjGo[j] = tallyRow(blk[j*nb:][:nb], uGo, pobs[j], flip, keep)
+			rawGo[j] += int64(j)
+			adjGo[j] -= int64(j)
+		}
+		for _, isa := range isas {
+			p := &Prep{Side: s, pobs: pobs, isa: isa}
+			uc := append([]float64(nil), u...)
+			raw, adj := make([]int64, n), make([]int64, n)
+			for j := range raw {
+				raw[j], adj[j] = int64(j), -int64(j)
+			}
+			p.countBlock(blk, 0, n, nb, uc, raw, adj)
+			for j := range raw {
+				if raw[j] != rawGo[j] || adj[j] != adjGo[j] {
+					t.Fatalf("%v side %v n=%d nb=%d position %d: counts (%d, %d), tallyRow (%d, %d)",
+						isa, s, n, nb, j, raw[j], adj[j], rawGo[j], adjGo[j])
+				}
+			}
+			for b := range uc {
+				if math.Float64bits(uc[b]) != math.Float64bits(uGo[b]) {
+					t.Fatalf("%v side %v n=%d nb=%d: u[%d] = %x, tallyRow %x",
+						isa, s, n, nb, b, math.Float64bits(uc[b]), math.Float64bits(uGo[b]))
+				}
 			}
 		}
 	})
@@ -534,8 +602,10 @@ func TestScratchAcrossPrepsZeroAllocs(t *testing.T) {
 // on 6102×75–76 under random sampling — for ProcessBatched as the engine
 // runs it (process) and, per kernel ISA, for the same walk of labels and
 // row blocks with the counting skipped (kernel/<isa>), so the counting
-// share is the difference of the two lines; count is the counter alone on
-// one full block, per lane.
+// share is the difference of the two lines; count-128x64/<isa> is
+// countBlock alone on one full block, 128 positions × 64 labellings, in
+// one lane call: the generic walk, two 32-labelling strips under avx2 and
+// one 64-labelling strip under avx512.
 func BenchmarkCount(b *testing.B) {
 	const rows, perms, batch = 6102, 2048, 64
 	random := func(d *stat.Design) perm.Generator { return perm.NewRandom(d, 1, perms) }

@@ -483,8 +483,9 @@ func tally(t, u, o float64) (float64, int64, int64) {
 
 // tallyRow folds one position's statistics z under len(z) labellings into
 // their running maxima u and returns how many reach the observed statistic
-// o, raw and adjusted.  It is the counting semantics: the AVX2 lane
-// (countRowAVX2) is pinned to it bit for bit.
+// o, raw and adjusted.  It is the counting semantics: tallyBlock walks it
+// over a block, and the block lanes (countBlockAVX2, countBlockAVX512) are
+// pinned to that walk bit for bit, u included.
 func tallyRow(z, u []float64, o float64, flip, keep uint64) (r, a int64) {
 	u = u[:len(z)]
 	for b, v := range z {
@@ -496,37 +497,60 @@ func tallyRow(z, u []float64, o float64, flip, keep uint64) (r, a int64) {
 	return r, a
 }
 
+// tallyBlock folds len(u) labellings of a [position][labelling] block —
+// position j's at blk[j*nb:] — into their running maxima u, from the last
+// position to the first, adding each position's exceedances to raw[j] and
+// adj[j].  It is the generic lane and the AVX2 lane's nb mod 4 tail; the
+// assembly lanes take the same arguments.
+func tallyBlock(blk []float64, nb int, pobs, u []float64, raw, adj []int64, flip, keep uint64) {
+	for j := len(pobs) - 1; j >= 0; j-- {
+		r, a := tallyRow(blk[j*nb:][:len(u)], u, pobs[j], flip, keep)
+		raw[j] += r
+		adj[j] += a
+	}
+}
+
 // countBlock adds the exceedances of positions [lo, hi) under nb
 // labellings to the position accumulators raw and adj.  blk holds their
 // untransformed statistics, position j's at blk[(j-lo)*nb:][:nb], and u the
 // labellings' running successive maxima, carried from the block below.  It
-// is the single counting path of every batch size, so no two can
-// diverge.  The walk is upward from the least significant
-// position and the inner loop runs over labellings: contiguous, with no
-// dependency between iterations, four to a step under AVX2, and one add per
-// (position, batch) into raw and adj.
+// is the single counting path of every batch size, so no two can diverge.
+// The whole block goes to one lane call (countLane), which walks it from
+// the least significant position upward and, under a SIMD ISA, keeps a
+// strip of labellings' maxima in registers across all its positions,
+// adding once per (position, strip) into raw and adj.
 func (p *Prep) countBlock(blk []float64, lo, hi, nb int, u []float64, raw, adj []int64) {
+	if lo >= hi {
+		return
+	}
 	flip, keep := p.Side.bits()
-	quads := countQuads(p.isa, nb)
-	for j := hi - 1; j >= lo; j-- {
-		z, o := blk[(j-lo)*nb:][:nb], p.pobs[j]
-		var r, a int64
-		if quads > 0 {
-			r, a = countRowAVX2(z[:quads], u, o, flip, keep)
-		}
-		rt, at := tallyRow(z[quads:], u[quads:], o, flip, keep)
-		raw[j] += r + rt
-		adj[j] += a + at
+	pobs, raw, adj := p.pobs[lo:hi], raw[lo:hi], adj[lo:hi]
+	blk = blk[:(hi-lo)*nb]
+	lane, w := countLane(p.isa, nb)
+	switch lane {
+	case stat.ISAAVX512:
+		countBlockAVX512(blk, nb, pobs, u[:w], raw, adj, flip, keep)
+	case stat.ISAAVX2:
+		countBlockAVX2(blk, nb, pobs, u[:w], raw, adj, flip, keep)
+	}
+	if w < nb {
+		tallyBlock(blk[w:], nb, pobs, u[w:nb], raw, adj, flip, keep)
 	}
 }
 
-// countQuads is how many of nb labellings countBlock folds four to a step
-// (countRowAVX2): all but nb mod 4 under avx2 and every ISA above it.
-func countQuads(isa stat.KernelISA, nb int) int {
-	if isa >= stat.ISAAVX2 {
-		return nb &^ 3
+// countLane is the lane countBlock hands a block of nb labellings to under
+// isa, and how many of them it folds — the first w; tallyBlock takes the
+// rest.  Gates are capability, not equality: every ISA from avx512 up runs
+// the AVX-512 lane on all nb, avx2 the AVX2 lane on all but nb mod 4, and
+// generic none.
+func countLane(isa stat.KernelISA, nb int) (lane stat.KernelISA, w int) {
+	switch {
+	case isa >= stat.ISAAVX512:
+		return stat.ISAAVX512, nb
+	case isa >= stat.ISAAVX2 && nb >= 4:
+		return stat.ISAAVX2, nb &^ 3
 	}
-	return 0
+	return stat.ISAGeneric, 0
 }
 
 // Result carries the outputs of a maxT run, in the original row order.

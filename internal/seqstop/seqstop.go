@@ -120,7 +120,9 @@ func (c Config) Radius(count, b int64) float64 {
 	}
 	bf := float64(b)
 	p := float64(count) / bf
-	v := p * (1 - p)
+	// Rounded on its own: 2*v below compiles to v+v, which arm64 would
+	// otherwise fuse with this product.
+	v := float64(p * (1 - p))
 	k := math.Floor(math.Log2(bf)) + 1
 	l := math.Log(3 * k * (k + 1) * float64(c.Rows) / c.Delta)
 	return math.Sqrt(2*v*l/bf) + 3*l/bf
