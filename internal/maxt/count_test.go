@@ -52,13 +52,13 @@ func (p *Prep) countPermutation(z []float64, c *Counts) {
 // checks counting, not the statistics (internal/stat pins those).
 func oracleProcess(p *Prep, gen perm.Generator, lo, hi int64, c *Counts) {
 	lab := make([]int, p.Design.N)
-	zp := make([]float64, p.M.Rows)
-	z := make([]float64, p.M.Rows)
+	zp := make([]float64, p.Rows())
+	z := make([]float64, p.Rows())
 	s := &stat.BatchScratch{}
 	for idx := lo; idx < hi; idx++ {
 		gen.Label(idx, lab)
 		p.Kernel.OpenBatch(lab, 1, s)
-		p.Kernel.StatsRows(0, p.M.Rows, zp, 1, 1, s)
+		p.Kernel.StatsRows(0, p.Rows(), zp, 1, 1, s)
 		for j, r := range p.Order {
 			z[r] = zp[j]
 		}
@@ -68,16 +68,15 @@ func oracleProcess(p *Prep, gen perm.Generator, lo, hi int64, c *Counts) {
 
 // subPrep is the prep Prep.Subset used to build for the sequential engine —
 // the rows at step-down positions first..Valid-1 of p as a prep of their
-// own, observed statistics copied, kernel rebuilt over the copied rows —
-// kept as the oracle of ProcessFrom: starting the range at a position must
-// count exactly what dropping the prefix counted.  Sub row i is p's row
-// p.Order[first+i].
-func subPrep(t testing.TB, p *Prep, first int) *Prep {
+// own, observed statistics copied, kernel rebuilt over those rows of m, the
+// matrix p was built from with the same nonpara — kept as the oracle of
+// ProcessFrom: starting the range at a position must count exactly what
+// dropping the prefix counted.  Sub row i is p's row p.Order[first+i].
+func subPrep(t testing.TB, p *Prep, m matrix.Matrix, nonpara bool, first int) *Prep {
 	t.Helper()
 	n := p.Valid - first
 	sub := &Prep{
 		Design: p.Design, Side: p.Side, isa: p.isa,
-		M:     matrix.Matrix{Data: append([]float64(nil), p.M.Data[first*p.M.Cols:p.Valid*p.M.Cols]...), Rows: n, Cols: p.M.Cols},
 		Stat:  make([]float64, n),
 		Obs:   append([]float64(nil), p.pobs[first:]...),
 		Order: make([]int, n),
@@ -88,7 +87,7 @@ func subPrep(t testing.TB, p *Prep, first int) *Prep {
 		sub.Order[i] = i
 		sub.Stat[i] = p.Stat[p.Order[first+i]]
 	}
-	k, err := stat.NewKernel(p.Design, sub.M)
+	k, err := stat.NewKernel(p.Design, prepRows(m, p.Design, nonpara), p.Order[first:p.Valid])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,8 @@ func TestCountMatchesOracle(t *testing.T) {
 		gen := perm.NewRandom(d, 5, total)
 		for _, side := range []Side{Abs, Upper, Lower} {
 			for _, data := range countData {
-				full, err := NewPrepMatrix(data.build(rows, d.N), d, side, data.nonpara)
+				m := data.build(rows, d.N)
+				full, err := NewPrepMatrix(m, d, side, data.nonpara)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +264,7 @@ func TestCountMatchesOracle(t *testing.T) {
 				oracleProcess(full, gen, 0, total, wantFull)
 				preps := map[string]*Prep{"full": full}
 				if full.Valid > 4 {
-					preps["subset"] = subPrep(t, full, 3)
+					preps["subset"] = subPrep(t, full, m, data.nonpara, 3)
 				}
 				for kind, p := range preps {
 					want := NewCounts(p.Rows())
@@ -408,7 +408,7 @@ func TestCountMatchesOracleOnStatistics(t *testing.T) {
 		for _, n := range []int{1, 2, 7, 40} {
 			for _, pat := range patterns {
 				for _, nb := range countNBs {
-					p := &Prep{Side: side, M: matrix.Matrix{Rows: n}, Stat: draw(n), Obs: make([]float64, n)}
+					p := &Prep{Side: side, Stat: draw(n), Obs: make([]float64, n)}
 					if pat.placed {
 						p.Stat[0] = pat.obs0
 					}
@@ -570,11 +570,12 @@ func TestScratchAcrossPrepsZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewPrepMatrix(diffMatrix(60, d.N, 3), d, Abs, false)
+	m := diffMatrix(60, d.N, 3)
+	big, err := NewPrepMatrix(m, d, Abs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := subPrep(t, big, 20)
+	small := subPrep(t, big, m, false, 20)
 	gen := perm.NewRandom(d, 1, 1<<20)
 	const batch = 32
 	cBig, cSmall := NewCounts(big.Rows()), NewCounts(small.Rows())
@@ -630,19 +631,6 @@ func BenchmarkCount(b *testing.B) {
 	perCell := func(b *testing.B, cells int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 	}
-	// prepUnder builds the case's prep with its kernel on the given ISA.
-	prepUnder := func(b *testing.B, isa stat.KernelISA, d *stat.Design) *Prep {
-		before := stat.ActiveKernelISA()
-		defer stat.SetKernelISA(before.String())
-		if _, err := stat.SetKernelISA(isa.String()); err != nil {
-			b.Fatal(err)
-		}
-		p, err := NewPrepMatrix(cleanMatrix(rows, d.N, 7), d, Abs, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return p
-	}
 	for _, tc := range cases {
 		d, err := stat.NewDesign(tc.test, tc.labels)
 		if err != nil {
@@ -650,7 +638,7 @@ func BenchmarkCount(b *testing.B) {
 		}
 		gen := tc.gen(d)
 		b.Run(tc.name+"/process", func(b *testing.B) {
-			p := prepUnder(b, stat.ActiveKernelISA(), d)
+			p := prepUnderISA(b, stat.ActiveKernelISA(), cleanMatrix(rows, d.N, 7), d)
 			c := NewCounts(rows)
 			scratch := p.NewScratch()
 			ProcessBatched(p, gen, 0, batch, c, scratch, batch) // warm
@@ -662,7 +650,7 @@ func BenchmarkCount(b *testing.B) {
 		})
 		for _, isa := range countISAs() {
 			b.Run(tc.name+"/kernel/"+isa.String(), func(b *testing.B) {
-				p := prepUnder(b, isa, d)
+				p := prepUnderISA(b, isa, cleanMatrix(rows, d.N, 7), d)
 				bk := p.Kernel
 				dk, _ := p.Kernel.(stat.DeltaKernel)
 				dg, door := gen.(perm.DeltaGenerator)
@@ -681,13 +669,14 @@ func BenchmarkCount(b *testing.B) {
 							gen.Labels(base, batch, s.labs)
 							bk.OpenBatch(s.labs, batch, s.bks)
 						}
-						for bhi := p.Valid; bhi > 0; bhi -= blockRows {
-							blo := max(bhi-blockRows, 0)
+						for bhi := p.Valid; bhi > 0; {
+							blo := blockStart(bhi, 0)
 							if door {
 								dk.DeltaRows(blo, bhi, s.blk, 1, batch, s.bks)
 							} else {
 								bk.StatsRows(blo, bhi, s.blk, 1, batch, s.bks)
 							}
+							bhi = blo
 						}
 					}
 				}

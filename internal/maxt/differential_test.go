@@ -81,7 +81,7 @@ func legacyMaxT(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, gen pe
 			z[i] = fn(m.Row(i), lab)
 		}
 	}
-	p = &Prep{Design: d, Side: side, M: matrix.Matrix{Rows: n}, Stat: make([]float64, n), Obs: make([]float64, n)}
+	p = &Prep{Design: d, Side: side, Stat: make([]float64, n), Obs: make([]float64, n)}
 	stats(d.Labels, p.Stat)
 	p.rankRows()
 	c, lab, z := NewCounts(n), make([]int, d.N), make([]float64, n)

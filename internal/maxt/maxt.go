@@ -96,21 +96,21 @@ func (s Side) bits() (flip, keep uint64) {
 	}
 }
 
-// Prep bundles the immutable inputs of a maxT run: the (possibly
-// rank-transformed) flat data matrix, the design, the batched statistics
-// kernel, the observed statistics and the induced row order.  A Prep is
-// safe for concurrent use; per-goroutine scratch lives in Scratch values.
+// Prep bundles the immutable inputs of a maxT run: the design, the batched
+// statistics kernel over the (possibly rank-transformed) rows, the
+// observed statistics and the induced row order.  A Prep is safe for
+// concurrent use; per-goroutine scratch lives in Scratch values.
 //
-// The matrix copy and the kernel over it are laid out IN STEP-DOWN ORDER:
-// row j of M is original row Order[j], so the counting pass walks the
-// kernel's output front to back with no indirection and a run may start
-// at any position (ProcessFrom).  Everything a caller reads or supplies —
-// Stat, Obs, Counts, Result — stays indexed by original row.
+// The kernel is built IN STEP-DOWN ORDER: its row j is original row
+// Order[j], held in the kernel's own layout (stat.NewKernel), so the
+// counting pass walks the kernel's output front to back with no
+// indirection and a run may start at any position (ProcessFrom).  That is
+// the prep's one copy of the rows.  Everything a caller reads or supplies
+// — Stat, Obs, Counts, Result — stays indexed by original row.
 type Prep struct {
 	Design *stat.Design
 	Side   Side
-	M      matrix.Matrix    // rows × columns, transformed, in step-down order
-	Kernel stat.BatchKernel // the statistics engine over M
+	Kernel stat.BatchKernel // the statistics engine, rows in step-down order
 
 	Stat  []float64 // untransformed observed statistic per row
 	Obs   []float64 // side-transformed observed statistic per row
@@ -154,7 +154,7 @@ func rowsToMatrix(x [][]float64, d *stat.Design) (matrix.Matrix, error) {
 // transform when the test requires it (Wilcoxon) or when nonpara is set,
 // computes observed statistics under the design's labelling, derives the
 // step-down order, and builds the kernel with its precomputed per-row
-// moments over a private copy of the rows in that order.  The input matrix
+// moments over its own copy of the rows in that order.  The input matrix
 // is not modified.
 func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
 	if m.IsEmpty() {
@@ -167,21 +167,15 @@ func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*P
 		return nil, fmt.Errorf("maxt: matrix data has %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
 	}
 	p := &Prep{Design: d, Side: side, isa: stat.ActiveKernelISA()}
-	if d.NeedsRanks() || nonpara {
-		m = m.Clone()
-		scratch := make([]int, m.Cols)
-		for i := 0; i < m.Rows; i++ {
-			stat.Ranks(m.Row(i), scratch)
-		}
-	}
+	m = prepRows(m, d, nonpara)
 	// The order comes from the observed statistics, so they are computed
-	// over m as given — by a kernel that is dropped once they are known,
-	// through the engine's own path at a batch of one — and the kernel the
-	// run uses is built over the ordered copy.
+	// first — by a kernel that reads m in place, through the engine's own
+	// path at a batch of one, and is dropped once they are known — and the
+	// kernel the run uses copies the rows in that order.
 	n := m.Rows
 	p.Stat = make([]float64, n)
 	p.Obs = make([]float64, n)
-	k, err := stat.NewKernel(d, m)
+	k, err := stat.NewKernel(d, m, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -189,14 +183,24 @@ func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*P
 	k.OpenBatch(d.Labels, 1, bs)
 	k.StatsRows(0, n, p.Stat, 1, 1, bs)
 	p.rankRows()
-	p.M = matrix.New(n, m.Cols)
-	for j, r := range p.Order {
-		copy(p.M.Row(j), m.Row(r))
-	}
-	if p.Kernel, err = stat.NewKernel(d, p.M); err != nil {
+	if p.Kernel, err = stat.NewKernel(d, m, p.Order); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// prepRows returns the rows the kernels read: m itself, or a rank-
+// transformed copy when the test requires ranks or nonpara is set.
+func prepRows(m matrix.Matrix, d *stat.Design, nonpara bool) matrix.Matrix {
+	if !d.NeedsRanks() && !nonpara {
+		return m
+	}
+	m = m.Clone()
+	scratch := make([]int, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		stat.Ranks(m.Row(i), scratch)
+	}
+	return m
 }
 
 // rankRows derives everything that follows from the observed statistics:
@@ -244,7 +248,7 @@ func (p *Prep) rankRows() {
 }
 
 // Rows returns the number of rows (genes) in the prepared matrix.
-func (p *Prep) Rows() int { return p.M.Rows }
+func (p *Prep) Rows() int { return len(p.Order) }
 
 // Counts holds partial exceedance counts.  Raw[i] counts permutations whose
 // statistic for row i reaches the observed one; Adj[i] counts permutations
@@ -360,8 +364,18 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 
 // blockRows is the number of step-down positions evaluated and counted at
 // a time: 128 rows × 64 labellings of statistics are 64 KB, written by the
-// kernel and read back by the counter while still in L2.
+// kernel and read back by the counter while still in L2.  Blocks sit on a
+// fixed grid of positions [128k, 128k+128), cut to [first, Valid), so
+// every row octet and quad a block holds is aligned in the kernel
+// (blockStart).
 const blockRows = 128
+
+// blockStart returns where the block ending at position hi starts: its
+// grid line, or first if that lies above it.  A run walks blocks
+// [blockStart(hi, first), hi) from hi = Valid down to first.
+func blockStart(hi, first int) int {
+	return max((hi-1)&^(blockRows-1), first)
+}
 
 // ensureBatch sizes the batch buffers for batches of up to batch
 // labellings, reusing capacity.
@@ -402,11 +416,11 @@ func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratc
 // bit-for-bit the counts of a full run — the sequential engine passes its
 // frozen prefix.
 //
-// A batch is opened once and walked in blocks of blockRows positions from
-// the least significant upward: the kernel writes a block's statistics
-// [position][labelling] and countBlock consumes it at once.  When the
-// generator emits single-exchange deltas (perm.RevolvingDoor) AND the
-// kernel can evaluate them exactly (stat.DeltaKernel on integer rank
+// A batch is opened once and walked in blocks of the blockRows grid from
+// the least significant position upward: the kernel writes a block's
+// statistics [position][labelling] and countBlock consumes it at once.
+// When the generator emits single-exchange deltas (perm.RevolvingDoor) AND
+// the kernel can evaluate them exactly (stat.DeltaKernel on integer rank
 // data), a block costs one subtract and one add per (row, permutation) in
 // place of the O(n1) column scatter.  The delta statistics are bitwise
 // identical to the batch ones, so the fast path changes wall time only —
@@ -441,14 +455,15 @@ func ProcessFrom(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, s *Scratc
 			gen.Labels(base, int64(nb), labs)
 			p.Kernel.OpenBatch(labs, nb, s.bks)
 		}
-		for bhi := p.Valid; bhi > first; bhi -= blockRows {
-			blo := max(bhi-blockRows, first)
+		for bhi := p.Valid; bhi > first; {
+			blo := blockStart(bhi, first)
 			if useDelta {
 				dk.DeltaRows(blo, bhi, s.blk, 1, nb, s.bks)
 			} else {
 				p.Kernel.StatsRows(blo, bhi, s.blk, 1, nb, s.bks)
 			}
 			p.countBlock(s.blk, blo, bhi, nb, u, s.raw, s.adj)
+			bhi = blo
 		}
 	}
 	for j := first; j < p.Valid; j++ {
@@ -569,7 +584,7 @@ type Result struct {
 // made monotone non-decreasing down the significance order, the step-down
 // enforcement of Westfall & Young.
 func Finalize(p *Prep, c *Counts) *Result {
-	n := p.M.Rows
+	n := p.Rows()
 	res := &Result{
 		Stat:  p.Stat,
 		RawP:  make([]float64, n),
@@ -605,7 +620,7 @@ func Finalize(p *Prep, c *Counts) *Result {
 // The step-down monotonicity enforcement is unchanged: adjusted p-values
 // are made non-decreasing down the significance order.
 func FinalizeEffective(p *Prep, c *Counts, bEff []int64) *Result {
-	n := p.M.Rows
+	n := p.Rows()
 	res := &Result{
 		Stat:  p.Stat,
 		RawP:  make([]float64, n),
@@ -640,7 +655,7 @@ func FinalizeEffective(p *Prep, c *Counts, bEff []int64) *Result {
 // Run executes a complete serial maxT computation over all permutations of
 // gen: the reference mt.maxT behaviour.
 func Run(p *Prep, gen perm.Generator) *Result {
-	c := NewCounts(p.M.Rows)
+	c := NewCounts(p.Rows())
 	Process(p, gen, 0, gen.Total(), c, nil)
 	return Finalize(p, c)
 }

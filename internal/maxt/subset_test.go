@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sprint/internal/matrix"
 	"sprint/internal/perm"
 	"sprint/internal/stat"
 )
@@ -22,7 +23,7 @@ func TestSubsetCountsBitwiseEqualFullPrep(t *testing.T) {
 
 	// Drop every possible frozen prefix of the order.
 	for prefix := 0; prefix < p.Valid; prefix++ {
-		sub := subPrep(t, p, prefix)
+		sub := subPrep(t, p, tinyMatrix(t, p), false, prefix)
 		subCounts := NewCounts(sub.Rows())
 		Process(sub, gen, 0, B, subCounts, nil)
 		for si, r := range p.Order[prefix:p.Valid] {
@@ -46,7 +47,7 @@ func TestSubsetBatchedEqualsUnbatched(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
 	const B = 256
 	gen := perm.NewRandom(p.Design, 5, B)
-	sub := subPrep(t, p, 1)
+	sub := subPrep(t, p, tinyMatrix(t, p), false, 1)
 	plain := NewCounts(sub.Rows())
 	Process(sub, gen, 0, B, plain, nil)
 	batched := NewCounts(sub.Rows())
@@ -129,4 +130,14 @@ func TestFinalizeEffectivePerRowDivisors(t *testing.T) {
 		}
 		prev = res.AdjP[r]
 	}
+}
+
+// tinyMatrix is tinyX as the flat matrix NewPrep builds p from.
+func tinyMatrix(t *testing.T, p *Prep) matrix.Matrix {
+	t.Helper()
+	m, err := rowsToMatrix(tinyX, p.Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

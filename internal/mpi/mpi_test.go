@@ -86,7 +86,7 @@ func TestMessagesAreFIFOPerLink(t *testing.T) {
 func TestNilPayloadsDecodeToZero(t *testing.T) {
 	// Workers that have nothing to contribute send nil; a nil interface
 	// asserts to no type, so recvT must special-case it (regression test
-	// for a bug found by papply's gather of nil partials).
+	// for a bug once found by a gather of nil partials).
 	err := Run(3, func(c *Comm) error {
 		var payload any
 		if c.Rank() == 1 {

@@ -2,26 +2,32 @@
 
 package stat
 
-// tsQuad evaluates one NA-free row quad under groups·4 labellings — the
-// AVX2 routine in accum_avx2_amd64.s: accumulation, tsTail.stat and the
-// store, lanes = rows.  v8 is the quad by column (v8[8j+r] = x, the other
-// half of each 64-byte line unread), sel8 the labellings' lists of 8·j, L
-// entries each and back to back, qc the table BatchScratch.openQuad fills
-// with the quad's row totals behind it, sign one entry per labelling;
-// labelling p's statistic of row r goes to out[p*ps+r*rs].  Every result
-// is bit for bit what tsTail.stat returns on the scalar chain's sums
-// (TestStatsBatchISASweep, FuzzTSQuad).  Callers must have verified AVX2
-// support (ISAAVX2 and above imply it).
+// tsQuad evaluates four aligned NA-free rows of the kernel's octets under
+// groups·4 labellings — the AVX2 routine in accum_avx2_amd64.s:
+// accumulation, tsTail.stat and the store, lanes = rows.  oct is the first
+// row's column 0, an octet or its upper half (rowGroups: x at 8j+r, the
+// other half of each 64-byte line unread), sel8 the labellings' lists of
+// 8·j, L entries each and back to back, qc the table OpenBatch fills with
+// the quad's row totals behind it, sign one entry per labelling, acc room
+// for every group's sums (32 values a group), which the routine stores
+// before it runs any group's tail; labelling p's statistic of row r goes
+// to out[p*ps+r*rs].  Every result is bit for bit what tsTail.stat returns
+// on the scalar chain's sums (TestStatsBatchISASweep, FuzzTSQuad).
+// Callers must have verified AVX2 support (ISAAVX2 and above imply it).
 //
 //go:noescape
-func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int)
+func tsQuad(oct *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, acc, out *float64, ps, rs int)
 
-// tsOct is tsQuad for a row octet, v8[8j+r] for r < 8 — the AVX-512
+// tsOct is tsQuad for a whole octet, x at 8j+r for r < 8 — the AVX-512
 // routine in accum_avx512_amd64.s (FuzzTSOct) — and only for ps == 1 or
-// rs == 1.  Callers must have verified AVX-512 support (ISAAVX512).
+// rs == 1; acc takes 64 values a group, from a 64-byte boundary.  While it
+// accumulates, each group prefetches pf cache lines of next, the octet
+// after this one, so the octet's columns are spread over the groups; pf
+// = 0 prefetches nothing.  Callers must have verified AVX-512 support
+// (ISAAVX512).
 //
 //go:noescape
-func tsOct(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int)
+func tsOct(oct *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, acc, out *float64, ps, rs int, next *float64, pf int)
 
 // wilxQuad evaluates one row quad of the Wilcoxon delta lane under the
 // first 4·groups labellings of an open chain — the AVX2 routine in

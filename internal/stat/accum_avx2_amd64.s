@@ -1,15 +1,20 @@
-// The AVX2 lanes, lanes = rows: tsQuad, the two-sample t fast path (one
-// NA-free row quad under every group of four labellings — accumulate, tail
-// and store without leaving the registers), and wilxQuad, the Wilcoxon
+// The AVX2 lanes, lanes = rows: tsQuad, the two-sample t fast path (four
+// aligned NA-free rows of the kernel's octets under every group of four
+// labellings — accumulate, tail and store), and wilxQuad, the Wilcoxon
 // delta lane (one row quad along a revolving-door chain).
 //
-// tsQuad.  v8 holds the quad column by column, a column's four values in
-// the first half of its 64-byte line (v8[8j+r] = x; tsOct fills the whole
-// line), and the lists hold 8·j, so one element of one labelling is one
-// load, s += x, then x·x and q += x·x: VMULPD then VADDPD, the rounded
-// product the scalar chain adds, never an FMA.  Four labellings run eight
-// chains at once (Y0…Y7 = s0 q0 s1 q1 s2 q2 s3 q3); within a chain the
-// adds come in ascending selected-column order, as in Stats.
+// tsQuad.  The rows are read where the kernel keeps them (rowGroups): a
+// column of an octet is one 64-byte line (x at 8j+r), and oct is the first
+// row's column 0, so the quad is the line's first or second half and the
+// other half is not read.  The lists hold 8·j, so one element of one
+// labelling is one load, s += x, then x·x and q += x·x: VMULPD then
+// VADDPD, the rounded product the scalar chain adds, never an FMA.  Four
+// labellings run eight chains at once (Y0…Y7 = s0 q0 s1 q1 s2 q2 s3 q3);
+// within a chain the adds come in ascending selected-column order, as in
+// Stats.  As in tsOct, a first pass stores every group's chains to acc
+// (256 bytes a group) and a second runs the tails and the stores, so a
+// group's square root and division do not hold the next group's sums
+// behind them; each labelling's operations are unchanged.
 //
 // TAIL is tsTail.stat lane-wise, operation for operation: S−sa, Q−qa,
 // qa·fa − sa·sa, the clamp m2 < (q·f)·m2Tol → +0 as an ordered compare and
@@ -93,19 +98,16 @@
 	VMOVUPD Y6, (DX)(R12*1) \
 	LEAQ    (DX)(R12*2), DX
 
-// func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int)
-TEXT ·tsQuad(SB), NOSPLIT, $0-72
-	MOVQ v8+0(FP), SI
+// func tsQuad(oct *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, acc, out *float64, ps, rs int)
+TEXT ·tsQuad(SB), NOSPLIT, $0-80
+	MOVQ oct+0(FP), SI
 	MOVQ sel8+8(FP), DI
 	MOVQ L+16(FP), R8
 	MOVQ groups+24(FP), BX
-	MOVQ qc+32(FP), CX
-	MOVQ sign+40(FP), AX
-	MOVQ out+48(FP), DX
+	MOVQ acc+48(FP), DX
 	SHLQ $2, R8          // one list, in bytes
 	LEAQ (R8)(R8*1), R9  // two
 	LEAQ (R9)(R8*1), R10 // three
-	VXORPD Y15, Y15, Y15
 	TESTQ  BX, BX
 	JLE    done
 
@@ -148,22 +150,46 @@ cond:
 	CMPQ DI, R11
 	JNE  loop
 	ADDQ R10, DI // the next group's first list
+	VMOVUPD Y0, 0(DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	ADDQ    $256, DX
+	DECQ BX
+	JNZ  group
 
+	MOVQ groups+24(FP), BX
+	MOVQ acc+48(FP), SI
+	MOVQ qc+32(FP), CX
+	MOVQ sign+40(FP), AX
+	MOVQ out+56(FP), DX
+	VXORPD Y15, Y15, Y15
+
+tails:
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VMOVUPD 128(SI), Y4
+	VMOVUPD 160(SI), Y5
+	VMOVUPD 192(SI), Y6
+	VMOVUPD 224(SI), Y7
+	ADDQ $256, SI
 	TAIL(Y0, Y1, 0(AX))
 	TAIL(Y2, Y3, 8(AX))
 	TAIL(Y4, Y5, 16(AX))
 	TAIL(Y6, Y7, 24(AX))
 	ADDQ $32, AX
 
-	// Statistic (labelling p, row r) goes to out[p*ps + r*rs]; Y0, Y2, Y4,
-	// Y6 hold labellings 0…3, lanes = rows.
-	MOVQ ps+56(FP), R12
-	MOVQ rs+64(FP), R13
+	MOVQ ps+64(FP), R12
+	MOVQ rs+72(FP), R13
 	SHLQ $3, R13
 	CMPQ R12, $1
 	JNE  bylabelling
-
-	// ps == 1, the engine's [position][labelling] block.
 	BYROW
 	JMP next
 
@@ -171,8 +197,6 @@ bylabelling:
 	SHLQ $3, R12
 	CMPQ R13, $8
 	JNE  scatter
-
-	// rs == 1, permutation-major (StatsBatch).
 	BYLABELLING
 	JMP next
 
@@ -184,7 +208,7 @@ scatter:
 
 next:
 	DECQ BX
-	JNZ  group
+	JNZ  tails
 
 done:
 	VZEROUPPER

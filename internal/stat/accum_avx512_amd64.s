@@ -1,14 +1,23 @@
 // The AVX-512 lane, lanes = rows: tsOct, the two-sample t fast path for one
-// NA-free row octet under every group of four labellings — tsQuad
-// (accum_avx2_amd64.s) eight rows wide.
+// aligned NA-free row octet under every group of four labellings — tsQuad
+// (accum_avx2_amd64.s) eight rows wide, in two passes.
 //
-// v8 holds the octet column by column, a column's eight values in one
-// 64-byte line (v8[8j+r] = x), and the lists hold 8·j, so one element of
-// one labelling is one zmm load, s += x, then x·x and q += x·x: VMULPD then
-// VADDPD, the rounded product the scalar chain adds, never an FMA.  Four
-// labellings run eight chains at once (Z0…Z7 = s0 q0 s1 q1 s2 q2 s3 q3);
-// within a chain the adds come in ascending selected-column order, as in
-// Stats.
+// The octet is the kernel's own (rowGroups): a column's eight values are one
+// 64-byte line (x at 8j+r), and the lists hold 8·j, so one element of one
+// labelling is one zmm load straight from the prep's rows, s += x, then x·x
+// and q += x·x: VMULPD then VADDPD, the rounded product the scalar chain
+// adds, never an FMA.  Four labellings run eight chains at once (Z0…Z7 =
+// s0 q0 s1 q1 s2 q2 s3 q3); within a chain the adds come in ascending
+// selected-column order, as in Stats.
+//
+// Sums before tails.  The first pass accumulates every group and stores its
+// eight chains to acc (512 bytes a group); the second runs TAIL8 and the
+// stores over all groups.  A group's square root and division then no
+// longer hold the next group's sums behind them, and each labelling's
+// operations are the ones a single pass would make, so the bits are too.
+// During the first pass each group prefetches pf lines of the next octet
+// (PREFETCHT0 touches no vector state), spreading the octet's columns over
+// the groups; pf = 0 prefetches nothing.
 //
 // TAIL8 is tsQuad's TAIL on zmm registers, operation for operation, with
 // the constants as broadcast memory operands and the two selections on K
@@ -73,23 +82,33 @@
 	VMULPD  X2, X2, X2    \
 	VADDPD  X2, Q2, Q2
 
-// func tsOct(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int)
-TEXT ·tsOct(SB), NOSPLIT, $0-72
-	MOVQ v8+0(FP), SI
+// func tsOct(oct *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, acc, out *float64, ps, rs int, next *float64, pf int)
+TEXT ·tsOct(SB), NOSPLIT, $0-96
+	MOVQ oct+0(FP), SI
 	MOVQ sel8+8(FP), DI
 	MOVQ L+16(FP), R8
 	MOVQ groups+24(FP), BX
-	MOVQ qc+32(FP), CX
-	MOVQ sign+40(FP), AX
-	MOVQ out+48(FP), DX
+	MOVQ acc+48(FP), DX
+	MOVQ next+80(FP), AX
+	MOVQ pf+88(FP), CX
 	SHLQ $2, R8          // one list, in bytes
 	LEAQ (R8)(R8*1), R9  // two
 	LEAQ (R9)(R8*1), R10 // three
-	VXORPD Y15, Y15, Y15 // and the upper half of Z15
-	TESTQ  BX, BX
-	JLE    done
+	SHLQ $6, CX          // prefetch span per group, in bytes
+	TESTQ BX, BX
+	JLE   done
 
-group:
+sums:
+	LEAQ (AX)(CX*1), R11 // end of this group's prefetch span
+	JMP  pfcond
+
+prefetch:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+
+pfcond:
+	CMPQ AX, R11
+	JB   prefetch
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -115,6 +134,42 @@ cond:
 	JNE  loop
 	ADDQ R10, DI // the next group's first list
 
+	VMOVUPD Z0, 0(DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, 128(DX)
+	VMOVUPD Z3, 192(DX)
+	VMOVUPD Z4, 256(DX)
+	VMOVUPD Z5, 320(DX)
+	VMOVUPD Z6, 384(DX)
+	VMOVUPD Z7, 448(DX)
+	ADDQ    $512, DX
+	DECQ    BX
+	JNZ     sums
+
+	MOVQ groups+24(FP), BX
+	MOVQ acc+48(FP), SI
+	MOVQ qc+32(FP), CX
+	MOVQ sign+40(FP), AX
+	MOVQ out+56(FP), DX
+	MOVQ ps+64(FP), R12
+	MOVQ rs+72(FP), R13
+	SHLQ $3, R12         // in bytes
+	SHLQ $3, R13
+	MOVQ R13, R9
+	SHLQ $2, R9           // four rows on
+	VXORPD Y15, Y15, Y15  // and the upper half of Z15
+
+tails:
+	VMOVUPD 0(SI), Z0
+	VMOVUPD 64(SI), Z1
+	VMOVUPD 128(SI), Z2
+	VMOVUPD 192(SI), Z3
+	VMOVUPD 256(SI), Z4
+	VMOVUPD 320(SI), Z5
+	VMOVUPD 384(SI), Z6
+	VMOVUPD 448(SI), Z7
+	ADDQ    $512, SI
+
 	TAIL8(Z0, Z1, 0(AX))
 	TAIL8(Z2, Z3, 8(AX))
 	TAIL8(Z4, Z5, 16(AX))
@@ -123,10 +178,7 @@ cond:
 
 	// Statistic (labelling p, row r) goes to out[p*ps + r*rs]; Z0, Z2, Z4,
 	// Z6 hold labellings 0…3, lanes = rows.
-	MOVQ ps+56(FP), R12
-	MOVQ rs+64(FP), R13
-	SHLQ $3, R13
-	CMPQ R12, $1
+	CMPQ R12, $8
 	JNE  bylabelling
 
 	// ps == 1, the engine's [position][labelling] block: rows 0…3 from
@@ -136,14 +188,13 @@ cond:
 	VEXTRACTF64X4 $1, Z4, Y5
 	VEXTRACTF64X4 $1, Z6, Y7
 	TRANSPOSE(Y0, Y2, Y4, Y6, DX)
-	LEAQ          (DX)(R13*4), R12
-	TRANSPOSE(Y1, Y3, Y5, Y7, R12)
+	LEAQ          (DX)(R9*1), R10
+	TRANSPOSE(Y1, Y3, Y5, Y7, R10)
 	ADDQ          $32, DX
 	JMP           next
 
 bylabelling:
 	// rs == 1, permutation-major (StatsBatch): one store per labelling.
-	SHLQ    $3, R12
 	VMOVUPD Z0, (DX)
 	VMOVUPD Z2, (DX)(R12*1)
 	LEAQ    (DX)(R12*2), DX
@@ -153,7 +204,7 @@ bylabelling:
 
 next:
 	DECQ BX
-	JNZ  group
+	JNZ  tails
 
 done:
 	VZEROUPPER

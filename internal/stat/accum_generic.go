@@ -6,11 +6,11 @@ package stat
 // ISA (bestISA reports generic), so these bindings exist only to satisfy
 // the shared call sites in batch.go and delta.go.
 
-func tsQuad(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int) {
+func tsQuad(oct *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, acc, out *float64, ps, rs int) {
 	panic("stat: the AVX2 lane was selected off amd64")
 }
 
-func tsOct(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int) {
+func tsOct(oct *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, acc, out *float64, ps, rs int, next *float64, pf int) {
 	panic("stat: the AVX-512 lane was selected off amd64")
 }
 

@@ -32,6 +32,15 @@
 // interleaving independent permutations' chains is the only way to fill
 // the FP pipeline.
 //
+// The two-sample kernel a run uses owns its rows as row octets
+// (rowGroups): row i's column j at (i/8)·cols·8 + 8j + i%8, so one column
+// of eight rows is one 64-byte line.  The SIMD lanes read an aligned octet
+// (tsOct) or half of one (tsQuad) where it lies, with no per-batch copy,
+// and the row pair and the general row read the same cells eight apart;
+// maxt's row blocks start on multiples of 128, so every octet inside a
+// block is aligned.  The observed-statistics pass reads the caller's
+// matrix in place through the same accessor, one row to a group.
+//
 // Every per-row finishing computation is one shared function (tsTail.stat
 // via twoSampleStat, wilcoxonStat, fStat, pairTStat, blockFStat), so the
 // lanes' operation sequences cannot diverge — the same argument PR 2's tie
@@ -59,10 +68,12 @@ import (
 	"sprint/internal/matrix"
 )
 
-// gather loads row[j] without a bounds check.  It is safe only for the
-// selected-column indices buildSelLists constructs: they come from a range
-// loop over a labelling of exactly the row's length, so 0 <= j < len(row)
-// by construction.  The compiler cannot prove that across the slice
+// gather loads the cell j elements on from row without a bounds check.  It
+// is safe only for a row's column 0 in its kernel's layout and the
+// selected-column entries buildSelLists constructs for that layout: they
+// come from a range loop over a labelling of exactly the row's length,
+// scaled by the layout's row-group width, so every cell read lies in the
+// row's group.  The compiler cannot prove that across the slice
 // indirection, and the four per-element checks it would otherwise emit are
 // measurable in the hot loop below.
 func gather(row *float64, j int32) float64 {
@@ -113,21 +124,22 @@ type BatchScratch struct {
 	// Per-permutation selected-column lists for the two-sample kernels:
 	// permutation p's selected columns, ascending, at sel[p*L:(p+1)*L]
 	// (class sizes are invariant under relabelling, so every list has the
-	// same length L).  An open delta chain keeps its start labelling's
-	// class-1 columns here instead.
+	// same length L), scaled to the kernel's row layout: entry w·j for
+	// column j when its rows come in groups of w (rowGroups; w = 1 for
+	// Wilcoxon).  An open delta chain keeps its start labelling's class-1
+	// columns here instead.
 	sel  []int32
 	L    int
 	sign []float64 // per-permutation statistic sign (two-sample t)
 	as   []float64 // per-permutation accumulated sum (paired t)
-	vab  []float64 // interleaved row pair (two-sample fast path)
-	// What tsQuad and tsOct read (openQuad): the lists again as 8·j, the
-	// rows by column (v8[8j+r] = row r's x, eight rows to a 64-byte line,
-	// seven spare cells to start on one), and the tail's constants four
-	// times each — fa fb da db scale rt m2Tol NaN — then the rows' S and Q,
-	// eight slots each (lanes_amd64.h).
-	sel8 []int32
-	v8   []float64
-	qc   [48]float64
+	// What tsQuad and tsOct read beside the octets and the lists: the
+	// tail's constants four times each — fa fb da db scale rt m2Tol NaN —
+	// then the lane's rows' S and Q, eight slots each (lanes_amd64.h); and
+	// their accumulators, every group's sums and sums of squares stored
+	// before any group's tail runs (64 values a group under tsOct, 8 KB at
+	// 64 labellings; 32 under tsQuad).
+	qc  [48]float64
+	acc []float64
 	// What wilxQuad reads under avx2 (OpenDelta): the start's class-1
 	// columns then each labelling's move (In, Out) as byte offsets 16·j
 	// into a row quad, labelling 0's move being (0, 0); qc holds 0.5 and
@@ -192,12 +204,12 @@ func statsBatch(k BatchKernel, labs []int, out matrix.Matrix, s *BatchScratch) {
 // ---- two-sample t / Wilcoxon --------------------------------------------
 
 // buildSelLists fills s.sel with each batch permutation's selected columns
-// (ascending) and each permutation's sign, returning the shared list length
-// L.  Class sizes are invariant under relabelling, so every permutation
-// selects the same number of columns.  cls follows the kernel's rule: the
-// fixed class on unbalanced designs, the class containing column 0
-// otherwise (fixed < 0).
-func buildSelLists(s *BatchScratch, labs []int, nb, cols, fixed int, withSign bool) int {
+// (ascending, each scaled by w) and each permutation's sign, returning the
+// shared list length L.  Class sizes are invariant under relabelling, so
+// every permutation selects the same number of columns.  cls follows the
+// kernel's rule: the fixed class on unbalanced designs, the class
+// containing column 0 otherwise (fixed < 0).
+func buildSelLists(s *BatchScratch, labs []int, nb, cols, fixed int, withSign bool, w int32) int {
 	if nb == 0 {
 		return 0 // nothing anchors labs[0] below; an empty batch is a no-op
 	}
@@ -231,7 +243,7 @@ func buildSelLists(s *BatchScratch, labs []int, nb, cols, fixed int, withSign bo
 		dst := s.sel[p*L : p*L : (p+1)*L]
 		for j, l := range lab {
 			if l == cls {
-				dst = append(dst, int32(j))
+				dst = append(dst, w*int32(j))
 			}
 		}
 	}
@@ -240,46 +252,48 @@ func buildSelLists(s *BatchScratch, labs []int, nb, cols, fixed int, withSign bo
 
 func (k *twoSampleKernel) NewBatchScratch(nb int) *BatchScratch {
 	s := &BatchScratch{
-		sel:  make([]int32, nb*k.m.Cols),
+		sel:  make([]int32, nb*k.x.cols),
 		sign: make([]float64, nb),
 	}
 	if k.isa >= ISAAVX2 {
-		s.sel8 = make([]int32, nb*k.m.Cols)
-		s.v8 = make([]float64, 8*k.m.Cols+7)
+		s.acc = make([]float64, accLen(nb))
 	}
 	return s
 }
 
-// openQuad fills what tsQuad and tsOct read beside the rows: the open
-// batch's lists scaled to v8 offsets and the tail's constants, broadcast.
-func (s *BatchScratch) openQuad(t *tsTail, cols int) {
-	s.sel8 = growI32(s.sel8, len(s.sel))
-	for e, j := range s.sel {
-		s.sel8[e] = 8 * j
-	}
-	s.v8 = growF(s.v8, 8*cols+7)
-	for c, v := range [8]float64{t.fa, t.fb, t.da, t.db, t.scale, t.rt, m2Tol, math.NaN()} {
-		s.qc[4*c], s.qc[4*c+1], s.qc[4*c+2], s.qc[4*c+3] = v, v, v, v
-	}
-}
+// accLen is the length of the lanes' accumulator buffer for batches of nb
+// labellings: 64 values per group of four (tsQuad uses 32 of them), and
+// seven spare to start on a 64-byte boundary.
+func accLen(nb int) int { return nb/4*64 + 7 }
 
 func (k *twoSampleKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScratch) {
 	statsBatch(k, labs, out, s)
 }
 
+// OpenBatch builds the batch's lists and, for the lanes, broadcasts the
+// tail's constants into qc and sizes their accumulators.
 func (k *twoSampleKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
-	s.open(labs, nb, k.m.Cols)
-	s.L = buildSelLists(s, labs, nb, k.m.Cols, k.cls, true)
-	if tail, ok := newTSTail(k.pooled, s.L, k.m.Cols-s.L); ok && k.isa >= ISAAVX2 {
-		s.openQuad(&tail, k.m.Cols)
+	cols := k.x.cols
+	s.open(labs, nb, cols)
+	s.L = buildSelLists(s, labs, nb, cols, k.cls, true, 1<<k.x.lg)
+	t, ok := newTSTail(k.pooled, s.L, cols-s.L)
+	if !ok || k.laneWidth(nb, 1, 1) == 0 {
+		return
 	}
+	for c, v := range [8]float64{t.fa, t.fb, t.da, t.db, t.scale, t.rt, m2Tol, math.NaN()} {
+		s.qc[4*c], s.qc[4*c+1], s.qc[4*c+2], s.qc[4*c+3] = v, v, v, v
+	}
+	s.acc = growF(s.acc, accLen(nb))
 }
 
-// laneWidth is the rows per SIMD lane StatsRows runs NA-free rows in:
-// 8 (tsOct) under avx512 when one of the strides is 1, 4 (tsQuad) under
-// avx2 and above, 0 under generic.
-func (k *twoSampleKernel) laneWidth(ps, rs int) int {
+// laneWidth is the rows per SIMD lane StatsRows runs aligned NA-free rows
+// in at nb labellings: 8 (tsOct) under avx512 when one of the strides is
+// 1, 4 (tsQuad) under avx2 and above, 0 under generic, for fewer than four
+// labellings, and on a caller's matrix (the lanes read row octets).
+func (k *twoSampleKernel) laneWidth(nb, ps, rs int) int {
 	switch {
+	case k.x.lg != 3 || nb < 4:
+		return 0
 	case k.isa >= ISAAVX512 && (ps == 1 || rs == 1):
 		return 8
 	case k.isa >= ISAAVX2:
@@ -288,31 +302,36 @@ func (k *twoSampleKernel) laneWidth(ps, rs int) int {
 	return 0
 }
 
-// laneRows evaluates the w NA-free rows from row i (w = 8 or 4) through
-// tsOct or tsQuad for the labellings in whole fours, and the nb mod 4 left
-// over through the scalar chain.  Each call copies the rows into the lane
-// buffer (fillLanes); the routines form the squares in registers.
-func (k *twoSampleKernel) laneRows(i, w int, out []float64, o, ps, rs int, s *BatchScratch, tail *tsTail) {
-	nb, L := s.nb, s.L
-	if g := nb / 4; g > 0 {
-		_ = out[o+(4*g-1)*ps+(w-1)*rs]                         // every store the routine makes is in bounds
-		v8 := s.v8[-(uintptr(unsafe.Pointer(&s.v8[0]))>>3)&7:] // from its first 64-byte boundary
-		k.fillLanes(unsafe.Slice((*[8]float64)(unsafe.Pointer(&v8[0])), len(v8)/8), i, w)
-		copy(s.qc[32:32+w], k.sum[i:i+w])
-		copy(s.qc[40:40+w], k.sumsq[i:i+w])
-		if w == 8 {
-			tsOct(&v8[0], &s.sel8[0], L, g, &s.qc, &s.sign[0], &out[o], ps, rs)
-		} else {
-			tsQuad(&v8[0], &s.sel8[0], L, g, &s.qc, &s.sign[0], &out[o], ps, rs)
+// laneRows evaluates the w aligned NA-free rows from row i (w = 8: an
+// octet; w = 4: either half of one) through tsOct or tsQuad, straight from
+// the kernel's octets, for the labellings in whole fours, and the nb mod 4
+// left over through the scalar chain.  tsOct prefetches the next octet,
+// spread over the groups, when the range goes on past it.
+func (k *twoSampleKernel) laneRows(i, w, hi int, out []float64, o, ps, rs int, s *BatchScratch, tail *tsTail) {
+	nb, L, x := s.nb, s.L, &k.x
+	g := nb / 4
+	_ = out[o+(4*g-1)*ps+(w-1)*rs] // every store the routine makes is in bounds
+	oct := &x.data[x.row0(i)]
+	copy(s.qc[32:32+w], k.sum[i:i+w])
+	copy(s.qc[40:40+w], k.sumsq[i:i+w])
+	acc := s.acc[-(uintptr(unsafe.Pointer(&s.acc[0]))>>3)&7:] // from its first 64-byte boundary
+	_ = acc[64*g-1]
+	if w == 8 {
+		next, pf := oct, 0
+		if i+16 <= hi {
+			next, pf = &x.data[x.row0(i+8)], (x.cols+g-1)/g
 		}
+		tsOct(oct, &s.sel[0], L, g, &s.qc, &s.sign[0], &acc[0], &out[o], ps, rs, next, pf)
+	} else {
+		tsQuad(oct, &s.sel[0], L, g, &s.qc, &s.sign[0], &acc[0], &out[o], ps, rs)
 	}
-	for p := nb &^ 3; p < nb; p++ {
+	for p := 4 * g; p < nb; p++ {
 		idx := s.sel[p*L : (p+1)*L]
 		for r := 0; r < w; r++ {
-			row := k.m.Row(i + r)
+			row := &x.data[x.row0(i+r)]
 			var sa, qa float64
 			for _, j := range idx {
-				v := row[j]
+				v := gather(row, j)
 				sa += v
 				qa += float64(v * v)
 			}
@@ -321,33 +340,9 @@ func (k *twoSampleKernel) laneRows(i, w int, out []float64, o, ps, rs int, s *Ba
 	}
 }
 
-// fillLanes copies rows [i, i+w) (w = 8 or 4) into the lane buffer, one
-// 64-byte line per column: lines[j][r] = row i+r's column j.  The rows are
-// read side by side so that each line is written in one step; a row at a
-// time read slower on BenchmarkCount's kernel/avx512 rung in 7 of 8
-// alternations.
-func (k *twoSampleKernel) fillLanes(lines [][8]float64, i, w int) {
-	c := k.m.Cols
-	rows := k.m.Data[i*c : (i+w)*c]
-	r0, r1, r2, r3 := rows[:c], rows[c:][:c], rows[2*c:][:c], rows[3*c:][:c]
-	lines = lines[:c]
-	if w == 4 {
-		for j := range r0 {
-			l := &lines[j]
-			l[0], l[1], l[2], l[3] = r0[j], r1[j], r2[j], r3[j]
-		}
-		return
-	}
-	r4, r5, r6, r7 := rows[4*c:][:c], rows[5*c:][:c], rows[6*c:][:c], rows[7*c:][:c]
-	for j := range r0 {
-		l := &lines[j]
-		l[0], l[1], l[2], l[3] = r0[j], r1[j], r2[j], r3[j]
-		l[4], l[5], l[6], l[7] = r4[j], r5[j], r6[j], r7[j]
-	}
-}
-
 func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {
-	nb, L, cols := s.nb, s.L, k.m.Cols
+	nb, L, x := s.nb, s.L, &k.x
+	cols := x.cols
 	// On NA-free rows every permutation's accumulated group has exactly L
 	// members, so the tail invariants are one batch-level constant.
 	tail, tailOK := newTSTail(k.pooled, L, cols-L)
@@ -362,7 +357,10 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 		}
 		return true
 	}
-	lane := k.laneWidth(ps, rs)
+	lane := k.laneWidth(nb, ps, rs)
+	if !tailOK {
+		lane = 0
+	}
 	for i := lo; i < hi; {
 		o := (i - lo) * rs
 		if k.flat[i] {
@@ -372,41 +370,39 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 			i++
 			continue
 		}
-		// NA-free row octets under avx512, quads under avx2: tsOct or
-		// tsQuad takes them through every four labellings of the batch,
-		// lanes = rows — see the pair path below for why cross-row and
-		// cross-permutation interleaving is the lever and why lane-wise
-		// packed arithmetic stays bitwise equal.
+		// Aligned NA-free row octets under avx512, quads (half octets)
+		// under avx2: tsOct or tsQuad takes them through every four
+		// labellings of the batch, lanes = rows — see the pair path below
+		// for why cross-row and cross-permutation interleaving is the
+		// lever and why lane-wise packed arithmetic stays bitwise equal.
 		w := lane
-		if w == 8 && !fast(i, 8) {
+		if w == 8 && (i&7 != 0 || !fast(i, 8)) {
 			w = 4
 		}
-		if tailOK && w > 0 && fast(i, w) {
-			k.laneRows(i, w, out, o, ps, rs, s, &tail)
+		if w == 4 && (i&3 != 0 || !fast(i, 4)) {
+			w = 0
+		}
+		if w > 0 {
+			k.laneRows(i, w, hi, out, o, ps, rs, s, &tail)
 			i += w
 			continue
 		}
 		// NA-free rows: every selected cell is present, so the group count
 		// is L without tracking it and the per-element NaN test vanishes.
-		// The row pair is interleaved into vab so that accumPairGo advances
-		// two permutations × two rows at once: within one permutation the
-		// accumulation order is fixed by the tie discipline (a serial
-		// dependency chain), so cross-permutation and cross-row
-		// interleaving is what fills the FP pipeline.
-		if tailOK && fast(i, 2) {
-			rowA, rowB := k.m.Row(i), k.m.Row(i+1)
-			s.vab = growF(s.vab, 2*cols)
-			for j := 0; j < cols; j++ {
-				s.vab[2*j] = rowA[j]
-				s.vab[2*j+1] = rowB[j]
-			}
-			vab := &s.vab[0]
+		// accumPairGo advances two permutations × two rows at once: within
+		// one permutation the accumulation order is fixed by the tie
+		// discipline (a serial dependency chain), so cross-permutation and
+		// cross-row interleaving is what fills the FP pipeline.  Where
+		// lanes run, a pair starts on an even row only, so that the rows
+		// after it meet the lanes aligned.
+		if tailOK && fast(i, 2) && (lane == 0 || i&1 == 0) {
+			rowA, rowB := &x.data[x.row0(i)], &x.data[x.row0(i+1)]
 			SA, QA := k.sum[i], k.sumsq[i]
 			SB, QB := k.sum[i+1], k.sumsq[i+1]
 			var acc [8]float64
 			p := 0
 			for ; p+2 <= nb; p += 2 {
-				accumPairGo(vab, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
+				accumPairGo(rowA, rowB, &s.sel[p*L], &s.sel[(p+1)*L], L, &acc)
 				o0, o1 := p*ps+o, (p+1)*ps+o
 				out[o0] = tail.stat(s.sign[p], SA, QA, acc[0], acc[2])
 				out[o0+rs] = tail.stat(s.sign[p], SB, QB, acc[1], acc[3])
@@ -417,10 +413,10 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 				idx := s.sel[p*L : (p+1)*L]
 				var sa, qa, sb, qb float64
 				for _, j := range idx {
-					vA := rowA[j]
+					vA := gather(rowA, j)
 					sa += vA
 					qa += float64(vA * vA)
-					vB := rowB[j]
+					vB := gather(rowB, j)
 					sb += vB
 					qb += float64(vB * vB)
 				}
@@ -432,14 +428,14 @@ func (k *twoSampleKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *Ba
 		}
 		// General row (missing cells, or an unpaired NA-free row): one
 		// accumulation per permutation, row already in L1.
-		row := k.m.Row(i)
+		row := &x.data[x.row0(i)]
 		n, S, Q := k.n[i], k.sum[i], k.sumsq[i]
 		for p := 0; p < nb; p++ {
 			idx := s.sel[p*L : (p+1)*L]
 			na := 0
 			var sa, qa float64
 			for _, j := range idx {
-				v := row[j]
+				v := gather(row, j)
 				if v == v {
 					na++
 					sa += v
@@ -462,7 +458,7 @@ func (k *wilcoxonKernel) StatsBatch(labs []int, out matrix.Matrix, s *BatchScrat
 
 func (k *wilcoxonKernel) OpenBatch(labs []int, nb int, s *BatchScratch) {
 	s.open(labs, nb, k.m.Cols)
-	s.L = buildSelLists(s, labs, nb, k.m.Cols, k.cls, false)
+	s.L = buildSelLists(s, labs, nb, k.m.Cols, k.cls, false, 1)
 }
 
 func (k *wilcoxonKernel) StatsRows(lo, hi int, out []float64, ps, rs int, s *BatchScratch) {

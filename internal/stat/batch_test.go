@@ -70,9 +70,10 @@ func TestStatsBatchBitwiseEqualsScalar(t *testing.T) {
 					out := matrix.New(nb, m.Rows)
 					k.StatsBatch(labs, out, k.NewBatchScratch(nb))
 					want := make([]float64, m.Rows)
-					ks := scalar(k).NewScratch()
+					oracle := scalar(inPlaceKernel(t, d, m))
+					ks := oracle.NewScratch()
 					for p := 0; p < nb; p++ {
-						scalar(k).Stats(labs[p*d.N:(p+1)*d.N], want, ks)
+						oracle.Stats(labs[p*d.N:(p+1)*d.N], want, ks)
 						got := out.Row(p)
 						for i := range want {
 							if math.Float64bits(got[i]) != math.Float64bits(want[i]) &&
@@ -178,11 +179,34 @@ func TestStatsBatchScratchReusedAcrossKernels(t *testing.T) {
 	}
 }
 
+// mustKernel builds the kernel as the engine runs it: over its own copy
+// of m's rows (row octets for the two-sample t), here in m's order.
 func mustKernel(t *testing.T, d *Design, m matrix.Matrix) BatchKernel {
 	t.Helper()
-	k, err := NewKernel(d, m)
+	k, err := NewKernel(d, m, identity(m.Rows))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// inPlaceKernel builds the kernel that reads m in place, as a prep's
+// observed-statistics pass does.  Its scalar loop is the oracle the
+// kernel-owned layouts are held to: it reads m's rows directly.
+func inPlaceKernel(t *testing.T, d *Design, m matrix.Matrix) BatchKernel {
+	t.Helper()
+	k, err := NewKernel(d, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// identity returns the order 0, 1, …, n−1.
+func identity(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }

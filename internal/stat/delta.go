@@ -111,14 +111,15 @@ func intCell(v float64) bool {
 // scrubNA, it scans before it allocates: raw continuous data fails the
 // gate on each row's first fractional cell, so the common non-rank case
 // costs one cheap pass and zero allocations.
-func newIntRank(m matrix.Matrix) *intRank {
-	if m.Cols == 0 || m.Cols > maxIntCols {
+func newIntRank(src rowSource) *intRank {
+	rows, cols := src.rows(), src.m.Cols
+	if cols == 0 || cols > maxIntCols {
 		return nil
 	}
 	any := false
-	for i := 0; i < m.Rows && !any; i++ {
+	for i := 0; i < rows && !any; i++ {
 		rowOK := true
-		for _, v := range m.Row(i) {
+		for _, v := range src.row(i) {
 			if !intCell(v) {
 				rowOK = false
 				break
@@ -130,17 +131,17 @@ func newIntRank(m matrix.Matrix) *intRank {
 		return nil
 	}
 	ir := &intRank{
-		cols: m.Cols,
-		data: make([]int32, (m.Rows+3)&^3*m.Cols),
-		ok:   make([]bool, m.Rows),
-		sum2: make([]int64, m.Rows),
+		cols: cols,
+		data: make([]int32, (rows+3)&^3*cols),
+		ok:   make([]bool, rows),
+		sum2: make([]int64, rows),
 	}
 	ir.all = true
-	for i := 0; i < m.Rows; i++ {
-		dst := ir.data[i&^3*m.Cols+i&3:]
+	for i := 0; i < rows; i++ {
+		dst := ir.data[i&^3*cols+i&3:]
 		rowOK := true
 		var s2 int64
-		for j, v := range m.Row(i) {
+		for j, v := range src.row(i) {
 			if v != v { // missing: sentinel 0
 				continue
 			}

@@ -163,7 +163,9 @@ func TestIntRankBitwiseVsFloat(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := deltaTestMatrix(30, d.N, withNA, 5)
-				kInt, kFloat := mustKernel(t, d, m), mustKernel(t, d, m)
+				// The float path runs on the kernel that reads m in place: a
+				// kernel owning its rows keeps no float copy of rank data.
+				kInt, kFloat := mustKernel(t, d, m), inPlaceKernel(t, d, m)
 				if k, ok := kFloat.(*wilcoxonKernel); ok {
 					if k.ir == nil {
 						t.Fatal("rank rows should be integer-representable")
@@ -211,7 +213,7 @@ func TestIntRankGate(t *testing.T) {
 	for o := range m.Data {
 		m.Data[o] = r.float() // continuous: not half-integers
 	}
-	if ir := newIntRank(m); ir != nil {
+	if ir := newIntRank(rowSource{m: m}); ir != nil {
 		t.Fatalf("continuous data built an integer view: %+v", ir.ok)
 	}
 	d, err := NewDesign(Wilcoxon, halfLabels(8))
@@ -224,14 +226,14 @@ func TestIntRankGate(t *testing.T) {
 	}
 	// Zeros and negatives are rejected (0 is the NA sentinel).
 	m2 := matrix.New(1, 8)
-	if ir := newIntRank(m2); ir != nil {
+	if ir := newIntRank(rowSource{m: m2}); ir != nil {
 		t.Fatal("all-zero row accepted by the integer gate")
 	}
 	// Mixed: one rank row, one continuous row — per-row flags, all=false.
 	m3 := matrix.New(2, 8)
 	copy(m3.Row(0), []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	copy(m3.Row(1), []float64{0.25, 1, 2, 3, 4, 5, 6, 7})
-	ir := newIntRank(m3)
+	ir := newIntRank(rowSource{m: m3})
 	if ir == nil || !ir.ok[0] || ir.ok[1] || ir.all {
 		t.Fatalf("mixed matrix gate wrong: %+v", ir)
 	}

@@ -29,38 +29,86 @@ package stat
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"sprint/internal/matrix"
 )
 
-// NewKernel builds the batched kernel for the design over m, precomputing
-// the per-row moments.  m must already be in its final form: NA cells as
-// NaN and, for rank-based statistics, rank-transformed rows (maxt.NewPrep
-// does both).  The kernel keeps a reference to m.Data; callers must not
-// mutate it afterwards.
-func NewKernel(d *Design, m matrix.Matrix) (BatchKernel, error) {
+// NewKernel builds the batched kernel for the design over the rows of m,
+// precomputing the per-row moments.  m must already be in its final form:
+// NA cells as NaN and, for rank-based statistics, rank-transformed rows
+// (maxt.NewPrepMatrix does both).
+//
+// With order nil the kernel reads m in place and keeps a reference to
+// m.Data; callers must not mutate it afterwards.  Otherwise kernel row j is
+// m's row order[j], held in a layout the kernel owns and m is not
+// referenced: row octets for the two-sample t (rowGroups), a row-major copy
+// for F, block F and Wilcoxon, the pair differences for paired t.  maxt
+// builds its run kernel in step-down order this way, and its observed-
+// statistics pass reads the caller's matrix in place.
+func NewKernel(d *Design, m matrix.Matrix, order []int) (BatchKernel, error) {
 	if m.Cols != d.N {
 		return nil, fmt.Errorf("stat: matrix has %d columns, design has %d", m.Cols, d.N)
 	}
 	if len(m.Data) != m.Rows*m.Cols {
 		return nil, fmt.Errorf("stat: matrix data has %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
 	}
+	for _, r := range order {
+		if r < 0 || r >= m.Rows {
+			return nil, fmt.Errorf("stat: order names row %d of %d", r, m.Rows)
+		}
+	}
+	src := rowSource{m: m, order: order}
 	switch d.Test {
 	case Welch:
-		return newTwoSampleKernel(d, m, false), nil
+		return newTwoSampleKernel(d, src, false), nil
 	case TEqualVar:
-		return newTwoSampleKernel(d, m, true), nil
+		return newTwoSampleKernel(d, src, true), nil
 	case Wilcoxon:
-		return newWilcoxonKernel(d, m), nil
+		return newWilcoxonKernel(d, src), nil
 	case F:
-		return newFKernel(d, m), nil
+		return newFKernel(d, src.rowMajor()), nil
 	case PairT:
-		return newPairTKernel(d, m), nil
+		return newPairTKernel(d, src), nil
 	case BlockF:
-		return newBlockFKernel(d, m), nil
+		return newBlockFKernel(d, src.rowMajor()), nil
 	default:
 		return nil, fmt.Errorf("stat: no kernel for test %v", d.Test)
 	}
+}
+
+// rowSource is what NewKernel reads: row j of the kernel is m's row
+// order[j], or m's row j when order is nil.
+type rowSource struct {
+	m     matrix.Matrix
+	order []int
+}
+
+func (s rowSource) rows() int {
+	if s.order == nil {
+		return s.m.Rows
+	}
+	return len(s.order)
+}
+
+func (s rowSource) row(j int) []float64 {
+	if s.order == nil {
+		return s.m.Row(j)
+	}
+	return s.m.Row(s.order[j])
+}
+
+// rowMajor returns the kernel's rows as one row-major matrix: m itself
+// when order is nil, a copy in order otherwise.
+func (s rowSource) rowMajor() matrix.Matrix {
+	if s.order == nil {
+		return s.m
+	}
+	c := matrix.New(len(s.order), s.m.Cols)
+	for j := range s.order {
+		copy(c.Row(j), s.row(j))
+	}
+	return c
 }
 
 // smallerClass returns the two-sample class with fewer observed columns —
@@ -130,9 +178,10 @@ func clampM2(m2, q float64) float64 {
 // not a valid relabelling (class sizes are preserved), so the kernel is
 // free to accumulate the smaller class, which minimises element visits.
 // Constant rows short-circuit to NaN because the subtraction form cannot
-// certify an exactly zero variance.
+// certify an exactly zero variance.  The rows are x: the kernel's own row
+// octets, or the caller's matrix read in place (rowGroups).
 type twoSampleKernel struct {
-	m      matrix.Matrix
+	x      rowGroups
 	pooled bool
 	cls    int // fixed accumulated class; -1 anchors on column 0's class
 	n      []int
@@ -142,61 +191,127 @@ type twoSampleKernel struct {
 	isa    KernelISA
 }
 
-func newTwoSampleKernel(d *Design, m matrix.Matrix, pooled bool) *twoSampleKernel {
-	k := &twoSampleKernel{m: m, pooled: pooled, cls: -1, isa: activeISA}
+func newTwoSampleKernel(d *Design, src rowSource, pooled bool) *twoSampleKernel {
+	k := &twoSampleKernel{pooled: pooled, cls: -1, isa: activeISA}
 	if d.Counts[0] != d.Counts[1] {
 		k.cls = smallerClass(d)
 	}
-	k.n, k.sum, k.sumsq = rowTotals(m)
-	k.flat = constantRows(m)
+	m, rows := src.m, src.rows()
+	k.n, k.sum, k.sumsq, k.flat = rowMoments(m)
+	if src.order == nil {
+		k.x = rowGroups{data: m.Data, rows: rows, cols: m.Cols}
+		return k
+	}
+	// The moments come from one pass over m in its own order, then follow
+	// the rows into the kernel's order; the octets take one more pass.
+	n, sum, sumsq, flat := k.n, k.sum, k.sumsq, k.flat
+	k.n, k.sum, k.sumsq, k.flat = make([]int, rows), make([]float64, rows), make([]float64, rows), make([]bool, rows)
+	for j, r := range src.order {
+		k.n[j], k.sum[j], k.sumsq[j], k.flat[j] = n[r], sum[r], sumsq[r], flat[r]
+	}
+	k.x = newOctets(src)
 	return k
 }
 
-// constantRows flags rows whose non-missing cells are all equal: no
-// labelling can give them a nonzero variance, so their statistic is NaN
-// for every permutation (exactly as the legacy per-row path computes).
-func constantRows(m matrix.Matrix) []bool {
-	flat := make([]bool, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		first := math.NaN()
-		flat[i] = true
-		for _, v := range m.Row(i) {
-			if v != v {
-				continue
-			}
-			if first != first {
-				first = v
-			} else if v != first {
-				flat[i] = false
-				break
-			}
-		}
+// rowMoments computes every row's label-independent moments in one pass:
+// non-missing count, sum, sum of squares, and whether the row is constant
+// over its non-missing cells — no labelling can give such a row a nonzero
+// variance, so its statistic is NaN for every permutation (exactly as the
+// legacy per-row path computes).
+func rowMoments(m matrix.Matrix) (n []int, sum, sumsq []float64, flat []bool) {
+	n, sum, sumsq, flat = make([]int, m.Rows), make([]float64, m.Rows), make([]float64, m.Rows), make([]bool, m.Rows)
+	for i := range n {
+		row := m.Row(i)
+		n[i], sum[i], sumsq[i] = rowTotal(row)
+		flat[i] = constantRow(row)
 	}
-	return flat
+	return n, sum, sumsq, flat
 }
 
-// rowTotals computes the label-independent per-row moments: non-missing
-// count, sum and sum of squares.
-func rowTotals(m matrix.Matrix) (n []int, sum, sumsq []float64) {
-	n = make([]int, m.Rows)
-	sum = make([]float64, m.Rows)
-	sumsq = make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		cnt := 0
-		var s, q float64
-		for _, v := range m.Row(i) {
-			if v == v { // !NaN
-				cnt++
-				s += v
-				q += float64(v * v)
-			}
+// rowGroups holds a matrix in groups of 1<<lg rows: row i, column j sits
+// at data[(i>>lg)·cols·(1<<lg) + (j<<lg) + i%(1<<lg)].  With lg = 0 it is
+// row-major — the caller's matrix, read in place by the observed-
+// statistics pass.  With lg = 3 it is the two-sample kernel's own layout,
+// row octets: one column of an octet is one 64-byte line, what tsOct
+// loads in one zmm, and either half of one is what tsQuad loads in one
+// ymm.  Every two-sample path reads through it with selected-column lists
+// scaled by 1<<lg (buildSelLists), so column j of row i is the list entry
+// j<<lg on from the row's column 0 (row0).
+type rowGroups struct {
+	data       []float64
+	rows, cols int
+	lg         uint
+}
+
+// row0 returns the offset of row i's column 0 in data.
+func (g *rowGroups) row0(i int) int {
+	return (i>>g.lg)*g.cols<<g.lg + i&(1<<g.lg-1)
+}
+
+// newOctets lays the source's rows out as row octets, the rows padded to a
+// multiple of eight and the first octet started on a 64-byte boundary, so
+// that every column of every octet is one cache line.  A whole octet's
+// eight rows are read side by side, so each line is written in one go.
+func newOctets(src rowSource) rowGroups {
+	rows, cols := src.rows(), src.m.Cols
+	n := (rows + 7) &^ 7 * cols
+	buf := make([]float64, n+7)
+	g := rowGroups{data: buf[-(uintptr(unsafe.Pointer(&buf[0]))>>3)&7:][:n], rows: rows, cols: cols, lg: 3}
+	if n == 0 {
+		return g
+	}
+	lines := unsafe.Slice((*[8]float64)(unsafe.Pointer(&g.data[0])), n/8)
+	full := rows &^ 7
+	for o := 0; o < full; o += 8 {
+		r0, r1, r2, r3 := src.row(o), src.row(o + 1)[:cols], src.row(o + 2)[:cols], src.row(o + 3)[:cols]
+		r4, r5, r6, r7 := src.row(o + 4)[:cols], src.row(o + 5)[:cols], src.row(o + 6)[:cols], src.row(o + 7)[:cols]
+		oct := lines[o*cols/8:][:cols]
+		for j := range r0 {
+			l := &oct[j]
+			l[0], l[1], l[2], l[3] = r0[j], r1[j], r2[j], r3[j]
+			l[4], l[5], l[6], l[7] = r4[j], r5[j], r6[j], r7[j]
 		}
-		n[i], sum[i], sumsq[i] = cnt, s, q
+	}
+	for i := full; i < rows; i++ {
+		for j, v := range src.row(i) {
+			lines[i&^7*cols/8+j][i&7] = v
+		}
+	}
+	return g
+}
+
+// constantRow reports whether the row's non-missing cells are all equal:
+// no labelling can give such a row a nonzero variance, so its statistic is
+// NaN for every permutation (exactly as the legacy per-row path computes).
+func constantRow(row []float64) bool {
+	first := math.NaN()
+	for _, v := range row {
+		if v != v {
+			continue
+		}
+		if first != first {
+			first = v
+		} else if v != first {
+			return false
+		}
+	}
+	return true
+}
+
+// rowTotal computes a row's label-independent moments: non-missing count,
+// sum and sum of squares.
+func rowTotal(row []float64) (n int, sum, sumsq float64) {
+	for _, v := range row {
+		if v == v { // !NaN
+			n++
+			sum += v
+			sumsq += float64(v * v)
+		}
 	}
 	return n, sum, sumsq
 }
 
-func (k *twoSampleKernel) Rows() int { return k.m.Rows }
+func (k *twoSampleKernel) Rows() int { return k.x.rows }
 
 // tsTail holds the group-size invariants of the two-sample statistic: every
 // factor that depends only on (na, nb), precomputed once and reused for
@@ -288,7 +403,7 @@ func twoSampleStat(pooled bool, sign float64, n int, S, Q float64, na int, sa, q
 // squares — moves out of the permutation loop into per-row state, leaving
 // one subtraction and one division per (row, permutation).
 type wilcoxonKernel struct {
-	m       matrix.Matrix
+	m       matrix.Matrix // float rows; Data nil in an owned copy ir covers
 	cls     int
 	nsel    int // columns in the accumulated class (relabelling-invariant)
 	n       []int
@@ -299,14 +414,26 @@ type wilcoxonKernel struct {
 	isa     KernelISA  // delta lane: wilxQuad under avx2
 }
 
-func newWilcoxonKernel(d *Design, m matrix.Matrix) *wilcoxonKernel {
-	k := &wilcoxonKernel{m: m, cls: smallerClass(d), isa: activeISA}
+func newWilcoxonKernel(d *Design, src rowSource) *wilcoxonKernel {
+	k := &wilcoxonKernel{cls: smallerClass(d), isa: activeISA}
 	k.nsel = d.Counts[k.cls]
-	k.n, k.total, k.totalSq = rowTotals(m)
-	k.ir = newIntRank(m)
-	k.tails = make([]wilxTail, m.Rows)
+	rows, cols := src.rows(), src.m.Cols
+	k.ir = newIntRank(src)
+	// The float rows are read only where a row fails the integer gate, so
+	// a kernel that owns its rows and whose every row passes (mid-ranks
+	// always do) keeps no float copy: m holds the shape alone.
+	if src.order != nil && k.ir != nil && k.ir.all {
+		k.m = matrix.Matrix{Rows: rows, Cols: cols}
+	} else {
+		k.m = src.rowMajor()
+	}
+	k.n, k.total, k.totalSq = make([]int, rows), make([]float64, rows), make([]float64, rows)
+	for i := range k.n {
+		k.n[i], k.total[i], k.totalSq[i] = rowTotal(src.row(i))
+	}
+	k.tails = make([]wilxTail, rows)
 	for i := range k.tails {
-		if k.n[i] == m.Cols {
+		if k.n[i] == cols {
 			k.tails[i] = newWilxTail(k.cls, k.nsel, k.n[i], k.total[i], k.totalSq[i])
 		}
 	}
@@ -413,7 +540,11 @@ type fKernel struct {
 }
 
 func newFKernel(d *Design, m matrix.Matrix) *fKernel {
-	return &fKernel{m: m, k: d.K, flat: constantRows(m)}
+	flat := make([]bool, m.Rows)
+	for i := range flat {
+		flat[i] = constantRow(m.Row(i))
+	}
+	return &fKernel{m: m, k: d.K, flat: flat}
 }
 
 func (k *fKernel) Rows() int { return k.m.Rows }
@@ -494,15 +625,16 @@ type pairTKernel struct {
 	sumsq []float64     // Σ d² per row
 }
 
-func newPairTKernel(d *Design, m matrix.Matrix) *pairTKernel {
+func newPairTKernel(d *Design, src rowSource) *pairTKernel {
+	rows := src.rows()
 	k := &pairTKernel{
 		pairs: d.Pairs,
-		diffs: matrix.New(m.Rows, d.Pairs),
-		cnt:   make([]int, m.Rows),
-		sumsq: make([]float64, m.Rows),
+		diffs: matrix.New(rows, d.Pairs),
+		cnt:   make([]int, rows),
+		sumsq: make([]float64, rows),
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+	for i := 0; i < rows; i++ {
+		row := src.row(i)
 		dst := k.diffs.Row(i)
 		for j := 0; j < d.Pairs; j++ {
 			a, b := row[2*j], row[2*j+1]

@@ -96,7 +96,7 @@ func BenchmarkKernelBatch(b *testing.B) {
 		for _, bs := range []int{16, 64, 128} {
 			bs := bs
 			b.Run(fmt.Sprintf("%s/B=%d", tc.name, bs), func(b *testing.B) {
-				bk, err := NewKernel(d, m)
+				bk, err := NewKernel(d, m, identity(m.Rows))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func BenchmarkKernelDelta(b *testing.B) {
 	for i := 0; i < m.Rows; i++ {
 		Ranks(m.Row(i), scratch)
 	}
-	bk, err := NewKernel(d, m)
+	bk, err := NewKernel(d, m, identity(m.Rows))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func BenchmarkKernelISA(b *testing.B) {
 	for isa := ISAGeneric; isa <= bestISA(); isa++ {
 		isa := isa
 		b.Run(isa.String()+"/B=64", func(b *testing.B) {
-			k, err := NewKernel(d, m)
+			k, err := NewKernel(d, m, identity(m.Rows))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -332,12 +332,17 @@ func TestKernelConstantRowsNaN(t *testing.T) {
 // TestNewKernelShapeValidation rejects mismatched matrices.
 func TestNewKernelShapeValidation(t *testing.T) {
 	d, _ := NewDesign(Welch, []int{0, 0, 1, 1})
-	if _, err := NewKernel(d, matrix.New(3, 5)); err == nil {
+	if _, err := NewKernel(d, matrix.New(3, 5), nil); err == nil {
 		t.Error("NewKernel accepted a column-count mismatch")
 	}
 	bad := matrix.Matrix{Data: make([]float64, 7), Rows: 2, Cols: 4}
-	if _, err := NewKernel(d, bad); err == nil {
+	if _, err := NewKernel(d, bad, nil); err == nil {
 		t.Error("NewKernel accepted an inconsistent flat buffer")
+	}
+	for _, order := range [][]int{{0, 3}, {-1}} {
+		if _, err := NewKernel(d, matrix.New(3, 4), order); err == nil {
+			t.Errorf("NewKernel accepted order %v over 3 rows", order)
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 // Shared by the two-sample t lanes, tsQuad (accum_avx2_amd64.s) and tsOct
-// (accum_avx512_amd64.s).  A multi-line #define takes no comments.
+// (accum_avx512_amd64.s), which read the kernel's row octets in place: a
+// column of an octet is one 64-byte line, x at 8j+r, and the lists hold
+// 8·j.  A multi-line #define takes no comments.
 
-// The tail's constants in qc (BatchScratch.openQuad): fa fb da db scale
+// The tail's constants in qc (twoSampleKernel.OpenBatch): fa fb da db scale
 // rt m2Tol NaN four times each — a ymm operand for tsQuad, the first copy
 // a broadcast scalar for tsOct — then S and Q by row, eight slots each (a
-// quad uses the first four).
+// quad uses the first four), which laneRows fills per call.
 #define FA    0(CX)
 #define FB    32(CX)
 #define DA    64(CX)

@@ -1,0 +1,127 @@
+package stat
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"sprint/internal/matrix"
+)
+
+// TestStatsRowsOctetEdges pins the two-sample kernel's own row octets at
+// their edges to the scalar oracle, bit for bit, under every ISA this CPU
+// runs: kernels over 16–23 rows (every residue of the row count mod 8, so
+// the last octet holds one to eight rows), built in a shuffled order; row
+// ranges starting at every residue and ending short of the last row or at
+// it; an NA-bearing row and a constant row inside octets, and a missing
+// cell in the last row; batches below, at and beyond the four-labelling
+// groups; all three stride forms.  The oracle is the kernel that reads the
+// caller's matrix in place, so a lane handed an unaligned octet, or an
+// octet read from the wrong row, shows here.
+func TestStatsRowsOctetEdges(t *testing.T) {
+	logISAs(t)
+	designs := []struct {
+		test Test
+		lab  []int
+	}{
+		{Welch, halfLabels(16)},
+		{TEqualVar, twoClassLabels(9, 4)},
+	}
+	for _, dc := range designs {
+		d, err := NewDesign(dc.test, dc.lab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows := 16; rows < 24; rows++ {
+			t.Run(fmt.Sprintf("%v-%d/rows=%d", dc.test, d.N, rows), func(t *testing.T) {
+				m := benchMatrix(rows, d.N, uint64(rows))
+				m.Row(3)[2] = math.NaN()
+				for j := range m.Row(10) {
+					m.Row(10)[j] = 2.5
+				}
+				m.Row(rows - 1)[d.N-1] = math.NaN()
+				order := identity(rows)
+				r := lcg(uint64(rows) * 7)
+				r.shuffle(order)
+				kk, err := NewKernel(d, m, order)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := kk.(*twoSampleKernel)
+				oracle := scalar(inPlaceKernel(t, d, m))
+				byRow := make([]float64, rows)
+				for _, nb := range []int{1, 3, 4, 5, 64} {
+					labs := make([]int, nb*d.N)
+					lab := append([]int(nil), d.Labels...)
+					want := matrix.New(nb, rows) // by kernel row
+					for p := 0; p < nb; p++ {
+						copy(labs[p*d.N:], lab)
+						oracle.Stats(lab, byRow, nil)
+						for j, src := range order {
+							want.Row(p)[j] = byRow[src]
+						}
+						r.shuffle(lab)
+					}
+					for isa := ISAGeneric; isa <= bestISA(); isa++ {
+						k.isa = isa
+						s := &BatchScratch{}
+						k.OpenBatch(labs, nb, s)
+						for _, sf := range strideForms {
+							for lo := 0; lo < 9; lo++ {
+								for _, hi := range []int{rows - 3, rows} {
+									ps, rs := sf.ps(nb, hi-lo), sf.rs(nb, hi-lo)
+									out := make([]float64, nb*ps+(hi-lo)*rs)
+									k.StatsRows(lo, hi, out, ps, rs, s)
+									for p := 0; p < nb; p++ {
+										for i := lo; i < hi; i++ {
+											got, w := out[p*ps+(i-lo)*rs], want.At(p, i)
+											if math.Float64bits(got) != math.Float64bits(w) {
+												t.Fatalf("%v %s nb=%d rows [%d,%d) labelling %d row %d: %v (%#x), oracle %v (%#x)",
+													isa, sf.name, nb, lo, hi, p, i, got, math.Float64bits(got), w, math.Float64bits(w))
+											}
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStatsRowsZeroAllocs: a two-sample kernel's StatsRows at a batch of
+// 64 allocates nothing once its scratch has grown, under every ISA this
+// CPU runs — the lanes' accumulators included.  A job worker reuses one
+// scratch for its whole life and relies on it.
+func TestStatsRowsZeroAllocs(t *testing.T) {
+	logISAs(t)
+	d, err := NewDesign(Welch, halfLabels(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, nb = 150, 64
+	m := benchMatrix(rows, d.N, 9)
+	k := mustKernel(t, d, m).(*twoSampleKernel)
+	labs := make([]int, nb*d.N)
+	lab := append([]int(nil), d.Labels...)
+	r := lcg(5)
+	for p := 0; p < nb; p++ {
+		copy(labs[p*d.N:], lab)
+		r.shuffle(lab)
+	}
+	out := make([]float64, nb*rows)
+	for isa := ISAGeneric; isa <= bestISA(); isa++ {
+		k.isa = isa
+		s := k.NewBatchScratch(nb)
+		run := func() {
+			k.OpenBatch(labs, nb, s)
+			k.StatsRows(3, rows, out, 1, nb, s)
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%v: StatsRows allocates %.1f objects per call in steady state, want 0", isa, allocs)
+		}
+	}
+}

@@ -5,20 +5,20 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sprint/internal/matrix"
 )
 
 // tsLaneGo is tsQuad (w = 4) and tsOct (w = 8) in Go, the statement the
-// assembly is pinned to: w lanes, each the scalar chain over the lane
-// buffer (the square rounded before it is added) and the scalar
-// tsTail.stat.
-func tsLaneGo(w int, v8 []float64, sel8 []int32, L, groups int, t *tsTail, S, Q []float64, sign, out []float64, ps, rs int) {
+// assembly is pinned to: w lanes, each the scalar chain over the octet
+// (the square rounded before it is added) and the scalar tsTail.stat.
+func tsLaneGo(w int, oct []float64, sel8 []int32, L, groups int, t *tsTail, S, Q []float64, sign, out []float64, ps, rs int) {
 	for p := 0; p < 4*groups; p++ {
 		for r := 0; r < w; r++ {
 			var sa, qa float64
 			for _, o := range sel8[p*L : (p+1)*L] {
-				x := v8[int(o)+r]
+				x := oct[int(o)+r]
 				sa += x
 				qa += float64(x * x)
 			}
@@ -138,6 +138,7 @@ func TestStatsBatchISASweep(t *testing.T) {
 					m.Row(flat)[j] = 4.5
 				}
 				k := mustKernel(t, d, m).(*twoSampleKernel)
+				oracle := scalar(inPlaceKernel(t, d, m))
 				ranges := [][2]int{{0, m.Rows}, {1, m.Rows - 1}, {2, m.Rows}, {3, m.Rows - 2}, {4, m.Rows - 5}, {5, 9}, {5, 17}, {na - 2, flat + 3}}
 				for _, nb := range []int{1, 3, 4, 5, 8, 63, 64, 65} {
 					labs := make([]int, nb*d.N)
@@ -146,7 +147,7 @@ func TestStatsBatchISASweep(t *testing.T) {
 					want := matrix.New(nb, m.Rows)
 					for p := 0; p < nb; p++ {
 						copy(labs[p*d.N:], lab)
-						k.Stats(lab, want.Row(p), nil)
+						oracle.Stats(lab, want.Row(p), nil)
 						r.shuffle(lab)
 					}
 					for isa := ISAGeneric; isa <= bestISA(); isa++ {
@@ -190,77 +191,101 @@ func logISAs(t *testing.T) {
 // FuzzTSQuad pins the AVX2 routine to tsLaneGo on arbitrary non-NaN bit
 // patterns (an NA-free quad is its precondition; infinities, subnormals
 // and signed zeros are not excluded) under arbitrary selected-column
-// lists — repeated and unordered ones too — comparing results by their
-// bits in each of the three store forms.
-func FuzzTSQuad(f *testing.F) { fuzzTSLane(f, 4, ISAAVX2, tsQuad, strideForms) }
+// lists — repeated and unordered ones too — and 1–16 groups of four
+// labellings, reading either half of an octet and comparing results by
+// their bits in each of the three store forms.
+func FuzzTSQuad(f *testing.F) {
+	fuzzTSLane(f, 4, ISAAVX2, strideForms, func(oct []float64, sel8 []int32, L, groups int, qc *[48]float64, sign, out []float64, ps, rs, pf int) {
+		acc := make([]float64, 32*groups)
+		tsQuad(&oct[0], &sel8[0], L, groups, qc, &sign[0], &acc[0], &out[0], ps, rs)
+	})
+}
 
 // FuzzTSOct is FuzzTSQuad for the AVX-512 octet routine, in the two store
-// forms it takes.
-func FuzzTSOct(f *testing.F) { fuzzTSLane(f, 8, ISAAVX512, tsOct, strideForms[:2]) }
+// forms it takes.  With up to 16 groups the accumulator buffer carries up
+// to 64 labellings' sums between the routine's two passes, so a tail that
+// read another group's sums fails here; the prefetch span is fuzzed too.
+func FuzzTSOct(f *testing.F) {
+	fuzzTSLane(f, 8, ISAAVX512, strideForms[:2], func(oct []float64, sel8 []int32, L, groups int, qc *[48]float64, sign, out []float64, ps, rs, pf int) {
+		buf := make([]float64, accLen(4*groups))
+		acc := buf[-(uintptr(unsafe.Pointer(&buf[0]))>>3)&7:]
+		tsOct(&oct[0], &sel8[0], L, groups, qc, &sign[0], &acc[0], &out[0], ps, rs, &oct[len(oct)-1], pf)
+	})
+}
 
-func fuzzTSLane(f *testing.F, w int, isa KernelISA, lane func(v8 *float64, sel8 *int32, L, groups int, qc *[48]float64, sign, out *float64, ps, rs int), forms []strideForm) {
+// fuzzTSLane runs one lane against tsLaneGo.  The octet is laid out as
+// rowGroups lays it, from an odd offset so the routine is also run off its
+// preferred alignment; a quad reads the half the input picks.
+func fuzzTSLane(f *testing.F, w int, isa KernelISA, forms []strideForm, lane func(oct []float64, sel8 []int32, L, groups int, qc *[48]float64, sign, out []float64, ps, rs, pf int)) {
 	if bestISA() < isa {
 		f.Skipf("no %v on this CPU (have %v)", isa, SupportedISAs())
 	}
 	f.Logf("covering the %d-row lane under %v", w, isa)
 	seed := func(vals ...float64) []byte {
-		b := make([]byte, 0, 8*len(vals)*w)
-		for rep := 0; rep < w; rep++ {
+		b := make([]byte, 0, 8*len(vals)*8)
+		for rep := 0; rep < 8; rep++ {
 			for _, v := range vals {
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)+uint64(rep))
 			}
 		}
 		return b
 	}
-	f.Add(seed(1, 2.5, -3, 0.125, 7, -7, 1e3, 2), uint8(4), false, uint8(0))
-	f.Add(seed(1e200, -1e200, 1e-160, 1e-170, 5e-324, 0, math.MaxFloat64, 3), uint8(3), true, uint8(1))
-	f.Add(seed(math.Inf(1), 1, math.Inf(-1), 2, math.Copysign(0, -1), 0, 4, 4), uint8(5), false, uint8(2))
-	f.Add(seed(2, 2, 2, 2, 1e10, 1e10, 1e10, 1e10), uint8(4), true, uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, nsel uint8, pooled bool, form uint8) {
-		cols := min(len(data)/(8*w), 40)
+	f.Add(seed(1, 2.5, -3, 0.125, 7, -7, 1e3, 2), uint8(4), false, uint8(0), uint8(0))
+	f.Add(seed(1e200, -1e200, 1e-160, 1e-170, 5e-324, 0, math.MaxFloat64, 3), uint8(3), true, uint8(1), uint8(1))
+	f.Add(seed(math.Inf(1), 1, math.Inf(-1), 2, math.Copysign(0, -1), 0, 4, 4), uint8(5), false, uint8(2), uint8(15))
+	f.Add(seed(2, 2, 2, 2, 1e10, 1e10, 1e10, 1e10), uint8(4), true, uint8(0), uint8(0x37))
+	f.Fuzz(func(t *testing.T, data []byte, nsel uint8, pooled bool, form, shape uint8) {
+		cols := min(len(data)/64, 40)
 		if cols < 1 {
 			return
 		}
-		// The lane buffer as StatsRows builds it, from an odd offset so the
-		// routine is also run off its preferred alignment.
+		groups := 1 + int(shape)%16
+		half := 4 * int(shape>>4&1) // the quad's rows in the octet
+		if w == 8 {
+			half = 0
+		}
 		buf := make([]float64, 8*cols+1)
-		v8 := buf[1:]
+		oct := buf[1:]
 		S, Q := make([]float64, w), make([]float64, w)
 		for j := 0; j < cols; j++ {
-			for r := 0; r < w; r++ {
-				x := math.Float64frombits(binary.LittleEndian.Uint64(data[8*(w*j+r):]))
+			for r := 0; r < 8; r++ {
+				x := math.Float64frombits(binary.LittleEndian.Uint64(data[8*(8*j+r):]))
 				if x != x {
 					x = math.Float64frombits(math.Float64bits(x) &^ (1 << 62)) // a finite pattern
 				}
-				v8[8*j+r] = x
-				S[r] += x
-				Q[r] += float64(x * x)
+				oct[8*j+r] = x
+				if l := r - half; l >= 0 && l < w {
+					S[l] += x
+					Q[l] += float64(x * x)
+				}
 			}
 		}
-		const groups = 2
 		L := int(nsel) % (cols + 1)
-		s := &BatchScratch{sel: make([]int32, 4*groups*L), sign: make([]float64, 4*groups)}
-		for e := range s.sel {
-			s.sel[e] = int32(data[(e*7+int(nsel))%len(data)]) % int32(cols)
+		sel8 := make([]int32, 4*groups*L+1) // addressable when L == 0
+		for e := range sel8 {
+			sel8[e] = 8 * (int32(data[(e*7+int(nsel))%len(data)]) % int32(cols))
 		}
-		for p := range s.sign {
-			s.sign[p] = float64(1 - 2*(p%2))
+		sign := make([]float64, 4*groups)
+		for p := range sign {
+			sign[p] = float64(1 - 2*(p%2))
 		}
 		tail, _ := newTSTail(pooled, max(L, 2), max(cols-L, 2))
-		s.openQuad(&tail, cols)
-		copy(s.qc[32:], S)
-		copy(s.qc[40:], Q)
+		var qc [48]float64
+		for c, v := range [8]float64{tail.fa, tail.fb, tail.da, tail.db, tail.scale, tail.rt, m2Tol, math.NaN()} {
+			qc[4*c], qc[4*c+1], qc[4*c+2], qc[4*c+3] = v, v, v, v
+		}
+		copy(qc[32:], S)
+		copy(qc[40:], Q)
 		sf := forms[int(form)%len(forms)]
 		ps, rs := sf.ps(4*groups, w), sf.rs(4*groups, w)
 		got := make([]float64, 4*groups*ps+w*rs)
 		want := make([]float64, len(got))
-		sel8 := append(s.sel8, 0) // addressable when L == 0
-		lane(&v8[0], &sel8[0], L, groups, &s.qc, &s.sign[0], &got[0], ps, rs)
-		tsLaneGo(w, v8, sel8, L, groups, &tail, S, Q, s.sign, want, ps, rs)
+		lane(oct[half:], sel8, L, groups, &qc, sign, got, ps, rs, int(nsel)%8)
+		tsLaneGo(w, oct[half:], sel8, L, groups, &tail, S, Q, sign, want, ps, rs)
 		for o := range got {
 			if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
-				t.Fatalf("%s L=%d cols=%d pooled=%v out[%d]: asm %v (%#x), Go %v (%#x)",
-					sf.name, L, cols, pooled, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
+				t.Fatalf("%s L=%d cols=%d groups=%d half=%d pooled=%v out[%d]: asm %v (%#x), Go %v (%#x)",
+					sf.name, L, cols, groups, half, pooled, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
 			}
 		}
 	})

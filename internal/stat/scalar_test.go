@@ -43,8 +43,11 @@ func selectColumns(lab []int, cls int, s *KernelScratch) []int {
 	return idx
 }
 
+// at returns row i's column j of the layout.
+func (g *rowGroups) at(i, j int) float64 { return g.data[g.row0(i)+j<<g.lg] }
+
 func (k *twoSampleKernel) NewScratch() *KernelScratch {
-	return &KernelScratch{idx: make([]int, 0, k.m.Cols)}
+	return &KernelScratch{idx: make([]int, 0, k.x.cols)}
 }
 
 func (k *twoSampleKernel) Stats(lab []int, out []float64, s *KernelScratch) {
@@ -63,18 +66,17 @@ func (k *twoSampleKernel) Stats(lab []int, out []float64, s *KernelScratch) {
 	// NA-free rows all share the group sizes (len(idx), cols-len(idx)), so
 	// their tail invariants are computed once per call — the same hoisting
 	// the batch path applies per batch, keeping the two paths bitwise equal.
-	cols := k.m.Cols
+	cols := k.x.cols
 	tail, tailOK := newTSTail(k.pooled, len(idx), cols-len(idx))
-	for i := 0; i < k.m.Rows; i++ {
+	for i := 0; i < k.x.rows; i++ {
 		if k.flat[i] {
 			out[i] = math.NaN()
 			continue
 		}
-		row := k.m.Row(i)
 		na := 0
 		var sa, qa float64
 		for _, j := range idx {
-			v := row[j]
+			v := k.x.at(i, j)
 			if v == v {
 				na++
 				sa += v
