@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -137,25 +138,54 @@ func TestMostlyMissingColumnStillRuns(t *testing.T) {
 }
 
 func TestTiesInObservedStatisticsDeterministicOrder(t *testing.T) {
-	// Duplicate rows produce exactly tied observed statistics; the order
-	// must break ties by row index, identically in serial and parallel.
-	row := []float64{1.1, 2.2, 0.9, 5.1, 6.2, 5.4}
-	x := [][]float64{row, append([]float64(nil), row...), append([]float64(nil), row...)}
-	serial, err := serialRun(x, twoClass(3, 3), Options{B: 60, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
+	// Exactly tied observed statistics — duplicate rows of each sign, many
+	// deep, and rows whose group means are equal (t = -0, so Obs = +0
+	// under abs and lower) — and rows without a statistic: the order must
+	// be decreasing Obs, ties by row index, the NaN rows last in index
+	// order, identically in serial and parallel.  (|t| of down is a hair
+	// above that of up.)  The mixed ±0 of a single Obs vector is
+	// TestRankRowsOrder's in maxt.
+	const up, down, flat, none = 0, 1, 2, 3
+	rows := [][]float64{
+		up:   {1.1, 2.2, 0.9, 5.1, 6.2, 5.4},
+		down: {5.1, 6.2, 5.4, 1.1, 2.2, 0.9},
+		flat: {1, 2, 3, 1, 2, 3},
+		none: {4, 4, 4, 4, 4, 4},
 	}
-	for i, r := range serial.Order {
-		if r != i {
-			t.Errorf("tied rows not in index order: %v", serial.Order)
-			break
+	kinds := []int{flat, up, none, down, up, flat, none, down, up, up, flat, down}
+	kinds = slices.Concat(kinds, kinds, kinds)
+	var x [][]float64
+	idx := make([][]int, len(rows))
+	for i, k := range kinds {
+		x = append(x, slices.Clone(rows[k]))
+		idx[k] = append(idx[k], i)
+	}
+	for _, tc := range []struct {
+		side  string
+		kinds []int
+	}{
+		{"abs", []int{down, up, flat, none}},
+		{"upper", []int{up, flat, down, none}},
+		{"lower", []int{down, flat, up, none}},
+	} {
+		var want []int
+		for _, k := range tc.kinds {
+			want = append(want, idx[k]...)
 		}
+		opt := Options{Side: tc.side, B: 60, Seed: 6}
+		serial, err := serialRun(x, twoClass(3, 3), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(serial.Order, want) {
+			t.Errorf("%s: order %v, want %v", tc.side, serial.Order, want)
+		}
+		par, err := collective(x, twoClass(3, 3), 3, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsEqual(t, "tied-rows/"+tc.side, serial, par)
 	}
-	par, err := collective(x, twoClass(3, 3), 3, Options{B: 60, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "tied-rows", serial, par)
 }
 
 func TestWideMatrixManyColumns(t *testing.T) {

@@ -248,7 +248,7 @@ type Stats struct {
 	PrepBuilds    int64 `json:"prep_builds"`
 	PrepHits      int64 `json:"prep_hits"`
 	// Kernel is the active two-sample accumulation kernel ISA
-	// ("avx2" or "generic" — process-wide runtime dispatch).
+	// ("avx512", "avx2" or "generic" — process-wide runtime dispatch).
 	Kernel string `json:"kernel"`
 	// PermOrder describes the enumeration order policy every job runs
 	// under.

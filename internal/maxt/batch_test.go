@@ -54,7 +54,7 @@ func batchMatrix(rows, cols int, seed uint64) matrix.Matrix {
 
 // TestProcessBatchedCountsEqualProcess: for every test, side, nonpara
 // setting, generator kind and batch size, ProcessBatched must accumulate
-// EXACTLY the counts of the scalar Process — the invariant that keeps
+// EXACTLY the counts of batches of one — the invariant that keeps
 // p-values, cache entries and checkpoints valid under batching.
 func TestProcessBatchedCountsEqualProcess(t *testing.T) {
 	for _, tc := range batchDesigns(t) {
@@ -82,7 +82,7 @@ func TestProcessBatchedCountsEqualProcess(t *testing.T) {
 					for gname, gen := range gens {
 						total := min64(B, gen.Total())
 						want := NewCounts(p.Rows())
-						Process(p, gen, 0, total, want, nil)
+						ProcessFrom(p, gen, 0, total, want, nil, 1, 0)
 						for _, batch := range []int{1, 2, 3, 7, 16, 64, 128} {
 							got := NewCounts(p.Rows())
 							ProcessBatched(p, gen, 0, total, got, nil, batch)
@@ -130,7 +130,7 @@ func TestProcessBatchedScratchReuse(t *testing.T) {
 		got := NewCounts(p.Rows())
 		ProcessBatched(p, gen, 0, 60, got, s, 16)
 		want := NewCounts(p.Rows())
-		Process(p, gen, 0, 60, want, nil)
+		ProcessFrom(p, gen, 0, 60, want, nil, 1, 0)
 		for i := range want.Raw {
 			if got.Raw[i] != want.Raw[i] || got.Adj[i] != want.Adj[i] {
 				t.Fatalf("%s: reused scratch drifts at row %d", tc.name, i)

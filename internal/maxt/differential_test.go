@@ -128,7 +128,7 @@ func TestKernelMatchesReferencePathDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					resNew := Run(pNew, gen)
+					resNew := runAll(pNew, gen)
 					resRef, pRef, refStats := legacyMaxT(m, d, side, nonpara, gen)
 					label := tc.name + "/" + side.String()
 					if nonpara {
@@ -316,7 +316,7 @@ func TestKernelMatchesReferenceRandomGenerator(t *testing.T) {
 				t.Fatal(err)
 			}
 			resRef, _, _ := legacyMaxT(m, d, side, false, gen)
-			resNew := Run(pNew, gen)
+			resNew := runAll(pNew, gen)
 			label := test.String() + "/" + side.String() + "/random"
 			compareStats(t, label, resNew, resRef)
 			comparePValuesExact(t, label, resNew, resRef)

@@ -12,10 +12,10 @@
 // ordered list.  Raw (unadjusted) p-values count per-row exceedances only.
 //
 // The package deliberately separates preparation (Prep), per-chunk counting
-// (Process into Counts) and the final reduction (Finalize): this is exactly
-// the split pmaxT needs, where each MPI rank processes a chunk of the
-// permutation sequence and the master merges the partial counts — Steps 4
-// and 5 of Section 3.2 of the paper.
+// (ProcessBatched into Counts) and the final reduction (Finalize): this is
+// exactly the split pmaxT needs, where each MPI rank processes a chunk of
+// the permutation sequence and the master merges the partial counts —
+// Steps 4 and 5 of Section 3.2 of the paper.
 package maxt
 
 import (
@@ -121,35 +121,6 @@ type Prep struct {
 	isa  stat.KernelISA // counting lane, captured when the prep is built
 }
 
-// NewPrep adapts the legacy row-per-slice surface: it validates shape,
-// flattens x into contiguous storage and defers to NewPrepMatrix.  The
-// input matrix is not modified.
-func NewPrep(x [][]float64, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
-	m, err := rowsToMatrix(x, d)
-	if err != nil {
-		return nil, err
-	}
-	return NewPrepMatrix(m, d, side, nonpara)
-}
-
-// rowsToMatrix validates the legacy [][]float64 shape against the design
-// and flattens it, preserving the historical error messages.
-func rowsToMatrix(x [][]float64, d *stat.Design) (matrix.Matrix, error) {
-	if len(x) == 0 {
-		return matrix.Matrix{}, fmt.Errorf("maxt: empty data matrix")
-	}
-	for i, row := range x {
-		if len(row) != d.N {
-			return matrix.Matrix{}, fmt.Errorf("maxt: row %d has %d columns, design has %d", i, len(row), d.N)
-		}
-	}
-	m := matrix.New(len(x), d.N)
-	for i, row := range x {
-		copy(m.Row(i), row)
-	}
-	return m, nil
-}
-
 // NewPrepMatrix builds the prep over a flat matrix: it applies the rank
 // transform when the test requires it (Wilcoxon) or when nonpara is set,
 // computes observed statistics under the design's labelling, derives the
@@ -217,22 +188,12 @@ func (p *Prep) rankRows() {
 	for i := range p.Order {
 		p.Order[i] = i
 	}
-	// Decreasing transformed statistic; NaN rows sink to the end; ties
-	// break on row index so the order — and therefore the parallel
-	// reduction — is deterministic.
-	slices.SortStableFunc(p.Order, func(ra, rb int) int {
-		va, vb := p.Obs[ra], p.Obs[rb]
-		na, nb := math.IsNaN(va), math.IsNaN(vb)
-		switch {
-		case na && !nb:
-			return 1
-		case nb && !na:
-			return -1
-		case !na && va != vb:
-			return cmp.Compare(vb, va)
-		default:
-			return cmp.Compare(ra, rb)
-		}
+	// Decreasing transformed statistic; cmp.Compare holds NaN below every
+	// number, so NaN rows sink to the end, and ±0 equal.  Ties break on row
+	// index, so the order is total — no stable sort is needed — and the
+	// order, and therefore the parallel reduction, is deterministic.
+	slices.SortFunc(p.Order, func(ra, rb int) int {
+		return cmp.Or(cmp.Compare(p.Obs[rb], p.Obs[ra]), cmp.Compare(ra, rb))
 	})
 	p.Valid = 0
 	for _, r := range p.Order {
@@ -311,8 +272,8 @@ func (c *Counts) Reset(n int) {
 	c.B = 0
 }
 
-// Scratch holds per-goroutine working storage for Process and
-// ProcessBatched, so concurrent chunks never share mutable state.  The
+// Scratch holds per-goroutine working storage for ProcessBatched and
+// ProcessFrom, so concurrent chunks never share mutable state.  The
 // batch fields are sized lazily by ProcessBatched and retain their
 // capacity across preps (see ScratchFrom), which is what makes the jobs
 // worker path allocation-free in steady state.
@@ -388,23 +349,16 @@ func (p *Prep) ensureBatch(s *Scratch, batch int) {
 	}
 }
 
-// Process accumulates exceedance counts for permutation indices [lo, hi) of
-// gen into c.  It is the computational kernel of both mt.maxT and pmaxT:
-// the serial run processes [0, B); rank r of a parallel run processes its
-// chunk, with the master's chunk containing index 0 (the observed
-// labelling, Figure 2).  It is ProcessBatched with batches of one
-// labelling.  scratch may be nil, in which case temporary storage is
-// allocated.
-func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch) {
-	ProcessFrom(p, gen, lo, hi, c, scratch, 1, 0)
-}
-
-// ProcessBatched is Process with the permutation loop inverted: the chunk
-// [lo, hi) is evaluated in batches of up to batch labellings, so each
-// matrix row is read once per batch instead of once per permutation.  A
-// labelling's statistics are bitwise independent of the batch it rides
-// in, so the accumulated counts are exactly those of Process for every
-// batch size; batch <= 1 means batches of one.
+// ProcessBatched accumulates exceedance counts for permutation indices
+// [lo, hi) of gen into c.  It is the computational kernel of both mt.maxT
+// and pmaxT: the serial run processes [0, B); rank r of a parallel run
+// processes its chunk, with the master's chunk containing index 0 (the
+// observed labelling, Figure 2).  The chunk is evaluated in batches of up
+// to batch labellings, so each matrix row is read once per batch instead
+// of once per permutation.  A labelling's statistics are bitwise
+// independent of the batch it rides in, so the accumulated counts are the
+// same for every batch size; batch <= 1 means batches of one.  scratch may
+// be nil, in which case temporary storage is allocated.
 func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch, batch int) {
 	ProcessFrom(p, gen, lo, hi, c, scratch, batch, 0)
 }
@@ -650,12 +604,4 @@ func FinalizeEffective(p *Prep, c *Counts, bEff []int64) *Result {
 		prev = v
 	}
 	return res
-}
-
-// Run executes a complete serial maxT computation over all permutations of
-// gen: the reference mt.maxT behaviour.
-func Run(p *Prep, gen perm.Generator) *Result {
-	c := NewCounts(p.Rows())
-	Process(p, gen, 0, gen.Total(), c, nil)
-	return Finalize(p, c)
 }

@@ -2,12 +2,33 @@ package maxt
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"sprint/internal/matrix"
 	"sprint/internal/perm"
+	"sprint/internal/rng"
 	"sprint/internal/stat"
 )
+
+// newPrep flattens a row-per-slice matrix and builds its prep, as the
+// engine's callers do from their flat one.
+func newPrep(x [][]float64, d *stat.Design, side Side, nonpara bool) (*Prep, error) {
+	m, err := matrix.FromRows(x)
+	if err != nil {
+		return nil, err
+	}
+	return NewPrepMatrix(m, d, side, nonpara)
+}
+
+// runAll is the serial mt.maxT run: every permutation of gen, counted at
+// batches of one, then finalized.
+func runAll(p *Prep, gen perm.Generator) *Result {
+	c := NewCounts(p.Rows())
+	ProcessFrom(p, gen, 0, gen.Total(), c, nil, 1, 0)
+	return Finalize(p, c)
+}
 
 func mustPrep(t *testing.T, x [][]float64, test stat.Test, labels []int, side Side) *Prep {
 	t.Helper()
@@ -15,7 +36,7 @@ func mustPrep(t *testing.T, x [][]float64, test stat.Test, labels []int, side Si
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPrep(x, d, side, false)
+	p, err := newPrep(x, d, side, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +222,7 @@ func TestRunMatchesReferenceOnCompleteEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := Run(p, gen)
+		got := runAll(p, gen)
 		wantRaw, wantAdj := refMaxT(tinyX, allTwoClassLabellings(tinyLabels), side)
 		if got.B != 20 {
 			t.Fatalf("side %v: B = %d, want 20 (C(6,3))", side, got.B)
@@ -222,7 +243,7 @@ func TestChunkedCountsEqualSerialCounts(t *testing.T) {
 	// sequence in disjoint chunks and merging the counts must reproduce
 	// the serial result exactly, for every generator type.
 	d, _ := stat.NewDesign(stat.Welch, tinyLabels)
-	p, _ := NewPrep(tinyX, d, Abs, false)
+	p, _ := newPrep(tinyX, d, Abs, false)
 
 	gens := map[string]perm.Generator{
 		"random": perm.NewRandom(d, 42, 101),
@@ -233,13 +254,13 @@ func TestChunkedCountsEqualSerialCounts(t *testing.T) {
 	for name, gen := range gens {
 		B := gen.Total()
 		serial := NewCounts(len(tinyX))
-		Process(p, gen, 0, B, serial, nil)
+		ProcessFrom(p, gen, 0, B, serial, nil, 1, 0)
 
 		merged := NewCounts(len(tinyX))
 		bounds := []int64{0, B / 4, B / 2, 3 * B / 4, B}
 		for w := 0; w < 4; w++ {
 			part := NewCounts(len(tinyX))
-			Process(p, gen, bounds[w], bounds[w+1], part, nil)
+			ProcessFrom(p, gen, bounds[w], bounds[w+1], part, nil, 1, 0)
 			merged.Merge(part)
 		}
 		if merged.B != serial.B {
@@ -256,11 +277,11 @@ func TestChunkedCountsEqualSerialCounts(t *testing.T) {
 
 func TestStoredGeneratorChunkedEqualsSerial(t *testing.T) {
 	d, _ := stat.NewDesign(stat.Welch, tinyLabels)
-	p, _ := NewPrep(tinyX, d, Abs, false)
+	p, _ := newPrep(tinyX, d, Abs, false)
 	const B = 61
 	serialGen := perm.NewStored(d, 9, B, 0, B)
 	serial := NewCounts(len(tinyX))
-	Process(p, serialGen, 0, B, serial, nil)
+	ProcessFrom(p, serialGen, 0, B, serial, nil, 1, 0)
 
 	merged := NewCounts(len(tinyX))
 	bounds := []int64{0, 21, 41, B}
@@ -268,7 +289,7 @@ func TestStoredGeneratorChunkedEqualsSerial(t *testing.T) {
 		lo, hi := bounds[w], bounds[w+1]
 		gen := perm.NewStored(d, 9, B, lo, hi)
 		part := NewCounts(len(tinyX))
-		Process(p, gen, lo, hi, part, nil)
+		ProcessFrom(p, gen, lo, hi, part, nil, 1, 0)
 		merged.Merge(part)
 	}
 	for i := range serial.Raw {
@@ -281,7 +302,7 @@ func TestStoredGeneratorChunkedEqualsSerial(t *testing.T) {
 func TestPValuesAtLeastOneOverB(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
 	gen := perm.NewRandom(p.Design, 7, 200)
-	res := Run(p, gen)
+	res := runAll(p, gen)
 	for i := range tinyX {
 		if res.RawP[i] < 1.0/float64(res.B) {
 			t.Errorf("row %d: rawp = %v < 1/B", i, res.RawP[i])
@@ -297,7 +318,7 @@ func TestPValuesAtLeastOneOverB(t *testing.T) {
 
 func TestAdjustedMonotoneAlongOrder(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
-	res := Run(p, perm.NewRandom(p.Design, 3, 500))
+	res := runAll(p, perm.NewRandom(p.Design, 3, 500))
 	prev := 0.0
 	for _, r := range res.Order {
 		if math.IsNaN(res.AdjP[r]) {
@@ -312,7 +333,7 @@ func TestAdjustedMonotoneAlongOrder(t *testing.T) {
 
 func TestDifferentialGeneRanksFirst(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
-	res := Run(p, perm.NewRandom(p.Design, 11, 1000))
+	res := runAll(p, perm.NewRandom(p.Design, 11, 1000))
 	if res.Order[0] != 0 {
 		t.Errorf("most significant row = %d, want 0 (the spiked gene)", res.Order[0])
 	}
@@ -332,7 +353,7 @@ func TestNaNRowHandling(t *testing.T) {
 	if p.Valid != 2 {
 		t.Fatalf("Valid = %d, want 2", p.Valid)
 	}
-	res := Run(p, perm.NewRandom(p.Design, 5, 100))
+	res := runAll(p, perm.NewRandom(p.Design, 5, 100))
 	if !math.IsNaN(res.RawP[1]) || !math.IsNaN(res.AdjP[1]) {
 		t.Errorf("NaN row p-values = (%v, %v), want NaN", res.RawP[1], res.AdjP[1])
 	}
@@ -354,9 +375,9 @@ func TestSideTransforms(t *testing.T) {
 	pu := mustPrep(t, x, stat.Welch, tinyLabels, Upper)
 	pl := mustPrep(t, x, stat.Welch, tinyLabels, Lower)
 	genU, _ := perm.NewComplete(pu.Design)
-	resU := Run(pu, genU)
+	resU := runAll(pu, genU)
 	genL, _ := perm.NewComplete(pl.Design)
-	resL := Run(pl, genL)
+	resL := runAll(pl, genL)
 	if resU.RawP[1] >= resU.RawP[0] {
 		t.Errorf("upper: positive-shift row should be more significant: %v vs %v", resU.RawP[1], resU.RawP[0])
 	}
@@ -377,26 +398,77 @@ func TestParseSideRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRankRowsOrder: the step-down order is decreasing Obs, ties by row
+// index, NaN rows last — a total order, so the unstable sort returns the
+// permutation a stable sort on Obs alone does.  Statistics drawn from a few
+// values, with NaN and both signed zeros (which tie), make ties many deep.
+func TestRankRowsOrder(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), math.NaN(), 1, -1, 2.5, -2.5, 7}
+	src := rng.New(17)
+	for trial := 0; trial < 60; trial++ {
+		st := make([]float64, 1+src.Intn(300))
+		for i := range st {
+			st[i] = pool[src.Intn(len(pool))]
+		}
+		for _, side := range []Side{Abs, Upper, Lower} {
+			p := &Prep{Side: side, Stat: st, Obs: make([]float64, len(st))}
+			p.rankRows()
+			want := make([]int, len(st))
+			for i := range want {
+				want[i] = i
+			}
+			valid := 0
+			for _, v := range p.Obs {
+				if !math.IsNaN(v) {
+					valid++
+				}
+			}
+			slices.SortStableFunc(want, func(a, b int) int {
+				va, vb := p.Obs[a], p.Obs[b]
+				switch na, nb := math.IsNaN(va), math.IsNaN(vb); {
+				case na && nb:
+					return 0
+				case na:
+					return 1
+				case nb || va > vb:
+					return -1
+				case va < vb:
+					return 1
+				}
+				return 0
+			})
+			if !slices.Equal(p.Order, want) || p.Valid != valid {
+				t.Fatalf("trial %d %v: order %v valid %d, want %v valid %d (obs %v)",
+					trial, side, p.Order, p.Valid, want, valid, p.Obs)
+			}
+		}
+	}
+}
+
 func TestNewPrepValidation(t *testing.T) {
 	d, _ := stat.NewDesign(stat.Welch, tinyLabels)
-	if _, err := NewPrep(nil, d, Abs, false); err == nil {
-		t.Error("NewPrep accepted empty matrix")
+	if _, err := NewPrepMatrix(matrix.Matrix{}, d, Abs, false); err == nil {
+		t.Error("NewPrepMatrix accepted empty matrix")
 	}
-	if _, err := NewPrep([][]float64{{1, 2}}, d, Abs, false); err == nil {
-		t.Error("NewPrep accepted ragged matrix")
+	if _, err := NewPrepMatrix(matrix.New(1, 2), d, Abs, false); err == nil {
+		t.Error("NewPrepMatrix accepted a matrix narrower than the design")
+	}
+	short := matrix.Matrix{Rows: 2, Cols: d.N, Data: make([]float64, d.N)}
+	if _, err := NewPrepMatrix(short, d, Abs, false); err == nil {
+		t.Error("NewPrepMatrix accepted data shorter than rows x cols")
 	}
 }
 
 func TestNewPrepDoesNotModifyInput(t *testing.T) {
-	x := [][]float64{{3, 1, 2, 5, 4, 6}}
-	orig := append([]float64(nil), x[0]...)
+	m, _ := matrix.FromRows([][]float64{{3, 1, 2, 5, 4, 6}})
+	orig := m.Clone()
 	d, _ := stat.NewDesign(stat.Wilcoxon, tinyLabels)
-	if _, err := NewPrep(x, d, Abs, false); err != nil {
+	if _, err := NewPrepMatrix(m, d, Abs, false); err != nil {
 		t.Fatal(err)
 	}
-	for i := range orig {
-		if x[0][i] != orig[i] {
-			t.Fatal("NewPrep modified the caller's matrix")
+	for i := range orig.Data {
+		if m.Data[i] != orig.Data[i] {
+			t.Fatal("NewPrepMatrix modified the caller's matrix")
 		}
 	}
 }
@@ -405,9 +477,9 @@ func TestNonparaRankTransform(t *testing.T) {
 	// With nonpara, Welch t on ranks must equal Welch t on pre-ranked data.
 	x := [][]float64{{30, 10, 20, 60, 50, 40}}
 	d, _ := stat.NewDesign(stat.Welch, tinyLabels)
-	p1, _ := NewPrep(x, d, Abs, true)
+	p1, _ := newPrep(x, d, Abs, true)
 	ranked := [][]float64{{3, 1, 2, 6, 5, 4}}
-	p2, _ := NewPrep(ranked, d, Abs, false)
+	p2, _ := newPrep(ranked, d, Abs, false)
 	if p1.Stat[0] != p2.Stat[0] {
 		t.Errorf("nonpara stat %v != pre-ranked stat %v", p1.Stat[0], p2.Stat[0])
 	}
@@ -436,11 +508,11 @@ func TestQuickAdjGeqRaw(t *testing.T) {
 			}
 		}
 		d, _ := stat.NewDesign(stat.Welch, tinyLabels)
-		p, err := NewPrep(x, d, Abs, false)
+		p, err := newPrep(x, d, Abs, false)
 		if err != nil {
 			return false
 		}
-		res := Run(p, perm.NewRandom(d, src, 50))
+		res := runAll(p, perm.NewRandom(d, src, 50))
 		for i := range x {
 			if math.IsNaN(res.AdjP[i]) {
 				continue
@@ -466,7 +538,7 @@ func TestWilcoxonCompleteExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(p, gen)
+	res := runAll(p, gen)
 	if math.Abs(res.RawP[0]-2.0/20) > 1e-12 {
 		t.Errorf("wilcoxon exact rawp = %v, want 0.1", res.RawP[0])
 	}
@@ -489,12 +561,12 @@ func BenchmarkProcess100x76x100(b *testing.B) {
 			x[i][j] = float64(s%997) / 100
 		}
 	}
-	p, _ := NewPrep(x, d, Abs, false)
+	p, _ := newPrep(x, d, Abs, false)
 	gen := perm.NewRandom(d, 1, 1<<40)
 	scratch := p.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := NewCounts(len(x))
-		Process(p, gen, int64(i)*100, int64(i)*100+100, c, scratch)
+		ProcessFrom(p, gen, int64(i)*100, int64(i)*100+100, c, scratch, 1, 0)
 	}
 }

@@ -192,7 +192,7 @@ func TestFCompleteMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPrep(fX, d, Abs, false)
+	p, err := newPrep(fX, d, Abs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFCompleteMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Run(p, gen)
+	got := runAll(p, gen)
 	if got.B != 90 { // 6!/(2!2!2!)
 		t.Fatalf("B = %d, want 90", got.B)
 	}
@@ -226,7 +226,7 @@ func TestPairTCompleteMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPrep(x, d, Abs, false)
+	p, err := newPrep(x, d, Abs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPairTCompleteMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Run(p, gen)
+	got := runAll(p, gen)
 	if got.B != 16 {
 		t.Fatalf("B = %d, want 16", got.B)
 	}
@@ -256,9 +256,9 @@ func TestPairTSignSymmetryExactness(t *testing.T) {
 	x := [][]float64{{1.1, 9.2, 2.3, 8.1, 0.7, 9.9, 1.5, 8.8}}
 	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	d, _ := stat.NewDesign(stat.PairT, labels)
-	p, _ := NewPrep(x, d, Abs, false)
+	p, _ := newPrep(x, d, Abs, false)
 	gen, _ := perm.NewComplete(d)
-	res := Run(p, gen)
+	res := runAll(p, gen)
 	if res.RawP[0] < 2.0/16-1e-12 {
 		t.Errorf("rawp = %v below the symmetry floor 2/16", res.RawP[0])
 	}
@@ -369,7 +369,7 @@ func TestBlockFCompleteMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPrep(x, d, Abs, false)
+	p, err := newPrep(x, d, Abs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestBlockFCompleteMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Run(p, gen)
+	got := runAll(p, gen)
 	if got.B != 8 { // (2!)^3
 		t.Fatalf("B = %d, want 8", got.B)
 	}
@@ -400,12 +400,12 @@ func TestWilcoxonExactTwoSided(t *testing.T) {
 	x := [][]float64{{1, 2, 3, 4, 10, 11, 12, 13}}
 	labels := []int{0, 0, 0, 0, 1, 1, 1, 1}
 	d, _ := stat.NewDesign(stat.Wilcoxon, labels)
-	p, err := NewPrep(x, d, Abs, false)
+	p, err := newPrep(x, d, Abs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen, _ := perm.NewComplete(d)
-	res := Run(p, gen)
+	res := runAll(p, gen)
 	if res.B != 70 {
 		t.Fatalf("B = %d, want 70", res.B)
 	}
@@ -425,11 +425,11 @@ func TestEqualVarTCompleteVsWelch(t *testing.T) {
 		{2.17, 3.04, 2.66, 7.13, 6.51, 7.96},
 		{4.03, 4.97, 4.51, 4.22, 4.76, 4.40},
 	}
-	pW, _ := NewPrep(x, dW, Abs, false)
-	pE, _ := NewPrep(x, dE, Abs, false)
+	pW, _ := newPrep(x, dW, Abs, false)
+	pE, _ := newPrep(x, dE, Abs, false)
 	gW, _ := perm.NewComplete(dW)
 	gE, _ := perm.NewComplete(dE)
-	rW, rE := Run(pW, gW), Run(pE, gE)
+	rW, rE := runAll(pW, gW), runAll(pE, gE)
 	for i := range x {
 		if math.Abs(rW.RawP[i]-rE.RawP[i]) > 1e-12 {
 			t.Errorf("row %d: welch rawp %v != equalvar rawp %v (balanced groups)",

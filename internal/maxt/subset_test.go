@@ -19,13 +19,13 @@ func TestSubsetCountsBitwiseEqualFullPrep(t *testing.T) {
 	const B = 400
 	gen := perm.NewRandom(p.Design, 21, B)
 	full := NewCounts(p.Rows())
-	Process(p, gen, 0, B, full, nil)
+	ProcessFrom(p, gen, 0, B, full, nil, 1, 0)
 
 	// Drop every possible frozen prefix of the order.
 	for prefix := 0; prefix < p.Valid; prefix++ {
-		sub := subPrep(t, p, tinyMatrix(t, p), false, prefix)
+		sub := subPrep(t, p, tinyMatrix(t), false, prefix)
 		subCounts := NewCounts(sub.Rows())
-		Process(sub, gen, 0, B, subCounts, nil)
+		ProcessFrom(sub, gen, 0, B, subCounts, nil, 1, 0)
 		for si, r := range p.Order[prefix:p.Valid] {
 			if subCounts.Raw[si] != full.Raw[r] || subCounts.Adj[si] != full.Adj[r] {
 				t.Fatalf("prefix %d row %d: sub (raw=%d,adj=%d) != full (raw=%d,adj=%d)",
@@ -47,9 +47,9 @@ func TestSubsetBatchedEqualsUnbatched(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
 	const B = 256
 	gen := perm.NewRandom(p.Design, 5, B)
-	sub := subPrep(t, p, tinyMatrix(t, p), false, 1)
+	sub := subPrep(t, p, tinyMatrix(t), false, 1)
 	plain := NewCounts(sub.Rows())
-	Process(sub, gen, 0, B, plain, nil)
+	ProcessFrom(sub, gen, 0, B, plain, nil, 1, 0)
 	batched := NewCounts(sub.Rows())
 	ProcessBatched(sub, gen, 0, B, batched, sub.NewScratch(), 64)
 	from := NewCounts(p.Rows())
@@ -70,7 +70,7 @@ func TestFinalizeEffectiveUniformMatchesFinalize(t *testing.T) {
 	p := mustPrep(t, tinyX, stat.Welch, tinyLabels, Abs)
 	const B = 300
 	c := NewCounts(p.Rows())
-	Process(p, perm.NewRandom(p.Design, 13, B), 0, B, c, nil)
+	ProcessFrom(p, perm.NewRandom(p.Design, 13, B), 0, B, c, nil, 1, 0)
 
 	want := Finalize(p, c)
 	bEff := make([]int64, p.Rows())
@@ -132,10 +132,10 @@ func TestFinalizeEffectivePerRowDivisors(t *testing.T) {
 	}
 }
 
-// tinyMatrix is tinyX as the flat matrix NewPrep builds p from.
-func tinyMatrix(t *testing.T, p *Prep) matrix.Matrix {
+// tinyMatrix is tinyX as the flat matrix newPrep builds p from.
+func tinyMatrix(t *testing.T) matrix.Matrix {
 	t.Helper()
-	m, err := rowsToMatrix(tinyX, p.Design)
+	m, err := matrix.FromRows(tinyX)
 	if err != nil {
 		t.Fatal(err)
 	}

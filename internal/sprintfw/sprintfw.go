@@ -27,7 +27,7 @@ import (
 // the framework's command broadcast); it may use the full mpi API.  The
 // framework returns the master's Eval result to the calling script.
 type Function interface {
-	// Name is the registry key, e.g. "pmaxt", "pcor".
+	// Name is the registry key, e.g. "pmaxt".
 	Name() string
 	// Eval computes the function collectively.  An error on any rank
 	// aborts the world.

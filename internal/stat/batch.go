@@ -10,8 +10,8 @@
 // tables) and then evaluated over any row ranges, in any order
 // (StatsRows); the engine asks for a block of rows at a time and counts it
 // while it is still in cache, StatsBatch is the whole matrix in one range.
-// A batch of one is the same code: maxt.Process and a prep's observed
-// statistics both run it.
+// A batch of one is the same code: maxt.ProcessBatched at batch 1 and a
+// prep's observed statistics both run it.
 //
 // Per row, the accumulation is column-scatter shaped: selected columns are
 // visited in ascending order and each element feeds the accumulators of

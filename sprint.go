@@ -32,9 +32,9 @@
 // bounded queue, a worker pool, a content-addressed result cache, and
 // checkpoint-backed resume for cancelled or crashed jobs.
 //
-// See the examples directory for complete programs, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for the paper-versus-reproduction
-// measurements.
+// The package's Example functions are complete programs that go test runs;
+// see DESIGN.md for the system inventory and EXPERIMENTS.md for the
+// paper-versus-reproduction measurements.
 package sprint
 
 import (
@@ -46,7 +46,6 @@ import (
 	"sprint/internal/jobs"
 	"sprint/internal/matrix"
 	"sprint/internal/microarray"
-	"sprint/internal/pcor"
 )
 
 // Options configures MaxT and PMaxT, mirroring the R signature
@@ -221,16 +220,3 @@ func rowsMatrix(x [][]float64) (matrix.Matrix, error) {
 
 // RunControl carries the service hooks of a supervised Run.
 type RunControl = core.RunControl
-
-// Pcor computes the rows×rows Pearson correlation matrix of x on nprocs
-// parallel ranks: SPRINT's original prototype function (Hill et al. 2008),
-// reproduced here because the paper's framework hosts a library of such
-// functions, not just pmaxT.  Matrix[i][j] is the correlation of rows i
-// and j; zero-variance rows correlate as NaN.
-func Pcor(x [][]float64, nprocs int) ([][]float64, error) {
-	res, err := pcor.Pcor(x, nprocs)
-	if err != nil {
-		return nil, err
-	}
-	return res.Matrix, nil
-}
