@@ -217,3 +217,32 @@ func TestKernelMaxAtLeastMasterKernel(t *testing.T) {
 		t.Errorf("KernelMax %v < master kernel %v", res.KernelMax, res.Profile.MainKernel)
 	}
 }
+
+// TestZeroStatisticIsPositiveZero: a row whose classes have equal means
+// has a zero statistic, and every test reports it as +0 — the value the
+// per-row statistics (stat.welchT and the rest) give — never −0, which
+// the result document would print as "-0".
+func TestZeroStatisticIsPositiveZero(t *testing.T) {
+	for _, c := range []struct {
+		test string
+		lab  []int
+		x    [][]float64
+	}{
+		{"t", twoClass(3, 3), [][]float64{{1, 2, 3, 1, 2, 3}, {5, 6, 7, 7, 6, 5}}},
+		{"t.equalvar", twoClass(3, 3), [][]float64{{1, 2, 3, 1, 2, 3}, {5, 6, 7, 7, 6, 5}}},
+		{"wilcoxon", twoClass(3, 3), [][]float64{{1, 2, 3, 1, 2, 3}, {5, 6, 7, 7, 6, 5}}},
+		{"f", []int{0, 0, 1, 1, 2, 2}, [][]float64{{1, 2, 1, 2, 1, 2}, {5, 7, 7, 5, 6, 6}}},
+		{"pairt", []int{0, 1, 0, 1, 0, 1}, [][]float64{{1, 2, 3, 2, 5, 5}, {4, 6, 6, 4, 5, 5}}},
+		{"blockf", []int{0, 1, 2, 1, 2, 0}, [][]float64{{1, 2, 3, 2, 1, 3}, {4, 5, 6, 7, 6, 8}}},
+	} {
+		res, err := serialRun(c.x, c.lab, Options{Test: c.test, B: 0})
+		if err != nil {
+			t.Fatalf("%s: %v", c.test, err)
+		}
+		for i, s := range res.Stat {
+			if s != 0 || math.Signbit(s) {
+				t.Errorf("%s row %d: statistic %v (sign bit %v), want +0", c.test, i, s, math.Signbit(s))
+			}
+		}
+	}
+}

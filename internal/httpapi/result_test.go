@@ -376,3 +376,38 @@ func BenchmarkWriteResult(b *testing.B) {
 		})
 	}
 }
+
+// TestZeroStatisticServedAsZero: rows whose classes have equal means
+// have a zero t statistic, and the result document prints it as 0, not
+// -0, under both t tests.
+func TestZeroStatisticServedAsZero(t *testing.T) {
+	_, ts := newTestServer(t, jobs.Config{})
+	for _, test := range []string{"t", "t.equalvar"} {
+		body, err := json.Marshal(map[string]any{
+			"dataset": map[string]any{"x": [][]float64{{1, 2, 3, 1, 2, 3}, {5, 6, 7, 7, 6, 5}}, "labels": []int{0, 0, 0, 1, 1, 1}},
+			"options": map[string]any{"b": 0, "test": test},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st StatusJSON
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &st); code != http.StatusAccepted {
+			t.Fatalf("%s: submit code %d", test, code)
+		}
+		if fin := pollTerminal(t, ts.URL, st.ID); fin.State != "done" {
+			t.Fatalf("%s: final status %+v", test, fin)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(got, []byte(`"stat":[0,0]`)) {
+			t.Errorf("%s: result document %s, want \"stat\":[0,0]", test, got)
+		}
+	}
+}

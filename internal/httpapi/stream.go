@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
+	"sync"
 )
 
 // This file owns how request bodies enter the server: optional gzip
@@ -21,8 +24,9 @@ import (
 // slice in memory at once.  Here the envelope is walked token by token,
 // matrix rows decode one row at a time, and the x_flat array — the bulk
 // of a large body — is consumed by a byte-level scanner that parses
-// numbers straight off the wire: peak memory is the decoded values plus a
-// fixed read buffer, whatever the body size.
+// numbers straight off the wire, a chunk at a time on every core: peak
+// memory is the decoded values plus a read buffer and a few chunks of
+// text, whatever the body size.
 
 // errUnsupportedEncoding rejects Content-Encoding values other than
 // identity and gzip.
@@ -264,18 +268,17 @@ func (sd *submitDecoder) decodeRows(out *Matrix) error {
 	return nil
 }
 
-// decodeFlat consumes the x_flat value through the raw-stream scanner:
-// numbers (and null cells) parse straight off the wire into the slice,
-// allocating nothing per cell.  When the shape fields arrived before the
-// array (the common key order), the slice is sized once up front.
+// decodeFlat consumes the x_flat value through the chunked scanner:
+// numbers (and null cells) parse straight off the wire, a chunk of text at
+// a time, on every core.  When the shape fields arrived before the array
+// (the common key order), the slice is sized once up front.
 func (sd *submitDecoder) decodeFlat(d *DatasetJSON, out *Floats) error {
 	br := bufio.NewReaderSize(sd.takeover(), flatReadSize)
 	// The hint comes from client-controlled fields, so it bounds nothing
 	// by itself: a 60-byte body claiming genes=samples=4e6 must not make
 	// the server attempt a 140 TB allocation.  Cap the preallocation at
-	// maxFlatHint cells (32 MB) — larger matrices just take the amortised
-	// append-growth path — and compute the product in 64 bits so it
-	// cannot wrap.
+	// maxFlatHint cells (32 MB) — larger matrices are joined from their
+	// chunks — and compute the product in 64 bits so it cannot wrap.
 	const maxFlatHint = 1 << 22
 	hint := 0
 	if d.Genes > 0 && d.Samples > 0 && d.Genes <= maxFlatHint && d.Samples <= maxFlatHint {
@@ -296,81 +299,29 @@ func (sd *submitDecoder) decodeFlat(d *DatasetJSON, out *Floats) error {
 	return sd.resume(br)
 }
 
-// flatWindow is the Peek window of the x_flat scanner.  It bounds both
-// the scan granularity and the longest single number token accepted.
+// flatWindow bounds the longest number token x_flat accepts: no real
+// float64 is 4 KB of text.
 const flatWindow = 4096
 
 // flatReadSize is the x_flat scanner's read buffer: a refill reads up to
 // this many bytes of body at once, so an 8 MB array takes about 130 reads
-// from the connection instead of the 2000 a window-sized buffer would.
+// from the connection.
 const flatReadSize = 64 << 10
+
+// flatChunk is how much array text one chunk carries: the scanner reads
+// this many bytes and cuts them after their last ',', so a 6102 × 76 body
+// (8 MB) parses as about 60 chunks.  At most workers+1 chunks are held at
+// once.  Smaller chunks cost more in hand-offs: at 64 KB the decode was
+// 7 % slower on two cores.
+const flatChunk = 128 << 10
+
+// flatMaxWorkers caps the workers one array is parsed on, and so the text
+// it holds at once to five chunks (640 KB), on any machine.
+const flatMaxWorkers = 4
 
 // isJSONSpace reports JSON's four whitespace bytes.
 func isJSONSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
-// flatScanner walks br through windowed Peek/Discard so the hot loop
-// runs over a plain byte slice instead of per-byte reader calls.
-type flatScanner struct {
-	br  *bufio.Reader
-	win []byte // current Peek window
-	i   int    // cursor within win
-	err error  // sticky underlying read error (nil for plain EOF)
-}
-
-// slide discards the consumed prefix and re-peeks.  Returns false at the
-// true end of stream.
-func (fs *flatScanner) slide() bool {
-	fs.br.Discard(fs.i)
-	fs.i = 0
-	var err error
-	fs.win, err = fs.br.Peek(flatWindow) // short windows are fine; len decides
-	if err != nil && err != io.EOF {
-		fs.err = err // e.g. the decompressed-size bound: must not become EOF
-	}
-	return len(fs.win) > 0
-}
-
-// eof converts exhaustion into the underlying cause when there is one.
-func (fs *flatScanner) eof() error {
-	if fs.err != nil {
-		return fs.err
-	}
-	return io.ErrUnexpectedEOF
-}
-
-// next returns the first non-whitespace byte at or after the cursor
-// without consuming it.
-func (fs *flatScanner) next() (byte, error) {
-	for {
-		for fs.i < len(fs.win) {
-			if c := fs.win[fs.i]; !isJSONSpace(c) {
-				return c, nil
-			}
-			fs.i++
-		}
-		if !fs.slide() {
-			return 0, fs.eof()
-		}
-	}
-}
-
-// lit consumes an exact literal.
-func (fs *flatScanner) lit(s string) error {
-	for fs.i+len(s) > len(fs.win) {
-		if !fs.slide() {
-			return fs.eof()
-		}
-		if len(fs.win) < len(s) && fs.i == 0 {
-			return fmt.Errorf("expected %q", s)
-		}
-	}
-	if string(fs.win[fs.i:fs.i+len(s)]) != s {
-		return fmt.Errorf("expected %q", s)
-	}
-	fs.i += len(s)
-	return nil
 }
 
 // isJSONNumber validates b against RFC 8259's number grammar.  The guard
@@ -423,56 +374,40 @@ func isNumberEnd(c byte) bool {
 	return c == ',' || c == ']' || isJSONSpace(c)
 }
 
-// number consumes one number token (cursor on its first byte) and parses
-// it.  The common token — grammatical, converted by the fast path and
-// ended inside the window — costs one pass over its bytes; any other
-// finds its end first and goes through parseNumber.
-func (fs *flatScanner) number() (float64, error) {
-	if v, n, ok := fastNumber(fs.win[fs.i:]); ok && fs.i+n < len(fs.win) && isNumberEnd(fs.win[fs.i+n]) {
-		fs.i += n
-		return v, nil
-	}
-	j := fs.i
+// nextByte returns the first non-whitespace byte at br's position without
+// consuming it; the end of the stream is io.ErrUnexpectedEOF, and a read
+// error (the size bound, say) is returned as it is.
+func nextByte(br *bufio.Reader) (byte, error) {
 	for {
-		for j < len(fs.win) {
-			if isNumberEnd(fs.win[j]) {
-				v, err := parseNumber(fs.win[fs.i:j])
-				fs.i = j
-				return v, err
-			}
-			j++
+		c, err := br.ReadByte()
+		if err == io.EOF {
+			return 0, io.ErrUnexpectedEOF
 		}
-		// The token reaches the window edge: slide it to the window start
-		// and extend.  A token the size of the whole window is rejected —
-		// no real float64 is 4 KB of text.
-		if fs.i == 0 && len(fs.win) == flatWindow {
-			return 0, fmt.Errorf("number token exceeds %d bytes", flatWindow)
+		if err != nil {
+			return 0, err
 		}
-		j -= fs.i
-		if !fs.slide() {
-			return 0, fs.eof()
-		}
-		if j >= len(fs.win) { // EOF inside the token: unterminated array
-			return 0, fs.eof()
+		if !isJSONSpace(c) {
+			br.UnreadByte()
+			return c, nil
 		}
 	}
 }
 
-// finish positions br for resume: the consumed prefix is discarded, and
-// one following ',' (if the enclosing object continues) is swallowed so
-// the resume prefix concatenates cleanly.  What the swallowed comma hid
-// is checked here: the array must be followed by ',' and a key, or by
-// the enclosing object's '}'.
-func (fs *flatScanner) finish() error {
-	c, err := fs.next()
+// finishFlat positions br for resume: one ',' after the array (if the
+// enclosing object continues) is swallowed so the resume prefix
+// concatenates cleanly.  What the swallowed comma hid is checked here:
+// the array must be followed by ',' and a key, or by the enclosing
+// object's '}'.
+func finishFlat(br *bufio.Reader) error {
+	c, err := nextByte(br)
 	if err != nil {
 		return err
 	}
 	switch c {
 	case '}':
 	case ',':
-		fs.i++
-		if c, err = fs.next(); err != nil {
+		br.Discard(1)
+		if c, err = nextByte(br); err != nil {
 			return err
 		}
 		if c != '"' {
@@ -481,9 +416,6 @@ func (fs *flatScanner) finish() error {
 	default:
 		return fmt.Errorf("expected ',' or '}' after the array, got %q", c)
 	}
-	fs.br.Discard(fs.i)
-	fs.i = 0
-	fs.win = nil
 	return nil
 }
 
@@ -492,121 +424,354 @@ func (fs *flatScanner) finish() error {
 // key, which the takeover leaves unconsumed — then consumes a trailing
 // ',' if one follows, leaving br exactly where resume needs it.  sizeHint
 // (0 = unknown) pre-sizes the slice so the usual genes×samples payload
-// costs one allocation.
+// costs one allocation.  The cells parse in flatChunk pieces on
+// GOMAXPROCS workers, at most flatMaxWorkers.
 func scanFlat(br *bufio.Reader, sizeHint int) (Floats, bool, error) {
-	fs := &flatScanner{br: br}
-	c, err := fs.next()
+	return scanFlatChunks(br, sizeHint, flatChunk, min(runtime.GOMAXPROCS(0), flatMaxWorkers))
+}
+
+// scanFlatChunks is scanFlat with the chunk size and worker count given.
+func scanFlatChunks(br *bufio.Reader, sizeHint, chunk, workers int) (Floats, bool, error) {
+	c, err := nextByte(br)
 	if err != nil {
 		return nil, false, err
 	}
 	if c != ':' {
 		return nil, false, fmt.Errorf("expected ':' after the key, got %q", c)
 	}
-	fs.i++
-	c, err = fs.next()
-	if err != nil {
+	br.Discard(1)
+	if c, err = nextByte(br); err != nil {
 		return nil, false, err
 	}
 	if c == 'n' {
-		if err := fs.lit("null"); err != nil {
-			return nil, false, err
+		// Fewer than four bytes left also fails: the stream ended, or a
+		// read error cut it, inside a token that is not null.
+		if b, _ := br.Peek(4); string(b) != "null" {
+			return nil, false, fmt.Errorf("expected %q", "null")
 		}
-		return nil, true, fs.finish()
+		br.Discard(4)
+		return nil, true, finishFlat(br)
 	}
 	if c != '[' {
 		return nil, false, fmt.Errorf("expected an array of numbers")
 	}
-	fs.i++
-	cells := newFlatCells(sizeHint)
-	c, err = fs.next()
-	if err != nil {
+	br.Discard(1)
+	if c, err = nextByte(br); err != nil {
 		return nil, false, err
 	}
 	if c == ']' {
-		fs.i++
-		return cells.join(), false, fs.finish()
+		br.Discard(1)
+		return Floats{}, false, finishFlat(br)
 	}
+	p := newFlatPipe(br, sizeHint, chunk, workers)
+	defer p.stop()
+	cells, err := p.run()
+	if err != nil {
+		return nil, false, err
+	}
+	return cells, false, finishFlat(br)
+}
+
+// flatPipe parses an x_flat array's cells in chunks.  The handler
+// goroutine reads the text and cuts it after the last ',' of each chunk,
+// carrying the partial token into the next, so every chunk starts where a
+// cell starts and no token crosses a boundary.  Workers parse the chunks
+// into their own slices, which are collected in order.  A body whose
+// array fits in one chunk, or a scan with one worker, parses on the
+// handler goroutine and starts none.
+type flatPipe struct {
+	br      *bufio.Reader
+	chunk   int
+	workers int
+	carry   []byte // text after the last cut: the start of the next chunk
+	ended   error  // why the stream stopped: a read error, or io.ErrUnexpectedEOF
+
+	free    []*flatChunkText // collected chunks, for reuse
+	queue   []*flatChunkText // chunks read and not yet collected, in order
+	work    chan *flatChunkText
+	wg      sync.WaitGroup
+	started int // workers started
+
+	out  Floats      // cells collected into the size hint's slice
+	kept [][]float64 // cells collected past it, joined at the end
+	n    int         // cells collected
+}
+
+func newFlatPipe(br *bufio.Reader, sizeHint, chunk, workers int) *flatPipe {
+	return &flatPipe{br: br, chunk: max(chunk, 1), workers: workers, ended: io.ErrUnexpectedEOF,
+		out: make(Floats, 0, sizeHint)}
+}
+
+// flatChunkText is one chunk of an x_flat array and what parsing it gave.
+type flatChunkText struct {
+	// text starts where a cell starts and ends just after a ','; the last
+	// chunk ends at the array's ']' or where the stream stopped.
+	text     []byte
+	last     bool
+	async    bool // parsed by a worker: collect after done
+	done     chan struct{}
+	panicked any // what a worker's parse panicked with
+	cells    []float64
+	closed   bool  // text ended at the array's ']'
+	err      error // the first fault in text
+	errAt    int   // the chunk's cell err (or the stream's end) names, or -1
+}
+
+// run reads, parses and collects every chunk of the array, returning its
+// cells or the first fault by byte position.
+func (p *flatPipe) run() (Floats, error) {
 	for {
-		c, err = fs.next()
-		if err != nil {
-			return nil, false, err
-		}
-		if c == 'n' {
-			if err := fs.lit("null"); err != nil {
-				return nil, false, err
+		if len(p.queue) > p.workers {
+			if err := p.collect(); err != nil {
+				return nil, err
 			}
-			cells.add(math.NaN())
+		}
+		c := p.take()
+		p.read(c)
+		p.queue = append(p.queue, c)
+		if !c.last && p.workers > 1 {
+			p.dispatch(c)
+			continue
+		}
+		c.parse()
+		for len(p.queue) > 0 {
+			if err := p.collect(); err != nil {
+				return nil, err
+			}
+		}
+		if c.last {
+			return p.join(), nil
+		}
+	}
+}
+
+// take returns a collected chunk for reuse, or a new one.
+func (p *flatPipe) take() *flatChunkText {
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
+	}
+	return &flatChunkText{text: make([]byte, 0, min(p.chunk, flatChunk)), done: make(chan struct{}, 1)}
+}
+
+// read fills c.text with the next chunk: the carry, then the stream
+// through the last ',' once it holds at least p.chunk bytes, or through
+// the array's ']', or to where the stream stops.
+func (p *flatPipe) read(c *flatChunkText) {
+	b := append(c.text[:0], p.carry...)
+	p.carry = p.carry[:0]
+	comma := -1 // b holds no ',': the carry follows the last one
+	for {
+		want := p.chunk - len(b)
+		if want <= 0 {
+			want = p.chunk
+		}
+		win, err := p.br.Peek(min(want, p.br.Size()))
+		if k := bytes.IndexByte(win, ']'); k >= 0 {
+			c.text, c.last = append(b, win[:k+1]...), true
+			p.br.Discard(k + 1)
+			return
+		}
+		if k := bytes.LastIndexByte(win, ','); k >= 0 {
+			comma = len(b) + k
+		}
+		b = append(b, win...)
+		p.br.Discard(len(win))
+		if err != nil {
+			if err != io.EOF {
+				p.ended = err
+			}
+			c.text, c.last = b, true
+			return
+		}
+		if len(b) < p.chunk {
+			continue
+		}
+		if comma >= 0 {
+			p.carry = append(p.carry, b[comma+1:]...)
+			c.text, c.last = b[:comma+1], false
+			return
+		}
+		// No ',' in more than a chunk: only whitespace can make a valid
+		// array that long, so squeeze it.  What is still longer than one
+		// token then holds a fault, and ends the array.
+		if len(b) > 2*flatWindow {
+			if b = squeezeSpace(b); len(b) > flatWindow {
+				c.text, c.last = b, true
+				return
+			}
+		}
+	}
+}
+
+// squeezeSpace drops the leading whitespace of b, which starts where a
+// cell starts, and shortens every other run of it to one space.  No token
+// or error text changes: whitespace only ends tokens.  With no ',' or ']'
+// in b, a result longer than flatWindow holds a second token or a
+// too-long one, and so a fault.
+func squeezeSpace(b []byte) []byte {
+	out, space := b[:0], true
+	for _, c := range b {
+		if !isJSONSpace(c) {
+			out, space = append(out, c), false
+		} else if !space {
+			out, space = append(out, ' '), true
+		}
+	}
+	return out
+}
+
+// dispatch hands c to a worker, starting one while fewer than p.workers
+// run.
+func (p *flatPipe) dispatch(c *flatChunkText) {
+	if p.work == nil {
+		p.work = make(chan *flatChunkText)
+	}
+	if p.started < p.workers {
+		p.started++
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for c := range p.work {
+				func() {
+					// A panic goes back to the handler goroutine, where the
+					// HTTP server recovers it, as it did the serial scan's.
+					defer func() { c.panicked = recover(); c.done <- struct{}{} }()
+					c.parse()
+				}()
+			}
+		}()
+	}
+	c.async = true
+	p.work <- c
+}
+
+// stop ends the workers; it returns once every one has exited.
+func (p *flatPipe) stop() {
+	if p.work != nil {
+		close(p.work)
+		p.wg.Wait()
+	}
+}
+
+// collect takes the oldest chunk's cells, or its fault with the cell
+// index counted over the whole array.
+func (p *flatPipe) collect() error {
+	c := p.queue[0]
+	p.queue = p.queue[1:]
+	if c.async {
+		<-c.done
+		c.async = false
+		if c.panicked != nil {
+			panic(c.panicked)
+		}
+	}
+	p.free = append(p.free, c)
+	switch {
+	case c.err != nil && c.errAt >= 0:
+		return fmt.Errorf("cell %d: %w", p.n+c.errAt, c.err)
+	case c.err != nil:
+		return c.err
+	case c.last && !c.closed && c.errAt >= 0:
+		return fmt.Errorf("cell %d: %w", p.n+c.errAt, p.ended)
+	case c.last && !c.closed:
+		return p.ended
+	}
+	p.n += len(c.cells)
+	if len(p.kept) == 0 && len(p.out)+len(c.cells) <= cap(p.out) {
+		p.out = append(p.out, c.cells...)
+	} else {
+		p.kept = append(p.kept, c.cells)
+		c.cells = nil // kept owns them now
+	}
+	return nil
+}
+
+// join returns every collected cell in one exactly sized slice.
+func (p *flatPipe) join() Floats {
+	switch {
+	case len(p.kept) == 0:
+		return p.out
+	case len(p.out) == 0 && len(p.kept) == 1:
+		return p.kept[0]
+	}
+	all := make(Floats, 0, p.n)
+	all = append(all, p.out...)
+	for _, k := range p.kept {
+		all = append(all, k...)
+	}
+	return all
+}
+
+// parse converts c.text's cells into c.cells, stopping at the first
+// fault.  Each cell is null or a number token; a number converts through
+// fastNumber when it can and through parseNumber otherwise.
+func (c *flatChunkText) parse() {
+	b := c.text
+	cells := c.cells[:0]
+	if n := bytes.Count(b, []byte{','}) + 1; cap(cells) < n {
+		cells = make([]float64, 0, n) // every cell but the last ends at a ','
+	}
+	c.closed, c.err, c.errAt = false, nil, -1
+	for i := 0; ; {
+		for i < len(b) && isJSONSpace(b[i]) {
+			i++
+		}
+		if i == len(b) {
+			break // after a chunk's last ',', or the stream stopped
+		}
+		if b[i] == 'n' {
+			if len(b)-i < 4 || string(b[i:i+4]) != "null" {
+				c.err = fmt.Errorf("expected %q", "null")
+				break
+			}
+			cells = append(cells, math.NaN())
+			i += 4
+		} else if v, n, ok := fastNumber(b[i:]); ok && n < flatWindow && i+n < len(b) && isNumberEnd(b[i+n]) {
+			cells = append(cells, v)
+			i += n
 		} else {
-			v, err := fs.number()
-			if err != nil {
-				return nil, false, fmt.Errorf("cell %d: %w", cells.len(), err)
+			j := i
+			for j < len(b) && !isNumberEnd(b[j]) {
+				j++
 			}
-			cells.add(v)
+			var err error
+			switch {
+			case j-i >= flatWindow:
+				err = fmt.Errorf("number token exceeds %d bytes", flatWindow)
+			case j == len(b):
+				c.errAt = len(cells) // the stream stopped inside the token
+				c.cells = cells
+				return
+			default:
+				v, err = parseNumber(b[i:j])
+			}
+			if err != nil {
+				c.err, c.errAt = err, len(cells)
+				break
+			}
+			cells = append(cells, v)
+			i = j
 		}
-		c, err = fs.next()
-		if err != nil {
-			return nil, false, err
+		for i < len(b) && isJSONSpace(b[i]) {
+			i++
 		}
-		fs.i++
-		switch c {
-		case ',':
-		case ']':
-			return cells.join(), false, fs.finish()
-		default:
-			return nil, false, fmt.Errorf("cell %d: expected ',' or ']', got %q", cells.len(), c)
+		if i == len(b) {
+			break
+		}
+		sep := b[i]
+		i++
+		if sep == ']' {
+			c.closed = true
+			break
+		}
+		if sep != ',' {
+			c.err, c.errAt = fmt.Errorf("expected ',' or ']', got %q", sep), len(cells)
+			break
 		}
 	}
-}
-
-// flatBlockMax bounds the blocks flatCells fills: they double from the
-// first block's size up to this many cells (512 KB) and stay there.
-const flatBlockMax = 1 << 16
-
-// flatCells accumulates the cells of one x_flat array.  With the shape
-// known up front the first block is sized to the whole array and nothing
-// is ever copied.  Without it (x_flat before genes and samples) full
-// blocks are kept as they are and joined once, at the end, into one
-// exactly sized slice: append growth would instead copy the prefix again
-// at every step, about four times the array in all.
-type flatCells struct {
-	full [][]float64 // filled blocks, in order
-	n    int         // cells in full
-	cur  []float64   // the block being filled
-}
-
-func newFlatCells(sizeHint int) *flatCells {
-	if sizeHint <= 0 {
-		sizeHint = 1024
-	}
-	return &flatCells{cur: make([]float64, 0, sizeHint)}
-}
-
-func (c *flatCells) add(v float64) {
-	if len(c.cur) == cap(c.cur) {
-		c.spill()
-	}
-	c.cur = append(c.cur, v)
-}
-
-// spill files the full current block and starts the next one.
-func (c *flatCells) spill() {
-	c.full = append(c.full, c.cur)
-	c.n += len(c.cur)
-	c.cur = make([]float64, 0, min(2*cap(c.cur), flatBlockMax))
-}
-
-func (c *flatCells) len() int { return c.n + len(c.cur) }
-
-// join returns every cell in one slice.
-func (c *flatCells) join() Floats {
-	if len(c.full) == 0 {
-		return c.cur
-	}
-	out := make(Floats, 0, c.len())
-	for _, b := range c.full {
-		out = append(out, b...)
-	}
-	return append(out, c.cur...)
+	c.cells = cells
 }
 
 // decodeDatasetUpload streams a PUT /v1/datasets JSON body: a bare

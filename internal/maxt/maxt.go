@@ -153,8 +153,17 @@ func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*P
 	bs := &stat.BatchScratch{}
 	k.OpenBatch(d.Labels, 1, bs)
 	k.StatsRows(0, n, p.Stat, 1, 1, bs)
+	for i, t := range p.Stat {
+		if t == 0 {
+			// The two-sample t kernels' subtraction form gives −0 where the
+			// group means are equal; the statistic is served as +0, as the
+			// per-row statistics give it.  ±0 compare equal, so no order or
+			// count moves.
+			p.Stat[i] = 0
+		}
+	}
 	p.rankRows()
-	if p.Kernel, err = stat.NewKernel(d, m, p.Order); err != nil {
+	if p.Kernel, err = stat.ReorderKernel(k, d, m, p.Order); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -43,20 +43,13 @@ import (
 // m.Data; callers must not mutate it afterwards.  Otherwise kernel row j is
 // m's row order[j], held in a layout the kernel owns and m is not
 // referenced: row octets for the two-sample t (rowGroups), a row-major copy
-// for F, block F and Wilcoxon, the pair differences for paired t.  maxt
-// builds its run kernel in step-down order this way, and its observed-
-// statistics pass reads the caller's matrix in place.
+// for F, block F and Wilcoxon, the pair differences for paired t.  maxt's
+// observed-statistics pass reads the caller's matrix in place, and its run
+// kernel, in step-down order, comes from that kernel through
+// ReorderKernel.
 func NewKernel(d *Design, m matrix.Matrix, order []int) (BatchKernel, error) {
-	if m.Cols != d.N {
-		return nil, fmt.Errorf("stat: matrix has %d columns, design has %d", m.Cols, d.N)
-	}
-	if len(m.Data) != m.Rows*m.Cols {
-		return nil, fmt.Errorf("stat: matrix data has %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
-	}
-	for _, r := range order {
-		if r < 0 || r >= m.Rows {
-			return nil, fmt.Errorf("stat: order names row %d of %d", r, m.Rows)
-		}
+	if err := checkSource(d, m, order); err != nil {
+		return nil, err
 	}
 	src := rowSource{m: m, order: order}
 	switch d.Test {
@@ -75,6 +68,37 @@ func NewKernel(d *Design, m matrix.Matrix, order []int) (BatchKernel, error) {
 	default:
 		return nil, fmt.Errorf("stat: no kernel for test %v", d.Test)
 	}
+}
+
+// ReorderKernel returns the kernel NewKernel(d, m, order) returns, given
+// k, the kernel NewKernel(d, m, nil) returned: the two-sample kernels take
+// their row moments from k, following the rows into order, instead of a
+// second pass over m.
+func ReorderKernel(k BatchKernel, d *Design, m matrix.Matrix, order []int) (BatchKernel, error) {
+	ts, ok := k.(*twoSampleKernel)
+	if !ok || order == nil {
+		return NewKernel(d, m, order)
+	}
+	if err := checkSource(d, m, order); err != nil {
+		return nil, err
+	}
+	return ts.reorder(rowSource{m: m, order: order}), nil
+}
+
+// checkSource validates what NewKernel is asked to read.
+func checkSource(d *Design, m matrix.Matrix, order []int) error {
+	if m.Cols != d.N {
+		return fmt.Errorf("stat: matrix has %d columns, design has %d", m.Cols, d.N)
+	}
+	if len(m.Data) != m.Rows*m.Cols {
+		return fmt.Errorf("stat: matrix data has %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
+	}
+	for _, r := range order {
+		if r < 0 || r >= m.Rows {
+			return fmt.Errorf("stat: order names row %d of %d", r, m.Rows)
+		}
+	}
+	return nil
 }
 
 // rowSource is what NewKernel reads: row j of the kernel is m's row
@@ -196,21 +220,27 @@ func newTwoSampleKernel(d *Design, src rowSource, pooled bool) *twoSampleKernel 
 	if d.Counts[0] != d.Counts[1] {
 		k.cls = smallerClass(d)
 	}
-	m, rows := src.m, src.rows()
+	m := src.m
 	k.n, k.sum, k.sumsq, k.flat = rowMoments(m)
-	if src.order == nil {
-		k.x = rowGroups{data: m.Data, rows: rows, cols: m.Cols}
-		return k
+	k.x = rowGroups{data: m.Data, rows: m.Rows, cols: m.Cols}
+	if src.order != nil {
+		return k.reorder(src)
 	}
-	// The moments come from one pass over m in its own order, then follow
-	// the rows into the kernel's order; the octets take one more pass.
-	n, sum, sumsq, flat := k.n, k.sum, k.sumsq, k.flat
-	k.n, k.sum, k.sumsq, k.flat = make([]int, rows), make([]float64, rows), make([]float64, rows), make([]bool, rows)
-	for j, r := range src.order {
-		k.n[j], k.sum[j], k.sumsq[j], k.flat[j] = n[r], sum[r], sumsq[r], flat[r]
-	}
-	k.x = newOctets(src)
 	return k
+}
+
+// reorder returns k, which reads src.m in place, over src's rows in
+// src.order: the moments follow the rows into the new order, and the
+// octets take one pass over m.
+func (k *twoSampleKernel) reorder(src rowSource) *twoSampleKernel {
+	o := *k
+	rows := src.rows()
+	o.n, o.sum, o.sumsq, o.flat = make([]int, rows), make([]float64, rows), make([]float64, rows), make([]bool, rows)
+	for j, r := range src.order {
+		o.n[j], o.sum[j], o.sumsq[j], o.flat[j] = k.n[r], k.sum[r], k.sumsq[r], k.flat[r]
+	}
+	o.x = newOctets(src)
+	return &o
 }
 
 // rowMoments computes every row's label-independent moments in one pass:

@@ -125,3 +125,75 @@ func TestStatsRowsZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReorderKernelReusesMoments: the run kernel ReorderKernel builds
+// from the in-place kernel holds, bit for bit, what NewKernel builds from
+// the matrix in the same order — counts, sums, sums of squares, constant
+// flags and row octets — and its moments are those of the reordered rows
+// computed afresh, for Welch and the pooled t, with an NA row (and an
+// all-NA one) and constant rows among them.
+func TestReorderKernelReusesMoments(t *testing.T) {
+	for _, dc := range []struct {
+		test Test
+		lab  []int
+	}{
+		{Welch, halfLabels(16)},
+		{TEqualVar, twoClassLabels(9, 4)},
+	} {
+		d, err := NewDesign(dc.test, dc.lab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rows = 21
+		m := benchMatrix(rows, d.N, 5)
+		m.Row(3)[2] = math.NaN()
+		for j := range m.Row(7) {
+			m.Row(7)[j] = math.NaN()
+		}
+		for j := range m.Row(10) {
+			m.Row(10)[j] = 2.5
+		}
+		m.Row(12)[0] = math.NaN()
+		for j := 1; j < d.N; j++ {
+			m.Row(12)[j] = -1
+		}
+		order := identity(rows)
+		r := lcg(11)
+		r.shuffle(order)
+
+		inPlace, err := NewKernel(d, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := ReorderKernel(inPlace, d, m, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewKernel(d, m, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := reused.(*twoSampleKernel), fresh.(*twoSampleKernel)
+		n, sum, sumsq, flat := rowMoments(rowSource{m: m, order: order}.rowMajor())
+		for j := 0; j < rows; j++ {
+			for _, w := range []*twoSampleKernel{want, {n: n, sum: sum, sumsq: sumsq, flat: flat}} {
+				if got.n[j] != w.n[j] || math.Float64bits(got.sum[j]) != math.Float64bits(w.sum[j]) ||
+					math.Float64bits(got.sumsq[j]) != math.Float64bits(w.sumsq[j]) || got.flat[j] != w.flat[j] {
+					t.Fatalf("%v row %d (source row %d): reused (%d, %v, %v, %v), want (%d, %v, %v, %v)", dc.test, j, order[j],
+						got.n[j], got.sum[j], got.sumsq[j], got.flat[j], w.n[j], w.sum[j], w.sumsq[j], w.flat[j])
+				}
+			}
+		}
+		if got.x.rows != want.x.rows || got.x.cols != want.x.cols || got.x.lg != want.x.lg || len(got.x.data) != len(want.x.data) {
+			t.Fatalf("%v: reused octets %dx%d lg %d, want %dx%d lg %d", dc.test, got.x.rows, got.x.cols, got.x.lg, want.x.rows, want.x.cols, want.x.lg)
+		}
+		for i := range got.x.data {
+			if math.Float64bits(got.x.data[i]) != math.Float64bits(want.x.data[i]) {
+				t.Fatalf("%v: octet cell %d differs", dc.test, i)
+			}
+		}
+		if got.pooled != want.pooled || got.cls != want.cls || got.isa != want.isa {
+			t.Fatalf("%v: reused kernel's settings differ", dc.test)
+		}
+	}
+}
