@@ -191,7 +191,7 @@ func (s *Store) Put(key string, rec []byte) error {
 			// have been.
 			os.Rename(p, p+".prev")
 		}
-		err = durable.WriteFileAtomic(p, rec, s.site+".write")
+		err = durable.WriteFileAtomic(p, durable.Bytes(rec), s.site+".write")
 	}
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {

@@ -12,29 +12,41 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"sprint/internal/faultinject"
 )
 
-// WriteFileAtomic writes data to path atomically and durably: a unique
-// temp file in path's directory is written, fsynced and renamed over
-// path, then the directory is fsynced so the rename itself survives a
-// crash.  site names the faultinject choke point ("ckpt.write",
-// "journal.compact", "dataset.write", ...).
-func WriteFileAtomic(path string, data []byte, site string) error {
+// WriteFileAtomic writes a file to path atomically and durably: write
+// streams the file's parts into a unique temp file in path's directory,
+// which is fsynced and renamed over path, then the directory is fsynced
+// so the rename itself survives a crash.  site names the faultinject
+// choke point ("ckpt.write", "journal.compact", "dataset.write", ...);
+// while a fault schedule is installed the parts are first gathered into
+// one buffer, so a torn or corrupt fault cuts or flips the whole file
+// exactly as it would a single slice.
+func WriteFileAtomic(path string, write func(w io.Writer) error, site string) error {
 	if err := faultinject.Before(site, path); err != nil {
 		return err
 	}
-	data, fault := faultinject.MutateWrite(site, data)
-	if fault == faultinject.WriteTorn {
-		// Simulate the crash-mid-write no atomic rename allows: the
-		// truncated body lands at the FINAL path, then the writer dies.
-		// This is what the framed read paths must survive.
-		_ = os.WriteFile(path, data, 0o644)
-		return fmt.Errorf("durable: %s %s: %w", site, path, faultinject.ErrInjected)
+	if faultinject.Active() {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			return err
+		}
+		data, fault := faultinject.MutateWrite(site, buf.Bytes())
+		if fault == faultinject.WriteTorn {
+			// Simulate the crash-mid-write no atomic rename allows: the
+			// truncated body lands at the FINAL path, then the writer
+			// dies.  This is what the framed read paths must survive.
+			_ = os.WriteFile(path, data, 0o644)
+			return fmt.Errorf("durable: %s %s: %w", site, path, faultinject.ErrInjected)
+		}
+		write = Bytes(data)
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -46,7 +58,7 @@ func WriteFileAtomic(path string, data []byte, site string) error {
 		tmp.Close()
 		os.Remove(tmpName)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		cleanup()
 		return err
 	}
@@ -63,6 +75,14 @@ func WriteFileAtomic(path string, data []byte, site string) error {
 		return err
 	}
 	return FsyncDir(dir)
+}
+
+// Bytes is the WriteFileAtomic body of a file held in one slice.
+func Bytes(data []byte) func(w io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 // ReadFile reads path whole, applying the fault schedule's read faults

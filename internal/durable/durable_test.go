@@ -56,7 +56,7 @@ func assertNoTemp(t *testing.T, path string) {
 
 func TestWriteFileAtomicReplaces(t *testing.T) {
 	path := seed(t, "old bytes")
-	if err := WriteFileAtomic(path, []byte("new bytes"), "t.write"); err != nil {
+	if err := WriteFileAtomic(path, Bytes([]byte("new bytes")), "t.write"); err != nil {
 		t.Fatal(err)
 	}
 	assertContent(t, path, "new bytes")
@@ -66,7 +66,7 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 func TestWriteFileAtomicInjectedErrorKeepsOld(t *testing.T) {
 	path := seed(t, "old bytes")
 	install(t, "t.write:error")
-	err := WriteFileAtomic(path, []byte("new bytes"), "t.write")
+	err := WriteFileAtomic(path, Bytes([]byte("new bytes")), "t.write")
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -77,7 +77,7 @@ func TestWriteFileAtomicInjectedErrorKeepsOld(t *testing.T) {
 func TestWriteFileAtomicTornLeavesTruncatedBody(t *testing.T) {
 	path := seed(t, "old bytes")
 	install(t, "t.write:torn")
-	err := WriteFileAtomic(path, []byte("0123456789"), "t.write")
+	err := WriteFileAtomic(path, Bytes([]byte("0123456789")), "t.write")
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}

@@ -52,7 +52,7 @@ func recordFile(t *testing.T, data []byte) string {
 func TestFramedRoundtrip(t *testing.T) {
 	payload := []byte(`{"fp":16045690984503098046,"next":400,"raw":[1,2,3,4]}`)
 	path := filepath.Join(t.TempDir(), "r.rec")
-	if err := WriteFileAtomic(path, AppendFrame(nil, payload), "t.write"); err != nil {
+	if err := WriteFileAtomic(path, Bytes(AppendFrame(nil, payload)), "t.write"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -135,7 +135,7 @@ func TestNextFrameWalksALog(t *testing.T) {
 func TestWriteRecordTornIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.rec")
 	install(t, "t.write:torn")
-	if err := WriteFileAtomic(path, AppendFrame(nil, []byte("0123456789abcdef")), "t.write"); err == nil {
+	if err := WriteFileAtomic(path, Bytes(AppendFrame(nil, []byte("0123456789abcdef"))), "t.write"); err == nil {
 		t.Fatal("torn write reported success")
 	}
 	if _, err := readRecord(path); !errors.Is(err, ErrCorrupt) {

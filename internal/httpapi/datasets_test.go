@@ -505,3 +505,19 @@ func TestFlatHintBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDatasetMatrixShapeWrapRefused: an x_flat upload whose genes ×
+// samples product wraps the int range to its cell count is refused.  The
+// check runs on the function, never through a daemon: before the fix the
+// upload was accepted as a matrix of 2⁶⁴ cells over an empty slice.
+func TestDatasetMatrixShapeWrapRefused(t *testing.T) {
+	half := 1 << (strconv.IntSize / 2) // half*half wraps to 0
+	for _, d := range []DatasetJSON{
+		{XFlat: Floats{}, Genes: half, Samples: half},
+		{XFlat: Floats{}, Genes: 1 << (strconv.IntSize - 2), Samples: 4},
+	} {
+		if m, err := datasetMatrix(d); err == nil {
+			t.Errorf("datasetMatrix accepted %d cells as %d × %d", len(m.Data), m.Rows, m.Cols)
+		}
+	}
+}

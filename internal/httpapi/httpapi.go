@@ -585,7 +585,7 @@ func datasetMatrix(d DatasetJSON) (matrix.Matrix, error) {
 		if d.Genes < 1 || d.Samples < 1 {
 			return matrix.Matrix{}, fmt.Errorf("x_flat upload needs positive genes and samples, got %dx%d", d.Genes, d.Samples)
 		}
-		if len(d.XFlat) != d.Genes*d.Samples {
+		if !matrix.IsShape(len(d.XFlat), d.Genes, d.Samples) {
 			return matrix.Matrix{}, fmt.Errorf("x_flat upload has %d values for %d genes × %d samples", len(d.XFlat), d.Genes, d.Samples)
 		}
 		return matrix.FromColumnMajor(d.XFlat, d.Genes, d.Samples), nil

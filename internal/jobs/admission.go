@@ -330,6 +330,8 @@ type fairQueue struct {
 	size, capTotal int
 	weight, credit int
 	closed         bool
+	// waiting counts the workers blocked in pop.
+	waiting int
 }
 
 func newFairQueue(capTotal, weight int) *fairQueue {
@@ -364,9 +366,11 @@ func (q *fairQueue) tryPush(j *job) bool {
 func (q *fairQueue) pop() (*job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.waiting++
 	for q.size == 0 && !q.closed {
 		q.cond.Wait()
 	}
+	q.waiting--
 	if q.size == 0 {
 		return nil, false
 	}
@@ -380,6 +384,14 @@ func (q *fairQueue) pop() (*job, bool) {
 	}
 	q.size--
 	return j, true
+}
+
+// idle reports whether more workers wait in pop than there are jobs to
+// take: a job pushed now would start at once.
+func (q *fairQueue) idle() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.size < q.waiting
 }
 
 // pickLocked chooses the class the next pop serves.

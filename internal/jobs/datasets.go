@@ -1,14 +1,17 @@
 package jobs
 
 import (
+	"bufio"
 	"bytes"
 	"container/list"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sprint/internal/core"
@@ -104,7 +107,8 @@ type prepSlot struct {
 	once     sync.Once
 	prepared *core.Prepared
 	err      error
-	lastUse  time.Time // guarded by the manager mutex, for prep eviction
+	lastUse  time.Time   // guarded by the manager mutex, for prep eviction
+	claimed  atomic.Bool // a job has taken the build as its own
 }
 
 // dsStore is the dataset registry.  Map/list state is guarded by the
@@ -210,8 +214,9 @@ func (s *dsStore) resident() (n int, bytes int64, pins int) {
 // writeDisk mirrors the matrix to "<id>.spb" (no-op without a dir)
 // through the durable atomic-write path: temp file, fsync, rename,
 // directory fsync — a crash never leaves a torn dataset, and the
-// rename itself survives power loss.  Call without holding the manager
-// lock.
+// rename itself survives power loss.  The encoding streams from m's own
+// memory, so a mirror costs no second copy of the matrix.  Call without
+// holding the manager lock.
 func (s *dsStore) writeDisk(id string, m matrix.Matrix) error {
 	if s.dir == "" {
 		return nil
@@ -219,11 +224,15 @@ func (s *dsStore) writeDisk(id string, m matrix.Matrix) error {
 	if fi, err := os.Stat(s.path(id)); err == nil && fi.Mode().IsRegular() {
 		return nil // already mirrored (content-addressed: bytes identical)
 	}
-	buf, err := matrix.EncodeBytes(m, nil, nil, matrix.RowMajor)
-	if err != nil {
-		return err
-	}
-	return durable.WriteFileAtomic(s.path(id), buf, "dataset.write")
+	return durable.WriteFileAtomic(s.path(id), func(w io.Writer) error {
+		// Runs of NaN-free rows pass the buffer by; it gathers the
+		// header, NaN rows and sections into few writes.
+		bw := bufio.NewWriterSize(w, 64<<10)
+		if err := matrix.Encode(bw, m, nil, nil, matrix.RowMajor); err != nil {
+			return err
+		}
+		return bw.Flush()
+	}, "dataset.write")
 }
 
 // readDisk loads a mirrored dataset and verifies its content address.
@@ -327,7 +336,7 @@ func (m *Manager) PutDataset(x matrix.Matrix) (DatasetInfo, bool, error) {
 	if x.IsEmpty() {
 		return DatasetInfo{}, false, fmt.Errorf("jobs: empty dataset")
 	}
-	if len(x.Data) != x.Rows*x.Cols {
+	if !matrix.IsShape(len(x.Data), x.Rows, x.Cols) {
 		return DatasetInfo{}, false, fmt.Errorf("jobs: dataset has %d values for %dx%d", len(x.Data), x.Rows, x.Cols)
 	}
 	// The digest is a full pass over the cells: compute it before taking

@@ -1,6 +1,9 @@
 package jobs
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -147,4 +150,81 @@ func BenchmarkDatasetDigest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// referenceDigest is the per-cell statement of DatasetDigest: the tag,
+// the shape, then every cell's bits in row-major order, one SHA-256
+// write per cell, with every NaN as math.NaN()'s bits.
+func referenceDigest(x [][]float64) string {
+	h := sha256.New()
+	h.Write([]byte("sprint-dataset-v1"))
+	var b [8]byte
+	for _, n := range []int{len(x), len(x[0])} {
+		binary.LittleEndian.PutUint64(b[:], uint64(n))
+		h.Write(b[:])
+	}
+	for _, row := range x {
+		for _, v := range row {
+			bits := math.Float64bits(v)
+			if math.IsNaN(v) {
+				bits = math.Float64bits(math.NaN())
+			}
+			binary.LittleEndian.PutUint64(b[:], bits)
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestContentAddressAcrossForms: the x_flat, row-slice and PutDataset
+// forms of one matrix all hash to the per-cell reference digest, for
+// row counts on both sides of a digest tile and the paper's shape, with
+// quiet, signalling and negative NaN payloads, ±0 and ±Inf among the
+// cells.
+func TestContentAddressAcrossForms(t *testing.T) {
+	specials := []float64{
+		math.NaN(),
+		math.Float64frombits(0x7FF0000000000001), // signalling
+		math.Float64frombits(0xFFF8000000000123), // negative quiet, payload
+		math.Float64frombits(0xFFF0000000000002), // negative signalling
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	}
+	m, err := NewManager(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, shape := range [][2]int{{1, 5}, {7, 5}, {8, 3}, {9, 4}, {6102, 76}} {
+		genes, samples := shape[0], shape[1]
+		x := make([][]float64, genes)
+		for i := range x {
+			x[i] = make([]float64, samples)
+			for j := range x[i] {
+				x[i][j] = float64(i*samples+j)*0.37 - 11
+				if (i*samples+j)%5 == 2 {
+					x[i][j] = specials[(i+j)%len(specials)]
+				}
+			}
+		}
+		want := referenceDigest(x)
+		labels := make([]int, samples)
+		for j := range labels {
+			labels[j] = j % 2
+		}
+		for name, spec := range map[string]Spec{
+			"x":      {X: x, Labels: labels},
+			"x_flat": {XFlat: columnMajor(x), Genes: genes, Samples: samples, Labels: labels},
+		} {
+			if _, got, err := spec.contentKey(); err != nil || got != want {
+				t.Errorf("%dx%d %s: digest %s (%v), want %s", genes, samples, name, got, err, want)
+			}
+		}
+		mx, err := matrix.FromRows(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, _, err := m.PutDataset(mx); err != nil || info.ID != want {
+			t.Errorf("%dx%d PutDataset: id %s (%v), want %s", genes, samples, info.ID, err, want)
+		}
+	}
 }

@@ -127,11 +127,12 @@ func (m *Manager) PreparedDataset(id string, labels []int, opt core.Options) (*c
 }
 
 // prepFromEntry returns the entry's shared preparation for (labels,
-// opt), building it on first use; built reports that this call paid for
-// the build.  Concurrent first users of one key block on a single build;
-// everyone else reuses the cached value.  It is the jobs layer's only
-// core.Prepare call, for registry and job-owned entries alike.  opt must
-// be canonical and the caller must hold a reference on e.
+// opt), building it on first use; built reports that this call is the
+// first to take the slot's preparation, and so pays for its build —
+// whoever ran it, a racing first user or Submit's early start.
+// Concurrent first users of one key block on a single build; everyone
+// else reuses the cached value.  opt must be canonical and the caller
+// must hold a reference on e.
 func (m *Manager) prepFromEntry(e *dsEntry, labels []int, opt core.Options) (p *core.Prepared, built bool, err error) {
 	m.mu.Lock()
 	now := m.cfg.Clock()
@@ -139,19 +140,50 @@ func (m *Manager) prepFromEntry(e *dsEntry, labels []int, opt core.Options) (p *
 	m.datasets.touch(e, now)
 	m.mu.Unlock()
 
-	slot.once.Do(func() {
-		built = true
-		buildStart := time.Now()
-		slot.prepared, slot.err = core.Prepare(e.m, labels, opt)
-		m.met.stagePrep.ObserveDuration(time.Since(buildStart))
-	})
-	// Exactly one caller per slot observes built (whoever won the Once,
-	// which under a race need not be the slot's creator); everyone else
-	// reused a preparation they did not pay for.
+	m.buildSlot(slot, e, labels, opt)
+	// Exactly one caller per slot observes built; everyone else reused a
+	// preparation they did not pay for.
+	built = slot.claimed.CompareAndSwap(false, true)
 	if built {
 		m.met.prepBuilds.Inc()
 	} else {
 		m.met.prepHits.Inc()
 	}
 	return slot.prepared, built, slot.err
+}
+
+// buildSlot builds the slot's preparation once: the jobs layer's only
+// core.Prepare call, for registry and job-owned entries alike.  A caller
+// that arrives during the build waits for it.
+func (m *Manager) buildSlot(slot *prepSlot, e *dsEntry, labels []int, opt core.Options) {
+	slot.once.Do(func() {
+		buildStart := time.Now()
+		slot.prepared, slot.err = core.Prepare(e.m, labels, opt)
+		m.met.stagePrep.ObserveDuration(time.Since(buildStart))
+	})
+}
+
+// prepEarly starts the build of an inline job's preparation on its own
+// goroutine when a free worker will take the job at once, so the build
+// runs while Submit waits on the mirror's and the journal's fsyncs; the
+// worker's prepFromEntry then finds it built, or waits on the slot's
+// Once, and is charged for it as if it had built it.  A job that will
+// wait in the queue starts nothing: its preparation is built when a
+// worker pops it, as for every other job.  Close waits for the build.
+func (m *Manager) prepEarly(e *dsEntry, labels []int, opt core.Options) {
+	if !m.queue.idle() {
+		return
+	}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	slot := prepSlotFor(e, opt, labels, m.cfg.Clock())
+	m.wg.Add(1) // under m.mu with closed unset: ordered before Close's Wait
+	m.mu.Unlock()
+	go func() {
+		defer m.wg.Done()
+		m.buildSlot(slot, e, labels, opt)
+	}()
 }

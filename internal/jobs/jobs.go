@@ -153,7 +153,7 @@ func (s *Spec) validate() error {
 		if s.Genes < 1 || s.Samples < 1 {
 			return fmt.Errorf("jobs: flat submission needs positive Genes and Samples, got %dx%d", s.Genes, s.Samples)
 		}
-		if len(s.XFlat) != s.Genes*s.Samples {
+		if !matrix.IsShape(len(s.XFlat), s.Genes, s.Samples) {
 			return fmt.Errorf("jobs: flat submission has %d values for %d genes × %d samples",
 				len(s.XFlat), s.Genes, s.Samples)
 		}
@@ -194,9 +194,9 @@ func (s *Spec) resolve() (matrix.Matrix, error) {
 
 // contentKey hashes the submission whichever form it arrived in —
 // producing exactly KeyMatrix of the resolved matrix — without copying or
-// transposing anything, so cache hits and queue-full rejections never pay
-// the matrix copy.  It also returns the dataset digest inside the key, so
-// the caller never hashes the cells a second time.  Dataset-id
+// transposing the matrix, so cache hits and queue-full rejections never
+// pay the matrix copy.  It also returns the dataset digest inside the
+// key, so the caller never hashes the cells a second time.  Dataset-id
 // submissions hash nothing at all: the id IS the matrix digest, so the
 // key costs a few hundred bytes of SHA-256 instead of a pass over the
 // cells.
@@ -208,53 +208,90 @@ func (s *Spec) contentKey() (key, digest string, err error) {
 	case s.DatasetID != "":
 		digest = s.DatasetID
 	case s.XFlat != nil:
-		genes := s.Genes
-		digest = datasetDigestRows(genes, s.Samples, func(i int, row []float64) []float64 {
-			for j := range row {
-				row[j] = s.XFlat[j*genes+i]
+		// Column j of the column-major payload holds the tile's cells of
+		// that column as n contiguous values.
+		genes, cols := s.Genes, s.Samples
+		digest = datasetDigestRows(genes, cols, func(tile []float64, i0, n int) {
+			for j := 0; j < cols; j++ {
+				for r, v := range s.XFlat[j*genes+i0 : j*genes+i0+n] {
+					tile[r*cols+j] = canonNaN(v)
+				}
 			}
-			return row
 		})
 	default:
-		digest = datasetDigestRows(len(s.X), len(s.X[0]), func(i int, _ []float64) []float64 { return s.X[i] })
+		cols := len(s.X[0])
+		digest = datasetDigestRows(len(s.X), cols, func(tile []float64, i0, n int) {
+			for r, row := range s.X[i0 : i0+n] {
+				canonCopy(tile[r*cols:(r+1)*cols], row)
+			}
+		})
 	}
 	key, err = jobKey(digest, s.Labels, s.Opt)
 	return key, digest, err
 }
 
 // DatasetDigest computes the content address of a matrix: a SHA-256 over
-// its dimensions and row-major cell bits (one pass over contiguous
-// memory), with every NaN hashed as the one canonical quiet NaN so the
-// digest is independent of how a producer spelled its missing values.
-// The digest is the dataset id of the registry: same cells, same id —
-// however the matrix arrived (rows, flat column-major or binary).
+// its dimensions and row-major cell bits, with every NaN hashed as the
+// one canonical quiet NaN so the digest is independent of how a producer
+// spelled its missing values.  The digest is the dataset id of the
+// registry: same cells, same id — however the matrix arrived (rows, flat
+// column-major or binary).
 func DatasetDigest(m matrix.Matrix) string {
-	return datasetDigestRows(m.Rows, m.Cols, func(i int, _ []float64) []float64 { return m.Row(i) })
+	return datasetDigestRows(m.Rows, m.Cols, func(tile []float64, i0, n int) {
+		canonCopy(tile, m.Data[i0*m.Cols:(i0+n)*m.Cols])
+	})
 }
 
-// datasetDigestRows is DatasetDigest over a row source, so row-slice and
-// column-major flat payloads hash without being transposed first.  row(i,
-// scratch) returns row i's cols cells, either as a view or gathered into
-// scratch; each row reaches the hash as one write.
-func datasetDigestRows(rows, cols int, row func(i int, scratch []float64) []float64) string {
-	canonNaN := math.Float64bits(math.NaN())
+// digestTileRows is the number of rows one SHA-256 write of the content
+// digest covers.
+const digestTileRows = 8
+
+// canonicalNaN is the one NaN bit pattern the content digest hashes.
+var canonicalNaN = math.NaN()
+
+// canonNaN maps every NaN to canonicalNaN and leaves other values alone.
+func canonNaN(v float64) float64 {
+	if v != v {
+		return canonicalNaN
+	}
+	return v
+}
+
+// canonCopy copies src into dst through canonNaN.
+func canonCopy(dst, src []float64) {
+	for k, v := range src {
+		dst[k] = canonNaN(v)
+	}
+}
+
+// datasetDigestRows is the one digest loop: DatasetDigest over a source
+// that fill(tile, i0, n) copies rows i0…i0+n-1 of, row-major and through
+// canonNaN, into tile[:n*cols].  Each tile of up to digestTileRows rows
+// reaches the hash as one write, straight from the tile's memory on a
+// little-endian host, so row-slice, column-major and registered matrices
+// hash the same bytes with no allocation the size of the matrix.
+func datasetDigestRows(rows, cols int, fill func(tile []float64, i0, n int)) string {
 	h := sha256.New()
 	h.Write([]byte("sprint-dataset-v1"))
 	var shape [16]byte
 	binary.LittleEndian.PutUint64(shape[:8], uint64(rows))
 	binary.LittleEndian.PutUint64(shape[8:], uint64(cols))
 	h.Write(shape[:])
-	scratch := make([]float64, cols)
-	buf := make([]byte, 8*cols)
-	for i := 0; i < rows; i++ {
-		for j, v := range row(i, scratch) {
-			bits := math.Float64bits(v)
-			if v != v { // NaN
-				bits = canonNaN
+	tile := make([]float64, min(rows, digestTileRows)*cols)
+	var buf []byte // the tile's bytes on a big-endian host
+	for i0 := 0; i0 < rows; i0 += digestTileRows {
+		n := min(digestTileRows, rows-i0)
+		t := tile[:n*cols]
+		fill(t, i0, n)
+		b, ok := matrix.LittleEndianBytes(t)
+		if !ok {
+			buf = buf[:0]
+			for _, v := range t {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
-			binary.LittleEndian.PutUint64(buf[8*j:], bits)
+			b = buf
 		}
-		h.Write(buf)
+		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

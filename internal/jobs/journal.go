@@ -365,7 +365,7 @@ func (jl *jobJournal) compactLocked() error {
 			}
 		}
 	}
-	if err := durable.WriteFileAtomic(jl.path, buf, "journal.compact"); err != nil {
+	if err := durable.WriteFileAtomic(jl.path, durable.Bytes(buf), "journal.compact"); err != nil {
 		return err
 	}
 	// The rename orphaned the append fd; reopen on the new inode.  Drop

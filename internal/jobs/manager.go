@@ -691,6 +691,10 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		spec.X, spec.XFlat = nil, nil // the entry supersedes the submission payload
 		ds = newEntry(digest, data, 1, now)
 		if m.journal != nil {
+			// The mirror's and the journal's fsyncs below wait on the
+			// disk: a job a free worker will take at once has its
+			// preparation built meanwhile.
+			m.prepEarly(ds, spec.Labels, spec.Opt)
 			// The journal records datasets by content address only, so a
 			// matrix submission becomes durable by mirroring its cells
 			// into the dataset plane first.  The digest is the one

@@ -55,6 +55,13 @@ func FromRows(x [][]float64) (Matrix, error) {
 	return m, nil
 }
 
+// IsShape reports whether n cells make a rows×cols matrix with rows and
+// cols positive.  It never forms the product, so a shape whose product
+// wraps the int range is refused, not matched against a wrapped count.
+func IsShape(n, rows, cols int) bool {
+	return rows > 0 && cols > 0 && n%rows == 0 && n/rows == cols
+}
+
 // Row returns row i as a slice view into the flat storage.  The view's
 // capacity is clipped to the row, so an append cannot silently overwrite
 // the next row.

@@ -34,6 +34,7 @@
 package matrix
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -99,36 +100,85 @@ var hostLittleEndian = func() bool {
 // guards against torn writes and bit rot, not adversaries — content
 // addressing in the dataset registry uses SHA-256 on top.
 func Digest64(b []byte) uint64 {
-	const (
-		prime1 = 0x9e3779b185ebca87
-		prime2 = 0xc2b2ae3d27d4eb4f
-		prime3 = 0x165667b19e3779f9
-	)
-	n := uint64(len(b))
-	l0 := uint64(prime3)
-	l1 := uint64(prime3) ^ prime1
-	l2 := uint64(prime3) ^ prime2
-	l3 := uint64(prime3) ^ 0x27d4eb2f165667c5
+	d := newDigest64()
+	d.write(b)
+	return d.sum64()
+}
+
+const (
+	digestPrime1 = 0x9e3779b185ebca87
+	digestPrime2 = 0xc2b2ae3d27d4eb4f
+	digestPrime3 = 0x165667b19e3779f9
+)
+
+// digest64 is Digest64's streaming state: bytes written in any split
+// hash as the one-shot Digest64 of their concatenation.  Whole 32-byte
+// blocks go straight through the four lanes; a partial block waits in
+// buf for the next write or for sum64, which absorbs it as the tail.
+type digest64 struct {
+	l0, l1, l2, l3 uint64
+	n              uint64 // bytes written
+	buf            [32]byte
+	nbuf           int
+}
+
+func newDigest64() digest64 {
+	return digest64{
+		l0: digestPrime3,
+		l1: digestPrime3 ^ digestPrime1,
+		l2: digestPrime3 ^ digestPrime2,
+		l3: digestPrime3 ^ 0x27d4eb2f165667c5,
+	}
+}
+
+// write absorbs b.
+func (d *digest64) write(b []byte) {
+	d.n += uint64(len(b))
+	if d.nbuf > 0 {
+		k := copy(d.buf[d.nbuf:], b)
+		d.nbuf += k
+		b = b[k:]
+		if d.nbuf < len(d.buf) {
+			return
+		}
+		d.blocks(d.buf[:])
+		d.nbuf = 0
+	}
+	d.nbuf = copy(d.buf[:], d.blocks(b))
+}
+
+// blocks runs every whole 32-byte block of b through the lanes and
+// returns the remainder.
+func (d *digest64) blocks(b []byte) []byte {
+	l0, l1, l2, l3 := d.l0, d.l1, d.l2, d.l3
 	for len(b) >= 32 {
-		l0 = bits.RotateLeft64(l0^binary.LittleEndian.Uint64(b)*prime2, 31) * prime1
-		l1 = bits.RotateLeft64(l1^binary.LittleEndian.Uint64(b[8:])*prime2, 31) * prime1
-		l2 = bits.RotateLeft64(l2^binary.LittleEndian.Uint64(b[16:])*prime2, 31) * prime1
-		l3 = bits.RotateLeft64(l3^binary.LittleEndian.Uint64(b[24:])*prime2, 31) * prime1
+		l0 = bits.RotateLeft64(l0^binary.LittleEndian.Uint64(b)*digestPrime2, 31) * digestPrime1
+		l1 = bits.RotateLeft64(l1^binary.LittleEndian.Uint64(b[8:])*digestPrime2, 31) * digestPrime1
+		l2 = bits.RotateLeft64(l2^binary.LittleEndian.Uint64(b[16:])*digestPrime2, 31) * digestPrime1
+		l3 = bits.RotateLeft64(l3^binary.LittleEndian.Uint64(b[24:])*digestPrime2, 31) * digestPrime1
 		b = b[32:]
 	}
-	h := bits.RotateLeft64(l0, 1) ^ bits.RotateLeft64(l1, 7) ^
-		bits.RotateLeft64(l2, 12) ^ bits.RotateLeft64(l3, 18) ^ n*prime3
+	d.l0, d.l1, d.l2, d.l3 = l0, l1, l2, l3
+	return b
+}
+
+// sum64 folds the lanes, absorbs the pending tail and avalanches.  It
+// does not change the state.
+func (d *digest64) sum64() uint64 {
+	h := bits.RotateLeft64(d.l0, 1) ^ bits.RotateLeft64(d.l1, 7) ^
+		bits.RotateLeft64(d.l2, 12) ^ bits.RotateLeft64(d.l3, 18) ^ d.n*digestPrime3
+	b := d.buf[:d.nbuf]
 	for len(b) >= 8 {
-		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(b)*prime2, 31) * prime1
+		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(b)*digestPrime2, 31) * digestPrime1
 		b = b[8:]
 	}
 	for _, c := range b {
-		h = bits.RotateLeft64(h^uint64(c)*prime1, 11) * prime2
+		h = bits.RotateLeft64(h^uint64(c)*digestPrime1, 11) * digestPrime2
 	}
 	h ^= h >> 33
-	h *= prime2
+	h *= digestPrime2
 	h ^= h >> 29
-	h *= prime3
+	h *= digestPrime3
 	h ^= h >> 32
 	return h
 }
@@ -166,39 +216,86 @@ const (
 
 // EncodeBytes serialises m (row-major, the engine layout) with optional
 // labels (len == m.Cols) and names (len == m.Rows) into one spb buffer,
-// with the payload in the requested cell order.  NaN cells are written as
-// bitmap bits over a zero payload, so the encoded bytes are independent
-// of the producer's NaN bit patterns.
+// with the payload in the requested cell order: Encode writing into a
+// buffer of the encoding's exact size.
 func EncodeBytes(m Matrix, labels []int, names []string, layout Layout) ([]byte, error) {
-	if m.IsEmpty() {
-		return nil, fmt.Errorf("matrix: spb: empty matrix")
+	if err := checkEncodable(m, labels, names); err != nil {
+		return nil, err
 	}
-	if len(m.Data) != m.Rows*m.Cols {
-		return nil, fmt.Errorf("matrix: spb: %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
+	hasNA := hasNaN(m.Data)
+	buf := bytes.NewBuffer(make([]byte, 0, encodedSize(m.Rows, m.Cols, hasNA, labels, names)))
+	if err := encode(buf, m, labels, names, layout, hasNA); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// Encode streams the spb encoding of m to w: the header, the payload,
+// then the optional sections and the digest trailer, with no buffer the
+// size of the matrix.  On a little-endian host a run of NaN-free rows of
+// a row-major payload is written straight from m's memory; every other
+// row (or, for ColMajor, column) goes through one line-sized scratch.
+// NaN cells are written as bitmap bits over a zero payload, so the
+// encoded bytes are independent of the producer's NaN bit patterns.
+func Encode(w io.Writer, m Matrix, labels []int, names []string, layout Layout) error {
+	if err := checkEncodable(m, labels, names); err != nil {
+		return err
+	}
+	return encode(w, m, labels, names, layout, hasNaN(m.Data))
+}
+
+// checkEncodable rejects what the format cannot carry.
+func checkEncodable(m Matrix, labels []int, names []string) error {
+	if m.IsEmpty() {
+		return fmt.Errorf("matrix: spb: empty matrix")
 	}
 	if m.Rows >= spbMaxDim || m.Cols >= spbMaxDim || int64(m.Rows)*int64(m.Cols) > spbMaxCells {
-		return nil, fmt.Errorf("matrix: spb: dimensions %dx%d exceed the format limit", m.Rows, m.Cols)
+		return fmt.Errorf("matrix: spb: dimensions %dx%d exceed the format limit", m.Rows, m.Cols)
+	}
+	if len(m.Data) != m.Rows*m.Cols {
+		return fmt.Errorf("matrix: spb: %d elements for %dx%d", len(m.Data), m.Rows, m.Cols)
 	}
 	if labels != nil && len(labels) != m.Cols {
-		return nil, fmt.Errorf("matrix: spb: %d labels for %d columns", len(labels), m.Cols)
+		return fmt.Errorf("matrix: spb: %d labels for %d columns", len(labels), m.Cols)
 	}
 	if names != nil && len(names) != m.Rows {
-		return nil, fmt.Errorf("matrix: spb: %d names for %d rows", len(names), m.Rows)
+		return fmt.Errorf("matrix: spb: %d names for %d rows", len(names), m.Rows)
 	}
 	for i, name := range names {
 		if len(name) > math.MaxUint16 {
-			return nil, fmt.Errorf("matrix: spb: name %d is %d bytes, limit %d", i, len(name), math.MaxUint16)
+			return fmt.Errorf("matrix: spb: name %d is %d bytes, limit %d", i, len(name), math.MaxUint16)
 		}
 	}
-	hasNA := false
-	for _, v := range m.Data {
-		if math.IsNaN(v) {
-			hasNA = true
-			break
-		}
-	}
+	return nil
+}
 
-	buf := make([]byte, 0, encodedSize(m.Rows, m.Cols, hasNA, labels, names))
+func hasNaN(data []float64) bool {
+	for _, v := range data {
+		if v != v {
+			return true
+		}
+	}
+	return false
+}
+
+// spbWriter writes to w and the trailer's digest at once, keeping the
+// first write error.
+type spbWriter struct {
+	w   io.Writer
+	d   digest64
+	err error
+}
+
+func (s *spbWriter) write(b []byte) {
+	if s.err != nil || len(b) == 0 {
+		return
+	}
+	s.d.write(b)
+	_, s.err = s.w.Write(b)
+}
+
+// encode is Encode over a checked matrix whose NaN presence is known.
+func encode(w io.Writer, m Matrix, labels []int, names []string, layout Layout, hasNA bool) error {
 	var flags uint32
 	if hasNA {
 		flags |= flagNABitmap
@@ -212,59 +309,74 @@ func EncodeBytes(m Matrix, labels []int, names []string, layout Layout) ([]byte,
 	if layout == RowMajor {
 		flags |= flagRowMajor
 	}
-	buf = append(buf, spbMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, spbVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved / payload padding
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Rows))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Cols))
+	sw := spbWriter{w: w, d: newDigest64()}
+	var hdr [spbHeaderSize]byte
+	copy(hdr[:], spbMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:], spbVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], flags)
+	// hdr[12:16] stays zero: reserved / payload padding.
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(m.Rows))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(m.Cols))
+	sw.write(hdr[:])
 
-	// Payload in the chosen cell order; NaN cells write zero here and a
-	// bitmap bit below (bit k = payload cell k, same order).
+	// Payload in the chosen cell order, one line (a row, or a column for
+	// ColMajor) at a time; NaN cells write zero here and a bitmap bit
+	// below (bit k = payload cell k, same order).
 	n := m.Rows * m.Cols
 	var bitmap []byte
 	if hasNA {
 		bitmap = make([]byte, (n+7)/8)
 	}
-	writeCell := func(k int, v float64) {
-		if math.IsNaN(v) {
-			bitmap[k/8] |= 1 << uint(k%8)
-			v = 0
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	lines, stride, step := m.Rows, m.Cols, 1 // cell t of line i is Data[i*stride + t*step]
+	if layout != RowMajor {
+		lines, stride, step = m.Cols, 1, m.Cols
 	}
-	if layout == RowMajor {
-		for k, v := range m.Data {
-			writeCell(k, v)
-		}
-	} else {
-		k := 0
-		for j := 0; j < m.Cols; j++ {
-			for i := 0; i < m.Rows; i++ {
-				writeCell(k, m.At(i, j))
-				k++
+	lineLen := n / lines
+	var scratch []byte
+	for i, k := 0, 0; i < lines; {
+		if layout == RowMajor && hostLittleEndian {
+			// A NaN-free run of rows leaves from m's own memory.
+			end := i
+			for end < lines && !(hasNA && hasNaN(m.Row(end))) {
+				end++
+			}
+			if end > i {
+				b, _ := LittleEndianBytes(m.Data[i*stride : end*stride])
+				sw.write(b)
+				k += (end - i) * lineLen
+				i = end
+				continue
 			}
 		}
+		if scratch == nil {
+			scratch = make([]byte, 8*lineLen)
+		}
+		for t := 0; t < lineLen; t, k = t+1, k+1 {
+			v := m.Data[i*stride+t*step]
+			if v != v {
+				bitmap[k/8] |= 1 << uint(k%8)
+				v = 0
+			}
+			binary.LittleEndian.PutUint64(scratch[8*t:], math.Float64bits(v))
+		}
+		sw.write(scratch)
+		i++
 	}
-	buf = append(buf, bitmap...)
+	sw.write(bitmap)
+
+	var tail []byte
 	for _, l := range labels {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(l)))
+		tail = binary.LittleEndian.AppendUint32(tail, uint32(int32(l)))
 	}
 	for _, name := range names {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-		buf = append(buf, name...)
+		tail = binary.LittleEndian.AppendUint16(tail, uint16(len(name)))
+		tail = append(tail, name...)
 	}
-	return binary.LittleEndian.AppendUint64(buf, Digest64(buf)), nil
-}
-
-// Encode writes the spb encoding of m to w.
-func Encode(w io.Writer, m Matrix, labels []int, names []string, layout Layout) error {
-	buf, err := EncodeBytes(m, labels, names, layout)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
+	sw.write(tail)
+	var trailer [8]byte
+	binary.LittleEndian.PutUint64(trailer[:], sw.d.sum64())
+	sw.write(trailer[:])
+	return sw.err
 }
 
 // Decode reads one complete spb stream from r.  The whole stream is read
@@ -420,4 +532,14 @@ func aliasFloat64(b []byte) ([]float64, bool) {
 		return nil, false
 	}
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8), true
+}
+
+// LittleEndianBytes is aliasFloat64's inverse: f's memory as
+// little-endian bytes without copying.  It reports false on a
+// big-endian host, where the caller must encode the cells itself.
+func LittleEndianBytes(f []float64) ([]byte, bool) {
+	if !hostLittleEndian || len(f) == 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 8*len(f)), true
 }

@@ -341,3 +341,168 @@ func FuzzDecodeSPB(f *testing.F) {
 		}
 	})
 }
+
+// referenceEncode is the per-cell statement of the spb layout: every
+// cell appended one at a time, the digest over the finished buffer.  The
+// streamed encoder must produce its bytes exactly.
+func referenceEncode(m Matrix, labels []int, names []string, layout Layout) []byte {
+	n := m.Rows * m.Cols
+	var flags uint32
+	var bitmap []byte
+	for _, v := range m.Data {
+		if math.IsNaN(v) {
+			flags |= flagNABitmap
+			bitmap = make([]byte, (n+7)/8)
+			break
+		}
+	}
+	if labels != nil {
+		flags |= flagLabels
+	}
+	if names != nil {
+		flags |= flagNames
+	}
+	if layout == RowMajor {
+		flags |= flagRowMajor
+	}
+	buf := append([]byte(nil), spbMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, spbVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, flags)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Rows))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Cols))
+	k := 0
+	cell := func(v float64) {
+		if math.IsNaN(v) {
+			bitmap[k/8] |= 1 << uint(k%8)
+			v = 0
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		k++
+	}
+	if layout == RowMajor {
+		for _, v := range m.Data {
+			cell(v)
+		}
+	} else {
+		for j := 0; j < m.Cols; j++ {
+			for i := 0; i < m.Rows; i++ {
+				cell(m.At(i, j))
+			}
+		}
+	}
+	buf = append(buf, bitmap...)
+	for _, l := range labels {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(l)))
+	}
+	for _, name := range names {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
+		buf = append(buf, name...)
+	}
+	return binary.LittleEndian.AppendUint64(buf, Digest64(buf))
+}
+
+// chunkWriter records every Write it receives, so a test sees the
+// stream's parts.
+type chunkWriter struct {
+	buf   bytes.Buffer
+	parts int
+}
+
+func (c *chunkWriter) Write(b []byte) (int, error) {
+	c.parts++
+	return c.buf.Write(b)
+}
+
+// TestSPBEncodeMatchesReference: Encode and EncodeBytes write the
+// reference bytes for NaN in the first row, the last row, one middle
+// row, every row and none, odd and even row counts, both layouts, with
+// and without labels and names, whatever the NaN payload.
+func TestSPBEncodeMatchesReference(t *testing.T) {
+	nans := []float64{math.NaN(), math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF8000000000abc)}
+	type nanCase struct {
+		name string
+		rows func(rows int) []int
+	}
+	cases := []nanCase{
+		{"none", func(int) []int { return nil }},
+		{"first", func(int) []int { return []int{0} }},
+		{"last", func(r int) []int { return []int{r - 1} }},
+		{"middle", func(r int) []int { return []int{r / 2} }},
+		{"every", func(r int) []int {
+			out := make([]int, r)
+			for i := range out {
+				out[i] = i
+			}
+			return out
+		}},
+	}
+	for _, shape := range [][2]int{{1, 1}, {1, 5}, {7, 3}, {8, 4}, {9, 2}, {33, 11}} {
+		rows, cols := shape[0], shape[1]
+		for _, c := range cases {
+			m := New(rows, cols)
+			for i := range m.Data {
+				m.Data[i] = float64(i)*0.75 - 2
+			}
+			for q, i := range c.rows(rows) {
+				m.Data[i*cols+(i+q)%cols] = nans[q%len(nans)]
+			}
+			labels := make([]int, cols)
+			for j := range labels {
+				labels[j] = j%2 - 1
+			}
+			names := make([]string, rows)
+			for i := range names {
+				names[i] = strings.Repeat("g", i%4)
+			}
+			for _, layout := range []Layout{RowMajor, ColMajor} {
+				for _, meta := range []bool{false, true} {
+					l, nm := []int(nil), []string(nil)
+					if meta {
+						l, nm = labels, names
+					}
+					want := referenceEncode(m, l, nm, layout)
+					got, err := EncodeBytes(m, l, nm, layout)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%dx%d NaN %s layout %d meta %v: EncodeBytes differs from the reference", rows, cols, c.name, layout, meta)
+					}
+					var w chunkWriter
+					if err := Encode(&w, m, l, nm, layout); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(w.buf.Bytes(), want) {
+						t.Fatalf("%dx%d NaN %s layout %d meta %v: Encode differs from the reference", rows, cols, c.name, layout, meta)
+					}
+					if hostLittleEndian && layout == RowMajor && c.name == "none" && !meta && w.parts != 3 {
+						t.Errorf("%dx%d NaN-free row-major stream took %d writes, want header, payload, trailer", rows, cols, w.parts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzDigest64Stream: bytes written to the streaming state in arbitrary
+// splits hash as the one-shot Digest64 of the whole.
+func FuzzDigest64Stream(f *testing.F) {
+	f.Add([]byte(""), []byte{})
+	f.Add([]byte("abc"), []byte{1})
+	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 9), []byte{31, 1, 33, 7})
+	f.Add(bytes.Repeat([]byte{0xff}, 200), []byte{32, 0, 64, 5, 96})
+	f.Fuzz(func(t *testing.T, data, splits []byte) {
+		d := newDigest64()
+		rest := data
+		for _, s := range splits {
+			k := min(int(s), len(rest))
+			d.write(rest[:k])
+			rest = rest[k:]
+		}
+		d.write(rest)
+		if got, want := d.sum64(), Digest64(data); got != want {
+			t.Fatalf("streamed %#x, one-shot %#x (len %d, splits %v)", got, want, len(data), splits)
+		}
+	})
+}
