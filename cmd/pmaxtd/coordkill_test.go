@@ -116,9 +116,9 @@ func TestCoordinatorSIGKILLRestartBitwiseIdentity(t *testing.T) {
 		return nil
 	}()
 
-	// The worker outlives the coordinator crash; its shard leases are
-	// what keep orphaned computes alive until the restart re-probes, and
-	// its journal tree holds the retained results they park.
+	// The worker outlives the coordinator crash; a compute orphaned by it
+	// parks its prefix, and the worker's journal tree holds the retained
+	// results the restart re-probes.
 	wJournal := t.TempDir()
 	wArgs := []string{"-addr", "127.0.0.1:0", "-workers", "1", "-role", "worker",
 		"-journal-dir", wJournal, "-metrics-interval", "0"}
@@ -128,7 +128,7 @@ func TestCoordinatorSIGKILLRestartBitwiseIdentity(t *testing.T) {
 	cArgs := []string{"-addr", "127.0.0.1:0", "-workers", "1", "-role", "coordinator",
 		"-cluster-workers", wBase, "-journal-dir", journalDir,
 		"-shards-per-worker", "8", "-shard-nprocs", "1", "-dist-min-b", "1",
-		"-lease", "60s", "-metrics-interval", "0"}
+		"-metrics-interval", "0"}
 	cmd1, cBase1 := startDaemon(t, cArgs)
 
 	body, err := json.Marshal(map[string]any{
@@ -156,8 +156,8 @@ func TestCoordinatorSIGKILLRestartBitwiseIdentity(t *testing.T) {
 
 	// Kill only when the crash exercises both recovery paths at once: at
 	// least one delivery journaled in the merge ledger (replayed, never
-	// recomputed) AND a shard mid-compute on the worker (whose leased
-	// result the restarted coordinator collects from retention).
+	// recomputed) AND a shard mid-compute on the worker (whose parked
+	// prefix the restarted coordinator resumes from retention).
 	type status struct {
 		State string `json:"state"`
 		Done  int64  `json:"done"`
@@ -242,7 +242,7 @@ func TestCoordinatorSIGKILLRestartBitwiseIdentity(t *testing.T) {
 	// Zero recomputation of delivered shards: the journaled windows were
 	// merged straight from the ledger (replay counters), nothing was
 	// re-dispatched twice (no retries), and the worker re-delivered at
-	// least one result from retention or an in-flight leased compute.
+	// least one result from retention or resumed a parked prefix.
 	if n := scrapeMetric(t, cBase2, "cluster_ledger_jobs_replayed_total"); n != 1 {
 		t.Errorf("cluster_ledger_jobs_replayed_total = %v, want 1", n)
 	}

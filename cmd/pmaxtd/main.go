@@ -31,7 +31,10 @@
 // -join http://coord:8080 (heartbeat registration); -advertise overrides
 // the URL the worker registers under.  Jobs are submitted to the
 // coordinator exactly as in standalone mode — preferably by dataset_id,
-// so no matrix bytes travel on the job path.
+// so no matrix bytes travel on the job path.  A worker computes a shard
+// only while the coordinator waits for it: when the shard request ends
+// (the coordinator died, gave up, or the job was cancelled or stopped
+// early), the compute parks its prefix for a later re-probe.
 //
 // Operational telemetry goes to stderr as JSON logs (log/slog): one line
 // per HTTP request carrying the request id, tenant, route, status and
@@ -75,17 +78,13 @@ func main() {
 	}
 }
 
-// errNegativeLease refuses a negative -lease: every shard carries a
-// lease, and 0 already selects the default.
-var errNegativeLease = errors.New("-lease must not be negative (0 = default 15s)")
-
 // options holds the parsed command line.
 type options struct {
 	addr, journalDir, pprofAddr, tenantLimits, logDst, faults string
 	role, clusterWorkers, join, advertise                     string
 	workers, queue, nprocs, shardNProcs, shardsPerWorker      int
 	every, maxBody, interactiveB, distMinB                    int64
-	metricsInterval, maxQueueWait, lease                      time.Duration
+	metricsInterval, maxQueueWait                             time.Duration
 }
 
 // newFlagSet binds every pmaxtd flag to o.  TestFlagsPinned holds the
@@ -112,7 +111,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.Int64Var(&o.distMinB, "dist-min-b", 1000, "coordinator: run jobs with B under this locally instead of distributing")
 	fs.IntVar(&o.shardNProcs, "shard-nprocs", 0, "coordinator: ranks each worker uses per shard (0 = worker default)")
 	fs.IntVar(&o.shardsPerWorker, "shards-per-worker", 2, "coordinator: shards carved per live worker")
-	fs.DurationVar(&o.lease, "lease", 0, "coordinator: shard compute lease renewed by heartbeat; a worker keeps an orphaned shard alive this long after its coordinator dies (0 = default 15s)")
 	fs.StringVar(&o.faults, "faults", os.Getenv("SPRINT_FAULTS"),
 		"deterministic fault-injection spec for crash testing, e.g. \"seed=7;ckpt.write:torn:n=2\" (default $SPRINT_FAULTS; empty = disabled)")
 	return fs
@@ -152,9 +150,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	}
 	if o.role != "coordinator" && o.clusterWorkers != "" {
 		return errors.New("-cluster-workers requires -role coordinator")
-	}
-	if o.lease < 0 {
-		return errNegativeLease
 	}
 
 	var logw io.Writer
@@ -227,7 +222,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			ShardsPerWorker: o.shardsPerWorker,
 			MinDistB:        o.distMinB,
 			WorkerNProcs:    o.shardNProcs,
-			LeaseDuration:   o.lease,
 			Metrics:         reg,
 			Logger:          logger,
 		})

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"os"
 	"slices"
@@ -41,9 +40,6 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out, nil); err == nil {
 		t.Fatal("bogus flag accepted")
 	}
-	if err := run([]string{"-lease", "-1s"}, &out, nil); !errors.Is(err, errNegativeLease) {
-		t.Fatalf("negative -lease: %v, want errNegativeLease", err)
-	}
 }
 
 // TestFlagsPinned holds the daemon's whole flag surface.  Adding a flag
@@ -51,7 +47,7 @@ func TestBadFlags(t *testing.T) {
 func TestFlagsPinned(t *testing.T) {
 	want := []string{
 		"addr", "advertise", "cluster-workers", "dist-min-b", "every",
-		"faults", "interactive-max-b", "join", "journal-dir", "lease",
+		"faults", "interactive-max-b", "join", "journal-dir",
 		"log", "max-body", "max-queue-wait", "metrics-interval", "nprocs",
 		"pprof-addr", "queue", "role", "shard-nprocs", "shards-per-worker",
 		"tenant-limits", "workers",

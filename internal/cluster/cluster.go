@@ -31,6 +31,9 @@
 // same state a checkpoint would hold — which the coordinator merges
 // before re-dispatching only the remainder; a straggling shard is
 // speculatively re-dispatched and the first complete delivery wins.
+// A worker computes a window only while some request waits for it; when
+// the last one goes away the compute parks its prefix in retention,
+// where a re-probe resumes it.
 // When every worker is gone the coordinator computes the remaining
 // shards itself, so a job admitted to the cluster always converges to
 // the bit-exact result unless cancelled.
@@ -49,7 +52,6 @@ import (
 const (
 	ShardPath   = "/cluster/v1/shards"
 	WorkersPath = "/cluster/v1/workers"
-	LeasesPath  = "/cluster/v1/leases"
 
 	datasetsPath   = "/v1/datasets"
 	spbContentType = "application/x-sprint-spb"
@@ -97,12 +99,11 @@ type CoordinatorInfo struct {
 	JobsDeclined     int64        `json:"jobs_declined"`
 	LocalShards      int64        `json:"local_shards"`
 	SeqEarlyStops    int64        `json:"seq_early_stops,omitempty"`
-	// Durable-ledger and lease traffic (omitted when idle).
+	// Durable-ledger traffic (omitted when idle).
 	LedgerRecords         int64 `json:"ledger_records,omitempty"`
 	LedgerJobsReplayed    int64 `json:"ledger_jobs_replayed,omitempty"`
 	LedgerWindowsReplayed int64 `json:"ledger_windows_replayed,omitempty"`
 	LedgerInvalid         int64 `json:"ledger_invalid,omitempty"`
-	LeaseRenewals         int64 `json:"lease_renewals,omitempty"`
 }
 
 // MemberInfo is one worker as the coordinator sees it.
@@ -121,14 +122,11 @@ type WorkerNodeInfo struct {
 	ShardsServed  int64  `json:"shards_served"`
 	ShardsPartial int64  `json:"shards_partial"`
 	ShardsRefused int64  `json:"shards_refused"`
-	// Result retention and lease state (omitted when idle).
+	// Result retention state (omitted when idle).
 	ShardsRetained  int   `json:"shards_retained,omitempty"`
 	RetainedHits    int64 `json:"retained_hits,omitempty"`
 	RetainedResumes int64 `json:"retained_resumes,omitempty"`
 	InflightJoins   int64 `json:"inflight_joins,omitempty"`
-	LeaseRenewed    int64 `json:"lease_renewed,omitempty"`
-	LeaseExpired    int64 `json:"lease_expired,omitempty"`
-	LeaseDisowned   int64 `json:"lease_disowned,omitempty"`
 }
 
 // ShardRequest asks a worker to compute exceedance counts over the
@@ -139,9 +137,11 @@ type WorkerNodeInfo struct {
 // across nodes fails loudly instead of merging wrong counts).
 //
 // The contract: every request names its plan (Fingerprint != 0,
-// TotalB > 0) and holds a lease (LeaseMS > 0).  A request without any
-// of the three answers 400, as an undecodable body does, before the
-// worker looks up the dataset.
+// TotalB > 0).  A request without either answers 400, as an undecodable
+// body does, before the worker looks up the dataset.  The worker
+// computes the window for as long as some request waits for it: when
+// the last one goes away, the compute stops at its next window boundary
+// and parks its prefix in retention for the next probe.
 //
 // The worker answers 200 with one counts record (countsContentType)
 // covering [Lo, Next) of the window; Next < Hi is a drained worker's
@@ -162,11 +162,10 @@ type ShardRequest struct {
 	// NProcs caps the worker-side rank count for this shard; 0 uses the
 	// worker's default.
 	NProcs int `json:"nprocs,omitempty"`
-	// LeaseMS grants the worker a compute lease: the shard may keep
-	// computing for this many milliseconds after its requester vanishes,
-	// on the expectation that a restarted coordinator will re-probe and
-	// collect the result from retention.  Re-probes and LeasesPath
-	// heartbeats renew it.
+	// LeaseMS is ignored.  The coordinator still sends one constant, as
+	// long as its dispatch timeout, because a worker of the previous
+	// release answers 400 to a request without it and would stop a
+	// compute that outlived it.
 	LeaseMS int64 `json:"lease_ms,omitempty"`
 }
 
@@ -182,23 +181,9 @@ const (
 	reasonUnknownDataset = "unknown_dataset"
 	reasonDraining       = "draining"
 	reasonFingerprint    = "fingerprint_mismatch"
-	reasonLease          = "lease_lapsed"
 )
 
 // joinBody is the worker registration payload.
 type joinBody struct {
 	Addr string `json:"addr"`
-}
-
-// leaseBody is the coordinator's lease heartbeat, its complete active
-// set: every in-flight shard whose plan fingerprint appears in
-// Fingerprints has its lease extended by LeaseMS, and every one that
-// does not is disowned — the worker cancels it, parks the partial
-// prefix in retention, and frees the CPU.  Retention itself is never
-// purged by a disown: a restarting coordinator renews leases before its
-// ledger replay admits every job, and parked results are exactly what
-// the replay collects.
-type leaseBody struct {
-	Fingerprints []uint64 `json:"fingerprints"`
-	LeaseMS      int64    `json:"lease_ms"`
 }

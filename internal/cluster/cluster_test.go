@@ -250,25 +250,3 @@ func TestMembership(t *testing.T) {
 		t.Fatalf("coordinator info: %+v", info)
 	}
 }
-
-// TestLeaseRenewalsCountAccepted: cluster_lease_renewals_total counts
-// heartbeats a worker accepted, not every answer — a worker that
-// refuses the heartbeat (400) renewed nothing.
-func TestLeaseRenewalsCountAccepted(t *testing.T) {
-	status := http.StatusBadRequest
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(status)
-	}))
-	defer stub.Close()
-	c := NewCoordinator(CoordinatorConfig{})
-	body := &leaseBody{Fingerprints: []uint64{1}, LeaseMS: c.leaseMS()}
-	c.postLease(stub.URL, body)
-	if n := c.metLeaseRenewals.Value(); n != 0 {
-		t.Fatalf("lease renewals after a 400 = %d, want 0", n)
-	}
-	status = http.StatusOK
-	c.postLease(stub.URL, body)
-	if n := c.metLeaseRenewals.Value(); n != 1 {
-		t.Fatalf("lease renewals after a 200 = %d, want 1", n)
-	}
-}

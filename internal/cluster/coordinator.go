@@ -54,13 +54,6 @@ type CoordinatorConfig struct {
 	// WorkerNProcs is the rank count shard requests ask workers for
 	// (0 = each worker's own default).
 	WorkerNProcs int
-	// LeaseDuration is the compute lease granted with each shard
-	// dispatch and renewed by the coordinator's lease heartbeat: a
-	// worker keeps computing an orphaned shard this long after its
-	// coordinator vanishes (long enough to park useful work for a
-	// restart, short enough not to burn CPU forever).  Defaults to 15s;
-	// a positive lease under 1ms is sent as 1ms, the wire's granularity.
-	LeaseDuration time.Duration
 	// Metrics receives the coordinator-side cluster series, which Info
 	// reads back; nil gets a private registry.
 	Metrics *metrics.Registry
@@ -80,6 +73,11 @@ const (
 	// surfaces as a retryable error instead of stalling the job forever.
 	// It must comfortably exceed the slowest expected shard compute.
 	dispatchTimeout = 15 * time.Minute
+	// legacyLeaseMS is the lease_ms every shard request carries: this
+	// release ignores it, and a worker of the previous release, which
+	// refuses a request without one, then never stops a compute that
+	// its dispatch still waits for.
+	legacyLeaseMS = int64(dispatchTimeout / time.Millisecond)
 	// pushTimeout bounds one dataset push.
 	pushTimeout = 2 * time.Minute
 )
@@ -110,11 +108,9 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	members map[string]*member
-	// active tracks running jobStates (guarded by mu) for the lease
-	// heartbeat loop and for offering queued windows to workers that
-	// join mid-job; leaseTicking marks the singleton lease loop.
-	active       map[*jobState]struct{}
-	leaseTicking bool
+	// active tracks running jobStates (guarded by mu) for offering
+	// queued windows to workers that join mid-job.
+	active map[*jobState]struct{}
 
 	// inflight backs the cluster_shards_in_flight gauge; every other
 	// count lives only in the registry handles below, which Info reads.
@@ -135,7 +131,6 @@ type Coordinator struct {
 	metLedgerJobs    *metrics.Counter
 	metLedgerWindows *metrics.Counter
 	metLedgerInvalid *metrics.Counter
-	metLeaseRenewals *metrics.Counter
 }
 
 // Retry reasons, used as the metric label and in logs.
@@ -162,9 +157,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	if cfg.DownFor <= 0 {
 		cfg.DownFor = 3 * time.Second
-	}
-	if cfg.LeaseDuration <= 0 {
-		cfg.LeaseDuration = 15 * time.Second
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -214,7 +206,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	reg.Help("cluster_ledger_jobs_replayed_total", "Jobs whose journaled merge ledger was adopted after a coordinator restart.")
 	reg.Help("cluster_ledger_windows_replayed_total", "Shard deliveries re-merged from the journal on restart — windows that were NOT recomputed.")
 	reg.Help("cluster_ledger_invalid_total", "Replayed merge ledgers discarded after failing validation (plan drift, span gaps).")
-	reg.Help("cluster_lease_renewals_total", "Shard-lease heartbeats delivered to workers.")
 	c.metLedgerRecords = map[string]*metrics.Counter{
 		"plan":  reg.Counter("cluster_ledger_records_total", "kind", "plan"),
 		"shard": reg.Counter("cluster_ledger_records_total", "kind", "shard"),
@@ -222,7 +213,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.metLedgerJobs = reg.Counter("cluster_ledger_jobs_replayed_total")
 	c.metLedgerWindows = reg.Counter("cluster_ledger_windows_replayed_total")
 	c.metLedgerInvalid = reg.Counter("cluster_ledger_invalid_total")
-	c.metLeaseRenewals = reg.Counter("cluster_lease_renewals_total")
 	c.metPushEcho = reg.Counter("integrity_push_digest_mismatch_total")
 	c.metPushes = reg.Counter("cluster_dataset_pushes_total")
 	c.metJobsDist = reg.Counter("cluster_jobs_distributed_total")
@@ -271,7 +261,6 @@ func (c *Coordinator) Info() Info {
 			LedgerJobsReplayed:    c.metLedgerJobs.Value(),
 			LedgerWindowsReplayed: c.metLedgerWindows.Value(),
 			LedgerInvalid:         c.metLedgerInvalid.Value(),
-			LeaseRenewals:         c.metLeaseRenewals.Value(),
 		},
 	}
 }
@@ -402,16 +391,11 @@ func (c *Coordinator) markDown(m *member) {
 	c.mu.Unlock()
 }
 
-// registerActive tracks a running jobState for the lease heartbeat and
-// for mid-job worker join offers, starting the singleton lease loop on
-// demand.
+// registerActive tracks a running jobState for mid-job worker join
+// offers.
 func (c *Coordinator) registerActive(st *jobState) {
 	c.mu.Lock()
 	c.active[st] = struct{}{}
-	if !c.leaseTicking {
-		c.leaseTicking = true
-		go c.leaseLoop()
-	}
 	c.mu.Unlock()
 }
 
@@ -419,71 +403,6 @@ func (c *Coordinator) deregisterActive(st *jobState) {
 	c.mu.Lock()
 	delete(c.active, st)
 	c.mu.Unlock()
-}
-
-// leaseMS is the lease every shard dispatch and heartbeat grants, in
-// the wire's milliseconds: LeaseDuration, but never 0, which the shard
-// contract refuses.
-func (c *Coordinator) leaseMS() int64 {
-	return max(int64(c.cfg.LeaseDuration/time.Millisecond), 1)
-}
-
-// leaseLoop renews the compute leases of every active job's shards on
-// all live workers, at a third of the lease duration so two heartbeats
-// can be lost before a lease lapses — however short the lease, or a
-// healthy coordinator's shards would lapse between beats (the 1 ms floor
-// only keeps a lease under 3 ns from handing NewTicker a zero interval,
-// which panics).  Each
-// heartbeat carries the coordinator's complete active fingerprint set, so
-// workers disown (park, then cancel) shards from a previous coordinator
-// life.  The loop exits when the active set drains and restarts with the
-// next job.
-func (c *Coordinator) leaseLoop() {
-	t := time.NewTicker(max(c.cfg.LeaseDuration/3, time.Millisecond))
-	defer t.Stop()
-	for range t.C {
-		c.mu.Lock()
-		if len(c.active) == 0 {
-			c.leaseTicking = false
-			c.mu.Unlock()
-			return
-		}
-		fps := make([]uint64, 0, len(c.active))
-		for st := range c.active {
-			fps = append(fps, st.plan.Fingerprint)
-		}
-		c.mu.Unlock()
-		body := leaseBody{Fingerprints: fps, LeaseMS: c.leaseMS()}
-		for _, m := range c.live(c.cfg.Clock()) {
-			c.postLease(m.addr, &body)
-		}
-	}
-}
-
-// postLease delivers one lease heartbeat and counts it once the worker
-// accepts it (200); failures are ignored (the worker-side lease expiry
-// is the backstop).
-func (c *Coordinator) postLease(addr string, body *leaseBody) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, "POST", addr+LeasesPath, bytes.NewReader(payload))
-	if err != nil {
-		return
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := c.client.Do(hreq)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<12))
-	hresp.Body.Close()
-	if hresp.StatusCode == http.StatusOK {
-		c.metLeaseRenewals.Inc()
-	}
 }
 
 // offerActive offers every active job's remaining queue to a worker
@@ -865,8 +784,8 @@ func (c *Coordinator) runShards(ctx context.Context, p runShardsParams, merged *
 	// cancel() (deferred) aborts any straggling RPCs and the local
 	// loop; their late deliveries are discarded by the finished flag.
 	// For a sequential early stop, this cancellation IS the cluster-wide
-	// stop broadcast: every in-flight shard RPC is torn down and no
-	// further spans dispatch.
+	// stop broadcast: every in-flight shard RPC is torn down, and with it
+	// the worker's compute, and no further spans dispatch.
 	return err
 }
 
@@ -1145,7 +1064,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 		TotalB:      st.plan.TotalB,
 		Fingerprint: st.plan.Fingerprint,
 		NProcs:      c.cfg.WorkerNProcs,
-		LeaseMS:     c.leaseMS(),
+		LeaseMS:     legacyLeaseMS,
 	}
 	for {
 		c.metDispatched.Inc()

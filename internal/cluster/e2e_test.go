@@ -4,7 +4,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 	"time"
 
@@ -343,14 +342,7 @@ func TestClusterDrainPartialHandoff(t *testing.T) {
 	go func() { done <- runOn(t, cm, x, lab, opt) }()
 
 	// Wait until the shard is computing, then drain.
-	deadline := time.Now().Add(30 * time.Second)
-	drained := false
-	for time.Now().Before(deadline) {
-		if w.Info().Worker.ShardsActive > 0 {
-			w.Drain()
-			drained = true
-			break
-		}
+	eventually(t, "the worker to start a shard", func() bool {
 		select {
 		case got := <-done:
 			// The job outran the poll: identity still holds, but the
@@ -359,11 +351,9 @@ func TestClusterDrainPartialHandoff(t *testing.T) {
 			t.Skip("job finished before the drain fired")
 		default:
 		}
-		runtime.Gosched()
-	}
-	if !drained {
-		t.Fatal("worker never started a shard")
-	}
+		return w.Info().Worker.ShardsActive > 0
+	})
+	w.Drain()
 	got := <-done
 	sameRes(t, "drain", got, want)
 
@@ -402,5 +392,31 @@ func TestClusterDeclinesSmallJobs(t *testing.T) {
 	info := coord.Info().Coordinator
 	if info.JobsDeclined != 1 || info.JobsDistributed != 0 {
 		t.Errorf("declined=%d distributed=%d, want 1/0", info.JobsDeclined, info.JobsDistributed)
+	}
+}
+
+// TestClusterCancelStopsWorkerCompute: cancelling a distributed job
+// (Manager.Cancel, which DELETE /v1/jobs/{id} calls) tears down its
+// shard RPC, and with it the worker's compute, which stops at its next
+// window boundary instead of running its window to the end.
+func TestClusterCancelStopsWorkerCompute(t *testing.T) {
+	// One window of about three seconds of kernel.
+	w, x, req := shardFixture(t, 120, 30, 3000000, 81)
+	_, cm := coordManager(t, cluster.CoordinatorConfig{Workers: []string{w.ts.URL}, ShardsPerWorker: 1})
+	info, _, err := cm.PutDataset(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cm.Submit(jobs.Spec{DatasetID: info.ID, Labels: req.Labels, Opt: req.Options, NProcs: 1, Every: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the shard to start computing", func() bool { return w.w.Info().Worker.ShardsActive > 0 })
+	if _, err := cm.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the worker's compute to stop", func() bool { return w.w.Info().Worker.ShardsActive == 0 })
+	if wi := w.w.Info().Worker; wi.ShardsServed != 0 {
+		t.Fatalf("the cancelled job's window ran to its end (served %d, partial %d)", wi.ShardsServed, wi.ShardsPartial)
 	}
 }

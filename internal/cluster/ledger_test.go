@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,7 +10,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,12 +18,13 @@ import (
 	"sprint/internal/faultinject"
 	"sprint/internal/httpapi"
 	"sprint/internal/jobs"
+	"sprint/internal/matrix"
 	"sprint/internal/metrics"
 )
 
-// leaseWorkerNode is a worker with tiny compute windows (fine-grained
-// cancellation boundaries) for the lease tests.
-func leaseWorkerNode(t *testing.T) *workerNode {
+// tinyWindowWorker is a worker with tiny compute windows: fine-grained
+// cancellation boundaries.
+func tinyWindowWorker(t *testing.T) *workerNode {
 	t.Helper()
 	srv, err := httpapi.New(httpapi.Config{Jobs: jobs.Config{Workers: 1}})
 	if err != nil {
@@ -52,230 +53,176 @@ func shardFingerprint(t *testing.T, n *workerNode, id string, lab []int, opt cor
 	return plan.Fingerprint, plan.TotalB
 }
 
+// shardAnswer is one shard RPC's outcome: the status with the decoded
+// record or the refusal reason, or the error that ended the call (a
+// cancelled requester's context).
+type shardAnswer struct {
+	code   int
+	rec    *core.Checkpoint
+	reason string
+	err    error
+}
+
+// callShard sends one raw shard RPC under ctx and decodes whatever
+// comes back.
+func callShard(ctx context.Context, url string, req *cluster.ShardRequest) (a shardAnswer) {
+	body, _ := json.Marshal(req)
+	hreq, _ := http.NewRequestWithContext(ctx, "POST", url+cluster.ShardPath, bytes.NewReader(body))
+	hr, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return shardAnswer{err: err}
+	}
+	defer hr.Body.Close()
+	a.code = hr.StatusCode
+	if hr.StatusCode != http.StatusOK {
+		var eb struct{ Reason string }
+		_ = json.NewDecoder(hr.Body).Decode(&eb)
+		a.reason = eb.Reason
+		return a
+	}
+	rec, err := io.ReadAll(hr.Body)
+	if err == nil {
+		a.rec, err = core.DecodeRecord(rec)
+	}
+	a.err = err
+	return a
+}
+
 // postShard sends one raw shard RPC and decodes whatever comes back.
 func postShard(t *testing.T, url string, req *cluster.ShardRequest) (int, *core.Checkpoint, string) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
+	a := callShard(context.Background(), url, req)
+	if a.err != nil {
+		t.Fatal(a.err)
 	}
-	hr, err := http.Post(url+cluster.ShardPath, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	if hr.StatusCode == http.StatusOK {
-		rec, err := io.ReadAll(hr.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := core.DecodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hr.StatusCode, resp, ""
-	}
-	var eb struct {
-		Error  string `json:"error"`
-		Reason string `json:"reason"`
-	}
-	_ = json.NewDecoder(hr.Body).Decode(&eb)
-	return hr.StatusCode, nil, eb.Reason
+	return a.code, a.rec, a.reason
 }
 
-// TestWorkerLeaseExpiryParksAndResumes pins the orphan-shard lease
-// protocol, expiry side: a shard granted a lease that nobody renews is
-// cancelled at a window boundary, its prefix parked in retention, and a
-// later re-probe of the same window resumes from the parked prefix —
-// the final counts bitwise identical to an uninterrupted compute.
-func TestWorkerLeaseExpiryParksAndResumes(t *testing.T) {
-	x := synthX(120, 20, 51)
-	lab := make([]int, 20)
-	for i := 10; i < 20; i++ {
-		lab[i] = 1
-	}
-	// Sized against the lease below: ~25 ms of kernel per 60000
-	// permutations since the fused avx2 routine, so the window must be
-	// several leases long for the expiry to land inside it.
-	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 240000, Seed: 17}
-
-	n := leaseWorkerNode(t)
-	info, _, err := n.srv.Manager().PutDataset(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, totalB := shardFingerprint(t, n, info.ID, lab, opt)
-	req := &cluster.ShardRequest{
-		JobKey: "lease-expiry", DatasetID: info.ID, Labels: lab, Options: opt,
-		Lo: 0, Hi: totalB, TotalB: totalB, Fingerprint: fp, NProcs: 1,
-		LeaseMS: 40, // expires long before the 240000-permutation window finishes
-	}
-	code, part, reason := postShard(t, n.ts.URL, req)
-	if code != http.StatusOK || part == nil {
-		// The lease can lapse before the first window boundary on a
-		// heavily loaded host; then the worker refuses with the lease
-		// reason instead of shipping a prefix.
-		if reason != "lease_lapsed" {
-			t.Fatalf("lapsed shard: status %d reason %q, want partial or lease_lapsed", code, reason)
-		}
-	} else if part.Next == part.Hi || part.Done <= 0 || part.Next >= totalB {
-		t.Fatalf("lapsed shard returned Partial=%v [%d,%d) of %d, want a strict prefix",
-			part.Next < part.Hi, part.Next-part.Done, part.Next, totalB)
-	}
-	wi := n.w.Info().Worker
-	if wi.LeaseExpired < 1 {
-		t.Fatalf("lease_expired = %d, want >= 1", wi.LeaseExpired)
-	}
-	if part != nil && wi.ShardsRetained < 1 {
-		t.Fatalf("shards_retained = %d after a parked partial, want >= 1", wi.ShardsRetained)
-	}
-
-	// Re-probe the identical window under a lease that outlasts it: the
-	// parked prefix seeds the compute and only the remainder runs.
-	req.LeaseMS = 60000
-	code, full, reason := postShard(t, n.ts.URL, req)
-	if code != http.StatusOK || full == nil {
-		t.Fatalf("re-probe: status %d reason %q", code, reason)
-	}
-	if full.Next < full.Hi || full.Next != totalB || full.Done != totalB {
-		t.Fatalf("re-probe returned Partial=%v Next=%d B=%d, want the complete window", full.Next < full.Hi, full.Next, full.Done)
-	}
-	if part != nil && n.w.Info().Worker.RetainedResumes != 1 {
-		t.Fatalf("retained_resumes = %d, want 1", n.w.Info().Worker.RetainedResumes)
-	}
-
-	// Bitwise identity vs an uninterrupted compute on a fresh worker.
-	clean := leaseWorkerNode(t)
-	if _, _, err := clean.srv.Manager().PutDataset(x); err != nil {
-		t.Fatal(err)
-	}
-	code, want, reason := postShard(t, clean.ts.URL, req)
-	if code != http.StatusOK || want == nil {
-		t.Fatalf("clean compute: status %d reason %q", code, reason)
-	}
-	if !bytes.Equal(full.AppendRecord(nil), want.AppendRecord(nil)) || full.Done != want.Done {
-		t.Fatalf("resumed shard record B %d != clean B %d", full.Done, want.Done)
-	}
-	for i := range want.Raw {
-		if full.Raw[i] != want.Raw[i] || full.Adj[i] != want.Adj[i] {
-			t.Fatalf("count[%d] raw/adj (%d,%d) != clean (%d,%d)", i, full.Raw[i], full.Adj[i], want.Raw[i], want.Adj[i])
-		}
-	}
+// requestShard sends one shard RPC under ctx in the background.
+func requestShard(ctx context.Context, url string, req *cluster.ShardRequest) <-chan shardAnswer {
+	out := make(chan shardAnswer, 1)
+	go func() { out <- callShard(ctx, url, req) }()
+	return out
 }
 
-// TestWorkerAuthoritativeDisownParksAndRetains pins the disown side:
-// every lease heartbeat is the coordinator's complete active set, so
-// one that does NOT list an in-flight shard's fingerprint cancels the
-// compute immediately — with no "authoritative" key in the body — but
-// never purges retention, because a parked prefix is exactly what a
-// restarted coordinator comes back for.
-func TestWorkerAuthoritativeDisownParksAndRetains(t *testing.T) {
-	x := synthX(120, 20, 52)
-	lab := make([]int, 20)
-	for i := 10; i < 20; i++ {
-		lab[i] = 1
-	}
-	// Long enough that the heartbeat below lands while it computes.
-	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 240000, Seed: 19}
-
-	n := leaseWorkerNode(t)
-	info, _, err := n.srv.Manager().PutDataset(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, totalB := shardFingerprint(t, n, info.ID, lab, opt)
-	req := &cluster.ShardRequest{
-		JobKey: "disown", DatasetID: info.ID, Labels: lab, Options: opt,
-		Lo: 0, Hi: totalB, TotalB: totalB, Fingerprint: fp, NProcs: 1,
-		LeaseMS: 60000, // generous: only the disown may stop this compute
-	}
-	type outcome struct {
-		code   int
-		resp   *core.Checkpoint
-		reason string
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		c, r, reason := postShard(t, n.ts.URL, req)
-		done <- outcome{c, r, reason}
-	}()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for n.w.Info().Worker.ShardsActive == 0 {
+// eventually polls cond until it holds, failing the test after 30 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatal("shard never started computing")
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		runtime.Gosched()
 	}
+}
 
-	// The coordinator of record says: my complete active set is empty.
-	var ack map[string]any
-	hb := []byte(`{"fingerprints":[],"lease_ms":60000}`)
-	hr, err := http.Post(n.ts.URL+cluster.LeasesPath, "application/json", bytes.NewReader(hb))
+// shardFixture puts a rows × cols dataset on a worker with tiny compute
+// windows and returns the request for the whole window of a
+// balanced two-class t analysis with b permutations.
+func shardFixture(t *testing.T, rows, cols int, b int64, seed uint64) (*workerNode, matrix.Matrix, *cluster.ShardRequest) {
+	t.Helper()
+	x := synthX(rows, cols, seed)
+	lab := make([]int, cols)
+	for i := cols / 2; i < cols; i++ {
+		lab[i] = 1
+	}
+	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: b, Seed: 17}
+	n := tinyWindowWorker(t)
+	info, _, err := n.srv.Manager().PutDataset(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(hr.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusOK || ack["ok"] != true {
-		t.Fatalf("heartbeat answered %d %v, want 200 {\"ok\":true}", hr.StatusCode, ack)
+	fp, totalB := shardFingerprint(t, n, info.ID, lab, opt)
+	return n, x, &cluster.ShardRequest{JobKey: "fixture", DatasetID: info.ID, Labels: lab, Options: opt,
+		Lo: 0, Hi: totalB, TotalB: totalB, Fingerprint: fp, NProcs: 1}
+}
+
+// TestWorkerRequesterGoneParksAndResumes: a shard lives only as long as
+// a request waits for it.  When its only requester disconnects
+// mid-window, the compute stops at its next window boundary and parks
+// its prefix in retention; a re-probe of the same window resumes from
+// the parked prefix, and the final counts are bitwise identical to an
+// uninterrupted compute.
+func TestWorkerRequesterGoneParksAndResumes(t *testing.T) {
+	// About a third of a second of kernel: the requester leaves mid-window.
+	n, _, req := shardFixture(t, 120, 30, 300000, 51)
+	ctx, cancel := context.WithCancel(context.Background())
+	answer := requestShard(ctx, n.ts.URL, req)
+	eventually(t, "the shard to start computing", func() bool { return n.w.Info().Worker.ShardsActive > 0 })
+	cancel()
+	<-answer
+	eventually(t, "the orphaned compute to stop", func() bool { return n.w.Info().Worker.ShardsActive == 0 })
+	if wi := n.w.Info().Worker; wi.ShardsPartial != 1 || wi.ShardsServed != 0 || wi.ShardsRetained != 1 {
+		t.Fatalf("orphaned compute: partial %d served %d retained %d, want a parked prefix (1, 0, 1)",
+			wi.ShardsPartial, wi.ShardsServed, wi.ShardsRetained)
 	}
 
-	out := <-done
-	if out.code == http.StatusOK {
-		if out.resp.Next == out.resp.Hi {
-			t.Fatal("disowned shard returned a complete window; the cancel never landed")
-		}
-	} else if out.reason != "lease_lapsed" {
-		t.Fatalf("disowned shard: status %d reason %q", out.code, out.reason)
-	}
-	wi := n.w.Info().Worker
-	if wi.LeaseDisowned != 1 {
-		t.Fatalf("lease_disowned = %d, want 1", wi.LeaseDisowned)
-	}
-	if out.resp != nil && wi.ShardsRetained < 1 {
-		t.Fatal("disown purged retention; parked results must survive a disown")
-	}
-
-	// The window is still recoverable: a re-probe completes it.
+	// The re-probe resumes from the parked prefix: only the remainder runs.
 	code, full, reason := postShard(t, n.ts.URL, req)
-	if code != http.StatusOK || full == nil || full.Next < full.Hi {
-		t.Fatalf("post-disown re-probe: status %d reason %q", code, reason)
+	if code != http.StatusOK || full.Next != full.Hi || full.Done != req.TotalB {
+		t.Fatalf("re-probe: status %d reason %q, want the complete window", code, reason)
 	}
-	if full.Done != totalB {
-		t.Fatalf("post-disown window B = %d, want %d", full.Done, totalB)
+	if n := n.w.Info().Worker.RetainedResumes; n != 1 {
+		t.Fatalf("retained_resumes = %d, want 1", n)
+	}
+	clean, _, _ := shardFixture(t, 120, 30, 300000, 51)
+	if _, want, _ := postShard(t, clean.ts.URL, req); want == nil || !bytes.Equal(full.AppendRecord(nil), want.AppendRecord(nil)) {
+		t.Fatal("resumed window's record differs from an uninterrupted compute")
+	}
+}
+
+// TestWorkerLastRequesterCancels: a re-probe that joins a computing
+// window keeps it alive.  The first requester leaving does not cancel
+// the compute — the second still gets the whole window — and when every
+// requester has left, the compute parks.
+func TestWorkerLastRequesterCancels(t *testing.T) {
+	n, _, req := shardFixture(t, 120, 30, 300000, 52)
+	// twoRequesters starts two requests on req's window, the second
+	// joining the first's compute, and cancels the first.
+	twoRequesters := func(ctx2 context.Context, joins int64) <-chan shardAnswer {
+		ctx1, cancel1 := context.WithCancel(context.Background())
+		first := requestShard(ctx1, n.ts.URL, req)
+		eventually(t, "the shard to start computing", func() bool { return n.w.Info().Worker.ShardsActive > 0 })
+		second := requestShard(ctx2, n.ts.URL, req)
+		eventually(t, "the re-probe to join", func() bool { return n.w.Info().Worker.InflightJoins == joins })
+		cancel1()
+		<-first
+		return second
+	}
+	if a := <-twoRequesters(context.Background(), 1); a.err != nil || a.rec == nil || a.rec.Next != a.rec.Hi {
+		t.Fatalf("remaining requester: status %d err %v, want the complete window", a.code, a.err)
+	}
+	if wi := n.w.Info().Worker; wi.ShardsServed != 1 || wi.ShardsPartial != 0 {
+		t.Fatalf("served %d partial %d, want one complete compute", wi.ShardsServed, wi.ShardsPartial)
+	}
+
+	// Another window; both requesters leave.
+	req.Hi--
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	second := twoRequesters(ctx2, 2)
+	cancel2()
+	<-second
+	eventually(t, "the abandoned compute to stop", func() bool { return n.w.Info().Worker.ShardsActive == 0 })
+	if wi := n.w.Info().Worker; wi.ShardsPartial != 1 || wi.ShardsServed != 1 {
+		t.Fatalf("served %d partial %d after every requester left, want the second window parked (1, 1)",
+			wi.ShardsServed, wi.ShardsPartial)
 	}
 }
 
 // TestWorkerShardContract: a shard request must name its plan
-// (fingerprint, total_b) and hold a lease.  One that lacks any of the
-// three answers 400, like an undecodable body, and computes nothing.
+// (fingerprint, total_b).  One that lacks either answers 400, like an
+// undecodable body, and computes nothing.
 func TestWorkerShardContract(t *testing.T) {
-	x := synthX(30, 12, 53)
-	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
-	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 7}
-	n := leaseWorkerNode(t)
-	info, _, err := n.srv.Manager().PutDataset(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, totalB := shardFingerprint(t, n, info.ID, lab, opt)
+	n, _, fixture := shardFixture(t, 30, 12, 400, 53)
 	for _, tc := range []struct {
 		name   string
 		mutate func(*cluster.ShardRequest)
 	}{
 		{"fingerprint 0", func(r *cluster.ShardRequest) { r.Fingerprint = 0 }},
 		{"total_b 0", func(r *cluster.ShardRequest) { r.TotalB = 0 }},
-		{"lease_ms 0", func(r *cluster.ShardRequest) { r.LeaseMS = 0 }},
 	} {
-		req := &cluster.ShardRequest{
-			JobKey: "contract", DatasetID: info.ID, Labels: lab, Options: opt,
-			Lo: 0, Hi: totalB, TotalB: totalB, Fingerprint: fp, NProcs: 1, LeaseMS: 60000,
-		}
-		tc.mutate(req)
-		if code, _, _ := postShard(t, n.ts.URL, req); code != http.StatusBadRequest {
+		req := *fixture
+		tc.mutate(&req)
+		if code, _, _ := postShard(t, n.ts.URL, &req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
@@ -285,73 +232,47 @@ func TestWorkerShardContract(t *testing.T) {
 	}
 }
 
-// TestClusterLeaseFloor: a lease under the wire's 1 ms granularity is
-// sent as 1 ms, not truncated to 0 (which the shard contract refuses),
-// and the job still finishes bitwise identical.
-func TestClusterLeaseFloor(t *testing.T) {
-	x := synthX(30, 12, 54)
-	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
-	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 9}
-	var mu sync.Mutex
-	var leases []int64
-	w := newWorkerNode(t, func(h http.Handler) http.Handler {
+// TestClusterLeaseFieldVersionSkew: lease_ms is a wire field of the
+// previous release only.  This release's worker serves a request with
+// it and one without it alike, and the coordinator still sends it — one
+// constant on every request — so a previous-release worker, which
+// answers 400 without it, serves a job through it bitwise identical to
+// a standalone run.
+func TestClusterLeaseFieldVersionSkew(t *testing.T) {
+	n, x, req := shardFixture(t, 30, 12, 400, 54)
+	var recs [][]byte
+	for _, leaseMS := range []int64{60000, 0} {
+		req.LeaseMS = leaseMS
+		code, rec, reason := postShard(t, n.ts.URL, req)
+		if code != http.StatusOK || rec.Next != rec.Hi {
+			t.Fatalf("lease_ms %d: status %d reason %q, want the complete window", leaseMS, code, reason)
+		}
+		recs = append(recs, rec.AppendRecord(nil))
+	}
+	if !bytes.Equal(recs[0], recs[1]) {
+		t.Fatal("the window's record depends on lease_ms")
+	}
+
+	// A worker that holds the previous release's contract answers 400
+	// to a request without lease_ms; this one also refuses any lease_ms
+	// but the constant.
+	old := newWorkerNode(t, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.Method == "POST" && r.URL.Path == cluster.ShardPath {
-				body, _ := io.ReadAll(r.Body)
-				var req cluster.ShardRequest
-				if err := json.Unmarshal(body, &req); err == nil {
-					mu.Lock()
-					leases = append(leases, req.LeaseMS)
-					mu.Unlock()
-				}
-				r.Body = io.NopCloser(bytes.NewReader(body))
+			body, _ := io.ReadAll(r.Body)
+			var req cluster.ShardRequest
+			if r.URL.Path == cluster.ShardPath && (json.Unmarshal(body, &req) != nil || req.LeaseMS != cluster.LegacyLeaseMS) {
+				http.Error(rw, `{"error":"bad shard request: fingerprint, total_b and lease_ms are required"}`, http.StatusBadRequest)
+				return
 			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			h.ServeHTTP(rw, r)
 		})
 	})
-	_, cm := coordManager(t, cluster.CoordinatorConfig{
-		Workers:       []string{w.ts.URL},
-		LeaseDuration: 500 * time.Microsecond,
-	})
-	sameRes(t, "lease-floor", runOn(t, cm, x, lab, opt), standalone(t, x, lab, opt))
-	mu.Lock()
-	defer mu.Unlock()
-	if len(leases) == 0 {
-		t.Fatal("no shard request reached the worker")
-	}
-	for i, l := range leases {
-		if l != 1 {
-			t.Fatalf("shard request %d: lease_ms %d, want 1", i, l)
-		}
-	}
-}
-
-// TestLeaseHeartbeatFollowsLease: the coordinator's heartbeat runs at a
-// third of the lease however short the lease is, so a healthy
-// coordinator's shards never lapse — no lease expiry on the worker, no
-// partial re-dispatch — and the job is bitwise identical to a standalone
-// run.  A heartbeat held to a fixed floor above the lease lets a 30 ms
-// lease lapse between beats.
-func TestLeaseHeartbeatFollowsLease(t *testing.T) {
-	x := synthX(120, 20, 31)
-	lab := make([]int, 20)
-	for i := 10; i < 20; i++ {
-		lab[i] = 1
-	}
-	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 150000, Seed: 23}
-	w := newWorkerNode(t, nil)
 	reg := metrics.New()
-	_, cm := coordManager(t, cluster.CoordinatorConfig{
-		Workers:       []string{w.ts.URL},
-		LeaseDuration: 30 * time.Millisecond,
-		Metrics:       reg,
-	})
-	sameRes(t, "short lease", runOn(t, cm, x, lab, opt), standalone(t, x, lab, opt))
-	if n := w.w.Info().Worker.LeaseExpired; n != 0 {
-		t.Errorf("cluster_lease_expired_total = %d under a live coordinator, want 0", n)
-	}
-	if n := reg.Counter("cluster_shard_retries_total", "reason", "partial").Value(); n != 0 {
-		t.Errorf("partial retries = %d, want 0", n)
+	_, cm := coordManager(t, cluster.CoordinatorConfig{Workers: []string{old.ts.URL}, Metrics: reg})
+	sameRes(t, "previous-release worker", runOn(t, cm, x, req.Labels, req.Options), standalone(t, x, req.Labels, req.Options))
+	if n := reg.Counter("cluster_shard_retries_total", "reason", "error").Value(); n != 0 || old.w.Info().Worker.ShardsServed == 0 {
+		t.Errorf("the previous-release worker refused %d shard requests and served %d", n, old.w.Info().Worker.ShardsServed)
 	}
 }
 
@@ -407,23 +328,12 @@ func TestClusterCoordinatorRestartReplaysLedger(t *testing.T) {
 	// Kill once the ledger holds the plan plus at least one delivery AND
 	// a worker is mid-shard (so the restart exercises both the replayed
 	// merge and the parked/in-flight collection paths).
-	deadline := time.Now().Add(30 * time.Second)
-	armed := false
-	for time.Now().Before(deadline) {
-		ci := coord1.Info().Coordinator
-		active := w1.w.Info().Worker.ShardsActive
-		if ci.LedgerRecords >= 2 && active > 0 {
-			armed = true
-			break
-		}
+	eventually(t, "the ledger to hold plan+delivery with a shard in flight", func() bool {
 		if got, err := m1.Get(st.ID); err == nil && got.State.Terminal() {
 			t.Skip("job finished before the kill window opened")
 		}
-		runtime.Gosched()
-	}
-	if !armed {
-		t.Fatal("ledger never reached plan+delivery with a shard in flight")
-	}
+		return coord1.Info().Coordinator.LedgerRecords >= 2 && w1.w.Info().Worker.ShardsActive > 0
+	})
 	m1.Close() // the crash: running job aborted, its cancellation NOT journaled
 
 	reg2 := metrics.New()
@@ -436,19 +346,12 @@ func TestClusterCoordinatorRestartReplaysLedger(t *testing.T) {
 
 	// Same id, new life: recovery re-admits in the background, so Get
 	// may briefly miss while replay runs.
-	deadline = time.Now().Add(60 * time.Second)
 	var fin jobs.Status
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never finished after restart", st.ID)
-		}
+	eventually(t, "the job to finish after the restart", func() bool {
 		got, err := m2.Get(st.ID)
-		if err == nil && got.State.Terminal() {
-			fin = got
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		fin = got
+		return err == nil && got.State.Terminal()
+	})
 	if fin.State != jobs.Done {
 		t.Fatalf("replayed job %s: state %s: %s", st.ID, fin.State, fin.Error)
 	}
@@ -497,7 +400,7 @@ func TestClusterJoinMidJobOfferedImmediately(t *testing.T) {
 	want := standalone(t, x, lab, opt)
 
 	// One deliberately slow static worker so the job outlives the join.
-	slow := leaseWorkerNode(t)
+	slow := tinyWindowWorker(t)
 	late := newWorkerNode(t, nil)
 	for _, n := range []*workerNode{slow, late} {
 		if _, _, err := n.srv.Manager().PutDataset(x); err != nil {
@@ -519,13 +422,7 @@ func TestClusterJoinMidJobOfferedImmediately(t *testing.T) {
 	done := make(chan *core.Result, 1)
 	go func() { done <- runOn(t, cm, x, lab, opt) }()
 
-	deadline := time.Now().Add(30 * time.Second)
-	for coord.Info().Coordinator.ShardsDispatched == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never dispatched a shard")
-		}
-		runtime.Gosched()
-	}
+	eventually(t, "the job to dispatch a shard", func() bool { return coord.Info().Coordinator.ShardsDispatched > 0 })
 	hb := []byte(fmt.Sprintf(`{"addr":%q}`, late.ts.URL))
 	hr, err := http.Post(cts.URL+cluster.WorkersPath, "application/json", bytes.NewReader(hb))
 	if err != nil {
@@ -545,7 +442,7 @@ func TestClusterJoinMidJobOfferedImmediately(t *testing.T) {
 
 // TestClusterLedgerChaosSweep runs journaled distributed jobs under a
 // deterministic fault storm — dropped and corrupted shard RPCs, failing
-// lease heartbeats, failing journal appends — across several seeds.
+// journal appends — across several seeds.
 // Whatever the storm does, the answer must stay bitwise identical to a
 // clean standalone run; durability degrades before correctness does.
 func TestClusterLedgerChaosSweep(t *testing.T) {
@@ -564,7 +461,7 @@ func TestClusterLedgerChaosSweep(t *testing.T) {
 				}
 			}
 			inj, err := faultinject.Parse(fmt.Sprintf(
-				"seed=%d;rpc.shard:error:p=0.15;rpc.shard.resp:corrupt:p=0.05;rpc.lease:error:p=0.5;journal.append:error:n=2", seed))
+				"seed=%d;rpc.shard:error:p=0.15;rpc.shard.resp:corrupt:p=0.05;journal.append:error:n=2", seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -576,7 +473,6 @@ func TestClusterLedgerChaosSweep(t *testing.T) {
 				Workers:         []string{w1.ts.URL, w2.ts.URL},
 				ShardsPerWorker: 4,
 				DownFor:         50 * time.Millisecond,
-				LeaseDuration:   time.Second,
 				Client:          &http.Client{Transport: &faultinject.Transport{}},
 				Metrics:         metrics.New(),
 			})

@@ -60,7 +60,7 @@ func retentionFixture(t *testing.T) (*jobs.Manager, []byte, []byte) {
 		t.Fatal(err)
 	}
 	req, _ := json.Marshal(ShardRequest{JobKey: "k", DatasetID: info.ID, Labels: data.Labels, Options: opt,
-		Lo: 0, Hi: 400, TotalB: 400, Fingerprint: fixtureFP, NProcs: 1, LeaseMS: 60000})
+		Lo: 0, Hi: 400, TotalB: 400, Fingerprint: fixtureFP, NProcs: 1})
 	return m, req, sc.Checkpoint().AppendRecord(nil)
 }
 
@@ -138,8 +138,7 @@ func TestWorkerParentRetention(t *testing.T) {
 
 // TestWorkerInfoDuringRetentionWrite: a retention write — an fsync,
 // here held for 400 ms by the delay fault — never blocks the worker's
-// mutex, so Info (and with it lease handling and every shard probe)
-// keeps answering while a shard's record lands on disk.
+// mutex, so Info (and with it every shard probe) keeps answering while a shard's record lands on disk.
 func TestWorkerInfoDuringRetentionWrite(t *testing.T) {
 	m, req, _ := retentionFixture(t)
 	inj, err := faultinject.Parse("retain.write:delay:ms=400")
@@ -176,13 +175,10 @@ func TestWorkerInfoDuringRetentionWrite(t *testing.T) {
 	}
 }
 
-// TestWorkerRetainedPrefixResumeRule: a retained partial seeds the
-// window's compute only when the plan's resume rule accepts it for this
-// window; one it rejects — here counts starting at 100 filed under the
-// window [0, 400) — is ignored and the window computes from scratch.
-// Either way the worker answers the record a direct RunShard computes.
-func TestWorkerRetainedPrefixResumeRule(t *testing.T) {
-	m, req, want := retentionFixture(t)
+// prefixRecord is the fixture window's partial record over [lo, hi):
+// counts over that range filed under the window [0, 400).
+func prefixRecord(t *testing.T, m *jobs.Manager, req []byte, lo, hi int64) []byte {
+	t.Helper()
 	var sr ShardRequest
 	if err := json.Unmarshal(req, &sr); err != nil {
 		t.Fatal(err)
@@ -192,19 +188,28 @@ func TestWorkerRetainedPrefixResumeRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
+	sc, err := core.RunShard(prep, sr.Options, lo, hi, core.RunControl{NProcs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := sc.Checkpoint()
+	ck.Hi = 400
+	return ck.AppendRecord(nil)
+}
+
+// TestWorkerRetainedPrefixResumeRule: a retained partial seeds the
+// window's compute only when the plan's resume rule accepts it for this
+// window; one it rejects — here counts starting at 100 filed under the
+// window [0, 400) — is ignored and the window computes from scratch.
+// Either way the worker answers the record a direct RunShard computes.
+func TestWorkerRetainedPrefixResumeRule(t *testing.T) {
+	m, req, want := retentionFixture(t)
 	for _, tc := range []struct {
 		lo, hi  int64
 		resumed int64
 	}{{0, 200, 1}, {100, 300, 0}} {
-		sc, err := core.RunShard(prep, sr.Options, tc.lo, tc.hi, core.RunControl{NProcs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Filed as a partial of the window: counts over [lo, hi), next hi.
-		ck := sc.Checkpoint()
-		ck.Hi = 400
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "22cd6749383278fe-0-400.shard"), ck.AppendRecord(nil), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "22cd6749383278fe-0-400.shard"), prefixRecord(t, m, req, tc.lo, tc.hi), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		w := NewWorker(WorkerConfig{Source: m, RetentionDir: dir, Every: 50, NProcs: 1})
@@ -214,5 +219,44 @@ func TestWorkerRetainedPrefixResumeRule(t *testing.T) {
 		if n := w.Info().Worker.RetainedResumes; n != tc.resumed {
 			t.Fatalf("retained [%d, %d): %d retained resumes, want %d", tc.lo, tc.hi, n, tc.resumed)
 		}
+	}
+}
+
+// TestWorkerProbeWaitsForParking: a probe that arrives while a compute
+// whose requesters all left is still parking its prefix neither joins it
+// (its answer would be the partial prefix) nor races it: it waits for
+// the parked record, resumes from it and answers the whole window.
+func TestWorkerProbeWaitsForParking(t *testing.T) {
+	m, req, want := retentionFixture(t)
+	w := NewWorker(WorkerConfig{Source: m, Every: 50, NProcs: 1})
+	k := "22cd6749383278fe-0-400"
+	parking := &shardTask{done: make(chan struct{})} // no waiters: cancelled
+	w.tasks[k] = parking
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		w.handleShard(rec, httptest.NewRequest("POST", ShardPath, bytes.NewReader(req)))
+	}()
+	// Nothing signals that the probe waits: give it 50 ms to answer early.
+	select {
+	case <-served:
+		t.Fatalf("the probe answered %d before the parked record landed", rec.Code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	// The compute parks as computeShard and handleShard do: the record
+	// lands in retention, then the task deregisters.
+	w.retain.Put(k, prefixRecord(t, m, req, 0, 200))
+	w.mu.Lock()
+	delete(w.tasks, k)
+	w.mu.Unlock()
+	close(parking.done)
+	<-served
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("the probe answered %d, not the window's whole record", rec.Code)
+	}
+	if wi := w.Info().Worker; wi.RetainedResumes != 1 || wi.InflightJoins != 0 {
+		t.Fatalf("retained resumes %d, in-flight joins %d; want a resume from the parked prefix (1, 0)",
+			wi.RetainedResumes, wi.InflightJoins)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
+	"sync"
 	"testing"
 
 	"sprint/internal/cluster"
@@ -341,5 +343,64 @@ func TestWorkerRefusesSequentialShard(t *testing.T) {
 	}
 	if e.Error == "" {
 		t.Fatal("400 without an error message")
+	}
+}
+
+// TestClusterSequentialStopStopsWorkerCompute: a sequential job's early
+// stop on the merge tears down the shard RPCs still in flight, and with
+// them the worker computes.  The job has two windows, one per worker,
+// and the one that does not start at the observed labelling is held
+// until the observed one has been answered: it starts computing as the
+// merge of the observed window stops the job, and stops at its next
+// window boundary instead of running to its end.
+func TestClusterSequentialStopStopsWorkerCompute(t *testing.T) {
+	x := synthX(120, 30, 17)
+	lab := make([]int, 30)
+	for i := 15; i < 30; i++ {
+		lab[i] = 1
+	}
+	opt := core.Options{
+		Test: "t", Side: "abs", FixedSeedSampling: "y",
+		B: 600000, Seed: 23,
+		Mode: core.ModeSequential,
+	}
+	observed := make(chan struct{})
+	var once sync.Once
+	holdLater := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req cluster.ShardRequest
+			shard := r.URL.Path == cluster.ShardPath && json.Unmarshal(body, &req) == nil
+			if shard && req.Lo > 0 {
+				select {
+				case <-observed:
+				case <-r.Context().Done():
+				}
+			}
+			h.ServeHTTP(rw, r)
+			if shard && req.Lo == 0 {
+				once.Do(func() { close(observed) })
+			}
+		})
+	}
+	w1 := newWorkerNode(t, holdLater)
+	w2 := newWorkerNode(t, holdLater)
+	for _, w := range []*workerNode{w1, w2} {
+		if _, _, err := w.srv.Manager().PutDataset(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord, cm := coordManager(t, cluster.CoordinatorConfig{Workers: []string{w1.ts.URL, w2.ts.URL}, ShardsPerWorker: 1})
+	got := runOn(t, cm, x, lab, opt)
+	if got.B >= opt.B || coord.Info().Coordinator.SeqEarlyStops != 1 {
+		t.Fatalf("merged %d of %d planned permutations, early stops %d: the stopping rule never fired",
+			got.B, opt.B, coord.Info().Coordinator.SeqEarlyStops)
+	}
+	eventually(t, "the workers' computes to stop", func() bool {
+		return w1.w.Info().Worker.ShardsActive+w2.w.Info().Worker.ShardsActive == 0
+	})
+	if served := w1.w.Info().Worker.ShardsServed + w2.w.Info().Worker.ShardsServed; served != 1 {
+		t.Fatalf("%d windows ran to their end, want only the observed one", served)
 	}
 }

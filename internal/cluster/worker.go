@@ -90,10 +90,9 @@ type Worker struct {
 	// retain keeps every computed window's counts record — complete or
 	// a parked partial prefix — so a coordinator that restarts and
 	// re-probes the window gets it back without recomputation.  It has
-	// its own lock; nothing holds mu across its disk I/O.  A disown never
-	// purges it: a restarted coordinator's lease heartbeat cannot list
-	// jobs its ledger replay has not re-admitted yet, and the
-	// parked results are exactly what that replay comes back for.
+	// its own lock; nothing holds mu across its disk I/O.  Only its LRU
+	// bound evicts: parked results are exactly what a restarted
+	// coordinator's ledger replay comes back for.
 	retain *core.Store
 
 	// The registry handles are the worker's only counters; Info reads
@@ -106,9 +105,6 @@ type Worker struct {
 	metRetainedHits    *metrics.Counter
 	metRetainedResumes *metrics.Counter
 	metInflightJoins   *metrics.Counter
-	metLeaseRenewed    *metrics.Counter
-	metLeaseExpired    *metrics.Counter
-	metLeaseDisowned   *metrics.Counter
 
 	hb struct {
 		sync.Mutex
@@ -165,22 +161,15 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		reasonDraining:       reg.Counter("cluster_worker_shards_refused_total", "reason", reasonDraining),
 		reasonUnknownDataset: reg.Counter("cluster_worker_shards_refused_total", "reason", reasonUnknownDataset),
 		reasonFingerprint:    reg.Counter("cluster_worker_shards_refused_total", "reason", reasonFingerprint),
-		reasonLease:          reg.Counter("cluster_worker_shards_refused_total", "reason", reasonLease),
 	}
 	w.metCompute = reg.Histogram("cluster_worker_shard_compute_seconds", metrics.DefLatencyBuckets)
 	reg.Help("cluster_worker_retained_hits_total", "Shard re-probes served whole from the retained-result cache, no recomputation.")
 	reg.Help("cluster_worker_retained_resumes_total", "Shard computes resumed from a parked partial result.")
 	reg.Help("cluster_worker_retained_results", "Shard results currently retained.")
 	reg.Help("cluster_worker_inflight_joins_total", "Shard re-probes that attached to an identical in-flight compute.")
-	reg.Help("cluster_lease_renewed_total", "Shard lease renewals applied on this worker.")
-	reg.Help("cluster_lease_expired_total", "Shard computes cancelled by lease expiry and parked in retention.")
-	reg.Help("cluster_lease_disowned_total", "Shard computes cancelled because a coordinator heartbeat disowned them.")
 	w.metRetainedHits = reg.Counter("cluster_worker_retained_hits_total")
 	w.metRetainedResumes = reg.Counter("cluster_worker_retained_resumes_total")
 	w.metInflightJoins = reg.Counter("cluster_worker_inflight_joins_total")
-	w.metLeaseRenewed = reg.Counter("cluster_lease_renewed_total")
-	w.metLeaseExpired = reg.Counter("cluster_lease_expired_total")
-	w.metLeaseDisowned = reg.Counter("cluster_lease_disowned_total")
 	reg.GaugeFunc("cluster_worker_retained_results", func() float64 {
 		return float64(w.retained())
 	})
@@ -190,13 +179,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Role implements Node.
 func (w *Worker) Role() string { return "worker" }
 
-// Routes implements Node: the shard compute endpoint and the lease
-// heartbeat.
+// Routes implements Node: the shard compute endpoint.
 func (w *Worker) Routes() []Route {
-	return []Route{
-		{Method: "POST", Pattern: ShardPath, Handler: w.handleShard},
-		{Method: "POST", Pattern: LeasesPath, Handler: w.handleLeases},
-	}
+	return []Route{{Method: "POST", Pattern: ShardPath, Handler: w.handleShard}}
 }
 
 // Info implements Node.
@@ -217,9 +202,6 @@ func (w *Worker) Info() Info {
 			RetainedHits:    w.metRetainedHits.Value(),
 			RetainedResumes: w.metRetainedResumes.Value(),
 			InflightJoins:   w.metInflightJoins.Value(),
-			LeaseRenewed:    w.metLeaseRenewed.Value(),
-			LeaseExpired:    w.metLeaseExpired.Value(),
-			LeaseDisowned:   w.metLeaseDisowned.Value(),
 		},
 	}
 }
@@ -251,19 +233,21 @@ func (w *Worker) refusal(status int, reason, msg string) *shardOutcome {
 	return &shardOutcome{status: status, body: errorBody{Error: msg, Reason: reason}}
 }
 
-// shardTask is one in-flight shard compute, shared by the original
-// requester and any re-probe of the same window that attaches to it
-// (a restarted coordinator re-dispatching while the compute still
-// runs).  lease and disowned are guarded by the worker mutex; cancel is
-// set at registration and never changes; out is published before done
-// closes and immutable afterwards.
+// shardTask is one in-flight shard compute.  It lives exactly as long
+// as some request waits for it: waiters counts the original dispatch
+// plus every re-probe of the same window that joined it (a restarted
+// coordinator, a straggler re-dispatch), and the last one to leave
+// cancels ctx, so the compute stops at its next window boundary and
+// parks its prefix in retention.  A task with no waiters is parking and
+// takes no new ones.  waiters is guarded by the worker mutex; ctx and
+// cancel are set at registration and never change; out is published
+// before done closes and immutable afterwards.
 type shardTask struct {
-	fp       uint64
-	done     chan struct{}
-	out      *shardOutcome
-	lease    time.Time
-	disowned bool
-	cancel   context.CancelFunc
+	ctx     context.Context
+	cancel  context.CancelFunc
+	waiters int
+	done    chan struct{}
+	out     *shardOutcome
 }
 
 // shardOutcome is a compute's result as it is delivered to every
@@ -292,22 +276,27 @@ func writeCounts(rw http.ResponseWriter, rec []byte) {
 }
 
 // handleShard serves one shard window.  In order: a request that breaks
-// the ShardRequest contract is refused; a retained complete result is
-// re-delivered without recomputation; a re-probe of a window that is
-// already computing attaches to it (renewing its lease); and otherwise
-// the window computes — resuming from a parked partial prefix when
-// retention holds one — with the result parked in retention for the
-// next re-probe.
+// the ShardRequest contract is refused; a re-probe of a window that is
+// already computing joins it; a retained complete result is
+// re-delivered without recomputation; and otherwise the window computes
+// — resuming from a parked partial prefix when retention holds one —
+// with the result parked in retention for the next re-probe.  The
+// request waits for its window until it is answered or its requester
+// goes away (see shardTask).
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	if w.draining.Load() {
 		writeOutcome(rw, w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining"))
 		return
 	}
 	var req ShardRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
+	body := io.LimitReader(r.Body, 16<<20)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeClusterJSON(rw, http.StatusBadRequest, errorBody{Error: "bad shard request: " + err.Error()})
 		return
 	}
+	// net/http watches the connection, and cancels r.Context() when the
+	// requester goes away, only once the body has been read to its end.
+	io.Copy(io.Discard, body)
 	if req.Options.Mode == core.ModeSequential {
 		// A coordinator rewrites sequential jobs to exact shards before
 		// dispatch; a sequential shard request means a version-skewed or
@@ -316,20 +305,18 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		writeClusterJSON(rw, http.StatusBadRequest, errorBody{Error: "sequential mode never dispatches to workers: shards compute exact counts, the coordinator applies the stopping rule to the merge"})
 		return
 	}
-	if req.Fingerprint == 0 || req.TotalB <= 0 || req.LeaseMS <= 0 {
-		writeClusterJSON(rw, http.StatusBadRequest, errorBody{Error: "bad shard request: fingerprint, total_b and lease_ms are required"})
+	if req.Fingerprint == 0 || req.TotalB <= 0 {
+		writeClusterJSON(rw, http.StatusBadRequest, errorBody{Error: "bad shard request: fingerprint and total_b are required"})
 		return
 	}
 	k := retainKey(&req)
-	lease := time.Now().Add(time.Duration(req.LeaseMS) * time.Millisecond)
-	w.mu.Lock()
-	if t := w.tasks[k]; t != nil {
-		// Attach to the identical in-flight compute; the re-probe is
-		// fresh evidence of coordinator interest, so it renews the lease.
-		if lease.After(t.lease) {
-			t.lease = lease
-		}
-		w.mu.Unlock()
+	t, joined := w.attach(r.Context(), k)
+	if t == nil {
+		return // the requester left while a cancelled compute parked
+	}
+	stop := context.AfterFunc(r.Context(), func() { w.leave(t) })
+	defer stop()
+	if joined {
 		w.metInflightJoins.Inc()
 		select {
 		case <-t.done:
@@ -338,12 +325,6 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// The compute's lifetime is the task's, not the requester's: drain,
-	// lease expiry or a disown cancel it — never the requester's death.
-	ctx, cancel := context.WithCancel(w.drainCtx)
-	t := &shardTask{fp: req.Fingerprint, done: make(chan struct{}), lease: lease, cancel: cancel}
-	w.tasks[k] = t
-	w.mu.Unlock()
 	// Looked up only once the task is registered: a compute retains its
 	// record before it deregisters, so a re-probe that finds no task
 	// finds the record.
@@ -352,20 +333,71 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	var out *shardOutcome
 	if prev != nil && prev.Next == prev.Hi {
 		w.metRetainedHits.Inc()
-		w.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "cluster_shard_retained_hit",
+		w.cfg.Logger.LogAttrs(t.ctx, slog.LevelInfo, "cluster_shard_retained_hit",
 			slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
 		out = &shardOutcome{status: http.StatusOK, rec: rec}
 	} else {
-		go w.watchLease(t)
-		out = w.computeShard(ctx, &req, t, prev)
+		out = w.computeShard(t.ctx, &req, prev)
 	}
-	cancel()
+	t.cancel()
 	t.out = out
 	w.mu.Lock()
 	delete(w.tasks, k)
 	w.mu.Unlock()
 	close(t.done)
 	writeOutcome(rw, out)
+}
+
+// attach makes the caller a requester of window k: it joins the task
+// computing k when one is live, and otherwise registers a new task with
+// the caller as its only requester.  A task that is still parking after
+// its last requester left is waited out first, so the new task resumes
+// from the parked record instead of racing it.  attach returns nil when
+// ctx ends during that wait.
+func (w *Worker) attach(ctx context.Context, k string) (t *shardTask, joined bool) {
+	for {
+		w.mu.Lock()
+		t = w.tasks[k]
+		switch {
+		case t == nil:
+			tctx, cancel := context.WithCancel(w.drainCtx)
+			t = &shardTask{ctx: tctx, cancel: cancel, waiters: 1, done: make(chan struct{})}
+			w.tasks[k] = t
+			w.mu.Unlock()
+			return t, false
+		case t.waiters > 0:
+			t.waiters++
+			w.mu.Unlock()
+			return t, true
+		}
+		w.mu.Unlock()
+		select {
+		case <-t.done:
+		case <-ctx.Done():
+			return nil, false
+		}
+	}
+}
+
+// leave drops one requester of t; the last one out cancels the compute.
+func (w *Worker) leave(t *shardTask) {
+	w.mu.Lock()
+	t.waiters--
+	last := t.waiters == 0
+	w.mu.Unlock()
+	if last {
+		t.cancel()
+	}
+}
+
+// abandoned is the outcome of a compute cancelled before it produced
+// anything, because drain or the departure of its last requester
+// stopped it.
+func (w *Worker) abandoned() *shardOutcome {
+	if w.draining.Load() {
+		return w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
+	}
+	return &shardOutcome{status: http.StatusServiceUnavailable, body: errorBody{Error: "shard abandoned: no request waits for it"}}
 }
 
 // retainKey names a window in retention and the task map:
@@ -378,14 +410,11 @@ func retainKey(req *ShardRequest) string {
 // window under the task's context and returns the outcome every
 // requester of the window gets; a cancelled prefix parks in retention.
 // prev is the window's retained partial record, if any.
-func (w *Worker) computeShard(ctx context.Context, req *ShardRequest, task *shardTask, prev *core.Checkpoint) *shardOutcome {
+func (w *Worker) computeShard(ctx context.Context, req *ShardRequest, prev *core.Checkpoint) *shardOutcome {
 	select {
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
-		if w.draining.Load() {
-			return w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
-		}
-		return w.refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed before compute started")
+		return w.abandoned()
 	}
 	defer func() { <-w.sem }()
 
@@ -415,9 +444,9 @@ func (w *Worker) computeShard(ctx context.Context, req *ShardRequest, task *shar
 			fmt.Sprintf("plan B %d != coordinator %d", plan.TotalB, req.TotalB))
 	}
 
-	// A parked partial prefix of this exact window (lease lapsed or the
-	// worker drained in a previous probe) seeds the compute: only the
-	// remainder is recomputed, and the counts stay bitwise identical.
+	// A parked partial prefix of this exact window (its requesters left
+	// or the worker drained in a previous probe) seeds the compute: only
+	// the remainder is recomputed, and the counts stay bitwise identical.
 	// One that fails the plan's resume rule is ignored.
 	var resume *core.Checkpoint
 	if _, _, err := plan.Resume(prev, req.Lo, req.Hi); prev != nil && err == nil {
@@ -451,14 +480,11 @@ func (w *Worker) computeShard(ctx context.Context, req *ShardRequest, task *shar
 	elapsed := time.Since(start)
 	w.metCompute.ObserveDuration(elapsed)
 	if runErr != nil && (sc == nil || sc.Next <= req.Lo) {
-		// Nothing useful computed.  A drain-cancelled shard is refused
-		// so the coordinator redispatches it whole; anything else is a
-		// plain error.
-		if w.draining.Load() {
-			return w.refusal(http.StatusServiceUnavailable, reasonDraining, "worker draining")
-		}
-		if w.leaseLapsed(task) {
-			return w.refusal(http.StatusServiceUnavailable, reasonLease, "shard lease lapsed")
+		// Nothing useful computed.  A cancelled shard — drained, or left
+		// by its last requester — is refused, so a coordinator still
+		// waiting redispatches it whole; anything else is a plain error.
+		if ctx.Err() != nil {
+			return w.abandoned()
 		}
 		return &shardOutcome{status: http.StatusInternalServerError, body: errorBody{Error: runErr.Error()}}
 	}
@@ -485,77 +511,6 @@ func (w *Worker) computeShard(ctx context.Context, req *ShardRequest, task *shar
 		slog.Duration("elapsed", elapsed),
 	)
 	return &shardOutcome{status: http.StatusOK, rec: rec}
-}
-
-// leaseLapsed reports whether the task's lease expired or was disowned.
-func (w *Worker) leaseLapsed(t *shardTask) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return t.disowned || time.Now().After(t.lease)
-}
-
-// watchLease cancels a compute when its lease — which re-probes
-// and lease heartbeats keep pushing forward — finally lapses, so an
-// orphaned shard parks its prefix instead of burning CPU forever for a
-// coordinator that may never return.
-func (w *Worker) watchLease(t *shardTask) {
-	for {
-		w.mu.Lock()
-		d := time.Until(t.lease)
-		w.mu.Unlock()
-		if d <= 0 {
-			w.metLeaseExpired.Inc()
-			w.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "cluster_shard_lease_expired")
-			t.cancel()
-			return
-		}
-		select {
-		case <-time.After(d):
-		case <-t.done:
-			return
-		}
-	}
-}
-
-// handleLeases applies a coordinator lease heartbeat: every in-flight
-// compute whose plan fingerprint is listed gets its lease extended, and
-// every unlisted one is disowned — cancelled now, its prefix parked by
-// the compute path.  Retention is never purged here (see Worker.retain
-// for why).
-func (w *Worker) handleLeases(rw http.ResponseWriter, r *http.Request) {
-	var body leaseBody
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body); err != nil {
-		writeClusterJSON(rw, http.StatusBadRequest, errorBody{Error: "bad lease body: " + err.Error()})
-		return
-	}
-	listed := make(map[uint64]bool, len(body.Fingerprints))
-	for _, fp := range body.Fingerprints {
-		listed[fp] = true
-	}
-	until := time.Now().Add(time.Duration(body.LeaseMS) * time.Millisecond)
-	var renewed, disowned int64
-	w.mu.Lock()
-	for _, t := range w.tasks {
-		switch {
-		case listed[t.fp]:
-			if until.After(t.lease) {
-				t.lease = until
-				renewed++
-			}
-		case !t.disowned:
-			t.disowned = true
-			t.cancel()
-			disowned++
-		}
-	}
-	w.mu.Unlock()
-	w.metLeaseRenewed.Add(renewed)
-	if disowned > 0 {
-		w.metLeaseDisowned.Add(disowned)
-		w.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "cluster_shards_disowned",
-			slog.Int64("count", disowned))
-	}
-	writeClusterJSON(rw, http.StatusOK, map[string]any{"ok": true})
 }
 
 // Join registers the worker with a coordinator and heartbeats every

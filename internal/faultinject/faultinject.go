@@ -13,9 +13,9 @@
 //
 // Each clause is site:mode[:param,param...].  Sites name the choke
 // points ("ckpt.write", "ckpt.read", "journal.append",
-// "journal.compact", "dataset.write", "dataset.read", "rpc.shard",
-// "rpc.push", "rpc.join", "rpc.lease"); a trailing '*' matches a prefix
-// ("rpc.*" partitions every cluster call).  Modes:
+// "journal.compact", "dataset.write", "dataset.read", "retain.write",
+// "retain.read", "rpc.shard", "rpc.push", "rpc.join"); a trailing '*'
+// matches a prefix ("rpc.*" partitions every cluster call).  Modes:
 //
 //	error     the operation fails with ErrInjected
 //	diskfull  the operation fails with ErrDiskFull (wraps ErrInjected)

@@ -10,10 +10,9 @@ import (
 
 // Transport wraps an http.RoundTripper with the fault schedule's
 // cluster-RPC sites: "rpc.shard" (shard dispatch), "rpc.push" (dataset
-// push), "rpc.join" (membership), "rpc.lease" (shard lease
-// heartbeats).  An error fault on the
-// call site fails the round trip before it leaves (a partitioned
-// worker); a delay fault stalls it; a corrupt or shortread fault on the
+// push) and "rpc.join" (membership).  An error fault on the call site
+// fails the round trip before it leaves (a partitioned worker); a delay
+// fault stalls it; a corrupt or shortread fault on the
 // "<site>.resp" sub-site (so "rpc.shard.resp:corrupt", or "rpc.shard*"
 // covering both) mutates the RESPONSE body, which the coordinator's CRC
 // check must catch.  With no injector installed the wrapper adds one
@@ -32,8 +31,6 @@ func rpcSite(req *http.Request) string {
 		return "rpc.shard"
 	case strings.HasSuffix(p, "/cluster/v1/workers"):
 		return "rpc.join"
-	case strings.HasSuffix(p, "/cluster/v1/leases"):
-		return "rpc.lease"
 	case strings.HasSuffix(p, "/v1/datasets") && (req.Method == "PUT" || req.Method == "POST"):
 		return "rpc.push"
 	}

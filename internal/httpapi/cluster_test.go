@@ -61,8 +61,8 @@ func TestStatsFieldNamesPinned(t *testing.T) {
 }
 
 // TestStatsClusterFields: a daemon with a mounted worker node reports
-// its role, shard counters and membership through /v1/stats, serves the
-// cluster ping route through the same mux, and goes not-ready on
+// its role, shard counters and membership through /v1/stats, serves its
+// shard route through the same mux, and goes not-ready on
 // /v1/readyz while it drains.
 func TestStatsClusterFields(t *testing.T) {
 	srv, ts := newTestServer(t, jobs.Config{})
@@ -96,9 +96,9 @@ func TestStatsClusterFields(t *testing.T) {
 	}
 
 	// The node's internal routes ride the instrumented mux.
-	var hb map[string]any
-	if code := doJSON(t, http.MethodPost, ts.URL+cluster.LeasesPath, []byte(`{"fingerprints":[],"lease_ms":1000}`), &hb); code != http.StatusOK || hb["ok"] != true {
-		t.Errorf("lease heartbeat: code %d body %v", code, hb)
+	var eb map[string]any
+	if code := doJSON(t, http.MethodPost, ts.URL+cluster.ShardPath, []byte(`{"fingerprints":`), &eb); code != http.StatusBadRequest || eb["error"] == nil {
+		t.Errorf("undecodable shard request: code %d body %v", code, eb)
 	}
 
 	// A draining worker reports through /v1/stats and /v1/readyz.

@@ -66,7 +66,6 @@ var statsFamilies = []struct{ field, family string }{
 	{"cluster.coordinator.ledger_jobs_replayed", "cluster_ledger_jobs_replayed_total"},
 	{"cluster.coordinator.ledger_windows_replayed", "cluster_ledger_windows_replayed_total"},
 	{"cluster.coordinator.ledger_invalid", "cluster_ledger_invalid_total"},
-	{"cluster.coordinator.lease_renewals", "cluster_lease_renewals_total"},
 
 	{"cluster.worker.shards_served", "cluster_worker_shards_served_total"},
 	{"cluster.worker.shards_partial", "cluster_worker_shards_partial_total"},
@@ -75,9 +74,6 @@ var statsFamilies = []struct{ field, family string }{
 	{"cluster.worker.retained_hits", "cluster_worker_retained_hits_total"},
 	{"cluster.worker.retained_resumes", "cluster_worker_retained_resumes_total"},
 	{"cluster.worker.inflight_joins", "cluster_worker_inflight_joins_total"},
-	{"cluster.worker.lease_renewed", "cluster_lease_renewed_total"},
-	{"cluster.worker.lease_expired", "cluster_lease_expired_total"},
-	{"cluster.worker.lease_disowned", "cluster_lease_disowned_total"},
 }
 
 // statsOutsideRegistry lists the numeric /v1/stats fields with no series
@@ -328,7 +324,7 @@ func driveShards(t *testing.T, srv *Server, base, id string) {
 		t.Fatal(err)
 	}
 	req := cluster.ShardRequest{DatasetID: strings.Repeat("0", 64), Labels: data.Labels, Options: opt,
-		Lo: 0, Hi: plan.TotalB, TotalB: plan.TotalB, Fingerprint: plan.Fingerprint, NProcs: 1, LeaseMS: 60000}
+		Lo: 0, Hi: plan.TotalB, TotalB: plan.TotalB, Fingerprint: plan.Fingerprint, NProcs: 1}
 	for i, want := range []int{http.StatusNotFound, http.StatusOK, http.StatusOK} {
 		if i > 0 {
 			req.DatasetID = id

@@ -1,7 +1,7 @@
 // Package mpi is an in-process message-passing substrate with the subset of
 // MPI semantics that SPRINT relies on: ranked processes, tagged
 // point-to-point messages with non-overtaking delivery, and the collective
-// operations pmaxT calls (broadcast, reduce, all-reduce, gather, barrier).
+// operations pmaxT calls (broadcast, reduce, all-reduce, barrier).
 //
 // The paper's implementation runs on real MPI over Cray SeaStar2, Gigabit
 // Ethernet, virtualised cloud networks and shared memory.  We have none of
@@ -125,42 +125,8 @@ func (c *Comm) recv(src, tag int) any {
 	}
 }
 
-// SendAny sends an untyped payload with a user tag (must be >= 0; negative
-// tags are reserved for collectives).
-func (c *Comm) SendAny(dst, tag int, data any) {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved for collectives")
-	}
-	c.send(dst, tag, data)
-}
-
-// RecvAny receives an untyped payload with a user tag.
-func (c *Comm) RecvAny(src, tag int) any {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved for collectives")
-	}
-	return c.recv(src, tag)
-}
-
-// Send sends a typed payload with a user tag (>= 0).
-func Send[T any](c *Comm, dst, tag int, v T) {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved for collectives")
-	}
-	sendT(c, dst, tag, v)
-}
-
-// Recv receives a typed payload with a user tag (>= 0), panicking with a
-// descriptive message if the sender's type does not match.
-func Recv[T any](c *Comm, src, tag int) T {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved for collectives")
-	}
-	return recvT[T](c, src, tag)
-}
-
-// sendT and recvT are the internal typed primitives shared by user sends
-// and collectives; they accept reserved tags.
+// sendT and recvT are the typed point-to-point primitives the
+// collectives are built from.
 func sendT[T any](c *Comm, dst, tag int, v T) {
 	c.send(dst, tag, v)
 }
@@ -187,8 +153,6 @@ const (
 	tagBarrier = -1
 	tagBcast   = -2
 	tagReduce  = -3
-	tagGather  = -4
-	tagScatter = -5
 )
 
 // Barrier blocks until every rank has entered it.  Implemented as a
@@ -275,66 +239,11 @@ func Allreduce[T any](c *Comm, v T, op func(acc, in T) T) T {
 	return Bcast(c, 0, combined)
 }
 
-// Gather collects one value from every rank on root, indexed by rank.
-// Non-root ranks receive nil.  The gather is linear, matching the master
-// collecting partial observations in Step 5 of the paper.
-func Gather[T any](c *Comm, root int, v T) []T {
-	n := c.w.size
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("mpi: gather root %d out of range", root))
-	}
-	if c.rank != root {
-		sendT(c, root, tagGather, v)
-		return nil
-	}
-	out := make([]T, n)
-	out[c.rank] = v
-	for src := 0; src < n; src++ {
-		if src == root {
-			continue
-		}
-		out[src] = recvT[T](c, src, tagGather)
-	}
-	return out
-}
-
-// Scatter distributes vals[i] from root to rank i and returns the local
-// element.  len(vals) must equal Size() on root; vals is ignored elsewhere.
-func Scatter[T any](c *Comm, root int, vals []T) T {
-	n := c.w.size
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("mpi: scatter root %d out of range", root))
-	}
-	if c.rank == root {
-		if len(vals) != n {
-			panic(fmt.Sprintf("mpi: scatter with %d values for %d ranks", len(vals), n))
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst != root {
-				sendT(c, dst, tagScatter, vals[dst])
-			}
-		}
-		return vals[root]
-	}
-	return recvT[T](c, root, tagScatter)
-}
-
 // SumInt64 is the reduction operator for exceedance-count vectors: the
 // element-wise global sum of Step 5.  It accumulates in place into acc.
 func SumInt64(acc, in []int64) []int64 {
 	if len(acc) != len(in) {
 		panic("mpi: SumInt64 length mismatch")
-	}
-	for i := range acc {
-		acc[i] += in[i]
-	}
-	return acc
-}
-
-// SumFloat64 is the element-wise float64 sum operator.
-func SumFloat64(acc, in []float64) []float64 {
-	if len(acc) != len(in) {
-		panic("mpi: SumFloat64 length mismatch")
 	}
 	for i := range acc {
 		acc[i] += in[i]

@@ -138,13 +138,3 @@ func QuadCore() Platform {
 func All() []Platform {
 	return []Platform{HECToR(), ECDF(), EC2(), Ness(), QuadCore()}
 }
-
-// ByName finds a platform by its paper name (case-sensitive).
-func ByName(name string) (Platform, bool) {
-	for _, pl := range All() {
-		if pl.Name == name {
-			return pl, true
-		}
-	}
-	return Platform{}, false
-}

@@ -98,12 +98,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative 63-bit value, matching the contract of
-// math/rand.Source64 so a Source can be dropped into stdlib helpers.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Uint64n returns a uniform value in [0, n).  It uses Lemire's multiply-shift
 // rejection method, which is unbiased and needs no division in the common
 // case.  n must be positive.

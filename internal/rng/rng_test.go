@@ -266,15 +266,6 @@ func TestQuickUint64nInRange(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	s := New(3)
-	for i := 0; i < 1000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned a negative value")
-		}
-	}
-}
-
 func TestZeroStateGuard(t *testing.T) {
 	var s Source
 	s.s = [4]uint64{0, 0, 0, 0}

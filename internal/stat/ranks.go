@@ -66,14 +66,3 @@ func Ranks(dst []float64, scratch []int) {
 		i = j
 	}
 }
-
-// RankRows applies Ranks to every row of x in place.
-func RankRows(x [][]float64) {
-	var scratch []int
-	for _, row := range x {
-		if cap(scratch) < len(row) {
-			scratch = make([]int, len(row))
-		}
-		Ranks(row, scratch)
-	}
-}

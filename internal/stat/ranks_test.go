@@ -65,17 +65,6 @@ func TestRanksEmptyAndAllNaN(t *testing.T) {
 	}
 }
 
-func TestRankRows(t *testing.T) {
-	x := [][]float64{{3, 1, 2}, {10, 10, 30}}
-	RankRows(x)
-	if x[0][0] != 3 || x[0][1] != 1 || x[0][2] != 2 {
-		t.Errorf("row 0 ranks = %v", x[0])
-	}
-	if x[1][0] != 1.5 || x[1][1] != 1.5 || x[1][2] != 3 {
-		t.Errorf("row 1 ranks = %v", x[1])
-	}
-}
-
 // Property: ranks of n distinct values are a permutation of 1..n, and the
 // rank order matches the value order.
 func TestQuickRanksAreConsistent(t *testing.T) {

@@ -75,13 +75,6 @@ func ParseTest(s string) (Test, error) {
 	return 0, fmt.Errorf("stat: unknown test %q (want one of t, t.equalvar, wilcoxon, f, pairt, blockf)", s)
 }
 
-// TwoSample reports whether the test compares exactly two classes with a
-// free labelling (t, t.equalvar, wilcoxon).  These tests share the
-// two-sample permutation generators.
-func (t Test) TwoSample() bool {
-	return t == Welch || t == TEqualVar || t == Wilcoxon
-}
-
 // Design captures the validated experimental design derived from the
 // classlabel argument: how many classes there are, how columns group into
 // pairs or blocks, and which statistic applies.  A Design is immutable after

@@ -37,17 +37,6 @@ func TestTestStringUnknown(t *testing.T) {
 	}
 }
 
-func TestTwoSampleClassification(t *testing.T) {
-	for test, want := range map[Test]bool{
-		Welch: true, TEqualVar: true, Wilcoxon: true,
-		F: false, PairT: false, BlockF: false,
-	} {
-		if got := test.TwoSample(); got != want {
-			t.Errorf("%v.TwoSample() = %v, want %v", test, got, want)
-		}
-	}
-}
-
 func twoClassLabels(n0, n1 int) []int {
 	lab := make([]int, n0+n1)
 	for i := n0; i < n0+n1; i++ {
