@@ -35,10 +35,10 @@ type CoordinatorConfig struct {
 	// live worker — more than 1 keeps a fast worker busy while a slow
 	// one finishes, at slightly more merge traffic.  Defaults to 2.
 	ShardsPerWorker int
-	// MinDistB declines jobs whose planned B is under this bound
-	// (ErrNotDistributed → the manager runs them locally); tiny jobs
-	// are not worth a round trip.  Defaults to 0: distribute whenever a
-	// worker is live.
+	// MinDistB declines jobs whose planned B, in labellings, is under
+	// this bound (ErrNotDistributed → the manager runs them locally);
+	// tiny jobs are not worth a round trip.  Defaults to 0: distribute
+	// whenever a worker is live.
 	MinDistB int64
 	// StragglerAfter speculatively re-dispatches a shard in flight
 	// longer than this once the queue is otherwise empty; the first
@@ -515,7 +515,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	// An adopted job is never declined: its journaled deliveries must be
 	// honoured (the local path would recompute them), and the localLoop
 	// covers the remainder even with zero live workers.
-	if adopt == nil && (len(workers) == 0 || plan.TotalB < c.cfg.MinDistB) {
+	if adopt == nil && (len(workers) == 0 || plan.Labellings(plan.TotalB) < c.cfg.MinDistB) {
 		c.metJobsDecl.Inc()
 		return nil, jobs.ErrNotDistributed
 	}
@@ -533,7 +533,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 		}
 		c.metLedgerWindows.Add(int64(len(adopt.deliveries)))
 		if req.OnProgress != nil && merged.B > 0 {
-			req.OnProgress(merged.B, plan.TotalB)
+			req.OnProgress(plan.Labellings(merged.B), plan.Labellings(plan.TotalB))
 		}
 		spans = adopt.remaining
 		c.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "cluster_ledger_adopted",
@@ -914,7 +914,7 @@ func (st *jobState) deliver(rec *shardRec, ck *core.Checkpoint, counts []byte, f
 			st.queue = append(st.queue, rec)
 		}
 		if st.req.OnProgress != nil {
-			st.req.OnProgress(st.merged.B, st.plan.TotalB)
+			st.req.OnProgress(st.plan.Labellings(st.merged.B), st.plan.Labellings(st.plan.TotalB))
 		}
 		// Whole-job stopping on the merge ledger.  The rule only makes
 		// sense once the observed labelling (permutation index 0, always

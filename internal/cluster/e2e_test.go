@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -392,6 +393,45 @@ func TestClusterDeclinesSmallJobs(t *testing.T) {
 	info := coord.Info().Coordinator
 	if info.JobsDeclined != 1 || info.JobsDistributed != 0 {
 		t.Errorf("declined=%d distributed=%d, want 1/0", info.JobsDeclined, info.JobsDistributed)
+	}
+}
+
+// TestClusterFoldedJobJudgedInLabellings: a complete balanced job runs
+// folded (462 complement pairs for C(12, 6) = 924 labellings), yet
+// MinDistB judges its labelling count: the coordinator distributes it at
+// a bound of 924 and declines it at 925, and both paths give the
+// standalone bits.
+func TestClusterFoldedJobJudgedInLabellings(t *testing.T) {
+	lab := []int{0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0}
+	opt := core.Options{Test: "wilcoxon", B: 0}
+	w := newWorkerNode(t, nil)
+	for i, tc := range []struct {
+		minB        int64
+		distributed bool
+	}{{924, true}, {925, false}} {
+		x := synthX(20, 12, 300+uint64(i))
+		if _, _, err := w.srv.Manager().PutDataset(x); err != nil {
+			t.Fatal(err)
+		}
+		served := w.w.Info().Worker.ShardsServed
+		coord, cm := coordManager(t, cluster.CoordinatorConfig{Workers: []string{w.ts.URL}, MinDistB: tc.minB})
+		want := standalone(t, x, lab, opt)
+		got := runOn(t, cm, x, lab, opt)
+		name := fmt.Sprintf("MinDistB=%d", tc.minB)
+		sameRes(t, name, got, want)
+		if got.B != 924 {
+			t.Fatalf("%s: B = %d, want 924 labellings", name, got.B)
+		}
+		wantDist, wantDecl := int64(0), int64(1)
+		if tc.distributed {
+			wantDist, wantDecl = 1, 0
+		}
+		if info := coord.Info().Coordinator; info.JobsDistributed != wantDist || info.JobsDeclined != wantDecl {
+			t.Fatalf("%s: distributed %d, declined %d; want %d, %d", name, info.JobsDistributed, info.JobsDeclined, wantDist, wantDecl)
+		}
+		if now := w.w.Info().Worker.ShardsServed; (now > served) != tc.distributed {
+			t.Fatalf("%s: worker served %d shards (was %d); want distributed %v", name, now, served, tc.distributed)
+		}
 	}
 }
 

@@ -29,7 +29,9 @@ type Checkpoint struct {
 	// data sample); resuming with a different analysis fails loudly.
 	Fingerprint uint64
 	// TotalB is the planned permutation count and Complete records the
-	// generator choice.
+	// generator choice.  TotalB and the indices and counts below live in
+	// the plan's own index space: a folded plan's index stands for two
+	// labellings (Plan.Labellings).
 	TotalB   int64
 	Complete bool
 	// Next is the first unprocessed permutation index and Hi the end of
@@ -191,15 +193,22 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 const engineVersion = 5
 
 // fingerprint summarises the analysis identity: the engine version,
-// validated options, the resolved enumeration order, the class labels
-// and a sample of the data.  Any change that could alter the permutation
-// stream — its membership or its order — or the statistics changes the
-// fingerprint.  Sequential mode also mixes in (alpha, tolerance) and its
-// stop grid: a sequential checkpoint's frozen rows embody decisions
-// taken under them, so resuming under others would freeze wrong rows.
-func fingerprint(cfg config, x matrix.Matrix, classlabel []int, doorOrder bool) uint64 {
+// validated options, the resolved enumeration order and orbit size, the
+// class labels and a sample of the data.  Any change that could alter
+// the permutation stream — its membership or its order — or the
+// statistics changes the fingerprint.  The orbit size mixes in only when
+// a plan is folded, so every unfolded plan keeps the fingerprint earlier
+// engines gave it, and a checkpoint of the unfolded enumeration of a now
+// folded plan fails Plan.Resume.  Sequential mode also mixes in (alpha,
+// tolerance) and its stop grid: a sequential checkpoint's frozen rows
+// embody decisions taken under them, so resuming under others would
+// freeze wrong rows.
+func fingerprint(cfg config, x matrix.Matrix, classlabel []int, doorOrder bool, orbit int64) uint64 {
 	h := rng.Mix64(uint64(engineVersion)<<44 ^ uint64(boolToInt64(doorOrder))<<40 ^ uint64(cfg.test)<<32 ^ uint64(cfg.side)<<24 ^ uint64(boolToInt64(cfg.fixedSeed))<<16 ^ uint64(boolToInt64(cfg.nonpara)))
 	h = rng.Mix64(h ^ uint64(cfg.b) ^ cfg.seed<<1)
+	if orbit > 1 {
+		h = rng.Mix64(h ^ 0xf01d ^ uint64(orbit)<<16)
+	}
 	if cfg.mode == modeSequential {
 		h = rng.Mix64(h ^ 0x5e9)
 		h = rng.Mix64(h ^ math.Float64bits(cfg.seqAlpha))

@@ -285,6 +285,17 @@ func planPermutations(cfg config, d *stat.Design) (useComplete bool, total int64
 	return false, cfg.b, nil
 }
 
+// foldable reports whether a complete enumeration under cfg may count
+// one labelling per complement pair twice: the design pairs its
+// labellings (perm.Foldable), and the pair's two statistics count alike —
+// the kernels make the partner's statistic the exact negation of the
+// labelling's (the tie discipline in stat/kernel.go), which the abs side
+// compares alike, and leave the two-class F unchanged, which every side
+// does.
+func foldable(cfg config, d *stat.Design) bool {
+	return perm.Foldable(d) && (cfg.side == maxt.Abs || cfg.test == stat.F)
+}
+
 // SetKernel selects the accumulation kernel by name — "auto" (the best
 // the CPU supports) or an ISA, one of stat.KernelNames — returning the
 // name now active.  The choice is process-wide, meant for startup (CLI

@@ -29,8 +29,9 @@ func orderTestData(t *testing.T, test string) (*microarray.Dataset, Options) {
 // bitwise identical results — the order changes the sequence, never the
 // set — serial and parallel, parametric and rank-based.  The engine picks
 // the revolving door for these two-sample designs; the combinadic order
-// is driven through the same window loop with perm.NewComplete, and both
-// must equal the paper collective.
+// is driven through the same window loop with perm.NewComplete, over the
+// unfolded plan (every labelling once), and both must equal the paper
+// collective.
 func TestPermOrderResultsIdentical(t *testing.T) {
 	for _, test := range []string{"t", "wilcoxon"} {
 		for _, nonpara := range []string{"n", "y"} {
@@ -65,14 +66,16 @@ func TestPermOrderResultsIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				counts, _, err := plan.Resume(nil, 0, plan.TotalB)
+				unfolded := plan
+				unfolded.TotalB, unfolded.Orbit = lex.Total(), 1
+				counts, _, err := unfolded.Resume(nil, 0, unfolded.TotalB)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := processRange(p, plan, lex, counts, 0, plan.TotalB, nil, RunControl{NProcs: nprocs, Every: 100}); err != nil {
+				if _, err := processRange(p, unfolded, lex, counts, 0, unfolded.TotalB, nil, RunControl{NProcs: nprocs, Every: 100}); err != nil {
 					t.Fatal(err)
 				}
-				got, err := p.finalize(plan, counts, nil)
+				got, err := p.finalize(unfolded, counts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,8 +122,12 @@ func TestPermOrderCheckpointFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := PlanRun(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lex := *door
-	lex.Fingerprint = fingerprint(cfg, p.clean, p.labels, false)
+	lex.Fingerprint = fingerprint(cfg, p.clean, p.labels, false, plan.Orbit)
 	if lex.Fingerprint == door.Fingerprint {
 		t.Fatal("the fingerprint ignores the enumeration order")
 	}

@@ -261,6 +261,8 @@ func evalPMaxT(c *mpi.Comm, args any) (any, error) {
 	case useComplete:
 		// Every rank builds the same generator, so the enumeration order
 		// (and with it the delta fast path) is identical across ranks.
+		// The paper path enumerates every labelling, never folded: it is
+		// the independent statement a folded plan is checked against.
 		gen, err = completeGen(design)
 		if err != nil {
 			return nil, err

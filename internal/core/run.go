@@ -36,7 +36,9 @@ type RunControl struct {
 	Resume *Checkpoint
 	// Every is the window length of exact runs in permutations, their
 	// granularity of progress, cancellation and checkpoints; < 1 is one
-	// window.  Sequential runs use the plan's grid, DefaultSeqWindow.
+	// window.  It counts the plan's indices, the labellings the kernel
+	// evaluates: a folded plan's window covers twice as many labellings.
+	// Sequential runs use the plan's grid, DefaultSeqWindow.
 	Every int64
 	// Save, when non-nil, receives a snapshot after every window except
 	// the one that completes the run or shard: the result follows at
@@ -45,7 +47,8 @@ type RunControl struct {
 	Save func(*Checkpoint) error
 	// OnProgress, when non-nil, is called after every window with the
 	// number of permutations processed so far (including resumed ones) and
-	// the planned total.
+	// the planned total, both in labellings: a folded plan's index counts
+	// its whole orbit (Plan.Labellings).
 	OnProgress func(done, total int64)
 	// OnWindow, when non-nil, receives each kernel window's permutation
 	// count and wall time right after the window's counts merge — the

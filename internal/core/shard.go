@@ -23,7 +23,10 @@ import (
 //   - Every generator enumerates ONE deterministic permutation sequence
 //     fixed by (options, design); any [lo, hi) slice of it can be
 //     produced on any node (Random indexes in O(1), Complete and
-//     RevolvingDoor unrank, Stored materialises exactly the chunk).
+//     RevolvingDoor unrank, Stored materialises exactly the chunk).  A
+//     folded plan's sequence holds one labelling per complement pair;
+//     its indices, shards and checkpoints live in that sequence, and
+//     only finalize and the progress hooks count labellings.
 //   - Exceedance counts are int64 sums over disjoint index ranges, so
 //     merging shard counts is commutative and associative: ANY partition
 //     merged in ANY order yields the same vectors, provided each index
@@ -41,13 +44,18 @@ import (
 // with equal fingerprints enumerate the same permutation sequence over
 // the same prepared data, so their shard counts may be merged.
 type Plan struct {
-	// TotalB is the planned permutation count, observed labelling
-	// included; shards partition [0, TotalB).
+	// TotalB is the length of the plan's permutation sequence, observed
+	// labelling included; shards partition [0, TotalB).  It counts
+	// labellings divided by Orbit.
 	TotalB int64
 	// Complete records the generator choice and Door the resolved
 	// enumeration order of complete two-sample runs.
 	Complete bool
 	Door     bool
+	// Orbit is how many labellings each index of the sequence stands for:
+	// 2 when a complete enumeration is folded by its exact symmetry (one
+	// labelling per complement pair, see foldable), 1 otherwise.
+	Orbit int64
 	// Rows is the per-shard count vector length.
 	Rows int
 	// Fingerprint ties shard results to the analysis identity, exactly
@@ -85,12 +93,17 @@ func (p *Prepared) planFor(opt Options) (config, Plan, error) {
 		return cfg, Plan{}, fmt.Errorf("core: mode \"sequential\" requires sampled permutations, but the plan resolved to the complete enumeration (%d labellings, which is exact by definition); run exact mode instead", totalB)
 	}
 	door := useComplete && perm.RevolvingDoorOK(p.design)
+	orbit := int64(1)
+	if useComplete && foldable(cfg, p.design) {
+		orbit = 2
+	}
 	plan := Plan{
-		TotalB:      totalB,
+		TotalB:      totalB / orbit,
 		Complete:    useComplete,
 		Door:        door,
+		Orbit:       orbit,
 		Rows:        p.prep.Rows(),
-		Fingerprint: fingerprint(cfg, p.clean, p.labels, door),
+		Fingerprint: fingerprint(cfg, p.clean, p.labels, door, orbit),
 	}
 	if cfg.mode == modeSequential {
 		sc, err := seqstop.New(cfg.seqAlpha, cfg.seqTol, p.prep.Valid)
@@ -101,6 +114,10 @@ func (p *Prepared) planFor(opt Options) (config, Plan, error) {
 	}
 	return cfg, plan, nil
 }
+
+// Labellings converts a count of the plan's indices — a progress, a
+// resume point, its TotalB — into the labellings they stand for.
+func (pl Plan) Labellings(n int64) int64 { return n * pl.Orbit }
 
 // snapshot is the plan's record of counts over [next-counts.B, next) of
 // the window ending at hi, with its own copy of the count vectors.
@@ -159,6 +176,8 @@ func (pl Plan) Resume(r *Checkpoint, lo, hi int64) (*maxt.Counts, []int64, error
 // over [1, lo), the paper's "cycle the stream forward" cost).
 func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Generator, error) {
 	switch {
+	case plan.Orbit > 1:
+		return perm.NewFolded(p.design)
 	case plan.Complete:
 		return completeGen(p.design)
 	case cfg.fixedSeed:
@@ -216,7 +235,7 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 	for lo < limit && (tr == nil || !tr.AllFrozen()) {
 		if ctl.Ctx != nil {
 			if err := ctl.Ctx.Err(); err != nil {
-				return lo, fmt.Errorf("core: run stopped at permutation %d of %d: %w", lo, plan.TotalB, err)
+				return lo, fmt.Errorf("core: run stopped at permutation %d of %d: %w", plan.Labellings(lo), plan.Labellings(plan.TotalB), err)
 			}
 		}
 		hi := min(lo+every-(lo-grid)%every, limit)
@@ -263,11 +282,11 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 				snap.BEff = slices.Clone(tr.BEff())
 			}
 			if err := ctl.Save(snap); err != nil {
-				return hi, fmt.Errorf("core: checkpoint save at permutation %d: %w", hi, err)
+				return hi, fmt.Errorf("core: checkpoint save at permutation %d: %w", plan.Labellings(hi), err)
 			}
 		}
 		if ctl.OnProgress != nil {
-			ctl.OnProgress(counts.B, plan.TotalB)
+			ctl.OnProgress(plan.Labellings(counts.B), plan.Labellings(plan.TotalB))
 		}
 		if tr != nil && ctl.OnSeq != nil {
 			ctl.OnSeq(prep.Valid-tr.FrozenRows(), tr.PermsSaved(plan.TotalB))
@@ -404,6 +423,23 @@ func FinalizeCounts(p *Prepared, opt Options, counts *maxt.Counts, frozen []int6
 	return res, nil
 }
 
+// unfold returns counts over the plan's indices as counts over the
+// labellings they stand for.  The labellings of one orbit add identical
+// raw and step-down increments, so each index's count multiplies by the
+// orbit size; the p-values are unchanged, since (2c)/(2B) rounds exactly
+// as c/B does.
+func (pl Plan) unfold(c *maxt.Counts) *maxt.Counts {
+	if pl.Orbit == 1 {
+		return c
+	}
+	out := &maxt.Counts{Raw: make([]int64, len(c.Raw)), Adj: make([]int64, len(c.Adj)), B: pl.Labellings(c.B)}
+	for i := range c.Raw {
+		out.Raw[i] = pl.Labellings(c.Raw[i])
+		out.Adj[i] = pl.Labellings(c.Adj[i])
+	}
+	return out
+}
+
 // finalize is FinalizeCounts under a resolved plan.
 func (p *Prepared) finalize(plan Plan, counts *maxt.Counts, frozen []int64) (*Result, error) {
 	switch {
@@ -416,7 +452,7 @@ func (p *Prepared) finalize(plan Plan, counts *maxt.Counts, frozen []int64) (*Re
 	}
 	prep := p.prep
 	if plan.seq == nil {
-		final := maxt.Finalize(prep, counts)
+		final := maxt.Finalize(prep, plan.unfold(counts))
 		return &Result{
 			Stat:     final.Stat,
 			RawP:     final.RawP,

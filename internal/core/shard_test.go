@@ -72,8 +72,8 @@ func TestShardMergeAssociativity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: plan: %v", tc.name, err)
 		}
-		if plan.TotalB != int64(want.B) {
-			t.Fatalf("%s: plan B %d, result B %d", tc.name, plan.TotalB, want.B)
+		if plan.Labellings(plan.TotalB) != want.B {
+			t.Fatalf("%s: plan B %d×%d, result B %d", tc.name, plan.TotalB, plan.Orbit, want.B)
 		}
 		spans := unevenSpans(plan.TotalB)
 		parts := make([]*ShardCounts, len(spans))

@@ -245,6 +245,129 @@ func TestCancelOverHTTPThenResume(t *testing.T) {
 	}
 }
 
+// TestFoldedJobReportsLabellings: a complete balanced Wilcoxon job runs
+// folded — one labelling per complement pair — yet its status counts
+// labellings: done, total, progress and resumed_from across a cancel and
+// a resume, and the result's b, which carries the paper path's bits.
+func TestFoldedJobReportsLabellings(t *testing.T) {
+	data := testDataset(t) // 6 + 6 columns: C(12, 6) = 924 labellings
+	rows := make([][]*float64, len(data.X))
+	for i, row := range data.X {
+		rows[i] = make([]*float64, len(row))
+		for j := range row {
+			if !math.IsNaN(row[j]) {
+				v := row[j]
+				rows[i][j] = &v
+			}
+		}
+	}
+	body, err := json.Marshal(map[string]any{
+		"dataset":          map[string]any{"x": rows, "labels": data.Labels},
+		"options":          map[string]any{"test": "wilcoxon", "b": 0},
+		"nprocs":           1,
+		"checkpoint_every": 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var url atomic.Value // string; the hook fires only after submission
+	var mid StatusJSON
+	var once atomic.Bool
+	var saves []int64
+	var mu sync.Mutex
+	jcfg := jobs.Config{
+		Workers: 1,
+		OnCheckpoint: func(id string, done, total int64) {
+			mu.Lock()
+			saves = append(saves, done)
+			mu.Unlock()
+			if total != 924 {
+				t.Errorf("checkpoint at %d of %d, want a total of 924 labellings", done, total)
+			}
+			// The second checkpoint: the status shows the first window's
+			// progress; then cancel.
+			if done >= 512 && once.CompareAndSwap(false, true) {
+				base := url.Load().(string)
+				resp, err := http.Get(base + "/v1/jobs/" + id)
+				if err != nil {
+					t.Errorf("status: %v", err)
+					return
+				}
+				err = json.NewDecoder(resp.Body).Decode(&mid)
+				resp.Body.Close()
+				if err != nil {
+					t.Errorf("status: %v", err)
+				}
+				req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+				if resp, err = http.DefaultClient.Do(req); err != nil {
+					t.Errorf("cancel: %v", err)
+					return
+				}
+				resp.Body.Close()
+			}
+		},
+	}
+	_, ts := newTestServer(t, jcfg)
+	url.Store(ts.URL)
+
+	var st1 StatusJSON
+	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &st1)
+	fin1 := pollTerminal(t, ts.URL, st1.ID)
+	mu.Lock()
+	first := append([]int64(nil), saves...)
+	mu.Unlock()
+	// checkpoint_every 100 aligns to one kernel batch of 64 complement
+	// pairs: 128 pairs, 256 labellings a window.
+	if len(first) != 2 || first[0] != 256 || first[1] != 512 {
+		t.Fatalf("checkpoints at %v labellings, want [256 512]", first)
+	}
+	if mid.State != "running" || mid.Done != 256 || mid.Total != 924 || mid.Progress != 256.0/924 {
+		t.Fatalf("mid-run status %+v, want running at 256 of 924 labellings", mid)
+	}
+	if fin1.State != "cancelled" || fin1.Done != 512 || fin1.Total != 924 {
+		t.Fatalf("cancelled status %+v, want 512 of 924 labellings", fin1)
+	}
+
+	var st2 StatusJSON
+	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &st2)
+	fin2 := pollTerminal(t, ts.URL, st2.ID)
+	if fin2.State != "done" || fin2.ResumedFrom != 512 || fin2.Done != 924 || fin2.Total != 924 || fin2.Progress != 1 {
+		t.Fatalf("resumed status %+v, want done, resumed from 512, 924 of 924 labellings", fin2)
+	}
+	var res struct {
+		Stat     []*float64 `json:"stat"`
+		RawP     []*float64 `json:"raw_p"`
+		AdjP     []*float64 `json:"adj_p"`
+		B        int64      `json:"b"`
+		Complete bool       `json:"complete"`
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st2.ID+"/result", nil, &res); code != http.StatusOK {
+		t.Fatalf("result code %d", code)
+	}
+	x, err := data.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.PMaxTMatrix(x, data.Labels, 1, core.Options{Test: "wilcoxon", B: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.B != 924 || want.B != 924 || !res.Complete {
+		t.Fatalf("result b %d complete %v (reference b %d), want 924 complete", res.B, res.Complete, want.B)
+	}
+	for name, pair := range map[string]struct {
+		got  []*float64
+		want []float64
+	}{"stat": {res.Stat, want.Stat}, "raw_p": {res.RawP, want.RawP}, "adj_p": {res.AdjP, want.AdjP}} {
+		for i, w := range pair.want {
+			g := pair.got[i]
+			if (g == nil) != math.IsNaN(w) || (g != nil && math.Float64bits(*g) != math.Float64bits(w)) {
+				t.Fatalf("%s[%d] = %v, want %v bit for bit", name, i, g, w)
+			}
+		}
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{})
 	var e map[string]string

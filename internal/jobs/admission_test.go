@@ -435,11 +435,12 @@ func TestQueueFullCarriesRetryAfter(t *testing.T) {
 	defer m.Close()
 
 	spec := func(b int64) Spec {
-		// C(8,4) = 70 permutations in windows of one kernel batch (64):
-		// one checkpoint, after the first of two windows.
+		// C(10,5) = 252 labellings, folded to 126 complement pairs, in
+		// windows of one kernel batch (64): one checkpoint, after the
+		// first of two windows.
 		return Spec{
-			X:      [][]float64{{1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1}},
-			Labels: []int{0, 0, 0, 0, 1, 1, 1, 1},
+			X:      [][]float64{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, {10, 9, 8, 7, 6, 5, 4, 3, 2, 1}},
+			Labels: []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1},
 			Opt:    optB(b),
 			Every:  10,
 		}

@@ -53,7 +53,8 @@ type DistRequest struct {
 	// coordinator-local fallback shards.
 	NProcs int
 	Every  int64
-	// OnProgress observes merged permutation counts as shards land.
+	// OnProgress observes merged permutation counts, in labellings, as
+	// shards land.
 	OnProgress func(done, total int64)
 	// Ledger is the job's durable merge ledger handle (nil when the
 	// manager has no journal).  The distributor adopts its replayed

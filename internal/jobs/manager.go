@@ -88,8 +88,8 @@ type Config struct {
 	// Clock overrides time.Now in tests; nil uses time.Now.
 	Clock func() time.Time
 	// OnCheckpoint, when non-nil, is called after every saved checkpoint
-	// with the job ID and its progress — an observation hook for
-	// operators and tests.
+	// with the job ID and its progress in labellings — an observation
+	// hook for operators and tests.
 	OnCheckpoint func(id string, done, total int64)
 }
 
@@ -942,29 +942,30 @@ func (m *Manager) Close() {
 // resumeFor is the job's one resume verdict, made before dispatch: the
 // stored checkpoint under the job's key, judged by Plan.Resume — the
 // rule core.RunPrepared, the coordinator and every shard apply — over
-// the whole run.  A rejected record (engine drift, a stale fingerprint)
-// is dropped so it cannot poison the key, and the job runs fresh; an
-// accepted one is recorded as the job's resume point.  The store
-// verified the record when it read it from disk, so a decode error
-// cannot happen here.
-func (m *Manager) resumeFor(j *job, prepared *core.Prepared) (*core.Checkpoint, error) {
-	ck, _ := core.DecodeRecord(m.ckpts.Get(j.key))
-	if ck == nil {
-		return nil, nil
-	}
+// the whole run.  A rejected record (engine drift, a stale fingerprint,
+// an enumeration the plan now folds) is dropped so it cannot poison the
+// key, and the job runs fresh; an accepted one is recorded as the job's
+// resume point, in labellings.  The store verified the record when it
+// read it from disk, so a decode error cannot happen here.  It returns
+// the job's plan too.
+func (m *Manager) resumeFor(j *job, prepared *core.Prepared) (core.Plan, *core.Checkpoint, error) {
 	plan, err := core.PlanRun(prepared, j.spec.Opt)
 	if err != nil {
-		return nil, err
+		return plan, nil, err
+	}
+	ck, _ := core.DecodeRecord(m.ckpts.Get(j.key))
+	if ck == nil {
+		return plan, nil, nil
 	}
 	if _, _, err := plan.Resume(ck, 0, plan.TotalB); err != nil {
 		m.ckpts.Drop(j.key)
-		return nil, nil
+		return plan, nil, nil
 	}
 	m.mu.Lock()
-	j.resumedFrom, j.done = ck.Next, ck.Done
+	j.resumedFrom, j.done = plan.Labellings(ck.Next), plan.Labellings(ck.Done)
 	m.met.resumed.Inc()
 	m.mu.Unlock()
-	return ck, nil
+	return plan, ck, nil
 }
 
 // worker pops jobs from the fair queue and runs them to a terminal
@@ -1018,9 +1019,10 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 	// so a hot-prep job goes from queue pop to its first permutation
 	// without scrubbing, ranking or precomputing anything.
 	prepared, built, err := m.prepFromEntry(e, j.spec.Labels, j.spec.Opt)
+	var plan core.Plan
 	var resume *core.Checkpoint
 	if err == nil {
-		resume, err = m.resumeFor(j, prepared)
+		plan, resume, err = m.resumeFor(j, prepared)
 	}
 	var res *core.Result
 	distributed := false
@@ -1052,7 +1054,7 @@ func (m *Manager) run(j *job, scratch *core.RunScratch) {
 				}
 				m.met.ckptWrite.ObserveDuration(time.Since(writeStart))
 				if m.cfg.OnCheckpoint != nil {
-					m.cfg.OnCheckpoint(j.id, ck.Done, ck.TotalB)
+					m.cfg.OnCheckpoint(j.id, plan.Labellings(ck.Done), plan.Labellings(ck.TotalB))
 				}
 				return nil
 			},

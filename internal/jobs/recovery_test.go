@@ -709,3 +709,67 @@ func TestPreUpgradeCheckpointQuarantined(t *testing.T) {
 		})
 	}
 }
+
+// TestPreFoldCheckpointRecomputes: testdata/prefold holds the checkpoint
+// a daemon wrote for this complete Wilcoxon job before balanced complete
+// enumerations folded — cancelled at 256 of C(12, 6) = 924 labellings,
+// in the unfolded sequence.  The folded plan's fingerprint rejects it,
+// the record is dropped, and the job recomputes from zero to the paper
+// path's bits, reporting B and its progress in labellings.
+func TestPreFoldCheckpointRecomputes(t *testing.T) {
+	data, err := microarray.Generate(microarray.GenOptions{
+		Genes: 30, Samples: 12, Classes: 2, DiffFraction: 0.2, EffectSize: 2.0, Seed: 29,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{X: data.X, Labels: data.Labels, Opt: core.Options{Test: "wilcoxon", B: 0}, NProcs: 1, Every: 100}
+	const key = "b696ab5d30911d049dea62c0222511e78886bdaf0493fe60fc65f68655e1184d"
+	if got, _, err := spec.contentKey(); err != nil || got != key {
+		t.Fatalf("content key %s (%v), not the one the fixture was written under", got, err)
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "prefold", key+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := core.DecodeRecord(old); err != nil || ck.TotalB != 924 || ck.Next != 256 {
+		t.Fatalf("fixture decodes to %+v (%v), want a prefix of 256 of 924 labellings", ck, err)
+	}
+	dirs := newDurableDirs(t)
+	if err := os.MkdirAll(dirs.ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dirs.ckpt, key+".ckpt"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(dirs.config(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m, st.ID)
+	if fin.State != Done || fin.ResumedFrom != 0 || m.StatsSnapshot().Resumed != 0 {
+		t.Fatalf("job %s (%s) resumed from %d, want done from 0", fin.State, fin.Error, fin.ResumedFrom)
+	}
+	if fin.Done != 924 || fin.Total != 924 {
+		t.Fatalf("job reports %d of %d, want 924 of 924 labellings", fin.Done, fin.Total)
+	}
+	res, _, err := m.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := reference(spec.X, spec.Labels, spec.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.B != 924 || want.B != 924 {
+		t.Fatalf("B = %d (reference %d), want 924", res.B, want.B)
+	}
+	sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+	sameFloats(t, "RawP", res.RawP, want.RawP)
+	sameFloats(t, "Stat", res.Stat, want.Stat)
+}

@@ -25,6 +25,34 @@ func TestTransposeSmall(t *testing.T) {
 	}
 }
 
+// TestTransposeMatchesNaive holds the tiled Transpose to the plain loop
+// on ragged shapes: rows off the 8-row tile, single rows and columns, and
+// empty matrices.
+func TestTransposeMatchesNaive(t *testing.T) {
+	shapes := []struct{ r, c int }{
+		{0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {1, 76}, {76, 1}, {7, 3}, {8, 3},
+		{9, 3}, {15, 4}, {16, 4}, {17, 5}, {23, 76}, {64, 2}, {6102 % 97, 76},
+	}
+	for _, s := range shapes {
+		src := seqMatrix(s.r, s.c)
+		want := make([]float64, len(src))
+		for r := 0; r < s.r; r++ {
+			for c := 0; c < s.c; c++ {
+				want[c*s.r+r] = src[r*s.c+c]
+			}
+		}
+		got := Transpose(src, s.r, s.c)
+		if len(got) != len(want) {
+			t.Fatalf("%dx%d: %d cells, want %d", s.r, s.c, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%dx%d: Transpose[%d] = %v, want %v", s.r, s.c, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestTransposeInPlaceMatchesAllocating(t *testing.T) {
 	shapes := []struct{ r, c int }{
 		{1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 3}, {3, 2}, {4, 4},
@@ -175,6 +203,16 @@ func BenchmarkTransposeAllocating6102x76(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = Transpose(src, 6102, 76)
+	}
+}
+
+// BenchmarkTransposeSamples76x6102 is the shape an inline x_flat job
+// transposes: samples × genes in, genes × samples out.
+func BenchmarkTransposeSamples76x6102(b *testing.B) {
+	src := seqMatrix(76, 6102)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = Transpose(src, 76, 6102)
 	}
 }
 

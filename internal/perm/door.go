@@ -29,12 +29,17 @@ import (
 // checkpoints seed at arbitrary offsets exactly as with Complete
 // ("rank-aligned unranking").
 //
+// Folded (NewFolded), the door enumerates one labelling of each
+// complement pair of a balanced design: the class-1 sets that leave
+// column n−1 in class 0, the list R(n−1, k) — still cyclic, so all of
+// the above holds unchanged.
+//
 // Like every generator, RevolvingDoor is safe for concurrent use; batch
 // scratch is pooled internally so steady-state LabelsDelta calls allocate
 // nothing.
 type RevolvingDoor struct {
 	design  *stat.Design
-	n, k    int
+	n, k    int // the Gray list R(n, k): n is d.N, or d.N−1 folded
 	total   int64
 	obsRank int64
 	binom   []int64 // (n+1)×(k+1) Pascal table: binom[i*(k+1)+j] = C(i,j)
@@ -63,11 +68,17 @@ func NewRevolvingDoor(d *stat.Design) (*RevolvingDoor, error) {
 	if designKind(d) != kindShuffle || d.K != 2 {
 		return nil, fmt.Errorf("perm: revolving-door order requires a two-class shuffle design, have %v with %d classes", d.Test, d.K)
 	}
-	total, ok := Binomial(d.N, d.Counts[1])
+	return newDoor(d, d.N, labelPositions(d.Labels, 1))
+}
+
+// newDoor builds the door over R(n, |obs|), rotated to start at the
+// class-1 set obs.
+func newDoor(d *stat.Design, n int, obs []int) (*RevolvingDoor, error) {
+	total, ok := Binomial(n, len(obs))
 	if !ok {
 		return nil, fmt.Errorf("%w (design %v with %d columns)", ErrTooManyPermutations, d.Test, d.N)
 	}
-	g := &RevolvingDoor{design: d, n: d.N, k: d.Counts[1], total: total}
+	g := &RevolvingDoor{design: d, n: n, k: len(obs), total: total}
 	g.binom = make([]int64, (g.n+1)*(g.k+1))
 	for i := 0; i <= g.n; i++ {
 		for j := 0; j <= g.k; j++ {
@@ -89,7 +100,6 @@ func NewRevolvingDoor(d *stat.Design) (*RevolvingDoor, error) {
 	g.pool.New = func() any {
 		return &doorScratch{prev: make([]int, g.k), cur: make([]int, g.k)}
 	}
-	obs := labelPositions(d.Labels, 1)
 	g.obsRank = g.rank(obs)
 	return g, nil
 }

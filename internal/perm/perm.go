@@ -101,6 +101,50 @@ func CompleteCount(d *stat.Design) (int64, bool) {
 	}
 }
 
+// Foldable reports whether the design's complete labelling set is a union
+// of complement pairs, each labelling distinct from its partner: a
+// balanced two-class shuffle (the complement swaps the classes) or a
+// paired design (the complement flips every pair).  Whether the pair's
+// two statistics count alike is the caller's question — they do when
+// the statistic is invariant under the swap or negates under it and is
+// compared by magnitude.
+func Foldable(d *stat.Design) bool {
+	switch designKind(d) {
+	case kindPairFlip:
+		return true
+	case kindShuffle:
+		return d.K == 2 && d.Counts[0] == d.Counts[1]
+	}
+	return false
+}
+
+// NewFolded builds the generator of one labelling per complement pair of
+// a Foldable design, half of CompleteCount in all, the observed
+// labelling's pair at index 0: the folded revolving door of a balanced
+// two-class design, and for a paired design Complete's first half —
+// the masks that leave the last pair unflipped.
+func NewFolded(d *stat.Design) (Generator, error) {
+	if !Foldable(d) {
+		return nil, fmt.Errorf("perm: design %v with class counts %v has no complement pairs to fold", d.Test, d.Counts)
+	}
+	if designKind(d) == kindShuffle {
+		// The door over the class-1 sets that leave column n−1 in class 0,
+		// from the observed labelling or, when that puts column n−1 in
+		// class 1, from its complement.
+		obs := labelPositions(d.Labels, 1)
+		if d.Labels[d.N-1] == 1 {
+			obs = labelPositions(d.Labels, 0)
+		}
+		return newDoor(d, d.N-1, obs)
+	}
+	g, err := NewComplete(d)
+	if err != nil {
+		return nil, err
+	}
+	g.total /= 2
+	return g, nil
+}
+
 // Complete is the complete-enumeration generator.  Index 0 is the observed
 // labelling; indices 1..Total()-1 enumerate every other distinct labelling
 // exactly once, in combinatorial order with the observed labelling's slot
