@@ -43,23 +43,32 @@ type RunControl struct {
 	// Save, when non-nil, receives a snapshot after every window except
 	// the one that completes the run or shard: the result follows at
 	// once, and redoing that one window after a crash reproduces it bit
-	// for bit.  An error from Save aborts the run.
+	// for bit.  Save runs on a goroutine of its own while the next window
+	// computes, one call at a time, and has returned before the run does.
+	// A failed write aborts the run at the next window boundary.  The run
+	// then stands at the failed write's boundary, as it does when its
+	// context is cancelled by the time Save returns: the window computed
+	// beside that write is dropped.
 	Save func(*Checkpoint) error
 	// OnProgress, when non-nil, is called after every window with the
 	// number of permutations processed so far (including resumed ones) and
 	// the planned total, both in labellings: a folded plan's index counts
-	// its whole orbit (Plan.Labellings).
+	// its whole orbit (Plan.Labellings).  After a checkpointed window it
+	// is called once Save has returned without error, on Save's goroutine,
+	// so the progress it reports is on disk; it and OnSeq are never called
+	// concurrently with themselves.
 	OnProgress func(done, total int64)
 	// OnWindow, when non-nil, receives each kernel window's permutation
-	// count and wall time right after the window's counts merge — the
-	// timing hook the serving layer feeds its per-stage histograms from.
-	// It runs on the run's supervising goroutine and must be cheap and
-	// allocation-free: it sits inside the hot loop.
+	// count and wall time right after the window computes — the timing
+	// hook the serving layer feeds its per-stage histograms from.  It
+	// runs on the run's supervising goroutine, beside the previous
+	// window's Save, and must be cheap and allocation-free: it sits inside
+	// the hot loop.
 	OnWindow func(perms int64, elapsed time.Duration)
 	// OnSeq, when non-nil, is called after every sequential-mode window
 	// with the number of rows still accumulating and the per-row
 	// permutation evaluations already saved relative to the planned total.
-	// Never called in exact mode.
+	// Never called in exact mode.  It follows OnProgress, on its goroutine.
 	OnSeq func(activeRows int, permsSaved int64)
 	// Scratch, when non-nil, supplies reusable per-rank working state.  A
 	// long-lived caller (the jobs worker pool) passes one RunScratch per

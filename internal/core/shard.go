@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -231,11 +233,27 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 	rs.ensure(prep, nprocs)
 	scratches, partials := rs.scratches, rs.partials
 
+	stopped := func(at int64, err error) error {
+		return fmt.Errorf("core: run stopped at permutation %d of %d: %w", plan.Labellings(at), plan.Labellings(plan.TotalB), err)
+	}
+	saveFailed := func(at int64, err error) error {
+		return fmt.Errorf("core: checkpoint save at permutation %d: %w", plan.Labellings(at), err)
+	}
+	// A window's checkpoint is written beside the next window (ckptWriter)
+	// and joined before that window's counts merge, so the run stops where
+	// the synchronous loop — compute, Save, compute — would have: the
+	// window after a failed write, or after a write that returned into a
+	// cancelled context, is dropped unmerged.  No write is in flight when
+	// the loop returns: none starts for the window that completes the run.
+	var w ckptWriter
 	lo := first
 	for lo < limit && (tr == nil || !tr.AllFrozen()) {
 		if ctl.Ctx != nil {
 			if err := ctl.Ctx.Err(); err != nil {
-				return lo, fmt.Errorf("core: run stopped at permutation %d of %d: %w", plan.Labellings(lo), plan.Labellings(plan.TotalB), err)
+				if serr, _ := w.join(); serr != nil {
+					return lo, saveFailed(lo, serr)
+				}
+				return lo, stopped(lo, err)
 			}
 		}
 		hi := min(lo+every-(lo-grid)%every, limit)
@@ -243,32 +261,43 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 		if ctl.OnWindow != nil {
 			windowStart = time.Now()
 		}
-		if nprocs == 1 && tr == nil {
+		// A sequential window computes the step-down positions from the
+		// first unfrozen one down, and the merge skips frozen rows: their
+		// counts stay pinned at their freeze boundary even while the kernel
+		// still computes them (a frozen row below an active one).  A window
+		// beside a write counts into the partials.
+		from, frozen := 0, []int64(nil)
+		if tr != nil {
+			from, frozen = tr.FrozenPrefix(), tr.BEff()
+		}
+		direct := nprocs == 1 && tr == nil && !w.busy()
+		switch {
+		case direct:
 			maxt.ProcessFrom(prep, gen, lo, hi, counts, scratches[0], batch, 0)
-		} else {
-			// A sequential window computes the step-down positions from the
-			// first unfrozen one down, and the merge skips frozen rows:
-			// their counts stay pinned at their freeze boundary even while
-			// the kernel still computes them (a frozen row below an active
-			// one).
-			from, frozen := 0, []int64(nil)
-			if tr != nil {
-				from, frozen = tr.FrozenPrefix(), tr.BEff()
-			}
-			if nprocs == 1 {
-				maxt.ProcessFrom(prep, gen, lo, hi, partials[0], scratches[0], batch, from)
-			} else {
-				fanOut(prep, gen, lo, hi, partials, scratches, nprocs, batch, from)
-			}
+		case nprocs == 1:
+			maxt.ProcessFrom(prep, gen, lo, hi, partials[0], scratches[0], batch, from)
+		default:
+			fanOut(prep, gen, lo, hi, partials, scratches, nprocs, batch, from)
+		}
+		if ctl.OnWindow != nil {
+			ctl.OnWindow(hi-lo, time.Since(windowStart))
+		}
+		serr, cerr := w.join()
+		if !direct {
 			for _, pc := range partials[:nprocs] {
 				if pc.B > 0 {
-					counts.MergeMasked(pc, frozen)
+					if serr == nil && cerr == nil {
+						counts.MergeMasked(pc, frozen)
+					}
 					pc.Reset(len(pc.Raw))
 				}
 			}
 		}
-		if ctl.OnWindow != nil {
-			ctl.OnWindow(hi-lo, time.Since(windowStart))
+		if serr != nil {
+			return lo, saveFailed(lo, serr)
+		}
+		if cerr != nil {
+			return lo, stopped(lo, cerr)
 		}
 		if tr != nil {
 			tr.Observe(counts.Raw, counts.Adj, counts.B)
@@ -276,24 +305,99 @@ func processRange(p *Prepared, plan Plan, gen perm.Generator, counts *maxt.Count
 		// The window that completes the run is not checkpointed (see
 		// RunControl.Save): the last of the range, or the one that froze
 		// the last row.
+		report := progress(plan, prep, counts, tr, ctl)
 		if ctl.Save != nil && hi < limit && (tr == nil || !tr.AllFrozen()) {
 			snap := plan.snapshot(counts, hi, limit)
 			if tr != nil {
 				snap.BEff = slices.Clone(tr.BEff())
 			}
-			if err := ctl.Save(snap); err != nil {
-				return hi, fmt.Errorf("core: checkpoint save at permutation %d: %w", plan.Labellings(hi), err)
-			}
-		}
-		if ctl.OnProgress != nil {
-			ctl.OnProgress(plan.Labellings(counts.B), plan.Labellings(plan.TotalB))
-		}
-		if tr != nil && ctl.OnSeq != nil {
-			ctl.OnSeq(prep.Valid-tr.FrozenRows(), tr.PermsSaved(plan.TotalB))
+			w.start(ctl.Ctx, ctl.Save, snap, report)
+		} else {
+			report()
 		}
 		lo = hi
 	}
 	return lo, nil
+}
+
+// progress returns the call of the run's progress hooks for the window
+// just merged, their arguments taken now.  After a checkpointed window it
+// runs once the checkpoint is written, on the writer's goroutine, as the
+// synchronous loop ran it: a status never reports progress that is not
+// yet on disk.
+func progress(plan Plan, prep *maxt.Prep, counts *maxt.Counts, tr *seqstop.Tracker, ctl RunControl) func() {
+	done, total := plan.Labellings(counts.B), plan.Labellings(plan.TotalB)
+	seq := tr != nil && ctl.OnSeq != nil
+	var active int
+	var saved int64
+	if seq {
+		active, saved = prep.Valid-tr.FrozenRows(), tr.PermsSaved(plan.TotalB)
+	}
+	return func() {
+		if ctl.OnProgress != nil {
+			ctl.OnProgress(done, total)
+		}
+		if seq {
+			ctl.OnSeq(active, saved)
+		}
+	}
+}
+
+// ckptWriter runs a supervised run's Save calls on a goroutine of their
+// own, one at a time: the checkpoint of a window is written while the
+// next window computes.  The snapshot it writes is already a copy, so the
+// loop may go on merging into counts meanwhile.
+type ckptWriter struct {
+	done chan ckptWrite // nil when no write is in flight
+}
+
+// ckptWrite is how one Save call ended.
+type ckptWrite struct {
+	err      error
+	ctxErr   error // the run's cancellation, as Save returned
+	panicked any
+}
+
+// errSaveExited is the error of a Save call that ended its goroutine
+// without returning (runtime.Goexit).
+var errSaveExited = errors.New("core: checkpoint save exited without returning")
+
+func (w *ckptWriter) busy() bool { return w.done != nil }
+
+// start writes ck with save and, once it is written, calls after.  The
+// previous write must have been joined.
+func (w *ckptWriter) start(ctx context.Context, save func(*Checkpoint) error, ck *Checkpoint, after func()) {
+	done := make(chan ckptWrite, 1)
+	w.done = done
+	go func() {
+		r := ckptWrite{err: errSaveExited}
+		defer func() {
+			r.panicked = recover()
+			done <- r
+		}()
+		if r.err = save(ck); r.err == nil {
+			after()
+		}
+		if ctx != nil {
+			r.ctxErr = ctx.Err()
+		}
+	}()
+}
+
+// join waits for the write in flight, if any, and returns Save's error
+// and the run's cancellation as Save returned: what the synchronous loop
+// would have stopped on before its next window.  A panic in Save is
+// re-raised here, on the run's goroutine.
+func (w *ckptWriter) join() (saveErr, ctxErr error) {
+	if w.done == nil {
+		return nil, nil
+	}
+	r := <-w.done
+	w.done = nil
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+	return r.err, r.ctxErr
 }
 
 // rankPiece is the least number of permutations a rank claims at a time.

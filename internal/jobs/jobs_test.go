@@ -223,6 +223,70 @@ func TestCancelThenResubmitResumes(t *testing.T) {
 	}
 }
 
+// TestCancelFromCheckpointResumesAtItsBoundary: a checkpoint is written
+// while the next window computes, and a DELETE issued as it is reported
+// drops that window — the job stops exactly at the checkpoint's boundary,
+// and the resubmission resumes from it, bit for bit, at one rank and two.
+func TestCancelFromCheckpointResumesAtItsBoundary(t *testing.T) {
+	for _, nprocs := range []int{1, 2} {
+		for _, nth := range []int64{1, 3} {
+			spec := testSpec(t)
+			spec.NProcs = nprocs
+			var mgr atomic.Pointer[Manager]
+			var calls, cancelledAt atomic.Int64
+			m, err := NewManager(Config{
+				Workers: 1,
+				OnCheckpoint: func(id string, done, total int64) {
+					if calls.Add(1) == nth {
+						cancelledAt.Store(done)
+						if _, err := mgr.Load().Cancel(id); err != nil {
+							t.Errorf("cancel: %v", err)
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr.Store(m)
+			st1, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin1 := waitTerminal(t, m, st1.ID)
+			at := cancelledAt.Load()
+			if fin1.State != Cancelled || at == 0 || fin1.Done != at {
+				t.Fatalf("nprocs %d: first job %s after %d permutations, want cancelled after checkpoint %d at %d", nprocs, fin1.State, fin1.Done, nth, at)
+			}
+			st2, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin2 := waitTerminal(t, m, st2.ID)
+			if fin2.State != Done || fin2.ResumedFrom != at {
+				t.Fatalf("nprocs %d: resubmission %s resumed from %d (err %q), want done from %d", nprocs, fin2.State, fin2.ResumedFrom, fin2.Error, at)
+			}
+			res, _, err := m.Result(st2.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := reference(spec.X, spec.Labels, spec.Opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "Stat", res.Stat, want.Stat)
+			sameFloats(t, "RawP", res.RawP, want.RawP)
+			sameFloats(t, "AdjP", res.AdjP, want.AdjP)
+			for i := range want.Order {
+				if res.Order[i] != want.Order[i] {
+					t.Fatalf("Order[%d] = %d, want %d", i, res.Order[i], want.Order[i])
+				}
+			}
+			m.Close()
+		}
+	}
+}
+
 func TestCheckpointSurvivesRestart(t *testing.T) {
 	spec := testSpec(t)
 	dir := t.TempDir()

@@ -19,10 +19,8 @@
 package maxt
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"sprint/internal/matrix"
 	"sprint/internal/perm"
@@ -141,8 +139,10 @@ func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*P
 	m = prepRows(m, d, nonpara)
 	// The order comes from the observed statistics, so they are computed
 	// first — by a kernel that reads m in place, through the engine's own
-	// path at a batch of one, and is dropped once they are known — and the
-	// kernel the run uses copies the rows in that order.
+	// path at a batch of one — and the kernel the run uses takes that
+	// kernel's per-row state into step-down order.  Every per-row pass,
+	// here and inside the kernels, runs a block of rows to a goroutine
+	// (stat.ForBlocks).
 	n := m.Rows
 	p.Stat = make([]float64, n)
 	p.Obs = make([]float64, n)
@@ -150,18 +150,21 @@ func NewPrepMatrix(m matrix.Matrix, d *stat.Design, side Side, nonpara bool) (*P
 	if err != nil {
 		return nil, err
 	}
-	bs := &stat.BatchScratch{}
-	k.OpenBatch(d.Labels, 1, bs)
-	k.StatsRows(0, n, p.Stat, 1, 1, bs)
-	for i, t := range p.Stat {
-		if t == 0 {
-			// The two-sample t kernels' subtraction form gives −0 where the
-			// group means are equal; the statistic is served as +0, as the
-			// per-row statistics give it.  ±0 compare equal, so no order or
-			// count moves.
-			p.Stat[i] = 0
+	stat.ForBlocks(n, func(lo, hi int) {
+		bs := &stat.BatchScratch{}
+		k.OpenBatch(d.Labels, 1, bs)
+		st := p.Stat[lo:hi]
+		k.StatsRows(lo, hi, st, 1, 1, bs)
+		for i, t := range st {
+			if t == 0 {
+				// The two-sample t kernels' subtraction form gives −0 where
+				// the group means are equal; the statistic is served as +0,
+				// as the per-row statistics give it.  ±0 compare equal, so
+				// no order or count moves.
+				st[i] = 0
+			}
 		}
-	}
+	})
 	p.rankRows()
 	if p.Kernel, err = stat.ReorderKernel(k, d, m, p.Order); err != nil {
 		return nil, err
@@ -176,10 +179,12 @@ func prepRows(m matrix.Matrix, d *stat.Design, nonpara bool) matrix.Matrix {
 		return m
 	}
 	m = m.Clone()
-	scratch := make([]int, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		stat.Ranks(m.Row(i), scratch)
-	}
+	stat.ForBlocks(m.Rows, func(lo, hi int) {
+		scratch := make([]int, m.Cols)
+		for i := lo; i < hi; i++ {
+			stat.Ranks(m.Row(i), scratch)
+		}
+	})
 	return m
 }
 
@@ -193,17 +198,7 @@ func (p *Prep) rankRows() {
 			p.Obs[i] = p.Side.transform(t)
 		}
 	}
-	p.Order = make([]int, len(p.Stat))
-	for i := range p.Order {
-		p.Order[i] = i
-	}
-	// Decreasing transformed statistic; cmp.Compare holds NaN below every
-	// number, so NaN rows sink to the end, and ±0 equal.  Ties break on row
-	// index, so the order is total — no stable sort is needed — and the
-	// order, and therefore the parallel reduction, is deterministic.
-	slices.SortFunc(p.Order, func(ra, rb int) int {
-		return cmp.Or(cmp.Compare(p.Obs[rb], p.Obs[ra]), cmp.Compare(ra, rb))
-	})
+	p.Order = stepDownOrder(p.Obs)
 	p.Valid = 0
 	for _, r := range p.Order {
 		if math.IsNaN(p.Obs[r]) {
@@ -215,6 +210,78 @@ func (p *Prep) rankRows() {
 	for j, r := range p.Order[:p.Valid] {
 		p.pobs[j] = p.Obs[r]
 	}
+}
+
+// stepDownOrder returns the row indices by decreasing obs: NaN rows at
+// the end, ±0 equal, ties broken on row index — the order of
+// cmp.Or(cmp.Compare(obs[b], obs[a]), cmp.Compare(a, b)), total, so the
+// step-down order and therefore the parallel reduction are deterministic.
+// It sorts descKey(obs[i]) by a least-significant-digit radix sort, a
+// byte a pass; every pass is stable, so equal keys keep their rows in
+// index order.  A pass whose byte is the same for every row moves nothing
+// and is skipped.
+func stepDownOrder(obs []float64) []int {
+	type keyed struct {
+		key uint64
+		row int
+	}
+	n := len(obs)
+	a, b := make([]keyed, n), make([]keyed, n)
+	var hist [8][256]int
+	for i, v := range obs {
+		k := descKey(v)
+		a[i] = keyed{k, i}
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	for d := range hist {
+		h := &hist[d]
+		if n == 0 || h[byte(a[0].key>>(8*d))] == n {
+			continue
+		}
+		pos := 0
+		for c, cnt := range h {
+			h[c] = pos
+			pos += cnt
+		}
+		for _, e := range a {
+			c := byte(e.key >> (8 * d))
+			b[h[c]] = e
+			h[c]++
+		}
+		a, b = b, a
+	}
+	order := make([]int, n)
+	for j, e := range a {
+		order[j] = e.row
+	}
+	return order
+}
+
+// descKey maps v to a key whose ascending order is v's decreasing order,
+// with ±0 one key and every NaN the largest.  A negative value's bits
+// already grow as it decreases; a non-negative value's grow as it
+// increases, so they are inverted, the sign bit cleared to keep them below
+// every negative's.  The largest key a number reaches is -Inf's,
+// 0xfff0000000000000.
+func descKey(v float64) uint64 {
+	if v != v {
+		return math.MaxUint64
+	}
+	if v == 0 {
+		v = 0 // −0 sorts with +0
+	}
+	k := math.Float64bits(v)
+	if k>>63 == 0 {
+		k = ^k &^ (1 << 63)
+	}
+	return k
 }
 
 // Rows returns the number of rows (genes) in the prepared matrix.

@@ -30,6 +30,7 @@ package stat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"sprint/internal/matrix"
@@ -136,31 +137,63 @@ func newIntRank(src rowSource) *intRank {
 		ok:   make([]bool, rows),
 		sum2: make([]int64, rows),
 	}
-	ir.all = true
-	for i := 0; i < rows; i++ {
-		dst := ir.data[i&^3*cols+i&3:]
-		rowOK := true
-		var s2 int64
-		for j, v := range src.row(i) {
-			if v != v { // missing: sentinel 0
-				continue
+	ForBlocks(rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst := ir.data[i&^3*cols+i&3:]
+			rowOK := true
+			var s2 int64
+			for j, v := range src.row(i) {
+				if v != v { // missing: sentinel 0
+					continue
+				}
+				if !intCell(v) {
+					rowOK = false
+					break
+				}
+				iv := int64(v * 2)
+				dst[4*j] = int32(iv)
+				s2 += iv
 			}
-			if !intCell(v) {
-				rowOK = false
-				break
+			if rowOK {
+				ir.ok[i] = true
+				ir.sum2[i] = s2
 			}
-			iv := int64(v * 2)
-			dst[4*j] = int32(iv)
-			s2 += iv
 		}
-		if rowOK {
-			ir.ok[i] = true
-			ir.sum2[i] = s2
-		} else {
-			ir.all = false
-		}
-	}
+	})
+	ir.all = !slices.Contains(ir.ok, false)
 	return ir
+}
+
+// reorder returns the integer view over ir's rows in order, or nil when
+// none of them passed the gate, as newIntRank over the rows in that order
+// returns: each row's cells, flag and total are copied, a block of rows to
+// a goroutine.
+func (ir *intRank) reorder(order []int) *intRank {
+	if ir == nil {
+		return nil
+	}
+	rows, cols := len(order), ir.cols
+	o := &intRank{cols: cols, ok: make([]bool, rows), sum2: make([]int64, rows), all: true}
+	any := false
+	for j, r := range order {
+		o.ok[j], o.sum2[j] = ir.ok[r], ir.sum2[r]
+		any = any || o.ok[j]
+		o.all = o.all && o.ok[j]
+	}
+	if !any {
+		return nil
+	}
+	o.data = make([]int32, (rows+3)&^3*cols)
+	ForBlocks(rows, func(lo, hi int) {
+		for j, r := range order[lo:hi] {
+			j += lo
+			dst, src := o.data[j&^3*cols+j&3:], ir.data[r&^3*cols+r&3:]
+			for c := 0; c < cols; c++ {
+				dst[4*c] = src[4*c]
+			}
+		}
+	})
+	return o
 }
 
 // quad returns the cells of the quad holding row i, which starts at

@@ -72,17 +72,24 @@ func NewKernel(d *Design, m matrix.Matrix, order []int) (BatchKernel, error) {
 
 // ReorderKernel returns the kernel NewKernel(d, m, order) returns, given
 // k, the kernel NewKernel(d, m, nil) returned: the two-sample kernels take
-// their row moments from k, following the rows into order, instead of a
-// second pass over m.
+// their row moments, and the Wilcoxon kernel its integer quads, row totals
+// and tails, from k, following the rows into order, instead of a second
+// pass over m.
 func ReorderKernel(k BatchKernel, d *Design, m matrix.Matrix, order []int) (BatchKernel, error) {
-	ts, ok := k.(*twoSampleKernel)
-	if !ok || order == nil {
-		return NewKernel(d, m, order)
+	if order == nil {
+		return NewKernel(d, m, nil)
 	}
 	if err := checkSource(d, m, order); err != nil {
 		return nil, err
 	}
-	return ts.reorder(rowSource{m: m, order: order}), nil
+	src := rowSource{m: m, order: order}
+	switch k := k.(type) {
+	case *twoSampleKernel:
+		return k.reorder(src), nil
+	case *wilcoxonKernel:
+		return k.reorder(src), nil
+	}
+	return NewKernel(d, m, order)
 }
 
 // checkSource validates what NewKernel is asked to read.
@@ -129,9 +136,11 @@ func (s rowSource) rowMajor() matrix.Matrix {
 		return s.m
 	}
 	c := matrix.New(len(s.order), s.m.Cols)
-	for j := range s.order {
-		copy(c.Row(j), s.row(j))
-	}
+	ForBlocks(c.Rows, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			copy(c.Row(j), s.row(j))
+		}
+	})
 	return c
 }
 
@@ -231,30 +240,36 @@ func newTwoSampleKernel(d *Design, src rowSource, pooled bool) *twoSampleKernel 
 
 // reorder returns k, which reads src.m in place, over src's rows in
 // src.order: the moments follow the rows into the new order, and the
-// octets take one pass over m.
+// octets take one pass over m, a block of positions to a goroutine.
 func (k *twoSampleKernel) reorder(src rowSource) *twoSampleKernel {
 	o := *k
 	rows := src.rows()
 	o.n, o.sum, o.sumsq, o.flat = make([]int, rows), make([]float64, rows), make([]float64, rows), make([]bool, rows)
-	for j, r := range src.order {
-		o.n[j], o.sum[j], o.sumsq[j], o.flat[j] = k.n[r], k.sum[r], k.sumsq[r], k.flat[r]
-	}
-	o.x = newOctets(src)
+	o.x = allocOctets(rows, src.m.Cols)
+	ForBlocks(rows, func(lo, hi int) {
+		for j, r := range src.order[lo:hi] {
+			j += lo
+			o.n[j], o.sum[j], o.sumsq[j], o.flat[j] = k.n[r], k.sum[r], k.sumsq[r], k.flat[r]
+		}
+		o.x.fill(src, lo, hi)
+	})
 	return &o
 }
 
-// rowMoments computes every row's label-independent moments in one pass:
-// non-missing count, sum, sum of squares, and whether the row is constant
-// over its non-missing cells — no labelling can give such a row a nonzero
-// variance, so its statistic is NaN for every permutation (exactly as the
-// legacy per-row path computes).
+// rowMoments computes every row's label-independent moments, a block of
+// rows to a goroutine: non-missing count, sum, sum of squares, and whether
+// the row is constant over its non-missing cells — no labelling can give
+// such a row a nonzero variance, so its statistic is NaN for every
+// permutation (exactly as the legacy per-row path computes).
 func rowMoments(m matrix.Matrix) (n []int, sum, sumsq []float64, flat []bool) {
 	n, sum, sumsq, flat = make([]int, m.Rows), make([]float64, m.Rows), make([]float64, m.Rows), make([]bool, m.Rows)
-	for i := range n {
-		row := m.Row(i)
-		n[i], sum[i], sumsq[i] = rowTotal(row)
-		flat[i] = constantRow(row)
-	}
+	ForBlocks(m.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := m.Row(i)
+			n[i], sum[i], sumsq[i] = rowTotal(row)
+			flat[i] = constantRow(row)
+		}
+	})
 	return n, sum, sumsq, flat
 }
 
@@ -278,21 +293,34 @@ func (g *rowGroups) row0(i int) int {
 	return (i>>g.lg)*g.cols<<g.lg + i&(1<<g.lg-1)
 }
 
-// newOctets lays the source's rows out as row octets, the rows padded to a
-// multiple of eight and the first octet started on a 64-byte boundary, so
-// that every column of every octet is one cache line.  A whole octet's
-// eight rows are read side by side, so each line is written in one go.
+// newOctets lays the source's rows out as row octets (allocOctets, fill),
+// a block of rows to a goroutine.
 func newOctets(src rowSource) rowGroups {
-	rows, cols := src.rows(), src.m.Cols
+	g := allocOctets(src.rows(), src.m.Cols)
+	ForBlocks(g.rows, func(lo, hi int) { g.fill(src, lo, hi) })
+	return g
+}
+
+// allocOctets returns an empty row-octet layout of rows × cols, the rows
+// padded to a multiple of eight and the first octet started on a 64-byte
+// boundary, so that every column of every octet is one cache line.
+func allocOctets(rows, cols int) rowGroups {
 	n := (rows + 7) &^ 7 * cols
 	buf := make([]float64, n+7)
-	g := rowGroups{data: buf[-(uintptr(unsafe.Pointer(&buf[0]))>>3)&7:][:n], rows: rows, cols: cols, lg: 3}
-	if n == 0 {
-		return g
+	return rowGroups{data: buf[-(uintptr(unsafe.Pointer(&buf[0]))>>3)&7:][:n], rows: rows, cols: cols, lg: 3}
+}
+
+// fill writes the source's rows [lo, hi) into the octets; lo is a multiple
+// of eight, and so is hi unless it is the last row.  A whole octet's eight
+// rows are read side by side, so each line is written in one go.
+func (g rowGroups) fill(src rowSource, lo, hi int) {
+	cols := g.cols
+	if hi <= lo || cols == 0 {
+		return
 	}
-	lines := unsafe.Slice((*[8]float64)(unsafe.Pointer(&g.data[0])), n/8)
-	full := rows &^ 7
-	for o := 0; o < full; o += 8 {
+	lines := unsafe.Slice((*[8]float64)(unsafe.Pointer(&g.data[0])), len(g.data)/8)
+	full := hi &^ 7
+	for o := lo; o < full; o += 8 {
 		r0, r1, r2, r3 := src.row(o), src.row(o + 1)[:cols], src.row(o + 2)[:cols], src.row(o + 3)[:cols]
 		r4, r5, r6, r7 := src.row(o + 4)[:cols], src.row(o + 5)[:cols], src.row(o + 6)[:cols], src.row(o + 7)[:cols]
 		oct := lines[o*cols/8:][:cols]
@@ -302,12 +330,11 @@ func newOctets(src rowSource) rowGroups {
 			l[4], l[5], l[6], l[7] = r4[j], r5[j], r6[j], r7[j]
 		}
 	}
-	for i := full; i < rows; i++ {
+	for i := max(full, lo); i < hi; i++ {
 		for j, v := range src.row(i) {
 			lines[i&^7*cols/8+j][i&7] = v
 		}
 	}
-	return g
 }
 
 // constantRow reports whether the row's non-missing cells are all equal:
@@ -458,16 +485,41 @@ func newWilcoxonKernel(d *Design, src rowSource) *wilcoxonKernel {
 		k.m = src.rowMajor()
 	}
 	k.n, k.total, k.totalSq = make([]int, rows), make([]float64, rows), make([]float64, rows)
-	for i := range k.n {
-		k.n[i], k.total[i], k.totalSq[i] = rowTotal(src.row(i))
-	}
 	k.tails = make([]wilxTail, rows)
-	for i := range k.tails {
-		if k.n[i] == cols {
-			k.tails[i] = newWilxTail(k.cls, k.nsel, k.n[i], k.total[i], k.totalSq[i])
+	ForBlocks(rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k.n[i], k.total[i], k.totalSq[i] = rowTotal(src.row(i))
+			if k.n[i] == cols {
+				k.tails[i] = newWilxTail(k.cls, k.nsel, k.n[i], k.total[i], k.totalSq[i])
+			}
 		}
-	}
+	})
 	return k
+}
+
+// reorder returns k, which reads src.m in place, over src's rows in
+// src.order: the row totals, the tails and the integer view's cells
+// follow the rows into the new order — each a copy of what k computed,
+// so the kernel is NewKernel's over the same order bit for bit — and the
+// float rows are copied only where the integer view does not cover them.
+func (k *wilcoxonKernel) reorder(src rowSource) *wilcoxonKernel {
+	o := *k
+	rows, cols := src.rows(), k.m.Cols
+	o.ir = k.ir.reorder(src.order)
+	if o.ir != nil && o.ir.all {
+		o.m = matrix.Matrix{Rows: rows, Cols: cols}
+	} else {
+		o.m = src.rowMajor()
+	}
+	o.n, o.total, o.totalSq = make([]int, rows), make([]float64, rows), make([]float64, rows)
+	o.tails = make([]wilxTail, rows)
+	ForBlocks(rows, func(lo, hi int) {
+		for j, r := range src.order[lo:hi] {
+			j += lo
+			o.n[j], o.total[j], o.totalSq[j], o.tails[j] = k.n[r], k.total[r], k.totalSq[r], k.tails[r]
+		}
+	})
+	return &o
 }
 
 // wilxTail holds the permutation-invariant part of the Wilcoxon z-score
@@ -571,9 +623,11 @@ type fKernel struct {
 
 func newFKernel(d *Design, m matrix.Matrix) *fKernel {
 	flat := make([]bool, m.Rows)
-	for i := range flat {
-		flat[i] = constantRow(m.Row(i))
-	}
+	ForBlocks(m.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			flat[i] = constantRow(m.Row(i))
+		}
+	})
 	return &fKernel{m: m, k: d.K, flat: flat}
 }
 
@@ -663,21 +717,23 @@ func newPairTKernel(d *Design, src rowSource) *pairTKernel {
 		cnt:   make([]int, rows),
 		sumsq: make([]float64, rows),
 	}
-	for i := 0; i < rows; i++ {
-		row := src.row(i)
-		dst := k.diffs.Row(i)
-		for j := 0; j < d.Pairs; j++ {
-			a, b := row[2*j], row[2*j+1]
-			if a != a || b != b {
-				dst[j] = math.NaN()
-				continue
+	ForBlocks(rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := src.row(i)
+			dst := k.diffs.Row(i)
+			for j := 0; j < d.Pairs; j++ {
+				a, b := row[2*j], row[2*j+1]
+				if a != a || b != b {
+					dst[j] = math.NaN()
+					continue
+				}
+				dv := b - a
+				dst[j] = dv
+				k.cnt[i]++
+				k.sumsq[i] += float64(dv * dv)
 			}
-			dv := b - a
-			dst[j] = dv
-			k.cnt[i]++
-			k.sumsq[i] += float64(dv * dv)
 		}
-	}
+	})
 	return k
 }
 
@@ -731,55 +787,57 @@ func newBlockFKernel(d *Design, m matrix.Matrix) *blockFKernel {
 		ssBlock:   make([]float64, m.Rows),
 	}
 	kk, blocks := d.BlockSize, d.Blocks
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		comp := k.complete[i*blocks : (i+1)*blocks]
-		used := 0
-		for b := 0; b < blocks; b++ {
-			ok := true
-			for j := 0; j < kk; j++ {
-				if v := row[b*kk+j]; v != v {
-					ok = false
-					break
+	ForBlocks(m.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := m.Row(i)
+			comp := k.complete[i*blocks : (i+1)*blocks]
+			used := 0
+			for b := 0; b < blocks; b++ {
+				ok := true
+				for j := 0; j < kk; j++ {
+					if v := row[b*kk+j]; v != v {
+						ok = false
+						break
+					}
+				}
+				comp[b] = ok
+				if ok {
+					used++
 				}
 			}
-			comp[b] = ok
-			if ok {
-				used++
+			k.blockUsed[i] = used
+			if used < 2 {
+				continue // row permanently uncomputable
 			}
+			var grand float64
+			for b := 0; b < blocks; b++ {
+				if !comp[b] {
+					continue
+				}
+				for j := 0; j < kk; j++ {
+					grand += row[b*kk+j]
+				}
+			}
+			gm := grand / float64(used*kk)
+			k.grandMean[i] = gm
+			var ssTotal, ssBlock float64
+			for b := 0; b < blocks; b++ {
+				if !comp[b] {
+					continue
+				}
+				var bs float64
+				for j := 0; j < kk; j++ {
+					v := row[b*kk+j]
+					dv := v - gm
+					ssTotal += float64(dv * dv)
+					bs += v
+				}
+				db := bs/float64(kk) - gm
+				ssBlock += float64(float64(kk) * db * db)
+			}
+			k.ssTotal[i], k.ssBlock[i] = ssTotal, ssBlock
 		}
-		k.blockUsed[i] = used
-		if used < 2 {
-			continue // row permanently uncomputable
-		}
-		var grand float64
-		for b := 0; b < blocks; b++ {
-			if !comp[b] {
-				continue
-			}
-			for j := 0; j < kk; j++ {
-				grand += row[b*kk+j]
-			}
-		}
-		gm := grand / float64(used*kk)
-		k.grandMean[i] = gm
-		var ssTotal, ssBlock float64
-		for b := 0; b < blocks; b++ {
-			if !comp[b] {
-				continue
-			}
-			var bs float64
-			for j := 0; j < kk; j++ {
-				v := row[b*kk+j]
-				dv := v - gm
-				ssTotal += float64(dv * dv)
-				bs += v
-			}
-			db := bs/float64(kk) - gm
-			ssBlock += float64(float64(kk) * db * db)
-		}
-		k.ssTotal[i], k.ssBlock[i] = ssTotal, ssBlock
-	}
+	})
 	return k
 }
 

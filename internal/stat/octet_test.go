@@ -3,6 +3,7 @@ package stat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sprint/internal/matrix"
@@ -196,4 +197,79 @@ func TestReorderKernelReusesMoments(t *testing.T) {
 			t.Fatalf("%v: reused kernel's settings differ", dc.test)
 		}
 	}
+}
+
+// TestReorderKernelReusesWilcoxonState: the Wilcoxon run kernel
+// ReorderKernel builds from the in-place kernel holds, bit for bit, what
+// NewKernel builds from the matrix in the same order — the integer view's
+// cells, gate flags and totals, the row counts, totals and tails, and the
+// float rows exactly where the view does not cover every row — when every
+// row passes the integer gate (mid-ranks, an NA cell, an all-NA row, a
+// constant row), when none does (raw values) and when some do, on more
+// rows than one prep block.
+func TestReorderKernelReusesWilcoxonState(t *testing.T) {
+	const rows = 2*PrepBlock + 21
+	for _, lab := range [][]int{halfLabels(16), twoClassLabels(9, 4)} {
+		d, err := NewDesign(Wilcoxon, lab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := benchMatrix(rows, d.N, 5)
+		ranked := raw.Clone()
+		for i := 0; i < rows; i++ {
+			Ranks(ranked.Row(i), nil)
+		}
+		ranked.Row(3)[2] = math.NaN()
+		for j := range ranked.Row(7) {
+			ranked.Row(7)[j] = math.NaN()
+			ranked.Row(10)[j] = 2.5
+		}
+		mixed := ranked.Clone()
+		for _, i := range []int{1, PrepBlock, rows - 1} {
+			copy(mixed.Row(i), raw.Row(i))
+		}
+		order := identity(rows)
+		r := lcg(11)
+		r.shuffle(order)
+		for name, m := range map[string]matrix.Matrix{"ranked": ranked, "raw": raw, "mixed": mixed} {
+			inPlace, err := NewKernel(d, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused, err := ReorderKernel(inPlace, d, m, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewKernel(d, m, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := reused.(*wilcoxonKernel), fresh.(*wilcoxonKernel)
+			at := fmt.Sprintf("%v %s", lab, name)
+			if (got.ir == nil) != (want.ir == nil) || got.m.Rows != want.m.Rows || got.m.Cols != want.m.Cols || !sameBits(got.m.Data, want.m.Data) {
+				t.Fatalf("%s: integer view or float rows differ (nil view %v, want %v)", at, got.ir == nil, want.ir == nil)
+			}
+			if got.ir != nil && (got.ir.cols != want.ir.cols || got.ir.all != want.ir.all || !slices.Equal(got.ir.data, want.ir.data) ||
+				!slices.Equal(got.ir.ok, want.ir.ok) || !slices.Equal(got.ir.sum2, want.ir.sum2)) {
+				t.Fatalf("%s: integer view differs", at)
+			}
+			if !slices.Equal(got.n, want.n) || !sameBits(got.total, want.total) || !sameBits(got.totalSq, want.totalSq) {
+				t.Fatalf("%s: row counts or totals differ", at)
+			}
+			for j := range want.tails {
+				g, w := got.tails[j], want.tails[j]
+				if g.ok != w.ok || g.neg != w.neg || !sameBits([]float64{g.total, g.mu1, g.sd}, []float64{w.total, w.mu1, w.sd}) {
+					t.Fatalf("%s: tail of row %d differs: %+v, want %+v", at, j, g, w)
+				}
+			}
+			if got.cls != want.cls || got.nsel != want.nsel || got.isa != want.isa {
+				t.Fatalf("%s: settings differ", at)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

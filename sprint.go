@@ -165,6 +165,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // MaxTCheckpointed runs MaxT with periodic checkpoints: every `every`
 // permutations the save callback receives a snapshot that a later call can
 // resume from.  The final result is bit-identical to an uninterrupted run.
+// save runs while the next window computes, one call at a time, and has
+// returned before MaxTCheckpointed does; an error from it ends the run.
 func MaxTCheckpointed(x [][]float64, classlabel []int, opt Options, resume *Checkpoint, every int64, save func(*Checkpoint) error) (*Result, error) {
 	if every <= 0 {
 		return nil, fmt.Errorf("sprint: checkpoint interval %d must be positive", every)
